@@ -332,4 +332,36 @@ mod tests {
         // (bucket scans read the same pages either way).
         assert_eq!(agg.io.reads, seq_verify_reads + seq_table_reads);
     }
+
+    /// Exact paper-model costs of fixed queries, multi-round and
+    /// early-stopped ones included. Any change to how table pages are
+    /// charged, or to where an expansion stops, moves these numbers —
+    /// and with them every I/O column in EXPERIMENTS.md.
+    #[test]
+    fn golden_io_counts() {
+        use crate::stats::Termination::{T1AtRadius as T1, T2CandidateBudget as T2};
+        let data = clustered(2000, 16, 11);
+        let disk = DiskIndex::build(&data, &cfg());
+        assert_eq!(disk.size_pages(), 876);
+        // (query id, offset added to every coordinate, k) ->
+        // (io reads, verified, collisions, termination)
+        let golden = [
+            ((3, 0.0, 1), (493, 101, 13515, T2)),
+            ((3, 0.0, 10), (511, 110, 13886, T2)),
+            ((259, 0.0, 1), (577, 101, 14688, T2)),
+            ((259, 0.0, 10), (580, 104, 14793, T1)),
+            ((1100, 0.5, 1), (994, 101, 17401, T2)),
+            ((1100, 0.5, 10), (994, 101, 17421, T1)),
+            ((400, 2.0, 1), (1714, 101, 48944, T2)),
+            ((400, 2.0, 10), (1727, 110, 49311, T2)),
+            ((3, 30.0, 1), (2653, 101, 80352, T2)),
+            ((3, 30.0, 10), (2662, 110, 80402, T2)),
+        ];
+        for ((qi, offset, k), want) in golden {
+            let q: Vec<f32> = data.get(qi).iter().map(|x| x + offset).collect();
+            let (_, s) = disk.query(&q, k);
+            let got = (s.io.reads, s.candidates_verified, s.collisions_counted, s.terminated_by);
+            assert_eq!(got, want, "query {qi} + {offset}, k = {k}");
+        }
+    }
 }
