@@ -14,7 +14,7 @@
 //! false candidates (never loses true ones).
 
 use crate::BaselineStats;
-use cc_storage::pagefile::IoStats;
+use cc_storage::IoStats;
 use cc_vector::dataset::Dataset;
 use cc_vector::dist::{dot, euclidean_sq_bounded};
 use cc_vector::gt::Neighbor;

@@ -24,7 +24,7 @@ pub mod lsb;
 pub mod multiprobe;
 pub mod rigorous;
 
-use cc_storage::pagefile::IoStats;
+use cc_storage::IoStats;
 
 /// Uniform per-query cost counters for the baseline methods.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -5,7 +5,7 @@
 //! full sequential read of the data file: `⌈n·d·4 / 4096⌉` pages.
 
 use crate::BaselineStats;
-use cc_storage::pagefile::IoStats;
+use cc_storage::IoStats;
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::{knn_linear, Neighbor};
 

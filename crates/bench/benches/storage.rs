@@ -1,11 +1,6 @@
-//! Micro-benchmark: the storage substrate (B+-tree search, bucket-file
-//! window scans, buffer-pool hits).
+//! Micro-benchmark: B+-tree search and range scans.
 
 use cc_storage::bptree::BPlusTree;
-use cc_storage::bucket_file::BucketFile;
-use cc_storage::buffer::BufferPool;
-use cc_storage::page::PageId;
-use cc_storage::pagefile::PageFile;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_bptree(c: &mut Criterion) {
@@ -17,37 +12,9 @@ fn bench_bptree(c: &mut Criterion) {
     });
 }
 
-fn bench_bucket_file(c: &mut Criterion) {
-    let mut file = PageFile::new();
-    let entries: Vec<(i64, u32)> = (0..100_000).map(|i| ((i / 3) as i64, i as u32)).collect();
-    let bf = BucketFile::build(&mut file, &entries);
-    c.bench_function("bucket_file_lower_bound_100k", |b| {
-        b.iter(|| bf.lower_bound(&file, black_box(12_345)))
-    });
-    c.bench_function("bucket_file_scan_1k", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            bf.scan(&file, 40_000, 41_000, |_, oid| acc += oid as u64);
-            acc
-        })
-    });
-}
-
-fn bench_buffer_pool(c: &mut Criterion) {
-    let mut file = PageFile::new();
-    for _ in 0..256 {
-        file.alloc();
-    }
-    let pool = BufferPool::new(&file, 64);
-    c.bench_function("buffer_pool_hit", |b| {
-        pool.get(PageId(7));
-        b.iter(|| pool.get(black_box(PageId(7))))
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_bptree, bench_bucket_file, bench_buffer_pool
+    targets = bench_bptree
 }
 criterion_main!(benches);

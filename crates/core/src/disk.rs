@@ -1,77 +1,76 @@
-//! The disk-resident C2LSH index.
+//! The disk-resident C2LSH index, costed under the paper's I/O model.
 //!
-//! Identical logical layout to [`crate::index::C2lshIndex`], but every
-//! hash table is a [`BucketFile`] — sorted `(bucket, oid)` entries packed
-//! into 4 KiB pages of a [`PageFile`] — so each query's page I/O can be
-//! measured exactly, reproducing the paper's I/O-cost experiments.
-//!
-//! The [`crate::engine`] loop runs against this store; the in-memory
-//! fence keys of each [`BucketFile`] play the role of the (always-cached)
-//! sparse index over each sorted run, and leaf-page reads are charged to
-//! the embedded [`PageFile`]'s counters.
+//! The paper's efficiency metric is a *count* of 4 KiB page reads. This
+//! backend answers from the same sorted `(bucket, oid)` runs as
+//! [`C2lshIndex`] and charges what a paged layout of each run —
+//! [`ENTRIES_PER_PAGE`] 12-byte entries per page, first key of every
+//! page cached in memory — would read: one page per window-bound probe,
+//! the pages spanned by the entries a scan actually visits, and
+//! [`TableStore::verify_pages`] per verified candidate. The count is
+//! arithmetic on entry indices; no page bytes exist. The tier that
+//! does real out-of-core I/O is [`crate::paged`].
 
 use crate::config::C2lshConfig;
-use crate::engine::QueryScratch;
-use crate::engine::{self, BucketWindows, SearchOptions, SearchParams, TableStore};
-use crate::hash::HashFamily;
+use crate::engine::{self, BucketWindows, SearchOptions, TableStore};
+use crate::index::{C2lshIndex, SortedRun};
 use crate::meta::PointMeta;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
-use cc_storage::bucket_file::BucketFile;
-use cc_storage::pagefile::PageFile;
+use cc_storage::{ENTRIES_PER_PAGE, PAGE_SIZE};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// The paged C2LSH index.
+/// C2LSH with exact page-I/O accounting.
 pub struct DiskIndex<'d> {
-    data: &'d Dataset,
-    config: C2lshConfig,
-    params: FullParams,
-    family: HashFamily,
-    file: PageFile,
-    tables: Vec<BucketFile>,
-    /// Per-point attribute payloads; empty = every point defaults.
-    metas: Vec<PointMeta>,
-    scratch: Mutex<QueryScratch>,
+    mem: C2lshIndex<'d>,
+    /// Table pages charged since build.
+    reads: AtomicU64,
     /// Pages a candidate verification costs: reading one data vector.
     /// `⌈d·4 / 4096⌉`, at least 1 — the paper charges one page per
     /// candidate unless vectors exceed a page.
     verify_pages: u64,
 }
 
+/// Grow window `t` of `cursor` over `run` to `radius`, visiting the
+/// newly covered ids, and add to `reads` the pages that costs: one per
+/// bound probe (the leaf the cached page keys point at; an empty run
+/// has none) and, per delta range, the pages spanned from its first
+/// entry to the last one visited.
+fn expand_metered(
+    run: &SortedRun,
+    reads: &AtomicU64,
+    cursor: &mut BucketWindows,
+    t: usize,
+    radius: i64,
+    visit: &mut dyn FnMut(u32) -> bool,
+) {
+    let n = run.oids.len();
+    let (left, right) = cursor.grow(t, radius, n, |b, lo, hi| {
+        reads.fetch_add(u64::from(n > 0), Relaxed);
+        run.lower_bound(b, lo, hi)
+    });
+    // Each range is its own scan: a stop in the left one does not skip
+    // the right one. The recorded I/O tables were measured that way.
+    for range in [left, right] {
+        if range.is_empty() {
+            continue;
+        }
+        let stopped_at = range.clone().find(|&i| !visit(run.oids[i]));
+        let last = stopped_at.unwrap_or(range.end - 1);
+        let pages = last / ENTRIES_PER_PAGE - range.start / ENTRIES_PER_PAGE + 1;
+        reads.fetch_add(pages as u64, Relaxed);
+    }
+}
+
 impl<'d> DiskIndex<'d> {
-    /// Build the paged index (hash, sort, pack into pages).
+    /// Build the index (hash, sort).
     ///
     /// # Panics
     /// Panics on an empty dataset or invalid config.
     pub fn build(data: &'d Dataset, config: &C2lshConfig) -> Self {
-        assert!(!data.is_empty(), "cannot index an empty dataset");
-        let params = FullParams::derive(data.len(), config);
-        let family = HashFamily::generate(params.m, data.dim(), config);
-        let mut file = PageFile::new();
-        let tables: Vec<BucketFile> = family
-            .iter()
-            .map(|h| {
-                let mut pairs: Vec<(i64, u32)> =
-                    data.iter().enumerate().map(|(i, v)| (h.bucket(v), i as u32)).collect();
-                pairs.sort_unstable();
-                BucketFile::build(&mut file, &pairs)
-            })
-            .collect();
-        file.reset_stats();
-        let verify_pages = (data.dim() as u64 * 4).div_ceil(4096).max(1);
-        Self {
-            data,
-            config: config.clone(),
-            params,
-            family,
-            file,
-            tables,
-            metas: Vec::new(),
-            scratch: Mutex::new(QueryScratch::new(data.len())),
-            verify_pages,
-        }
+        let verify_pages = (data.dim() * 4).div_ceil(PAGE_SIZE).max(1) as u64;
+        Self { mem: C2lshIndex::build(data, config), reads: AtomicU64::new(0), verify_pages }
     }
 
     /// Attach per-point metadata (one entry per indexed point, in id
@@ -83,8 +82,7 @@ impl<'d> DiskIndex<'d> {
     /// # Panics
     /// Panics when `metas.len() != len()`.
     pub fn set_meta(&mut self, metas: Vec<PointMeta>) {
-        assert_eq!(metas.len(), self.data.len(), "one PointMeta per indexed point");
-        self.metas = metas;
+        self.mem.set_meta(metas);
     }
 
     /// Builder-style [`DiskIndex::set_meta`].
@@ -96,16 +94,7 @@ impl<'d> DiskIndex<'d> {
 
     /// The derived parameters in effect.
     pub fn params(&self) -> &FullParams {
-        &self.params
-    }
-
-    fn search_params(&self) -> SearchParams {
-        SearchParams {
-            c: self.config.c,
-            l: self.params.l as u32,
-            beta_n: self.params.beta_n,
-            base_radius: self.config.base_radius,
-        }
+        self.mem.params()
     }
 
     /// c-k-ANN query with exact page-I/O accounting.
@@ -125,8 +114,8 @@ impl<'d> DiskIndex<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        let mut scratch = self.scratch.lock();
-        engine::run_query(self, &self.search_params(), &mut scratch, q, k, opts)
+        let mut scratch = self.mem.scratch.lock();
+        engine::run_query(self, &self.mem.search_params(), &mut scratch, q, k, opts)
     }
 
     /// Convenience c-ANN (k = 1).
@@ -139,9 +128,9 @@ impl<'d> DiskIndex<'d> {
     ///
     /// Per-query [`QueryStats::io`] carries the deterministic
     /// verification charge; the table page reads of the whole batch are
-    /// reported once in [`BatchStats::io`] (workers share the page
-    /// file's counters, so a per-query table delta is not attributable
-    /// under concurrency).
+    /// reported once in [`BatchStats::io`] (workers share one page
+    /// counter, so a per-query table delta is not attributable under
+    /// concurrency).
     pub fn query_batch(
         &self,
         queries: &Dataset,
@@ -157,23 +146,18 @@ impl<'d> DiskIndex<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats) {
-        engine::run_query_batch(self, &self.search_params(), queries, k, opts)
+        engine::run_query_batch(self, &self.mem.search_params(), queries, k, opts)
     }
 
     /// Index size in pages (hash tables only; the paper's index-size
     /// metric excludes the raw data file, which every method shares).
     pub fn size_pages(&self) -> usize {
-        self.file.len()
-    }
-
-    /// The backing page file (exposed for I/O-trace experiments).
-    pub fn page_file(&self) -> &PageFile {
-        &self.file
+        self.num_tables() * self.len().div_ceil(ENTRIES_PER_PAGE)
     }
 
     /// Index size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.file.size_bytes()
+        self.size_pages() * PAGE_SIZE
     }
 }
 
@@ -181,28 +165,23 @@ impl TableStore for DiskIndex<'_> {
     type Cursor = BucketWindows;
 
     fn dim(&self) -> usize {
-        self.data.dim()
+        self.mem.dim()
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        self.mem.len()
     }
 
     fn num_tables(&self) -> usize {
-        self.tables.len()
+        self.mem.num_tables()
     }
 
     fn begin(&self, q: &[f32]) -> BucketWindows {
-        BucketWindows::new(self.family.buckets(q))
+        self.mem.begin(q)
     }
 
     fn begin_batch(&self, queries: &Dataset) -> Vec<BucketWindows> {
-        let m = self.family.len();
-        self.family
-            .buckets_batch(queries)
-            .chunks_exact(m)
-            .map(|b| BucketWindows::new(b.to_vec()))
-            .collect()
+        self.mem.begin_batch(queries)
     }
 
     fn expand(
@@ -212,26 +191,19 @@ impl TableStore for DiskIndex<'_> {
         radius: i64,
         visit: &mut dyn FnMut(u32) -> bool,
     ) {
-        let table = &self.tables[t];
-        let n = self.data.len();
-        let (left, right) = cursor.grow(t, radius, n, |b, _, _| table.lower_bound(&self.file, b));
-        for range in [left, right] {
-            if !range.is_empty() {
-                table.scan_while(&self.file, range.start, range.end, |_, oid| visit(oid));
-            }
-        }
+        expand_metered(&self.mem.tables[t], &self.reads, cursor, t, radius, visit);
     }
 
     fn exhausted(&self, cursor: &BucketWindows) -> bool {
-        cursor.exhausted(self.data.len())
+        self.mem.exhausted(cursor)
     }
 
     fn vector(&self, oid: u32) -> Option<&[f32]> {
-        Some(self.data.get(oid as usize))
+        self.mem.vector(oid)
     }
 
     fn meta(&self, oid: u32) -> PointMeta {
-        self.metas.get(oid as usize).copied().unwrap_or_default()
+        self.mem.meta(oid)
     }
 
     fn verify_pages(&self) -> u64 {
@@ -239,7 +211,7 @@ impl TableStore for DiskIndex<'_> {
     }
 
     fn io_reads(&self) -> u64 {
-        self.file.stats().reads
+        self.reads.load(Relaxed)
     }
 }
 
@@ -298,7 +270,7 @@ mod tests {
     fn size_pages_scales_with_m() {
         let data = clustered(2000, 8, 13);
         let disk = DiskIndex::build(&data, &cfg());
-        let per_table = 2000usize.div_ceil(cc_storage::bucket_file::ENTRIES_PER_PAGE);
+        let per_table = 2000usize.div_ceil(ENTRIES_PER_PAGE);
         assert_eq!(disk.size_pages(), per_table * disk.params().m);
         assert_eq!(disk.size_bytes(), disk.size_pages() * 4096);
     }
@@ -362,6 +334,65 @@ mod tests {
             let (_, s) = disk.query(&q, k);
             let got = (s.io.reads, s.candidates_verified, s.collisions_counted, s.terminated_by);
             assert_eq!(got, want, "query {qi} + {offset}, k = {k}");
+        }
+    }
+
+    /// Naive page model the meter must equal: one page per bound probe,
+    /// and every maximal run of consecutively visited entry indices (one
+    /// scan) reads each distinct `index / 341` page it touches once.
+    fn naive_pages(probes: u64, visited: &[usize]) -> u64 {
+        let mut pages = probes;
+        let mut scan = std::collections::BTreeSet::new();
+        for (n, &i) in visited.iter().enumerate() {
+            if n > 0 && visited[n - 1] + 1 != i {
+                pages += scan.len() as u64;
+                scan.clear();
+            }
+            scan.insert(i / 341);
+        }
+        pages + scan.len() as u64
+    }
+
+    /// Expand one run round by round around bucket `q`, stopping round
+    /// `r` at its `stops[r]`-th visit, and compare each round's charge.
+    fn check_meter(mut buckets: Vec<i64>, q: i64, stops: &[usize]) {
+        buckets.sort_unstable();
+        let run = SortedRun { oids: (0..buckets.len() as u32).collect(), buckets };
+        let reads = AtomicU64::new(0);
+        let mut cursor = BucketWindows::new(vec![q]);
+        for (level, &stop) in stops.iter().enumerate() {
+            let (before, mut visited) = (reads.load(Relaxed), Vec::new());
+            let radius = crate::rehash::radius_at(2, level as u32);
+            expand_metered(&run, &reads, &mut cursor, 0, radius, &mut |oid| {
+                visited.push(oid as usize);
+                visited.len() != stop
+            });
+            let probes = if run.oids.is_empty() { 0 } else { 2 };
+            assert_eq!(
+                reads.load(Relaxed) - before,
+                naive_pages(probes, &visited),
+                "round {level}"
+            );
+        }
+    }
+
+    #[test]
+    fn meter_handles_empty_run_and_page_boundary() {
+        check_meter(Vec::new(), 0, &[1, 1]);
+        // One bucket of exactly two pages: the scan ends on a page boundary.
+        check_meter(vec![5; 2 * ENTRIES_PER_PAGE], 5, &[usize::MAX]);
+        // ... and stopping on the last entry of the first page reads one.
+        check_meter(vec![5; 2 * ENTRIES_PER_PAGE], 5, &[ENTRIES_PER_PAGE]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn meter_matches_naive_page_count(
+            buckets in proptest::collection::vec(-60i64..60, 0..1500),
+            q in -60i64..60,
+            stops in proptest::collection::vec(1usize..700, 1..8),
+        ) {
+            check_meter(buckets, q, &stops);
         }
     }
 }

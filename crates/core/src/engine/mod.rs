@@ -6,7 +6,7 @@
 //! [`TableStore`] trait:
 //!
 //! * [`crate::index::C2lshIndex`] — in-memory sorted runs,
-//! * [`crate::disk::DiskIndex`] — 4 KiB-paged bucket files,
+//! * [`crate::disk::DiskIndex`] — the same runs, metered in 4 KiB pages,
 //! * [`crate::dynamic::DynamicIndex`] — updatable `BTreeMap` tables,
 //! * `qalsh::Qalsh` (sibling crate) — query-aware B+-tree cursors.
 //!

@@ -22,9 +22,17 @@ use parking_lot::Mutex;
 
 /// One sorted hash table in SoA layout.
 #[derive(Debug)]
-struct SortedRun {
-    buckets: Vec<i64>,
-    oids: Vec<u32>,
+pub(crate) struct SortedRun {
+    pub(crate) buckets: Vec<i64>,
+    pub(crate) oids: Vec<u32>,
+}
+
+impl SortedRun {
+    /// Index of the first entry with bucket id ≥ `b`, searched within
+    /// `lo..hi` (the hint [`BucketWindows::grow`] supplies).
+    pub(crate) fn lower_bound(&self, b: i64, lo: usize, hi: usize) -> usize {
+        lo + self.buckets[lo..hi].partition_point(|&x| x < b)
+    }
 }
 
 /// The in-memory C2LSH index over a borrowed dataset.
@@ -34,12 +42,12 @@ pub struct C2lshIndex<'d> {
     config: C2lshConfig,
     params: FullParams,
     family: HashFamily,
-    tables: Vec<SortedRun>,
+    pub(crate) tables: Vec<SortedRun>,
     /// Per-point attribute payloads, indexed by object id; empty when
     /// the corpus carries no metadata (every point reads as default).
     metas: Vec<PointMeta>,
     /// Reusable query scratch (epoch counter), lazily rebuilt per query.
-    scratch: Mutex<QueryScratch>,
+    pub(crate) scratch: Mutex<QueryScratch>,
 }
 
 impl<'d> C2lshIndex<'d> {
@@ -96,7 +104,7 @@ impl<'d> C2lshIndex<'d> {
         &self.family
     }
 
-    fn search_params(&self) -> SearchParams {
+    pub(crate) fn search_params(&self) -> SearchParams {
         SearchParams {
             c: self.config.c,
             l: self.params.l as u32,
@@ -255,8 +263,7 @@ impl TableStore for C2lshIndex<'_> {
     ) {
         let run = &self.tables[t];
         let n = run.oids.len();
-        let (left, right) = cursor
-            .grow(t, radius, n, |b, lo, hi| lo + run.buckets[lo..hi].partition_point(|&x| x < b));
+        let (left, right) = cursor.grow(t, radius, n, |b, lo, hi| run.lower_bound(b, lo, hi));
         for range in [left, right] {
             for &oid in &run.oids[range] {
                 if !visit(oid) {
@@ -277,8 +284,7 @@ impl TableStore for C2lshIndex<'_> {
         // contiguous id run, handed to the engine without any buffering.
         let run = &self.tables[t];
         let n = run.oids.len();
-        let (left, right) = cursor
-            .grow(t, radius, n, |b, lo, hi| lo + run.buckets[lo..hi].partition_point(|&x| x < b));
+        let (left, right) = cursor.grow(t, radius, n, |b, lo, hi| run.lower_bound(b, lo, hi));
         for range in [left, right] {
             if !range.is_empty() && !visit(&run.oids[range]) {
                 return;

@@ -1,12 +1,13 @@
-//! The paged (out-of-core) C2LSH index over the real disk tier.
+//! The paged (out-of-core) C2LSH index.
 //!
 //! Where [`crate::disk::DiskIndex`] borrows an in-RAM [`Dataset`] and
-//! *simulates* page I/O, `PagedStore` owns nothing but page numbers: both
-//! the data vectors and the compressed hash-table posting runs live in an
-//! on-disk [`DiskPageFile`] (checksummed 4 KiB pages) and every read goes
-//! through a [`PinnedPool`] buffer pool. Peak memory is the pool size
-//! plus per-table page directories — independent of dataset size — which
-//! is what lets `bench run --profile large` ingest millions of points.
+//! only *counts* the paper's page I/O, `PagedStore` owns nothing but page
+//! numbers: both the data vectors and the compressed hash-table posting
+//! runs live in an on-disk [`DiskPageFile`] (checksummed 4 KiB pages)
+//! and every read goes through a [`PinnedPool`] buffer pool. Peak memory
+//! is the pool size plus per-table page directories — independent of
+//! dataset size — which is what lets `bench run --profile large` ingest
+//! millions of points.
 //!
 //! Construction streams: [`PagedBuilder`] accepts rows one at a time,
 //! writes vector bytes straight into pages, and spills per-table
@@ -30,11 +31,10 @@ use crate::engine::{self, BucketWindows, QueryScratch, SearchOptions, SearchPara
 use crate::hash::HashFamily;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
-use cc_storage::bucket_file::ENTRIES_PER_PAGE;
 use cc_storage::diskfile::{DiskPageFile, DiskPageFileWriter, PAYLOAD_BYTES};
 use cc_storage::paged_bucket::{PostingRun, PostingRunBuilder};
 use cc_storage::pool::{PinnedPool, PinnedPoolStats};
-use cc_storage::PAGE_SIZE;
+use cc_storage::{ENTRIES_PER_PAGE, PAGE_SIZE};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
 use parking_lot::Mutex;
@@ -440,8 +440,8 @@ impl PagedStore {
         self.posting_pages as u64 * PAGE_SIZE as u64
     }
 
-    /// What the postings would occupy uncompressed, in the simulated
-    /// [`cc_storage::bucket_file::BucketFile`] layout (12 B entries,
+    /// What the postings would occupy uncompressed, in the layout
+    /// [`crate::disk::DiskIndex`] is costed under (12 B entries,
     /// [`ENTRIES_PER_PAGE`] per page).
     pub fn uncompressed_posting_bytes(&self) -> u64 {
         self.tables

@@ -9,7 +9,7 @@
 //! aggregate into [`BatchStats`].
 
 use cc_obs::SpanRecord;
-use cc_storage::pagefile::IoStats;
+use cc_storage::IoStats;
 
 /// Wall-clock nanoseconds attributed to each stage of the query
 /// pipeline, recorded when

@@ -8,19 +8,18 @@
 //! This implementation is an arena-based, multimap (duplicate keys
 //! allowed) B+-tree with:
 //!
-//! * **bulk loading** from sorted pairs (index construction path),
-//! * **incremental insert** with leaf/inner splits and root growth,
+//! * **bulk loading** from sorted pairs — the only way to fill it,
 //! * **lower-bound search** returning a [`Cursor`] that walks leaves in
 //!   both directions through doubly-linked leaf pointers,
 //! * **I/O accounting**: every node visited is charged one page read,
 //!   matching the disk-resident design of the original systems (nodes are
 //!   sized so one node = one 4 KiB page).
 //!
-//! Deletion is intentionally out of scope: none of the reproduced
-//! experiments remove objects, and the original systems are also
-//! build-once indexes.
+//! Insertion and deletion are intentionally out of scope: none of the
+//! reproduced experiments add or remove objects after the build, and the
+//! original systems are also build-once indexes.
 
-use crate::page::PAGE_SIZE;
+use crate::PAGE_SIZE;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Node identifier inside the arena.
@@ -66,18 +65,17 @@ pub struct Cursor {
 impl<K: Ord + Copy, V: Copy> BPlusTree<K, V> {
     /// An empty tree with node capacities derived from the 4 KiB page
     /// size and the entry width.
-    pub fn new() -> Self {
+    fn new() -> Self {
         let leaf_cap = (PAGE_SIZE / (core::mem::size_of::<K>() + core::mem::size_of::<V>())).max(4);
         let inner_cap = (PAGE_SIZE / (core::mem::size_of::<K>() + 8)).max(4);
         Self::with_capacities(leaf_cap, inner_cap)
     }
 
-    /// An empty tree with explicit node capacities (tests use tiny
-    /// capacities to force deep trees).
+    /// An empty tree with explicit node capacities.
     ///
     /// # Panics
-    /// Panics when either capacity is below 4 (splits need room).
-    pub fn with_capacities(leaf_cap: usize, inner_cap: usize) -> Self {
+    /// Panics when either capacity is below 4.
+    fn with_capacities(leaf_cap: usize, inner_cap: usize) -> Self {
         assert!(leaf_cap >= 4 && inner_cap >= 4, "node capacities must be >= 4");
         let root = 0;
         Self {
@@ -91,7 +89,7 @@ impl<K: Ord + Copy, V: Copy> BPlusTree<K, V> {
     }
 
     /// Bulk-load from pairs sorted by key (stable: equal keys keep input
-    /// order). Much faster than repeated inserts and produces full leaves.
+    /// order); produces full leaves.
     ///
     /// # Panics
     /// Panics when `pairs` is not sorted by key.
@@ -101,7 +99,8 @@ impl<K: Ord + Copy, V: Copy> BPlusTree<K, V> {
         t
     }
 
-    /// Bulk-load with explicit capacities.
+    /// Bulk-load with explicit capacities (tests use tiny ones to force
+    /// deep trees).
     pub fn bulk_load_with_capacities(pairs: &[(K, V)], leaf_cap: usize, inner_cap: usize) -> Self {
         let mut t = Self::with_capacities(leaf_cap, inner_cap);
         t.bulk_fill(pairs);
@@ -195,83 +194,6 @@ impl<K: Ord + Copy, V: Copy> BPlusTree<K, V> {
 
     fn charge(&self) {
         self.reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Insert a `(key, value)` pair; duplicates are kept (multimap), new
-    /// duplicates land after existing equal keys.
-    pub fn insert(&mut self, key: K, value: V) {
-        if let Some((sep, right)) = self.insert_rec(self.root, key, value) {
-            // Root split: grow a new root.
-            let old_root = self.root;
-            let id = self.nodes.len();
-            self.nodes.push(Node::Inner { keys: vec![sep], children: vec![old_root, right] });
-            self.root = id;
-        }
-        self.len += 1;
-    }
-
-    /// Recursive insert; returns `Some((separator, new_right))` when the
-    /// child split.
-    fn insert_rec(&mut self, id: NodeId, key: K, value: V) -> Option<(K, NodeId)> {
-        match &mut self.nodes[id] {
-            Node::Leaf { keys, vals, .. } => {
-                let pos = keys.partition_point(|k| *k <= key);
-                keys.insert(pos, key);
-                vals.insert(pos, value);
-                if keys.len() <= self.leaf_cap {
-                    return None;
-                }
-                // Split leaf.
-                let mid = keys.len() / 2;
-                let rkeys = keys.split_off(mid);
-                let rvals = vals.split_off(mid);
-                let sep = rkeys[0];
-                let new_id = self.nodes.len();
-                let (old_next, _) = match &mut self.nodes[id] {
-                    Node::Leaf { next, prev, .. } => (*next, *prev),
-                    _ => unreachable!(),
-                };
-                self.nodes.push(Node::Leaf {
-                    keys: rkeys,
-                    vals: rvals,
-                    prev: Some(id),
-                    next: old_next,
-                });
-                if let Some(n) = old_next {
-                    if let Node::Leaf { prev, .. } = &mut self.nodes[n] {
-                        *prev = Some(new_id);
-                    }
-                }
-                if let Node::Leaf { next, .. } = &mut self.nodes[id] {
-                    *next = Some(new_id);
-                }
-                Some((sep, new_id))
-            }
-            Node::Inner { keys, children } => {
-                let child_idx = keys.partition_point(|k| *k <= key);
-                let child = children[child_idx];
-                let split = self.insert_rec(child, key, value)?;
-                let (sep, right) = split;
-                if let Node::Inner { keys, children } = &mut self.nodes[id] {
-                    keys.insert(child_idx, sep);
-                    children.insert(child_idx + 1, right);
-                    if keys.len() < self.inner_cap {
-                        return None;
-                    }
-                    // Split inner node: middle key moves up.
-                    let mid = keys.len() / 2;
-                    let up = keys[mid];
-                    let rkeys = keys.split_off(mid + 1);
-                    keys.pop(); // remove `up`
-                    let rchildren = children.split_off(mid + 1);
-                    let new_id = self.nodes.len();
-                    self.nodes.push(Node::Inner { keys: rkeys, children: rchildren });
-                    Some((up, new_id))
-                } else {
-                    unreachable!()
-                }
-            }
-        }
     }
 
     /// Cursor at the first entry with `key >= target` (or one-past-the-end
@@ -455,9 +377,9 @@ impl<K: Ord + Copy, V: Copy> BPlusTree<K, V> {
                     }
                     if let Some(hi) = hi {
                         // Inclusive: duplicates equal to a separator may
-                        // legitimately sit in the left subtree (multimap
-                        // splits put `sep = right[0]`, leaving keys == sep
-                        // on both sides).
+                        // legitimately sit in the left subtree (a run of
+                        // equal keys can straddle a leaf boundary, and the
+                        // separator is the right leaf's first key).
                         assert!(*k <= hi, "leaf key above subtree bound");
                     }
                 }
@@ -476,22 +398,14 @@ impl<K: Ord + Copy, V: Copy> BPlusTree<K, V> {
     }
 }
 
-impl<K: Ord + Copy, V: Copy> Default for BPlusTree<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny(pairs: &[(i64, u32)]) -> BPlusTree<i64, u32> {
-        let mut t = BPlusTree::with_capacities(4, 4);
-        for &(k, v) in pairs {
-            t.insert(k, v);
-        }
-        t
+        let mut sorted = pairs.to_vec();
+        sorted.sort_by_key(|p| p.0);
+        BPlusTree::bulk_load_with_capacities(&sorted, 4, 4)
     }
 
     #[test]
@@ -504,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_lower_bound() {
+    fn lower_bound_finds_first_key_at_or_above() {
         let t = tiny(&[(10, 0), (20, 1), (5, 2), (15, 3), (25, 4)]);
         t.validate();
         assert_eq!(t.len(), 5);
@@ -514,11 +428,11 @@ mod tests {
     }
 
     #[test]
-    fn many_inserts_force_deep_tree() {
+    fn deep_tree_finds_every_key() {
         let pairs: Vec<(i64, u32)> = (0..500).map(|i| ((i * 7 % 500) as i64, i as u32)).collect();
         let t = tiny(&pairs);
         t.validate();
-        assert!(t.height() >= 3, "height {} too small to exercise splits", t.height());
+        assert!(t.height() >= 3, "height {} too small to exercise inner levels", t.height());
         // Every key findable.
         for k in 0..500i64 {
             assert_eq!(t.get(t.lower_bound(k)).unwrap().0, k);
@@ -543,20 +457,6 @@ mod tests {
         let want: Vec<(i64, u32)> =
             pairs.iter().copied().filter(|&(k, _)| (100..200).contains(&k)).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn bulk_load_equals_inserts() {
-        let pairs: Vec<(i64, u32)> = (0..200).map(|i| (i as i64, i as u32)).collect();
-        let bulk = BPlusTree::bulk_load_with_capacities(&pairs, 6, 6);
-        bulk.validate();
-        let mut inc = BPlusTree::with_capacities(6, 6);
-        for &(k, v) in &pairs {
-            inc.insert(k, v);
-        }
-        inc.validate();
-        assert_eq!(bulk.range(0, 1000), inc.range(0, 1000));
-        assert_eq!(bulk.len(), inc.len());
     }
 
     #[test]

@@ -1,8 +1,5 @@
-//! Real on-disk page file with a checksummed header and per-page CRC trailers.
-//!
-//! Unlike [`crate::pagefile::PageFile`] (an in-memory simulation used for
-//! exact logical-I/O accounting), this module persists pages to an actual
-//! file and reads them back with positioned reads. Layout:
+//! On-disk page file with a checksummed header and per-page CRC trailers,
+//! read back with positioned reads. Layout:
 //!
 //! ```text
 //! offset 0            header page (magic "CCPG", version, page size,
@@ -29,8 +26,8 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::page::PAGE_SIZE;
 use crate::wal::crc32;
+use crate::PAGE_SIZE;
 
 /// Usable payload bytes per page (the last 4 bytes hold the CRC trailer).
 pub const PAYLOAD_BYTES: usize = PAGE_SIZE - 4;

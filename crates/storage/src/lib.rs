@@ -1,57 +1,67 @@
-//! # cc-storage — paged storage substrate
+//! # cc-storage — storage substrate
 //!
-//! The original C2LSH evaluation (and its main competitor, LSB-forest) is
-//! *disk-based*: the headline efficiency metric is the number of 4 KiB
-//! pages read per query, not wall-clock time. This crate supplies the
-//! storage layer those experiments need, built from scratch:
+//! One disk stack, bottom up:
 //!
-//! * [`page`] — the 4 KiB page unit and typed little-endian access,
-//! * [`pagefile`] — a simulated page file with exact logical-I/O
-//!   accounting (the substitution for a real spinning disk — see
-//!   `DESIGN.md` §2: the paper reports I/O *counts*, which a deterministic
-//!   simulation reproduces exactly),
-//! * [`buffer`] — an LRU buffer pool distinguishing logical accesses from
-//!   physical page reads,
-//! * [`bucket_file`] — packed sorted runs of `(bucket, object)` entries
-//!   with in-memory fence keys; the on-disk layout of a C2LSH hash table,
-//! * [`bptree`] — a B+-tree (bulk-load, insert, point and range search)
-//!   with per-node I/O accounting; the index structure behind QALSH,
+//! * [`diskfile`] — an on-disk page file of [`PAGE_SIZE`]-byte pages with
+//!   a checksummed header and a CRC-32 trailer verified on every read
+//!   (positioned `pread`-style I/O),
+//! * [`pool`] — a pinned buffer pool (clock eviction, pin counts,
+//!   hit/miss/eviction counters) fronting the page file,
+//! * [`codec`] — delta + bitpacked posting-list compression with a plain
+//!   fallback,
+//! * [`paged_bucket`] — compressed `(bucket, object)` posting runs packed
+//!   into disk pages with an in-memory page directory; the on-disk layout
+//!   of a C2LSH hash table,
 //! * [`wal`] — a checksummed write-ahead log for online index mutations
 //!   (append + fsync + replay with torn-tail truncation), plus the
 //!   [`wal::FailpointFile`] fault injector used by the crash-recovery
 //!   test suites.
 //!
-//! The *real* (non-simulated) disk tier added for million-point scale:
+//! Beside it, for the paper's I/O-count experiments (the headline
+//! efficiency metric of C2LSH and its competitors is the *number* of
+//! 4 KiB pages read per query, not wall-clock time — see `DESIGN.md` §2):
 //!
-//! * [`diskfile`] — an on-disk page file with a checksummed header and a
-//!   CRC-32 trailer verified on every read (positioned `pread`-style I/O),
-//! * [`codec`] — delta + bitpacked posting-list compression with a plain
-//!   fallback,
-//! * [`paged_bucket`] — compressed `(bucket, object)` posting runs packed
-//!   into disk pages with an in-memory page directory,
-//! * [`pool`] — a pinned buffer pool (clock eviction, pin counts,
-//!   hit/miss/eviction counters) fronting the disk page file.
+//! * [`IoStats`] — the page-access counters every method reports, and
+//!   [`ENTRIES_PER_PAGE`], the uncompressed sorted-run layout C2LSH's
+//!   counts are charged under,
+//! * [`bptree`] — a bulk-loaded B+-tree (point and range search) with
+//!   per-node I/O accounting; the index structure behind QALSH.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bptree;
-pub mod bucket_file;
-pub mod buffer;
 pub mod codec;
 pub mod diskfile;
-pub mod page;
 pub mod paged_bucket;
-pub mod pagefile;
 pub mod pool;
 pub mod wal;
 
 pub use bptree::BPlusTree;
-pub use bucket_file::BucketFile;
-pub use buffer::BufferPool;
 pub use diskfile::{DiskPageFile, DiskPageFileWriter, PAYLOAD_BYTES};
-pub use page::{Page, PageId, PAGE_SIZE};
 pub use paged_bucket::{PostingRun, PostingRunBuilder};
-pub use pagefile::{IoStats, PageFile};
 pub use pool::{PinnedPage, PinnedPool, PinnedPoolStats};
 pub use wal::{FailpointFile, ReplayReport, Wal, WalOp, WalPosition, WalRecord};
+
+/// Page size in bytes (4 KiB).
+pub const PAGE_SIZE: usize = 4096;
+
+/// `(bucket, object)` entries per page of an uncompressed sorted run:
+/// `⌊4096 / 12⌋` (`i64` bucket + `u32` object id).
+pub const ENTRIES_PER_PAGE: usize = PAGE_SIZE / 12;
+
+/// Page read/write counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IoStats {
+    /// Number of page reads.
+    pub reads: u64,
+    /// Number of page writes.
+    pub writes: u64,
+}
+
+impl IoStats {
+    /// Total accesses.
+    pub fn total(&self) -> u64 {
+        self.reads + self.writes
+    }
+}

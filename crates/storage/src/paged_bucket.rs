@@ -1,9 +1,8 @@
 //! Compressed sorted `(bucket, object)` posting runs over disk pages.
 //!
-//! The paged analogue of [`crate::bucket_file::BucketFile`]: one run holds
-//! a hash table's entries sorted by `(bucket, oid)`, packed into
-//! [`DiskPageFile`] pages as per-bucket *groups* of codec-compressed oid
-//! lists (see [`crate::codec`]). Page payload layout:
+//! One run holds a hash table's entries sorted by `(bucket, oid)`, packed
+//! into [`DiskPageFile`] pages as per-bucket *groups* of codec-compressed
+//! oid lists (see [`crate::codec`]). Page payload layout:
 //!
 //! ```text
 //! u16 group_count
@@ -13,10 +12,9 @@
 //! Groups never span pages; a bucket whose list outgrows one page is split
 //! into continuation groups carrying the same bucket id on following
 //! pages. An in-memory directory (first bucket per page + global entry
-//! index per page) gives the same `lower_bound` / `scan_while` contract as
-//! `BucketFile` — global *entry* indexes, ≤ 1 page read for a bound probe
-//! — while the entries themselves stay compressed on disk and are fetched
-//! through the [`PinnedPool`].
+//! index per page) gives `lower_bound` / `scan_while` over global *entry*
+//! indexes at ≤ 1 page read per bound probe, while the entries themselves
+//! stay compressed on disk and are fetched through the [`PinnedPool`].
 
 use std::io;
 

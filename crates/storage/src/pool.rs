@@ -1,10 +1,8 @@
 //! Pinned buffer pool over a [`DiskPageFile`] with clock eviction.
 //!
-//! The existing [`crate::buffer::BufferPool`] serves the *simulated*
-//! [`crate::pagefile::PageFile`] and clones whole pages out. This pool
-//! fronts the real on-disk file: callers receive a [`PinnedPage`] guard
-//! that keeps the frame pinned (unevictable) while in scope, so decoders
-//! can borrow payload bytes without copying.
+//! Callers receive a [`PinnedPage`] guard that keeps the frame pinned
+//! (unevictable) while in scope, so decoders can borrow payload bytes
+//! without copying.
 //!
 //! Eviction is the classic clock (second-chance) algorithm: each frame has
 //! a reference bit set on access; the clock hand sweeps frames, skipping

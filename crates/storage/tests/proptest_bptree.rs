@@ -1,40 +1,11 @@
-//! Property-based model tests: the B+-tree against `BTreeMap`-style
-//! reference semantics, and the bucket file against plain slices.
+//! Property-based model tests: the B+-tree against sorted-slice
+//! reference semantics.
 
 use cc_storage::bptree::BPlusTree;
-use cc_storage::bucket_file::BucketFile;
-use cc_storage::pagefile::PageFile;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bptree_insert_matches_sorted_model(
-        keys in proptest::collection::vec(-500i64..500, 0..300),
-        leaf_cap in 4usize..12,
-        inner_cap in 4usize..12,
-    ) {
-        let mut tree = BPlusTree::with_capacities(leaf_cap, inner_cap);
-        let mut model: Vec<(i64, u32)> = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            tree.insert(k, i as u32);
-            model.push((k, i as u32));
-        }
-        tree.validate();
-        // Model: stable sort by key (multimap keeps insertion order of dups).
-        model.sort_by_key(|e| e.0);
-        let got = tree.range(i64::MIN, i64::MAX);
-        let got_keys: Vec<i64> = got.iter().map(|e| e.0).collect();
-        let want_keys: Vec<i64> = model.iter().map(|e| e.0).collect();
-        prop_assert_eq!(got_keys, want_keys);
-        // Value multiset per key must match.
-        let mut got_sorted = got;
-        got_sorted.sort_unstable();
-        let mut want_sorted = model;
-        want_sorted.sort_unstable();
-        prop_assert_eq!(got_sorted, want_sorted);
-    }
 
     #[test]
     fn bptree_lower_bound_matches_partition_point(
@@ -68,43 +39,6 @@ proptest! {
         let got: Vec<i64> = tree.range(lo, hi).iter().map(|e| e.0).collect();
         let want: Vec<i64> = keys.iter().copied().filter(|&k| (lo..hi).contains(&k)).collect();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn bucket_file_lower_bound_matches_slice(
-        mut buckets in proptest::collection::vec(-1000i64..1000, 0..500),
-        probes in proptest::collection::vec(-1100i64..1100, 1..30),
-    ) {
-        buckets.sort_unstable();
-        let entries: Vec<(i64, u32)> =
-            buckets.iter().enumerate().map(|(i, &b)| (b, i as u32)).collect();
-        let mut file = PageFile::new();
-        let bf = BucketFile::build(&mut file, &entries);
-        for &p in &probes {
-            let want = entries.partition_point(|e| e.0 < p);
-            prop_assert_eq!(bf.lower_bound(&file, p), want, "probe {}", p);
-        }
-    }
-
-    #[test]
-    fn bucket_file_scan_matches_slice(
-        mut buckets in proptest::collection::vec(-50i64..50, 1..800),
-        a in 0usize..800,
-        b in 0usize..800,
-    ) {
-        buckets.sort_unstable();
-        let entries: Vec<(i64, u32)> =
-            buckets.iter().enumerate().map(|(i, &bk)| (bk, i as u32)).collect();
-        let mut file = PageFile::new();
-        let bf = BucketFile::build(&mut file, &entries);
-        let (from, to) = {
-            let x = a.min(entries.len());
-            let y = b.min(entries.len());
-            (x.min(y), x.max(y))
-        };
-        let mut got = Vec::new();
-        bf.scan(&file, from, to, |bk, oid| got.push((bk, oid)));
-        prop_assert_eq!(&got[..], &entries[from..to]);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! mutable index, racing readers must only ever observe batch-boundary
 //! states, never a half-applied mutation batch.
 
-use c2lsh::{C2lshConfig, C2lshIndex, DiskIndex, DynamicIndex, MutableIndex, MutationOp};
+use c2lsh::{
+    C2lshConfig, C2lshIndex, DiskIndex, DynamicIndex, MutableIndex, MutationOp, TableStore,
+};
 use cc_vector::gen::{generate, Distribution};
 use cc_vector::gt::Neighbor;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,7 +73,7 @@ fn disk_index_io_accounting_is_exact_under_concurrency() {
     let (_, one) = disk.query(&q, 5);
     let per_query_tables = one.io.reads - one.candidates_verified as u64;
 
-    let before = disk.page_file().stats();
+    let before = disk.io_reads();
     crossbeam::scope(|scope| {
         for _ in 0..6 {
             let disk = &disk;
@@ -84,9 +86,8 @@ fn disk_index_io_accounting_is_exact_under_concurrency() {
         }
     })
     .unwrap();
-    let after = disk.page_file().stats().since(&before);
     assert_eq!(
-        after.reads,
+        disk.io_reads() - before,
         30 * per_query_tables,
         "lost or duplicated I/O counts under concurrency"
     );
