@@ -634,6 +634,103 @@ mod tests {
         assert!(plain.meta_slots().iter().all(|m| *m == PointMeta::default()));
     }
 
+    /// The seeded history behind [`golden_answers_after_mixed_history`]:
+    /// 3000 inserts, 400 deletes, 200 re-inserts. The deletes are picked
+    /// from the buckets themselves (recomputed here from the hash family,
+    /// so the choice does not depend on how the index stores them):
+    /// objects alone in a bucket of some table and every member of ten
+    /// small buckets of table 0 (both empty a bucket), the first and the
+    /// last object of fifty larger buckets, then every seventh id until
+    /// 400 are gone.
+    fn golden_history() -> (Dataset, DynamicIndex) {
+        let data = clustered(3000, 16, 11);
+        // β·n = 200 lets near queries stop at T1 and far ones run into T2.
+        let beta = crate::config::Beta::Count(200);
+        let config = C2lshConfig::builder().bucket_width(1.0).seed(42).beta(beta).build();
+        let mut idx = DynamicIndex::new(16, 3000, &config);
+        let mut tables: Vec<BTreeMap<i64, Vec<u32>>> = vec![BTreeMap::new(); idx.params().m];
+        for v in data.iter() {
+            let oid = idx.insert(v.to_vec());
+            for (table, b) in tables.iter_mut().zip(idx.family.buckets(v)) {
+                table.entry(b).or_default().push(oid);
+            }
+        }
+        let mut victims: Vec<u32> = Vec::new();
+        let mut pick = |oid: u32| {
+            if !victims.contains(&oid) {
+                victims.push(oid);
+            }
+        };
+        let singles = tables.iter().flat_map(|t| t.values()).filter(|b| b.len() == 1);
+        singles.take(40).for_each(|b| pick(b[0]));
+        let small = tables[0].values().filter(|b| (2..=4).contains(&b.len()));
+        small.take(10).flatten().for_each(|&oid| pick(oid));
+        for bucket in tables[0].values().filter(|b| b.len() >= 5).take(50) {
+            pick(bucket[0]);
+            pick(*bucket.last().unwrap());
+        }
+        (0..3000u32).step_by(7).for_each(&mut pick);
+        victims.truncate(400);
+        assert_eq!(victims.len(), 400);
+        for &oid in &victims {
+            assert!(idx.delete(oid));
+        }
+        for &oid in victims.iter().step_by(2) {
+            idx.insert(data.get(oid as usize).to_vec());
+        }
+        assert_eq!((idx.len(), TableStore::id_bound(&idx)), (2800, 3200));
+        (data, idx)
+    }
+
+    /// Pins what queries return over a mutated index: neighbour ids and
+    /// distances, collisions, verified, abandoned, rounds and the
+    /// terminating condition. Recorded against the `BTreeMap<i64,
+    /// Vec<u32>>` tables; any representation must reproduce the bucket
+    /// order and the insertion order inside a bucket to pass.
+    #[test]
+    fn golden_answers_after_mixed_history() {
+        use crate::stats::Termination::{T1AtRadius as T1, T2CandidateBudget as T2};
+        type Want<'a> = (&'a [u32], &'a [f64], u64, usize, usize, u32, Termination);
+        let (data, idx) = golden_history();
+        // (query id, offset added to every coordinate, k) ->
+        // (ids, distances, collisions, verified, abandoned, rounds, termination)
+        #[rustfmt::skip]
+        let golden: [((usize, f32, usize), Want); 16] = [
+            ((3, 0.0, 1), (&[1059], &[0.4051705700954564], 22287, 174, 172, 1, T1)),
+            ((3, 0.0, 10), (&[1059, 3156, 627, 195, 2595, 1315, 179, 1667, 2835, 3140], &[0.4051705700954564, 0.5093250965468742, 0.5207795870388433, 0.5331430977788348, 0.5355717775633283, 0.5448642438746107, 0.5640579972391231, 0.5686319572571753, 0.5999394480628627, 0.6140374059621412], 22287, 174, 158, 1, T1)),
+            ((259, 0.0, 1), (&[3078], &[0.0], 19616, 145, 144, 1, T1)),
+            ((259, 0.0, 10), (&[3078, 1011, 1187, 499, 531, 1923, 451, 867, 1667, 1091], &[0.0, 0.6954184274673074, 0.7061662651739794, 0.7148803508748055, 0.7194595126157305, 0.7327484115035436, 0.7380521989163776, 0.7590197257989271, 0.761067459241284, 0.7641565926075676], 19616, 145, 128, 1, T1)),
+            ((7, 0.0, 1), (&[1143], &[0.42203815272369766], 21252, 172, 171, 1, T1)),
+            ((7, 0.0, 10), (&[1143, 1527, 2087, 1559, 3146, 1895, 2743, 2663, 1303, 775], &[0.42203815272369766, 0.4371701960141993, 0.46736732047549556, 0.46971382849517584, 0.4902826680565247, 0.5050122687205624, 0.5053086947189892, 0.5121102291597623, 0.5154584738559, 0.518706513213686], 21252, 172, 151, 1, T1)),
+            ((14, 0.0, 1), (&[2798], &[0.5107986827406555], 22228, 175, 173, 1, T1)),
+            ((14, 0.0, 10), (&[2798, 302, 2494, 846, 1198, 2334, 718, 2478, 2462, 2654], &[0.5107986827406555, 0.5479074813401625, 0.5677918869271475, 0.58258964967116, 0.6002278322545713, 0.6269662921033861, 0.6315102069238269, 0.6372108868595562, 0.6490509021652187, 0.6605699021957574], 22228, 175, 156, 1, T1)),
+            ((1100, 0.5, 1), (&[2876], &[1.8291753865021851], 23228, 153, 150, 2, T1)),
+            ((1100, 0.5, 10), (&[2876, 1756, 620, 2764, 572, 2668, 908, 1100, 1676, 892], &[1.8291753865021851, 1.8410865813724957, 1.9328018416386081, 1.95098955526445, 1.9562844928467114, 1.9790898626048128, 1.9830274737422364, 2.000000119209286, 2.016064632879285, 2.0177052357193133], 23228, 153, 130, 2, T1)),
+            ((400, 2.0, 1), (&[416], &[7.550799437381097], 80276, 201, 194, 4, T2)),
+            ((400, 2.0, 10), (&[416, 1648, 880, 2656, 2624, 1520, 1616, 1808, 1472, 1312], &[7.550799437381097, 7.569759573097869, 7.581123749765936, 7.6072345206189596, 7.6364812867692065, 7.643163778013436, 7.654904492540517, 7.6651175703075936, 7.666164595984874, 7.6730094117577075], 80329, 210, 182, 4, T2)),
+            ((2999, 0.25, 1), (&[199], &[0.8188547578798269], 16901, 110, 108, 1, T1)),
+            ((2999, 0.25, 10), (&[199, 135, 2039, 1111, 583, 1559, 1191, 1479, 1751, 2583], &[0.8188547578798269, 0.8677830069025243, 0.892499765842204, 0.9058627501536302, 0.9246321963421749, 0.9558394114689912, 0.958748425205136, 0.9598232182140711, 0.9737491672056895, 0.9807807532323357], 16901, 110, 83, 1, T1)),
+            ((3, 30.0, 1), (&[2694], &[114.67509831619122], 107824, 201, 195, 8, T2)),
+            ((3, 30.0, 10), (&[2694, 1782, 1990, 934, 774, 2854, 1254, 2454, 2166, 2710], &[114.67509831619122, 114.6807655124242, 114.74778409659214, 114.75718250941856, 114.76370722529728, 114.7705527788215, 114.77603445814592, 114.79465893804958, 114.80399077918905, 114.80934008308078], 107860, 210, 179, 8, T2)),
+        ];
+        for ((qi, offset, k), want) in golden {
+            let q: Vec<f32> = data.get(qi).iter().map(|x| x + offset).collect();
+            let (nn, s) = idx.query(&q, k);
+            let ids: Vec<u32> = nn.iter().map(|n| n.id).collect();
+            let dists: Vec<f64> = nn.iter().map(|n| n.dist).collect();
+            let got: Want = (
+                &ids,
+                &dists,
+                s.collisions_counted,
+                s.candidates_verified,
+                s.candidates_abandoned,
+                s.rounds,
+                s.terminated_by,
+            );
+            assert_eq!(got, want, "query {qi} + {offset}, k = {k}");
+        }
+    }
+
     #[test]
     fn trait_mutations_delegate_to_inherent() {
         let mut idx = DynamicIndex::new(4, 100, &cfg());
