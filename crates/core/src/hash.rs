@@ -36,11 +36,13 @@ impl PstableHash {
     /// the process-wide [`kernels::dispatch`] under the canonical
     /// lane-parallel schedule, so single-function, family and batched
     /// hashing agree bit-for-bit across kernels.
+    #[inline]
     pub fn project(&self, o: &[f32]) -> f64 {
         kernels::dispatch().dot(&self.a, o) + self.b
     }
 
     /// Level-1 bucket id `⌊(a·o + b)/w⌋`.
+    #[inline]
     pub fn bucket(&self, o: &[f32]) -> i64 {
         (self.project(o) / self.w).floor() as i64
     }

@@ -49,7 +49,9 @@
 //!   epoch-stamped [`engine::counting::CollisionCounter`],
 //! * [`index`] — the in-memory backend over sorted runs,
 //! * [`disk`] — the paged backend with exact I/O accounting,
-//! * [`dynamic`] — the updatable backend over per-table B-trees,
+//! * [`dynamic`] — the updatable backend over per-table ordered maps
+//!   whose chunks are shared between snapshots (a clone copies
+//!   pointers, a write copies what it touches),
 //! * [`sharded`] — one logical index over `S` disjoint data shards:
 //!   exact single-loop queries over concatenated shard tables, plus a
 //!   parallel per-shard fan-out with `total_cmp` top-k merging,

@@ -5,8 +5,9 @@
 //!
 //! * **Snapshot-consistent reads.** Readers obtain an `Arc` to an
 //!   immutable published index and query it without any lock held;
-//!   a writer clones the current index, applies a whole batch to the
-//!   clone and publishes it in one pointer swap. A concurrent query
+//!   a writer clones the current index (the clone shares every chunk
+//!   and a write copies the ones it touches), applies a whole batch to
+//!   the clone and publishes it in one pointer swap. A concurrent query
 //!   therefore sees the pre-batch or the post-batch index — never a
 //!   half-applied one (pinned by `tests/concurrency.rs`).
 //! * **Durability of acknowledged writes.** With a backing directory,
@@ -26,7 +27,7 @@
 //! already acknowledged.
 
 use crate::config::C2lshConfig;
-use crate::dynamic::DynamicIndex;
+use crate::dynamic::{DynamicIndex, Edit};
 use crate::engine::SearchOptions;
 use crate::meta::PointMeta;
 use crate::persist::{load_dynamic, save_dynamic};
@@ -35,6 +36,7 @@ use cc_storage::wal::{Wal, WalOp, WalRecord};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -146,34 +148,33 @@ pub struct MutableIndex {
     repl: Mutex<ReplLog>,
 }
 
-/// Apply one replicated/replayed WAL record to an index, with the
+/// Apply replicated/replayed WAL records to an index in order, with the
 /// divergence checks shared by crash recovery and follower apply: an
 /// insert must reproduce the logged oid, a delete must find its
 /// victim — anything else means the histories forked.
-fn apply_wal_record(index: &mut DynamicIndex, rec: &WalRecord) -> io::Result<()> {
-    match &rec.op {
-        WalOp::Insert { oid, vector, tag, label } => {
-            let got = index.insert_with_meta(vector.clone(), PointMeta::new(*tag, *label));
-            if got != *oid {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "WAL replay divergence at seq {}: insert produced oid {got}, log says {oid}",
-                        rec.seq
-                    ),
-                ));
-            }
+fn apply_wal_records<R: Borrow<WalRecord>>(
+    index: &mut DynamicIndex,
+    records: &[R],
+) -> io::Result<()> {
+    let edits = records.iter().map(|rec| match &rec.borrow().op {
+        WalOp::Insert { vector, tag, label, .. } => {
+            Edit::Insert(vector, PointMeta::new(*tag, *label))
         }
-        WalOp::Delete { oid } => {
-            if !index.delete(*oid) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "WAL replay divergence at seq {}: delete of unknown oid {oid}",
-                        rec.seq
-                    ),
-                ));
+        WalOp::Delete { oid } => Edit::Delete(*oid),
+    });
+    for (rec, (got, found)) in records.iter().zip(index.apply(edits)) {
+        let WalRecord { seq, op } = rec.borrow();
+        let diverged = match op {
+            WalOp::Insert { oid, .. } => {
+                (got != *oid).then(|| format!("insert produced oid {got}, log says {oid}"))
             }
+            WalOp::Delete { oid } => (!found).then(|| format!("delete of unknown oid {oid}")),
+        };
+        if let Some(what) = diverged {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("WAL replay divergence at seq {seq}: {what}"),
+            ));
         }
     }
     Ok(())
@@ -245,19 +246,12 @@ impl MutableIndex {
         };
 
         let (wal, records, _report) = Wal::open(dir.join(WAL_FILE), ckpt_seq)?;
-        let mut last_seq = ckpt_seq;
-        let mut retained = VecDeque::new();
-        for rec in records {
-            if rec.seq <= ckpt_seq {
-                // Already reflected by the checkpoint (log written
-                // before the checkpoint's reset, e.g. a kill between
-                // checkpoint rename and WAL reset).
-                continue;
-            }
-            apply_wal_record(&mut index, &rec)?;
-            last_seq = rec.seq;
-            retained.push_back(rec);
-        }
+        // Records at or below `ckpt_seq` are already reflected by the
+        // checkpoint (log written before the checkpoint's reset, e.g. a
+        // kill between checkpoint rename and WAL reset).
+        let retained: Vec<WalRecord> = records.into_iter().filter(|r| r.seq > ckpt_seq).collect();
+        apply_wal_records(&mut index, &retained)?;
+        let last_seq = retained.last().map_or(ckpt_seq, |r| r.seq);
 
         Ok(Self {
             snapshot: RwLock::new(Snapshot { seq: last_seq, index: Arc::new(index) }),
@@ -268,7 +262,7 @@ impl MutableIndex {
                 stats: MutationStats { last_seq, ..MutationStats::default() },
                 poisoned: None,
             }),
-            repl: Mutex::new(ReplLog { floor: ckpt_seq, records: retained }),
+            repl: Mutex::new(ReplLog { floor: ckpt_seq, records: retained.into() }),
         })
     }
 
@@ -325,10 +319,9 @@ impl MutableIndex {
 
         // Clone-and-mutate: the published index stays untouched (and
         // readable) while the batch lands on the private clone. The
-        // clone is O(index size) per batch — acceptable while group
-        // commit amortizes it over the flush, but a larger deployment
-        // wants persistent (Arc-shared, copy-on-write) hash tables so a
-        // one-op batch stops paying for the whole index.
+        // clone shares every chunk with the published index and the
+        // batch copies the chunks it writes, each once, so a one-op
+        // batch costs the same whatever the index holds.
         let mut next = DynamicIndex::clone(&self.snapshot.read().index);
         let mut delta = MutationStats { batches: 1, ..MutationStats::default() };
         let mut acks = Vec::with_capacity(ops.len());
@@ -337,10 +330,13 @@ impl MutableIndex {
         let mut last_seq = writer.stats.last_seq.max(self.snapshot.read().seq);
         let wal_bytes_before = writer.wal.as_ref().map_or(0, Wal::size_bytes);
 
-        for op in ops {
+        let edits = ops.iter().map(|op| match op {
+            MutationOp::Insert { vector, meta } => Edit::Insert(vector, *meta),
+            MutationOp::Delete { oid } => Edit::Delete(*oid),
+        });
+        for (op, (oid, found)) in ops.iter().zip(next.apply(edits)) {
             match op {
                 MutationOp::Insert { vector, meta } => {
-                    let oid = next.insert_with_meta(vector.clone(), *meta);
                     logged.push(WalOp::Insert {
                         oid,
                         vector: vector.clone(),
@@ -350,15 +346,14 @@ impl MutableIndex {
                     delta.inserts += 1;
                     acks.push(MutationAck::Inserted { oid, seq: 0 });
                 }
-                MutationOp::Delete { oid } => {
-                    if next.delete(*oid) {
-                        logged.push(WalOp::Delete { oid: *oid });
-                        delta.deletes += 1;
-                        acks.push(MutationAck::Deleted { oid: *oid, found: true, seq: 0 });
-                    } else {
-                        delta.delete_misses += 1;
-                        acks.push(MutationAck::Deleted { oid: *oid, found: false, seq: 0 });
-                    }
+                MutationOp::Delete { .. } if found => {
+                    logged.push(WalOp::Delete { oid });
+                    delta.deletes += 1;
+                    acks.push(MutationAck::Deleted { oid, found: true, seq: 0 });
+                }
+                MutationOp::Delete { .. } => {
+                    delta.delete_misses += 1;
+                    acks.push(MutationAck::Deleted { oid, found: false, seq: 0 });
                 }
             }
         }
@@ -513,8 +508,8 @@ impl MutableIndex {
 
         let mut next = DynamicIndex::clone(&self.snapshot.read().index);
         let mut delta = MutationStats { batches: 1, ..MutationStats::default() };
+        apply_wal_records(&mut next, &fresh)?;
         for rec in &fresh {
-            apply_wal_record(&mut next, rec)?;
             match rec.op {
                 WalOp::Insert { .. } => delta.inserts += 1,
                 WalOp::Delete { .. } => delta.deletes += 1,

@@ -376,7 +376,7 @@ pub fn save_dynamic(index: &DynamicIndex, last_seq: u64) -> Vec<u8> {
                     buf.put_u64_le(m.tag);
                     buf.put_u32_le(m.label);
                 }
-                for &x in v {
+                for &x in v.iter() {
                     buf.put_f32_le(x);
                 }
             }
@@ -722,7 +722,8 @@ mod tests {
             .enumerate()
             .map(|(i, m)| if i == 60 { PointMeta::default() } else { *m })
             .collect();
-        assert_eq!(loaded.meta_slots(), &want[..], "tombstones restore with default meta");
+        let got: Vec<PointMeta> = loaded.meta_slots().iter().copied().collect();
+        assert_eq!(got, want, "tombstones restore with default meta");
         use crate::engine::SearchOptions;
         use crate::meta::Predicate;
         let opts = SearchOptions { filter: Some(Predicate::label(3)), ..Default::default() };

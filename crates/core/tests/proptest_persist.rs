@@ -323,9 +323,9 @@ proptest! {
         prop_assert_eq!(loaded.slots(), index.slots());
         prop_assert_eq!(loaded.len(), index.len());
         // Live slots keep their payloads; tombstones restore default.
-        for (i, (slot, meta)) in index.slots().iter().zip(index.meta_slots()).enumerate() {
+        for (i, (slot, meta)) in index.slots().iter().zip(index.meta_slots().iter()).enumerate() {
             let want = if slot.is_some() { *meta } else { PointMeta::default() };
-            prop_assert_eq!(loaded.meta_slots()[i], want, "slot {}", i);
+            prop_assert_eq!(loaded.meta_slots().get(i), Some(&want), "slot {}", i);
         }
         if !index.is_empty() {
             let q = index.slots().iter().flatten().next().unwrap();

@@ -944,8 +944,12 @@ fn answer_collection_mutation(
             return Response::Error(Error::invalid("insert contains non-finite coordinates"));
         }
     }
+    let wal_start = shared.obs.on().then(Instant::now);
     match col.index.apply_batch(std::slice::from_ref(&op)) {
         Ok((acks, delta)) => {
+            if let Some(start) = wal_start {
+                shared.obs.record_wal_apply(start.elapsed().as_nanos() as u64);
+            }
             col.inserts.add(delta.inserts);
             col.deletes.add(delta.deletes + delta.delete_misses);
             shared.obs.inserts.add(delta.inserts);
@@ -954,6 +958,7 @@ fn answer_collection_mutation(
                 let mut st = shared.stats.lock().unwrap();
                 st.inserts += delta.inserts;
                 st.deletes += delta.deletes + delta.delete_misses;
+                st.mutation_batches += 1;
                 st.engine.mutations.merge(&delta);
             }
             match col.index.checkpoint_if_wal_exceeds(config.checkpoint_wal_bytes) {

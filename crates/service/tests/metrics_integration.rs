@@ -194,6 +194,14 @@ fn live_scrape_is_monotone_and_consistent_with_load() {
                 (1.0..=(INSERTS + DELETES) as f64).contains(&wal_flushes),
                 "wal flushes {wal_flushes}"
             );
+            // A collection write is its own batch: one more observation,
+            // and the batch shows in the stats frame.
+            let batches = client.stats().unwrap().mutation_batches;
+            client.create_collection("side", D as u32).unwrap();
+            client.insert_with_meta(Some("side"), data.get(0), 1, 2).unwrap();
+            let third = http_get(scrape, "/metrics").unwrap();
+            assert_eq!(metric(&third, "cc_wal_apply_seconds_count"), wal_flushes + 1.0);
+            assert_eq!(client.stats().unwrap().mutation_batches, batches + 1);
             // Monotonicity across the two scrapes, counter by counter.
             for family in [
                 "cc_queries_total",

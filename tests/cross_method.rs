@@ -321,7 +321,7 @@ fn mutated_dynamic_index_matches_fresh_build_over_final_point_set() {
         .slots()
         .iter()
         .enumerate()
-        .filter_map(|(oid, slot)| slot.as_ref().map(|v| (oid as u32, v.clone())))
+        .filter_map(|(oid, slot)| slot.as_ref().map(|v| (oid as u32, v.to_vec())))
         .collect();
     let mut fresh = DynamicIndex::new(live.dim(), live.expected_n(), &cfg);
     for (_, v) in &survivors {
