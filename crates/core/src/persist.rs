@@ -557,6 +557,37 @@ mod tests {
         assert_eq!(idx.params().l, loaded.params().l);
     }
 
+    /// 64-bit FNV-1a, enough to pin a blob without checking it in.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The `C2L1` bytes of a fixed 2 000 × 16 index, pinned while the
+    /// tables still stored a bucket id per entry. The in-memory layout
+    /// is not the file format: whatever the runs look like in memory,
+    /// `save_index` must keep writing these bytes — so a blob written
+    /// by any earlier build *is* the blob checked here, and it must
+    /// load and answer like the index it was saved from.
+    #[test]
+    fn golden_save_index_bytes() {
+        let data = clustered(2000, 16, 21);
+        let idx = C2lshIndex::build(&data, &cfg());
+        let blob = save_index(&idx);
+        let m = idx.params().m;
+        assert_eq!(m, 146);
+        assert_eq!(blob.len(), 73 + m * (16 * 4 + 8) + m * 2000 * 12 + 4);
+        assert_eq!(fnv1a(&blob), 5_892_197_027_107_874_559, "save_index bytes moved");
+        assert_eq!(fnv1a(&blob[blob.len() / 2..]), 14_308_760_631_875_540_648, "table bytes moved");
+        let loaded = load_index(&data, &blob).unwrap();
+        assert_eq!(save_index(&loaded), blob, "load then save is the identity");
+        for qi in [0usize, 777, 1999] {
+            let q = data.get(qi);
+            assert_eq!(idx.query(q, 10), loaded.query(q, 10), "query {qi}");
+        }
+    }
+
     #[test]
     fn rejects_wrong_dataset() {
         let data = clustered(100, 8, 2);
