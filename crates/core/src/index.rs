@@ -1,10 +1,18 @@
 //! The in-memory C2LSH index.
 //!
-//! Per hash function, the index stores one run of `(level-1 bucket id,
-//! object id)` entries sorted by bucket id, in structure-of-arrays form
-//! (`Vec<i64>` + `Vec<u32>`) so binary searches touch only the bucket
-//! array. This *is* the paper's hash table: virtual rehashing turns
-//! every level-`R` bucket lookup into a contiguous range of this run.
+//! Per hash function, the index stores one run of object ids ordered
+//! by `(level-1 bucket id, object id)` behind a *bucket directory*: the
+//! distinct bucket ids in ascending order and the entry offset at which
+//! each one starts. A table holds a few dozen distinct buckets however
+//! many objects it indexes, so the directory stays cache-resident and
+//! the index costs 4 bytes per entry — the ids — instead of 12. This
+//! *is* the paper's hash table: virtual rehashing only ever asks a run
+//! where a bucket starts, and turns every level-`R` bucket lookup into
+//! a contiguous range of the run.
+//!
+//! The build hashes one table's column at a time and counting-sorts the
+//! ids by bucket — the histogram's prefix sums are the directory —
+//! with tables spread over the machine's cores.
 //!
 //! The query loop itself lives in [`crate::engine`]; this module only
 //! maps delta-range requests onto its sorted runs.
@@ -12,7 +20,7 @@
 use crate::config::C2lshConfig;
 use crate::engine::QueryScratch;
 use crate::engine::{self, BucketWindows, SearchOptions, SearchParams, TableStore};
-use crate::hash::HashFamily;
+use crate::hash::{HashFamily, PstableHash};
 use crate::meta::PointMeta;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
@@ -20,18 +28,109 @@ use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
 use parking_lot::Mutex;
 
-/// One sorted hash table in SoA layout.
+/// One hash table: object ids ordered by `(bucket, oid)`, plus the
+/// directory of where each distinct bucket starts.
 #[derive(Debug)]
 pub(crate) struct SortedRun {
-    pub(crate) buckets: Vec<i64>,
+    /// Distinct bucket ids, ascending.
+    keys: Vec<i64>,
+    /// `keys.len() + 1` entry offsets: bucket `keys[i]` owns
+    /// `oids[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
     pub(crate) oids: Vec<u32>,
 }
 
 impl SortedRun {
-    /// Index of the first entry with bucket id ≥ `b`, searched within
-    /// `lo..hi` (the hint [`BucketWindows::grow`] supplies).
-    pub(crate) fn lower_bound(&self, b: i64, lo: usize, hi: usize) -> usize {
-        lo + self.buckets[lo..hi].partition_point(|&x| x < b)
+    /// A run over entries already ordered by bucket id; `None` when a
+    /// bucket id descends.
+    pub(crate) fn from_sorted(entries: impl IntoIterator<Item = (i64, u32)>) -> Option<Self> {
+        let entries = entries.into_iter();
+        let oids = Vec::with_capacity(entries.size_hint().0);
+        let mut run = SortedRun { keys: Vec::new(), starts: Vec::new(), oids };
+        for (bucket, oid) in entries {
+            match run.keys.last() {
+                Some(&last) if bucket < last => return None,
+                Some(&last) if bucket == last => {}
+                _ => {
+                    run.keys.push(bucket);
+                    run.starts.push(run.oids.len() as u32);
+                }
+            }
+            run.oids.push(oid);
+        }
+        run.starts.push(run.oids.len() as u32);
+        Some(run)
+    }
+
+    /// Hash every object under `h` into `column` (a buffer reused from
+    /// table to table) and order the ids by `(bucket, oid)`.
+    fn build(data: &Dataset, h: &PstableHash, column: &mut Vec<i64>) -> Self {
+        column.clear();
+        column.extend(data.iter().map(|v| h.bucket(v)));
+        Self::from_column(column)
+    }
+
+    /// The run of objects `0..column.len()`, object `i` in bucket
+    /// `column[i]`.
+    fn from_column(column: &[i64]) -> Self {
+        let n = column.len();
+        let min = column.iter().copied().min().unwrap_or(0);
+        let max = column.iter().copied().max().unwrap_or(0);
+        // Two's complement: exact for any `min <= max`.
+        let span = max.wrapping_sub(min) as u64;
+        if span >= n as u64 {
+            // Far more buckets than objects (outliers, a tiny table): a
+            // histogram over the span would dwarf the run. Sort the ids.
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_unstable_by_key(|&i| (column[i as usize], i));
+            let entries = order.into_iter().map(|i| (column[i as usize], i));
+            return Self::from_sorted(entries).expect("entries were just sorted");
+        }
+        // Counting sort. The histogram's prefix sums are the directory,
+        // and scattering ids in ascending order leaves them ascending
+        // inside every bucket.
+        let slot = |b: i64| b.wrapping_sub(min) as usize;
+        let mut next = vec![0u32; span as usize + 1];
+        for &b in column.iter() {
+            next[slot(b)] += 1;
+        }
+        let (mut keys, mut starts) = (Vec::new(), Vec::new());
+        let mut seen = 0u32;
+        for (j, cell) in next.iter_mut().enumerate() {
+            let count = *cell;
+            if count > 0 {
+                keys.push(min.wrapping_add(j as i64));
+                starts.push(seen);
+            }
+            *cell = seen;
+            seen += count;
+        }
+        starts.push(seen);
+        let mut oids = vec![0u32; n];
+        for (i, &b) in column.iter().enumerate() {
+            let at = &mut next[slot(b)];
+            oids[*at as usize] = i as u32;
+            *at += 1;
+        }
+        SortedRun { keys, starts, oids }
+    }
+
+    /// Index of the first entry with bucket id ≥ `b`: a search over the
+    /// directory, never over the entries.
+    pub(crate) fn lower_bound(&self, b: i64) -> usize {
+        self.starts[self.keys.partition_point(|&k| k < b)] as usize
+    }
+
+    /// Every `(bucket, oid)` entry in run order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
+        self.keys.iter().zip(self.starts.windows(2)).flat_map(|(&bucket, w)| {
+            self.oids[w[0] as usize..w[1] as usize].iter().map(move |&oid| (bucket, oid))
+        })
+    }
+
+    /// Resident bytes: the ids plus the directory.
+    fn size_bytes(&self) -> usize {
+        self.oids.len() * 4 + self.keys.len() * 8 + self.starts.len() * 4
     }
 }
 
@@ -51,16 +150,20 @@ pub struct C2lshIndex<'d> {
 }
 
 impl<'d> C2lshIndex<'d> {
-    /// Build an index: draw `m` hash functions, hash every object, sort
-    /// each table by bucket id.
+    /// Build an index: draw `m` hash functions, hash every object, order
+    /// each table's ids by bucket id. Tables are built in parallel on
+    /// the machine's cores.
     ///
     /// # Panics
-    /// Panics on an empty dataset or an invalid config.
+    /// Panics on an empty dataset, one with more than `u32::MAX`
+    /// objects, or an invalid config.
     pub fn build(data: &'d Dataset, config: &C2lshConfig) -> Self {
         assert!(!data.is_empty(), "cannot index an empty dataset");
+        assert!(u32::try_from(data.len()).is_ok(), "object ids are 32-bit");
         let params = FullParams::derive(data.len(), config);
         let family = HashFamily::generate(params.m, data.dim(), config);
-        let tables = build_tables(data, &family);
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let tables = build_tables(data, &family, threads);
         Self {
             data,
             config: config.clone(),
@@ -159,12 +262,11 @@ impl<'d> C2lshIndex<'d> {
         engine::run_query_batch(self, &self.search_params(), queries, k, opts)
     }
 
-    /// Estimated index size in bytes (hash tables + hash family), the
-    /// quantity reported in the paper's index-size table.
+    /// Resident index size in bytes: every table's ids and bucket
+    /// directory, plus the hash family. (The paper's index-size table
+    /// is the 12-byte-entry disk layout, [`crate::DiskIndex::size_bytes`].)
     pub fn size_bytes(&self) -> usize {
-        let tables: usize =
-            self.tables.iter().map(|t| t.buckets.len() * 8 + t.oids.len() * 4).sum();
-        tables + self.family.size_bytes()
+        self.tables.iter().map(SortedRun::size_bytes).sum::<usize>() + self.family.size_bytes()
     }
 
     /// Number of hash tables `m`.
@@ -180,10 +282,8 @@ impl<'d> C2lshIndex<'d> {
     /// Visit every `(bucket, oid)` entry, table by table in order (the
     /// persistence serializer).
     pub fn for_each_table_entry(&self, mut f: impl FnMut(i64, u32)) {
-        for t in &self.tables {
-            for (b, o) in t.buckets.iter().zip(&t.oids) {
-                f(*b, *o);
-            }
+        for (bucket, oid) in self.tables.iter().flat_map(SortedRun::entries) {
+            f(bucket, oid);
         }
     }
 
@@ -191,14 +291,12 @@ impl<'d> C2lshIndex<'d> {
     pub(crate) fn from_parts(
         data: &'d Dataset,
         config: C2lshConfig,
-        functions: Vec<crate::hash::PstableHash>,
-        tables: Vec<(Vec<i64>, Vec<u32>)>,
+        functions: Vec<PstableHash>,
+        tables: Vec<SortedRun>,
     ) -> Self {
         let params = FullParams::derive(data.len(), &config);
         let family = HashFamily::from_functions(functions);
         assert_eq!(family.len(), params.m, "family size disagrees with parameters");
-        let tables =
-            tables.into_iter().map(|(buckets, oids)| SortedRun { buckets, oids }).collect();
         Self {
             data,
             config,
@@ -211,19 +309,24 @@ impl<'d> C2lshIndex<'d> {
     }
 }
 
-fn build_tables(data: &Dataset, family: &HashFamily) -> Vec<SortedRun> {
-    family
-        .iter()
-        .map(|h| {
-            let mut pairs: Vec<(i64, u32)> =
-                data.iter().enumerate().map(|(i, v)| (h.bucket(v), i as u32)).collect();
-            pairs.sort_unstable();
-            SortedRun {
-                buckets: pairs.iter().map(|p| p.0).collect(),
-                oids: pairs.iter().map(|p| p.1).collect(),
-            }
-        })
-        .collect()
+/// One run per hash function, in family order, built by `threads`
+/// workers that each take a contiguous share of the tables.
+fn build_tables(data: &Dataset, family: &HashFamily, threads: usize) -> Vec<SortedRun> {
+    let functions: Vec<&PstableHash> = family.iter().collect();
+    let chunk = functions.len().div_ceil(threads);
+    crossbeam::scope(|scope| {
+        let workers: Vec<_> = functions
+            .chunks(chunk)
+            .map(|hs| {
+                scope.spawn(move |_| {
+                    let mut column = Vec::with_capacity(data.len());
+                    hs.iter().map(|h| SortedRun::build(data, h, &mut column)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("table-build worker panicked")).collect()
+    })
+    .expect("table-build scope panicked")
 }
 
 impl TableStore for C2lshIndex<'_> {
@@ -263,7 +366,7 @@ impl TableStore for C2lshIndex<'_> {
     ) {
         let run = &self.tables[t];
         let n = run.oids.len();
-        let (left, right) = cursor.grow(t, radius, n, |b, lo, hi| run.lower_bound(b, lo, hi));
+        let (left, right) = cursor.grow(t, radius, n, |b, _, _| run.lower_bound(b));
         for range in [left, right] {
             for &oid in &run.oids[range] {
                 if !visit(oid) {
@@ -284,7 +387,7 @@ impl TableStore for C2lshIndex<'_> {
         // contiguous id run, handed to the engine without any buffering.
         let run = &self.tables[t];
         let n = run.oids.len();
-        let (left, right) = cursor.grow(t, radius, n, |b, lo, hi| run.lower_bound(b, lo, hi));
+        let (left, right) = cursor.grow(t, radius, n, |b, _, _| run.lower_bound(b));
         for range in [left, right] {
             if !range.is_empty() && !visit(&run.oids[range]) {
                 return;
@@ -432,9 +535,121 @@ mod tests {
     fn size_accounting_scales_with_m_and_n() {
         let data = clustered(1000, 8, 8);
         let index = C2lshIndex::build(&data, &cfg());
-        let m = index.num_tables();
-        // 12 bytes per entry per table plus the family itself.
-        assert!(index.size_bytes() >= m * 1000 * 12);
+        let mn = index.num_tables() * 1000;
+        // 4 bytes per entry per table; the directories and the family
+        // are small change beside them.
+        assert!((4 * mn..5 * mn).contains(&index.size_bytes()), "{}", index.size_bytes());
+
+        // Worst case, every object alone in its bucket: a key and an
+        // offset per entry on top of the id.
+        let rows: Vec<Vec<f32>> =
+            (0..200).map(|i| vec![i as f32 * 1000.0, 0.0, 0.0, 0.0]).collect();
+        let data = Dataset::from_rows(&rows);
+        let index = C2lshIndex::build(&data, &cfg());
+        let (m, tables) = (index.num_tables(), index.size_bytes() - index.family().size_bytes());
+        assert!(tables > 15 * m * 200 && tables <= m * (16 * 200 + 4), "{tables}");
+    }
+
+    /// The reference run: the `(bucket, oid)` pairs themselves, sorted.
+    fn sorted_pairs(buckets: &[i64], oids: impl Iterator<Item = u32>) -> Vec<(i64, u32)> {
+        let mut pairs: Vec<(i64, u32)> = buckets.iter().copied().zip(oids).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    fn reference_lower_bound(want: &[(i64, u32)], b: i64, lo: usize, hi: usize) -> usize {
+        lo + want[lo..hi].partition_point(|e| e.0 < b)
+    }
+
+    /// `run` must hold exactly `want`, answer every bound search like
+    /// it, and hand a cursor the same delta ranges at every radius.
+    fn check_run(run: &SortedRun, want: &[(i64, u32)], queries: &[i64]) {
+        let n = want.len();
+        assert_eq!(run.entries().collect::<Vec<_>>(), want);
+        assert_eq!(run.oids, want.iter().map(|e| e.1).collect::<Vec<_>>());
+        assert_eq!(run.starts.len(), run.keys.len() + 1);
+        let near_keys =
+            want.iter().flat_map(|e| [e.0.saturating_sub(1), e.0, e.0.saturating_add(1)]);
+        for b in near_keys.chain([i64::MIN, -1, 0, i64::MAX]) {
+            assert_eq!(run.lower_bound(b), reference_lower_bound(want, b, 0, n), "bucket {b}");
+        }
+        for &q in queries {
+            let mut cursors = [0; 3].map(|_| BucketWindows::new(vec![q]));
+            // `rehash::window` needs |q| + radius to fit an i64.
+            for radius in (0..=61).map(|level| 1i64 << level) {
+                let [got, hinted, unhinted] = &mut cursors;
+                let got = got.grow(0, radius, n, |b, _, _| run.lower_bound(b));
+                let by_hint = |b, lo, hi| reference_lower_bound(want, b, lo, hi);
+                assert_eq!(got, hinted.grow(0, radius, n, by_hint), "q {q}, radius {radius}");
+                let whole = |b, _, _| reference_lower_bound(want, b, 0, n);
+                assert_eq!(got, unhinted.grow(0, radius, n, whole), "q {q}, radius {radius}");
+                if cursors[0].exhausted(n) {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Bucket columns of the shapes a table can take, from raw draws.
+    fn shaped_column(shape: u8, raw: &[i64]) -> Vec<i64> {
+        let stride = 1 + raw.first().map_or(0, |r| r.rem_euclid(3));
+        let shaped = |(i, &r): (usize, &i64)| match shape {
+            // A few dozen buckets around zero: the counting sort.
+            0 => r % 60,
+            1 => r,
+            // One bucket holds everything.
+            2 => 7,
+            // All distinct, descending: dense at stride 1, sparse above.
+            3 => -(i as i64) * stride,
+            // Two clusters 10^12 buckets apart: a histogram over the
+            // span would be terabytes.
+            4 => r % 20 + if r & 64 == 0 { 0 } else { 1_000_000_000_000 },
+            _ => [i64::MIN, r % 5, i64::MAX][i % 3],
+        };
+        raw.iter().enumerate().map(shaped).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sorted_run_matches_reference_pairs(
+            shape in 0u8..6,
+            raw in proptest::collection::vec(i64::MIN..i64::MAX, 0..300),
+            q in -(1i64 << 40)..(1i64 << 40),
+        ) {
+            let column = shaped_column(shape, &raw);
+            let at_keys = column.iter().take(3).map(|b| b.clamp(&-(1 << 60), &(1 << 60)));
+            let queries: Vec<i64> = at_keys.copied().chain([q, 0, -1]).collect();
+            let want = sorted_pairs(&column, 0..);
+            check_run(&SortedRun::from_column(&column), &want, &queries);
+            // Arbitrary ids, repeats included, as a loaded blob may hold.
+            let want = sorted_pairs(&column, raw.iter().map(|r| (r >> 7) as u32));
+            check_run(&SortedRun::from_sorted(want.iter().copied()).unwrap(), &want, &queries);
+        }
+    }
+
+    #[test]
+    fn from_sorted_rejects_descending_buckets() {
+        assert!(SortedRun::from_sorted([(1, 0), (3, 1), (2, 2)]).is_none());
+        assert_eq!(SortedRun::from_sorted([]).unwrap().lower_bound(0), 0);
+    }
+
+    #[test]
+    fn build_tables_matches_reference_for_any_thread_count() {
+        let data = clustered(700, 6, 15);
+        let index = C2lshIndex::build(&data, &cfg());
+        let want: Vec<Vec<(i64, u32)>> = index
+            .family()
+            .iter()
+            .map(|h| sorted_pairs(&data.iter().map(|v| h.bucket(v)).collect::<Vec<_>>(), 0..))
+            .collect();
+        for threads in [1, 2, 7] {
+            let tables = build_tables(&data, index.family(), threads);
+            let got: Vec<Vec<(i64, u32)>> = tables.iter().map(|t| t.entries().collect()).collect();
+            assert_eq!(got, want, "{threads} threads");
+        }
+        let mut entries = Vec::new();
+        index.for_each_table_entry(|b, o| entries.push((b, o)));
+        assert_eq!(entries, want.concat());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! sorted hash tables — everything except the raw vectors, which the
 //! caller keeps (the index borrows them at load time, and a fingerprint
 //! of the dataset shape guards against loading an index against the
-//! wrong data).
+//! wrong data). Tables are written one `(bucket, oid)` entry per object,
+//! whatever the runs look like in memory; loading folds the repeated
+//! bucket ids back into each run's directory.
 //!
 //! Layout (all little-endian):
 //!
@@ -29,7 +31,7 @@
 
 use crate::config::{Beta, C2lshConfig};
 use crate::dynamic::DynamicIndex;
-use crate::index::C2lshIndex;
+use crate::index::{C2lshIndex, SortedRun};
 use crate::meta::PointMeta;
 use bytes::BufMut;
 use cc_vector::dataset::Dataset;
@@ -101,11 +103,22 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+/// Bytes of a `C2L1` blob before the hash family: magic through `beta_n`.
+const HEADER_LEN: usize = 73;
+
+/// Bytes of a `C2L1` blob's hash family and tables. Computed in `u128`
+/// because [`load_index`] takes `m`, `dim` and `n` from the wire, where
+/// they must not overflow the check itself.
+fn payload_len(m: usize, dim: usize, n: usize) -> u128 {
+    m as u128 * (dim as u128 * 4 + 8) + m as u128 * n as u128 * 12
+}
+
 /// Serialize a built index (excluding the raw vectors).
 pub fn save_index(index: &C2lshIndex<'_>) -> Vec<u8> {
     let (n, dim) = index.data_shape();
     let cfg = index.config();
-    let mut buf = Vec::with_capacity(64 + index.size_bytes());
+    let len = HEADER_LEN + payload_len(index.num_tables(), dim, n) as usize + 4;
+    let mut buf = Vec::with_capacity(len);
     buf.put_u32_le(MAGIC);
     buf.put_u64_le(n as u64);
     buf.put_u32_le(dim as u32);
@@ -141,6 +154,7 @@ pub fn save_index(index: &C2lshIndex<'_>) -> Vec<u8> {
     });
     let checksum = xor_fold(&buf);
     buf.put_u32_le(checksum);
+    debug_assert_eq!(buf.len(), len);
     buf
 }
 
@@ -183,10 +197,6 @@ impl<'a> Reader<'a> {
 
     fn get_u64_le(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn get_i64_le(&mut self) -> Result<i64, PersistError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     fn get_f32_le(&mut self) -> Result<f32, PersistError> {
@@ -256,10 +266,9 @@ pub fn load_index<'d>(data: &'d Dataset, buf: &[u8]) -> Result<C2lshIndex<'d>, P
     };
     config.validate().map_err(|e| PersistError::Malformed(e.to_string()))?;
 
-    // Size the payload up front (in u128: m and dim come from the wire
-    // and must not overflow the check itself) so a corrupt header can't
-    // trigger huge allocations below.
-    let need = m as u128 * (dim as u128 * 4 + 8) + m as u128 * n as u128 * 12;
+    // Size the payload up front so a corrupt header can't trigger huge
+    // allocations below.
+    let need = payload_len(m, dim, n);
     if r.remaining() as u128 != need {
         return Err(PersistError::Malformed(format!(
             "payload size {} != expected {need}",
@@ -277,19 +286,19 @@ pub fn load_index<'d>(data: &'d Dataset, buf: &[u8]) -> Result<C2lshIndex<'d>, P
     }
     let mut tables = Vec::with_capacity(m);
     for _ in 0..m {
-        let mut buckets = Vec::with_capacity(n);
-        let mut oids = Vec::with_capacity(n);
-        for _ in 0..n {
-            buckets.push(r.get_i64_le()?);
-            oids.push(r.get_u32_le()?);
-        }
-        if !buckets.windows(2).all(|p| p[0] <= p[1]) {
-            return Err(PersistError::Malformed("table not sorted".into()));
-        }
-        if oids.iter().any(|&o| o as usize >= n) {
+        let entries = r.take(n * 12)?.chunks_exact(12).map(|e| {
+            let (bucket, oid) = e.split_at(8);
+            (
+                i64::from_le_bytes(bucket.try_into().unwrap()),
+                u32::from_le_bytes(oid.try_into().unwrap()),
+            )
+        });
+        let run = SortedRun::from_sorted(entries)
+            .ok_or_else(|| PersistError::Malformed("table not sorted".into()))?;
+        if run.oids.iter().any(|&o| o as usize >= n) {
             return Err(PersistError::Malformed("object id out of range".into()));
         }
-        tables.push((buckets, oids));
+        tables.push(run);
     }
     // beta_n re-derives identically from (beta, n); sanity-check it.
     let idx = C2lshIndex::from_parts(data, config, functions, tables);

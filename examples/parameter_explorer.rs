@@ -25,7 +25,8 @@ fn main() {
         let n = 10usize.pow(exp);
         let cfg = C2lshConfig::default();
         let p = FullParams::derive(n, &cfg);
-        // 12 bytes per (bucket, oid) entry per table.
+        // The paper's disk layout: 12 bytes per (bucket, oid) entry per
+        // table. Resident, the index keeps 4 of them (the id).
         let bytes = p.m * n * 12;
         println!("  {:>12} {:>6} {:>6} {:>9.1}M", n, p.m, p.l, bytes as f64 / (1024.0 * 1024.0));
     }
