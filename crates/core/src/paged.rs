@@ -671,6 +671,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// 64-bit FNV-1a, enough to pin a file without checking it in.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// A builder that spills at least three times over 3 000 rows.
+    fn spilling_builder(path: &Path, dim: usize, n: usize, config: &C2lshConfig) -> PagedBuilder {
+        let b = PagedBuilder::create(path, dim, n, config).unwrap();
+        let per_spill = 700 * b.params().m;
+        b.spill_budget(per_spill)
+    }
+
+    /// The CCPG bytes of a fixed 3 000 × 16 clustered set, pinned while
+    /// the builder still sorted and merged `(bucket, oid)` segments.
+    /// How the build gets the entries into `(bucket, oid)` order is not
+    /// the file format: whatever it does, it must keep writing this file.
+    #[test]
+    fn golden_page_file_bytes() {
+        let data = generate(
+            Distribution::GaussianMixture { clusters: 12, spread: 0.1, scale: 6.0 },
+            3_000,
+            16,
+            77,
+        );
+        let config = test_config(19);
+        let dir = scratch_dir("paged_golden");
+        let path = dir.join("golden.ccpg");
+        let mut b = spilling_builder(&path, data.dim(), data.len(), &config);
+        for row in data.iter() {
+            b.append(row).unwrap();
+        }
+        let store = b.finish(8).unwrap();
+        let m = store.params().m;
+        assert_eq!(m, 129);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, store.file_bytes());
+        assert_eq!(bytes.len(), 724_992, "page file length moved");
+        assert_eq!(fnv1a(&bytes), 10_138_013_523_714_106_763, "page file bytes moved");
+        let postings = bytes.len() - store.posting_bytes() as usize;
+        assert_eq!(fnv1a(&bytes[postings..]), 8_763_658_187_905_858_780, "posting pages moved");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn vector_into_round_trips_every_row() {
         let data = generate(Distribution::UniformCube { side: 2.0 }, 300, 33, 9);
