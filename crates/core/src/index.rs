@@ -72,7 +72,7 @@ impl SortedRun {
 
     /// The run of objects `0..column.len()`, object `i` in bucket
     /// `column[i]`.
-    fn from_column(column: &[i64]) -> Self {
+    pub(crate) fn from_column(column: &[i64]) -> Self {
         let n = column.len();
         let min = column.iter().copied().min().unwrap_or(0);
         let max = column.iter().copied().max().unwrap_or(0);
@@ -121,11 +121,15 @@ impl SortedRun {
         self.starts[self.keys.partition_point(|&k| k < b)] as usize
     }
 
+    /// Every bucket with its ids, in run order.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (i64, &[u32])> + '_ {
+        let bounds = self.starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
+        self.keys.iter().zip(bounds).map(|(&bucket, ids)| (bucket, &self.oids[ids]))
+    }
+
     /// Every `(bucket, oid)` entry in run order.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
-        self.keys.iter().zip(self.starts.windows(2)).flat_map(|(&bucket, w)| {
-            self.oids[w[0] as usize..w[1] as usize].iter().map(move |&oid| (bucket, oid))
-        })
+        self.buckets().flat_map(|(bucket, ids)| ids.iter().map(move |&oid| (bucket, oid)))
     }
 
     /// Resident bytes: the ids plus the directory.

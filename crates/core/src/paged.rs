@@ -9,26 +9,32 @@
 //! dataset size — which is what lets `bench run --profile large` ingest
 //! millions of points.
 //!
-//! Construction streams: [`PagedBuilder`] accepts rows one at a time,
-//! writes vector bytes straight into pages, and spills per-table
-//! `(bucket, oid)` entries to sorted temp-file segments; `finish` k-way
-//! merges each table's segments into delta-compressed posting runs
-//! ([`cc_storage::paged_bucket`]) and returns the queryable store. No
-//! step ever materializes the dataset or a full table in RAM.
+//! Construction streams: [`PagedBuilder`] accepts rows one at a time and
+//! writes their bytes straight into vector pages. Every 4 096 rows it
+//! hashes the buffered block table by table on the machine's cores and
+//! appends each table's bucket ids — 8 bytes per object, in object
+//! order, nothing sorted — to that table's temp-file column.
+//! `finish` reads the columns back one per worker, counting-sorts each
+//! into `(bucket, oid)` order exactly as [`crate::index::C2lshIndex`]
+//! builds its runs, encodes it into delta-compressed posting pages
+//! ([`cc_storage::paged_bucket`]) and appends the runs to the page file
+//! in table order. The dataset is never in RAM; one table per worker
+//! is — its column, its sorted ids and its encoded pages, about 16 bytes
+//! per object (1.6 MB per worker at 100 000 objects, 16 MB at a million).
 //!
 //! File layout: vector pages first (`d·4` bytes per point, packed
 //! back-to-back across page payloads — `PAYLOAD_BYTES` is a multiple of
 //! 4, so floats never straddle pages), then each table's posting pages.
 
 use std::fs::File;
-use std::io::{self, Write};
-#[cfg(not(unix))]
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::sync_channel;
 
 use crate::config::C2lshConfig;
 use crate::engine::{self, BucketWindows, QueryScratch, SearchOptions, SearchParams, TableStore};
-use crate::hash::HashFamily;
+use crate::hash::{HashFamily, PstableHash};
+use crate::index::SortedRun;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
 use cc_storage::diskfile::{DiskPageFile, DiskPageFileWriter, PAYLOAD_BYTES};
@@ -42,98 +48,46 @@ use parking_lot::Mutex;
 /// Floats per vector page (`PAYLOAD_BYTES / 4`; divides evenly).
 const FLOATS_PER_PAGE: usize = PAYLOAD_BYTES / 4;
 
-/// Default in-RAM spill buffer: total `(bucket, oid)` entries across all
-/// tables held before a sorted segment flush (~`16 B` each ⇒ ~64 MiB).
-const DEFAULT_SPILL_ENTRIES: usize = 4 << 20;
+/// Rows buffered before a block is hashed and spilled. Large enough
+/// that a column write is tens of kilobytes, small enough that the
+/// block stays in cache while every table passes over it.
+const BLOCK_ROWS: usize = 4096;
 
-/// Bytes per spilled entry on disk (`i64` bucket + `u32` oid).
-const SPILL_ENTRY_BYTES: usize = 12;
-
-/// One table's spill state: an append-only temp file of sorted segments.
-struct SpillTable {
-    file: File,
-    buf: Vec<(i64, u32)>,
-    /// `(entry offset, entry count)` of each sorted segment.
-    segments: Vec<(u64, u64)>,
-    written: u64,
+/// The build's scratch directory: one file per table holding the bucket
+/// id of every object appended so far, in object order, 8 bytes each.
+/// Removed on drop, so an abandoned build leaves nothing behind.
+struct Spill {
+    dir: PathBuf,
+    columns: Vec<File>,
 }
 
-impl SpillTable {
-    fn flush(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        self.buf.sort_unstable();
-        let mut bytes = Vec::with_capacity(self.buf.len() * SPILL_ENTRY_BYTES);
-        for &(bucket, oid) in &self.buf {
-            bytes.extend_from_slice(&bucket.to_le_bytes());
-            bytes.extend_from_slice(&oid.to_le_bytes());
-        }
-        self.file.write_all(&bytes)?;
-        self.segments.push((self.written, self.buf.len() as u64));
-        self.written += self.buf.len() as u64;
-        self.buf.clear();
-        Ok(())
+impl Drop for Spill {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
     }
 }
 
-/// Buffered sequential reader over one sorted spill segment.
-struct SegmentCursor {
-    remaining: u64,
-    next_offset: u64,
-    buf: Vec<u8>,
-    pos: usize,
-    head: Option<(i64, u32)>,
-}
-
-impl SegmentCursor {
-    const CHUNK_ENTRIES: u64 = 4096;
-
-    fn new(file: &File, offset: u64, count: u64) -> io::Result<Self> {
-        let mut c = SegmentCursor {
-            remaining: count,
-            next_offset: offset * SPILL_ENTRY_BYTES as u64,
-            buf: Vec::new(),
-            pos: 0,
-            head: None,
-        };
-        c.advance(file)?;
-        Ok(c)
+/// Read one table's column back, order its ids by `(bucket, oid)` and
+/// encode them. `column` is a buffer reused from table to table.
+fn encode_column(
+    mut file: &File,
+    n: usize,
+    column: &mut Vec<i64>,
+) -> io::Result<PostingRunBuilder> {
+    file.seek(SeekFrom::Start(0))?;
+    column.clear();
+    let mut bytes = [0u8; 1 << 16];
+    while column.len() < n {
+        let take = ((n - column.len()) * 8).min(bytes.len());
+        file.read_exact(&mut bytes[..take])?;
+        let ids = bytes[..take].chunks_exact(8);
+        column.extend(ids.map(|b| i64::from_le_bytes(b.try_into().expect("8-byte chunk"))));
     }
-
-    fn advance(&mut self, file: &File) -> io::Result<()> {
-        if self.pos >= self.buf.len() {
-            if self.remaining == 0 {
-                self.head = None;
-                return Ok(());
-            }
-            let take = self.remaining.min(Self::CHUNK_ENTRIES);
-            self.buf.resize(take as usize * SPILL_ENTRY_BYTES, 0);
-            read_exact_at(file, &mut self.buf, self.next_offset)?;
-            self.next_offset += take * SPILL_ENTRY_BYTES as u64;
-            self.remaining -= take;
-            self.pos = 0;
-        }
-        let e = &self.buf[self.pos..self.pos + SPILL_ENTRY_BYTES];
-        self.head = Some((
-            i64::from_le_bytes(e[0..8].try_into().unwrap()),
-            u32::from_le_bytes(e[8..12].try_into().unwrap()),
-        ));
-        self.pos += SPILL_ENTRY_BYTES;
-        Ok(())
+    let mut run = PostingRunBuilder::new();
+    for (bucket, oids) in SortedRun::from_column(column).buckets() {
+        run.push_bucket(bucket, oids);
     }
-}
-
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, offset)
-}
-
-#[cfg(not(unix))]
-fn read_exact_at(mut file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(buf)
+    Ok(run)
 }
 
 /// Streaming builder for a [`PagedStore`]. See module docs.
@@ -147,10 +101,11 @@ pub struct PagedBuilder {
     next_oid: u32,
     /// Partially filled vector page payload.
     vec_page: Vec<u8>,
-    spill_dir: PathBuf,
-    spill: Vec<SpillTable>,
-    spill_budget: usize,
-    buffered: usize,
+    /// Rows appended since the last spill, row-major.
+    block: Vec<f32>,
+    block_rows: usize,
+    workers: usize,
+    spill: Spill,
 }
 
 impl PagedBuilder {
@@ -159,30 +114,40 @@ impl PagedBuilder {
     /// from the cardinality.
     ///
     /// # Panics
-    /// Panics on `n == 0`, `dim == 0`, or an invalid config.
+    /// Panics on `n == 0`, `n > u32::MAX`, `dim == 0`, or an invalid
+    /// config.
     pub fn create(
         path: impl AsRef<Path>,
         dim: usize,
         n: usize,
         config: &C2lshConfig,
     ) -> io::Result<Self> {
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        Self::with_block(path.as_ref(), dim, n, config, BLOCK_ROWS, workers)
+    }
+
+    /// [`PagedBuilder::create`] spilling every `block_rows` rows and
+    /// hashing and encoding on `workers` threads.
+    fn with_block(
+        path: &Path,
+        dim: usize,
+        n: usize,
+        config: &C2lshConfig,
+        block_rows: usize,
+        workers: usize,
+    ) -> io::Result<Self> {
         assert!(n > 0, "cannot index an empty dataset");
+        assert!(u32::try_from(n).is_ok(), "object ids are 32-bit");
         assert!(dim > 0, "dimension must be positive");
         let params = FullParams::derive(n, config);
         let family = HashFamily::generate(params.m, dim, config);
         let writer = DiskPageFileWriter::create(path)?;
-        let spill_dir = cc_storage::wal::scratch_dir("paged_build");
-        let spill = (0..params.m)
-            .map(|t| {
-                let file = std::fs::OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(spill_dir.join(format!("table_{t}.spill")))?;
-                Ok(SpillTable { file, buf: Vec::new(), segments: Vec::new(), written: 0 })
-            })
-            .collect::<io::Result<Vec<_>>>()?;
+        let mut spill = Spill { dir: cc_storage::wal::scratch_dir("paged_build"), columns: vec![] };
+        for t in 0..params.m {
+            let path = spill.dir.join(format!("table_{t}.column"));
+            let column = File::options().read(true).write(true).create_new(true).open(path)?;
+            spill.columns.push(column);
+        }
         Ok(PagedBuilder {
             writer,
             config: config.clone(),
@@ -192,18 +157,11 @@ impl PagedBuilder {
             expected_n: n,
             next_oid: 0,
             vec_page: Vec::with_capacity(PAYLOAD_BYTES),
-            spill_dir,
+            block: Vec::with_capacity(block_rows * dim),
+            block_rows,
+            workers,
             spill,
-            spill_budget: DEFAULT_SPILL_ENTRIES,
-            buffered: 0,
         })
-    }
-
-    /// Cap the in-RAM spill buffer at `entries` `(bucket, oid)` pairs
-    /// (across all tables) before segments are flushed to temp files.
-    pub fn spill_budget(mut self, entries: usize) -> Self {
-        self.spill_budget = entries.max(self.params.m);
-        self
     }
 
     /// Derived parameters (`m`, `l`, `βn`) in effect.
@@ -221,8 +179,8 @@ impl PagedBuilder {
         self.next_oid == 0
     }
 
-    /// Append one point: its bytes go into the vector segment, its `m`
-    /// bucket ids into the spill buffers.
+    /// Append one point: its bytes go into the vector segment, the row
+    /// into the block awaiting hashing.
     ///
     /// # Panics
     /// Panics on a dimension mismatch or when more than `n` rows arrive.
@@ -236,61 +194,95 @@ impl PagedBuilder {
                 self.vec_page.clear();
             }
         }
-        let oid = self.next_oid;
-        for (t, h) in self.family.iter().enumerate() {
-            self.spill[t].buf.push((h.bucket(row), oid));
-        }
-        self.buffered += self.params.m;
+        self.block.extend_from_slice(row);
         self.next_oid += 1;
-        if self.buffered >= self.spill_budget {
-            for table in &mut self.spill {
-                table.flush()?;
-            }
-            self.buffered = 0;
+        if self.block.len() == self.block_rows * self.dim {
+            self.spill_block()?;
         }
         Ok(())
     }
 
-    /// Merge the spilled segments into compressed posting runs, seal the
-    /// page file, and open the finished store with a pool of
+    /// Hash the buffered rows table-major — each worker takes a
+    /// contiguous share of the tables, so a block is read `m` times from
+    /// cache and no row's ids are scattered `m` ways — and append each
+    /// table's bucket ids to its column file.
+    fn spill_block(&mut self) -> io::Result<()> {
+        if self.block.is_empty() {
+            return Ok(());
+        }
+        let functions: Vec<&PstableHash> = self.family.iter().collect();
+        let share = functions.len().div_ceil(self.workers);
+        let (block, dim) = (&self.block, self.dim);
+        crossbeam::scope(|scope| {
+            let workers: Vec<_> = functions
+                .chunks(share)
+                .zip(self.spill.columns.chunks_mut(share))
+                .map(|(hs, columns)| {
+                    scope.spawn(move |_| -> io::Result<()> {
+                        let mut bytes = Vec::with_capacity(block.len() / dim * 8);
+                        for (h, column) in hs.iter().zip(columns) {
+                            bytes.clear();
+                            for row in block.chunks_exact(dim) {
+                                bytes.extend_from_slice(&h.bucket(row).to_le_bytes());
+                            }
+                            column.write_all(&bytes)?;
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            workers.into_iter().try_for_each(|w| w.join().expect("hash worker panicked"))
+        })
+        .expect("hash scope panicked")?;
+        self.block.clear();
+        Ok(())
+    }
+
+    /// Turn every spilled column into a posting run and append the runs
+    /// to the page file in table order. Worker `w` encodes tables `w`,
+    /// `w + workers`, … and hands each over a one-slot channel, so no
+    /// worker holds more than two encoded tables the writer has not taken.
+    fn write_tables(&mut self) -> io::Result<Vec<PostingRun>> {
+        let (n, columns, writer) = (self.expected_n, &self.spill.columns, &mut self.writer);
+        let workers = self.workers.min(columns.len());
+        crossbeam::scope(|scope| {
+            let encoded: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (tx, rx) = sync_channel(1);
+                    scope.spawn(move |_| {
+                        let mut column = Vec::with_capacity(n);
+                        for file in columns.iter().skip(w).step_by(workers) {
+                            if tx.send(encode_column(file, n, &mut column)).is_err() {
+                                return; // the writer failed and hung up
+                            }
+                        }
+                    });
+                    rx
+                })
+                .collect();
+            (0..columns.len())
+                .map(|t| {
+                    encoded[t % workers].recv().expect("encode worker panicked")?.finish(writer)
+                })
+                .collect()
+        })
+        .expect("encode scope panicked")
+    }
+
+    /// Hash what is still buffered, sort and encode every table, seal
+    /// the page file, and open the finished store with a pool of
     /// `pool_pages` pages.
     ///
     /// # Panics
     /// Panics when fewer rows than declared were appended.
     pub fn finish(mut self, pool_pages: usize) -> io::Result<PagedStore> {
         assert_eq!(self.next_oid as usize, self.expected_n, "fewer rows than declared at create()");
+        self.spill_block()?;
         if !self.vec_page.is_empty() {
             self.writer.append_page(&self.vec_page)?;
-            self.vec_page.clear();
         }
         let vec_pages = u32::try_from(self.writer.pages()).expect("vector pages exceed u32");
-        let mut tables = Vec::with_capacity(self.params.m);
-        for table in &mut self.spill {
-            table.flush()?;
-            let mut run = PostingRunBuilder::new();
-            // K-way merge of the sorted segments, smallest (bucket, oid)
-            // first; each cursor reads its segment in 48 KiB chunks.
-            let mut cursors = table
-                .segments
-                .iter()
-                .map(|&(off, count)| SegmentCursor::new(&table.file, off, count))
-                .collect::<io::Result<Vec<_>>>()?;
-            let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(i64, u32, usize)>> =
-                cursors
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, c)| c.head.map(|(b, o)| std::cmp::Reverse((b, o, i))))
-                    .collect();
-            while let Some(std::cmp::Reverse((bucket, oid, i))) = heap.pop() {
-                run.push(&mut self.writer, bucket, oid)?;
-                cursors[i].advance(&table.file)?;
-                if let Some((b, o)) = cursors[i].head {
-                    heap.push(std::cmp::Reverse((b, o, i)));
-                }
-            }
-            tables.push(run.finish(&mut self.writer)?);
-        }
-        std::fs::remove_dir_all(&self.spill_dir).ok();
+        let tables = self.write_tables()?;
         let file = self.writer.finish()?;
         let posting_pages = tables.iter().map(PostingRun::page_count).sum();
         Ok(PagedStore {
@@ -542,9 +534,11 @@ impl TableStore for PagedStore {
             run.lower_bound(&self.file, &self.pool, b).expect("posting page read failed")
         });
         for range in [left, right] {
-            if !range.is_empty() {
-                run.scan_while(&self.file, &self.pool, range.start, range.end, |_, oid| visit(oid))
-                    .expect("posting page read failed");
+            let keep_going = run
+                .scan_while(&self.file, &self.pool, range.start, range.end, |_, oid| visit(oid))
+                .expect("posting page read failed");
+            if !keep_going {
+                return;
             }
         }
     }
@@ -595,7 +589,9 @@ impl TableStore for PagedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Beta;
     use crate::index::C2lshIndex;
+    use crate::stats::Termination;
     use cc_storage::wal::scratch_dir;
     use cc_vector::gen::{generate, Distribution};
 
@@ -653,10 +649,9 @@ mod tests {
         let data = generate(Distribution::UniformCube { side: 4.0 }, 1_200, 8, 21);
         let config = test_config(5);
         let dir = scratch_dir("paged_stream");
-        // Tiny spill budget forces many segment flushes and a real merge.
-        let mut b = PagedBuilder::create(dir.join("a.ccpg"), data.dim(), data.len(), &config)
-            .unwrap()
-            .spill_budget(1_000);
+        // A tiny block forces many spills; three workers share them.
+        let (path, n) = (dir.join("a.ccpg"), data.len());
+        let mut b = PagedBuilder::with_block(&path, data.dim(), n, &config, 7, 3).unwrap();
         for row in data.iter() {
             b.append(row).unwrap();
         }
@@ -680,9 +675,7 @@ mod tests {
 
     /// A builder that spills at least three times over 3 000 rows.
     fn spilling_builder(path: &Path, dim: usize, n: usize, config: &C2lshConfig) -> PagedBuilder {
-        let b = PagedBuilder::create(path, dim, n, config).unwrap();
-        let per_spill = 700 * b.params().m;
-        b.spill_budget(per_spill)
+        PagedBuilder::with_block(path, dim, n, config, 700, 2).unwrap()
     }
 
     /// The CCPG bytes of a fixed 3 000 × 16 clustered set, pinned while
@@ -713,6 +706,186 @@ mod tests {
         assert_eq!(fnv1a(&bytes), 10_138_013_523_714_106_763, "page file bytes moved");
         let postings = bytes.len() - store.posting_bytes() as usize;
         assert_eq!(fnv1a(&bytes[postings..]), 8_763_658_187_905_858_780, "posting pages moved");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The file the builder must write: vector bytes packed into pages,
+    /// then per table the `(bucket, oid)` pairs sorted and pushed
+    /// through the run encoder, on one thread with nothing spilled.
+    fn reference_file(path: &Path, data: &Dataset, family: &HashFamily) -> Vec<u8> {
+        let mut w = DiskPageFileWriter::create(path).unwrap();
+        let floats: Vec<u8> = data.iter().flatten().flat_map(|x| x.to_le_bytes()).collect();
+        for page in floats.chunks(PAYLOAD_BYTES) {
+            w.append_page(page).unwrap();
+        }
+        for h in family.iter() {
+            let mut pairs: Vec<(i64, u32)> = data.iter().map(|v| h.bucket(v)).zip(0..).collect();
+            pairs.sort_unstable();
+            let mut run = PostingRunBuilder::new();
+            for bucket in pairs.chunk_by(|a, b| a.0 == b.0) {
+                let oids: Vec<u32> = bucket.iter().map(|e| e.1).collect();
+                run.push_bucket(bucket[0].0, &oids);
+            }
+            run.finish(&mut w).unwrap();
+        }
+        w.finish().unwrap();
+        std::fs::read(path).unwrap()
+    }
+
+    /// Hash functions over rows `(u, far, i)` whose bucket columns take
+    /// the shapes of `index::tests::shaped_column`, one shape per table.
+    fn shaped_family(m: usize) -> HashFamily {
+        let shapes = [
+            // A few dozen buckets around zero: the counting sort.
+            (vec![1.0, 0.0, 0.0], 1.0),
+            // One bucket holds everything: longer than MAX_GROUP_IDS.
+            (vec![0.0, 0.0, 0.0], 1.0),
+            // All distinct, descending: dense, then sparse.
+            (vec![0.0, 0.0, -1.0], 1.0),
+            (vec![0.0, 0.0, -3.0], 1.0),
+            // Two clusters 2^40 ≈ 10^12 buckets apart.
+            (vec![1.0, (1u64 << 20) as f32, 0.0], 1.0 / (1u64 << 20) as f64),
+        ];
+        let shaped = |t: usize| {
+            let (a, w) = shapes[t % shapes.len()].clone();
+            PstableHash::from_parts(a, 7.5 * w, w)
+        };
+        HashFamily::from_functions((0..m).map(shaped).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// Whatever shape a table's column takes, however many workers
+        /// hash and encode it, and whether or not the block size divides
+        /// `n`, the builder writes the reference file byte for byte.
+        #[test]
+        fn build_matches_sorted_pairs_reference(
+            blocks in 17usize..21,
+            raw in proptest::collection::vec((0u32..60, 0u32..2), 64 * 20),
+        ) {
+            let n = 64 * blocks;
+            assert!(n > cc_storage::paged_bucket::MAX_GROUP_IDS);
+            let rows: Vec<Vec<f32>> = raw[..n]
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, far))| vec![u as f32, far as f32, i as f32])
+                .collect();
+            let data = Dataset::from_rows(&rows);
+            let config = test_config(5);
+            let dir = scratch_dir("paged_shapes");
+            let family = shaped_family(FullParams::derive(n, &config).m);
+            let spans: Vec<i64> = family
+                .iter()
+                .take(5)
+                .map(|h| {
+                    let column: Vec<i64> = data.iter().map(|v| h.bucket(v)).collect();
+                    column.iter().max().unwrap() - column.iter().min().unwrap()
+                })
+                .collect();
+            assert!(spans[0] < 60 && spans[1] == 0 && spans[2] == n as i64 - 1);
+            assert!(spans[3] == 3 * (n as i64 - 1) && spans[4] >= 1 << 40, "{spans:?}");
+            let want = reference_file(&dir.join("want.ccpg"), &data, &family);
+            for workers in [1, 2, 7] {
+                for block_rows in [64, 100] {
+                    let path = dir.join("got.ccpg");
+                    let mut b =
+                        PagedBuilder::with_block(&path, 3, n, &config, block_rows, workers).unwrap();
+                    b.family = family.clone();
+                    for row in data.iter() {
+                        b.append(row).unwrap();
+                    }
+                    b.finish(4).unwrap();
+                    let got = std::fs::read(&path).unwrap();
+                    proptest::prop_assert!(got == want, "{} workers, blocks of {}", workers, block_rows);
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn dropped_builder_removes_its_spill_directory() {
+        let data = generate(Distribution::UniformCube { side: 4.0 }, 300, 8, 31);
+        let dir = scratch_dir("paged_drop");
+        let path = dir.join("unfinished.ccpg");
+        let mut b = PagedBuilder::with_block(&path, 8, 1_000, &test_config(5), 64, 2).unwrap();
+        for row in data.iter() {
+            b.append(row).unwrap();
+        }
+        let spill = b.spill.dir.clone();
+        assert!(std::fs::metadata(spill.join("table_0.column")).unwrap().len() >= 256 * 8);
+        drop(b);
+        assert!(!spill.exists(), "spill directory survived the builder");
+        let err = DiskPageFile::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Once `visit` says stop, `expand` must not call it again — not
+    /// even for the other delta range of the same grow.
+    #[test]
+    fn expand_stops_at_the_first_refusal_like_memory() {
+        let data = generate(Distribution::UniformCube { side: 6.0 }, 2_000, 8, 51);
+        let config = test_config(9);
+        let mem = C2lshIndex::build(&data, &config);
+        let (dir, paged) = scratch_store("paged_stop", &data, &config, 32);
+        // A query whose radius-4 window adds entries on both sides of
+        // its radius-1 bucket in table 0.
+        let (h, run) = (mem.family().get(0), &mem.tables[0]);
+        let two_sided = |q: &&[f32]| {
+            let b = h.bucket(q);
+            let lo = b.div_euclid(4) * 4;
+            run.lower_bound(lo) < run.lower_bound(b)
+                && run.lower_bound(b + 1) < run.lower_bound(lo + 4)
+        };
+        let q = data.iter().find(two_sided).expect("no two-sided query in the data");
+        fn calls_after_stop<S: TableStore>(store: &S, q: &[f32]) -> (usize, usize) {
+            let mut cursor = store.begin(q);
+            let mut first = 0;
+            store.expand(&mut cursor, 0, 1, &mut |_| {
+                first += 1;
+                true
+            });
+            let mut calls = 0;
+            store.expand(&mut cursor, 0, 4, &mut |_| {
+                calls += 1;
+                false
+            });
+            (first, calls)
+        }
+        let (first, calls) = calls_after_stop(&mem, q);
+        assert!(first > 0 && calls == 1, "memory: {first} ids, then {calls} calls");
+        assert_eq!(calls_after_stop(&paged, q), (first, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A candidate budget small enough that T2 ends most queries, at
+    /// `c = 3` so that a window grows on both sides at once: the paged
+    /// store must stop counting at the same entry as memory.
+    #[test]
+    fn t2_stop_matches_memory() {
+        let data = generate(Distribution::UniformCube { side: 6.0 }, 5_000, 12, 61);
+        let queries = generate(Distribution::UniformCube { side: 6.0 }, 16, 12, 62);
+        let config = C2lshConfig::builder()
+            .bucket_width(1.0)
+            .approximation_ratio(3)
+            .seed(7)
+            .beta(Beta::Count(3))
+            .build();
+        let mem = C2lshIndex::build(&data, &config);
+        let (dir, paged) = scratch_store("paged_t2", &data, &config, 64);
+        let mut t2 = 0;
+        for q in queries.iter() {
+            let (want, want_stats) = mem.query(q, 5);
+            let (got, got_stats) = paged.query(q, 5);
+            assert_eq!(got, want);
+            assert_eq!(got_stats.collisions_counted, want_stats.collisions_counted);
+            assert_eq!(got_stats.candidates_verified, want_stats.candidates_verified);
+            assert_eq!(got_stats.terminated_by, want_stats.terminated_by);
+            t2 += usize::from(want_stats.terminated_by == Termination::T2CandidateBudget);
+        }
+        assert!(t2 >= queries.len() / 2, "only {t2} queries ended on T2");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -32,17 +32,20 @@ const GROUP_HEADER: usize = 8;
 pub const MAX_GROUP_IDS: usize =
     (PAYLOAD_BYTES - PAGE_HEADER - GROUP_HEADER - codec::HEADER_BYTES) / 4;
 
-/// Streaming builder: feed `(bucket, oid)` pairs in non-decreasing order,
-/// pages are appended to the shared [`DiskPageFileWriter`] as they fill.
+/// Run encoder: feed whole buckets in ascending bucket order. Finished
+/// page payloads are held until [`finish`](Self::finish) appends them
+/// to the [`DiskPageFileWriter`], so a run can be encoded on any thread
+/// and written by the one that owns the file.
 pub struct PostingRunBuilder {
+    /// The page being filled.
     page: Vec<u8>,
     groups_in_page: u16,
-    pages: Vec<u32>,
+    /// Full pages' payloads, [`PAYLOAD_BYTES`] each.
+    payloads: Vec<u8>,
     fences: Vec<i64>,
     entry_base: Vec<usize>,
     len: usize,
-    cur_bucket: Option<i64>,
-    cur_ids: Vec<u32>,
+    last_bucket: Option<i64>,
     enc: Vec<u8>,
 }
 
@@ -58,89 +61,61 @@ impl PostingRunBuilder {
         PostingRunBuilder {
             page: vec![0; PAGE_HEADER],
             groups_in_page: 0,
-            pages: Vec::new(),
+            payloads: Vec::new(),
             fences: Vec::new(),
             entry_base: Vec::new(),
             len: 0,
-            cur_bucket: None,
-            cur_ids: Vec::with_capacity(MAX_GROUP_IDS),
+            last_bucket: None,
             enc: Vec::new(),
         }
     }
 
-    /// Append one entry. Pairs must arrive sorted by `(bucket, oid)`.
-    pub fn push(
-        &mut self,
-        writer: &mut DiskPageFileWriter,
-        bucket: i64,
-        oid: u32,
-    ) -> io::Result<()> {
-        match self.cur_bucket {
-            Some(cur) if cur == bucket => {
-                debug_assert!(
-                    self.cur_ids.last().is_none_or(|&last| oid >= last),
-                    "oids out of order"
-                );
-            }
-            Some(cur) => {
-                assert!(bucket > cur, "buckets out of order: {bucket} after {cur}");
-                self.flush_group(writer)?;
-                self.cur_bucket = Some(bucket);
-            }
-            None => self.cur_bucket = Some(bucket),
+    /// Append one bucket's ids, ascending. Buckets must arrive in
+    /// strictly ascending order; a list longer than [`MAX_GROUP_IDS`]
+    /// becomes continuation groups carrying the same bucket id.
+    pub fn push_bucket(&mut self, bucket: i64, oids: &[u32]) {
+        if let Some(last) = self.last_bucket {
+            assert!(bucket > last, "buckets out of order: {bucket} after {last}");
         }
-        self.cur_ids.push(oid);
-        if self.cur_ids.len() >= MAX_GROUP_IDS {
-            // Emit a continuation chunk; cur_bucket stays set so further
-            // oids of this bucket open another group with the same id.
-            self.flush_group(writer)?;
+        debug_assert!(oids.is_sorted(), "oids out of order");
+        self.last_bucket = Some(bucket);
+        for group in oids.chunks(MAX_GROUP_IDS) {
+            self.enc.clear();
+            codec::encode_postings(group, &mut self.enc);
+            let group_bytes = GROUP_HEADER + self.enc.len();
+            if self.page.len() + group_bytes > PAYLOAD_BYTES {
+                self.flush_page();
+            }
+            debug_assert!(self.page.len() + group_bytes <= PAYLOAD_BYTES);
+            if self.groups_in_page == 0 {
+                self.fences.push(bucket);
+                self.entry_base.push(self.len);
+            }
+            self.page.extend_from_slice(&bucket.to_le_bytes());
+            self.page.extend_from_slice(&self.enc);
+            self.groups_in_page += 1;
+            self.len += group.len();
         }
-        Ok(())
     }
 
-    fn flush_group(&mut self, writer: &mut DiskPageFileWriter) -> io::Result<()> {
-        if self.cur_ids.is_empty() {
-            return Ok(());
-        }
-        let bucket = self.cur_bucket.expect("ids without a bucket");
-        self.enc.clear();
-        codec::encode_postings(&self.cur_ids, &mut self.enc);
-        let group_bytes = GROUP_HEADER + self.enc.len();
-        if self.page.len() + group_bytes > PAYLOAD_BYTES {
-            self.flush_page(writer)?;
-        }
-        debug_assert!(self.page.len() + group_bytes <= PAYLOAD_BYTES);
+    fn flush_page(&mut self) {
         if self.groups_in_page == 0 {
-            self.fences.push(bucket);
-            self.entry_base.push(self.len);
-        }
-        self.page.extend_from_slice(&bucket.to_le_bytes());
-        self.page.extend_from_slice(&self.enc);
-        self.groups_in_page += 1;
-        self.len += self.cur_ids.len();
-        self.cur_ids.clear();
-        Ok(())
-    }
-
-    fn flush_page(&mut self, writer: &mut DiskPageFileWriter) -> io::Result<()> {
-        if self.groups_in_page == 0 {
-            return Ok(());
+            return;
         }
         self.page[..PAGE_HEADER].copy_from_slice(&self.groups_in_page.to_le_bytes());
-        let no = writer.append_page(&self.page)?;
-        self.pages.push(no);
-        self.page.truncate(0);
+        self.page.resize(PAYLOAD_BYTES, 0);
+        self.payloads.append(&mut self.page);
         self.page.resize(PAGE_HEADER, 0);
         self.groups_in_page = 0;
-        Ok(())
     }
 
-    /// Flush pending state and return the run's in-memory directory.
+    /// Append the run's pages to `writer` and return its in-memory
+    /// directory.
     pub fn finish(mut self, writer: &mut DiskPageFileWriter) -> io::Result<PostingRun> {
-        self.flush_group(writer)?;
-        self.flush_page(writer)?;
+        self.flush_page();
+        let pages = self.payloads.chunks_exact(PAYLOAD_BYTES).map(|p| writer.append_page(p));
         Ok(PostingRun {
-            pages: self.pages,
+            pages: pages.collect::<io::Result<_>>()?,
             fences: self.fences,
             entry_base: self.entry_base,
             len: self.len,
@@ -271,8 +246,9 @@ mod tests {
         let path = dir.join("run.ccpg");
         let mut w = DiskPageFileWriter::create(&path).unwrap();
         let mut b = PostingRunBuilder::new();
-        for &(bucket, oid) in entries {
-            b.push(&mut w, bucket, oid).unwrap();
+        for bucket in entries.chunk_by(|a, b| a.0 == b.0) {
+            let oids: Vec<u32> = bucket.iter().map(|e| e.1).collect();
+            b.push_bucket(bucket[0].0, &oids);
         }
         let run = b.finish(&mut w).unwrap();
         (dir, w.finish().unwrap(), run)

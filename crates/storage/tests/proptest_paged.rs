@@ -84,8 +84,9 @@ proptest! {
         let path = dir.join("run.ccpg");
         let mut w = DiskPageFileWriter::create(&path).unwrap();
         let mut b = PostingRunBuilder::new();
-        for &(bucket, oid) in &entries {
-            b.push(&mut w, bucket, oid).unwrap();
+        for bucket in entries.chunk_by(|a, b| a.0 == b.0) {
+            let oids: Vec<u32> = bucket.iter().map(|e| e.1).collect();
+            b.push_bucket(bucket[0].0, &oids);
         }
         let run = b.finish(&mut w).unwrap();
         let file = w.finish().unwrap();
