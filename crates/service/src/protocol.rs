@@ -1153,6 +1153,166 @@ mod tests {
         read_response(&mut Cursor::new(wire)).unwrap().unwrap()
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The wire bytes of one frame of every kind, length prefix
+    /// included. Recorded before the v1 frames were retired and the
+    /// vector loops folded into helpers: whatever else changes, these
+    /// frames must keep encoding to exactly these bytes and decode back.
+    #[test]
+    fn golden_frame_bytes() {
+        let vector = vec![1.5f32, -2.0];
+        let requests: Vec<(Request, &str)> = vec![
+            (Request::Ping, "0100000001"),
+            (Request::Stats, "0100000003"),
+            (Request::Shutdown, "0100000004"),
+            (Request::Metrics, "0100000008"),
+            (Request::ListCollections, "010000000b"),
+            (Request::Delete { oid: 0x0102_0304 }, "050000000604030201"),
+            (
+                Request::QueryV2 {
+                    k: 10,
+                    deadline_ms: 250,
+                    want_stats: true,
+                    want_trace: false,
+                    vector: vector.clone(),
+                    filter: None,
+                    collection: None,
+                    min_seq: 0,
+                },
+                "19000000070a000000fa00000001000000020000000000c03f000000c0",
+            ),
+            (
+                Request::QueryV2 {
+                    k: 3,
+                    deadline_ms: 0,
+                    want_stats: false,
+                    want_trace: true,
+                    vector: vector.clone(),
+                    filter: Some(Predicate::label(7).and_tag_any(0b1010).and_tag_all(0xFF00)),
+                    collection: Some("alpha".into()),
+                    min_seq: 0x1122_3344_5566_7788,
+                },
+                "3d0000000703000000000000001e000000020000000000c03f000000c007070000000a0000000000\
+                 000000ff0000000000000500616c7068618877665544332211",
+            ),
+            (
+                Request::InsertV2 { collection: None, tag: 0, label: 0, vector: vector.clone() },
+                "1b0000000c0000000000000000000000000000020000000000c03f000000c0",
+            ),
+            (
+                Request::InsertV2 {
+                    collection: Some("alpha".into()),
+                    tag: 0xDEAD_BEEF,
+                    label: 42,
+                    vector: vector.clone(),
+                },
+                "200000000c0500616c706861efbeadde000000002a000000020000000000c03f000000c0",
+            ),
+            (
+                Request::CreateCollection { name: "alpha".into(), dim: 128 },
+                "0c000000090500616c70686180000000",
+            ),
+            (Request::DropCollection { name: "alpha".into() }, "080000000a0500616c706861"),
+            (
+                Request::ReplSubscribe { replica: "f1".into(), from_seq: 9 },
+                "0d0000000d020066310900000000000000",
+            ),
+            (Request::ReplAck { applied_seq: 12 }, "090000000e0c00000000000000"),
+        ];
+        for (req, golden) in requests {
+            let mut wire = Vec::new();
+            write_request(&mut wire, &req).unwrap();
+            assert_eq!(hex(&wire), golden, "{req:?}");
+            assert_eq!(read_request(&mut Cursor::new(wire)).unwrap().unwrap(), req);
+        }
+
+        let neighbors = vec![Neighbor::new(3, 0.25), Neighbor::new(9, 2.0)];
+        let cost = QueryCost {
+            rounds: 2,
+            collisions: 1000,
+            verified: 42,
+            abandoned: 7,
+            filtered: 11,
+            io_reads: 5,
+            elapsed_nanos: 123_456,
+            snapshot_seq: 9,
+            hash_ns: 100,
+            count_ns: 2000,
+            verify_ns: 300,
+            rank_ns: 40,
+            spans: vec![WireSpan {
+                name: "round".into(),
+                start_ns: 100,
+                dur_ns: 2300,
+                depth: 1,
+                detail: 16,
+            }],
+        };
+        let responses: Vec<(Response, &str)> = vec![
+            (Response::Pong, "0100000081"),
+            (Response::Overloaded, "0100000083"),
+            (Response::DeadlineExceeded, "0100000084"),
+            (Response::ShutdownAck, "0100000086"),
+            (Response::StatsJson("{\"schema\":2}".into()), "0d000000857b22736368656d61223a327d"),
+            (Response::MetricsText("cc_up 1\n".into()), "090000008a63635f757020310a"),
+            (Response::InsertAck { oid: 12, seq: 99 }, "0d000000870c0000006300000000000000"),
+            (
+                Response::DeleteAck { oid: 4, found: true, seq: 100 },
+                "0e0000008801040000006400000000000000",
+            ),
+            (
+                Response::DeleteAck { oid: 5, found: false, seq: 100 },
+                "0e0000008800050000006400000000000000",
+            ),
+            (Response::CollectionAck { existed: true }, "020000008b01"),
+            (
+                Response::TopKV2 { trace_id: 0, neighbors: neighbors.clone(), cost: None },
+                "260000008900000000000000000200000003000000000000000000d03f0900000000000000000000\
+                 4000",
+            ),
+            (
+                Response::TopKV2 { trace_id: 77, neighbors, cost: Some(cost) },
+                "a5000000894d000000000000000200000003000000000000000000d03f0900000000000000000000\
+                 400102000000e8030000000000002a0000000000000007000000000000000b000000000000000500\
+                 00000000000040e201000000000009000000000000006400000000000000d0070000000000002c01\
+                 00000000000028000000000000000100000005726f756e646400000000000000fc08000000000000\
+                 011000000000000000",
+            ),
+            (Response::Error(Error::new(ErrorKind::Stale, "behind")), "090000008f0800626568696e64"),
+            (
+                Response::CollectionList(vec![CollectionInfo {
+                    name: "alpha".into(),
+                    dim: 8,
+                    objects: 90,
+                }]),
+                "180000008c010000000500616c706861080000005a00000000000000",
+            ),
+            (
+                Response::ReplBatch {
+                    last_seq: 3,
+                    records: vec![
+                        WalRecord {
+                            seq: 2,
+                            op: WalOp::Insert { oid: 1, vector, tag: 0xF0, label: 7 },
+                        },
+                        WalRecord { seq: 3, op: WalOp::Delete { oid: 1 } },
+                    ],
+                },
+                "3f0000009003000000000000000200000002000000000000000101000000f0000000000000000700\
+                 0000020000000000c03f000000c003000000000000000201000000",
+            ),
+        ];
+        for (resp, golden) in responses {
+            let mut wire = Vec::new();
+            write_response(&mut wire, &resp).unwrap();
+            assert_eq!(hex(&wire), golden, "{resp:?}");
+            assert_eq!(read_response(&mut Cursor::new(wire)).unwrap().unwrap(), resp);
+        }
+    }
+
     #[test]
     fn requests_round_trip() {
         for req in [
