@@ -229,9 +229,8 @@ impl Client {
         self.search(req)?.into_result()
     }
 
-    /// Fetch the aggregated service statistics as a JSON document
-    /// (field extraction via [`crate::json::find_u64`], or parse with
-    /// [`Client::stats`]).
+    /// Fetch the aggregated service statistics as the raw JSON
+    /// document ([`Client::stats`] parses it).
     pub fn stats_json(&mut self) -> Result<String, ProtoError> {
         match self.call(&Request::Stats)? {
             Response::StatsJson(json) => Ok(json),
@@ -240,8 +239,7 @@ impl Client {
     }
 
     /// Fetch and parse the service statistics into a typed
-    /// [`StatsSnapshot`] (understands both the schema-1 and schema-2
-    /// envelopes).
+    /// [`StatsSnapshot`].
     pub fn stats(&mut self) -> Result<StatsSnapshot, ProtoError> {
         let json = self.stats_json()?;
         StatsSnapshot::parse(&json)
@@ -257,15 +255,12 @@ impl Client {
         }
     }
 
-    /// Insert a vector; returns `(oid, seq)` — the object id the index
-    /// assigned and the WAL sequence number. When this returns, the
-    /// insert is durable (the server acks after its group-commit
-    /// fsync).
+    /// Insert a vector with no metadata into the default engine;
+    /// returns `(oid, seq)` — the object id the index assigned and the
+    /// WAL sequence number. When this returns, the insert is durable
+    /// (the server acks after its group-commit fsync).
     pub fn insert(&mut self, vector: &[f32]) -> Result<(u32, u64), ProtoError> {
-        match self.call(&Request::Insert { vector: vector.to_vec() })? {
-            Response::InsertAck { oid, seq } => Ok((oid, seq)),
-            other => Err(unexpected(&other)),
-        }
+        self.insert_with_meta(None, vector, 0, 0)
     }
 
     /// Insert a vector carrying a metadata payload — tag bitmask and

@@ -12,7 +12,8 @@
 //! threads rather than through the batching worker: collections are
 //! expected to be many and small, so cross-client coalescing (a
 //! per-collection batcher each) would cost threads without winning
-//! latency. The default engine keeps the batcher.
+//! latency. The default engine keeps the batcher; both run the same
+//! validation and the same flush routine (see [`crate::server`]).
 
 use crate::protocol::CollectionInfo;
 use c2lsh::{C2lshConfig, DynamicIndex, Error, MutableIndex};
@@ -70,17 +71,6 @@ impl Collection {
     /// Collection name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Dimensionality its vectors must have.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Highest WAL sequence applied to this collection's index (the
-    /// freshness bound for `min_seq` reads).
-    pub fn last_seq(&self) -> u64 {
-        self.index.last_seq()
     }
 }
 

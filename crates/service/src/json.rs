@@ -1,18 +1,15 @@
-//! A deliberately tiny JSON emitter, parser and field extractor —
-//! the workspace is offline, so no serde.
+//! The workspace's one JSON codec — deliberately tiny; the workspace
+//! is offline, so no serde.
 //!
 //! [`JsonObject`] covers exactly what the stats frame needs: flat-ish
-//! objects of numbers, strings and nested objects, emitted in
-//! insertion order. Numbers are formatted so they parse back exactly
-//! (`u64`/`usize` verbatim, `f64` via `{:?}` which round-trips).
-//! The quick extractors ([`find_u64`], [`find_f64`]) do *not*
-//! implement a JSON parser; they scan for a quoted key at any nesting
-//! depth and read the number after the colon — sufficient for the
-//! load generator and the integration tests to pick counters out of
-//! the stats document this module itself produced. The real parser
-//! ([`JsonValue::parse`]) backs the typed
-//! [`StatsSnapshot`](crate::snapshot::StatsSnapshot) and the
-//! round-trip property tests.
+//! objects of numbers, strings and nested objects, emitted compactly
+//! in insertion order. Numbers are formatted so they parse back
+//! exactly (`u64`/`usize` verbatim, `f64` via `{:?}` which
+//! round-trips). [`JsonValue`] is the document tree:
+//! [`JsonValue::parse`] reads whatever a peer or a file hands over —
+//! it backs the typed [`StatsSnapshot`](crate::snapshot::StatsSnapshot)
+//! and the bench reports — and [`JsonValue::to_pretty`] writes the
+//! indented form the checked-in bench baselines are kept in.
 
 use std::fmt::Write as _;
 
@@ -34,11 +31,19 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+/// Deepest nesting of arrays and objects [`JsonValue::parse`] follows.
+/// The parser recurses once per level and its input comes from peers
+/// and files, so the bound is what keeps a line of `[` from
+/// overflowing the stack; the documents this workspace writes nest
+/// four levels.
+const MAX_DEPTH: usize = 64;
+
 impl JsonValue {
     /// Parse one complete JSON document (surrounding whitespace
-    /// allowed; trailing garbage rejected).
+    /// allowed; trailing garbage and nesting beyond 64 levels
+    /// rejected).
     pub fn parse(s: &str) -> Option<JsonValue> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -80,11 +85,96 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The elements, if the value is an array.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Shorthand: member `key` of an object, as a float.
+    pub fn num(&self, key: &str) -> Option<f64> {
+        self.get(key).and_then(JsonValue::as_f64)
+    }
+
+    /// A number value: whole numbers print without a fraction,
+    /// anything else via `{:?}` (which round-trips); non-finite values
+    /// become `null`, since JSON has no NaN.
+    pub fn number(v: f64) -> JsonValue {
+        if !v.is_finite() {
+            JsonValue::Null
+        } else if v == v.trunc() && v.abs() < 9.0e15 {
+            JsonValue::Number(format!("{}", v as i64))
+        } else {
+            JsonValue::Number(format!("{v:?}"))
+        }
+    }
+
+    /// Serialize with 2-space indentation, one member per line, and a
+    /// trailing newline.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+        };
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(raw) => out.push_str(raw),
+            JsonValue::String(s) => {
+                out.push('"');
+                escape_into(out, s);
+                out.push('"');
+            }
+            JsonValue::Array(items) if items.is_empty() => out.push_str("[]"),
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    item.write_pretty(out, depth + 1);
+                }
+                newline(out, depth);
+                out.push(']');
+            }
+            JsonValue::Object(members) if members.is_empty() => out.push_str("{}"),
+            JsonValue::Object(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    out.push('"');
+                    escape_into(out, key);
+                    out.push_str("\": ");
+                    value.write_pretty(out, depth + 1);
+                }
+                newline(out, depth);
+                out.push('}');
+            }
+        }
+    }
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -118,8 +208,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Option<JsonValue> {
         match self.bytes.get(self.pos)? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return None;
+                }
+                self.depth += 1;
+                let v = if *open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             b'"' => self.string().map(JsonValue::String),
             b't' => self.eat_lit("true").map(|()| JsonValue::Bool(true)),
             b'f' => self.eat_lit("false").map(|()| JsonValue::Bool(false)),
@@ -323,29 +420,6 @@ fn escape_into(buf: &mut String, s: &str) {
     }
 }
 
-/// Locate `"key":` in `json` and return the byte range of the value's
-/// leading number token. Shared scanner for the typed extractors.
-fn number_after_key<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-' || c == '+' || c == '.' || c == 'e'))
-        .unwrap_or(rest.len());
-    Some(&rest[..end])
-}
-
-/// Extract an unsigned-integer field by key (first occurrence, any
-/// nesting level).
-pub fn find_u64(json: &str, key: &str) -> Option<u64> {
-    number_after_key(json, key)?.parse().ok()
-}
-
-/// Extract a float field by key (first occurrence, any nesting level).
-pub fn find_f64(json: &str, key: &str) -> Option<f64> {
-    number_after_key(json, key)?.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,20 +450,6 @@ mod tests {
     fn non_finite_floats_are_null() {
         let doc = JsonObject::new().field_f64("x", f64::NAN).finish();
         assert_eq!(doc, "{\"x\":null}");
-    }
-
-    #[test]
-    fn extractors_read_back_fields() {
-        let inner = JsonObject::new().field_u64("reads", 7).finish();
-        let doc = JsonObject::new()
-            .field_u64("queries", 1234)
-            .field_f64("p99_ms", 1.75)
-            .field_obj("io", &inner)
-            .finish();
-        assert_eq!(find_u64(&doc, "queries"), Some(1234));
-        assert_eq!(find_f64(&doc, "p99_ms"), Some(1.75));
-        assert_eq!(find_u64(&doc, "reads"), Some(7), "nested fields are reachable");
-        assert_eq!(find_u64(&doc, "missing"), None);
     }
 
     #[test]
@@ -431,9 +491,54 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
-        for bad in ["", "{", "{\"a\":}", "[1,]", "{\"a\":1} trailing", "nul", "\"open"] {
+        let v = JsonValue::parse(r#" { "a\n\"x\"" : [ -2.5e3, {"inner": "A"} ] } "#).unwrap();
+        let items = v.get("a\n\"x\"").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(items[0].as_f64(), Some(-2500.0));
+        assert_eq!(items[1].get("inner").and_then(JsonValue::as_str), Some("A"));
+        for bad in ["", "{", "{\"a\":}", "{\"a\" 1}", "[1,]", "{\"a\":1} trailing", "nul", "\"open"]
+        {
             assert_eq!(JsonValue::parse(bad), None, "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // A hostile peer's stats frame or a corrupt baseline file: the
+        // recursive-descent parser must refuse it, not overflow its stack.
+        assert_eq!(JsonValue::parse(&"[".repeat(100_000)), None);
+        assert_eq!(JsonValue::parse(&"{\"a\":".repeat(100_000)), None);
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_some());
+        assert_eq!(JsonValue::parse(&nested(MAX_DEPTH + 1)), None);
+        // Siblings do not accumulate depth.
+        assert!(JsonValue::parse(&format!("[{}]", vec!["[[1]]"; 100].join(","))).is_some());
+    }
+
+    #[test]
+    fn pretty_writer_round_trips_and_formats_numbers() {
+        let doc = JsonValue::Object(vec![
+            ("n".into(), JsonValue::number(4000.0)),
+            ("ratio".into(), JsonValue::number(1.0125)),
+            ("nan".into(), JsonValue::number(f64::NAN)),
+            ("tag".into(), JsonValue::String("a \"b\"\n".into())),
+            ("empty".into(), JsonValue::Array(vec![])),
+            (
+                "rows".into(),
+                JsonValue::Array(vec![
+                    JsonValue::Object(vec![("ok".into(), JsonValue::Bool(true))]),
+                    JsonValue::Object(vec![]),
+                ]),
+            ),
+        ]);
+        let text = doc.to_pretty();
+        assert_eq!(
+            text,
+            "{\n  \"n\": 4000,\n  \"ratio\": 1.0125,\n  \"nan\": null,\n  \
+             \"tag\": \"a \\\"b\\\"\\n\",\n  \"empty\": [],\n  \"rows\": [\n    {\n      \
+             \"ok\": true\n    },\n    {}\n  ]\n}\n"
+        );
+        assert_eq!(JsonValue::parse(&text), Some(doc));
+        assert_eq!(JsonValue::parse(&text).unwrap().num("ratio"), Some(1.0125));
     }
 
     #[test]

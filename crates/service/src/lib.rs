@@ -9,9 +9,8 @@
 //! mutations into group-committed WAL batches. Built on `std::net`
 //! only — no async runtime.
 //!
-//! * [`protocol`] — the wire format: framing, opcodes, encode/decode
-//!   (including the insert/delete/ack mutation frames and the v2
-//!   query/metrics frames),
+//! * [`protocol`] — the wire format: framing, opcodes, encode/decode,
+//!   one frame per operation,
 //! * [`server`] — [`server::serve`]: accept loop, admission control,
 //!   request coalescing, durable mutation acks, per-request deadlines,
 //!   graceful drain,
@@ -28,10 +27,10 @@
 //!   slow-query ring, and the Prometheus renderer,
 //! * [`client`] — a minimal blocking [`Client`] and the
 //!   builder-style [`QueryRequest`],
-//! * [`json`] — the hand-rolled serializer/parser behind the stats
-//!   frame,
-//! * [`snapshot`] — [`snapshot::StatsSnapshot`], the typed, versioned
-//!   view of that frame (parses schema 1 and 2).
+//! * [`json`] — the workspace's one hand-rolled JSON codec, behind the
+//!   stats frame and the bench reports,
+//! * [`snapshot`] — [`snapshot::StatsSnapshot`], the typed view of the
+//!   stats frame.
 //!
 //! ## Quick start
 //!

@@ -2,22 +2,24 @@
 //!
 //! Every frame is `u32` payload length (little-endian, excluding the
 //! length word itself) followed by the payload; the payload's first
-//! byte is the opcode. Requests use opcodes `0x01..=0x04`, responses
+//! byte is the opcode. Requests use opcodes `0x01..=0x0E`, responses
 //! set the high bit. All multi-byte integers and floats are
 //! little-endian, matching the persistence format of the core crate.
+//! There is one frame per operation: the opcodes of the retired
+//! first-generation query, insert and answer frames (`0x02`, `0x05`,
+//! `0x82`) stay reserved and are refused like any unknown opcode, and
+//! the surviving frames keep the names they were introduced under.
 //!
 //! ```text
 //! request  0x01 Ping
-//!          0x02 Query     u32 k | u32 deadline_ms (0 = none) |
-//!                         u32 dim | dim × f32
 //!          0x03 Stats
 //!          0x04 Shutdown
-//!          0x05 Insert    u32 dim | dim × f32
 //!          0x06 Delete    u32 oid
-//!          0x07 QueryV2   u32 k | u32 deadline_ms | u32 flags
-//!                         (bit0 = want stats, bit1 = want trace,
-//!                         bit2 = filter, bit3 = collection,
-//!                         bit4 = min_seq) |
+//!          0x07 QueryV2   u32 k | u32 deadline_ms (0 = none) |
+//!                         u32 flags (bit0 = want stats,
+//!                         bit1 = want trace, bit2 = filter,
+//!                         bit3 = collection, bit4 = min_seq;
+//!                         any other bit = malformed) |
 //!                         u32 dim | dim × f32 |
 //!                         [filter block, iff bit2] |
 //!                         [u16 name_len | name, iff bit3] |
@@ -33,7 +35,6 @@
 //!          0x0E ReplAck   u64 applied_seq   (long-polls the next batch)
 //!
 //! response 0x81 Pong
-//!          0x82 TopK      u32 count | count × (u32 id, f64 dist)
 //!          0x83 Overloaded          (admission queue full)
 //!          0x84 DeadlineExceeded    (expired while queued)
 //!          0x85 StatsJson utf-8 JSON document
@@ -63,9 +64,9 @@
 //! The QueryV2 *filter block* serializes a [`c2lsh::Predicate`]: `u8
 //! clause mask (bit0 = label_eq, bit1 = tag_any, bit2 = tag_all)`
 //! followed by the present clauses in that order (`u32 label`, `u64
-//! tag_any`, `u64 tag_all`). A request without the filter or
-//! collection flag is byte-identical to the pre-extension frame, so
-//! old captures replay unchanged.
+//! tag_any`, `u64 tag_all`). Unknown clause bits, like unknown flag
+//! bits, are malformed: a node must not silently drop a condition a
+//! newer peer asked for.
 //!
 //! `QueryCost` (present when `has_stats = 1`): `u32 rounds | u64
 //! collisions | u64 verified | u64 abandoned | u64 filtered | u64
@@ -196,40 +197,24 @@ impl QueryCost {
 pub enum Request {
     /// Liveness check.
     Ping,
-    /// One c-k-ANN query.
-    Query {
-        /// Number of neighbors wanted.
-        k: u32,
-        /// Milliseconds the request may wait in the server's queue
-        /// before the server gives up on it; 0 disables the deadline.
-        deadline_ms: u32,
-        /// The query vector.
-        vector: Vec<f32>,
-    },
     /// Ask for the aggregated service statistics as JSON.
     Stats,
     /// Begin graceful shutdown: the server stops admitting work,
     /// drains its queue, answers everything in flight, then exits.
     Shutdown,
-    /// Insert a vector; answered with [`Response::InsertAck`] once the
-    /// mutation is durable (or [`Response::Error`] if the engine is
-    /// immutable or the vector invalid).
-    Insert {
-        /// The vector to insert.
-        vector: Vec<f32>,
-    },
     /// Delete an object by id; answered with [`Response::DeleteAck`].
     Delete {
         /// The object id to remove.
         oid: u32,
     },
-    /// One c-k-ANN query under the v2 contract: answered with
-    /// [`Response::TopKV2`], optionally carrying per-query stats and a
-    /// trace. Built by [`crate::QueryRequest`].
+    /// One c-k-ANN query: answered with [`Response::TopKV2`],
+    /// optionally carrying per-query stats and a trace. Built by
+    /// [`crate::QueryRequest`].
     QueryV2 {
         /// Number of neighbors wanted.
         k: u32,
-        /// Queue-wait deadline in milliseconds; 0 disables it.
+        /// Milliseconds the request may wait in the server's queue
+        /// before the server gives up on it; 0 disables the deadline.
         deadline_ms: u32,
         /// Return a [`QueryCost`] block with the answer.
         want_stats: bool,
@@ -247,8 +232,7 @@ pub enum Request {
         /// Read-your-writes freshness bound: the serving node must have
         /// applied at least this sequence number, or answer
         /// [`ErrorKind::Stale`] instead of serving stale data. 0 (the
-        /// default) disables the bound and keeps the frame byte-compatible
-        /// with pre-replication captures.
+        /// default) disables the bound and adds nothing to the frame.
         min_seq: u64,
     },
     /// Ask for the Prometheus text exposition (same document the
@@ -273,7 +257,10 @@ pub enum Request {
     /// [`Response::CollectionList`].
     ListCollections,
     /// Insert a vector with its [`c2lsh::PointMeta`] payload, into a
-    /// named collection or (empty name) the default engine.
+    /// named collection or (empty name) the default engine; answered
+    /// with [`Response::InsertAck`] once the mutation is durable (or
+    /// [`Response::Error`] if the engine is immutable or the vector
+    /// invalid).
     InsertV2 {
         /// Target collection; `None` routes to the default engine.
         collection: Option<String>,
@@ -311,8 +298,6 @@ pub enum Request {
 pub enum Response {
     /// Reply to [`Request::Ping`].
     Pong,
-    /// The k nearest verified candidates, ascending by distance.
-    TopK(Vec<Neighbor>),
     /// The admission queue was full; retry later.
     Overloaded,
     /// The request's deadline expired before the engine ran it.
@@ -410,11 +395,11 @@ impl From<ProtoError> for Error {
     }
 }
 
+// 0x02, 0x05 and 0x82 belonged to the retired first-generation query,
+// insert and answer frames; they stay unassigned.
 const OP_PING: u8 = 0x01;
-const OP_QUERY: u8 = 0x02;
 const OP_STATS: u8 = 0x03;
 const OP_SHUTDOWN: u8 = 0x04;
-const OP_INSERT: u8 = 0x05;
 const OP_DELETE: u8 = 0x06;
 const OP_QUERY_V2: u8 = 0x07;
 const OP_METRICS: u8 = 0x08;
@@ -425,7 +410,6 @@ const OP_INSERT_V2: u8 = 0x0C;
 const OP_REPL_SUBSCRIBE: u8 = 0x0D;
 const OP_REPL_ACK: u8 = 0x0E;
 const OP_PONG: u8 = 0x81;
-const OP_TOPK: u8 = 0x82;
 const OP_OVERLOADED: u8 = 0x83;
 const OP_DEADLINE: u8 = 0x84;
 const OP_STATS_JSON: u8 = 0x85;
@@ -445,6 +429,8 @@ const FLAG_WANT_TRACE: u32 = 2;
 const FLAG_FILTER: u32 = 4;
 const FLAG_COLLECTION: u32 = 8;
 const FLAG_MIN_SEQ: u32 = 16;
+const FLAGS_KNOWN: u32 =
+    FLAG_WANT_STATS | FLAG_WANT_TRACE | FLAG_FILTER | FLAG_COLLECTION | FLAG_MIN_SEQ;
 
 /// Replication record kind bytes.
 const REC_INSERT: u8 = 1;
@@ -523,6 +509,14 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// `u32 dim | dim × f32` — how every frame carries a vector.
+fn put_vector(buf: &mut Vec<u8>, vector: &[f32]) {
+    put_u32(buf, vector.len() as u32);
+    for x in vector {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
 fn put_wal_record(buf: &mut Vec<u8>, rec: &WalRecord) {
     put_u64(buf, rec.seq);
     match &rec.op {
@@ -531,10 +525,7 @@ fn put_wal_record(buf: &mut Vec<u8>, rec: &WalRecord) {
             put_u32(buf, *oid);
             put_u64(buf, *tag);
             put_u32(buf, *label);
-            put_u32(buf, vector.len() as u32);
-            for x in vector {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+            put_vector(buf, vector);
         }
         WalOp::Delete { oid } => {
             buf.push(REC_DELETE);
@@ -550,15 +541,7 @@ fn get_wal_record(cur: &mut Cur<'_>) -> Result<WalRecord, ProtoError> {
             let oid = cur.u32()?;
             let tag = cur.u64()?;
             let label = cur.u32()?;
-            let dim = cur.u32()? as usize;
-            if dim == 0 || dim > MAX_FRAME / 4 {
-                return Err(ProtoError::Malformed(format!("bad record dimensionality {dim}")));
-            }
-            let mut vector = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                vector.push(cur.f32()?);
-            }
-            WalOp::Insert { oid, vector, tag, label }
+            WalOp::Insert { oid, vector: cur.vector("record")?, tag, label }
         }
         REC_DELETE => WalOp::Delete { oid: cur.u32()? },
         kind => return Err(ProtoError::Malformed(format!("unknown record kind {kind}"))),
@@ -632,28 +615,8 @@ fn decode_cost(cur: &mut Cur<'_>) -> Result<QueryCost, ProtoError> {
 fn encode_request(req: &Request) -> Vec<u8> {
     match req {
         Request::Ping => vec![OP_PING],
-        Request::Query { k, deadline_ms, vector } => {
-            let mut buf = Vec::with_capacity(13 + vector.len() * 4);
-            buf.push(OP_QUERY);
-            put_u32(&mut buf, *k);
-            put_u32(&mut buf, *deadline_ms);
-            put_u32(&mut buf, vector.len() as u32);
-            for x in vector {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            buf
-        }
         Request::Stats => vec![OP_STATS],
         Request::Shutdown => vec![OP_SHUTDOWN],
-        Request::Insert { vector } => {
-            let mut buf = Vec::with_capacity(5 + vector.len() * 4);
-            buf.push(OP_INSERT);
-            put_u32(&mut buf, vector.len() as u32);
-            for x in vector {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            buf
-        }
         Request::Delete { oid } => {
             let mut buf = Vec::with_capacity(5);
             buf.push(OP_DELETE);
@@ -691,10 +654,7 @@ fn encode_request(req: &Request) -> Vec<u8> {
                 flags |= FLAG_MIN_SEQ;
             }
             put_u32(&mut buf, flags);
-            put_u32(&mut buf, vector.len() as u32);
-            for x in vector {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+            put_vector(&mut buf, vector);
             if let Some(pred) = filter {
                 put_filter(&mut buf, pred);
             }
@@ -728,10 +688,7 @@ fn encode_request(req: &Request) -> Vec<u8> {
             put_name(&mut buf, name);
             put_u64(&mut buf, *tag);
             put_u32(&mut buf, *label);
-            put_u32(&mut buf, vector.len() as u32);
-            for x in vector {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+            put_vector(&mut buf, vector);
             buf
         }
         Request::ReplSubscribe { replica, from_seq } => {
@@ -754,16 +711,6 @@ fn encode_request(req: &Request) -> Vec<u8> {
 fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
         Response::Pong => vec![OP_PONG],
-        Response::TopK(nn) => {
-            let mut buf = Vec::with_capacity(5 + nn.len() * 12);
-            buf.push(OP_TOPK);
-            put_u32(&mut buf, nn.len() as u32);
-            for n in nn {
-                put_u32(&mut buf, n.id);
-                buf.extend_from_slice(&n.dist.to_le_bytes());
-            }
-            buf
-        }
         Response::Overloaded => vec![OP_OVERLOADED],
         Response::DeadlineExceeded => vec![OP_DEADLINE],
         Response::StatsJson(json) => {
@@ -917,8 +864,15 @@ impl<'a> Cur<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// `u32 dim | dim × f32`; `what` names the frame in the refusal.
+    /// The dimensionality is bounded before anything is allocated.
+    fn vector(&mut self, what: &str) -> Result<Vec<f32>, ProtoError> {
+        let dim = self.u32()? as usize;
+        if dim == 0 || dim > MAX_FRAME / 4 {
+            return Err(ProtoError::Malformed(format!("bad {what} dimensionality {dim}")));
+        }
+        let bytes = self.take(dim * 4)?;
+        Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
     fn f64(&mut self) -> Result<f64, ProtoError> {
@@ -946,45 +900,19 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ProtoError> {
     let mut cur = Cur { buf: &payload[1..] };
     let req = match payload[0] {
         OP_PING => Request::Ping,
-        OP_QUERY => {
-            let k = cur.u32()?;
-            let deadline_ms = cur.u32()?;
-            let dim = cur.u32()? as usize;
-            if dim == 0 || dim > MAX_FRAME / 4 {
-                return Err(ProtoError::Malformed(format!("bad query dimensionality {dim}")));
-            }
-            let mut vector = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                vector.push(cur.f32()?);
-            }
-            Request::Query { k, deadline_ms, vector }
-        }
         OP_STATS => Request::Stats,
         OP_SHUTDOWN => Request::Shutdown,
-        OP_INSERT => {
-            let dim = cur.u32()? as usize;
-            if dim == 0 || dim > MAX_FRAME / 4 {
-                return Err(ProtoError::Malformed(format!("bad insert dimensionality {dim}")));
-            }
-            let mut vector = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                vector.push(cur.f32()?);
-            }
-            Request::Insert { vector }
-        }
         OP_DELETE => Request::Delete { oid: cur.u32()? },
         OP_QUERY_V2 => {
             let k = cur.u32()?;
             let deadline_ms = cur.u32()?;
             let flags = cur.u32()?;
-            let dim = cur.u32()? as usize;
-            if dim == 0 || dim > MAX_FRAME / 4 {
-                return Err(ProtoError::Malformed(format!("bad query dimensionality {dim}")));
+            if flags & !FLAGS_KNOWN != 0 {
+                return Err(ProtoError::Malformed(format!(
+                    "unknown query flag bits {flags:#010x}"
+                )));
             }
-            let mut vector = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                vector.push(cur.f32()?);
-            }
+            let vector = cur.vector("query")?;
             let filter = if flags & FLAG_FILTER != 0 { Some(get_filter(&mut cur)?) } else { None };
             let collection =
                 if flags & FLAG_COLLECTION != 0 { Some(get_name(&mut cur)?) } else { None };
@@ -1012,14 +940,7 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ProtoError> {
             let name = get_name(&mut cur)?;
             let tag = cur.u64()?;
             let label = cur.u32()?;
-            let dim = cur.u32()? as usize;
-            if dim == 0 || dim > MAX_FRAME / 4 {
-                return Err(ProtoError::Malformed(format!("bad insert dimensionality {dim}")));
-            }
-            let mut vector = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                vector.push(cur.f32()?);
-            }
+            let vector = cur.vector("insert")?;
             Request::InsertV2 { collection: (!name.is_empty()).then_some(name), tag, label, vector }
         }
         OP_REPL_SUBSCRIBE => {
@@ -1040,19 +961,6 @@ pub fn read_response(r: &mut impl Read) -> Result<Option<Response>, ProtoError> 
     let mut cur = Cur { buf: &payload[1..] };
     let resp = match payload[0] {
         OP_PONG => Response::Pong,
-        OP_TOPK => {
-            let count = cur.u32()? as usize;
-            if count > MAX_FRAME / 12 {
-                return Err(ProtoError::Malformed(format!("bad result count {count}")));
-            }
-            let mut nn = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = cur.u32()?;
-                let dist = cur.f64()?;
-                nn.push(Neighbor::new(id, dist));
-            }
-            Response::TopK(nn)
-        }
         OP_OVERLOADED => Response::Overloaded,
         OP_DEADLINE => Response::DeadlineExceeded,
         OP_STATS_JSON => Response::StatsJson(cur.utf8_rest()?),
@@ -1319,8 +1227,6 @@ mod tests {
             Request::Ping,
             Request::Stats,
             Request::Shutdown,
-            Request::Query { k: 7, deadline_ms: 250, vector: vec![1.5, -2.25, 0.0, f32::MIN] },
-            Request::Insert { vector: vec![0.25, -9.5, f32::MAX] },
             Request::Delete { oid: u32::MAX },
             Request::Metrics,
             Request::QueryV2 {
@@ -1328,7 +1234,7 @@ mod tests {
                 deadline_ms: 40,
                 want_stats: true,
                 want_trace: false,
-                vector: vec![0.5, -1.25],
+                vector: vec![0.5, -1.25, 0.0, f32::MIN, f32::MAX],
                 filter: None,
                 collection: None,
                 min_seq: 0,
@@ -1502,6 +1408,40 @@ mod tests {
     }
 
     #[test]
+    fn unknown_query_flag_bits_are_malformed() {
+        let req = Request::QueryV2 {
+            k: 1,
+            deadline_ms: 0,
+            want_stats: true,
+            want_trace: false,
+            vector: vec![1.0],
+            filter: None,
+            collection: None,
+            min_seq: 0,
+        };
+        let mut wire = Vec::new();
+        write_request(&mut wire, &req).unwrap();
+        // The flags word follows len(4) + opcode(1) + k(4) + deadline(4).
+        let flags_at = 4 + 1 + 8;
+        assert_eq!(wire[flags_at], FLAG_WANT_STATS as u8);
+        // Every bit above `FLAG_MIN_SEQ`, one at a time: a flag this node
+        // does not know must not be dropped on the floor.
+        for bit in 5..32 {
+            let mut patched = wire.clone();
+            let flags = FLAG_WANT_STATS | 1 << bit;
+            patched[flags_at..flags_at + 4].copy_from_slice(&flags.to_le_bytes());
+            assert!(
+                matches!(
+                    read_request(&mut Cursor::new(&patched[..])),
+                    Err(ProtoError::Malformed(_))
+                ),
+                "flag bit {bit} was accepted"
+            );
+        }
+        assert_eq!(read_request(&mut Cursor::new(wire)).unwrap().unwrap(), req);
+    }
+
+    #[test]
     fn collection_frames_round_trip() {
         for resp in [
             Response::CollectionAck { existed: false },
@@ -1526,12 +1466,15 @@ mod tests {
             Response::StatsJson("{\"queries\":3}".into()),
             Response::Error(Error::invalid("dim mismatch")),
             Response::Error(Error::new(ErrorKind::Draining, "shutting down")),
-            Response::TopK(vec![Neighbor::new(3, 0.25), Neighbor::new(9, 1e300)]),
             Response::InsertAck { oid: 12, seq: u64::MAX },
             Response::DeleteAck { oid: 4, found: true, seq: 99 },
             Response::DeleteAck { oid: 5, found: false, seq: 0 },
             Response::MetricsText("# HELP cc_up 1\n".into()),
-            Response::TopKV2 { trace_id: 0, neighbors: vec![Neighbor::new(1, 0.5)], cost: None },
+            Response::TopKV2 {
+                trace_id: 0,
+                neighbors: vec![Neighbor::new(3, 0.25), Neighbor::new(9, 1e300)],
+                cost: None,
+            },
             Response::TopKV2 {
                 trace_id: 77,
                 neighbors: vec![],
@@ -1622,7 +1565,16 @@ mod tests {
         // Every truncation of a valid query frame either errors or
         // reports clean EOF — no panics, no bogus successes.
         let mut wire = Vec::new();
-        let req = Request::Query { k: 3, deadline_ms: 0, vector: vec![0.5; 6] };
+        let req = Request::QueryV2 {
+            k: 3,
+            deadline_ms: 0,
+            want_stats: false,
+            want_trace: false,
+            vector: vec![0.5; 6],
+            filter: None,
+            collection: None,
+            min_seq: 0,
+        };
         write_request(&mut wire, &req).unwrap();
         for len in 0..wire.len() {
             match read_request(&mut Cursor::new(&wire[..len])) {

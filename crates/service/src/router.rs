@@ -196,32 +196,11 @@ fn serve_connection(shared: &RouterShared, stream: &mut TcpStream) -> Result<(),
                 let _ = TcpStream::connect(shared.local_addr);
                 return Ok(());
             }
-            Request::Query { k, deadline_ms, vector } => {
-                let resp = scatter_query(
-                    shared,
-                    Request::QueryV2 {
-                        k,
-                        deadline_ms,
-                        want_stats: false,
-                        want_trace: false,
-                        vector,
-                        filter: None,
-                        collection: None,
-                        min_seq: 0,
-                    },
-                );
-                // The client spoke v1; answer in kind.
-                match resp {
-                    Response::TopKV2 { neighbors, .. } => Response::TopK(neighbors),
-                    other => other,
-                }
-            }
             // Collection queries are not replicated across the read
             // fleet — collections live on the primary.
             req @ Request::QueryV2 { collection: Some(_), .. } => forward_to_primary(shared, req),
             req @ Request::QueryV2 { .. } => scatter_query(shared, req),
             req @ (Request::Stats
-            | Request::Insert { .. }
             | Request::InsertV2 { .. }
             | Request::Delete { .. }
             | Request::CreateCollection { .. }

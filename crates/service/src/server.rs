@@ -30,6 +30,11 @@
 //! an ack and then queries always sees its own write
 //! (read-your-writes), and the write survives a crash.
 //!
+//! A request that names a collection skips the queue: its handler
+//! validates it with the same code and runs the same flush routine
+//! inline, as a batch of one, against the collection's own index — so
+//! it is counted, timed, traced and slow-logged like any other.
+//!
 //! **Admission control** is a hard bound: when the queue already holds
 //! [`ServiceConfig::queue_capacity`] requests, new queries are refused
 //! with [`Response::Overloaded`] *immediately* (the handler never
@@ -46,6 +51,7 @@ use crate::collections::{Collection, CollectionsConfig, Registry};
 use crate::json::JsonObject;
 use crate::obs::ServerObs;
 use crate::protocol::{self, ProtoError, QueryCost, Request, Response};
+use crate::snapshot::STATS_SCHEMA;
 use c2lsh::engine::SearchOptions;
 use c2lsh::stats::{BatchStats, MutationStats, QueryStats};
 use c2lsh::{
@@ -290,7 +296,7 @@ impl Default for ServiceConfig {
 /// returned by [`serve`] as the final snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
-    /// Queries answered with a [`Response::TopK`].
+    /// Queries answered with a [`Response::TopKV2`].
     pub queries: u64,
     /// Engine flushes performed.
     pub batches: u64,
@@ -328,8 +334,6 @@ struct Pending {
     /// When the query entered the queue (feeds the queue-wait
     /// histogram).
     enqueued_at: Instant,
-    /// Reply with the v2 frame ([`Response::TopKV2`]).
-    v2: bool,
     /// Attach a [`QueryCost`] block to the reply.
     want_stats: bool,
     /// Capture a span tree and assign a trace id.
@@ -592,19 +596,6 @@ fn serve_connection<E: ServeEngine>(
                 begin_shutdown(shared);
                 return Ok(());
             }
-            Request::Query { k, deadline_ms, vector } => {
-                let ask = QueryAsk {
-                    k,
-                    deadline_ms,
-                    vector,
-                    v2: false,
-                    want_stats: false,
-                    want_trace: false,
-                    filter: None,
-                    min_seq: 0,
-                };
-                answer_query(engine, shared, config, ask)
-            }
             Request::QueryV2 {
                 k,
                 deadline_ms,
@@ -615,23 +606,11 @@ fn serve_connection<E: ServeEngine>(
                 collection,
                 min_seq,
             } => {
-                let ask = QueryAsk {
-                    k,
-                    deadline_ms,
-                    vector,
-                    v2: true,
-                    want_stats,
-                    want_trace,
-                    filter,
-                    min_seq,
-                };
-                match collection {
-                    Some(name) => answer_collection_query(shared, config, &name, ask),
-                    None => answer_query(engine, shared, config, ask),
-                }
+                let ask =
+                    QueryAsk { k, deadline_ms, vector, want_stats, want_trace, filter, min_seq };
+                answer_query(engine, shared, config, collection.as_deref(), ask)
             }
-            Request::Insert { .. }
-            | Request::InsertV2 { .. }
+            Request::InsertV2 { .. }
             | Request::Delete { .. }
             | Request::CreateCollection { .. }
             | Request::DropCollection { .. }
@@ -642,21 +621,12 @@ fn serve_connection<E: ServeEngine>(
                     "node is a read-only follower; route writes to the primary",
                 ))
             }
-            Request::Insert { vector } => answer_mutation(
-                engine,
-                shared,
-                config,
-                MutationOp::Insert { vector, meta: PointMeta::default() },
-            ),
             Request::InsertV2 { collection, tag, label, vector } => {
                 let op = MutationOp::Insert { vector, meta: PointMeta::new(tag, label) };
-                match collection {
-                    Some(name) => answer_collection_mutation(shared, config, &name, op),
-                    None => answer_mutation(engine, shared, config, op),
-                }
+                answer_mutation(engine, shared, config, collection.as_deref(), op)
             }
             Request::Delete { oid } => {
-                answer_mutation(engine, shared, config, MutationOp::Delete { oid })
+                answer_mutation(engine, shared, config, None, MutationOp::Delete { oid })
             }
             Request::CreateCollection { name, dim } => {
                 match shared.collections.create(&name, dim as usize) {
@@ -706,6 +676,9 @@ fn serve_connection<E: ServeEngine>(
                 }
             },
         };
+        // Error frames are counted where they are written — here and
+        // in the malformed-frame arm above — never where they are
+        // produced, so a failed mutation batch counts once per frame.
         if matches!(resp, Response::Error(_)) {
             shared.stats.lock().unwrap().errors += 1;
             shared.obs.errors.inc();
@@ -714,125 +687,180 @@ fn serve_connection<E: ServeEngine>(
     }
 }
 
-/// One validated-but-unadmitted query (both protocol versions funnel
-/// through this).
+/// Where one request runs. The default engine sits behind the batching
+/// queue, which exists to coalesce load on *one* shared index; a named
+/// collection is served inline by the connection thread, because
+/// collections are many independent small indexes and a batcher each
+/// would cost threads without winning latency. Either way the request
+/// passes the same validation and the same [`flush`].
+#[derive(Clone, Copy)]
+struct Target<'a> {
+    engine: &'a dyn ServeEngine,
+    /// The collection behind `engine`; `None` for the default engine.
+    collection: Option<&'a Collection>,
+}
+
+impl Target<'_> {
+    /// How error messages name the target.
+    fn label(&self) -> String {
+        match self.collection {
+            Some(col) => format!("collection {:?}", col.name()),
+            None => "the index".into(),
+        }
+    }
+}
+
+/// Resolve a request's collection name (`None` = the default engine)
+/// and answer it against that target.
+fn with_target(
+    engine: &dyn ServeEngine,
+    shared: &Shared,
+    collection: Option<&str>,
+    answer: impl FnOnce(Target<'_>) -> Response,
+) -> Response {
+    let Some(name) = collection else { return answer(Target { engine, collection: None }) };
+    match shared.collections.get(name) {
+        Some(col) => answer(Target { engine: &col.index, collection: Some(&col) }),
+        None => Response::Error(Error::invalid(format!("unknown collection {name:?}"))),
+    }
+}
+
+/// One decoded query, not yet validated.
 struct QueryAsk {
     k: u32,
     deadline_ms: u32,
     vector: Vec<f32>,
-    v2: bool,
     want_stats: bool,
     want_trace: bool,
     filter: Option<Predicate>,
     /// Read-your-writes bound: refuse (as [`ErrorKind::Stale`]) unless
-    /// this node has applied at least this sequence. Zero disables.
+    /// the target has applied at least this sequence. Zero disables.
     min_seq: u64,
 }
 
-/// Validate, admit and wait out one query. Never touches the engine —
-/// the batcher answers through the reply channel.
-fn answer_query<E: ServeEngine>(
-    engine: &E,
-    shared: &Shared,
+/// Everything a query must satisfy before it may reach an engine.
+fn validate_query(
+    target: &Target<'_>,
     config: &ServiceConfig,
-    ask: QueryAsk,
-) -> Response {
-    let QueryAsk { k, deadline_ms, vector, v2, want_stats, want_trace, filter, min_seq } = ask;
-    // Freshness gate: the check runs before admission, and the batcher
+    ask: &QueryAsk,
+) -> Result<(), Error> {
+    let engine = target.engine;
+    // Freshness gate: the check runs before admission, and the target
     // only ever applies *more* writes between now and the flush, so
     // passing here is conservative-correct for read-your-writes.
-    if min_seq > 0 && min_seq > engine.current_seq() {
-        return Response::Error(Error::new(
+    if ask.min_seq > 0 && ask.min_seq > engine.current_seq() {
+        return Err(Error::new(
             ErrorKind::Stale,
             format!(
-                "replica is at seq {} but the query requires at least {min_seq}",
-                engine.current_seq()
+                "{} is at seq {} but the query requires at least {}",
+                target.label(),
+                engine.current_seq(),
+                ask.min_seq
             ),
         ));
     }
-    if vector.len() != engine.dim() {
-        return Response::Error(Error::invalid(format!(
-            "query dimensionality {} does not match the index ({})",
-            vector.len(),
-            engine.dim()
-        )));
+    if ask.k == 0 || ask.k as usize > config.k_max {
+        return Err(Error::invalid(format!("k = {} out of range 1..={}", ask.k, config.k_max)));
     }
-    if k == 0 || k as usize > config.k_max {
-        return Response::Error(Error::invalid(format!(
-            "k = {k} out of range 1..={}",
-            config.k_max
+    validate_vector(target, "query", &ask.vector)
+}
+
+/// What any vector must satisfy before it may reach an engine; `what`
+/// names the request in the refusal.
+fn validate_vector(target: &Target<'_>, what: &str, vector: &[f32]) -> Result<(), Error> {
+    if vector.len() != target.engine.dim() {
+        return Err(Error::invalid(format!(
+            "{what} dimensionality {} does not match {} ({})",
+            vector.len(),
+            target.label(),
+            target.engine.dim()
         )));
     }
     // The engine asserts finiteness; a NaN/inf coordinate reaching the
-    // batcher would kill it and wedge every later query, so refuse here.
+    // batcher would kill it and wedge every later request, so refuse here.
     if !vector.iter().all(|x| x.is_finite()) {
-        return Response::Error(Error::invalid("query contains non-finite coordinates"));
+        return Err(Error::invalid(format!("{what} contains non-finite coordinates")));
     }
-    let deadline =
-        (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms.into()));
-    let (tx, rx) = mpsc::channel();
-    {
-        let mut q = shared.queue.lock().unwrap();
-        if q.draining {
-            return Response::Error(Error::new(ErrorKind::Draining, "server is draining"));
-        }
-        if q.items.len() >= config.queue_capacity {
-            shared.stats.lock().unwrap().overloaded += 1;
-            shared.obs.overloaded.inc();
-            return Response::Overloaded;
-        }
-        q.items.push_back(Work::Query(Pending {
-            vector,
-            k: k as usize,
-            // Trivial predicates are dropped at admission so the flush
-            // groups them with unfiltered traffic.
-            filter: filter.filter(|p| !p.is_trivial()),
-            deadline,
-            enqueued_at: Instant::now(),
-            v2,
-            want_stats,
-            want_trace,
-            tx,
-        }));
-        shared.not_empty.notify_one();
-    }
-    // The batcher answers every admitted request, including during the
-    // drain; a dead channel means it panicked.
-    rx.recv().unwrap_or_else(|_| {
-        Response::Error(Error::new(ErrorKind::Internal, "server shut down before answering"))
-    })
+    Ok(())
 }
 
-/// Validate, admit and wait out one mutation. Rejected up front when
-/// the engine is immutable or the payload invalid; otherwise the
-/// batcher replies after the flush's group-commit fsync, so the
-/// returned ack certifies durability.
-fn answer_mutation<E: ServeEngine>(
-    engine: &E,
-    shared: &Shared,
-    config: &ServiceConfig,
-    op: MutationOp,
-) -> Response {
-    if !engine.supports_mutations() {
-        return Response::Error(Error::new(
+/// Everything a mutation must satisfy before it may reach an engine.
+fn validate_mutation(target: &Target<'_>, op: &MutationOp) -> Result<(), Error> {
+    if !target.engine.supports_mutations() {
+        return Err(Error::new(
             ErrorKind::Unsupported,
             "engine is immutable: mutations are not supported",
         ));
     }
-    if let MutationOp::Insert { vector, .. } = &op {
-        if vector.len() != engine.dim() {
-            return Response::Error(Error::invalid(format!(
-                "insert dimensionality {} does not match the index ({})",
-                vector.len(),
-                engine.dim()
-            )));
-        }
-        if !vector.iter().all(|x| x.is_finite()) {
-            return Response::Error(Error::invalid("insert contains non-finite coordinates"));
-        }
+    match op {
+        MutationOp::Insert { vector, .. } => validate_vector(target, "insert", vector),
+        MutationOp::Delete { .. } => Ok(()),
     }
+}
+
+/// Validate one query, hand it to its target and wait out the answer.
+fn answer_query(
+    engine: &dyn ServeEngine,
+    shared: &Shared,
+    config: &ServiceConfig,
+    collection: Option<&str>,
+    ask: QueryAsk,
+) -> Response {
+    with_target(engine, shared, collection, |target| {
+        if let Err(e) = validate_query(&target, config, &ask) {
+            return Response::Error(e);
+        }
+        let QueryAsk { k, deadline_ms, vector, want_stats, want_trace, filter, .. } = ask;
+        let deadline =
+            (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms.into()));
+        submit(target, shared, config, |tx| {
+            Work::Query(Pending {
+                vector,
+                k: k as usize,
+                // Trivial predicates are dropped at admission so the
+                // flush groups them with unfiltered traffic.
+                filter: filter.filter(|p| !p.is_trivial()),
+                deadline,
+                enqueued_at: Instant::now(),
+                want_stats,
+                want_trace,
+                tx,
+            })
+        })
+    })
+}
+
+/// Validate one mutation, hand it to its target and wait out the ack.
+/// The reply comes only after the flush's group-commit fsync, so the
+/// returned ack certifies durability.
+fn answer_mutation(
+    engine: &dyn ServeEngine,
+    shared: &Shared,
+    config: &ServiceConfig,
+    collection: Option<&str>,
+    op: MutationOp,
+) -> Response {
+    with_target(engine, shared, collection, |target| match validate_mutation(&target, &op) {
+        Ok(()) => submit(target, shared, config, |tx| Work::Mutation { op, tx }),
+        Err(e) => Response::Error(e),
+    })
+}
+
+/// Hand one validated unit of work to its target and wait for the
+/// reply. The default engine's work joins the bounded queue — refused
+/// when it is full, never blocking — and the batcher replies from its
+/// next [`flush`]; a collection's work is flushed right here as a batch
+/// of one.
+fn submit(
+    target: Target<'_>,
+    shared: &Shared,
+    config: &ServiceConfig,
+    work: impl FnOnce(mpsc::Sender<Response>) -> Work,
+) -> Response {
     let (tx, rx) = mpsc::channel();
-    {
+    if target.collection.is_some() {
+        flush(target, shared, config, vec![work(tx)]);
+    } else {
         let mut q = shared.queue.lock().unwrap();
         if q.draining {
             return Response::Error(Error::new(ErrorKind::Draining, "server is draining"));
@@ -842,143 +870,14 @@ fn answer_mutation<E: ServeEngine>(
             shared.obs.overloaded.inc();
             return Response::Overloaded;
         }
-        q.items.push_back(Work::Mutation { op, tx });
+        q.items.push_back(work(tx));
         shared.not_empty.notify_one();
     }
+    // Every admitted request is answered, including during the drain; a
+    // dead channel means the batcher panicked.
     rx.recv().unwrap_or_else(|_| {
         Response::Error(Error::new(ErrorKind::Internal, "server shut down before answering"))
     })
-}
-
-fn lookup_collection(shared: &Shared, name: &str) -> Result<Arc<Collection>, Error> {
-    shared
-        .collections
-        .get(name)
-        .ok_or_else(|| Error::invalid(format!("unknown collection {name:?}")))
-}
-
-/// Answer one query against a named collection, synchronously in the
-/// connection thread. Collection traffic skips the batching queue: the
-/// default engine's batcher exists to coalesce load on *one* shared
-/// index, while collections are many independent small indexes.
-fn answer_collection_query(
-    shared: &Shared,
-    config: &ServiceConfig,
-    name: &str,
-    ask: QueryAsk,
-) -> Response {
-    let QueryAsk { k, vector, want_stats, want_trace, filter, min_seq, .. } = ask;
-    let col = match lookup_collection(shared, name) {
-        Ok(col) => col,
-        Err(e) => return Response::Error(e),
-    };
-    if min_seq > 0 && min_seq > col.last_seq() {
-        return Response::Error(Error::new(
-            ErrorKind::Stale,
-            format!(
-                "collection {name:?} is at seq {} but the query requires at least {min_seq}",
-                col.last_seq()
-            ),
-        ));
-    }
-    if vector.len() != col.dim() {
-        return Response::Error(Error::invalid(format!(
-            "query dimensionality {} does not match collection {name:?} ({})",
-            vector.len(),
-            col.dim()
-        )));
-    }
-    if k == 0 || k as usize > config.k_max {
-        return Response::Error(Error::invalid(format!(
-            "k = {k} out of range 1..={}",
-            config.k_max
-        )));
-    }
-    if !vector.iter().all(|x| x.is_finite()) {
-        return Response::Error(Error::invalid("query contains non-finite coordinates"));
-    }
-    let opts = SearchOptions {
-        timing: true,
-        stage_timing: want_stats || want_trace,
-        capture_spans: want_trace,
-        filter: filter.filter(|p| !p.is_trivial()),
-        ..SearchOptions::default()
-    };
-    let queries = Dataset::from_rows(std::slice::from_ref(&vector));
-    let (mut results, agg) = col.index.query_batch_with(&queries, k as usize, &opts);
-    let (nn, qstats) = results.remove(0);
-    col.queries.inc();
-    col.filtered.add(qstats.candidates_filtered as u64);
-    {
-        let mut st = shared.stats.lock().unwrap();
-        st.queries += 1;
-        st.engine.merge(&agg);
-    }
-    shared.obs.queries.inc();
-    let cost = (want_stats || want_trace).then(|| QueryCost::from_stats(&qstats));
-    Response::TopKV2 { trace_id: 0, neighbors: nn, cost }
-}
-
-/// Apply one mutation to a named collection, synchronously (its own
-/// WAL append + fsync — replies certify durability just like the
-/// batched default-engine path).
-fn answer_collection_mutation(
-    shared: &Shared,
-    config: &ServiceConfig,
-    name: &str,
-    op: MutationOp,
-) -> Response {
-    let col = match lookup_collection(shared, name) {
-        Ok(col) => col,
-        Err(e) => return Response::Error(e),
-    };
-    if let MutationOp::Insert { vector, .. } = &op {
-        if vector.len() != col.dim() {
-            return Response::Error(Error::invalid(format!(
-                "insert dimensionality {} does not match collection {name:?} ({})",
-                vector.len(),
-                col.dim()
-            )));
-        }
-        if !vector.iter().all(|x| x.is_finite()) {
-            return Response::Error(Error::invalid("insert contains non-finite coordinates"));
-        }
-    }
-    let wal_start = shared.obs.on().then(Instant::now);
-    match col.index.apply_batch(std::slice::from_ref(&op)) {
-        Ok((acks, delta)) => {
-            if let Some(start) = wal_start {
-                shared.obs.record_wal_apply(start.elapsed().as_nanos() as u64);
-            }
-            col.inserts.add(delta.inserts);
-            col.deletes.add(delta.deletes + delta.delete_misses);
-            shared.obs.inserts.add(delta.inserts);
-            shared.obs.deletes.add(delta.deletes + delta.delete_misses);
-            {
-                let mut st = shared.stats.lock().unwrap();
-                st.inserts += delta.inserts;
-                st.deletes += delta.deletes + delta.delete_misses;
-                st.mutation_batches += 1;
-                st.engine.mutations.merge(&delta);
-            }
-            match col.index.checkpoint_if_wal_exceeds(config.checkpoint_wal_bytes) {
-                Ok(true) => shared.stats.lock().unwrap().checkpoints += 1,
-                Ok(false) => {}
-                Err(e) => eprintln!("collection {name:?} checkpoint failed: {e}"),
-            }
-            match acks.into_iter().next() {
-                Some(MutationAck::Inserted { oid, seq }) => Response::InsertAck { oid, seq },
-                Some(MutationAck::Deleted { oid, found, seq }) => {
-                    Response::DeleteAck { oid, found, seq }
-                }
-                None => Response::Error(Error::new(ErrorKind::Internal, "empty ack batch")),
-            }
-        }
-        Err(e) => Response::Error(Error::new(
-            ErrorKind::Io,
-            format!("mutation on collection {name:?} failed: {e}"),
-        )),
-    }
 }
 
 /// The single batching worker: wait for work, linger for coalescing,
@@ -1016,18 +915,21 @@ fn batcher_loop<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceCon
             let take = q.items.len().min(config.max_batch);
             q.items.drain(..take).collect()
         };
-        flush(engine, shared, config, batch);
+        flush(Target { engine, collection: None }, shared, config, batch);
     }
 }
 
-/// Answer one drained batch: apply its mutations first (one durable
+/// Execute one batch against its target, account for it, and reply:
+/// apply its mutations first (one durable
 /// [`ServeEngine::apply_mutations`] call — group commit), acknowledge
 /// them, then expire stale deadlines and run the remaining queries as
 /// one engine batch at the largest requested `k`. Ordering mutations
 /// before queries keeps a flush monotone: no query in the batch can
 /// miss a mutation that was acknowledged before the query was sent.
-fn flush<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceConfig, batch: Vec<Work>) {
-    let obs = &shared.obs;
+/// The batcher calls this on every batch it drains; a collection's
+/// connection thread calls it on a batch of one.
+fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec<Work>) {
+    let (engine, obs) = (target.engine, &shared.obs);
     let now = Instant::now();
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
     let mut expired: Vec<Pending> = Vec::new();
@@ -1052,13 +954,21 @@ fn flush<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceConfig, ba
         match engine.apply_mutations(ops) {
             Ok((acks, delta)) => {
                 wal_ns = wal_start.map(|s| s.elapsed().as_nanos() as u64);
+                let deletes = delta.deletes + delta.delete_misses;
                 obs.inserts.add(delta.inserts);
-                obs.deletes.add(delta.deletes + delta.delete_misses);
-                obs.set_objects(engine.len() as u64);
+                obs.deletes.add(deletes);
+                match target.collection {
+                    Some(col) => {
+                        col.inserts.add(delta.inserts);
+                        col.deletes.add(deletes);
+                    }
+                    // The live-object gauge follows the default engine.
+                    None => obs.set_objects(engine.len() as u64),
+                }
                 {
                     let mut st = shared.stats.lock().unwrap();
                     st.inserts += delta.inserts;
-                    st.deletes += delta.deletes + delta.delete_misses;
+                    st.deletes += deletes;
                     st.mutation_batches += 1;
                     st.engine.mutations.merge(&delta);
                 }
@@ -1080,18 +990,16 @@ fn flush<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceConfig, ba
                 match engine.checkpoint_if_wal_exceeds(config.checkpoint_wal_bytes) {
                     Ok(true) => shared.stats.lock().unwrap().checkpoints += 1,
                     Ok(false) => {}
-                    Err(e) => eprintln!("checkpoint failed: {e}"),
+                    Err(e) => eprintln!("checkpoint of {} failed: {e}", target.label()),
                 }
             }
+            // Not counted here: the connection threads count each error
+            // frame as they relay it.
             Err(e) => {
-                let mut st = shared.stats.lock().unwrap();
-                st.errors += op_txs.len() as u64;
-                drop(st);
-                obs.errors.add(op_txs.len() as u64);
                 for tx in &op_txs {
                     let _ = tx.send(Response::Error(Error::new(
                         ErrorKind::Io,
-                        format!("mutation failed: {e}"),
+                        format!("mutation on {} failed: {e}", target.label()),
                     )));
                 }
             }
@@ -1101,7 +1009,7 @@ fn flush<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceConfig, ba
     // Whole-batch trace capture when any client asked for a trace;
     // positional sampling (`trace_every`) when the observability layer
     // is on. Stage timing turns on for either — it is what feeds both
-    // the per-stage histograms and the v2 cost blocks.
+    // the per-stage histograms and the cost blocks.
     let any_trace = live.iter().any(|p| p.want_trace);
     let any_stats = live.iter().any(|p| p.want_stats);
     let sample_every = if obs.on() { obs.config().trace_sample_every } else { 0 };
@@ -1119,7 +1027,6 @@ fn flush<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceConfig, ba
         }
         let mut results: Vec<Option<(Vec<Neighbor>, QueryStats)>> =
             (0..batch_len).map(|_| None).collect();
-        let mut st_queries = 0u64;
         for (filter, idxs) in groups {
             let k_max = idxs.iter().map(|&i| live[i].k).max().unwrap();
             let rows: Vec<Vec<f32>> =
@@ -1134,20 +1041,24 @@ fn flush<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceConfig, ba
                 ..SearchOptions::default()
             };
             let (group_results, agg) = engine.query_batch_with(&queries, k_max, &opts);
+            let answered = idxs.len() as u64;
             let mut st = shared.stats.lock().unwrap();
-            st.queries += idxs.len() as u64;
+            st.queries += answered;
             st.batches += 1;
             st.max_batch = st.max_batch.max(idxs.len());
             st.engine.merge(&agg);
             drop(st);
-            st_queries += idxs.len() as u64;
+            obs.queries.add(answered);
             obs.batches.inc();
             obs.filtered.add(agg.filtered);
+            if let Some(col) = target.collection {
+                col.queries.add(answered);
+                col.filtered.add(agg.filtered);
+            }
             for (&i, r) in idxs.iter().zip(group_results) {
                 results[i] = Some(r);
             }
         }
-        obs.queries.add(st_queries);
         results.into_iter().map(|r| r.expect("every live query answered")).collect()
     } else {
         Vec::new()
@@ -1182,23 +1093,18 @@ fn flush<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceConfig, ba
         } else {
             obs.maybe_log_slow(0, total_ns, p.k as u32, &[]);
         }
-        let resp = if p.v2 {
-            let cost = (p.want_stats || p.want_trace).then(|| {
-                let mut c = QueryCost::from_stats(&qstats);
-                if !p.want_trace {
-                    c.spans.clear();
-                }
-                c
-            });
-            Response::TopKV2 {
-                trace_id: if p.want_trace { trace_id } else { 0 },
-                neighbors: nn,
-                cost,
+        let cost = (p.want_stats || p.want_trace).then(|| {
+            let mut c = QueryCost::from_stats(&qstats);
+            if !p.want_trace {
+                c.spans.clear();
             }
-        } else {
-            Response::TopK(nn)
-        };
-        let _ = p.tx.send(resp);
+            c
+        });
+        let _ = p.tx.send(Response::TopKV2 {
+            trace_id: if p.want_trace { trace_id } else { 0 },
+            neighbors: nn,
+            cost,
+        });
     }
 }
 
@@ -1215,12 +1121,11 @@ fn begin_shutdown(shared: &Shared) {
 /// Serialize the current counters (plus static index facts) for the
 /// stats frame.
 ///
-/// The document is the **schema 2** envelope: a `"schema": 2` marker
-/// plus per-stage nanosecond totals (`engine.stage_*_nanos`) and,
-/// when observability is on, a `latency` object with live quantiles.
-/// Every v1 field keeps its exact name and place, so v1 consumers —
-/// including the naive key scanners in [`crate::json`] — keep working
-/// unchanged.
+/// The document carries a `"schema": 2` marker — the only schema
+/// [`crate::StatsSnapshot::parse`] accepts — the service counters, the
+/// engine totals with their per-stage nanoseconds, a `mutations`
+/// object when the engine is mutable and, when observability is on, a
+/// `latency` object with live quantiles.
 fn render_stats<E: ServeEngine>(engine: &E, shared: &Shared) -> String {
     let st = shared.stats.lock().unwrap().clone();
     let draining = shared.queue.lock().unwrap().draining;
@@ -1242,7 +1147,7 @@ fn render_stats<E: ServeEngine>(engine: &E, shared: &Shared) -> String {
         .field_u64("stage_rank_nanos", e.stage.rank)
         .finish();
     let mut doc = JsonObject::new()
-        .field_u64("schema", 2)
+        .field_u64("schema", STATS_SCHEMA)
         .field_str("state", if draining { "draining" } else { "serving" })
         .field_u64("shards", engine.num_shards() as u64)
         .field_u64("objects", engine.len() as u64)

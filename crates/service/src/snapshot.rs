@@ -1,13 +1,11 @@
-//! The typed, versioned view of the stats frame.
+//! The typed view of the stats frame.
 //!
-//! The server emits a JSON document under a `"schema": 2` envelope
-//! (see `render_stats` in [`crate::server`]); every schema-1 field
-//! kept its exact name and position, schema 2 *added* per-stage
-//! nanosecond totals and an optional `latency` object.
-//! [`StatsSnapshot::parse`] understands both: a document without a
-//! `schema` marker is treated as schema 1 and the new fields default
-//! to zero, so a new client can read an old server and (because the
-//! v1 fields are still emitted) an old client can read a new server.
+//! The server emits one JSON document shape, marked `"schema": 2` (see
+//! `render_stats` in [`crate::server`]), and [`StatsSnapshot::parse`]
+//! reads exactly that: a document with any other marker, or none, is
+//! refused rather than half-understood. Inside a schema-2 document a
+//! missing counter reads as zero and a missing optional object as
+//! absent.
 
 use crate::json::JsonValue;
 
@@ -23,8 +21,7 @@ pub struct EngineSnapshot {
     /// Total candidates cut short by early abandonment.
     pub abandoned: u64,
     /// Total candidates rejected by filter predicates before
-    /// verification (0 on documents from servers without filtered
-    /// search).
+    /// verification.
     pub filtered: u64,
     /// Queries that stopped via T1.
     pub t1: u64,
@@ -36,13 +33,13 @@ pub struct EngineSnapshot {
     pub io_reads: u64,
     /// Engine wall-clock nanoseconds.
     pub elapsed_nanos: u64,
-    /// Nanoseconds hashing (schema ≥ 2, else 0).
+    /// Nanoseconds hashing.
     pub stage_hash_nanos: u64,
-    /// Nanoseconds counting collisions (schema ≥ 2, else 0).
+    /// Nanoseconds counting collisions.
     pub stage_count_nanos: u64,
-    /// Nanoseconds verifying candidates (schema ≥ 2, else 0).
+    /// Nanoseconds verifying candidates.
     pub stage_verify_nanos: u64,
-    /// Nanoseconds ranking (schema ≥ 2, else 0).
+    /// Nanoseconds ranking.
     pub stage_rank_nanos: u64,
 }
 
@@ -68,7 +65,7 @@ pub struct MutationSnapshot {
 }
 
 /// Live latency quantiles (present only when the server runs with
-/// observability on, schema ≥ 2).
+/// observability on).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencySnapshot {
     /// Median end-to-end query latency, nanoseconds.
@@ -80,7 +77,7 @@ pub struct LatencySnapshot {
 /// One parsed stats document.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
-    /// Envelope version (1 when the document predates the marker).
+    /// The document's schema marker (always [`STATS_SCHEMA`]).
     pub schema: u64,
     /// `"serving"` or `"draining"`.
     pub state: String,
@@ -110,8 +107,7 @@ pub struct StatsSnapshot {
     pub mutation_batches: u64,
     /// WAL-truncating checkpoints written.
     pub checkpoints: u64,
-    /// Live named collections (0 on documents from servers without
-    /// collection support).
+    /// Live named collections.
     pub collections: u64,
     /// Engine-side work counters.
     pub engine: EngineSnapshot,
@@ -121,17 +117,19 @@ pub struct StatsSnapshot {
     pub latency: Option<LatencySnapshot>,
 }
 
+/// The one stats schema this crate writes and reads.
+pub const STATS_SCHEMA: u64 = 2;
+
 fn u(v: &JsonValue, key: &str) -> u64 {
     v.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
 }
 
 impl StatsSnapshot {
-    /// Parse a stats document of either schema. Returns `None` only
-    /// when the text is not valid JSON or not an object — missing
-    /// fields (an older schema) default to zero/absent.
+    /// Parse a stats document. Returns `None` when the text is not
+    /// valid JSON, not an object, or not marked `"schema": 2`.
     pub fn parse(json: &str) -> Option<StatsSnapshot> {
         let doc = JsonValue::parse(json)?;
-        if !matches!(doc, JsonValue::Object(_)) {
+        if doc.get("schema").and_then(JsonValue::as_u64) != Some(STATS_SCHEMA) {
             return None;
         }
         let engine = doc.get("engine").map(|e| EngineSnapshot {
@@ -165,7 +163,7 @@ impl StatsSnapshot {
             query_p99_nanos: u(l, "query_p99_nanos"),
         });
         Some(StatsSnapshot {
-            schema: doc.get("schema").and_then(JsonValue::as_u64).unwrap_or(1),
+            schema: STATS_SCHEMA,
             state: doc.get("state").and_then(JsonValue::as_str).unwrap_or("").to_string(),
             shards: u(&doc, "shards"),
             objects: u(&doc, "objects"),
@@ -192,33 +190,26 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
-    /// A schema-1 document, byte-for-byte what the previous server
-    /// release emitted.
-    const V1_DOC: &str = "{\"state\":\"serving\",\"shards\":4,\"objects\":400,\"dim\":8,\
-         \"queries\":11,\"batches\":3,\"max_batch\":8,\"overloaded\":1,\
-         \"deadline_expired\":0,\"errors\":2,\"inserts\":0,\"deletes\":0,\
-         \"mutation_batches\":0,\"checkpoints\":0,\
-         \"engine\":{\"rounds\":30,\"collisions\":900,\"verified\":120,\
-         \"abandoned\":5,\"t1\":9,\"t2\":2,\"exhausted\":0,\"io_reads\":0,\
-         \"elapsed_nanos\":123456}}";
-
     #[test]
-    fn parses_a_v1_document() {
-        let s = StatsSnapshot::parse(V1_DOC).unwrap();
-        assert_eq!(s.schema, 1, "no marker means schema 1");
-        assert_eq!(s.state, "serving");
-        assert_eq!(s.shards, 4);
-        assert_eq!(s.queries, 11);
-        assert_eq!(s.engine.collisions, 900);
-        assert_eq!(s.engine.stage_hash_nanos, 0, "v1 has no stage fields");
-        assert_eq!(s.engine.filtered, 0, "v1 has no filtered counter");
-        assert_eq!(s.collections, 0, "v1 has no collections");
-        assert!(s.mutations.is_none());
-        assert!(s.latency.is_none());
+    fn a_document_without_the_schema_2_marker_is_refused() {
+        // What a server from before the marker emitted, and the same
+        // counters under a marker from the future.
+        let unmarked = "{\"state\":\"serving\",\"shards\":4,\"objects\":400,\"dim\":8,\
+             \"queries\":11,\"engine\":{\"rounds\":30,\"collisions\":900}}";
+        assert!(StatsSnapshot::parse(unmarked).is_none(), "no marker");
+        let marked = |schema: &str| unmarked.replacen('{', &format!("{{\"schema\":{schema},"), 1);
+        assert!(StatsSnapshot::parse(&marked("1")).is_none());
+        assert!(StatsSnapshot::parse(&marked("3")).is_none());
+        assert!(StatsSnapshot::parse(&marked("\"2\"")).is_none(), "a string is not the marker");
+        let s = StatsSnapshot::parse(&marked("2")).unwrap();
+        assert_eq!((s.schema, s.queries, s.engine.collisions), (2, 11, 900));
+        // Inside schema 2, absent counters and objects read as zero/absent.
+        assert_eq!((s.collections, s.engine.stage_hash_nanos), (0, 0));
+        assert!(s.mutations.is_none() && s.latency.is_none());
     }
 
     #[test]
-    fn parses_a_v2_document_with_extras() {
+    fn parses_a_document_with_every_optional_object() {
         let doc = "{\"schema\":2,\"state\":\"draining\",\"shards\":1,\"objects\":10,\
              \"dim\":4,\"queries\":5,\"batches\":2,\"max_batch\":3,\"overloaded\":0,\
              \"deadline_expired\":0,\"errors\":0,\"inserts\":7,\"deletes\":1,\

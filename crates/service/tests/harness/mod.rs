@@ -24,7 +24,6 @@
 
 #![allow(dead_code)] // shared by several test binaries; each uses a subset
 
-use cc_service::json::find_u64;
 use cc_service::Client;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -256,8 +255,8 @@ pub fn wait_for_seq(addr: SocketAddr, min_seq: u64, limit: Duration) {
     loop {
         // Reconnect per probe: the node may be mid-restart.
         if let Ok(mut client) = Client::connect(addr) {
-            if let Ok(json) = client.stats_json() {
-                last = find_u64(&json, "last_seq").unwrap_or(0);
+            if let Ok(snap) = client.stats() {
+                last = snap.mutations.map_or(0, |m| m.last_seq);
                 if last >= min_seq {
                     return;
                 }

@@ -1,9 +1,9 @@
 //! Property tests for the wire protocol, centred on the mutation
 //! frames: insert/delete requests and their acks round-trip for
 //! arbitrary payloads, every truncation of a valid frame is rejected
-//! (or reported as clean EOF) rather than mis-parsed, unknown opcodes
-//! are refused in both directions, and arbitrary garbage never panics
-//! the decoder.
+//! (or reported as clean EOF) rather than mis-parsed, unknown and
+//! retired opcodes are refused in both directions, and arbitrary
+//! garbage never panics the decoder.
 
 use cc_service::protocol::{read_request, read_response, write_request, write_response};
 use cc_service::{ProtoError, Request, Response};
@@ -58,8 +58,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn insert_request_round_trips(vector in proptest::collection::vec(coord(), 1..32)) {
-        let req = Request::Insert { vector };
+    fn insert_request_round_trips(
+        vector in proptest::collection::vec(coord(), 1..32),
+        collection in name(),
+        named in 0u8..2,
+        tag in 0u64..u64::MAX,
+        label in 0u32..u32::MAX,
+    ) {
+        let collection = (named == 1).then_some(collection);
+        let req = Request::InsertV2 { collection, tag, label, vector };
         let got = read_request(&mut Cursor::new(request_wire(&req))).unwrap().unwrap();
         prop_assert_eq!(got, req);
     }
@@ -93,7 +100,18 @@ proptest! {
         seq in 0u64..u64::MAX,
     ) {
         for wire in [
-            request_wire(&Request::Insert { vector: vector.clone() }),
+            request_wire(&Request::InsertV2 {
+                collection: None,
+                tag: seq,
+                label: oid,
+                vector: vector.clone(),
+            }),
+            request_wire(&Request::InsertV2 {
+                collection: Some("alpha".into()),
+                tag: seq,
+                label: oid,
+                vector: vector.clone(),
+            }),
             request_wire(&Request::Delete { oid }),
         ] {
             for len in 0..wire.len() {
@@ -124,9 +142,10 @@ proptest! {
 
     /// Opcodes `0x0F..=0x7E` name no request and `0x8D`/`0x8E` plus
     /// `0x91..` name no response (requests run through `0x0E` ReplAck;
-    /// responses skip to `0x8F` Error and `0x90` ReplBatch): both
-    /// directions must refuse them as malformed no matter what body
-    /// follows.
+    /// responses skip to `0x8F` Error and `0x90` ReplBatch), and the
+    /// retired `0x02` Query, `0x05` Insert and `0x82` TopK stay
+    /// unassigned: both directions must refuse them as malformed no
+    /// matter what body follows.
     #[test]
     fn unknown_opcodes_are_rejected(
         req_op in 0x0Fu8..0x7F,
@@ -136,14 +155,17 @@ proptest! {
         let mut wire = ((body.len() + 1) as u32).to_le_bytes().to_vec();
         wire.push(req_op);
         wire.extend_from_slice(&body);
-        prop_assert!(matches!(
-            read_request(&mut Cursor::new(&wire[..])),
-            Err(ProtoError::Malformed(_))
-        ), "request opcode {req_op:#04x} must be unknown");
+        for req_op in [0x02, 0x05, req_op] {
+            wire[4] = req_op;
+            prop_assert!(matches!(
+                read_request(&mut Cursor::new(&wire[..])),
+                Err(ProtoError::Malformed(_))
+            ), "request opcode {req_op:#04x} must be unknown");
+        }
 
-        // 0x8D/0x8E are the only holes below Error (0x8F) and
-        // ReplBatch (0x90); everything past 0x90 is unassigned.
-        for resp_op in [0x8D, 0x8E, sampled_resp_op] {
+        // 0x82, 0x8D and 0x8E are the only holes below Error (0x8F)
+        // and ReplBatch (0x90); everything past 0x90 is unassigned.
+        for resp_op in [0x82, 0x8D, 0x8E, sampled_resp_op] {
             wire[4] = resp_op;
             prop_assert!(matches!(
                 read_response(&mut Cursor::new(&wire[..])),

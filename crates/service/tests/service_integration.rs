@@ -15,8 +15,9 @@ use c2lsh::{
     C2lshConfig, C2lshIndex, DynamicIndex, MutableIndex, MutationOp, PointMeta, Predicate,
     ShardedData, ShardedEngine,
 };
-use cc_service::json::find_u64;
-use cc_service::{Client, CollectionsConfig, QueryRequest, Response, SearchOutcome, ServiceConfig};
+use cc_service::{
+    Client, CollectionsConfig, QueryRequest, Response, SearchOutcome, ServeEngine, ServiceConfig,
+};
 use cc_vector::dataset::Dataset;
 use cc_vector::gen::{generate, Distribution};
 use cc_vector::gt::Neighbor;
@@ -107,15 +108,14 @@ fn concurrent_clients_match_single_index_ground_truth() {
                 handle.join().unwrap();
             }
 
-            let json = control.stats_json().unwrap();
+            let snap = control.stats().unwrap();
             let answered = (CLIENTS * ROUNDS) as u64;
-            assert_eq!(find_u64(&json, "queries"), Some(answered), "{json}");
-            assert_eq!(find_u64(&json, "errors"), Some(0), "{json}");
-            assert_eq!(find_u64(&json, "shards"), Some(4), "{json}");
-            let max_batch = find_u64(&json, "max_batch").unwrap();
-            assert!(max_batch >= 2, "no coalescing observed (max_batch = {max_batch}): {json}");
-            let batches = find_u64(&json, "batches").unwrap();
-            assert!(batches < answered, "every query got its own batch: {json}");
+            assert_eq!(snap.queries, answered, "{snap:?}");
+            assert_eq!(snap.errors, 0, "{snap:?}");
+            assert_eq!(snap.shards, 4, "{snap:?}");
+            let max_batch = snap.max_batch;
+            assert!(max_batch >= 2, "no coalescing observed (max_batch = {max_batch}): {snap:?}");
+            assert!(snap.batches < answered, "every query got its own batch: {snap:?}");
 
             // Graceful drain: serve() returns only after every worker
             // thread joined, so a successful join IS the leak check.
@@ -183,22 +183,41 @@ fn admission_control_and_deadlines() {
             assert_eq!(neighbors[0].id, 2, "the query vector is row 2 of the data");
             assert_eq!(neighbors[0].dist, 0.0);
 
-            // The v1 frame must keep answering old clients verbatim.
-            // The typed client dropped its v1 shim, so speak the old
-            // frame at the wire level: encode a `Request::Query`, read
-            // back the bare `Response::TopK`.
-            let mut raw = std::net::TcpStream::connect(addr).unwrap();
-            let v1 = cc_service::protocol::Request::Query {
-                k: 3,
-                deadline_ms: 0,
-                vector: data.get(2).to_vec(),
-            };
-            cc_service::protocol::write_request(&mut raw, &v1).unwrap();
-            match cc_service::protocol::read_response(&mut raw).unwrap().unwrap() {
-                Response::TopK(nn) => assert_eq!(nn[0].id, 2),
-                other => panic!("v1 query answered with {other:?}"),
+            // The retired first-generation frames — Query 0x02
+            // (`u32 k | u32 deadline_ms | u32 dim | dim × f32`) and
+            // Insert 0x05 (`u32 dim | dim × f32`) — are refused like any
+            // unknown opcode: an `Error(Protocol)` frame, then the
+            // connection is closed.
+            let coords: Vec<u8> = data.get(2).iter().flat_map(|x| x.to_le_bytes()).collect();
+            let mut v1_query = vec![0x02];
+            for word in [3u32, 0, D as u32] {
+                v1_query.extend_from_slice(&word.to_le_bytes());
             }
-            drop(raw);
+            v1_query.extend_from_slice(&coords);
+            let mut v1_insert = vec![0x05];
+            v1_insert.extend_from_slice(&(D as u32).to_le_bytes());
+            v1_insert.extend_from_slice(&coords);
+            for payload in [v1_query, v1_insert] {
+                use std::io::{Read, Write};
+                let mut raw = std::net::TcpStream::connect(addr).unwrap();
+                raw.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+                raw.write_all(&payload).unwrap();
+                let mut reply = Vec::new();
+                raw.read_to_end(&mut reply).unwrap(); // EOF: the server hung up
+                let mut reply = &reply[..];
+                match cc_service::protocol::read_response(&mut reply).unwrap().unwrap() {
+                    Response::Error(e) => assert_eq!(e.kind(), c2lsh::ErrorKind::Protocol, "{e}"),
+                    other => panic!("opcode {:#04x} answered with {other:?}", payload[0]),
+                }
+                assert!(reply.is_empty(), "exactly one frame before the close");
+            }
+            // And a client refuses the retired TopK 0x82 answer frame
+            // (`u32 count | count × (u32 id, f64 dist)`).
+            let v1_topk = [5u8, 0, 0, 0, 0x82, 0, 0, 0, 0];
+            assert!(matches!(
+                cc_service::protocol::read_response(&mut &v1_topk[..]),
+                Err(cc_service::ProtoError::Malformed(_))
+            ));
 
             // Bad requests are answered with an error frame, which the
             // client surfaces as `Err` — never dropped.
@@ -214,18 +233,13 @@ fn admission_control_and_deadlines() {
             let survived = top_k(&mut client, data.get(2), 3);
             assert_eq!(survived[0].id, 2);
 
-            let json = client.stats_json().unwrap();
-            assert_eq!(find_u64(&json, "overloaded"), Some(1), "{json}");
-            assert_eq!(find_u64(&json, "deadline_expired"), Some(1), "{json}");
-            assert_eq!(find_u64(&json, "errors"), Some(3), "{json}");
-            assert_eq!(find_u64(&json, "queries"), Some(3), "{json}");
-            // The typed snapshot view agrees with the raw extraction.
             let snap = client.stats().unwrap();
             assert_eq!(snap.schema, 2);
             assert_eq!(snap.overloaded, 1);
             assert_eq!(snap.deadline_expired, 1);
-            assert_eq!(snap.errors, 3);
-            assert_eq!(snap.queries, 3);
+            // Two retired frames, wrong dim, k = 0, NaN.
+            assert_eq!(snap.errors, 5);
+            assert_eq!(snap.queries, 2);
 
             client.shutdown().unwrap();
             let stats = server.join().unwrap();
@@ -268,8 +282,7 @@ fn malformed_frames_are_rejected_and_connection_closed() {
             // The server survived: a well-formed session still works.
             let mut client = Client::connect(addr).unwrap();
             client.ping().unwrap();
-            let json = client.stats_json().unwrap();
-            assert_eq!(find_u64(&json, "errors"), Some(1), "{json}");
+            assert_eq!(client.stats().unwrap().errors, 1);
 
             client.shutdown().unwrap();
             server.join().unwrap();
@@ -305,12 +318,88 @@ fn sharded_engine_rejects_mutations() {
             // Still alive and still read-correct.
             let nn = top_k(&mut client, data.get(4), 1);
             assert_eq!(nn[0].id, 4);
-            let json = client.stats_json().unwrap();
-            assert_eq!(find_u64(&json, "errors"), Some(2), "{json}");
-            assert_eq!(find_u64(&json, "inserts"), Some(0), "{json}");
+            let snap = client.stats().unwrap();
+            assert_eq!(snap.errors, 2, "{snap:?}");
+            assert_eq!(snap.inserts, 0, "{snap:?}");
 
             client.shutdown().unwrap();
             server.join().unwrap();
+        })
+        .unwrap();
+    });
+}
+
+/// An engine whose write path always fails, standing in for a full disk.
+struct FailingWrites;
+
+impl ServeEngine for FailingWrites {
+    fn dim(&self) -> usize {
+        4
+    }
+
+    fn len(&self) -> usize {
+        0
+    }
+
+    fn query_batch_with(
+        &self,
+        _queries: &Dataset,
+        _k: usize,
+        _opts: &c2lsh::engine::SearchOptions,
+    ) -> (Vec<(Vec<Neighbor>, c2lsh::stats::QueryStats)>, c2lsh::stats::BatchStats) {
+        unreachable!("this test sends no queries")
+    }
+
+    fn supports_mutations(&self) -> bool {
+        true
+    }
+
+    fn apply_mutations(
+        &self,
+        _ops: Vec<MutationOp>,
+    ) -> std::io::Result<(Vec<c2lsh::MutationAck>, c2lsh::stats::MutationStats)> {
+        Err(std::io::Error::other("disk full"))
+    }
+}
+
+/// A mutation batch the engine fails is answered with one error frame
+/// per queued write, and each is counted once — in the stats frame and
+/// in `cc_errors_total` alike.
+#[test]
+fn failed_mutation_batch_counts_each_error_once() {
+    // The flush fires the moment both inserts are queued, so they fail
+    // as one batch.
+    let service = ServiceConfig {
+        max_batch: 2,
+        max_delay: Duration::from_secs(30),
+        ..ServiceConfig::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("failed_mutation_batch", Duration::from_secs(60), || {
+        let service = &service;
+        crossbeam::scope(move |s| {
+            let server =
+                s.spawn(move |_| cc_service::serve(&FailingWrites, listener, service).unwrap());
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(move |_| Client::connect(addr).unwrap().insert(&[1.0; 4]).unwrap_err())
+                })
+                .collect();
+            for w in writers {
+                let err = w.join().unwrap().to_string();
+                assert!(err.contains("disk full"), "{err}");
+            }
+
+            let mut client = Client::connect(addr).unwrap();
+            let snap = client.stats().unwrap();
+            assert_eq!((snap.errors, snap.inserts, snap.mutation_batches), (2, 0, 0), "{snap:?}");
+            let metrics = client.metrics_text().unwrap();
+            assert!(metrics.lines().any(|l| l == "cc_errors_total 2"), "{metrics}");
+
+            client.shutdown().unwrap();
+            assert_eq!(server.join().unwrap().errors, 2);
         })
         .unwrap();
     });
@@ -413,18 +502,15 @@ fn mutable_server_applies_durable_mutations_under_racing_readers() {
                 h.join().unwrap();
             }
 
-            let json = control.stats_json().unwrap();
-            assert_eq!(find_u64(&json, "inserts"), Some(WRITERS as u64), "{json}");
-            assert_eq!(find_u64(&json, "deletes"), Some(WRITERS as u64), "{json}");
-            assert_eq!(
-                find_u64(&json, "wal_records"),
-                Some((SEED_N + 2 * WRITERS) as u64),
-                "{json}"
-            );
-            assert_eq!(find_u64(&json, "last_seq"), Some((SEED_N + 2 * WRITERS) as u64), "{json}");
-            assert_eq!(find_u64(&json, "delete_misses"), Some(0), "{json}");
-            let batches = find_u64(&json, "mutation_batches").unwrap();
-            assert!(batches >= 1 && batches <= 2 * WRITERS as u64, "{json}");
+            let snap = control.stats().unwrap();
+            assert_eq!(snap.inserts, WRITERS as u64, "{snap:?}");
+            assert_eq!(snap.deletes, WRITERS as u64, "{snap:?}");
+            let write_path = snap.mutations.as_ref().expect("a mutable engine reports its WAL");
+            assert_eq!(write_path.wal_records, (SEED_N + 2 * WRITERS) as u64, "{snap:?}");
+            assert_eq!(write_path.last_seq, (SEED_N + 2 * WRITERS) as u64, "{snap:?}");
+            assert_eq!(write_path.delete_misses, 0, "{snap:?}");
+            let batches = snap.mutation_batches;
+            assert!(batches >= 1 && batches <= 2 * WRITERS as u64, "{snap:?}");
 
             control.shutdown().unwrap();
             let stats = server.join().unwrap();
@@ -510,9 +596,8 @@ fn checkpoint_policy_bounds_the_wal_and_preserves_acks() {
                 engine.wal_size_bytes().unwrap() < seeded_wal,
                 "WAL grew past the seeded size despite the checkpoint policy"
             );
-            let json = client.stats_json().unwrap();
-            let checkpoints = find_u64(&json, "checkpoints").unwrap();
-            assert!(checkpoints >= 1, "no checkpoint recorded: {json}");
+            let checkpoints = client.stats().unwrap().checkpoints;
+            assert!(checkpoints >= 1, "no checkpoint recorded");
             client.shutdown().unwrap();
             let stats = server.join().unwrap();
             assert!(stats.checkpoints >= checkpoints, "drain adds the final checkpoint");
@@ -567,6 +652,7 @@ fn collections_and_filtered_search_over_the_wire() {
         max_batch: 8,
         max_delay: Duration::from_millis(2),
         k_max: 64,
+        obs: cc_obs::ObsConfig::all_on(),
         collections: CollectionsConfig { config: cfg_exact(128), ..CollectionsConfig::default() },
         ..ServiceConfig::default()
     };
@@ -625,6 +711,29 @@ fn collections_and_filtered_search_over_the_wire() {
             }
             let cost = res.cost.expect("with_stats populates the cost block");
             assert!(cost.filtered >= 1, "the exact match was label-0: {cost:?}");
+
+            // A collection query runs the same flush as a default-engine
+            // one: asked for a trace it gets an id and its spans, and
+            // the latency histograms see it.
+            let query_seconds_count = |client: &mut Client| -> f64 {
+                let text = client.metrics_text().unwrap();
+                let line = text.lines().find(|l| l.starts_with("cc_query_seconds_count ")).unwrap();
+                line.split_whitespace().nth(1).unwrap().parse().unwrap()
+            };
+            let before = query_seconds_count(&mut client);
+            let res = client
+                .search_result(
+                    &QueryRequest::new(col_data.get(3).to_vec())
+                        .k(2)
+                        .collection("alpha")
+                        .with_trace(),
+                )
+                .unwrap();
+            assert_eq!((res.neighbors[0].id, res.neighbors[0].dist), (3, 0.0));
+            assert!(res.trace_id > 0, "traced collection query got no id");
+            let cost = res.cost.expect("a trace implies a cost block");
+            assert!(!cost.spans.is_empty(), "traced collection query lost its spans: {cost:?}");
+            assert_eq!(query_seconds_count(&mut client), before + 1.0);
 
             // Same predicate against the default engine.
             let res = client
@@ -741,8 +850,8 @@ fn killed_server_recovers_every_acknowledged_mutation() {
 
         // The recovered engine reports the pre-crash high-water mark,
         // and a post-restart mutation continues the sequence densely.
-        let json = client.stats_json().unwrap();
-        assert_eq!(find_u64(&json, "last_seq"), Some((N + 3) as u64), "{json}");
+        let write_path = client.stats().unwrap().mutations.expect("dynamic mode reports its WAL");
+        assert_eq!(write_path.last_seq, (N + 3) as u64);
         let (_, seq) = client.insert(&[9000.0; D]).unwrap();
         assert_eq!(seq, (N + 4) as u64, "sequence must resume after recovery");
 
