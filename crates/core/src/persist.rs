@@ -679,6 +679,24 @@ mod tests {
         (idx, data)
     }
 
+    /// The checkpoint bytes of a fixed history whose points all carry
+    /// default metadata, pinned while the writer still chose between a
+    /// `C2D1` and a `C2D2` stamp for the whole file. However metadata is
+    /// encoded, a metadata-free index must keep writing these bytes: the
+    /// checkpoint's size is a reported figure (`index_mib`), and every
+    /// file an earlier build wrote is one of these.
+    #[test]
+    fn golden_save_dynamic_zero_meta_bytes() {
+        let (idx, _) = mutated_dynamic();
+        let blob = save_dynamic(&idx, 417);
+        let (live, dead) = (298, 3);
+        assert_eq!(idx.slots().len(), live + dead);
+        assert_eq!(blob.len(), 91 + live * (1 + 8 * 4) + dead + 4);
+        assert_eq!(&blob[..4], b"1D2C", "little-endian \"C2D1\"");
+        assert_eq!(fnv1a(&blob), 10_829_543_242_195_557_130, "save_dynamic bytes moved");
+        assert_eq!(fnv1a(&blob[blob.len() / 2..]), 16_200_998_130_324_938_747, "slot bytes moved");
+    }
+
     #[test]
     fn dynamic_roundtrip_preserves_queries_ids_and_seq() {
         let (idx, data) = mutated_dynamic();
