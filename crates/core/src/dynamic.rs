@@ -22,7 +22,6 @@
 //! [`TableStore::vector`].
 
 use crate::config::C2lshConfig;
-use crate::engine::QueryScratch;
 use crate::engine::{self, KeyWindows, SearchOptions, SearchParams, TableStore};
 use crate::hash::HashFamily;
 use crate::meta::PointMeta;
@@ -30,7 +29,6 @@ use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -175,6 +173,13 @@ impl<T: Clone> Slots<T> {
 }
 
 /// An updatable C2LSH index owning its vectors.
+///
+/// A clone is a second handle on the same chunks — the basis of the
+/// snapshot read path: a writer clones the current index, mutates the
+/// clone and publishes it, while readers keep querying the original.
+/// It copies `m + 2·n/ROW_CHUNK` pointers; the two diverge chunk by
+/// chunk as either is written.
+#[derive(Clone)]
 pub struct DynamicIndex {
     dim: usize,
     /// The dataset size the `(m, l)` derivation was calibrated for
@@ -191,8 +196,6 @@ pub struct DynamicIndex {
     metas: Slots<PointMeta>,
     live: usize,
     tables: Vec<Arc<Table>>,
-    /// Reusable query scratch behind a lock, so queries take `&self`.
-    scratch: Mutex<QueryScratch>,
 }
 
 impl std::fmt::Debug for DynamicIndex {
@@ -204,28 +207,6 @@ impl std::fmt::Debug for DynamicIndex {
             .field("id_bound", &self.vectors.len())
             .field("m", &self.params.m)
             .finish_non_exhaustive()
-    }
-}
-
-impl Clone for DynamicIndex {
-    /// A second handle on the same chunks with a fresh (empty) query
-    /// scratch — the basis of the snapshot read path: a writer clones
-    /// the current index, mutates the clone and publishes it, while
-    /// readers keep querying the original. Copies `m + 2·n/ROW_CHUNK`
-    /// pointers; the two diverge chunk by chunk as either is written.
-    fn clone(&self) -> Self {
-        Self {
-            dim: self.dim,
-            expected_n: self.expected_n,
-            config: self.config.clone(),
-            params: self.params,
-            family: Arc::clone(&self.family),
-            vectors: self.vectors.clone(),
-            metas: self.metas.clone(),
-            live: self.live,
-            tables: self.tables.clone(),
-            scratch: Mutex::new(QueryScratch::new(0)),
-        }
     }
 }
 
@@ -251,7 +232,6 @@ impl DynamicIndex {
             metas: Slots { chunks: Vec::new() },
             live: 0,
             tables: vec![Arc::default(); params.m],
-            scratch: Mutex::new(QueryScratch::new(0)),
         }
     }
 
@@ -466,8 +446,7 @@ impl DynamicIndex {
     }
 
     /// c-k-ANN query (same algorithm and guarantees as the static
-    /// index; see module docs). Takes `&self`: the collision-counter
-    /// scratch lives behind a lock, so concurrent readers are fine.
+    /// index; see module docs).
     pub fn query(&self, q: &[f32], k: usize) -> (Vec<Neighbor>, QueryStats) {
         self.query_with(q, k, &SearchOptions::default())
     }
@@ -479,14 +458,7 @@ impl DynamicIndex {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        let mut scratch = self.scratch.lock();
-        engine::run_query(self, &self.search_params(), &mut scratch, q, k, opts)
-    }
-
-    /// Convenience c-ANN (k = 1).
-    pub fn query_one(&self, q: &[f32]) -> (Option<Neighbor>, QueryStats) {
-        let (mut nn, stats) = self.query(q, 1);
-        (nn.pop(), stats)
+        engine::run_query(self, &self.search_params(), q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads
@@ -535,12 +507,7 @@ impl TableStore for DynamicIndex {
     }
 
     fn begin_batch(&self, queries: &Dataset) -> Vec<KeyWindows> {
-        let m = self.family.len();
-        self.family
-            .buckets_batch(queries)
-            .chunks_exact(m)
-            .map(|b| KeyWindows::new(b.to_vec()))
-            .collect()
+        self.family.cursors_batch(queries, KeyWindows::new)
     }
 
     fn expand(
@@ -548,19 +515,9 @@ impl TableStore for DynamicIndex {
         cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(u32) -> bool,
-    ) {
-        self.expand_slices(cursor, t, radius, &mut |ids| ids.iter().all(|&oid| visit(oid)));
-    }
-
-    fn expand_slices(
-        &self,
-        cursor: &mut KeyWindows,
-        t: usize,
-        radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        // Native slices: one per id chunk, in bucket then insertion order.
+        // One slice per id chunk, in bucket then insertion order.
         for (lo, hi) in cursor.grow(t, radius) {
             if lo >= hi {
                 continue;
@@ -584,24 +541,12 @@ impl TableStore for DynamicIndex {
         })
     }
 
-    fn vector(&self, oid: u32) -> Option<&[f32]> {
+    fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
         self.get(oid)
     }
 
     fn meta(&self, oid: u32) -> PointMeta {
         self.metas.get(oid as usize).copied().unwrap_or_default()
-    }
-
-    fn supports_mutations(&self) -> bool {
-        true
-    }
-
-    fn insert(&mut self, vector: Vec<f32>) -> Option<u32> {
-        Some(DynamicIndex::insert(self, vector))
-    }
-
-    fn delete(&mut self, oid: u32) -> bool {
-        DynamicIndex::delete(self, oid)
     }
 }
 
@@ -717,7 +662,7 @@ mod tests {
     #[test]
     fn query_takes_shared_reference() {
         // Concurrent readers over one shared index: compiles only with
-        // `query(&self)`, and the lock keeps the scratch coherent.
+        // `query(&self)`, and each reader counts in a scratch of its own.
         let data = clustered(150, 6, 5);
         let idx = DynamicIndex::from_dataset(&data, &cfg());
         let expected = idx.query(data.get(3), 4).0;
@@ -931,22 +876,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn trait_mutations_delegate_to_inherent() {
-        let mut idx = DynamicIndex::new(4, 100, &cfg());
-        assert!(TableStore::supports_mutations(&idx));
-        let oid = TableStore::insert(&mut idx, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(oid, 0);
-        assert!(TableStore::delete(&mut idx, oid));
-        assert!(!TableStore::delete(&mut idx, oid));
-        // And the static defaults really are inert.
-        let data = clustered(60, 4, 9);
-        let mut static_idx = C2lshIndex::build(&data, &cfg());
-        assert!(!TableStore::supports_mutations(&static_idx));
-        assert_eq!(TableStore::insert(&mut static_idx, vec![0.0; 4]), None);
-        assert!(!TableStore::delete(&mut static_idx, 0));
-    }
-
     /// The representation the persistent index replaced — one vector of
     /// slots and a `BTreeMap<bucket, Vec<oid>>` per table, deep-copied
     /// by `clone` — kept here as the oracle of
@@ -1003,8 +932,8 @@ mod tests {
             for &radius in radii {
                 for (t, table) in model.tables.iter().enumerate() {
                     let mut got = Vec::new();
-                    idx.expand(&mut cursor, t, radius, &mut |oid| {
-                        got.push(oid);
+                    idx.expand(&mut cursor, t, radius, &mut |oids| {
+                        got.extend_from_slice(oids);
                         true
                     });
                     let ranges =

@@ -7,7 +7,11 @@
 //!
 //! * [`crate::index::C2lshIndex`] — in-memory sorted runs,
 //! * [`crate::disk::DiskIndex`] — the same runs, metered in 4 KiB pages,
+//! * [`crate::paged::PagedStore`] — compressed runs read through a
+//!   buffer pool,
 //! * [`crate::dynamic::DynamicIndex`] — updatable `BTreeMap` tables,
+//! * [`crate::sharded::ShardedEngine`] — per-shard runs presented as
+//!   one concatenated table per function,
 //! * `qalsh::Qalsh` (sibling crate) — query-aware B+-tree cursors.
 //!
 //! ## The algorithm (paper §4)
@@ -34,8 +38,9 @@
 //! "which entries became newly covered when the radius grew to R" —
 //! [`TableStore::expand`] — plus a handful of bookkeeping queries; the
 //! engine owns counting, verification, termination, result ranking,
-//! per-round observability ([`crate::stats::RoundStats`]) and the
-//! parallel batch executor ([`run_query_batch`]).
+//! per-round observability ([`crate::stats::RoundStats`]), the parallel
+//! batch executor ([`run_query_batch`]) and the per-query scratch, which
+//! it keeps on a free list between queries.
 
 pub mod counting;
 
@@ -48,11 +53,8 @@ use cc_vector::gt::Neighbor;
 use cc_vector::topk::TopK;
 use counting::CollisionCounter;
 use std::ops::Range;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
-
-/// Entries buffered per flush by the default [`TableStore::expand_slices`]
-/// adapter (a stack buffer; 1 KiB).
-pub const EXPAND_SLICE_BUF: usize = 256;
 
 /// How many entries ahead the counting loop prefetches its counter
 /// words (far enough to cover an L2 round-trip at ~1 entry/cycle-ish
@@ -183,93 +185,37 @@ pub trait TableStore {
         (0..queries.len()).map(|qi| self.begin(queries.get(qi))).collect()
     }
 
-    /// Grow table `t`'s window to `radius` and call `visit` once per
-    /// newly covered object id, in table order; stop early when `visit`
-    /// returns `false`.
+    /// Grow table `t`'s window to `radius` and hand `visit` the newly
+    /// covered object ids as contiguous `&[u32]` slices, in table order,
+    /// with whatever slice boundaries suit the store. The engine's
+    /// counting loop runs inlined over each slice, so a collision costs
+    /// a couple of instructions and the virtual call is paid per slice.
+    ///
+    /// `visit` returns `false` to refuse more: the expansion must return
+    /// without calling it again — not for the rest of the range, and not
+    /// for the other delta range of the same grow. The engine stops
+    /// *consuming* the refused slice at the exact entry that hit the T2
+    /// budget, so counts, verification order and the cut-off do not
+    /// depend on where a store cuts its slices; a store that meters I/O
+    /// charges a slice as it hands it out, so a refusal also ends the
+    /// charge.
     fn expand(
         &self,
         cursor: &mut Self::Cursor,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(u32) -> bool,
-    );
-
-    /// Slice-granular [`TableStore::expand`]: deliver the newly covered
-    /// object ids as contiguous `&[u32]` slices (in table order,
-    /// arbitrary slice boundaries) instead of one virtual call per id.
-    /// The engine's counting loop runs inlined over each slice, so the
-    /// per-collision cost drops from a `dyn FnMut` round-trip (~6 ns) to
-    /// a couple of instructions — counting is ~90 % of query time, which
-    /// makes this the load-bearing expansion path.
-    ///
-    /// Stopping is entry-precise either way: when `visit` returns
-    /// `false` the expansion stops, and the engine stops *consuming* a
-    /// slice at the exact entry that hit the budget, so semantics
-    /// (collision counts, verification order, T2 cut-off) are identical
-    /// to the per-id path regardless of slice boundaries.
-    ///
-    /// The default adapts [`TableStore::expand`] through a
-    /// [`EXPAND_SLICE_BUF`]-entry stack buffer; backends whose tables
-    /// are already contiguous id runs override it to hand out their
-    /// runs directly (zero copies).
-    fn expand_slices(
-        &self,
-        cursor: &mut Self::Cursor,
-        t: usize,
-        radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
-    ) {
-        let mut buf = [0u32; EXPAND_SLICE_BUF];
-        let mut len = 0usize;
-        let mut stopped = false;
-        self.expand(cursor, t, radius, &mut |oid| {
-            buf[len] = oid;
-            len += 1;
-            if len == EXPAND_SLICE_BUF {
-                len = 0;
-                if !visit(&buf) {
-                    stopped = true;
-                    return false;
-                }
-            }
-            true
-        });
-        if !stopped && len > 0 {
-            visit(&buf[..len]);
-        }
-    }
+    );
 
     /// `true` once every table's window covers its entire table (no
     /// further expansion can reach new entries).
     fn exhausted(&self, cursor: &Self::Cursor) -> bool;
 
     /// Resolve an object id to its vector; `None` for tombstoned ids
-    /// (such objects are skipped, not verified).
-    fn vector(&self, oid: u32) -> Option<&[f32]>;
-
-    /// `true` when vectors live in addressable memory and
-    /// [`TableStore::vector`] is the cheap path (the default). Paged
-    /// stores return `false` and serve verification reads through
-    /// [`TableStore::vector_into`] instead; [`TableStore::vector`] may
-    /// then always return `None`.
-    fn vectors_resident(&self) -> bool {
-        true
-    }
-
-    /// Copy object `oid`'s vector into `out` (cleared first), returning
-    /// `false` for tombstoned/unknown ids. The default delegates to
-    /// [`TableStore::vector`]; paged stores override this to read through
-    /// their buffer pool without holding borrows across the engine loop.
-    fn vector_into(&self, oid: u32, out: &mut Vec<f32>) -> bool {
-        match self.vector(oid) {
-            Some(v) => {
-                out.clear();
-                out.extend_from_slice(v);
-                true
-            }
-            None => false,
-        }
-    }
+    /// (such objects are skipped, not verified). Stores whose vectors
+    /// are addressable memory return them and ignore `buf`; a store that
+    /// has to read the vector from elsewhere fills `buf` and returns it.
+    fn vector<'a>(&'a self, oid: u32, buf: &'a mut Vec<f32>) -> Option<&'a [f32]>;
 
     /// Resolve an object id to its attribute payload. Stores without
     /// metadata (or ids out of range) report the default payload,
@@ -291,35 +237,13 @@ pub trait TableStore {
     fn io_reads(&self) -> u64 {
         0
     }
-
-    /// `true` when this store supports online [`TableStore::insert`] /
-    /// [`TableStore::delete`]. The static backends (sorted runs, paged
-    /// files, B+-trees frozen at build time) say `false`; only the
-    /// dynamic backend — the paper's update story — says `true`.
-    fn supports_mutations(&self) -> bool {
-        false
-    }
-
-    /// Insert a vector, returning its assigned object id, or `None`
-    /// when the store is immutable (the default). Mutable stores must
-    /// assign ids deterministically from their current state so WAL
-    /// replay reproduces the same ids.
-    fn insert(&mut self, _vector: Vec<f32>) -> Option<u32> {
-        None
-    }
-
-    /// Delete an object by id; `true` when it existed and was removed,
-    /// `false` for unknown/tombstoned ids or immutable stores (the
-    /// default).
-    fn delete(&mut self, _oid: u32) -> bool {
-        false
-    }
 }
 
 /// Positional window state for stores whose tables are runs of
 /// `(bucket id, oid)` entries sorted by bucket id ([`crate::index`],
-/// [`crate::disk`]): maps bucket intervals to entry-index intervals and
-/// yields only the newly covered delta ranges as the radius grows.
+/// [`crate::disk`], [`crate::paged`]): maps bucket intervals to
+/// entry-index intervals and yields only the newly covered delta ranges
+/// as the radius grows.
 #[derive(Debug, Clone)]
 pub struct BucketWindows {
     q_buckets: Vec<i64>,
@@ -336,31 +260,20 @@ impl BucketWindows {
 
     /// Grow table `t`'s window to `radius`; returns the two delta entry
     /// ranges (left of and right of the previously covered range).
-    /// `lower_bound(b, lo, hi)` must return the index of the first entry
-    /// of table `t` with bucket id ≥ `b`, which is guaranteed to lie in
-    /// `[lo, hi]` — window nesting means the new lower boundary can only
-    /// move left of the previous window and the new upper boundary only
-    /// right of it, so each round's searches run over the (much
-    /// smaller, recently touched) complement of the already-covered
-    /// range instead of the whole table. Implementations may ignore the
-    /// hint (a full-table search returns the same index); `n` is the
-    /// table length.
+    /// `lower_bound(b)` must return the index of the first entry of
+    /// table `t` with bucket id ≥ `b`; `n` is the table length.
     pub fn grow(
         &mut self,
         t: usize,
         radius: i64,
         n: usize,
-        mut lower_bound: impl FnMut(i64, usize, usize) -> usize,
+        mut lower_bound: impl FnMut(i64) -> usize,
     ) -> (Range<usize>, Range<usize>) {
         let (blo, bhi) = window(self.q_buckets[t], radius);
-        let w = &self.windows[t];
-        let first_grow = w.lo == w.hi;
-        let lo_domain_end = if first_grow { n } else { w.lo };
-        let hi_domain_start = if first_grow { 0 } else { w.hi };
-        let elo = lower_bound(blo, 0, lo_domain_end);
+        let elo = lower_bound(blo);
         // `bhi` saturates/wraps past the key space at extreme radii;
         // treat it as "end of table".
-        let ehi = if bhi == i64::MIN { n } else { lower_bound(bhi, hi_domain_start.max(elo), n) };
+        let ehi = if bhi == i64::MIN { n } else { lower_bound(bhi) };
         self.windows[t].grow(elo, ehi)
     }
 
@@ -410,54 +323,75 @@ impl KeyWindows {
     }
 }
 
-/// Caller-owned per-query scratch: the collision counter's O(n) arrays,
-/// the retained-candidate buffer, and the top-k accumulator that feeds
-/// the early-abandon bound. One `QueryScratch` per concurrent query
-/// stream (the backends keep one behind a `Mutex`; the batch executor
-/// gives each worker its own) kills all per-candidate and most per-query
-/// allocation — only the k-sized result vector is allocated per query.
+/// Per-query scratch: the collision counter's O(n) arrays, the
+/// retained-candidate buffer, the top-k accumulator that feeds the
+/// early-abandon bound, and a vector staging buffer. A query that finds
+/// one on the free list allocates nothing but its k-sized result.
 #[derive(Debug)]
-pub struct QueryScratch {
+struct QueryScratch {
     counter: CollisionCounter,
     /// Every verified (non-abandoned) candidate, in verification order.
     candidates: Vec<Neighbor>,
     /// Running k nearest by squared distance; its root bounds the
     /// early-abandon kernel.
     topk: TopK,
-    /// Vector staging buffer for stores whose vectors are not memory
-    /// resident ([`TableStore::vector_into`]).
+    /// What [`TableStore::vector`] may fill when a store's vectors are
+    /// not addressable memory.
     vec_buf: Vec<f32>,
 }
 
 impl QueryScratch {
-    /// Scratch sized for object ids below `id_bound`. The counter grows
-    /// on demand if the store outgrows it ([`run_query`] resizes).
-    pub fn new(id_bound: usize) -> Self {
+    /// An empty scratch; [`search`] sizes the counter for its store.
+    fn new() -> Self {
         QueryScratch {
-            counter: CollisionCounter::new(id_bound),
+            counter: CollisionCounter::new(0),
             candidates: Vec::new(),
             topk: TopK::new(1),
             vec_buf: Vec::new(),
         }
     }
+}
 
-    /// Capacity of the underlying collision counter.
-    pub fn capacity(&self) -> usize {
-        self.counter.capacity()
+/// The machine's parallelism, read once (the standard library re-reads
+/// the cgroup files on every call).
+fn parallelism() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// Scratches parked between queries. Every query of every store draws
+/// from the one list, so a scratch ends up sized for the largest store
+/// it has served and the epoch stamps make it clean for the next one,
+/// whichever store that is. At most [`parallelism`] scratches stay
+/// parked — what one batch's workers hold; a burst of more concurrent
+/// queries allocates its extra scratches and drops them afterwards.
+struct ScratchPool(Mutex<Vec<QueryScratch>>);
+
+static SCRATCHES: ScratchPool = ScratchPool(Mutex::new(Vec::new()));
+
+impl ScratchPool {
+    /// Run `f` with a parked scratch, or a new empty one, and park it
+    /// again afterwards.
+    fn with<R>(&self, f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+        // A push or pop cannot leave the list half-updated, so a
+        // poisoned lock is still a valid free list.
+        let parked = self.0.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let mut scratch = parked.unwrap_or_else(QueryScratch::new);
+        let out = f(&mut scratch);
+        let mut free = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if free.len() < parallelism() {
+            free.push(scratch);
+        }
+        out
     }
 }
 
 /// Run one c-k-ANN query against `store`. Returns the k nearest
 /// verified candidates (ascending distance, ties by id) plus cost
 /// counters.
-///
-/// `scratch` is caller-owned so batches and repeated queries reuse its
-/// O(n) counter arrays and candidate buffers; it is (re)sized and
-/// epoch-cleared here.
 pub fn run_query<S: TableStore>(
     store: &S,
     params: &SearchParams,
-    scratch: &mut QueryScratch,
     q: &[f32],
     k: usize,
     opts: &SearchOptions,
@@ -470,36 +404,18 @@ pub fn run_query<S: TableStore>(
         store.begin(q)
     };
     let hash_ns = hash_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
-    run_query_with(store, params, scratch, q, k, opts, cursor, hash_ns, trace, query_start)
+    SCRATCHES.with(|scratch| {
+        search(store, params, scratch, q, k, opts, cursor, hash_ns, trace, query_start)
+    })
 }
 
-/// [`run_query`] with hashing already done: `cursor` came from
+/// The query loop, with hashing already done: `cursor` came from
 /// [`TableStore::begin`] or one slot of [`TableStore::begin_batch`], and
 /// `hash_ns` is the hashing time to attribute to this query's
 /// [`crate::stats::StageNanos::hash`] (a batch passes its per-query
-/// share). The batch executor uses this to hash a whole batch as one
-/// blocked matrix product before fanning queries out to workers.
-/// Results are identical to [`run_query`]; the only observable
-/// differences are that [`QueryStats::elapsed_nanos`] excludes hashing
-/// and a captured span tree has no `hash` span.
-#[allow(clippy::too_many_arguments)] // mirrors run_query plus the batch cursor/hash share
-pub fn run_query_prepared<S: TableStore>(
-    store: &S,
-    params: &SearchParams,
-    scratch: &mut QueryScratch,
-    q: &[f32],
-    k: usize,
-    opts: &SearchOptions,
-    cursor: S::Cursor,
-    hash_ns: u64,
-) -> (Vec<Neighbor>, QueryStats) {
-    let query_start = opts.timing.then(Instant::now);
-    let trace = opts.capture_spans.then(cc_obs::Trace::new);
-    run_query_with(store, params, scratch, q, k, opts, cursor, hash_ns, trace, query_start)
-}
-
-#[allow(clippy::too_many_arguments)] // internal seam between the two entry points above
-fn run_query_with<S: TableStore>(
+/// share). `scratch` is (re)sized and epoch-cleared here.
+#[allow(clippy::too_many_arguments)] // the seam between the single and the batch entry point
+fn search<S: TableStore>(
     store: &S,
     params: &SearchParams,
     scratch: &mut QueryScratch,
@@ -535,9 +451,6 @@ fn run_query_with<S: TableStore>(
     let topk = &mut scratch.topk;
     topk.reset(k);
     let vec_buf = &mut scratch.vec_buf;
-    // Hoisted: resident stores keep the zero-copy `vector()` path; paged
-    // stores stage reads through `vec_buf` via `vector_into`.
-    let resident = store.vectors_resident();
     // Hoisted kernel dispatch: one global load per query, not per
     // candidate.
     let kd = kernels::dispatch();
@@ -569,10 +482,7 @@ fn run_query_with<S: TableStore>(
 
         let mut budget_hit = false;
         for t in 0..m {
-            // Slice-granular expansion: the per-collision work below is
-            // inlined straight-line code, paying one virtual call per
-            // *slice* instead of one per id.
-            store.expand_slices(&mut cursor, t, radius, &mut |oids| {
+            store.expand(&mut cursor, t, radius, &mut |oids| {
                 // Collision accounting is per *slice*: one add for the
                 // whole slice on the fall-through path, `idx + 1` on the
                 // early-stop path — never a per-entry counter RMW.
@@ -596,14 +506,7 @@ fn run_query_with<S: TableStore>(
                             }
                         }
                         // Verify unless tombstoned.
-                        let v: Option<&[f32]> = if resident {
-                            store.vector(oid)
-                        } else if store.vector_into(oid, vec_buf) {
-                            Some(vec_buf.as_slice())
-                        } else {
-                            None
-                        };
-                        if let Some(v) = v {
+                        if let Some(v) = store.vector(oid, vec_buf) {
                             // The budget counts *verifications* (distance
                             // computations paid for), abandoned or not —
                             // identical to the pre-abandon candidate
@@ -725,11 +628,12 @@ fn run_query_with<S: TableStore>(
 /// The batch is hashed up front as one blocked matrix product
 /// ([`TableStore::begin_batch`]) — each hash-matrix row streams through
 /// cache once per query block instead of once per query — then queries
-/// fan out to workers via [`run_query_prepared`] (hence the
-/// `S::Cursor: Send` bound). Results are in query order and identical
-/// to sequential [`run_query`] calls — each worker owns its own
-/// [`QueryScratch`]. Thread count defaults to the machine's
-/// parallelism. Per-query [`QueryStats::io`] carries only the
+/// fan out to workers (hence the `S::Cursor: Send` bound). Results are
+/// in query order and identical to sequential [`run_query`] calls, with
+/// two observable differences: [`QueryStats::elapsed_nanos`] excludes
+/// hashing and a captured span tree has no `hash` span. Each worker
+/// holds one scratch from the engine's free list for its whole share.
+/// Thread count defaults to the machine's parallelism. Per-query [`QueryStats::io`] carries only the
 /// deterministic verification charge; the store's table I/O over the
 /// whole batch is reported once in [`BatchStats::io`] (concurrent
 /// workers share the store's I/O counters, so a per-query table delta
@@ -757,13 +661,12 @@ where
 
     // Hash the whole batch in one pass; workers consume their cursors.
     let hash_start = opts.stage_timing.then(Instant::now);
-    let cursors: Vec<Option<S::Cursor>> =
+    let mut cursors: Vec<Option<S::Cursor>> =
         store.begin_batch(queries).into_iter().map(Some).collect();
     assert_eq!(cursors.len(), nq, "begin_batch must return one cursor per query");
     let hash_ns_each = hash_start.map_or(0, |s| s.elapsed().as_nanos() as u64 / nq as u64);
-    let mut cursors = cursors;
 
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(nq);
+    let threads = parallelism().min(nq);
     let mut out: Vec<(Vec<Neighbor>, QueryStats)> = vec![(Vec::new(), QueryStats::new()); nq];
     crossbeam::scope(|scope| {
         let chunk = nq.div_ceil(threads);
@@ -772,28 +675,32 @@ where
         {
             let lo = t * chunk;
             scope.spawn(move |_| {
-                let mut scratch = QueryScratch::new(store.id_bound());
-                for (off, (slot, cur)) in out_chunk.iter_mut().zip(cur_chunk.iter_mut()).enumerate()
-                {
-                    let qi = lo + off;
-                    let mut per_query = worker_opts;
-                    // Sampled tracing: every trace_every-th query of the
-                    // batch (by position) captures its span tree.
-                    if opts.trace_every > 0 && (qi as u64).is_multiple_of(opts.trace_every as u64) {
-                        per_query.capture_spans = true;
+                SCRATCHES.with(|scratch| {
+                    for (off, (slot, cur)) in out_chunk.iter_mut().zip(cur_chunk).enumerate() {
+                        let qi = lo + off;
+                        let mut per_query = worker_opts;
+                        // Sampled tracing: every trace_every-th query of
+                        // the batch (by position) captures its span tree.
+                        per_query.capture_spans |= opts.trace_every > 0
+                            && (qi as u64).is_multiple_of(opts.trace_every as u64);
+                        let query_start = per_query.timing.then(Instant::now);
+                        let trace = per_query.capture_spans.then(cc_obs::Trace::new);
+                        let cursor = cur.take().expect("each batch cursor is consumed once");
+                        let q = queries.get(qi);
+                        *slot = search(
+                            store,
+                            params,
+                            scratch,
+                            q,
+                            k,
+                            &per_query,
+                            cursor,
+                            hash_ns_each,
+                            trace,
+                            query_start,
+                        );
                     }
-                    let cursor = cur.take().expect("each batch cursor is consumed once");
-                    *slot = run_query_prepared(
-                        store,
-                        params,
-                        &mut scratch,
-                        queries.get(qi),
-                        k,
-                        &per_query,
-                        cursor,
-                        hash_ns_each,
-                    );
-                }
+                })
             });
         }
     })
@@ -811,8 +718,8 @@ where
 
 #[cfg(test)]
 mod tests {
-    //! The engine is exercised end-to-end through the four backends in
-    //! their own modules and in `tests/`; here we pin the store-level
+    //! The engine is exercised end-to-end through the backends in their
+    //! own modules and in `tests/`; here we pin the store-level
     //! contract with a hand-rolled mock.
 
     use super::*;
@@ -848,24 +755,22 @@ mod tests {
             cursor: &mut BucketWindows,
             t: usize,
             radius: i64,
-            visit: &mut dyn FnMut(u32) -> bool,
+            visit: &mut dyn FnMut(&[u32]) -> bool,
         ) {
-            let n = self.tables[t].len();
-            let (left, right) = cursor.grow(t, radius, n, |b, lo, hi| {
-                lo + self.tables[t][lo..hi].partition_point(|e| e.0 < b)
-            });
+            let table = &self.tables[t];
+            let (left, right) =
+                cursor.grow(t, radius, table.len(), |b| table.partition_point(|e| e.0 < b));
             for range in [left, right] {
-                for e in &self.tables[t][range] {
-                    if !visit(e.1) {
-                        return;
-                    }
+                let oids: Vec<u32> = table[range].iter().map(|e| e.1).collect();
+                if !oids.is_empty() && !visit(&oids) {
+                    return;
                 }
             }
         }
         fn exhausted(&self, cursor: &BucketWindows) -> bool {
             cursor.exhausted(self.data.len())
         }
-        fn vector(&self, oid: u32) -> Option<&[f32]> {
+        fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
             Some(self.data.get(oid as usize))
         }
         fn meta(&self, oid: u32) -> PointMeta {
@@ -906,10 +811,8 @@ mod tests {
     #[test]
     fn mock_store_agrees_with_real_index() {
         let (store, params) = mock_store(200, 3);
-        let mut scratch = QueryScratch::new(store.len());
         let q = store.data.get(17).to_vec();
-        let (nn, stats) =
-            run_query(&store, &params, &mut scratch, &q, 3, &SearchOptions::default());
+        let (nn, stats) = run_query(&store, &params, &q, 3, &SearchOptions::default());
         assert_eq!(nn.len(), 3);
         assert_eq!(nn[0].id, 17, "query point itself must be the 1-NN");
         assert_eq!(nn[0].dist, 0.0);
@@ -925,10 +828,9 @@ mod tests {
     #[test]
     fn per_round_breakdown_sums_to_totals() {
         let (store, params) = mock_store(300, 4);
-        let mut scratch = QueryScratch::new(store.len());
         let q = store.data.get(5).to_vec();
         let opts = SearchOptions { per_round: true, timing: true, ..Default::default() };
-        let (_, stats) = run_query(&store, &params, &mut scratch, &q, 5, &opts);
+        let (_, stats) = run_query(&store, &params, &q, 5, &opts);
         assert_eq!(stats.per_round.len(), stats.rounds as usize);
         let col: u64 = stats.per_round.iter().map(|r| r.collisions).sum();
         let ver: usize = stats.per_round.iter().map(|r| r.verified).sum();
@@ -942,14 +844,51 @@ mod tests {
         assert!(stats.elapsed_nanos > 0, "timing was requested");
     }
 
+    /// [`search`] for the 2 nearest to row `qi`, observability off.
+    fn search_in(scratch: &mut QueryScratch, store: &MockStore, params: &SearchParams, qi: usize) {
+        let (q, opts) = (store.data.get(qi), SearchOptions::default());
+        let (nn, _) = search(store, params, scratch, q, 2, &opts, store.begin(q), 0, None, None);
+        assert_eq!((nn.len(), nn[0].id), (2, qi as u32));
+    }
+
     #[test]
-    fn undersized_counter_is_resized() {
-        let (store, params) = mock_store(120, 5);
-        let mut scratch = QueryScratch::new(1);
-        let q = store.data.get(0).to_vec();
-        let (nn, _) = run_query(&store, &params, &mut scratch, &q, 2, &SearchOptions::default());
-        assert_eq!(nn.len(), 2);
-        assert!(scratch.capacity() >= store.len());
+    fn scratches_are_reused_and_the_free_list_is_bounded() {
+        let (big, big_params) = mock_store(400, 6);
+        let (small, small_params) = mock_store(120, 5);
+        let parked = |pool: &ScratchPool| pool.0.lock().unwrap().len();
+        // A list of its own, which no other test's queries draw from.
+        let pool = ScratchPool(Mutex::new(Vec::new()));
+        // The first query finds the list empty and sizes its counter.
+        pool.with(|s| {
+            assert_eq!(s.counter.capacity(), 0);
+            search_in(s, &big, &big_params, 9);
+            assert_eq!(s.counter.capacity(), 400);
+        });
+        assert_eq!(parked(&pool), 1);
+        // The second gets that counter, not one of its own size.
+        pool.with(|s| {
+            assert_eq!(s.counter.capacity(), 400);
+            search_in(s, &small, &small_params, 3);
+            assert_eq!(s.counter.capacity(), 400);
+        });
+        assert_eq!(parked(&pool), 1);
+        // More holders at once than the list keeps: the surplus is dropped.
+        let holders = 2 * parallelism() + 1;
+        let all_hold = std::sync::Barrier::new(holders);
+        std::thread::scope(|scope| {
+            for _ in 0..holders {
+                scope.spawn(|| pool.with(|_| all_hold.wait()));
+            }
+        });
+        assert_eq!(parked(&pool), parallelism());
+
+        // The engine's own list, through the public entry points.
+        let opts = SearchOptions::default();
+        for qi in 0..100 {
+            run_query(&small, &small_params, small.data.get(qi), 2, &opts);
+        }
+        run_query_batch(&big, &big_params, &big.data.slice_rows(0, 23), 2, &opts);
+        assert!(parked(&SCRATCHES) <= parallelism());
     }
 
     #[test]
@@ -960,17 +899,10 @@ mod tests {
         let (batch, agg) = run_query_batch(&store, &params, &queries, 4, &opts);
         assert_eq!(batch.len(), 23);
         assert_eq!(agg.queries, 23);
-        let mut scratch = QueryScratch::new(store.len());
         let mut verified_total = 0u64;
         for (qi, (nn, stats)) in batch.iter().enumerate() {
-            let (seq_nn, seq_stats) = run_query(
-                &store,
-                &params,
-                &mut scratch,
-                queries.get(qi),
-                4,
-                &SearchOptions::default(),
-            );
+            let (seq_nn, seq_stats) =
+                run_query(&store, &params, queries.get(qi), 4, &SearchOptions::default());
             assert_eq!(nn, &seq_nn, "query {qi}");
             assert_eq!(stats.candidates_verified, seq_stats.candidates_verified);
             verified_total += stats.candidates_verified as u64;
@@ -983,7 +915,6 @@ mod tests {
     #[test]
     fn stage_timing_and_spans_account_for_the_query() {
         let (store, params) = mock_store(300, 8);
-        let mut scratch = QueryScratch::new(store.len());
         let q = store.data.get(9).to_vec();
         let opts = SearchOptions {
             timing: true,
@@ -991,9 +922,8 @@ mod tests {
             capture_spans: true,
             ..Default::default()
         };
-        let (plain_nn, plain) =
-            run_query(&store, &params, &mut scratch, &q, 5, &SearchOptions::default());
-        let (nn, stats) = run_query(&store, &params, &mut scratch, &q, 5, &opts);
+        let (plain_nn, plain) = run_query(&store, &params, &q, 5, &SearchOptions::default());
+        let (nn, stats) = run_query(&store, &params, &q, 5, &opts);
         // Instrumentation must not change the answer or the work done.
         assert_eq!(nn, plain_nn);
         assert_eq!(stats.candidates_verified, plain.candidates_verified);
@@ -1036,15 +966,13 @@ mod tests {
         let (mut store, params) = mock_store(300, 10);
         // Label points round-robin over 3 classes.
         store.metas = (0..store.len()).map(|i| PointMeta::labeled((i % 3) as u32)).collect();
-        let mut scratch = QueryScratch::new(store.len());
         let q = store.data.get(12).to_vec();
 
-        let (plain_nn, plain) =
-            run_query(&store, &params, &mut scratch, &q, 5, &SearchOptions::default());
+        let (plain_nn, plain) = run_query(&store, &params, &q, 5, &SearchOptions::default());
         assert_eq!(plain.candidates_filtered, 0, "unfiltered queries never filter");
 
         let opts = SearchOptions { filter: Some(Predicate::label(0)), ..Default::default() };
-        let (nn, stats) = run_query(&store, &params, &mut scratch, &q, 5, &opts);
+        let (nn, stats) = run_query(&store, &params, &q, 5, &opts);
         assert_eq!(nn[0].id, 12, "query point (label 0) survives its own filter");
         for n in &nn {
             assert_eq!(n.id % 3, 0, "result {n:?} violates the predicate");
@@ -1055,7 +983,7 @@ mod tests {
 
         // A trivial predicate behaves exactly like no predicate.
         let trivial = SearchOptions { filter: Some(Predicate::any()), ..Default::default() };
-        let (triv_nn, triv) = run_query(&store, &params, &mut scratch, &q, 5, &trivial);
+        let (triv_nn, triv) = run_query(&store, &params, &q, 5, &trivial);
         assert_eq!(triv_nn, plain_nn);
         assert_eq!(triv.candidates_filtered, 0);
         assert_eq!(triv.candidates_verified, plain.candidates_verified);
@@ -1065,8 +993,7 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
         let (store, params) = mock_store(50, 7);
-        let mut scratch = QueryScratch::new(store.len());
         let q = store.data.get(0).to_vec();
-        let _ = run_query(&store, &params, &mut scratch, &q, 0, &SearchOptions::default());
+        let _ = run_query(&store, &params, &q, 0, &SearchOptions::default());
     }
 }

@@ -185,6 +185,15 @@ impl HashFamily {
             .collect()
     }
 
+    /// One query cursor per row of a coalesced batch, in row order:
+    /// `cursor` gets each query's bucket ids, as [`HashFamily::buckets`]
+    /// would return them, out of one [`HashFamily::buckets_batch`]
+    /// product.
+    pub fn cursors_batch<C>(&self, queries: &Dataset, cursor: impl FnMut(Vec<i64>) -> C) -> Vec<C> {
+        let m = self.functions.len();
+        self.buckets_batch(queries).chunks_exact(m).map(<[i64]>::to_vec).map(cursor).collect()
+    }
+
     /// Estimated heap size of the family in bytes (index-size reports).
     pub fn size_bytes(&self) -> usize {
         self.functions

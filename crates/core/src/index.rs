@@ -18,7 +18,6 @@
 //! maps delta-range requests onto its sorted runs.
 
 use crate::config::C2lshConfig;
-use crate::engine::QueryScratch;
 use crate::engine::{self, BucketWindows, SearchOptions, SearchParams, TableStore};
 use crate::hash::{HashFamily, PstableHash};
 use crate::meta::PointMeta;
@@ -26,7 +25,6 @@ use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
-use parking_lot::Mutex;
 
 /// One hash table: object ids ordered by `(bucket, oid)`, plus the
 /// directory of where each distinct bucket starts.
@@ -149,8 +147,6 @@ pub struct C2lshIndex<'d> {
     /// Per-point attribute payloads, indexed by object id; empty when
     /// the corpus carries no metadata (every point reads as default).
     metas: Vec<PointMeta>,
-    /// Reusable query scratch (epoch counter), lazily rebuilt per query.
-    pub(crate) scratch: Mutex<QueryScratch>,
 }
 
 impl<'d> C2lshIndex<'d> {
@@ -168,15 +164,7 @@ impl<'d> C2lshIndex<'d> {
         let family = HashFamily::generate(params.m, data.dim(), config);
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         let tables = build_tables(data, &family, threads);
-        Self {
-            data,
-            config: config.clone(),
-            params,
-            family,
-            tables,
-            metas: Vec::new(),
-            scratch: Mutex::new(QueryScratch::new(data.len())),
-        }
+        Self { data, config: config.clone(), params, family, tables, metas: Vec::new() }
     }
 
     /// Attach per-point attribute payloads (row `i` of the dataset gets
@@ -233,21 +221,14 @@ impl<'d> C2lshIndex<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        let mut scratch = self.scratch.lock();
-        engine::run_query(self, &self.search_params(), &mut scratch, q, k, opts)
-    }
-
-    /// Convenience c-ANN (k = 1).
-    pub fn query_one(&self, q: &[f32]) -> (Option<Neighbor>, QueryStats) {
-        let (mut nn, stats) = self.query(q, 1);
-        (nn.pop(), stats)
+        engine::run_query(self, &self.search_params(), q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads.
     ///
     /// Results are in query order and identical to sequential
-    /// [`C2lshIndex::query`] calls (each worker owns its own collision
-    /// counter). Thread count defaults to the machine's parallelism.
+    /// [`C2lshIndex::query`] calls. Thread count defaults to the
+    /// machine's parallelism.
     pub fn query_batch(
         &self,
         queries: &Dataset,
@@ -301,15 +282,7 @@ impl<'d> C2lshIndex<'d> {
         let params = FullParams::derive(data.len(), &config);
         let family = HashFamily::from_functions(functions);
         assert_eq!(family.len(), params.m, "family size disagrees with parameters");
-        Self {
-            data,
-            config,
-            params,
-            family,
-            tables,
-            metas: Vec::new(),
-            scratch: Mutex::new(QueryScratch::new(data.len())),
-        }
+        Self { data, config, params, family, tables, metas: Vec::new() }
     }
 }
 
@@ -353,12 +326,7 @@ impl TableStore for C2lshIndex<'_> {
     }
 
     fn begin_batch(&self, queries: &Dataset) -> Vec<BucketWindows> {
-        let m = self.family.len();
-        self.family
-            .buckets_batch(queries)
-            .chunks_exact(m)
-            .map(|b| BucketWindows::new(b.to_vec()))
-            .collect()
+        self.family.cursors_batch(queries, BucketWindows::new)
     }
 
     fn expand(
@@ -366,32 +334,12 @@ impl TableStore for C2lshIndex<'_> {
         cursor: &mut BucketWindows,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(u32) -> bool,
-    ) {
-        let run = &self.tables[t];
-        let n = run.oids.len();
-        let (left, right) = cursor.grow(t, radius, n, |b, _, _| run.lower_bound(b));
-        for range in [left, right] {
-            for &oid in &run.oids[range] {
-                if !visit(oid) {
-                    return;
-                }
-            }
-        }
-    }
-
-    fn expand_slices(
-        &self,
-        cursor: &mut BucketWindows,
-        t: usize,
-        radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        // Native slices: each delta range of a sorted run is already a
-        // contiguous id run, handed to the engine without any buffering.
+        // Each delta range of a sorted run is already a contiguous id
+        // run, handed to the engine as it lies.
         let run = &self.tables[t];
-        let n = run.oids.len();
-        let (left, right) = cursor.grow(t, radius, n, |b, _, _| run.lower_bound(b));
+        let (left, right) = cursor.grow(t, radius, run.oids.len(), |b| run.lower_bound(b));
         for range in [left, right] {
             if !range.is_empty() && !visit(&run.oids[range]) {
                 return;
@@ -403,7 +351,7 @@ impl TableStore for C2lshIndex<'_> {
         cursor.exhausted(self.data.len())
     }
 
-    fn vector(&self, oid: u32) -> Option<&[f32]> {
+    fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
         Some(self.data.get(oid as usize))
     }
 
@@ -518,15 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn query_one_matches_query_k1() {
-        let data = clustered(300, 8, 6);
-        let index = C2lshIndex::build(&data, &cfg());
-        let (one, _) = index.query_one(data.get(42));
-        let (k1, _) = index.query(data.get(42), 1);
-        assert_eq!(one.unwrap(), k1[0]);
-    }
-
-    #[test]
     fn deterministic_across_rebuilds() {
         let data = clustered(400, 10, 7);
         let i1 = C2lshIndex::build(&data, &cfg());
@@ -561,8 +500,8 @@ mod tests {
         pairs
     }
 
-    fn reference_lower_bound(want: &[(i64, u32)], b: i64, lo: usize, hi: usize) -> usize {
-        lo + want[lo..hi].partition_point(|e| e.0 < b)
+    fn reference_lower_bound(want: &[(i64, u32)], b: i64) -> usize {
+        want.partition_point(|e| e.0 < b)
     }
 
     /// `run` must hold exactly `want`, answer every bound search like
@@ -575,18 +514,16 @@ mod tests {
         let near_keys =
             want.iter().flat_map(|e| [e.0.saturating_sub(1), e.0, e.0.saturating_add(1)]);
         for b in near_keys.chain([i64::MIN, -1, 0, i64::MAX]) {
-            assert_eq!(run.lower_bound(b), reference_lower_bound(want, b, 0, n), "bucket {b}");
+            assert_eq!(run.lower_bound(b), reference_lower_bound(want, b), "bucket {b}");
         }
         for &q in queries {
-            let mut cursors = [0; 3].map(|_| BucketWindows::new(vec![q]));
+            let mut cursors = [0; 2].map(|_| BucketWindows::new(vec![q]));
             // `rehash::window` needs |q| + radius to fit an i64.
             for radius in (0..=61).map(|level| 1i64 << level) {
-                let [got, hinted, unhinted] = &mut cursors;
-                let got = got.grow(0, radius, n, |b, _, _| run.lower_bound(b));
-                let by_hint = |b, lo, hi| reference_lower_bound(want, b, lo, hi);
-                assert_eq!(got, hinted.grow(0, radius, n, by_hint), "q {q}, radius {radius}");
-                let whole = |b, _, _| reference_lower_bound(want, b, 0, n);
-                assert_eq!(got, unhinted.grow(0, radius, n, whole), "q {q}, radius {radius}");
+                let [got, reference] = &mut cursors;
+                let got = got.grow(0, radius, n, |b| run.lower_bound(b));
+                let by_pairs = |b| reference_lower_bound(want, b);
+                assert_eq!(got, reference.grow(0, radius, n, by_pairs), "q {q}, radius {radius}");
                 if cursors[0].exhausted(n) {
                     break;
                 }

@@ -32,11 +32,12 @@
 //!
 //! The c-k-ANN search loop — virtual rehashing, dynamic collision
 //! counting, the T1/T2 terminating conditions — is implemented exactly
-//! once, in [`engine`]. Each backend (in-memory sorted runs, 4 KiB
-//! paged tables, updatable B-tree tables, and the query-aware trees of
-//! the downstream `qalsh` crate) implements [`engine::TableStore`] and
-//! gets `query`, `query_one` and a parallel `query_batch` from the
-//! engine, along with the [`stats`] observability layer.
+//! once, in [`engine`]. Each backend (in-memory sorted runs, the same
+//! runs metered in 4 KiB pages, compressed runs behind a buffer pool,
+//! updatable B-tree tables, concatenated shards, and the query-aware
+//! trees of the downstream `qalsh` crate) implements
+//! [`engine::TableStore`] and gets `query` and a parallel `query_batch`
+//! from the engine, along with the [`stats`] observability layer.
 //!
 //! * [`config`] — tunables (`c`, `w`, `δ`, `β`, seed) with a builder,
 //! * [`params`] — per-dataset derived parameters (`m`, `l`, `α`),
@@ -48,7 +49,8 @@
 //!   ([`engine::BucketWindows`], [`engine::KeyWindows`]) and the
 //!   epoch-stamped [`engine::counting::CollisionCounter`],
 //! * [`index`] — the in-memory backend over sorted runs,
-//! * [`disk`] — the paged backend with exact I/O accounting,
+//! * [`disk`] — the same runs with exact paper-model I/O accounting,
+//! * [`paged`] — the out-of-core backend: page file and buffer pool,
 //! * [`dynamic`] — the updatable backend over per-table ordered maps
 //!   whose chunks are shared between snapshots (a clone copies
 //!   pointers, a write copies what it touches),
@@ -99,7 +101,7 @@ pub use engine::counting;
 pub use config::{Beta, C2lshConfig, ConfigBuilder};
 pub use disk::DiskIndex;
 pub use dynamic::DynamicIndex;
-pub use engine::{QueryScratch, SearchOptions, SearchParams, TableStore};
+pub use engine::{SearchOptions, SearchParams, TableStore};
 pub use error::{C2lshError, Error, ErrorKind};
 pub use hash::{HashFamily, PstableHash};
 pub use index::C2lshIndex;

@@ -950,36 +950,50 @@ mod tests {
         let dir = scratch_dir("mutable-meta");
         let data = points(60, 6, 20);
         let config = cfg();
-        let ops: Vec<MutationOp> = data
+        // A mixed history: every fourth point carries no metadata, and
+        // one point of each kind is deleted again.
+        let meta_of = |i: usize| match i % 4 {
+            0 => PointMeta::default(),
+            _ => PointMeta::new(1 << (i % 8), (i % 3) as u32),
+        };
+        let mut ops: Vec<MutationOp> = data
             .iter()
             .enumerate()
-            .map(|(i, v)| MutationOp::Insert {
-                vector: v.to_vec(),
-                meta: PointMeta::new(1 << (i % 8), (i % 3) as u32),
-            })
+            .map(|(i, v)| MutationOp::Insert { vector: v.to_vec(), meta: meta_of(i) })
             .collect();
+        ops.extend([MutationOp::Delete { oid: 8 }, MutationOp::Delete { oid: 9 }]);
         let opts = SearchOptions {
             filter: Some(Predicate::label(1).and_tag_any(0xFF)),
             ..Default::default()
         };
         let q = data.get(13).to_vec();
-        let want = {
+        let (want, want_plain) = {
             let m = MutableIndex::open(&dir, 6, 100, &config).unwrap();
             m.apply_batch(&ops).unwrap();
-            m.query_with(&q, 4, &opts).0
+            (m.query_with(&q, 4, &opts).0, m.query(&q, 4).0)
         }; // kill without checkpoint: recovery is pure WAL replay
         assert!(!want.is_empty());
         for n in &want {
             assert_eq!(n.id % 3, 1, "predicate violated by {}", n.id);
         }
+        let live_metas = |m: &MutableIndex| -> Vec<PointMeta> {
+            let (index, _) = m.snapshot();
+            let slots = index.slots().iter().zip(index.meta_slots().iter());
+            slots.filter(|(slot, _)| slot.is_some()).map(|(_, meta)| *meta).collect()
+        };
+        let want_live: Vec<PointMeta> =
+            (0..60).filter(|i| ![8, 9].contains(i)).map(meta_of).collect();
         {
             let m = MutableIndex::open(&dir, 6, 100, &config).unwrap();
             assert_eq!(m.query_with(&q, 4, &opts).0, want, "WAL replay lost metadata");
+            assert_eq!(live_metas(&m), want_live);
             m.checkpoint().unwrap();
         }
         // Now recovery goes through the checkpoint instead of the log.
         let m = MutableIndex::open(&dir, 6, 100, &config).unwrap();
         assert_eq!(m.query_with(&q, 4, &opts).0, want, "checkpoint lost metadata");
+        assert_eq!(m.query(&q, 4).0, want_plain);
+        assert_eq!(live_metas(&m), want_live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::sync_channel;
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, BucketWindows, QueryScratch, SearchOptions, SearchParams, TableStore};
+use crate::engine::{self, BucketWindows, SearchOptions, SearchParams, TableStore};
 use crate::hash::{HashFamily, PstableHash};
 use crate::index::SortedRun;
 use crate::params::FullParams;
@@ -43,7 +43,6 @@ use cc_storage::pool::{PinnedPool, PinnedPoolStats};
 use cc_storage::{ENTRIES_PER_PAGE, PAGE_SIZE};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
-use parking_lot::Mutex;
 
 /// Floats per vector page (`PAYLOAD_BYTES / 4`; divides evenly).
 const FLOATS_PER_PAGE: usize = PAYLOAD_BYTES / 4;
@@ -296,7 +295,6 @@ impl PagedBuilder {
             posting_pages,
             n: self.expected_n,
             dim: self.dim,
-            scratch: Mutex::new(QueryScratch::new(self.expected_n)),
             delete_on_drop: false,
         })
     }
@@ -317,7 +315,6 @@ pub struct PagedStore {
     posting_pages: usize,
     n: usize,
     dim: usize,
-    scratch: Mutex<QueryScratch>,
     delete_on_drop: bool,
 }
 
@@ -397,14 +394,7 @@ impl PagedStore {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        let mut scratch = self.scratch.lock();
-        engine::run_query(self, &self.search_params(), &mut scratch, q, k, opts)
-    }
-
-    /// Convenience c-ANN (k = 1).
-    pub fn query_one(&self, q: &[f32]) -> (Option<Neighbor>, QueryStats) {
-        let (mut nn, stats) = self.query(q, 1);
-        (nn.pop(), stats)
+        engine::run_query(self, &self.search_params(), q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads.
@@ -480,10 +470,6 @@ impl PagedStore {
         self.pool = PinnedPool::new(pages);
         self.file.reset_reads();
     }
-
-    fn run(&self, t: usize) -> &PostingRun {
-        &self.tables[t]
-    }
 }
 
 impl Drop for PagedStore {
@@ -494,8 +480,21 @@ impl Drop for PagedStore {
     }
 }
 
+/// Per-query state of a [`PagedStore`]: the windows over its runs, and
+/// the buffer every posting group of the query is decoded into.
+pub struct PagedCursor {
+    windows: BucketWindows,
+    ids: Vec<u32>,
+}
+
+impl PagedCursor {
+    fn new(q_buckets: Vec<i64>) -> Self {
+        PagedCursor { windows: BucketWindows::new(q_buckets), ids: Vec::new() }
+    }
+}
+
 impl TableStore for PagedStore {
-    type Cursor = BucketWindows;
+    type Cursor = PagedCursor;
 
     fn dim(&self) -> usize {
         self.dim
@@ -509,33 +508,30 @@ impl TableStore for PagedStore {
         self.tables.len()
     }
 
-    fn begin(&self, q: &[f32]) -> BucketWindows {
-        BucketWindows::new(self.family.buckets(q))
+    fn begin(&self, q: &[f32]) -> PagedCursor {
+        PagedCursor::new(self.family.buckets(q))
     }
 
-    fn begin_batch(&self, queries: &Dataset) -> Vec<BucketWindows> {
-        let m = self.family.len();
-        self.family
-            .buckets_batch(queries)
-            .chunks_exact(m)
-            .map(|b| BucketWindows::new(b.to_vec()))
-            .collect()
+    fn begin_batch(&self, queries: &Dataset) -> Vec<PagedCursor> {
+        self.family.cursors_batch(queries, PagedCursor::new)
     }
 
     fn expand(
         &self,
-        cursor: &mut BucketWindows,
+        cursor: &mut PagedCursor,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(u32) -> bool,
+        visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        let run = self.run(t);
-        let (left, right) = cursor.grow(t, radius, self.n, |b, _, _| {
-            run.lower_bound(&self.file, &self.pool, b).expect("posting page read failed")
+        let (run, file, pool) = (&self.tables[t], &self.file, &self.pool);
+        let (left, right) = cursor.windows.grow(t, radius, self.n, |b| {
+            run.lower_bound(file, pool, b).expect("posting page read failed")
         });
         for range in [left, right] {
             let keep_going = run
-                .scan_while(&self.file, &self.pool, range.start, range.end, |_, oid| visit(oid))
+                .scan_while(file, pool, range.start, range.end, &mut cursor.ids, |_, oids| {
+                    visit(oids)
+                })
                 .expect("posting page read failed");
             if !keep_going {
                 return;
@@ -543,25 +539,17 @@ impl TableStore for PagedStore {
         }
     }
 
-    fn exhausted(&self, cursor: &BucketWindows) -> bool {
-        cursor.exhausted(self.n)
+    fn exhausted(&self, cursor: &PagedCursor) -> bool {
+        cursor.windows.exhausted(self.n)
     }
 
-    /// Vectors are not memory resident; see [`TableStore::vector_into`].
-    fn vector(&self, _oid: u32) -> Option<&[f32]> {
-        None
-    }
-
-    fn vectors_resident(&self) -> bool {
-        false
-    }
-
-    fn vector_into(&self, oid: u32, out: &mut Vec<f32>) -> bool {
+    /// Vectors live in pages: `buf` is filled through the buffer pool.
+    fn vector<'a>(&'a self, oid: u32, buf: &'a mut Vec<f32>) -> Option<&'a [f32]> {
         if oid as usize >= self.n {
-            return false;
+            return None;
         }
-        out.clear();
-        out.reserve(self.dim);
+        buf.clear();
+        buf.reserve(self.dim);
         // Global float index of the vector start; PAYLOAD_BYTES is a
         // multiple of 4, so floats never straddle page boundaries.
         let mut fidx = oid as usize * self.dim;
@@ -573,12 +561,12 @@ impl TableStore for PagedStore {
             let take = remaining.min(FLOATS_PER_PAGE - within);
             let page = self.pool.get(&self.file, page_no).expect("vector page read failed");
             for chunk in page[within * 4..(within + take) * 4].chunks_exact(4) {
-                out.push(f32::from_le_bytes(chunk.try_into().unwrap()));
+                buf.push(f32::from_le_bytes(chunk.try_into().unwrap()));
             }
             fidx += take;
             remaining -= take;
         }
-        true
+        Some(buf)
     }
 
     fn io_reads(&self) -> u64 {
@@ -822,44 +810,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Once `visit` says stop, `expand` must not call it again — not
-    /// even for the other delta range of the same grow.
-    #[test]
-    fn expand_stops_at_the_first_refusal_like_memory() {
-        let data = generate(Distribution::UniformCube { side: 6.0 }, 2_000, 8, 51);
-        let config = test_config(9);
-        let mem = C2lshIndex::build(&data, &config);
-        let (dir, paged) = scratch_store("paged_stop", &data, &config, 32);
-        // A query whose radius-4 window adds entries on both sides of
-        // its radius-1 bucket in table 0.
-        let (h, run) = (mem.family().get(0), &mem.tables[0]);
-        let two_sided = |q: &&[f32]| {
-            let b = h.bucket(q);
-            let lo = b.div_euclid(4) * 4;
-            run.lower_bound(lo) < run.lower_bound(b)
-                && run.lower_bound(b + 1) < run.lower_bound(lo + 4)
-        };
-        let q = data.iter().find(two_sided).expect("no two-sided query in the data");
-        fn calls_after_stop<S: TableStore>(store: &S, q: &[f32]) -> (usize, usize) {
-            let mut cursor = store.begin(q);
-            let mut first = 0;
-            store.expand(&mut cursor, 0, 1, &mut |_| {
-                first += 1;
-                true
-            });
-            let mut calls = 0;
-            store.expand(&mut cursor, 0, 4, &mut |_| {
-                calls += 1;
-                false
-            });
-            (first, calls)
-        }
-        let (first, calls) = calls_after_stop(&mem, q);
-        assert!(first > 0 && calls == 1, "memory: {first} ids, then {calls} calls");
-        assert_eq!(calls_after_stop(&paged, q), (first, 1));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// A candidate budget small enough that T2 ends most queries, at
     /// `c = 3` so that a window grows on both sides at once: the paged
     /// store must stop counting at the same entry as memory.
@@ -890,16 +840,15 @@ mod tests {
     }
 
     #[test]
-    fn vector_into_round_trips_every_row() {
+    fn vector_round_trips_every_row() {
         let data = generate(Distribution::UniformCube { side: 2.0 }, 300, 33, 9);
         let config = test_config(1);
         let (dir, paged) = scratch_store("paged_vec", &data, &config, 16);
         let mut buf = Vec::new();
         for (i, row) in data.iter().enumerate() {
-            assert!(paged.vector_into(i as u32, &mut buf));
-            assert_eq!(buf, row);
+            assert_eq!(paged.vector(i as u32, &mut buf), Some(row));
         }
-        assert!(!paged.vector_into(300, &mut buf));
+        assert_eq!(paged.vector(300, &mut buf), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

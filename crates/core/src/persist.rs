@@ -52,14 +52,6 @@ const FORMAT_VERSION: u8 = (MAGIC & 0xFF) as u8;
 const DYN_MAGIC: u32 = 0x4332_4431; // "C2D1"
 const DYN_MAGIC_PREFIX: u32 = DYN_MAGIC & !0xFF;
 const DYN_FORMAT_VERSION: u8 = (DYN_MAGIC & 0xFF) as u8;
-/// Version `'2'` of the dynamic checkpoint: identical to `C2D1` except
-/// each live slot carries its [`PointMeta`] (`u64 tag | u32 label`)
-/// before the coordinates. The writer picks the version by content —
-/// an index whose points all carry default (zero) metadata saves as
-/// plain `C2D1`, byte-identical to what older builds wrote — and the
-/// loader reads both.
-const DYN_MAGIC_V2: u32 = 0x4332_4432; // "C2D2"
-const DYN_FORMAT_VERSION_V2: u8 = (DYN_MAGIC_V2 & 0xFF) as u8;
 
 /// Why loading failed.
 #[derive(Debug, PartialEq)]
@@ -322,15 +314,17 @@ pub fn load_index<'d>(data: &'d Dataset, buf: &[u8]) -> Result<C2lshIndex<'d>, P
 /// magic "C2D1" | dim | expected_n | c | w | delta | base_radius |
 /// beta tag+value | seed | m_override tag(+val) | l_override tag(+val) |
 /// m | l | beta_n | last_seq |
-/// slot_count | per slot: u8 tag (0 = tombstone, 1 = live + dim×f32) |
+/// slot_count | per slot: u8 tag, then
+///     0 = tombstone: nothing
+///     1 = live, default metadata: dim×f32
+///     2 = live: u64 tag | u32 label | dim×f32 |
 /// xor-fold checksum
 /// ```
 ///
-/// A `C2D2` checkpoint differs only in each live slot's body, which
-/// gains the point's metadata before the coordinates:
-/// `u8 1 | u64 tag | u32 label | dim×f32`. The version is chosen by
-/// content: only an index carrying at least one non-default
-/// [`PointMeta`] needs (and gets) the `'2'` stamp.
+/// The slot tag is chosen per slot, as the WAL chooses an insert
+/// record's op: a point whose [`PointMeta`] is the default costs no
+/// metadata bytes, so an index without metadata writes tags 0 and 1
+/// only — the file every earlier build wrote.
 ///
 /// The hash family is *not* stored: it re-generates deterministically
 /// from `(m, dim, config)` at load time, exactly as the original was
@@ -339,10 +333,8 @@ pub fn load_index<'d>(data: &'d Dataset, buf: &[u8]) -> Result<C2lshIndex<'d>, P
 pub fn save_dynamic(index: &DynamicIndex, last_seq: u64) -> Vec<u8> {
     let cfg = index.config();
     let slots = index.slots();
-    let metas = index.meta_slots();
-    let has_meta = metas.iter().any(|m| *m != PointMeta::default());
     let mut buf = Vec::with_capacity(64 + slots.len() * (1 + 4 * index.params().m.min(1)));
-    buf.put_u32_le(if has_meta { DYN_MAGIC_V2 } else { DYN_MAGIC });
+    buf.put_u32_le(DYN_MAGIC);
     buf.put_u32_le(index.dim() as u32);
     buf.put_u64_le(index.expected_n() as u64);
     buf.put_u32_le(cfg.c);
@@ -375,20 +367,20 @@ pub fn save_dynamic(index: &DynamicIndex, last_seq: u64) -> Vec<u8> {
     buf.put_u32_le(p.beta_n as u32);
     buf.put_u64_le(last_seq);
     buf.put_u64_le(slots.len() as u64);
-    for (i, slot) in slots.iter().enumerate() {
-        match slot {
-            None => buf.put_u8(0),
-            Some(v) => {
-                buf.put_u8(1);
-                if has_meta {
-                    let m = metas.get(i).copied().unwrap_or_default();
-                    buf.put_u64_le(m.tag);
-                    buf.put_u32_le(m.label);
-                }
-                for &x in v.iter() {
-                    buf.put_f32_le(x);
-                }
-            }
+    for (slot, meta) in slots.iter().zip(index.meta_slots().iter()) {
+        let Some(v) = slot else {
+            buf.put_u8(0);
+            continue;
+        };
+        if *meta == PointMeta::default() {
+            buf.put_u8(1);
+        } else {
+            buf.put_u8(2);
+            buf.put_u64_le(meta.tag);
+            buf.put_u32_le(meta.label);
+        }
+        for &x in v.iter() {
+            buf.put_f32_le(x);
         }
     }
     let checksum = xor_fold(&buf);
@@ -411,10 +403,9 @@ pub fn load_dynamic(buf: &[u8]) -> Result<(DynamicIndex, u64), PersistError> {
         return Err(PersistError::Malformed(format!("bad magic {magic:#010x}")));
     }
     let version = (magic & 0xFF) as u8;
-    if version != DYN_FORMAT_VERSION && version != DYN_FORMAT_VERSION_V2 {
+    if version != DYN_FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion { found: version });
     }
-    let has_meta = version == DYN_FORMAT_VERSION_V2;
     let (payload, tail) = buf.split_at(buf.len() - 4);
     if xor_fold(payload) != u32::from_le_bytes(tail.try_into().unwrap()) {
         return Err(PersistError::Malformed("checksum mismatch".into()));
@@ -474,37 +465,34 @@ pub fn load_dynamic(buf: &[u8]) -> Result<(DynamicIndex, u64), PersistError> {
         )));
     }
     let mut slots: Vec<Option<Vec<f32>>> = Vec::with_capacity(slot_count);
-    let mut metas: Vec<PointMeta> = Vec::with_capacity(if has_meta { slot_count } else { 0 });
+    // Stays empty until a slot carries metadata, then holds one payload
+    // per slot (defaults before it, and for tombstones and tag-1 slots).
+    let mut metas: Vec<PointMeta> = Vec::new();
     for i in 0..slot_count {
         match r.get_u8()? {
             0 => {
                 slots.push(None);
-                if has_meta {
-                    // Tombstones carry no payload on disk; restore the
-                    // slot with a default to keep the arrays parallel.
-                    metas.push(PointMeta::default());
-                }
+                continue;
             }
-            1 => {
-                if has_meta {
-                    let tag = r.get_u64_le()?;
-                    let label = r.get_u32_le()?;
-                    metas.push(PointMeta::new(tag, label));
-                }
-                let mut v = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    let x = r.get_f32_le()?;
-                    if !x.is_finite() {
-                        return Err(PersistError::Malformed(format!(
-                            "non-finite coordinate in slot {i}"
-                        )));
-                    }
-                    v.push(x);
-                }
-                slots.push(Some(v));
+            1 => {}
+            2 => {
+                metas.resize(i, PointMeta::default());
+                metas.push(PointMeta::new(r.get_u64_le()?, r.get_u32_le()?));
             }
             x => return Err(PersistError::Malformed(format!("unknown slot tag {x}"))),
         }
+        let mut v = Vec::with_capacity(dim);
+        for _ in 0..dim {
+            let x = r.get_f32_le()?;
+            if !x.is_finite() {
+                return Err(PersistError::Malformed(format!("non-finite coordinate in slot {i}")));
+            }
+            v.push(x);
+        }
+        slots.push(Some(v));
+    }
+    if !metas.is_empty() {
+        metas.resize(slot_count, PointMeta::default());
     }
     if r.remaining() != 0 {
         return Err(PersistError::Malformed(format!("{} trailing bytes", r.remaining())));
@@ -705,6 +693,7 @@ mod tests {
         assert_eq!(last_seq, 417);
         assert_eq!(loaded.len(), idx.len());
         assert_eq!(loaded.slots().len(), idx.slots().len(), "tombstones preserved");
+        assert!(loaded.meta_slots().iter().all(|m| *m == PointMeta::default()));
         for qi in [0usize, 42, 250] {
             let q = data.get(qi);
             assert_eq!(idx.query(q, 6).0, loaded.query(q, 6).0, "query {qi}");
@@ -740,13 +729,12 @@ mod tests {
             load_dynamic(&future).unwrap_err(),
             PersistError::UnsupportedVersion { found: b'3' }
         );
-        // "C2D2" is a *known* version now, but re-stamping a v1 blob as
-        // v2 makes the slot bodies unparseable (v2 expects 12 meta bytes
-        // per live slot) — corruption, not version skew.
-        assert!(matches!(
-            load_dynamic(&with_version(&blob, b'2')),
-            Err(PersistError::Malformed(_))
-        ));
+        // "C2D2" was a whole-file metadata switch for a few releases; the
+        // slot tags replaced it and its reader is gone.
+        assert_eq!(
+            load_dynamic(&with_version(&blob, b'2')).unwrap_err(),
+            PersistError::UnsupportedVersion { found: b'2' }
+        );
         // A C2L1 blob is a different family, not a version skew.
         let data = clustered(50, 4, 12);
         let static_blob = save_index(&C2lshIndex::build(&data, &cfg()));
@@ -755,39 +743,53 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_checkpoint_version_tracks_metadata_content() {
-        // Meta-free indexes keep writing byte-for-byte C2D1.
-        let (idx, _) = mutated_dynamic();
-        let blob = save_dynamic(&idx, 7);
-        assert_eq!(blob[0], b'1', "meta-free checkpoint must stay v1");
-
-        // A single non-default payload upgrades the blob to C2D2, and
-        // the round-trip preserves every slot's metadata.
+    fn dynamic_checkpoint_tags_each_slot_by_its_metadata() {
+        // Every third point carries no metadata, the rest do, and two
+        // slots are tombstones (one of each kind).
         let data = clustered(120, 8, 13);
+        let meta_of = |i: usize| match i % 3 {
+            0 => PointMeta::default(),
+            _ => PointMeta::new((i as u64) << 1, (i % 4) as u32),
+        };
         let mut rich = DynamicIndex::new(8, 300, &cfg());
+        let mut plain = DynamicIndex::new(8, 300, &cfg());
         for (i, v) in data.iter().enumerate() {
-            rich.insert_with_meta(v.to_vec(), PointMeta::new((i as u64) << 1, (i % 4) as u32));
+            rich.insert_with_meta(v.to_vec(), meta_of(i));
+            plain.insert(v.to_vec());
         }
-        assert!(rich.delete(60), "keep a tombstone in the slot array");
+        for idx in [&mut rich, &mut plain] {
+            assert!(idx.delete(60) && idx.delete(61));
+        }
         let blob = save_dynamic(&rich, 121);
-        assert_eq!(blob[0], b'2');
+        assert_eq!(blob[0], b'1', "one version, whatever the slots carry");
+        // 12 bytes per live slot with metadata, none for the others.
+        let tagged = (0..120).filter(|i| i % 3 != 0 && ![60, 61].contains(i)).count();
+        assert_eq!(blob.len(), save_dynamic(&plain, 121).len() + 12 * tagged);
+
         let (loaded, last_seq) = load_dynamic(&blob).unwrap();
         assert_eq!(last_seq, 121);
         assert_eq!(loaded.slots(), rich.slots());
-        let want: Vec<PointMeta> = rich
-            .meta_slots()
-            .iter()
-            .enumerate()
-            .map(|(i, m)| if i == 60 { PointMeta::default() } else { *m })
+        let want: Vec<PointMeta> = (0..120)
+            .map(|i| if [60, 61].contains(&i) { PointMeta::default() } else { meta_of(i) })
             .collect();
         let got: Vec<PointMeta> = loaded.meta_slots().iter().copied().collect();
         assert_eq!(got, want, "tombstones restore with default meta");
         use crate::engine::SearchOptions;
         use crate::meta::Predicate;
         let opts = SearchOptions { filter: Some(Predicate::label(3)), ..Default::default() };
-        assert_eq!(
-            loaded.query_with(data.get(5), 4, &opts).0,
-            rich.query_with(data.get(5), 4, &opts).0
-        );
+        let (q, filtered) = (data.get(5), rich.query_with(data.get(5), 4, &opts).0);
+        assert!(!filtered.is_empty());
+        assert_eq!(loaded.query_with(q, 4, &opts).0, filtered);
+        assert_eq!(loaded.query(q, 4).0, rich.query(q, 4).0);
+        assert_eq!(save_dynamic(&loaded, 121), blob, "load then save is the identity");
+
+        // Cut anywhere — inside a tag-2 slot's metadata included — the
+        // blob is malformed, never a panic and never a shorter index.
+        for cut in 0..blob.len() {
+            assert!(
+                matches!(load_dynamic(&blob[..cut]), Err(PersistError::Malformed(_))),
+                "truncation to {cut} bytes accepted"
+            );
+        }
     }
 }

@@ -29,7 +29,6 @@
 //! all shards share one hash family (same seed, same `m`, same `w`).
 
 use crate::config::C2lshConfig;
-use crate::engine::QueryScratch;
 use crate::engine::{self, BucketWindows, SearchOptions, SearchParams, TableStore};
 use crate::index::C2lshIndex;
 use crate::meta::PointMeta;
@@ -37,7 +36,6 @@ use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
-use parking_lot::Mutex;
 
 /// A dataset partitioned into contiguous shards. Owns the per-shard
 /// copies; [`ShardedEngine`] borrows them (the same borrow discipline
@@ -116,8 +114,6 @@ pub struct ShardedEngine<'d> {
     offsets: &'d [u32],
     params: FullParams,
     search: SearchParams,
-    /// Scratch for the exact single-query path (sized to the total n).
-    scratch: Mutex<QueryScratch>,
 }
 
 impl<'d> ShardedEngine<'d> {
@@ -144,13 +140,7 @@ impl<'d> ShardedEngine<'d> {
             beta_n: params.beta_n,
             base_radius: config.base_radius,
         };
-        Self {
-            shards,
-            offsets: &data.offsets,
-            params,
-            search,
-            scratch: Mutex::new(QueryScratch::new(n)),
-        }
+        Self { shards, offsets: &data.offsets, params, search }
     }
 
     /// The derived parameters in effect (shared by every shard).
@@ -194,8 +184,7 @@ impl<'d> ShardedEngine<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        let mut scratch = self.scratch.lock();
-        engine::run_query(self, &self.search, &mut scratch, q, k, opts)
+        engine::run_query(self, &self.search, q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads
@@ -239,10 +228,7 @@ impl<'d> ShardedEngine<'d> {
         crossbeam::scope(|scope| {
             for (s, slot) in per_shard.iter_mut().enumerate() {
                 let shard = &self.shards[s];
-                scope.spawn(move |_| {
-                    let mut scratch = QueryScratch::new(shard.len());
-                    *slot = engine::run_query(shard, &self.search, &mut scratch, q, k, opts);
-                });
+                scope.spawn(move |_| *slot = engine::run_query(shard, &self.search, q, k, opts));
             }
         })
         .expect("shard fan-out worker panicked");
@@ -282,12 +268,23 @@ impl<'d> ShardedEngine<'d> {
         self
     }
 
+    /// A cursor for a query hashing to `q_buckets`: every shard gets its
+    /// own windows over the same bucket ids.
+    fn cursor(&self, q_buckets: Vec<i64>) -> ShardedCursor {
+        let windows = BucketWindows::new(q_buckets);
+        ShardedCursor { per_shard: vec![windows; self.shards.len()] }
+    }
+
     /// Map a global object id to `(shard, local id)`.
     fn locate(&self, oid: u32) -> (usize, u32) {
         let s = self.offsets.partition_point(|&o| o <= oid) - 1;
         (s, oid - self.offsets[s])
     }
 }
+
+/// Ids remapped per call of the engine's visitor: a stack buffer (1 KiB)
+/// that stays in L1 under the counting loop.
+const REMAP_CHUNK: usize = 256;
 
 /// Per-query cursor of the exact path: one positional window set per
 /// shard (all shards share the query's bucket ids, but window positions
@@ -312,30 +309,14 @@ impl TableStore for ShardedEngine<'_> {
     }
 
     fn begin(&self, q: &[f32]) -> ShardedCursor {
-        // All shards share one hash family, so the query's bucket ids
-        // are computed once and cloned into each shard's window set
-        // rather than re-hashed `S` times.
-        let buckets = self.shards[0].family().buckets(q);
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for _ in 1..self.shards.len() {
-            per_shard.push(BucketWindows::new(buckets.clone()));
-        }
-        per_shard.push(BucketWindows::new(buckets));
-        ShardedCursor { per_shard }
+        // All shards share one hash family: hash once, not `S` times.
+        self.cursor(self.shards[0].family().buckets(q))
     }
 
     fn begin_batch(&self, queries: &Dataset) -> Vec<ShardedCursor> {
         // One blocked matrix product hashes the whole batch for every
         // shard at once (shared family).
-        let family = self.shards[0].family();
-        let m = family.len();
-        family
-            .buckets_batch(queries)
-            .chunks_exact(m)
-            .map(|b| ShardedCursor {
-                per_shard: self.shards.iter().map(|_| BucketWindows::new(b.to_vec())).collect(),
-            })
-            .collect()
+        self.shards[0].family().cursors_batch(queries, |buckets| self.cursor(buckets))
     }
 
     fn expand(
@@ -343,47 +324,22 @@ impl TableStore for ShardedEngine<'_> {
         cursor: &mut ShardedCursor,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(u32) -> bool,
-    ) {
-        // Logical table t = concatenation of the shard tables for t;
-        // ids remap by shard offset. Early-stop propagates across
-        // shards through the flag.
-        let mut stopped = false;
-        for (s, shard) in self.shards.iter().enumerate() {
-            let off = self.offsets[s];
-            shard.expand(&mut cursor.per_shard[s], t, radius, &mut |local| {
-                let keep_going = visit(local + off);
-                stopped = !keep_going;
-                keep_going
-            });
-            if stopped {
-                return;
-            }
-        }
-    }
-
-    fn expand_slices(
-        &self,
-        cursor: &mut ShardedCursor,
-        t: usize,
-        radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
+        // Logical table t = concatenation of the shard tables for t.
         // Shard 0's local ids are already global (offset 0) and pass
-        // through untouched; later shards remap each native slice into
-        // a stack buffer — a straight-line add over a `u32` slice, far
-        // cheaper than the per-id virtual remap of `expand`.
+        // through untouched; later shards remap each slice through a
+        // stack buffer. A refusal propagates across shards by the flag.
         let mut stopped = false;
-        let mut buf = [0u32; engine::EXPAND_SLICE_BUF];
+        let mut buf = [0u32; REMAP_CHUNK];
         for (s, shard) in self.shards.iter().enumerate() {
             let off = self.offsets[s];
-            shard.expand_slices(&mut cursor.per_shard[s], t, radius, &mut |oids| {
+            shard.expand(&mut cursor.per_shard[s], t, radius, &mut |oids| {
                 if off == 0 {
-                    let keep_going = visit(oids);
-                    stopped = !keep_going;
-                    return keep_going;
+                    stopped = !visit(oids);
+                    return !stopped;
                 }
-                for chunk in oids.chunks(engine::EXPAND_SLICE_BUF) {
+                for chunk in oids.chunks(REMAP_CHUNK) {
                     let remapped = &mut buf[..chunk.len()];
                     for (dst, &local) in remapped.iter_mut().zip(chunk) {
                         *dst = local + off;
@@ -405,9 +361,9 @@ impl TableStore for ShardedEngine<'_> {
         self.shards.iter().zip(&cursor.per_shard).all(|(shard, windows)| shard.exhausted(windows))
     }
 
-    fn vector(&self, oid: u32) -> Option<&[f32]> {
+    fn vector<'a>(&'a self, oid: u32, buf: &'a mut Vec<f32>) -> Option<&'a [f32]> {
         let (s, local) = self.locate(oid);
-        self.shards[s].vector(local)
+        self.shards[s].vector(local, buf)
     }
 
     fn meta(&self, oid: u32) -> PointMeta {

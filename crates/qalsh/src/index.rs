@@ -10,7 +10,6 @@
 //! stops on the same T1/T2 conditions as C2LSH.
 
 use crate::params::derive;
-use c2lsh::engine::QueryScratch;
 use c2lsh::engine::{self, SearchOptions, SearchParams, TableStore};
 use c2lsh::meta::PointMeta;
 use c2lsh::stats::{BatchStats, QueryStats};
@@ -18,7 +17,6 @@ use cc_math::hoeffding::DerivedParams;
 use cc_storage::bptree::{BPlusTree, Cursor};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
@@ -86,7 +84,6 @@ pub struct Qalsh<'d> {
     trees: Vec<BPlusTree<OrdF64, u32>>,
     /// Per-point attribute payloads; empty = every point defaults.
     metas: Vec<PointMeta>,
-    scratch: Mutex<QueryScratch>,
     verify_pages: u64,
 }
 
@@ -135,19 +132,7 @@ impl<'d> Qalsh<'d> {
             })
             .collect();
         let verify_pages = (d as u64 * 4).div_ceil(4096).max(1);
-        Self {
-            data,
-            config,
-            derived,
-            m,
-            l,
-            beta_n,
-            proj,
-            trees,
-            metas: Vec::new(),
-            scratch: Mutex::new(QueryScratch::new(n)),
-            verify_pages,
-        }
+        Self { data, config, derived, m, l, beta_n, proj, trees, metas: Vec::new(), verify_pages }
     }
 
     /// Attach per-point metadata (one entry per indexed point, in id
@@ -204,14 +189,7 @@ impl<'d> Qalsh<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        let mut scratch = self.scratch.lock();
-        engine::run_query(self, &self.search_params(), &mut scratch, q, k, opts)
-    }
-
-    /// Convenience c-ANN (k = 1).
-    pub fn query_one(&self, q: &[f32]) -> (Option<Neighbor>, QueryStats) {
-        let (mut nn, stats) = self.query(q, 1);
-        (nn.pop(), stats)
+        engine::run_query(self, &self.search_params(), q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads
@@ -292,8 +270,10 @@ impl TableStore for Qalsh<'_> {
         cursor: &mut QalshCursor,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(u32) -> bool,
+        visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
+        // A B+-tree cursor yields one entry at a time, so a slice is one
+        // id, and a refusal leaves both cursors where the engine stopped.
         let tree = &self.trees[t];
         let half = self.config.w * radius as f64 / 2.0;
         let (lo_key, hi_key) = (cursor.pq[t] - half, cursor.pq[t] + half);
@@ -302,7 +282,7 @@ impl TableStore for Qalsh<'_> {
         while !probe.right_done {
             match tree.get(probe.right) {
                 Some((OrdF64(key), oid)) if key <= hi_key => {
-                    let keep_going = visit(oid);
+                    let keep_going = visit(&[oid]);
                     probe.right = tree.advance(probe.right);
                     if !keep_going {
                         return;
@@ -316,7 +296,7 @@ impl TableStore for Qalsh<'_> {
         while !probe.left_done {
             match tree.get(probe.left) {
                 Some((OrdF64(key), oid)) if key >= lo_key => {
-                    let keep_going = visit(oid);
+                    let keep_going = visit(&[oid]);
                     let prev = tree.retreat(probe.left);
                     if tree.get(prev).is_none() {
                         probe.left_done = true;
@@ -337,7 +317,7 @@ impl TableStore for Qalsh<'_> {
         cursor.probes.iter().all(|p| p.left_done && p.right_done)
     }
 
-    fn vector(&self, oid: u32) -> Option<&[f32]> {
+    fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
         Some(self.data.get(oid as usize))
     }
 

@@ -15,6 +15,7 @@
 //! index per page) gives `lower_bound` / `scan_while` over global *entry*
 //! indexes at ≤ 1 page read per bound probe, while the entries themselves
 //! stay compressed on disk and are fetched through the [`PinnedPool`].
+//! A scan hands its visitor one decoded group at a time.
 
 use std::io;
 
@@ -181,23 +182,25 @@ impl PostingRun {
         Ok(idx)
     }
 
-    /// Visit entries with global indexes in `[from, to)` in order, calling
-    /// `f(bucket, oid)`; stops early (returning `Ok(false)`) when `f`
-    /// returns `false`.
+    /// Visit entries with global indexes in `[from, to)` in order, one
+    /// call `f(bucket, oids)` per group, clipped to the range; stops early
+    /// (returning `Ok(false)`) when `f` returns `false`, reading no page
+    /// past the one that group is on. Groups are decoded into `ids`,
+    /// which the caller keeps from scan to scan.
     pub fn scan_while(
         &self,
         file: &DiskPageFile,
         pool: &PinnedPool,
         from: usize,
         to: usize,
-        mut f: impl FnMut(i64, u32) -> bool,
+        ids: &mut Vec<u32>,
+        mut f: impl FnMut(i64, &[u32]) -> bool,
     ) -> io::Result<bool> {
         let to = to.min(self.len);
         if from >= to {
             return Ok(true);
         }
         let start_page = self.entry_base.partition_point(|&b| b <= from) - 1;
-        let mut ids: Vec<u32> = Vec::new();
         let mut idx = self.entry_base[start_page];
         for &page_no in &self.pages[start_page..] {
             let page = pool.get(file, page_no)?;
@@ -211,17 +214,13 @@ impl PostingRun {
                 })?;
                 if idx + count > from {
                     ids.clear();
-                    codec::decode_postings(enc, &mut ids).ok_or_else(|| {
+                    codec::decode_postings(enc, ids).ok_or_else(|| {
                         io::Error::new(io::ErrorKind::InvalidData, "malformed posting group")
                     })?;
-                    for (i, &oid) in ids.iter().enumerate() {
-                        let g = idx + i;
-                        if g >= to {
-                            return Ok(true);
-                        }
-                        if g >= from && !f(bucket, oid) {
-                            return Ok(false);
-                        }
+                    // Here `idx < to`: the scan returns as soon as it is not.
+                    let clipped = &ids[from.saturating_sub(idx)..count.min(to - idx)];
+                    if !f(bucket, clipped) {
+                        return Ok(false);
                     }
                 }
                 idx += count;
@@ -278,10 +277,10 @@ mod tests {
             assert_eq!(run.lower_bound(&file, &pool, target).unwrap(), expect, "target {target}");
         }
         let (from, to) = (137, 9_731);
-        let mut seen = Vec::new();
+        let (mut seen, mut ids) = (Vec::new(), Vec::new());
         assert!(run
-            .scan_while(&file, &pool, from, to, |b, o| {
-                seen.push((b, o));
+            .scan_while(&file, &pool, from, to, &mut ids, |b, oids| {
+                seen.extend(oids.iter().map(|&o| (b, o)));
                 true
             })
             .unwrap());
@@ -311,8 +310,8 @@ mod tests {
         assert_eq!(run.lower_bound(&file, &pool, 42).unwrap(), 0);
         assert_eq!(run.lower_bound(&file, &pool, 43).unwrap(), 5_000);
         let mut seen = Vec::new();
-        run.scan_while(&file, &pool, 0, run.len(), |b, o| {
-            seen.push((b, o));
+        run.scan_while(&file, &pool, 0, run.len(), &mut Vec::new(), |b, oids| {
+            seen.extend(oids.iter().map(|&o| (b, o)));
             true
         })
         .unwrap();
@@ -325,15 +324,21 @@ mod tests {
         let entries = reference_entries(3_000, 11);
         let (dir, file, run) = build("run_abort", &entries);
         let pool = PinnedPool::new(4);
-        let mut n = 0;
+        // Refuse the third group: no fourth call, and only the pages up
+        // to that group's are fetched.
+        let (mut calls, mut seen) = (0, 0);
         let done = run
-            .scan_while(&file, &pool, 0, run.len(), |_, _| {
-                n += 1;
-                n < 10
+            .scan_while(&file, &pool, 5, run.len(), &mut Vec::new(), |_, oids| {
+                calls += 1;
+                seen += oids.len();
+                calls < 3
             })
             .unwrap();
         assert!(!done);
-        assert_eq!(n, 10);
+        assert_eq!(calls, 3);
+        let third_group_end = entries.chunk_by(|a, b| a.0 == b.0).take(3).map(<[_]>::len).sum();
+        assert_eq!(5 + seen, third_group_end);
+        assert_eq!(pool.stats().requests, 1, "three small groups share the first page");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -344,7 +349,7 @@ mod tests {
         assert_eq!(run.page_count(), 0);
         let pool = PinnedPool::new(2);
         assert_eq!(run.lower_bound(&file, &pool, 0).unwrap(), 0);
-        assert!(run.scan_while(&file, &pool, 0, 10, |_, _| true).unwrap());
+        assert!(run.scan_while(&file, &pool, 0, 10, &mut Vec::new(), |_, _| true).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -101,7 +101,11 @@ proptest! {
             std::mem::swap(&mut from, &mut to);
         }
         let mut seen = Vec::new();
-        run.scan_while(&file, &pool, from, to, |b, o| { seen.push((b, o)); true }).unwrap();
+        run.scan_while(&file, &pool, from, to, &mut Vec::new(), |b, oids| {
+            seen.extend(oids.iter().map(|&o| (b, o)));
+            true
+        })
+        .unwrap();
         let clamped_to = to.min(entries.len());
         let expect: &[(i64, u32)] =
             if from >= clamped_to { &[] } else { &entries[from..clamped_to] };

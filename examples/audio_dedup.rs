@@ -5,7 +5,7 @@
 //! library already contains a recording within distance `R` — exactly
 //! the `(R, c)`-near-neighbor decision problem that C2LSH solves. The
 //! example plants true duplicates (same clip, light noise) and unrelated
-//! clips, runs `query_one` on each, and applies the decision rule
+//! clips, runs `query(q, 1)` on each, and applies the decision rule
 //! `dist ≤ c·R`.
 //!
 //! It also contrasts C2LSH with QALSH on the same task.
@@ -61,7 +61,7 @@ fn main() {
             (fresh.get(trial - 20).to_vec(), false)
         };
 
-        let dup_c2 = c2.query_one(&clip).0.map(|n| n.dist <= c as f64 * r).unwrap_or(false);
+        let dup_c2 = c2.query(&clip, 1).0.first().map(|n| n.dist <= c as f64 * r).unwrap_or(false);
         let dup_qa = qa.query(&clip, 1).0.first().map(|n| n.dist <= c as f64 * r).unwrap_or(false);
         if is_dup {
             tp_c2 += dup_c2 as i32;
