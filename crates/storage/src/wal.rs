@@ -891,6 +891,41 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The log bytes of a fixed history holding one record of every
+    /// opcode, pinned while `append` still built a payload `Vec` and a
+    /// record `Vec` per call. However a record is assembled, these are
+    /// the bytes a log holds: a file written by any earlier build *is*
+    /// the file checked here, and `wal.bytes_per_insert` is a reported
+    /// figure.
+    #[test]
+    fn golden_log_bytes() {
+        /// 64-bit FNV-1a, enough to pin a file without checking it in.
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        }
+        let dir = scratch_dir("golden");
+        let path = dir.join("wal.log");
+        let vector = |a: f32| (0..16).map(|d| a + d as f32 * 0.25).collect::<Vec<f32>>();
+        let (mut wal, _, _) = Wal::open(&path, 7).unwrap();
+        wal.append(&WalOp::Insert { oid: 0, vector: vector(1.0), tag: 0, label: 0 }).unwrap();
+        wal.append(&WalOp::Insert { oid: 1, vector: vector(-2.5), tag: 0xDEAD_BEEF, label: 42 })
+            .unwrap();
+        wal.append(&WalOp::Delete { oid: 0 }).unwrap();
+        assert_eq!(wal.sync().unwrap(), 3);
+        wal.append(&WalOp::Insert { oid: 2, vector: vector(0.125), tag: 0, label: 0 }).unwrap();
+        assert_eq!(wal.sync().unwrap(), 1);
+        let bytes = std::fs::read(&path).unwrap();
+        // Per record: length word, seq, opcode, body, CRC.
+        let (plain, meta, delete) =
+            (4 + 8 + 1 + 8 + 64 + 4, 4 + 8 + 1 + 20 + 64 + 4, 4 + 8 + 1 + 4 + 4);
+        assert_eq!(bytes.len(), WAL_HEADER_BYTES as usize + 2 * plain + meta + delete);
+        assert_eq!(wal.size_bytes(), bytes.len() as u64);
+        assert_eq!(fnv1a(&bytes), 11_059_117_134_712_632_751, "log bytes moved");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value of "123456789".
