@@ -15,6 +15,8 @@
 //! spine, one spine group and one id chunk, plus one row chunk per
 //! column — the same whatever the index holds — which is what lets
 //! [`crate::mutable::MutableIndex`] publish a snapshot per write batch.
+//! Writes of any size take one path: a block of rows is hashed into a run
+//! per table, ordered by bucket, and entered a bucket's ids at a time.
 //! Queries run through the shared [`crate::engine`] loop — the same
 //! virtual-rehashing windows, incremental counting and T1/T2 termination
 //! as every other backend — expressed over key ranges ([`KeyWindows`])
@@ -24,6 +26,7 @@
 use crate::config::C2lshConfig;
 use crate::engine::{self, KeyWindows, SearchOptions, SearchParams, TableStore};
 use crate::hash::HashFamily;
+use crate::index::build_tables;
 use crate::meta::PointMeta;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
@@ -43,9 +46,14 @@ const ROW_CHUNK: usize = 256;
 /// ids, so a write copies a short list of groups and one group instead
 /// of an entry per chunk of the table.
 const GROUP_BITS: u32 = 3;
-/// Rows hashed per blocked product on the write paths (bounds the hash
-/// matrix of a bulk load at `HASH_BLOCK × m` ids).
-const HASH_BLOCK: usize = 1024;
+/// Rows gathered before a block is hashed and entered. A block meets
+/// the same few dozen buckets of a table whatever its length, so a longer
+/// one copies a chunk less often and carries more ids per bucket lookup;
+/// its rows and runs (`4·dim + 4·m` bytes a row) live until it is entered.
+const HASH_BLOCK: usize = 4096;
+/// Rows of a block per hashing worker: a shorter block is hashed on the
+/// calling thread, where starting a thread would cost more than it saves.
+const WORKER_ROWS: usize = 256;
 
 /// Up to [`ID_CHUNK`] object ids of one bucket, in insertion order, in
 /// the first `len` places of a shared buffer whose length is the
@@ -61,21 +69,23 @@ impl IdChunk {
         &self.ids[..self.len]
     }
 
-    /// Append `oid`. The buffer is written in place while it has room
-    /// and no snapshot shares it; otherwise it is copied into the next
-    /// power-of-two capacity, so a full chunk holds exactly
-    /// [`ID_CHUNK`] ids.
-    fn push(&mut self, oid: u32) {
-        match Arc::get_mut(&mut self.ids) {
-            Some(ids) if self.len < ids.len() => ids[self.len] = oid,
-            _ => {
-                let mut grown = vec![0; (self.len + 1).next_power_of_two()];
-                grown[..self.len].copy_from_slice(self.as_slice());
-                grown[self.len] = oid;
-                self.ids = grown.into();
-            }
+    /// Append `ids`: into the buffer's spare places when they suffice —
+    /// after copying the buffer, once for the whole run, when a snapshot
+    /// shares it — and otherwise into a buffer of the next power-of-two
+    /// capacity, so a full chunk holds exactly [`ID_CHUNK`] ids.
+    fn extend(&mut self, ids: impl ExactSizeIterator<Item = u32>) {
+        let len = self.len + ids.len();
+        if len <= self.ids.len() {
+            let spare = &mut Arc::make_mut(&mut self.ids)[self.len..len];
+            spare.iter_mut().zip(ids).for_each(|(place, oid)| *place = oid);
+        } else {
+            let mut grown = Vec::with_capacity(len.next_power_of_two());
+            grown.extend_from_slice(self.as_slice());
+            grown.extend(ids);
+            grown.resize(len.next_power_of_two(), 0);
+            self.ids = grown.into();
         }
-        self.len += 1;
+        self.len = len;
     }
 }
 
@@ -87,12 +97,18 @@ type Group = BTreeMap<i64, Vec<IdChunk>>;
 /// and chunks are never empty.
 type Table = BTreeMap<i64, Arc<Group>>;
 
-/// Append `oid` to bucket `b` of its group.
-fn push_id(group: &mut Group, b: i64, oid: u32) {
-    let bucket = group.entry(b).or_default();
-    match bucket.last_mut() {
-        Some(last) if last.len < ID_CHUNK => last.push(oid),
-        _ => bucket.push(IdChunk { ids: [oid].into(), len: 1 }),
+/// Append to `bucket` the ids `oids[pos]` of a run of block positions
+/// `run`: what its last chunk has room for there, the rest in new chunks
+/// of up to [`ID_CHUNK`].
+fn extend_bucket(bucket: &mut Vec<IdChunk>, mut run: &[u32], oids: &[u32]) {
+    while !run.is_empty() {
+        if bucket.last().is_none_or(|last| last.len == ID_CHUNK) {
+            bucket.push(IdChunk { ids: Arc::from([]), len: 0 });
+        }
+        let last = bucket.last_mut().expect("a chunk with room");
+        let (part, rest) = run.split_at(run.len().min(ID_CHUNK - last.len));
+        last.extend(part.iter().map(|&pos| oids[pos as usize]));
+        run = rest;
     }
 }
 
@@ -196,6 +212,9 @@ pub struct DynamicIndex {
     metas: Slots<PointMeta>,
     live: usize,
     tables: Vec<Arc<Table>>,
+    /// Rows per hashed block and the most threads hashing it (tests set both).
+    block_rows: usize,
+    workers: usize,
 }
 
 impl std::fmt::Debug for DynamicIndex {
@@ -232,6 +251,8 @@ impl DynamicIndex {
             metas: Slots { chunks: Vec::new() },
             live: 0,
             tables: vec![Arc::default(); params.m],
+            block_rows: HASH_BLOCK,
+            workers: std::thread::available_parallelism().map_or(1, |p| p.get()),
         }
     }
 
@@ -326,8 +347,8 @@ impl DynamicIndex {
         done
     }
 
-    /// Append slots (`None` = tombstone) in object-id order, hashing the
-    /// live rows [`HASH_BLOCK`] at a time.
+    /// Append slots (`None` = tombstone) in object-id order, entering
+    /// the live rows a block at a time.
     fn append<V: AsRef<[f32]>>(&mut self, slots: impl Iterator<Item = (Option<V>, PointMeta)>) {
         let mut block = Dataset::empty(self.dim);
         let mut oids = Vec::new();
@@ -340,7 +361,7 @@ impl DynamicIndex {
             }
             self.vectors.push(slot.map(|v| v.as_ref().into()));
             self.metas.push(meta);
-            if oids.len() == HASH_BLOCK {
+            if oids.len() == self.block_rows {
                 self.index_rows(&std::mem::replace(&mut block, Dataset::empty(self.dim)), &oids);
                 oids.clear();
             }
@@ -348,20 +369,23 @@ impl DynamicIndex {
         self.index_rows(&block, &oids);
     }
 
-    /// Enter `rows` into every table under `oids`: one blocked hash
-    /// product, then table by table, so consecutive appends land in the
-    /// few buckets of one table instead of one bucket of each of `m`.
+    /// Enter `rows` into every table under `oids`. Workers hash the
+    /// block table by table and counting-sort each column into a run of
+    /// block positions; this thread then enters each run bucket by
+    /// bucket, so a group is copied and a bucket found once per distinct
+    /// bucket of the block, not per id. Only this thread allocates chunks:
+    /// they outlive the block, and what a worker allocates stays in its arena.
     fn index_rows(&mut self, rows: &Dataset, oids: &[u32]) {
         if oids.is_empty() {
             return;
         }
-        let m = self.tables.len();
-        let hashes = self.family.buckets_batch(rows);
-        for (t, table) in self.tables.iter_mut().enumerate() {
+        let workers = self.workers.min(oids.len() / WORKER_ROWS).max(1);
+        let runs = build_tables(rows, &self.family, workers);
+        for (table, run) in self.tables.iter_mut().zip(&runs) {
             let table = Arc::make_mut(table);
-            for (row, &oid) in hashes.chunks_exact(m).zip(oids) {
-                let group = table.entry(row[t] >> GROUP_BITS).or_default();
-                push_id(Arc::make_mut(group), row[t], oid);
+            for (b, positions) in run.buckets() {
+                let group = Arc::make_mut(table.entry(b >> GROUP_BITS).or_default());
+                extend_bucket(group.entry(b).or_default(), positions, oids);
             }
         }
         self.live += oids.len();
@@ -1038,6 +1062,106 @@ mod tests {
                 }
                 for (idx, model) in &forks {
                     assert_matches_model(idx, model, step);
+                }
+            }
+        }
+    }
+
+    /// Every table of `idx` as the model keeps it: bucket → ids in order.
+    fn bucket_lists(idx: &DynamicIndex) -> Vec<BTreeMap<i64, Vec<u32>>> {
+        let ids =
+            |chunks: &Vec<IdChunk>| chunks.iter().flat_map(|c| c.as_slice()).copied().collect();
+        let lists = |table: &Arc<Table>| {
+            table
+                .values()
+                .flat_map(|group| group.iter())
+                .map(|(&b, chunks)| (b, ids(chunks)))
+                .collect()
+        };
+        idx.tables.iter().map(lists).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        /// One slot history — a few dozen buckets a table with
+        /// tombstones in between, then one bucket taking more ids than a
+        /// chunk holds, then buckets further apart than there are rows —
+        /// appended at once, as a checkpoint restores, under every block
+        /// length and worker count: each index equals the model filled a
+        /// row at a time, in every bucket of every table, in both
+        /// columns and in every range an expanding cursor returns. Then a
+        /// block lands on a clone while the original is held, and another
+        /// on the original: neither sees the other's ids.
+        #[test]
+        fn one_index_whatever_the_block_length_and_worker_count(
+            a in 0u32..100_000,
+            dense in 200usize..1200,
+            gap in 2usize..9,
+        ) {
+            const LONGEST: usize = ID_CHUNK + 500;
+            let config =
+                C2lshConfig::builder().bucket_width(4.0).seed(5).m_override(3).l_override(2).build();
+            let family = Arc::clone(&DynamicIndex::new(2, 1000, &config).family);
+            let spread = |a: u32| vec![(a % 7) as f32 * 40.0, (a / 7 % 5) as f32 * 40.0 - 40.0];
+            let far = |i: u32| vec![i as f32 * 1000.0, i as f32 * -777.0];
+            let meta = |a: u32| PointMeta::new(u64::from(a), a % 3);
+            let mut history: Vec<(Option<Vec<f32>>, PointMeta)> = (0..dense as u32)
+                .map(|i| (!(i as usize).is_multiple_of(gap)).then(|| spread(a + i)))
+                .map(|slot| (slot, meta(a)))
+                .collect();
+            history.extend((0..2 * LONGEST).map(|_| (Some(vec![0.01, 0.0]), PointMeta::default())));
+            history.extend((0..150).map(|i| (Some(far(i)), meta(i))));
+            let mut model =
+                Model { vectors: Vec::new(), metas: Vec::new(), tables: vec![BTreeMap::new(); 3] };
+            for (slot, meta) in &history {
+                match slot {
+                    Some(v) => model.insert(&family, v.clone(), *meta),
+                    None => {
+                        model.vectors.push(None);
+                        model.metas.push(*meta);
+                    }
+                }
+            }
+            // The column shapes the longest block hands `index_rows`.
+            let live: Vec<&[f32]> = history.iter().filter_map(|(slot, _)| slot.as_deref()).collect();
+            let shapes: Vec<(usize, usize, bool)> = live
+                .chunks(LONGEST)
+                .map(|block| {
+                    let mut counts = BTreeMap::new();
+                    block.iter().for_each(|v| *counts.entry(family.get(0).bucket(v)).or_insert(0) += 1);
+                    let span = counts.keys().next_back().unwrap() - counts.keys().next().unwrap();
+                    (counts.len(), *counts.values().max().unwrap(), span as usize >= block.len())
+                })
+                .collect();
+            assert!((12..60).contains(&shapes[0].0), "a few dozen buckets: {shapes:?}");
+            assert!(shapes[1].1 > ID_CHUNK, "one bucket splits inside a block: {shapes:?}");
+            assert!(shapes.last().unwrap().2, "buckets sparser than rows: {shapes:?}");
+            assert!(!shapes[0].2 && history[..dense].iter().any(|(slot, _)| slot.is_none()));
+
+            let to_clone: Vec<Vec<f32>> =
+                (0..700).map(|i| if i % 2 == 0 { vec![0.01, 0.0] } else { spread(a + i) }).collect();
+            let to_original: Vec<Vec<f32>> = (0..300).map(|i| spread(a / 2 + i % 3)).collect();
+            let (mut forked, mut written) = (model.clone(), model.clone());
+            to_clone.iter().for_each(|v| forked.insert(&family, v.clone(), PointMeta::default()));
+            to_original.iter().for_each(|v| written.insert(&family, v.clone(), PointMeta::default()));
+
+            for block_rows in [1, 64, 100, 1024, LONGEST] {
+                for workers in [1, 2, 7] {
+                    let tag = block_rows * 10 + workers;
+                    let same = |idx: &DynamicIndex, model: &Model| {
+                        assert_eq!(bucket_lists(idx), model.tables, "{tag}");
+                        assert_matches_model(idx, model, tag);
+                    };
+                    let mut idx = DynamicIndex { block_rows, workers, ..DynamicIndex::new(2, 1000, &config) };
+                    idx.append(history.iter().map(|(slot, meta)| (slot.as_deref(), *meta)));
+                    same(&idx, &model);
+                    let mut fork = idx.clone();
+                    fork.insert_batch(to_clone.iter().map(|v| (v.as_slice(), PointMeta::default())));
+                    same(&idx, &model);
+                    idx.insert_batch(to_original.iter().map(|v| (v.as_slice(), PointMeta::default())));
+                    same(&fork, &forked);
+                    same(&idx, &written);
                 }
             }
         }

@@ -287,19 +287,22 @@ impl<'d> C2lshIndex<'d> {
 }
 
 /// One run per hash function, in family order, built by `threads`
-/// workers that each take a contiguous share of the tables.
-fn build_tables(data: &Dataset, family: &HashFamily, threads: usize) -> Vec<SortedRun> {
+/// workers that each take a contiguous share of the tables — on the
+/// calling thread when there is one share.
+pub(crate) fn build_tables(data: &Dataset, family: &HashFamily, threads: usize) -> Vec<SortedRun> {
     let functions: Vec<&PstableHash> = family.iter().collect();
-    let chunk = functions.len().div_ceil(threads);
+    let build = |hs: &[&PstableHash]| {
+        let mut column = Vec::with_capacity(data.len());
+        hs.iter().map(|h| SortedRun::build(data, h, &mut column)).collect::<Vec<_>>()
+    };
+    if threads == 1 {
+        return build(&functions);
+    }
+    let build = &build;
     crossbeam::scope(|scope| {
         let workers: Vec<_> = functions
-            .chunks(chunk)
-            .map(|hs| {
-                scope.spawn(move |_| {
-                    let mut column = Vec::with_capacity(data.len());
-                    hs.iter().map(|h| SortedRun::build(data, h, &mut column)).collect::<Vec<_>>()
-                })
-            })
+            .chunks(functions.len().div_ceil(threads))
+            .map(|hs| scope.spawn(move |_| build(hs)))
             .collect();
         workers.into_iter().flat_map(|w| w.join().expect("table-build worker panicked")).collect()
     })

@@ -1128,4 +1128,50 @@ mod tests {
         })
         .unwrap();
     }
+
+    /// However the same 20 000 points arrive — in 4 096-row batches, one
+    /// op a batch, through `from_dataset`, or out of a checkpoint of the
+    /// first — the index is the same one: the same checkpoint bytes and
+    /// the same answers at the same cost.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "20 000 one-op batches, run by the CI fault-injection job"
+    )]
+    fn every_way_of_loading_serves_the_same_index() {
+        let data = points(20_000, 16, 31);
+        let ops: Vec<MutationOp> = data.iter().map(insert).collect();
+        let dir = scratch_dir("mutable-shapes");
+        let batched = MutableIndex::open(&dir, 16, data.len(), &cfg()).unwrap();
+        let single = MutableIndex::ephemeral(DynamicIndex::new(16, data.len(), &cfg()));
+        for chunk in ops.chunks(4096) {
+            batched.apply_batch(chunk).unwrap();
+        }
+        for op in ops.chunks(1) {
+            single.apply_batch(op).unwrap();
+        }
+        let built = DynamicIndex::from_dataset(&data, &cfg());
+        batched.checkpoint().unwrap();
+        let (batched, _) = batched.snapshot();
+        let reopened = MutableIndex::open(&dir, 16, data.len(), &cfg()).unwrap();
+        assert_eq!(reopened.last_seq(), 20_000);
+
+        let blob = save_dynamic(&batched, 7);
+        assert!(blob == save_dynamic(&single.snapshot().0, 7), "one op a batch");
+        assert!(blob == save_dynamic(&built, 7), "from_dataset");
+        let answers = |index: &DynamicIndex| {
+            let asks = (0..16).flat_map(|qi| [(qi, 1), (qi, 10)]);
+            asks.map(|(qi, k)| {
+                let q: Vec<f32> = data.get(qi * 1237).iter().map(|x| x + 0.25).collect();
+                let (nn, s) = index.query(&q, k);
+                (nn, s.collisions_counted, s.candidates_verified, s.terminated_by)
+            })
+            .collect::<Vec<_>>()
+        };
+        let want = answers(&batched);
+        assert_eq!(answers(&single.snapshot().0), want, "one op a batch");
+        assert_eq!(answers(&built), want, "from_dataset");
+        assert_eq!(answers(&reopened.snapshot().0), want, "checkpoint + reopen");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -333,7 +333,13 @@ pub fn load_index<'d>(data: &'d Dataset, buf: &[u8]) -> Result<C2lshIndex<'d>, P
 pub fn save_dynamic(index: &DynamicIndex, last_seq: u64) -> Vec<u8> {
     let cfg = index.config();
     let slots = index.slots();
-    let mut buf = Vec::with_capacity(64 + slots.len() * (1 + 4 * index.params().m.min(1)));
+    // 91 header bytes through `slot_count`, 4 per override set and 4 of
+    // checksum; per slot a tag byte, `4·dim` when live, 12 more with metadata.
+    let set = [cfg.m_override, cfg.l_override].iter().flatten().count();
+    let tagged = slots.iter().zip(index.meta_slots().iter());
+    let tagged = tagged.filter(|&(slot, meta)| slot.is_some() && *meta != PointMeta::default());
+    let len = 95 + 4 * set + slots.len() + 4 * index.dim() * index.len() + 12 * tagged.count();
+    let mut buf = Vec::with_capacity(len);
     buf.put_u32_le(DYN_MAGIC);
     buf.put_u32_le(index.dim() as u32);
     buf.put_u64_le(index.expected_n() as u64);
@@ -385,6 +391,7 @@ pub fn save_dynamic(index: &DynamicIndex, last_seq: u64) -> Vec<u8> {
     }
     let checksum = xor_fold(&buf);
     buf.put_u32_le(checksum);
+    debug_assert_eq!(buf.len(), len);
     buf
 }
 
@@ -683,6 +690,22 @@ mod tests {
         assert_eq!(&blob[..4], b"1D2C", "little-endian \"C2D1\"");
         assert_eq!(fnv1a(&blob), 10_829_543_242_195_557_130, "save_dynamic bytes moved");
         assert_eq!(fnv1a(&blob[blob.len() / 2..]), 16_200_998_130_324_938_747, "slot bytes moved");
+    }
+
+    /// The blob is written into a buffer reserved at its exact length,
+    /// whatever the header's optional words and the slots' tags add.
+    #[test]
+    fn save_dynamic_reserves_the_exact_length() {
+        let builder = C2lshConfig::builder().bucket_width(1.0).seed(3);
+        let config = builder.m_override(5).l_override(2).build();
+        let mut idx = DynamicIndex::new(4, 50, &config);
+        for i in 0..40u32 {
+            idx.insert_with_meta(vec![i as f32; 4], PointMeta::new(u64::from(i % 3), i % 2));
+        }
+        assert!(idx.delete(7) && idx.delete(12));
+        let blob = save_dynamic(&idx, 9);
+        assert_eq!(blob.capacity(), blob.len());
+        assert_eq!(load_dynamic(&blob).unwrap().0.len(), 38);
     }
 
     #[test]

@@ -135,6 +135,8 @@ pub struct Wal {
     next_seq: u64,
     len: u64,
     appended_since_sync: u64,
+    /// The record [`Wal::append`] is writing, reused from call to call.
+    record: Vec<u8>,
     /// Fault injection (test support): after skipping `.0` more
     /// appends, write only `.1` bytes of the next record, then fail.
     fail_append: Option<(u32, usize)>,
@@ -179,6 +181,7 @@ impl Wal {
                 next_seq: base_seq + 1,
                 len: WAL_HEADER_BYTES,
                 appended_since_sync: 0,
+                record: Vec::new(),
                 fail_append: None,
                 fail_syncs: 0,
             };
@@ -226,6 +229,7 @@ impl Wal {
             next_seq,
             len: valid_bytes,
             appended_since_sync: 0,
+            record: Vec::new(),
             fail_append: None,
             fail_syncs: 0,
         };
@@ -237,34 +241,36 @@ impl Wal {
     /// next [`Wal::sync`] returns.
     pub fn append(&mut self, op: &WalOp) -> io::Result<u64> {
         let seq = self.next_seq;
-        let mut payload = Vec::with_capacity(32);
-        payload.extend_from_slice(&seq.to_le_bytes());
+        let record = &mut self.record;
+        record.clear();
+        record.extend_from_slice(&[0; 4]); // the length word, known once the payload is
+        record.extend_from_slice(&seq.to_le_bytes());
         match op {
             WalOp::Insert { oid, vector, tag, label } => {
-                if *tag == 0 && *label == 0 {
-                    payload.push(OP_INSERT);
-                    payload.extend_from_slice(&oid.to_le_bytes());
-                } else {
-                    payload.push(OP_INSERT_META);
-                    payload.extend_from_slice(&oid.to_le_bytes());
-                    payload.extend_from_slice(&tag.to_le_bytes());
-                    payload.extend_from_slice(&label.to_le_bytes());
+                let plain = *tag == 0 && *label == 0;
+                record.push(if plain { OP_INSERT } else { OP_INSERT_META });
+                record.extend_from_slice(&oid.to_le_bytes());
+                if !plain {
+                    record.extend_from_slice(&tag.to_le_bytes());
+                    record.extend_from_slice(&label.to_le_bytes());
                 }
-                payload.extend_from_slice(&(vector.len() as u32).to_le_bytes());
-                for x in vector {
-                    payload.extend_from_slice(&x.to_le_bytes());
+                record.extend_from_slice(&(vector.len() as u32).to_le_bytes());
+                let at = record.len();
+                record.resize(at + 4 * vector.len(), 0);
+                for (bytes, x) in record[at..].chunks_exact_mut(4).zip(vector) {
+                    bytes.copy_from_slice(&x.to_le_bytes());
                 }
             }
             WalOp::Delete { oid } => {
-                payload.push(OP_DELETE);
-                payload.extend_from_slice(&oid.to_le_bytes());
+                record.push(OP_DELETE);
+                record.extend_from_slice(&oid.to_le_bytes());
             }
         }
-        debug_assert!(payload.len() <= MAX_RECORD);
-        let mut record = Vec::with_capacity(8 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let payload = record.len() - 4;
+        debug_assert!(payload <= MAX_RECORD);
+        record[..4].copy_from_slice(&(payload as u32).to_le_bytes());
+        let crc = crc32(&record[4..]);
+        record.extend_from_slice(&crc.to_le_bytes());
         match self.fail_append {
             Some((0, partial)) => {
                 // Injected short write: some record bytes land in the
@@ -278,7 +284,7 @@ impl Wal {
             Some((skip, partial)) => self.fail_append = Some((skip - 1, partial)),
             None => {}
         }
-        self.file.write_all(&record)?;
+        self.file.write_all(record)?;
         self.len += record.len() as u64;
         self.next_seq += 1;
         self.appended_since_sync += 1;
