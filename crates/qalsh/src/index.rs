@@ -337,6 +337,7 @@ impl TableStore for Qalsh<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c2lsh::stats::Termination;
     use cc_vector::gen::{generate, Distribution};
     use cc_vector::gt::knn_linear;
     use cc_vector::metrics::{overall_ratio, recall};
@@ -431,6 +432,144 @@ mod tests {
         let far = vec![1e5f32; 8];
         let (nn, _) = idx.query(&far, 4);
         assert_eq!(nn.len(), 4);
+    }
+
+    /// FNV-1a over a neighbour list: every id and every distance's bits.
+    fn answer_hash(nn: &[Neighbor]) -> u64 {
+        let bytes = nn
+            .iter()
+            .flat_map(|n| n.id.to_le_bytes().into_iter().chain(n.dist.to_bits().to_le_bytes()));
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// What one golden query is held to: the answer (ids and distance
+    /// bits, hashed), rounds, collisions counted, candidates verified
+    /// and abandoned, termination, and `io.reads`.
+    type GoldenRow = (u64, u32, u64, usize, usize, Termination, u64);
+
+    /// The golden queries: a data point moved by an offset along every
+    /// axis. The last one projects outside the key range of every table.
+    const GOLDEN_QUERIES: [(usize, f32); 12] = [
+        (3, 0.0),
+        (259, 0.0),
+        (1100, 0.05),
+        (1100, 0.5),
+        (400, 1.0),
+        (400, 2.0),
+        (2222, 4.0),
+        (17, 8.0),
+        (3, 30.0),
+        (2999, 0.2),
+        (1500, -3.0),
+        (0, 1e5),
+    ];
+
+    /// Run [`GOLDEN_QUERIES`] at k = 1 and k = 10 against `idx` and
+    /// compare with `rows` (two per query); `begin` is what positioning
+    /// the cursor of each query charges, which `io.reads` leaves out.
+    fn check_golden(data: &Dataset, idx: &Qalsh, begin: [u64; 12], rows: [GoldenRow; 24]) {
+        for (i, (qi, offset)) in GOLDEN_QUERIES.into_iter().enumerate() {
+            let q: Vec<f32> = data.get(qi).iter().map(|x| x + offset).collect();
+            let before = idx.io_reads();
+            let _ = idx.begin(&q);
+            assert_eq!(idx.io_reads() - before, begin[i], "begin, query {qi} + {offset}");
+            for (j, k) in [1, 10].into_iter().enumerate() {
+                let (nn, s) = idx.query(&q, k);
+                let got: GoldenRow = (
+                    answer_hash(&nn),
+                    s.rounds,
+                    s.collisions_counted,
+                    s.candidates_verified,
+                    s.candidates_abandoned,
+                    s.terminated_by,
+                    s.io.reads,
+                );
+                assert_eq!(got, rows[2 * i + j], "query {qi} + {offset}, k = {k}");
+            }
+        }
+    }
+
+    /// Exact answers and costs of fixed queries over 3 000 points (8.8
+    /// leaves a table): single- and multi-round, ended by T1 and by T2,
+    /// at both approximation ratios. Any change to the order entries are
+    /// handed to the engine in, to where an expansion stops, or to what
+    /// reading a node costs moves these numbers — and with them QALSH's
+    /// columns in EXPERIMENTS.md.
+    #[test]
+    fn golden_answers_and_io() {
+        use Termination::{T1AtRadius as T1, T2CandidateBudget as T2};
+        let data = clustered(3000, 16, 12);
+        let idx = Qalsh::build(&data, QalshConfig { c: 2, beta_count: 175, ..cfg() });
+        assert_eq!((idx.num_trees(), idx.size_bytes()), (93, 3_815_232));
+        let begin = [186, 186, 186, 186, 197, 202, 206, 230, 264, 186, 208, 288];
+        #[rustfmt::skip]
+        let rows = [
+            (0x49ab_347a_77de_9d46, 1, 14955, 176, 175, T2, 213),
+            (0xf789_2b36_545b_8e96, 1, 15652, 179, 159, T1, 218),
+            (0x7a64_9672_9908_df51, 1, 13842, 176, 175, T2, 218),
+            (0x563d_44c2_ab9f_c525, 1, 15055, 185, 166, T2, 230),
+            (0x508e_e845_6f2e_2ec3, 1, 16366, 171, 170, T1, 220),
+            (0x5e59_45f6_2f47_7058, 1, 16366, 171, 151, T1, 220),
+            (0x66fe_8b3b_c6e8_624f, 1, 12834, 1, 0, T1, 33),
+            (0xa3d7_57a4_6642_d3c2, 2, 23053, 185, 155, T2, 251),
+            (0x3ffe_985f_12ba_5dc0, 3, 28425, 176, 171, T2, 258),
+            (0xac51_f85e_add6_9dcd, 3, 29257, 185, 160, T2, 269),
+            (0x5f3d_6d64_8fd5_e329, 4, 41921, 176, 171, T2, 287),
+            (0x87a2_153a_f291_f6fd, 4, 43490, 185, 156, T2, 300),
+            (0xf5c2_edae_4b7a_3a61, 5, 68326, 176, 171, T2, 362),
+            (0x0c2d_1249_2cc2_28b2, 5, 68475, 185, 146, T2, 372),
+            (0xffc2_ad99_0fd8_011c, 5, 71388, 174, 168, T1, 368),
+            (0x7de8_c464_c5df_e141, 5, 71388, 174, 137, T1, 368),
+            (0x70be_1684_2075_fd22, 8, 93507, 176, 168, T2, 429),
+            (0x5571_931f_749d_da01, 8, 93572, 185, 150, T2, 438),
+            (0x9668_6f5e_05db_5240, 1, 14962, 128, 123, T1, 163),
+            (0x0931_118b_cd11_4546, 1, 14962, 128, 107, T1, 163),
+            (0xb882_68f3_7ac0_35ae, 4, 54081, 1, 0, T1, 151),
+            (0x75db_1b38_4240_e8a3, 5, 64953, 185, 149, T2, 366),
+            (0xe2db_64ee_5903_2ea1, 20, 102176, 176, 172, T2, 448),
+            (0xf871_ecb1_4086_b359, 20, 102185, 185, 146, T2, 457),
+        ];
+        check_golden(&data, &idx, begin, rows);
+        // The last query does lie outside every table's key range.
+        let far: Vec<f32> = data.get(0).iter().map(|x| x + 1e5).collect();
+        let kd = c2lsh::kernels::dispatch();
+        for a in &idx.proj {
+            let (pq, keys) = (kd.dot(a, &far), data.iter().map(|v| kd.dot(a, v)));
+            let (min, max) = keys.fold((f64::MAX, f64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x)));
+            assert!(pq < min || pq > max, "the far query projects inside a table");
+        }
+
+        let idx = Qalsh::build(&data, QalshConfig { c: 3, beta_count: 175, ..cfg() });
+        assert_eq!((idx.num_trees(), idx.size_bytes()), (52, 2_133_248));
+        let begin = [104, 104, 104, 104, 107, 112, 112, 128, 146, 104, 114, 164];
+        #[rustfmt::skip]
+        let rows = [
+            (0x49ab_347a_77de_9d46, 1, 7334, 176, 175, T2, 194),
+            (0xf789_2b36_545b_8e96, 1, 8353, 185, 164, T2, 204),
+            (0x7a64_9672_9908_df51, 1, 6440, 176, 175, T2, 194),
+            (0x563d_44c2_ab9f_c525, 1, 6908, 185, 161, T2, 205),
+            (0x508e_e845_6f2e_2ec3, 1, 8890, 172, 171, T1, 198),
+            (0x5e59_45f6_2f47_7058, 1, 8890, 172, 154, T1, 198),
+            (0x6c7c_bd49_4cc8_114d, 1, 7328, 27, 19, T1, 43),
+            (0xa6e4_31b2_226d_216b, 1, 7328, 27, 4, T1, 43),
+            (0x3ffe_985f_12ba_5dc0, 2, 12693, 176, 172, T2, 206),
+            (0xac51_f85e_add6_9dcd, 2, 13698, 185, 159, T2, 218),
+            (0x5f3d_6d64_8fd5_e329, 3, 18817, 176, 171, T2, 224),
+            (0x87a2_153a_f291_f6fd, 3, 20957, 185, 148, T2, 239),
+            (0xf5c2_edae_4b7a_3a61, 3, 28547, 140, 136, T1, 212),
+            (0x6e4c_225a_4deb_6f08, 3, 28547, 140, 102, T1, 212),
+            (0x2cb3_f5bc_4009_8b89, 4, 33109, 176, 174, T2, 267),
+            (0x07f7_3840_7232_2233, 4, 33124, 185, 159, T2, 276),
+            (0x1bcc_741d_b0d9_97b5, 5, 41665, 176, 166, T2, 287),
+            (0x49a9_52df_191d_ea63, 5, 41695, 185, 123, T2, 296),
+            (0x9668_6f5e_05db_5240, 1, 8138, 127, 123, T1, 146),
+            (0x0931_118b_cd11_4546, 1, 8138, 127, 105, T1, 146),
+            (0x27ad_ad15_72e0_e8ae, 3, 31149, 176, 173, T2, 263),
+            (0x9e7b_fc16_c978_851c, 3, 31289, 185, 157, T2, 273),
+            (0x64b3_86de_48d9_04e3, 13, 51176, 176, 174, T2, 312),
+            (0xe739_9109_1701_4094, 13, 51185, 185, 151, T2, 321),
+        ];
+        check_golden(&data, &idx, begin, rows);
     }
 
     #[test]
