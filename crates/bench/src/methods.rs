@@ -107,7 +107,7 @@ impl AnnIndex for C2lshDyn {
     }
 }
 
-/// QALSH over B+-trees.
+/// QALSH over sorted projection columns, metered as B+-trees.
 pub struct QalshIdx<'d>(pub qalsh::Qalsh<'d>);
 
 impl AnnIndex for QalshIdx<'_> {

@@ -12,7 +12,8 @@
 //! * [`crate::dynamic::DynamicIndex`] — updatable `BTreeMap` tables,
 //! * [`crate::sharded::ShardedEngine`] — per-shard runs presented as
 //!   one concatenated table per function,
-//! * `qalsh::Qalsh` (sibling crate) — query-aware B+-tree cursors.
+//! * `qalsh::Qalsh` (sibling crate) — query-centred windows over sorted
+//!   projection columns, metered as B+-trees.
 //!
 //! ## The algorithm (paper §4)
 //!
@@ -142,8 +143,8 @@ impl Default for SearchOptions {
 ///
 /// Implementations answer range-expansion queries against whatever
 /// physical layout they keep — positional windows over sorted runs
-/// ([`BucketWindows`]), key windows over ordered maps ([`KeyWindows`]),
-/// or cursor pairs over B+-trees — and resolve object ids to vectors.
+/// ([`BucketWindows`]; `qalsh` centres its own on the query), key
+/// windows over ordered maps ([`KeyWindows`]) — and resolve object ids.
 pub trait TableStore {
     /// Per-query expansion state: the query's per-table hash position
     /// plus how far each table's window has grown.

@@ -35,7 +35,7 @@
 //! once, in [`engine`]. Each backend (in-memory sorted runs, the same
 //! runs metered in 4 KiB pages, compressed runs behind a buffer pool,
 //! updatable B-tree tables, concatenated shards, and the query-aware
-//! trees of the downstream `qalsh` crate) implements
+//! sorted columns of the downstream `qalsh` crate) implements
 //! [`engine::TableStore`] and gets `query` and a parallel `query_batch`
 //! from the engine, along with the [`stats`] observability layer.
 //!
@@ -114,10 +114,10 @@ pub use persist::{load_dynamic, load_index, save_dynamic, save_index, PersistErr
 pub use sharded::{ShardedData, ShardedEngine};
 pub use stats::{BatchStats, MutationStats, QueryStats, RoundStats, StageNanos, Termination};
 
-/// Re-export of the page size ([`cc_storage::PAGE_SIZE`]) the paged
-/// tier is built on, so downstream crates can size buffer pools
-/// without a direct `cc-storage` dep.
-pub use cc_storage::PAGE_SIZE;
+/// Re-export of the page size the paged tier is built on and of the
+/// entries a page of the paper's I/O model holds, so downstream crates
+/// can size buffer pools and count pages without a `cc-storage` dep.
+pub use cc_storage::{ENTRIES_PER_PAGE, PAGE_SIZE};
 
 /// Re-export of the observability primitives ([`cc_obs`]) the stats
 /// layer builds on, so downstream crates need no direct `cc-obs` dep

@@ -124,6 +124,15 @@ struct Writer {
     poisoned: Option<String>,
 }
 
+impl Writer {
+    /// Refuse `what` while the write path is poisoned.
+    fn refuse_if_poisoned(&self, what: &str) -> io::Result<()> {
+        let Some(why) = &self.poisoned else { return Ok(()) };
+        let refusal = format!("{what} refused, write path poisoned ({why}); reopen to recover");
+        Err(io::Error::other(refusal))
+    }
+}
+
 /// In-memory retention of applied WAL records, feeding replication
 /// subscribers. Seeded from the replayed log at open and appended on
 /// every applied batch; checkpoints truncate the *disk* log but never
@@ -293,11 +302,7 @@ impl MutableIndex {
     /// so the durability contract holds.
     pub fn apply_batch(&self, ops: &[MutationOp]) -> io::Result<(Vec<MutationAck>, MutationStats)> {
         let mut writer = self.writer.lock();
-        if let Some(why) = &writer.poisoned {
-            return Err(io::Error::other(format!(
-                "mutation refused, write path poisoned ({why}); reopen to recover"
-            )));
-        }
+        writer.refuse_if_poisoned("mutation")?;
 
         let dim = self.snapshot.read().index.dim();
         for (i, op) in ops.iter().enumerate() {
@@ -326,9 +331,7 @@ impl MutableIndex {
         let mut delta = MutationStats { batches: 1, ..MutationStats::default() };
         let mut acks = Vec::with_capacity(ops.len());
         let mut logged: Vec<WalOp> = Vec::with_capacity(ops.len());
-        // (ack index, assigned later once the WAL hands out seqs)
         let mut last_seq = writer.stats.last_seq.max(self.snapshot.read().seq);
-        let wal_bytes_before = writer.wal.as_ref().map_or(0, Wal::size_bytes);
 
         let edits = ops.iter().map(|op| match op {
             MutationOp::Insert { vector, meta } => Edit::Insert(vector, *meta),
@@ -343,12 +346,10 @@ impl MutableIndex {
                         tag: meta.tag,
                         label: meta.label,
                     });
-                    delta.inserts += 1;
                     acks.push(MutationAck::Inserted { oid, seq: 0 });
                 }
                 MutationOp::Delete { .. } if found => {
                     logged.push(WalOp::Delete { oid });
-                    delta.deletes += 1;
                     acks.push(MutationAck::Deleted { oid, found: true, seq: 0 });
                 }
                 MutationOp::Delete { .. } => {
@@ -358,15 +359,60 @@ impl MutableIndex {
             }
         }
 
-        // Durability point: append all records, one fsync for the whole
-        // batch (group commit). Sequence numbers flow back into acks.
+        // Sequence numbers flow back into acks.
+        let first_seq = writer.wal.as_ref().map_or(writer.next_seq, Wal::next_seq);
+        let mut seqs = self.commit(&mut writer, next, logged, first_seq, &mut delta)?.into_iter();
+        for ack in acks.iter_mut() {
+            match ack {
+                MutationAck::Inserted { seq, .. }
+                | MutationAck::Deleted { found: true, seq, .. } => {
+                    *seq = seqs.next().expect("seq per logged op");
+                }
+                MutationAck::Deleted { found: false, seq, .. } => *seq = last_seq,
+            }
+            last_seq = last_seq.max(ack.seq());
+        }
+        Ok((acks, delta))
+    }
+
+    /// What a batch does once its ops have landed on the private clone
+    /// `next`, a client's batch and a replicated one alike: append
+    /// `logged` to the WAL under one fsync (group commit; ephemeral mode
+    /// only hands out sequence numbers), restore the log on failure (see
+    /// [`MutableIndex::apply_batch`]), retain the records for replication
+    /// subscribers, publish `next` and fold `delta` — whose op and WAL
+    /// counts and `last_seq` it sets — into the cumulative stats.
+    /// `first_seq` is the seq of the first op — the log's next one for a
+    /// client's batch, the one a primary shipped it under for a replicated
+    /// batch: the local log assigns dense seqs from the same base, so a
+    /// mismatch means the histories forked and the node must not serve.
+    /// Returns the seqs.
+    fn commit(
+        &self,
+        writer: &mut Writer,
+        next: DynamicIndex,
+        logged: Vec<WalOp>,
+        first_seq: u64,
+        delta: &mut MutationStats,
+    ) -> io::Result<Vec<u64>> {
+        let last_seq = writer.stats.last_seq.max(self.snapshot.read().seq);
         let mut seqs = Vec::with_capacity(logged.len());
         match writer.wal.as_mut() {
             Some(wal) => {
-                let pos = wal.position();
+                let (pos, wal_bytes_before) = (wal.position(), wal.size_bytes());
                 let appended = (|| -> io::Result<()> {
-                    for rec in &logged {
-                        seqs.push(wal.append(rec)?);
+                    for op in &logged {
+                        let seq = wal.append(op)?;
+                        let shipped = first_seq + seqs.len() as u64;
+                        if seq != shipped {
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!(
+                                    "local WAL assigned seq {seq} to a record shipped as seq {shipped}"
+                                ),
+                            ));
+                        }
+                        seqs.push(seq);
                     }
                     if !logged.is_empty() {
                         wal.sync()?;
@@ -375,13 +421,11 @@ impl MutableIndex {
                     Ok(())
                 })();
                 if let Err(e) = appended {
-                    // Restore the log to the pre-batch boundary before
-                    // surfacing the error: partial record bytes (or
-                    // whole-but-unsynced records) must not stay behind,
-                    // or the next batch would append after garbage and
-                    // be silently dropped by the next replay. When the
-                    // rollback itself fails the on-disk state is
-                    // unknowable — poison the write path.
+                    // Partial record bytes (or whole-but-unsynced
+                    // records) must not stay behind, or the next batch
+                    // would append after garbage and be dropped by the
+                    // next replay. When the rollback itself fails the
+                    // on-disk state is unknowable — poison the writer.
                     let poisoned = match wal.rollback(pos) {
                         Ok(()) => None,
                         Err(rb) => Some(format!("{e}; WAL rollback also failed: {rb}")),
@@ -393,46 +437,27 @@ impl MutableIndex {
                 delta.wal_bytes = wal.size_bytes() - wal_bytes_before;
             }
             None => {
-                for _ in &logged {
-                    let s = writer.next_seq;
-                    writer.next_seq += 1;
-                    seqs.push(s);
-                }
+                seqs.extend((first_seq..).take(logged.len()));
+                writer.next_seq = first_seq + logged.len() as u64;
             }
         }
-        let mut seq_iter = seqs.iter();
-        for ack in acks.iter_mut() {
-            match ack {
-                MutationAck::Inserted { seq, .. } => {
-                    *seq = *seq_iter.next().expect("seq per logged op")
-                }
-                MutationAck::Deleted { found: true, seq, .. } => {
-                    *seq = *seq_iter.next().expect("seq per logged op");
-                }
-                MutationAck::Deleted { found: false, seq, .. } => *seq = last_seq,
-            }
-            last_seq = last_seq.max(ack.seq());
-        }
-        delta.last_seq = last_seq;
-        let publish = !logged.is_empty();
+        delta.last_seq = seqs.last().map_or(last_seq, |&seq| seq.max(last_seq));
+        delta.inserts =
+            logged.iter().filter(|op| matches!(op, WalOp::Insert { .. })).count() as u64;
+        delta.deletes = logged.len() as u64 - delta.inserts;
 
-        // Feed replication subscribers: these records are past the
-        // durability point (fsynced, or accepted in ephemeral mode),
-        // so they may ship to followers.
-        if publish {
+        // Past the durability point (fsynced, or accepted in ephemeral
+        // mode) the records may ship to followers and the batch is
+        // published: one pointer swap; readers holding the old Arc finish
+        // on the pre-batch snapshot. A batch of pure delete misses
+        // changed nothing — keep the old snapshot and its cache residency.
+        if !logged.is_empty() {
             let recs = logged.into_iter().zip(&seqs).map(|(op, &seq)| WalRecord { seq, op });
             self.repl.lock().records.extend(recs);
+            *self.snapshot.write() = Snapshot { seq: delta.last_seq, index: Arc::new(next) };
         }
-
-        // Publish: one pointer swap; readers holding the old Arc finish
-        // on the pre-batch snapshot. A batch of pure delete misses
-        // changed nothing — keep the old snapshot (and its readers'
-        // cache residency) instead of swapping in an identical clone.
-        if publish {
-            *self.snapshot.write() = Snapshot { seq: last_seq, index: Arc::new(next) };
-        }
-        writer.stats.merge(&delta);
-        Ok((acks, delta))
+        writer.stats.merge(delta);
+        Ok(seqs)
     }
 
     /// The replication tail: every retained record with sequence number
@@ -474,25 +499,19 @@ impl MutableIndex {
     /// high-water mark.
     pub fn apply_replicated(&self, records: &[WalRecord]) -> io::Result<u64> {
         let mut writer = self.writer.lock();
-        if let Some(why) = &writer.poisoned {
-            return Err(io::Error::other(format!(
-                "replicated apply refused, write path poisoned ({why}); reopen to recover"
-            )));
-        }
-        let mut last_seq = writer.stats.last_seq.max(self.snapshot.read().seq);
+        writer.refuse_if_poisoned("replicated apply")?;
+        let last_seq = writer.stats.last_seq.max(self.snapshot.read().seq);
         let fresh: Vec<&WalRecord> = records.iter().filter(|r| r.seq > last_seq).collect();
         if fresh.is_empty() {
             return Ok(last_seq);
         }
-        let mut expect = last_seq + 1;
-        for rec in &fresh {
+        for (expect, rec) in (last_seq + 1..).zip(&fresh) {
             if rec.seq != expect {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("replication gap: expected seq {expect}, got {}", rec.seq),
                 ));
             }
-            expect += 1;
         }
         let dim = self.snapshot.read().index.dim();
         for rec in &fresh {
@@ -509,57 +528,10 @@ impl MutableIndex {
         let mut next = DynamicIndex::clone(&self.snapshot.read().index);
         let mut delta = MutationStats { batches: 1, ..MutationStats::default() };
         apply_wal_records(&mut next, &fresh)?;
-        for rec in &fresh {
-            match rec.op {
-                WalOp::Insert { .. } => delta.inserts += 1,
-                WalOp::Delete { .. } => delta.deletes += 1,
-            }
-        }
 
-        // Durability under the shipped sequence numbers: the local log
-        // assigns dense seqs from the same base as the primary's, so a
-        // mismatch here means the histories forked and the node must
-        // not serve.
-        if let Some(wal) = writer.wal.as_mut() {
-            let wal_bytes_before = wal.size_bytes();
-            let pos = wal.position();
-            let appended = (|| -> io::Result<()> {
-                for rec in &fresh {
-                    let got = wal.append(&rec.op)?;
-                    if got != rec.seq {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "local WAL assigned seq {got} to a record shipped as seq {}",
-                                rec.seq
-                            ),
-                        ));
-                    }
-                }
-                wal.sync()?;
-                Ok(())
-            })();
-            if let Err(e) = appended {
-                let poisoned = match wal.rollback(pos) {
-                    Ok(()) => None,
-                    Err(rb) => Some(format!("{e}; WAL rollback also failed: {rb}")),
-                };
-                writer.poisoned = poisoned;
-                return Err(e);
-            }
-            delta.wal_syncs = 1;
-            delta.wal_records = fresh.len() as u64;
-            delta.wal_bytes = wal.size_bytes() - wal_bytes_before;
-        } else {
-            writer.next_seq = expect;
-        }
-        last_seq = expect - 1;
-        delta.last_seq = last_seq;
-
-        self.repl.lock().records.extend(fresh.iter().map(|r| (*r).clone()));
-        *self.snapshot.write() = Snapshot { seq: last_seq, index: Arc::new(next) };
-        writer.stats.merge(&delta);
-        Ok(last_seq)
+        let logged = fresh.iter().map(|rec| rec.op.clone()).collect();
+        self.commit(&mut writer, next, logged, last_seq + 1, &mut delta)?;
+        Ok(delta.last_seq)
     }
 
     /// The lowest sequence number replication can serve *from* (see
@@ -575,11 +547,7 @@ impl MutableIndex {
     /// wait on the writer lock for the file I/O.
     pub fn checkpoint(&self) -> io::Result<()> {
         let writer = self.writer.lock();
-        if let Some(why) = &writer.poisoned {
-            return Err(io::Error::other(format!(
-                "checkpoint refused, write path poisoned ({why}); reopen to recover"
-            )));
-        }
+        writer.refuse_if_poisoned("checkpoint")?;
         let Some(dir) = writer.dir.clone() else { return Ok(()) };
         // With the writer lock held no batch can publish, so the
         // current snapshot is the latest durable state.
@@ -1062,6 +1030,42 @@ mod tests {
         assert_eq!(reopened.query(&q, 3).0, primary.query(&q, 3).0);
         std::fs::remove_dir_all(&dir_p).unwrap();
         std::fs::remove_dir_all(&dir_f).unwrap();
+    }
+
+    /// A follower whose own log tears while it applies a shipped batch
+    /// keeps its pre-batch state and a clean log; the primary ships the
+    /// same records again, they land, and a kill later the follower
+    /// recovers all of them.
+    #[test]
+    fn failed_append_of_a_replicated_batch_rolls_back_and_redelivery_lands() {
+        let dir = scratch_dir("repl-enospc");
+        let data = points(9, 4, 35);
+        let config = cfg();
+        let primary = MutableIndex::ephemeral(DynamicIndex::new(4, 100, &config));
+        let ops: Vec<MutationOp> = data.iter().map(insert).collect();
+        primary.apply_batch(&ops).unwrap();
+        primary.apply_batch(&[MutationOp::Delete { oid: 2 }]).unwrap();
+        let (_, tail) = primary.replication_tail(0, 100).unwrap();
+        {
+            let follower = MutableIndex::open(&dir, 4, 100, &config).unwrap();
+            assert_eq!(follower.apply_replicated(&tail[..4]).unwrap(), 4);
+
+            // The second of the next six records tears after 7 bytes.
+            follower.with_wal(|w| w.inject_append_failure(1, 7)).unwrap();
+            let err = follower.apply_replicated(&tail[4..]).unwrap_err();
+            assert_eq!(err.to_string(), "injected append failure");
+            assert!(!follower.is_poisoned(), "a successful rollback keeps the writer usable");
+            assert_eq!((follower.len(), follower.last_seq()), (4, 4), "nothing of it applied");
+            assert_eq!(follower.replication_tail(0, 100).unwrap().1, tail[..4]);
+
+            // Redelivery, overlapping what the follower already holds.
+            assert_eq!(follower.apply_replicated(&tail[2..]).unwrap(), 10);
+            assert_eq!(follower.replication_tail(0, 100).unwrap().1, tail);
+        } // kill
+        let reopened = MutableIndex::open(&dir, 4, 100, &config).unwrap();
+        assert_eq!(reopened.last_seq(), 10, "every applied record recovered");
+        assert_eq!(reopened.snapshot().0.slots(), primary.snapshot().0.slots());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

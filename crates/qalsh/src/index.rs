@@ -1,42 +1,33 @@
 //! The QALSH index.
 //!
-//! One B+-tree per hash function, keyed by the raw projection `a·o`.
-//! A query computes its own projections and positions one bidirectional
-//! cursor pair per tree; the search itself runs in the shared
-//! [`c2lsh::engine`] loop: at radius `R = c^level` the collision window
-//! of tree `i` is `[a_i·q − w·R/2, a_i·q + w·R/2]`, rounds expand the
-//! windows ([`TableStore::expand`]), the engine counts newly covered
-//! objects, verifies those reaching the collision threshold `l`, and
-//! stops on the same T1/T2 conditions as C2LSH.
+//! One sorted column per hash function: every object's raw projection
+//! `a·o` beside its id, in (projection, id) order — the leaf level of
+//! the B+-tree the paper keeps per function. A query computes its own
+//! projections and opens an empty window at the lower bound of each; the
+//! search itself runs in the shared [`c2lsh::engine`] loop: at radius
+//! `R = c^level` the collision window of column `i` is
+//! `[a_i·q − w·R/2, a_i·q + w·R/2]`, rounds widen the windows
+//! ([`TableStore::expand`]), and counting, verification and the T1/T2
+//! stops are C2LSH's.
+//!
+//! A tree that is never updated is, page for page, its leaves under a
+//! few inner nodes, so what reading it costs is arithmetic on entry
+//! positions: full leaves of [`ENTRIES_PER_PAGE`] 12-byte entries, inner
+//! nodes of 256 children, and one counter charged the nodes a cursor
+//! pair walking that tree would read. No node exists.
 
 use crate::params::derive;
 use c2lsh::engine::{self, SearchOptions, SearchParams, TableStore};
 use c2lsh::meta::PointMeta;
 use c2lsh::stats::{BatchStats, QueryStats};
+use c2lsh::{ENTRIES_PER_PAGE, PAGE_SIZE};
 use cc_math::hoeffding::DerivedParams;
-use cc_storage::bptree::{BPlusTree, Cursor};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Ordering;
-
-/// Totally ordered `f64` key (orders by `total_cmp`; projections are
-/// always finite here, so this matches numeric order).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OrdF64(pub f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// QALSH configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,26 +61,115 @@ impl Default for QalshConfig {
     }
 }
 
+/// One hash function's table: `keys[i]` is the projection of object
+/// `oids[i]`, ascending by (`total_cmp` of the projection, object id).
+struct Column {
+    keys: Vec<f64>,
+    oids: Vec<u32>,
+}
+
+impl Column {
+    fn new(mut entries: Vec<(f64, u32)>) -> Self {
+        entries.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+        let (keys, oids) = entries.into_iter().unzip();
+        Self { keys, oids }
+    }
+
+    /// An empty window at the lower bound of `pq`, charging `reads` the
+    /// nodes the column's tree reads to put its cursor pair there: the
+    /// descent that finds it; the leaf before it when it is the first
+    /// slot of a later leaf (the left cursor starts one entry back); or,
+    /// when every key is below `pq`, a second descent, to the last entry.
+    fn locate(&self, pq: f64, reads: &AtomicU64) -> Range<usize> {
+        let height = tree_shape(self.keys.len()).0;
+        let at = self.keys.partition_point(|key| key.total_cmp(&pq).is_lt());
+        let behind = if at == self.keys.len() {
+            height
+        } else {
+            u64::from(at > 0 && at.is_multiple_of(ENTRIES_PER_PAGE))
+        };
+        reads.fetch_add(height + behind, Relaxed);
+        at..at
+    }
+
+    /// Widen `covered` to the keys in `[lo_key, hi_key]` and hand `visit`
+    /// the new entries right of it ascending, then those left of it
+    /// descending — the order a cursor pair yields them in — one leaf to
+    /// a slice. A cursor stepping off the edge of a leaf reads the next
+    /// one, inside the window or not: `reads` is charged when the slice
+    /// that ends on the edge is accepted.
+    fn expand(
+        &self,
+        covered: &mut Range<usize>,
+        (lo_key, hi_key): (f64, f64),
+        reads: &AtomicU64,
+        visit: &mut dyn FnMut(&[u32]) -> bool,
+    ) {
+        let Self { keys, oids } = self;
+        let Range { start: lo, end: hi } = covered;
+        let new_hi = *hi + keys[*hi..].partition_point(|&key| key <= hi_key);
+        while *hi < new_hi {
+            let end = new_hi.min((*hi / ENTRIES_PER_PAGE + 1) * ENTRIES_PER_PAGE);
+            if !visit(&oids[*hi..end]) {
+                return;
+            }
+            *hi = end;
+            if end.is_multiple_of(ENTRIES_PER_PAGE) && end < keys.len() {
+                reads.fetch_add(1, Relaxed);
+            }
+        }
+        let new_lo = keys[..*lo].partition_point(|&key| key < lo_key);
+        let mut reversed = [0u32; ENTRIES_PER_PAGE];
+        while *lo > new_lo {
+            let start = new_lo.max((*lo - 1) / ENTRIES_PER_PAGE * ENTRIES_PER_PAGE);
+            let slice = &mut reversed[..*lo - start];
+            for (dst, &oid) in slice.iter_mut().zip(oids[start..*lo].iter().rev()) {
+                *dst = oid;
+            }
+            if !visit(slice) {
+                return;
+            }
+            *lo = start;
+            if start.is_multiple_of(ENTRIES_PER_PAGE) && start > 0 {
+                reads.fetch_add(1, Relaxed);
+            }
+        }
+    }
+}
+
+/// Height and node count of the B+-tree over `n ≥ 1` entries: full
+/// leaves, then levels of inner nodes — an 8-byte separator key and an
+/// 8-byte child pointer per child, 256 to a page — up to one root.
+fn tree_shape(n: usize) -> (u64, usize) {
+    let mut level = n.div_ceil(ENTRIES_PER_PAGE);
+    let (mut height, mut nodes) = (1, level);
+    while level > 1 {
+        level = level.div_ceil(PAGE_SIZE / 16);
+        height += 1;
+        nodes += level;
+    }
+    (height, nodes)
+}
+
 /// The QALSH index over a borrowed dataset.
 pub struct Qalsh<'d> {
     data: &'d Dataset,
     config: QalshConfig,
     derived: DerivedParams,
-    m: usize,
-    l: u32,
     beta_n: usize,
     /// `m` projection vectors.
     proj: Vec<Vec<f32>>,
-    /// One B+-tree per projection, keyed by `a·o`.
-    trees: Vec<BPlusTree<OrdF64, u32>>,
+    /// One sorted column per projection, keyed by `a·o`.
+    columns: Vec<Column>,
+    /// Tree nodes charged since build.
+    reads: AtomicU64,
     /// Per-point attribute payloads; empty = every point defaults.
     metas: Vec<PointMeta>,
-    verify_pages: u64,
 }
 
 impl<'d> Qalsh<'d> {
-    /// Build the index: derive `(m, l)`, draw `m` projections, bulk-load
-    /// `m` B+-trees.
+    /// Build the index: derive `(m, l)`, draw `m` projections, sort `m`
+    /// columns.
     ///
     /// # Panics
     /// Panics on empty data or invalid config (`c < 2`, `w ≤ 0`, …).
@@ -103,36 +183,35 @@ impl<'d> Qalsh<'d> {
         // p depends only on s/w, so deriving at base radius r is the
         // same as deriving at radius 1 with width w/r.
         let derived = derive(config.c, config.w / config.base_radius, config.delta, beta);
-        let m = derived.m;
-        let l = derived.l as u32;
         let beta_n = ((beta * n as f64).ceil() as usize).max(1);
 
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9a15_4aa1);
         let mut normal = cc_vector::gen::NormalSampler::new();
         let d = data.dim();
-        let proj: Vec<Vec<f32>> =
-            (0..m).map(|_| (0..d).map(|_| normal.sample(&mut rng) as f32).collect()).collect();
+        let proj: Vec<Vec<f32>> = (0..derived.m)
+            .map(|_| (0..d).map(|_| normal.sample(&mut rng) as f32).collect())
+            .collect();
         // Build-time keys and query-time probes must use the same
         // projection schedule; both go through the dispatched kernel
         // (bit-identical across kernels, so cross-kernel index/query
         // mixes still probe exactly).
         let kd = c2lsh::kernels::dispatch();
-        let trees: Vec<BPlusTree<OrdF64, u32>> = proj
+        let columns = proj
             .iter()
             .map(|a| {
-                let mut pairs: Vec<(OrdF64, u32)> = data
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (OrdF64(kd.dot(a, v)), i as u32))
-                    .collect();
-                pairs.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.cmp(&y.1)));
-                let t = BPlusTree::bulk_load(&pairs);
-                t.reset_io();
-                t
+                Column::new(data.iter().zip(0..).map(|(v, oid)| (kd.dot(a, v), oid)).collect())
             })
             .collect();
-        let verify_pages = (d as u64 * 4).div_ceil(4096).max(1);
-        Self { data, config, derived, m, l, beta_n, proj, trees, metas: Vec::new(), verify_pages }
+        Self {
+            data,
+            config,
+            derived,
+            beta_n,
+            proj,
+            columns,
+            reads: AtomicU64::new(0),
+            metas: Vec::new(),
+        }
     }
 
     /// Attach per-point metadata (one entry per indexed point, in id
@@ -157,21 +236,21 @@ impl<'d> Qalsh<'d> {
         &self.derived
     }
 
-    /// Number of hash functions / B+-trees.
+    /// Number of hash functions, each with its own tree.
     pub fn num_trees(&self) -> usize {
-        self.m
+        self.columns.len()
     }
 
-    /// Index size in bytes: B+-tree pages plus projection vectors.
+    /// Index size in bytes: the pages of `m` trees plus the projection
+    /// vectors.
     pub fn size_bytes(&self) -> usize {
-        let pages: usize = self.trees.iter().map(|t| t.num_pages()).sum();
-        pages * 4096 + self.m * self.data.dim() * 4
+        self.columns.len() * (tree_shape(self.data.len()).1 * PAGE_SIZE + self.data.dim() * 4)
     }
 
     fn search_params(&self) -> SearchParams {
         SearchParams {
             c: self.config.c,
-            l: self.l,
+            l: self.derived.l as u32,
             beta_n: self.beta_n,
             base_radius: self.config.base_radius,
         }
@@ -213,21 +292,12 @@ impl<'d> Qalsh<'d> {
     }
 }
 
-/// Per-tree bidirectional cursor pair straddling the query projection:
-/// `right` sits at the first key ≥ a·q, `left` just below it; the done
-/// flags latch once a direction runs off its tree.
-struct ProbePair {
-    left: Cursor,
-    right: Cursor,
-    left_done: bool,
-    right_done: bool,
-}
-
-/// Query expansion state over the `m` B+-trees: the query's projections
-/// plus one probe pair per tree.
+/// Query expansion state over the `m` columns: the query's projections
+/// plus the entry range each column's window covers — what lies between
+/// a tree's cursor pair.
 pub struct QalshCursor {
     pq: Vec<f64>,
-    probes: Vec<ProbePair>,
+    covered: Vec<Range<usize>>,
 }
 
 impl TableStore for Qalsh<'_> {
@@ -242,7 +312,7 @@ impl TableStore for Qalsh<'_> {
     }
 
     fn num_tables(&self) -> usize {
-        self.m
+        self.columns.len()
     }
 
     fn begin(&self, q: &[f32]) -> QalshCursor {
@@ -250,19 +320,8 @@ impl TableStore for Qalsh<'_> {
         // canonical schedule, so probe positions land exactly.
         let kd = c2lsh::kernels::dispatch();
         let pq: Vec<f64> = self.proj.iter().map(|a| kd.dot(a, q)).collect();
-        let probes: Vec<ProbePair> = (0..self.m)
-            .map(|t| {
-                let right = self.trees[t].lower_bound(OrdF64(pq[t]));
-                let left = self.trees[t].retreat(right);
-                ProbePair {
-                    left,
-                    right,
-                    left_done: self.trees[t].get(left).is_none(),
-                    right_done: self.trees[t].get(right).is_none(),
-                }
-            })
-            .collect();
-        QalshCursor { pq, probes }
+        let located = self.columns.iter().zip(&pq).map(|(col, &pq)| col.locate(pq, &self.reads));
+        QalshCursor { covered: located.collect(), pq }
     }
 
     fn expand(
@@ -272,49 +331,13 @@ impl TableStore for Qalsh<'_> {
         radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        // A B+-tree cursor yields one entry at a time, so a slice is one
-        // id, and a refusal leaves both cursors where the engine stopped.
-        let tree = &self.trees[t];
         let half = self.config.w * radius as f64 / 2.0;
-        let (lo_key, hi_key) = (cursor.pq[t] - half, cursor.pq[t] + half);
-        let probe = &mut cursor.probes[t];
-        // Expand rightward.
-        while !probe.right_done {
-            match tree.get(probe.right) {
-                Some((OrdF64(key), oid)) if key <= hi_key => {
-                    let keep_going = visit(&[oid]);
-                    probe.right = tree.advance(probe.right);
-                    if !keep_going {
-                        return;
-                    }
-                }
-                Some(_) => break,
-                None => probe.right_done = true,
-            }
-        }
-        // Expand leftward.
-        while !probe.left_done {
-            match tree.get(probe.left) {
-                Some((OrdF64(key), oid)) if key >= lo_key => {
-                    let keep_going = visit(&[oid]);
-                    let prev = tree.retreat(probe.left);
-                    if tree.get(prev).is_none() {
-                        probe.left_done = true;
-                    } else {
-                        probe.left = prev;
-                    }
-                    if !keep_going {
-                        return;
-                    }
-                }
-                Some(_) => break,
-                None => probe.left_done = true,
-            }
-        }
+        let window = (cursor.pq[t] - half, cursor.pq[t] + half);
+        self.columns[t].expand(&mut cursor.covered[t], window, &self.reads, visit);
     }
 
     fn exhausted(&self, cursor: &QalshCursor) -> bool {
-        cursor.probes.iter().all(|p| p.left_done && p.right_done)
+        cursor.covered.iter().all(|c| *c == (0..self.data.len()))
     }
 
     fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
@@ -326,11 +349,11 @@ impl TableStore for Qalsh<'_> {
     }
 
     fn verify_pages(&self) -> u64 {
-        self.verify_pages
+        (self.data.dim() * 4).div_ceil(PAGE_SIZE).max(1) as u64
     }
 
     fn io_reads(&self) -> u64 {
-        self.trees.iter().map(|t| t.io_reads()).sum()
+        self.reads.load(Relaxed)
     }
 }
 
@@ -341,6 +364,7 @@ mod tests {
     use cc_vector::gen::{generate, Distribution};
     use cc_vector::gt::knn_linear;
     use cc_vector::metrics::{overall_ratio, recall};
+    use proptest::prelude::*;
 
     fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
         generate(
@@ -353,14 +377,6 @@ mod tests {
 
     fn cfg() -> QalshConfig {
         QalshConfig { w: 1.2, seed: 21, ..QalshConfig::default() }
-    }
-
-    #[test]
-    fn ordf64_total_order() {
-        let mut v = [OrdF64(1.5), OrdF64(-2.0), OrdF64(0.0), OrdF64(7.25)];
-        v.sort();
-        let keys: Vec<f64> = v.iter().map(|k| k.0).collect();
-        assert_eq!(keys, vec![-2.0, 0.0, 1.5, 7.25]);
     }
 
     #[test]
@@ -432,6 +448,150 @@ mod tests {
         let far = vec![1e5f32; 8];
         let (nn, _) = idx.query(&far, 4);
         assert_eq!(nn.len(), 4);
+    }
+
+    /// Heights and node counts read off the bulk-loaded arena tree this
+    /// index used to walk (leaves of 341, inner nodes of 256) before it
+    /// was deleted.
+    #[test]
+    fn tree_shape_is_what_a_bulk_load_built() {
+        let recorded = [
+            (1, (1, 1)),
+            (340, (1, 1)),
+            (341, (1, 1)),
+            (342, (2, 3)),
+            (682, (2, 3)),
+            (683, (2, 4)),
+            (3000, (2, 10)),
+            (87_296, (2, 257)),
+            (87_297, (3, 260)),
+            (200_000, (3, 591)),
+        ];
+        for (n, shape) in recorded {
+            assert_eq!(tree_shape(n), shape, "n = {n}");
+        }
+    }
+
+    /// What the meter must equal: the cursor pair of a B+-tree over one
+    /// sorted column, moved one entry at a time, reading a leaf whenever
+    /// a cursor steps onto it.
+    struct NaiveWalk<'a> {
+        column: &'a Column,
+        /// The entry the right cursor is on; `keys.len()` off the end.
+        right: usize,
+        /// The entry the left cursor is on; `None` off the front.
+        left: Option<usize>,
+        reads: u64,
+    }
+
+    impl<'a> NaiveWalk<'a> {
+        fn begin(column: &'a Column, pq: f64, height: u64) -> Self {
+            let n = column.keys.len();
+            let right = column.keys.iter().filter(|key| key.total_cmp(&pq).is_lt()).count();
+            // The descent to the lower bound, then the left cursor one
+            // entry back: on another leaf, or — from off the end — down
+            // the tree again to the last entry.
+            let left = if right == n { Some(n - 1) } else { right.checked_sub(1) };
+            let back = match left {
+                Some(_) if right == n => height,
+                Some(left) => u64::from(left / 341 != right / 341),
+                None => 0,
+            };
+            Self { column, right, left, reads: height + back }
+        }
+
+        /// Widen the window to `[lo_key, hi_key]`; the `stop`-th entry
+        /// yielded is refused, and a refused cursor does not move.
+        fn expand(&mut self, (lo_key, hi_key): (f64, f64), stop: usize) -> Vec<u32> {
+            let Column { keys, oids } = self.column;
+            let mut seen = Vec::new();
+            while self.right < keys.len() && keys[self.right] <= hi_key {
+                seen.push(oids[self.right]);
+                if seen.len() == stop {
+                    return seen;
+                }
+                self.right += 1;
+                let next_leaf = self.right < keys.len() && self.right.is_multiple_of(341);
+                self.reads += u64::from(next_leaf);
+            }
+            while let Some(at) = self.left.filter(|&at| keys[at] >= lo_key) {
+                seen.push(oids[at]);
+                if seen.len() == stop {
+                    return seen;
+                }
+                self.left = at.checked_sub(1);
+                self.reads += u64::from(self.left.is_some_and(|left| left / 341 != at / 341));
+            }
+            seen
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Integer keys, `dup` entries to a key, so that runs of equal
+        /// keys straddle leaf edges and window bounds fall exactly on
+        /// keys; a query on a leaf edge, anywhere in the column, or off
+        /// either end of it; widening windows, and in most cases one
+        /// round that is refused at a random entry. Round by round the
+        /// ids consumed and the nodes charged are those of the
+        /// one-entry-at-a-time walk, no slice spans two leaves, and an
+        /// unrefused window ends up covering the column.
+        #[test]
+        fn meter_charges_what_a_cursor_pair_reads(
+            n in (0usize..5, 1usize..341, 342usize..1100)
+                .prop_map(|(shape, small, large)| [small, 341, 682, 1023, large][shape]),
+            dup in (0usize..4).prop_map(|i| [1, 11, 31, 400][i]),
+            (on_edge, edge, jitter) in (0usize..3, 0usize..3, -1i64..2),
+            (anywhere, between) in (0.0f64..1.0, 0usize..2),
+            growth in collection::vec(1i64..5, 7),
+            (refused_round, stop) in (0usize..12, 1usize..700),
+        ) {
+            let column = Column::new((0..n).map(|oid| ((oid / dup) as f64, oid as u32)).collect());
+            let top = ((n - 1) / dup) as i64;
+            let x = if on_edge > 0 {
+                // The key whose run starts on (or next to) a leaf edge.
+                ((1 + edge % (n / 341).max(1)) * 341 / dup) as i64 + jitter
+            } else {
+                (anywhere * (top + 7) as f64) as i64 - 3
+            };
+            let pq = x as f64 + between as f64 / 2.0;
+            let height = tree_shape(n).0;
+
+            let reads = AtomicU64::new(0);
+            let mut covered = column.locate(pq, &reads);
+            let mut walk = NaiveWalk::begin(&column, pq, height);
+            prop_assert_eq!(&covered, &(walk.right..walk.right), "begin: n {}, dup {}, pq {}", n, dup, pq);
+            prop_assert_eq!(reads.load(Relaxed), walk.reads, "begin: n {}, dup {}, pq {}", n, dup, pq);
+            let mut radii = vec![1i64];
+            for g in growth {
+                radii.push(radii[radii.len() - 1] * g + 1);
+            }
+            radii.push(1 << 40);
+            let mut refused = false;
+            for (round, radius) in radii.into_iter().enumerate() {
+                let stop = if round == refused_round { stop } else { usize::MAX };
+                let window = (pq - radius as f64 / 2.0, pq + radius as f64 / 2.0);
+                let mut seen = Vec::new();
+                column.expand(&mut covered, window, &reads, &mut |oids| {
+                    assert!(oids.len() <= 341 && seen.len() < stop);
+                    seen.extend_from_slice(&oids[..oids.len().min(stop - seen.len())]);
+                    seen.len() < stop
+                });
+                prop_assert_eq!(&seen, &walk.expand(window, stop), "round {}", round);
+                prop_assert_eq!(
+                    reads.load(Relaxed),
+                    walk.reads,
+                    "round {}: n {}, dup {}, pq {}, radius {}, stop {}",
+                    round, n, dup, pq, radius, stop
+                );
+                refused = seen.len() == stop;
+                if refused {
+                    break;
+                }
+            }
+            prop_assert!(refused || covered == (0..n));
+        }
     }
 
     /// FNV-1a over a neighbour list: every id and every distance's bits.

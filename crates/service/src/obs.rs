@@ -245,15 +245,6 @@ impl ServerObs {
         self.flush_total.record(flush_ns);
         self.batch_size.record(batch_len);
         if let Some(ns) = wal_ns {
-            self.record_wal_apply(ns);
-        }
-    }
-
-    /// Record the WAL apply time of one mutation batch applied outside
-    /// a flush (collections apply each write on its own). No-op unless
-    /// enabled.
-    pub fn record_wal_apply(&self, ns: u64) {
-        if self.on() {
             self.wal_apply.record(ns);
         }
     }

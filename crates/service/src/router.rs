@@ -36,6 +36,7 @@
 
 use crate::obs::ServerObs;
 use crate::protocol::{self, ProtoError, QueryCost, Request, Response};
+use crate::server::read_request_or_refuse;
 use c2lsh::{Error, ErrorKind};
 use cc_vector::gt::Neighbor;
 use std::io;
@@ -77,7 +78,8 @@ impl Default for RouterConfig {
     }
 }
 
-/// Final counter snapshot returned by [`route`] after the drain.
+/// Final counter snapshot returned by [`route`] after the drain, read
+/// from the [`ServerObs`] counters behind the router's `/metrics`.
 #[derive(Debug, Clone, Default)]
 pub struct RouterStats {
     /// Queries answered (merged scatter-gathers).
@@ -98,7 +100,8 @@ pub struct RouterStats {
 struct RouterShared {
     config: RouterConfig,
     stopping: AtomicBool,
-    stats: Mutex<RouterStats>,
+    /// The one count that is not a counter of `obs`.
+    forwards: AtomicU64,
     conns: Mutex<Vec<(u64, TcpStream)>>,
     local_addr: SocketAddr,
     /// Round-robin cursor so consecutive queries start at different
@@ -114,8 +117,9 @@ pub fn route(listener: TcpListener, config: &RouterConfig) -> io::Result<RouterS
     route_with_obs(listener, config, Arc::new(ServerObs::disabled()))
 }
 
-/// Like [`route`], but exporting the `cc_router_*` counters through a
-/// caller-owned [`ServerObs`] (so `--metrics-addr` can scrape them).
+/// Like [`route`], but counting into a caller-owned [`ServerObs`] (so
+/// `--metrics-addr` can scrape the query, error and `cc_router_*`
+/// counters); hand each call a registry of its own.
 pub fn route_with_obs(
     listener: TcpListener,
     config: &RouterConfig,
@@ -130,7 +134,7 @@ pub fn route_with_obs(
     let shared = RouterShared {
         config: config.clone(),
         stopping: AtomicBool::new(false),
-        stats: Mutex::new(RouterStats::default()),
+        forwards: AtomicU64::new(0),
         conns: Mutex::new(Vec::new()),
         local_addr: listener.local_addr()?,
         rr: AtomicU64::new(0),
@@ -165,7 +169,15 @@ pub fn route_with_obs(
         for (_, conn) in shared.conns.lock().unwrap().iter() {
             let _ = conn.shutdown(NetShutdown::Both);
         }
-        shared.stats.lock().unwrap().clone()
+        let obs = &shared.obs;
+        RouterStats {
+            queries: obs.queries.get(),
+            fanout: obs.router_fanout.get(),
+            failovers: obs.router_failover.get(),
+            node_errors: obs.router_node_errors.get(),
+            forwards: shared.forwards.load(Ordering::Relaxed),
+            errors: obs.errors.get(),
+        }
     })
     .expect("router worker panicked");
     Ok(stats)
@@ -173,20 +185,7 @@ pub fn route_with_obs(
 
 fn serve_connection(shared: &RouterShared, stream: &mut TcpStream) -> Result<(), ProtoError> {
     loop {
-        let req = match protocol::read_request(stream) {
-            Ok(None) => return Ok(()),
-            Ok(Some(req)) => req,
-            Err(ProtoError::Malformed(msg)) => {
-                shared.stats.lock().unwrap().errors += 1;
-                let resp = Response::Error(Error::new(
-                    ErrorKind::Protocol,
-                    format!("malformed request: {msg}"),
-                ));
-                let _ = protocol::write_response(stream, &resp);
-                return Err(ProtoError::Malformed(msg));
-            }
-            Err(e) => return Err(e),
-        };
+        let Some(req) = read_request_or_refuse(stream, &shared.obs)? else { return Ok(()) };
         let resp = match req {
             Request::Ping => Response::Pong,
             Request::Metrics => Response::MetricsText(shared.obs.render_prometheus()),
@@ -212,7 +211,7 @@ fn serve_connection(shared: &RouterShared, stream: &mut TcpStream) -> Result<(),
             )),
         };
         if matches!(resp, Response::Error(_)) {
-            shared.stats.lock().unwrap().errors += 1;
+            shared.obs.errors.inc();
         }
         protocol::write_response(stream, &resp)?;
     }
@@ -223,7 +222,6 @@ fn serve_connection(shared: &RouterShared, stream: &mut TcpStream) -> Result<(),
 fn scatter_query(shared: &RouterShared, req: Request) -> Response {
     let Request::QueryV2 { k, .. } = &req else { unreachable!("caller matched QueryV2") };
     let k = *k as usize;
-    shared.stats.lock().unwrap().queries += 1;
     let mut merged: Vec<Neighbor> = Vec::new();
     let mut carried: Option<(u64, Option<QueryCost>)> = None;
     let groups = shared.config.groups.len();
@@ -242,6 +240,7 @@ fn scatter_query(shared: &RouterShared, req: Request) -> Response {
     merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
     merged.truncate(k);
     let (trace_id, cost) = carried.unwrap_or((0, None));
+    shared.obs.queries.inc();
     Response::TopKV2 { trace_id, neighbors: merged, cost }
 }
 
@@ -260,12 +259,10 @@ fn query_group(shared: &RouterShared, group: &[String], req: &Request) -> Result
     let mut last_failure = String::new();
     for node in legs {
         attempts += 1;
-        shared.stats.lock().unwrap().fanout += 1;
         shared.obs.router_fanout.inc();
         match ask_node(node, req, shared.config.node_deadline) {
             Ok(resp @ Response::TopKV2 { .. }) => {
                 if attempts > 1 {
-                    shared.stats.lock().unwrap().failovers += 1;
                     shared.obs.router_failover.inc();
                 }
                 return Ok(resp);
@@ -285,7 +282,6 @@ fn query_group(shared: &RouterShared, group: &[String], req: &Request) -> Result
             Ok(other) => last_failure = format!("{node}: unexpected response {other:?}"),
             Err(e) => last_failure = format!("{node}: {e}"),
         }
-        shared.stats.lock().unwrap().node_errors += 1;
         shared.obs.router_node_errors.inc();
         eprintln!("router: leg failed ({last_failure}); failing over");
     }
@@ -322,7 +318,7 @@ fn ask_node(node: &str, req: &Request, deadline: Duration) -> io::Result<Respons
 /// deliberately generous — group-commit fsyncs and stats rendering are
 /// slower than a read leg.
 fn forward_to_primary(shared: &RouterShared, req: Request) -> Response {
-    shared.stats.lock().unwrap().forwards += 1;
+    shared.forwards.fetch_add(1, Ordering::Relaxed);
     let deadline = shared.config.node_deadline.max(Duration::from_secs(2)) * 5;
     match ask_node(&shared.config.primary, &req, deadline) {
         Ok(resp) => resp,
@@ -330,5 +326,39 @@ fn forward_to_primary(shared: &RouterShared, req: Request) -> Response {
             ErrorKind::Io,
             format!("primary {} unreachable: {e}", shared.config.primary),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, QueryRequest};
+
+    /// A query no leg could answer is an error and not a query: the
+    /// counters say what the router answered, not what it was sent.
+    #[test]
+    fn a_refused_query_counts_as_an_error_only() {
+        // The address of a listener that is gone: every leg is down.
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string();
+        let config = RouterConfig {
+            primary: dead.clone(),
+            groups: vec![vec![dead]],
+            node_deadline: Duration::from_millis(200),
+            primary_reads: true,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let router = std::thread::spawn(move || route(listener, &config).unwrap());
+
+        let mut client = Client::connect(addr).unwrap();
+        let refusal = client.search(&QueryRequest::new(vec![0.0; 4])).unwrap_err();
+        assert!(refusal.to_string().contains("no replica in the group answered"), "{refusal}");
+        let metrics = client.metrics_text().unwrap();
+        for series in ["cc_queries_total 0", "cc_errors_total 1", "cc_router_fanout_total 1"] {
+            assert!(metrics.lines().any(|line| line == series), "{series} not in:\n{metrics}");
+        }
+        client.shutdown().unwrap();
+        let stats = router.join().unwrap();
+        assert_eq!((stats.queries, stats.errors, stats.node_errors), (0, 1, 1));
     }
 }

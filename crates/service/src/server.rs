@@ -293,7 +293,9 @@ impl Default for ServiceConfig {
 }
 
 /// Aggregated service counters, served as JSON by the stats frame and
-/// returned by [`serve`] as the final snapshot.
+/// returned by [`serve`] as the final snapshot. Every field with a
+/// [`ServerObs`] counter behind `/metrics` (`queries` … `deletes`) is
+/// read from it: each event is counted once, there.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Queries answered with a [`Response::TopKV2`].
@@ -392,7 +394,9 @@ struct Shared {
     queue: Mutex<Queue>,
     not_empty: Condvar,
     stopping: AtomicBool,
-    stats: Mutex<ServiceStats>,
+    /// The fields no [`ServerObs`] counter holds (`max_batch`,
+    /// `mutation_batches`, `checkpoints`, `engine`); the rest stay zero.
+    folded: Mutex<ServiceStats>,
     conns: Mutex<Vec<(u64, TcpStream)>>,
     local_addr: SocketAddr,
     obs: Arc<ServerObs>,
@@ -416,7 +420,8 @@ pub fn serve<E: ServeEngine>(
 
 /// Like [`serve`], but over a caller-owned [`ServerObs`] — the same
 /// registry can then back a [`cc_obs::MetricsServer`] serving
-/// `/metrics` while this function runs.
+/// `/metrics` while this function runs. The returned event counts are
+/// that registry's, so hand each call a registry of its own.
 pub fn serve_with_obs<E: ServeEngine>(
     engine: &E,
     listener: TcpListener,
@@ -445,7 +450,7 @@ pub fn serve_with_obs<E: ServeEngine>(
         queue: Mutex::new(Queue { items: VecDeque::new(), draining: false }),
         not_empty: Condvar::new(),
         stopping: AtomicBool::new(false),
-        stats: Mutex::new(ServiceStats::default()),
+        folded: Mutex::new(ServiceStats::default()),
         conns: Mutex::new(Vec::new()),
         local_addr,
         obs,
@@ -478,13 +483,13 @@ pub fn serve_with_obs<E: ServeEngine>(
         // durable via the WAL, so a failure here only costs restart
         // time — report it, don't fail the drain.
         match engine.checkpoint_if_wal_exceeds(0) {
-            Ok(true) => shared.stats.lock().unwrap().checkpoints += 1,
+            Ok(true) => shared.folded.lock().unwrap().checkpoints += 1,
             Ok(false) => {}
             Err(e) => eprintln!("final checkpoint failed: {e}"),
         }
         // Same deal for every durable collection.
         let collection_ckpts = shared.collections.checkpoint_all(0);
-        shared.stats.lock().unwrap().checkpoints += collection_ckpts;
+        shared.folded.lock().unwrap().checkpoints += collection_ckpts;
         // Handlers deregister on exit; give stragglers (clients that
         // keep idle connections open across the shutdown) a grace
         // period, then sever them so the scope can join.
@@ -501,7 +506,7 @@ pub fn serve_with_obs<E: ServeEngine>(
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        shared.stats.lock().unwrap().clone()
+        stats_snapshot(shared)
     })
     .expect("service worker panicked");
     Ok(stats)
@@ -560,6 +565,23 @@ fn answer_repl_pull<E: ServeEngine>(
     }
 }
 
+/// Read the next request; `None` is a clean hang-up between frames. A
+/// malformed frame is counted and answered with the reason before the
+/// error closes the connection: after a framing violation the stream
+/// position is unreliable. The router's connections read the same way.
+pub(crate) fn read_request_or_refuse(
+    stream: &mut TcpStream,
+    obs: &ServerObs,
+) -> Result<Option<Request>, ProtoError> {
+    let read = protocol::read_request(stream);
+    if let Err(ProtoError::Malformed(msg)) = &read {
+        obs.errors.inc();
+        let why = Error::new(ErrorKind::Protocol, format!("malformed request: {msg}"));
+        let _ = protocol::write_response(stream, &Response::Error(why));
+    }
+    read
+}
+
 fn serve_connection<E: ServeEngine>(
     engine: &E,
     shared: &Shared,
@@ -570,23 +592,7 @@ fn serve_connection<E: ServeEngine>(
     // ReplAck frames are only meaningful afterwards.
     let mut repl_name: Option<String> = None;
     loop {
-        let req = match protocol::read_request(stream) {
-            Ok(None) => return Ok(()), // clean hang-up between frames
-            Ok(Some(req)) => req,
-            Err(ProtoError::Malformed(msg)) => {
-                // Tell the peer why, then close: after a framing
-                // violation the stream position is unreliable.
-                shared.stats.lock().unwrap().errors += 1;
-                shared.obs.errors.inc();
-                let resp = Response::Error(Error::new(
-                    ErrorKind::Protocol,
-                    format!("malformed request: {msg}"),
-                ));
-                let _ = protocol::write_response(stream, &resp);
-                return Err(ProtoError::Malformed(msg));
-            }
-            Err(e) => return Err(e),
-        };
+        let Some(req) = read_request_or_refuse(stream, &shared.obs)? else { return Ok(()) };
         let resp = match req {
             Request::Ping => Response::Pong,
             Request::Stats => Response::StatsJson(render_stats(engine, shared)),
@@ -677,10 +683,9 @@ fn serve_connection<E: ServeEngine>(
             },
         };
         // Error frames are counted where they are written — here and
-        // in the malformed-frame arm above — never where they are
-        // produced, so a failed mutation batch counts once per frame.
+        // in `read_request_or_refuse` — never where they are produced,
+        // so a failed mutation batch counts once per frame.
         if matches!(resp, Response::Error(_)) {
-            shared.stats.lock().unwrap().errors += 1;
             shared.obs.errors.inc();
         }
         protocol::write_response(stream, &resp)?;
@@ -866,7 +871,6 @@ fn submit(
             return Response::Error(Error::new(ErrorKind::Draining, "server is draining"));
         }
         if q.items.len() >= config.queue_capacity {
-            shared.stats.lock().unwrap().overloaded += 1;
             shared.obs.overloaded.inc();
             return Response::Overloaded;
         }
@@ -966,9 +970,7 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
                     None => obs.set_objects(engine.len() as u64),
                 }
                 {
-                    let mut st = shared.stats.lock().unwrap();
-                    st.inserts += delta.inserts;
-                    st.deletes += deletes;
+                    let mut st = shared.folded.lock().unwrap();
                     st.mutation_batches += 1;
                     st.engine.mutations.merge(&delta);
                 }
@@ -988,7 +990,7 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
                 // bounds recovery time). A failure is not a lost write,
                 // so it is reported rather than propagated.
                 match engine.checkpoint_if_wal_exceeds(config.checkpoint_wal_bytes) {
-                    Ok(true) => shared.stats.lock().unwrap().checkpoints += 1,
+                    Ok(true) => shared.folded.lock().unwrap().checkpoints += 1,
                     Ok(false) => {}
                     Err(e) => eprintln!("checkpoint of {} failed: {e}", target.label()),
                 }
@@ -1042,9 +1044,7 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
             };
             let (group_results, agg) = engine.query_batch_with(&queries, k_max, &opts);
             let answered = idxs.len() as u64;
-            let mut st = shared.stats.lock().unwrap();
-            st.queries += answered;
-            st.batches += 1;
+            let mut st = shared.folded.lock().unwrap();
             st.max_batch = st.max_batch.max(idxs.len());
             st.engine.merge(&agg);
             drop(st);
@@ -1063,7 +1063,6 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
     } else {
         Vec::new()
     };
-    shared.stats.lock().unwrap().deadline_expired += expired.len() as u64;
     obs.deadline_expired.add(expired.len() as u64);
     obs.record_flush(now.elapsed().as_nanos() as u64, batch_len as u64, wal_ns);
     // Reply only after every counter is recorded: a client holding its
@@ -1118,6 +1117,22 @@ fn begin_shutdown(shared: &Shared) {
     let _ = TcpStream::connect(shared.local_addr);
 }
 
+/// The service counters as of now: the per-event counts from the
+/// registry's always-on counters, the rest from the flush path's fold.
+fn stats_snapshot(shared: &Shared) -> ServiceStats {
+    let obs = &shared.obs;
+    ServiceStats {
+        queries: obs.queries.get(),
+        batches: obs.batches.get(),
+        overloaded: obs.overloaded.get(),
+        deadline_expired: obs.deadline_expired.get(),
+        errors: obs.errors.get(),
+        inserts: obs.inserts.get(),
+        deletes: obs.deletes.get(),
+        ..shared.folded.lock().unwrap().clone()
+    }
+}
+
 /// Serialize the current counters (plus static index facts) for the
 /// stats frame.
 ///
@@ -1127,7 +1142,7 @@ fn begin_shutdown(shared: &Shared) {
 /// object when the engine is mutable and, when observability is on, a
 /// `latency` object with live quantiles.
 fn render_stats<E: ServeEngine>(engine: &E, shared: &Shared) -> String {
-    let st = shared.stats.lock().unwrap().clone();
+    let st = stats_snapshot(shared);
     let draining = shared.queue.lock().unwrap().draining;
     let e = &st.engine;
     let engine_obj = JsonObject::new()

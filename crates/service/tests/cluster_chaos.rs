@@ -190,6 +190,13 @@ fn chaos_follower_sigkill_failover_catchup_and_zero_loss() {
         // The router counted its fanout and the legs that failed while
         // f1 was down; the primary's lag gauge names both replicas.
         let metrics = router.client().metrics_text().expect("router metrics");
+        // Every query sent through it was answered: the readers', the
+        // four probes during the outage and the pinned read.
+        assert_eq!(
+            metric_value(&metrics, "cc_queries_total"),
+            (served.load(Ordering::Relaxed) + 4 + 1) as f64,
+            "the router's query counter:\n{metrics}"
+        );
         assert!(metric_value(&metrics, "cc_router_fanout_total") > 0.0);
         assert!(
             metric_value(&metrics, "cc_router_node_errors_total") > 0.0,

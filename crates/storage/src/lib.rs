@@ -19,25 +19,23 @@
 //!
 //! Beside it, for the paper's I/O-count experiments (the headline
 //! efficiency metric of C2LSH and its competitors is the *number* of
-//! 4 KiB pages read per query, not wall-clock time — see `DESIGN.md` §2):
-//!
-//! * [`IoStats`] — the page-access counters every method reports, and
-//!   [`ENTRIES_PER_PAGE`], the uncompressed sorted-run layout C2LSH's
-//!   counts are charged under,
-//! * [`bptree`] — a bulk-loaded B+-tree (point and range search) with
-//!   per-node I/O accounting; the index structure behind QALSH.
+//! 4 KiB pages read per query, not wall-clock time — see `DESIGN.md` §2),
+//! only what the counting shares: [`IoStats`], the page-access counters
+//! every method reports, and [`ENTRIES_PER_PAGE`], the uncompressed
+//! 12-byte-entry layout C2LSH's sorted runs and QALSH's tree leaves are
+//! charged under. The counts themselves are meters over in-memory sorted
+//! runs in the crates that own the runs; no simulated structure lives
+//! here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bptree;
 pub mod codec;
 pub mod diskfile;
 pub mod paged_bucket;
 pub mod pool;
 pub mod wal;
 
-pub use bptree::BPlusTree;
 pub use diskfile::{DiskPageFile, DiskPageFileWriter, PAYLOAD_BYTES};
 pub use paged_bucket::{PostingRun, PostingRunBuilder};
 pub use pool::{PinnedPage, PinnedPool, PinnedPoolStats};
@@ -46,8 +44,9 @@ pub use wal::{FailpointFile, ReplayReport, Wal, WalOp, WalPosition, WalRecord};
 /// Page size in bytes (4 KiB).
 pub const PAGE_SIZE: usize = 4096;
 
-/// `(bucket, object)` entries per page of an uncompressed sorted run:
-/// `⌊4096 / 12⌋` (`i64` bucket + `u32` object id).
+/// Entries per page of an uncompressed sorted run or tree leaf:
+/// `⌊4096 / 12⌋` (an 8-byte key — `i64` bucket or `f64` projection —
+/// and a `u32` object id).
 pub const ENTRIES_PER_PAGE: usize = PAGE_SIZE / 12;
 
 /// Page read/write counters.

@@ -10,7 +10,7 @@
 //! * [`cc_math`] — numerics (Gaussian CDF, p-stable collision
 //!   probabilities, Hoeffding parameter solver).
 //! * [`cc_vector`] — datasets, distances, generators, ground truth.
-//! * [`cc_storage`] — paged storage, buffer pool, B+-tree (disk mode).
+//! * [`cc_storage`] — page file, buffer pool, posting runs, write-ahead log.
 //! * [`cc_baselines`] — linear scan, E2LSH, rigorous-LSH, LSB-forest.
 //! * [`qalsh`] — the query-aware follow-up, built on the same framework.
 //!

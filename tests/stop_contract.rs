@@ -8,7 +8,7 @@
 use c2lsh::rehash::window;
 use c2lsh::sharded::{ShardedData, ShardedEngine};
 use c2lsh::{C2lshConfig, C2lshIndex, DiskIndex, DynamicIndex, FullParams, HashFamily};
-use c2lsh::{PagedStore, TableStore};
+use c2lsh::{PagedStore, TableStore, ENTRIES_PER_PAGE};
 use cc_vector::dataset::Dataset;
 use cc_vector::gen::{generate, Distribution};
 use qalsh::{Qalsh, QalshConfig};
@@ -115,6 +115,16 @@ fn check_stops<S: TableStore>(
                 "{name}: {reads} reads for {calls} slices, refusing id {stop} of {}",
                 full.len()
             );
+            // Nor does it cut a page into many slices to be allowed a
+            // read for each: two delta ranges of pages no smaller than
+            // the uncompressed one, each with a page begun before it and
+            // a page left unfinished.
+            let pages = (stop.div_ceil(ENTRIES_PER_PAGE) + 3) as u64;
+            assert!(
+                reads <= pages + 2,
+                "{name}: {reads} reads for {pages} pages, refusing id {stop} of {}",
+                full.len()
+            );
         }
     }
     full.len()
@@ -174,6 +184,7 @@ fn qalsh_stops_where_refused() {
     let f = fixture();
     let config = QalshConfig { c: C as u32, w: 1.2, seed: 7, ..QalshConfig::default() };
     // Its windows are centred on the query's projection, so only the
-    // stops taken from the expansion's own length apply.
+    // stops taken from the expansion's own length apply; its leaves are
+    // pages of the same 341 entries, so the same bounds do.
     check_stops("Qalsh", &Qalsh::build(&f.data, config), &f, &[], true);
 }
