@@ -900,6 +900,131 @@ mod tests {
         }
     }
 
+    /// The history behind [`golden_answers_across_write_shapes`]: the 20 000
+    /// rows of `data` entered as batches of 4 096, 300 and 1 rows, with 1 500
+    /// deletes (alone, in bursts and inside mixed batches) and 500
+    /// re-inserted vectors in between. Without `deletes` the same rows
+    /// take the same ids and nothing is removed.
+    fn write_shapes_history(data: &Dataset, deletes: bool) -> DynamicIndex {
+        fn enter<'a>(
+            idx: &mut DynamicIndex,
+            rows: &mut impl Iterator<Item = &'a [f32]>,
+            batch: usize,
+            count: usize,
+        ) {
+            let rows: Vec<&[f32]> = rows.take(count).collect();
+            assert_eq!(rows.len(), count);
+            for batch in rows.chunks(batch) {
+                idx.insert_batch(batch.iter().map(|&v| (v, PointMeta::default())));
+            }
+        }
+        let beta = crate::config::Beta::Count(1100);
+        let config = C2lshConfig::builder().bucket_width(1.0).seed(42).beta(beta).build();
+        let mut idx = DynamicIndex::new(16, 20_000, &config);
+        let rows = &mut data.iter();
+        enter(&mut idx, rows, 4096, 4096);
+        enter(&mut idx, rows, 1, 200);
+        enter(&mut idx, rows, 300, 3000);
+        for oid in (0..3500).step_by(5).filter(|_| deletes) {
+            assert!(idx.delete(oid));
+        }
+        enter(&mut idx, rows, 4096, 4096);
+        // Ids equal row numbers up to here: bring back every second victim.
+        for oid in (0..2500).step_by(10) {
+            idx.insert(data.get(oid).to_vec());
+        }
+        // Mixed batches: 300 rows each, a delete before every third of
+        // the first 300 edits.
+        for round in 0..8u32 {
+            let mut edits: Vec<Edit> =
+                rows.take(300).map(|v| Edit::Insert(v, PointMeta::default())).collect();
+            for j in (0..100).rev().filter(|_| deletes) {
+                edits.insert(j * 3, Edit::Delete(7300 + (round * 100 + j as u32) * 5));
+            }
+            assert!(idx.apply(edits).iter().all(|&(_, took_effect)| took_effect));
+        }
+        enter(&mut idx, rows, 4096, 4096);
+        enter(&mut idx, &mut (2500..5000).step_by(10).map(|oid| data.get(oid)), 250, 250);
+        enter(&mut idx, rows, 1, 112);
+        enter(&mut idx, rows, 300, 2000);
+        assert!(rows.next().is_none());
+        let removed = if deletes { 1500 } else { 0 };
+        assert_eq!((idx.len(), TableStore::id_bound(&idx)), (20_500 - removed, 20_500));
+        idx
+    }
+
+    /// Pins answers and costs over an index written in every batch
+    /// shape: per (query, offset, k) the first id, an FNV-1a of every id
+    /// and distance's bits, collisions, verified, abandoned, rounds and
+    /// the terminating condition — once over the history with its
+    /// deletes and once without them.
+    #[test]
+    fn golden_answers_across_write_shapes() {
+        use crate::stats::Termination::{T1AtRadius as T1, T2CandidateBudget as T2};
+        type Want = (u32, u64, u64, usize, usize, u32, Termination);
+        #[rustfmt::skip]
+        let asks: [(usize, f32, usize); 12] = [
+            (3, 0.0, 1), (3, 0.0, 10), (4100, 0.0, 10), (12_345, 0.25, 1), (12_345, 0.25, 10),
+            (19_999, 0.5, 10), (7300, 2.0, 1), (7300, 2.0, 10), (15, 30.0, 1), (15, 30.0, 10),
+            (9000, 1.0, 10), (17_000, 0.75, 1),
+        ];
+        #[rustfmt::skip]
+        let golden: [(bool, [Want; 12]); 2] = [
+            (true, [
+                (3, 5_308_394_286_387_993_926, 127_025, 1062, 1061, 1, T1),
+                (3, 11_991_390_567_423_801_618, 127_025, 1062, 1032, 1, T1),
+                (4100, 474_831_630_145_011_463, 122_232, 1110, 1091, 1, T2),
+                (6329, 6_955_096_195_366_000_736, 97_992, 44, 42, 1, T1),
+                (6329, 6_195_216_791_618_412_193, 97_992, 44, 28, 1, T1),
+                (13_193, 10_819_599_472_339_411_790, 197_935, 1110, 1077, 2, T2),
+                (16_654, 10_179_786_926_681_208_563, 437_589, 1101, 1092, 4, T2),
+                (16_654, 7_022_237_584_357_388_013, 437_962, 1110, 1085, 4, T2),
+                (15_338, 18_432_354_795_171_095_452, 775_196, 1101, 1081, 8, T2),
+                (15_338, 233_818_213_492_279_306, 775_215, 1110, 1012, 8, T2),
+                (10_392, 17_939_302_575_294_828_365, 253_591, 1110, 1067, 3, T2),
+                (2472, 12_977_860_995_885_174_283, 169_060, 206, 205, 2, T1),
+            ]),
+            (false, [
+                (3, 5_308_394_286_387_993_926, 129_130, 1101, 1100, 1, T2),
+                (3, 11_991_390_567_423_801_618, 129_747, 1110, 1080, 1, T2),
+                (4100, 474_831_630_145_011_463, 128_050, 1110, 1091, 1, T2),
+                (6329, 6_955_096_195_366_000_736, 105_806, 50, 48, 1, T1),
+                (6329, 8_253_500_646_223_370_823, 105_806, 50, 34, 1, T1),
+                (13_193, 14_699_307_026_701_993_224, 204_789, 1110, 1076, 2, T2),
+                (16_654, 10_179_786_926_681_208_563, 465_913, 1101, 1092, 4, T2),
+                (16_654, 6_246_849_446_256_426_639, 465_967, 1110, 1085, 4, T2),
+                (15_338, 18_432_354_795_171_095_452, 836_192, 1101, 1081, 8, T2),
+                (15_338, 15_470_403_864_592_166_417, 836_213, 1110, 1013, 8, T2),
+                (10_392, 17_939_302_575_294_828_365, 264_598, 1110, 1069, 3, T2),
+                (2472, 12_977_860_995_885_174_283, 182_377, 220, 219, 2, T1),
+            ]),
+        ];
+        let data = clustered(20_000, 16, 17);
+        for (deletes, wants) in golden {
+            let idx = write_shapes_history(&data, deletes);
+            for ((qi, offset, k), want) in asks.into_iter().zip(wants) {
+                let q: Vec<f32> = data.get(qi).iter().map(|x| x + offset).collect();
+                let (nn, s) = idx.query(&q, k);
+                let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+                for byte in nn.iter().flat_map(|n| {
+                    n.id.to_le_bytes().into_iter().chain(n.dist.to_bits().to_le_bytes())
+                }) {
+                    fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+                let got: Want = (
+                    nn[0].id,
+                    fnv,
+                    s.collisions_counted,
+                    s.candidates_verified,
+                    s.candidates_abandoned,
+                    s.rounds,
+                    s.terminated_by,
+                );
+                assert_eq!(got, want, "deletes {deletes}, query {qi} + {offset}, k = {k}");
+            }
+        }
+    }
+
     /// The representation the persistent index replaced — one vector of
     /// slots and a `BTreeMap<bucket, Vec<oid>>` per table, deep-copied
     /// by `clone` — kept here as the oracle of
