@@ -56,11 +56,11 @@ impl CollisionCounter {
     }
 
     /// Hint that `oid`'s counter word will be incremented shortly (see
-    /// [`crate::kernels::prefetch_read_u64`]); out-of-range ids are
+    /// [`crate::kernels::prefetch_read`]); out-of-range ids are
     /// ignored.
     #[inline]
     pub fn prefetch(&self, oid: u32) {
-        crate::kernels::prefetch_read_u64(&self.state, oid as usize);
+        crate::kernels::prefetch_read(&self.state, oid as usize);
     }
 
     /// Current count of `oid` in this query (0 when untouched).

@@ -9,7 +9,8 @@
 //! * [`crate::disk::DiskIndex`] — the same runs, metered in 4 KiB pages,
 //! * [`crate::paged::PagedStore`] — compressed runs read through a
 //!   buffer pool,
-//! * [`crate::dynamic::DynamicIndex`] — updatable `BTreeMap` tables,
+//! * [`crate::dynamic::DynamicIndex`] — the same runs in sealed segments
+//!   over id ranges, merged by size tier as writes seal more,
 //! * [`crate::sharded::ShardedEngine`] — per-shard runs presented as
 //!   one concatenated table per function,
 //! * `qalsh::Qalsh` (sibling crate) — query-centred windows over sorted
@@ -144,7 +145,7 @@ impl Default for SearchOptions {
 /// Implementations answer range-expansion queries against whatever
 /// physical layout they keep — positional windows over sorted runs
 /// ([`BucketWindows`]; `qalsh` centres its own on the query), key
-/// windows over ordered maps ([`KeyWindows`]) — and resolve object ids.
+/// windows over bucket ids ([`KeyWindows`]) — and resolve object ids.
 pub trait TableStore {
     /// Per-query expansion state: the query's per-table hash position
     /// plus how far each table's window has grown.
@@ -284,8 +285,8 @@ impl BucketWindows {
     }
 }
 
-/// Key-range window state for stores whose tables are ordered maps
-/// keyed by bucket id ([`crate::dynamic`]): tracks the covered bucket
+/// Key-range window state for stores that look a bucket up by its id in
+/// more than one run ([`crate::dynamic`]): tracks the covered bucket
 /// interval per table and yields the delta key ranges as the radius
 /// grows.
 #[derive(Debug, Clone)]

@@ -25,6 +25,7 @@ use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
+use std::ops::Range;
 
 /// One hash table: object ids ordered by `(bucket, oid)`, plus the
 /// directory of where each distinct bucket starts.
@@ -128,6 +129,66 @@ impl SortedRun {
     /// Every `(bucket, oid)` entry in run order.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
         self.buckets().flat_map(|(bucket, ids)| ids.iter().map(move |&oid| (bucket, oid)))
+    }
+
+    /// The first occupied bucket at or above `b`.
+    pub(crate) fn key_from(&self, b: i64) -> Option<i64> {
+        self.keys.get(self.keys.partition_point(|&k| k < b)).copied()
+    }
+
+    /// The ids of bucket `b`, none when no object hashed there.
+    pub(crate) fn bucket(&self, b: i64) -> &[u32] {
+        match self.keys.binary_search(&b) {
+            Ok(i) => &self.oids[self.starts[i] as usize..self.starts[i + 1] as usize],
+            Err(_) => &[],
+        }
+    }
+
+    /// The lowest and the highest occupied bucket, `None` for an empty run.
+    pub(crate) fn key_span(&self) -> Option<(i64, i64)> {
+        self.keys.first().copied().zip(self.keys.last().copied())
+    }
+
+    /// One run holding the `rows` ids of `parts` that `keep` accepts; it
+    /// is asked only about parts flagged as holding ids it refuses. Every
+    /// id of a part is above every id of the part before it, so a bucket
+    /// written part by part is in id order.
+    pub(crate) fn merged(
+        parts: &[(&SortedRun, bool)],
+        rows: usize,
+        keep: impl Fn(u32) -> bool,
+    ) -> Self {
+        let buckets = parts.iter().map(|(part, _)| part.keys.len()).sum::<usize>().min(rows);
+        let mut run = SortedRun {
+            keys: Vec::with_capacity(buckets),
+            starts: Vec::with_capacity(buckets + 1),
+            oids: Vec::with_capacity(rows),
+        };
+        let mut next = vec![0; parts.len()];
+        let heads = |next: &[usize]| {
+            parts.iter().zip(next).filter_map(|((part, _), &i)| part.keys.get(i)).min().copied()
+        };
+        while let Some(bucket) = heads(&next) {
+            let start = run.oids.len();
+            for (&(part, sift), i) in parts.iter().zip(&mut next) {
+                if part.keys.get(*i) == Some(&bucket) {
+                    let ids = &part.oids[part.starts[*i] as usize..part.starts[*i + 1] as usize];
+                    if sift {
+                        run.oids.extend(ids.iter().copied().filter(|&oid| keep(oid)));
+                    } else {
+                        run.oids.extend_from_slice(ids);
+                    }
+                    *i += 1;
+                }
+            }
+            if run.oids.len() > start {
+                run.keys.push(bucket);
+                run.starts.push(start as u32);
+            }
+        }
+        run.starts.push(run.oids.len() as u32);
+        debug_assert_eq!(run.oids.len(), rows);
+        run
     }
 
     /// Resident bytes: the ids plus the directory.
@@ -286,27 +347,34 @@ impl<'d> C2lshIndex<'d> {
     }
 }
 
-/// One run per hash function, in family order, built by `threads`
-/// workers that each take a contiguous share of the tables — on the
-/// calling thread when there is one share.
+/// One run per hash function, in family order.
 pub(crate) fn build_tables(data: &Dataset, family: &HashFamily, threads: usize) -> Vec<SortedRun> {
-    let functions: Vec<&PstableHash> = family.iter().collect();
-    let build = |hs: &[&PstableHash]| {
+    per_table(family.len(), threads, |tables| {
         let mut column = Vec::with_capacity(data.len());
-        hs.iter().map(|h| SortedRun::build(data, h, &mut column)).collect::<Vec<_>>()
-    };
-    if threads == 1 {
-        return build(&functions);
-    }
-    let build = &build;
-    crossbeam::scope(|scope| {
-        let workers: Vec<_> = functions
-            .chunks(functions.len().div_ceil(threads))
-            .map(|hs| scope.spawn(move |_| build(hs)))
-            .collect();
-        workers.into_iter().flat_map(|w| w.join().expect("table-build worker panicked")).collect()
+        tables.map(|t| SortedRun::build(data, family.get(t), &mut column)).collect()
     })
-    .expect("table-build scope panicked")
+}
+
+/// What `build` makes of each of `m` tables, in table order: `threads`
+/// workers each take a contiguous share of the tables — the calling
+/// thread when there is one share.
+pub(crate) fn per_table<T: Send>(
+    m: usize,
+    threads: usize,
+    build: impl Fn(Range<usize>) -> Vec<T> + Sync,
+) -> Vec<T> {
+    if threads == 1 {
+        return build(0..m);
+    }
+    let (build, share) = (&build, m.div_ceil(threads));
+    crossbeam::scope(|scope| {
+        let workers: Vec<_> = (0..m)
+            .step_by(share)
+            .map(|lo| scope.spawn(move |_| build(lo..(lo + share).min(m))))
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("table worker panicked")).collect()
+    })
+    .expect("table worker scope panicked")
 }
 
 impl TableStore for C2lshIndex<'_> {

@@ -321,11 +321,13 @@ pub const PROJECT_QUERY_BLOCK: usize = 8;
 /// indices are ignored; a no-op on architectures without a stable
 /// prefetch intrinsic). The counting loop issues this a few entries
 /// ahead of its random-access counter updates so the line arrives
-/// before the increment needs it. Purely a performance hint — prefetch
-/// cannot fault and has no architectural effect.
+/// before the increment needs it, and a store that hands out many short
+/// slices asks for the head of each before the first is consumed.
+/// Purely a performance hint — prefetch cannot fault and has no
+/// architectural effect.
 #[inline]
 #[allow(unsafe_code)]
-pub fn prefetch_read_u64(slice: &[u64], i: usize) {
+pub fn prefetch_read<T>(slice: &[T], i: usize) {
     if let Some(word) = slice.get(i) {
         #[cfg(target_arch = "x86_64")]
         {
@@ -339,7 +341,7 @@ pub fn prefetch_read_u64(slice: &[u64], i: usize) {
                 core::arch::x86_64::_mm_prefetch(p, core::arch::x86_64::_MM_HINT_T0);
             }
             // SAFETY: SSE is part of the x86-64 baseline.
-            unsafe { hint(word as *const u64 as *const i8) };
+            unsafe { hint(word as *const T as *const i8) };
         }
         #[cfg(not(target_arch = "x86_64"))]
         {

@@ -51,9 +51,9 @@
 //! * [`index`] — the in-memory backend over sorted runs,
 //! * [`disk`] — the same runs with exact paper-model I/O accounting,
 //! * [`paged`] — the out-of-core backend: page file and buffer pool,
-//! * [`dynamic`] — the updatable backend over per-table ordered maps
-//!   whose chunks are shared between snapshots (a clone copies
-//!   pointers, a write copies what it touches),
+//! * [`dynamic`] — the updatable backend: the same runs in sealed
+//!   segments shared between snapshots (a clone copies pointers, a
+//!   write seals a block and merges neighbours by size tier),
 //! * [`sharded`] — one logical index over `S` disjoint data shards:
 //!   exact single-loop queries over concatenated shard tables, plus a
 //!   parallel per-shard fan-out with `total_cmp` top-k merging,

@@ -5,11 +5,11 @@
 //!
 //! * **Snapshot-consistent reads.** Readers obtain an `Arc` to an
 //!   immutable published index and query it without any lock held;
-//!   a writer clones the current index (the clone shares every chunk
-//!   and a write copies the ones it touches), applies a whole batch to
-//!   the clone and publishes it in one pointer swap. A concurrent query
-//!   therefore sees the pre-batch or the post-batch index — never a
-//!   half-applied one (pinned by `tests/concurrency.rs`).
+//!   a writer clones the current index (the clone shares every segment
+//!   and chunk and a write replaces the ones it touches), applies a
+//!   whole batch to the clone and publishes it in one pointer swap. A
+//!   concurrent query therefore sees the pre-batch or the post-batch
+//!   index — never a half-applied one (pinned by `tests/concurrency.rs`).
 //! * **Durability of acknowledged writes.** With a backing directory,
 //!   every applied mutation is appended to a write-ahead log
 //!   ([`cc_storage::wal`]) and fsynced *before* the new snapshot is
@@ -133,7 +133,57 @@ impl Writer {
     }
 }
 
-/// In-memory retention of applied WAL records, feeding replication
+/// One applied mutation, as logged and as retained for replication: a
+/// [`WalOp`] whose vector is the allocation the index's slot holds.
+enum Applied {
+    Insert { oid: u32, vector: Arc<[f32]>, meta: PointMeta },
+    Delete { oid: u32 },
+}
+
+impl Applied {
+    /// The insert of `vector` that `index` holds under `oid`, sharing
+    /// the slot's allocation — or a copy, when a later op of the same
+    /// batch emptied the slot again.
+    fn insert(index: &DynamicIndex, oid: u32, vector: &[f32], meta: PointMeta) -> Self {
+        let slot = index.slots().get(oid as usize).cloned().flatten();
+        Applied::Insert { oid, vector: slot.unwrap_or_else(|| vector.into()), meta }
+    }
+
+    /// `op`, already applied to `index`.
+    fn of(op: &WalOp, index: &DynamicIndex) -> Self {
+        match op {
+            WalOp::Insert { oid, vector, tag, label } => {
+                Self::insert(index, *oid, vector, PointMeta::new(*tag, *label))
+            }
+            WalOp::Delete { oid } => Applied::Delete { oid: *oid },
+        }
+    }
+
+    fn append_to(&self, wal: &mut Wal) -> io::Result<u64> {
+        match self {
+            Applied::Insert { oid, vector, meta } => {
+                wal.append_insert(*oid, vector, meta.tag, meta.label)
+            }
+            Applied::Delete { oid } => wal.append_delete(*oid),
+        }
+    }
+
+    /// The record as shipped to a follower.
+    fn record(&self, seq: u64) -> WalRecord {
+        let op = match self {
+            Applied::Insert { oid, vector, meta } => WalOp::Insert {
+                oid: *oid,
+                vector: vector.to_vec(),
+                tag: meta.tag,
+                label: meta.label,
+            },
+            Applied::Delete { oid } => WalOp::Delete { oid: *oid },
+        };
+        WalRecord { seq, op }
+    }
+}
+
+/// In-memory retention of applied mutations, feeding replication
 /// subscribers. Seeded from the replayed log at open and appended on
 /// every applied batch; checkpoints truncate the *disk* log but never
 /// this buffer, so a connected follower survives checkpoints. The
@@ -145,7 +195,29 @@ struct ReplLog {
     /// must start at or above this floor. Nonzero when the index was
     /// opened from a checkpoint (the pre-checkpoint history is gone).
     floor: u64,
-    records: VecDeque<WalRecord>,
+    /// Record `i` has sequence number `floor + 1 + i`: the log hands
+    /// out dense numbers and [`MutableIndex::commit`] checks each.
+    records: VecDeque<Applied>,
+}
+
+impl ReplLog {
+    /// See [`MutableIndex::replication_tail`].
+    fn tail(&self, from_seq: u64, max: usize) -> io::Result<(u64, Vec<WalRecord>)> {
+        if from_seq < self.floor {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "replication tail from seq {from_seq} is below the retained floor {}; \
+                     the subscriber must re-seed from a checkpoint copy",
+                    self.floor
+                ),
+            ));
+        }
+        let last = self.floor + self.records.len() as u64;
+        let skip = (from_seq.min(last) - self.floor) as usize;
+        let tail = self.records.range(skip..).take(max).zip(self.floor + skip as u64 + 1..);
+        Ok((last, tail.map(|(op, seq)| op.record(seq)).collect()))
+    }
 }
 
 /// A [`DynamicIndex`] made safe for concurrent serving: lock-free-read
@@ -259,8 +331,15 @@ impl MutableIndex {
         // checkpoint (log written before the checkpoint's reset, e.g. a
         // kill between checkpoint rename and WAL reset).
         let retained: Vec<WalRecord> = records.into_iter().filter(|r| r.seq > ckpt_seq).collect();
+        if retained.first().is_some_and(|first| first.seq != ckpt_seq + 1) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("WAL starts at seq {}, checkpoint ends at {ckpt_seq}", retained[0].seq),
+            ));
+        }
         apply_wal_records(&mut index, &retained)?;
-        let last_seq = retained.last().map_or(ckpt_seq, |r| r.seq);
+        let last_seq = ckpt_seq + retained.len() as u64;
+        let retained = retained.iter().map(|rec| Applied::of(&rec.op, &index)).collect();
 
         Ok(Self {
             snapshot: RwLock::new(Snapshot { seq: last_seq, index: Arc::new(index) }),
@@ -271,7 +350,7 @@ impl MutableIndex {
                 stats: MutationStats { last_seq, ..MutationStats::default() },
                 poisoned: None,
             }),
-            repl: Mutex::new(ReplLog { floor: ckpt_seq, records: retained.into() }),
+            repl: Mutex::new(ReplLog { floor: ckpt_seq, records: retained }),
         })
     }
 
@@ -324,32 +403,28 @@ impl MutableIndex {
 
         // Clone-and-mutate: the published index stays untouched (and
         // readable) while the batch lands on the private clone. The
-        // clone shares every chunk with the published index and the
-        // batch copies the chunks it writes, each once, so a one-op
-        // batch costs the same whatever the index holds.
+        // clone shares every segment and chunk with the published index
+        // and the batch replaces the ones it writes, so a one-op batch
+        // costs the same whatever the index holds.
         let mut next = DynamicIndex::clone(&self.snapshot.read().index);
         let mut delta = MutationStats { batches: 1, ..MutationStats::default() };
         let mut acks = Vec::with_capacity(ops.len());
-        let mut logged: Vec<WalOp> = Vec::with_capacity(ops.len());
+        let mut logged: Vec<Applied> = Vec::with_capacity(ops.len());
         let mut last_seq = writer.stats.last_seq.max(self.snapshot.read().seq);
 
         let edits = ops.iter().map(|op| match op {
             MutationOp::Insert { vector, meta } => Edit::Insert(vector, *meta),
             MutationOp::Delete { oid } => Edit::Delete(*oid),
         });
-        for (op, (oid, found)) in ops.iter().zip(next.apply(edits)) {
+        let applied = next.apply(edits);
+        for (op, (oid, found)) in ops.iter().zip(applied) {
             match op {
                 MutationOp::Insert { vector, meta } => {
-                    logged.push(WalOp::Insert {
-                        oid,
-                        vector: vector.clone(),
-                        tag: meta.tag,
-                        label: meta.label,
-                    });
+                    logged.push(Applied::insert(&next, oid, vector, *meta));
                     acks.push(MutationAck::Inserted { oid, seq: 0 });
                 }
                 MutationOp::Delete { .. } if found => {
-                    logged.push(WalOp::Delete { oid });
+                    logged.push(Applied::Delete { oid });
                     acks.push(MutationAck::Deleted { oid, found: true, seq: 0 });
                 }
                 MutationOp::Delete { .. } => {
@@ -391,7 +466,7 @@ impl MutableIndex {
         &self,
         writer: &mut Writer,
         next: DynamicIndex,
-        logged: Vec<WalOp>,
+        logged: Vec<Applied>,
         first_seq: u64,
         delta: &mut MutationStats,
     ) -> io::Result<Vec<u64>> {
@@ -402,7 +477,7 @@ impl MutableIndex {
                 let (pos, wal_bytes_before) = (wal.position(), wal.size_bytes());
                 let appended = (|| -> io::Result<()> {
                     for op in &logged {
-                        let seq = wal.append(op)?;
+                        let seq = op.append_to(wal)?;
                         let shipped = first_seq + seqs.len() as u64;
                         if seq != shipped {
                             return Err(io::Error::new(
@@ -443,7 +518,7 @@ impl MutableIndex {
         }
         delta.last_seq = seqs.last().map_or(last_seq, |&seq| seq.max(last_seq));
         delta.inserts =
-            logged.iter().filter(|op| matches!(op, WalOp::Insert { .. })).count() as u64;
+            logged.iter().filter(|op| matches!(op, Applied::Insert { .. })).count() as u64;
         delta.deletes = logged.len() as u64 - delta.inserts;
 
         // Past the durability point (fsynced, or accepted in ephemeral
@@ -452,8 +527,7 @@ impl MutableIndex {
         // on the pre-batch snapshot. A batch of pure delete misses
         // changed nothing — keep the old snapshot and its cache residency.
         if !logged.is_empty() {
-            let recs = logged.into_iter().zip(&seqs).map(|(op, &seq)| WalRecord { seq, op });
-            self.repl.lock().records.extend(recs);
+            self.repl.lock().records.extend(logged);
             *self.snapshot.write() = Snapshot { seq: delta.last_seq, index: Arc::new(next) };
         }
         writer.stats.merge(delta);
@@ -472,21 +546,7 @@ impl MutableIndex {
     /// [`io::ErrorKind::InvalidInput`] — such a follower needs a full
     /// snapshot copy, not a log tail.
     pub fn replication_tail(&self, from_seq: u64, max: usize) -> io::Result<(u64, Vec<WalRecord>)> {
-        let repl = self.repl.lock();
-        if from_seq < repl.floor {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "replication tail from seq {from_seq} is below the retained floor {}; \
-                     the subscriber must re-seed from a checkpoint copy",
-                    repl.floor
-                ),
-            ));
-        }
-        let last = repl.records.back().map_or(repl.floor, |r| r.seq);
-        let tail: Vec<WalRecord> =
-            repl.records.iter().filter(|r| r.seq > from_seq).take(max).cloned().collect();
-        Ok((last, tail))
+        self.repl.lock().tail(from_seq, max)
     }
 
     /// Apply a batch of replicated WAL records shipped from a primary.
@@ -529,7 +589,7 @@ impl MutableIndex {
         let mut delta = MutationStats { batches: 1, ..MutationStats::default() };
         apply_wal_records(&mut next, &fresh)?;
 
-        let logged = fresh.iter().map(|rec| rec.op.clone()).collect();
+        let logged = fresh.iter().map(|rec| Applied::of(&rec.op, &next)).collect();
         self.commit(&mut writer, next, logged, last_seq + 1, &mut delta)?;
         Ok(delta.last_seq)
     }
@@ -1066,6 +1126,93 @@ mod tests {
         assert_eq!(reopened.last_seq(), 10, "every applied record recovered");
         assert_eq!(reopened.snapshot().0.slots(), primary.snapshot().0.slots());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What `apply_batch` keeps of an insert is the slot's allocation,
+    /// not a copy — on the primary, on a follower and after a reopen —
+    /// and the tail it ships brings a follower to the same checkpoint
+    /// bytes.
+    #[test]
+    fn a_retained_record_shares_its_slot_and_the_tail_converges_a_follower() {
+        let dir = scratch_dir("repl-shared");
+        let data = points(40, 6, 36);
+        let config = cfg();
+        let primary = MutableIndex::open(&dir, 6, 100, &config).unwrap();
+        let follower = MutableIndex::ephemeral(DynamicIndex::new(6, 100, &config));
+        let labeled = |(i, v): (usize, &[f32])| MutationOp::Insert {
+            vector: v.to_vec(),
+            meta: PointMeta::labeled(i as u32 % 3),
+        };
+        let mut ops: Vec<MutationOp> = data.iter().enumerate().map(labeled).collect();
+        // Oid 5 is inserted and deleted by one batch: its record keeps a copy.
+        ops.insert(10, MutationOp::Delete { oid: 5 });
+        primary.apply_batch(&ops[..21]).unwrap();
+        primary.apply_batch(&ops[21..]).unwrap();
+        primary.apply_batch(&[MutationOp::Delete { oid: 30 }, insert(data.get(0))]).unwrap();
+        // The ids whose retained insert is the very allocation in the slot.
+        let shared = |index: &MutableIndex| {
+            let (snapshot, _) = index.snapshot();
+            let same = |op: &Applied| match op {
+                Applied::Insert { oid, vector, .. } => {
+                    let slot = snapshot.slots().get(*oid as usize).unwrap().as_ref();
+                    slot.is_some_and(|slot| Arc::ptr_eq(slot, vector)).then_some(*oid)
+                }
+                Applied::Delete { .. } => None,
+            };
+            index.repl.lock().records.iter().filter_map(same).collect::<Vec<u32>>()
+        };
+        let live: Vec<u32> = (0..41).filter(|oid| ![5, 30].contains(oid)).collect();
+        assert_eq!(shared(&primary), live);
+
+        let mut from = 0;
+        while from < primary.last_seq() {
+            let (_, tail) = primary.replication_tail(from, 7).unwrap();
+            from = follower.apply_replicated(&tail).unwrap();
+        }
+        assert_eq!(shared(&follower), live);
+        let blob = |index: &MutableIndex| save_dynamic(&index.snapshot().0, 0);
+        assert!(blob(&follower) == blob(&primary), "follower diverged");
+        let whole = |index: &MutableIndex| index.replication_tail(0, 100).unwrap();
+        assert_eq!(whole(&follower), whole(&primary));
+
+        drop(primary);
+        let reopened = MutableIndex::open(&dir, 6, 100, &config).unwrap();
+        assert_eq!(shared(&reopened), live);
+        assert!(blob(&reopened) == blob(&follower), "replay diverged");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest::proptest! {
+        /// The tail is a seek into the dense log: whatever the floor, the
+        /// subscriber's position and the cap, it is what filtering every
+        /// retained record by its sequence number gives — the refusal
+        /// below the floor and the empty answer to a subscriber that has
+        /// caught up, or claims to be ahead, included.
+        #[test]
+        fn replication_tail_seeks_to_what_a_filter_finds(
+            floor in 0u64..50,
+            len in 0u32..60,
+            from_seq in 0u64..130,
+            max in 0usize..70,
+        ) {
+            let log = ReplLog { floor, records: (0..len).map(|oid| Applied::Delete { oid }).collect() };
+            let numbered = (floor + 1..).zip(&log.records);
+            let want: Vec<WalRecord> = numbered
+                .filter(|&(seq, _)| seq > from_seq)
+                .take(max)
+                .map(|(seq, op)| op.record(seq))
+                .collect();
+            match log.tail(from_seq, max) {
+                Ok(got) => {
+                    proptest::prop_assert!(from_seq >= floor);
+                    proptest::prop_assert_eq!(got, (floor + u64::from(len), want));
+                }
+                Err(e) => {
+                    proptest::prop_assert!(from_seq < floor);
+                    proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+                }
+            }
+        }
     }
 
     #[test]

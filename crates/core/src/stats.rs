@@ -96,7 +96,9 @@ pub struct QueryStats {
     pub rounds: u32,
     /// Final search radius `R = c^(rounds-1)` reached.
     pub final_radius: i64,
-    /// Total collision-count increments performed.
+    /// Total collision-count increments performed. A dynamic index
+    /// counts the ids of deleted objects too until a merge drops them
+    /// from their segment; they are never verified.
     pub collisions_counted: u64,
     /// Objects whose true distance was computed (= frequent objects).
     pub candidates_verified: usize,

@@ -415,14 +415,17 @@ fn main() {
                     args.dim,
                     args.seed,
                 );
-                // Chunked batches keep the WAL group commits (and the
-                // clone-per-batch cost) bounded during the bulk load.
-                let rows: Vec<MutationOp> = data
-                    .iter()
-                    .map(|v| MutationOp::Insert { vector: v.to_vec(), meta: Default::default() })
-                    .collect();
-                for chunk in rows.chunks(4096) {
-                    if let Err(e) = engine.apply_batch(chunk) {
+                // Chunked batches keep the WAL group commits, the
+                // clone-per-batch cost and the second copy of the rows a
+                // batch is made of bounded during the bulk load.
+                for lo in (0..data.len()).step_by(4096) {
+                    let chunk: Vec<MutationOp> = (lo..data.len().min(lo + 4096))
+                        .map(|i| MutationOp::Insert {
+                            vector: data.get(i).to_vec(),
+                            meta: Default::default(),
+                        })
+                        .collect();
+                    if let Err(e) = engine.apply_batch(&chunk) {
                         eprintln!("bulk load failed: {e}");
                         exit(1);
                     }

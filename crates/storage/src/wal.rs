@@ -240,32 +240,60 @@ impl Wal {
     /// record is *not* durable (and must not be acknowledged) until the
     /// next [`Wal::sync`] returns.
     pub fn append(&mut self, op: &WalOp) -> io::Result<u64> {
-        let seq = self.next_seq;
+        match op {
+            WalOp::Insert { oid, vector, tag, label } => {
+                self.append_insert(*oid, vector, *tag, *label)
+            }
+            WalOp::Delete { oid } => self.append_delete(*oid),
+        }
+    }
+
+    /// [`Wal::append`] of a [`WalOp::Insert`] whose vector the caller
+    /// keeps.
+    pub fn append_insert(
+        &mut self,
+        oid: u32,
+        vector: &[f32],
+        tag: u64,
+        label: u32,
+    ) -> io::Result<u64> {
+        let plain = tag == 0 && label == 0;
+        let record = self.begin_record(if plain { OP_INSERT } else { OP_INSERT_META }, oid);
+        if !plain {
+            record.extend_from_slice(&tag.to_le_bytes());
+            record.extend_from_slice(&label.to_le_bytes());
+        }
+        record.extend_from_slice(&(vector.len() as u32).to_le_bytes());
+        let at = record.len();
+        record.resize(at + 4 * vector.len(), 0);
+        for (bytes, x) in record[at..].chunks_exact_mut(4).zip(vector) {
+            bytes.copy_from_slice(&x.to_le_bytes());
+        }
+        self.write_record()
+    }
+
+    /// [`Wal::append`] of a [`WalOp::Delete`].
+    pub fn append_delete(&mut self, oid: u32) -> io::Result<u64> {
+        self.begin_record(OP_DELETE, oid);
+        self.write_record()
+    }
+
+    /// Start the next record in the reused buffer: a place for the
+    /// length word, the sequence number, the opcode and the object id.
+    fn begin_record(&mut self, opcode: u8, oid: u32) -> &mut Vec<u8> {
         let record = &mut self.record;
         record.clear();
         record.extend_from_slice(&[0; 4]); // the length word, known once the payload is
-        record.extend_from_slice(&seq.to_le_bytes());
-        match op {
-            WalOp::Insert { oid, vector, tag, label } => {
-                let plain = *tag == 0 && *label == 0;
-                record.push(if plain { OP_INSERT } else { OP_INSERT_META });
-                record.extend_from_slice(&oid.to_le_bytes());
-                if !plain {
-                    record.extend_from_slice(&tag.to_le_bytes());
-                    record.extend_from_slice(&label.to_le_bytes());
-                }
-                record.extend_from_slice(&(vector.len() as u32).to_le_bytes());
-                let at = record.len();
-                record.resize(at + 4 * vector.len(), 0);
-                for (bytes, x) in record[at..].chunks_exact_mut(4).zip(vector) {
-                    bytes.copy_from_slice(&x.to_le_bytes());
-                }
-            }
-            WalOp::Delete { oid } => {
-                record.push(OP_DELETE);
-                record.extend_from_slice(&oid.to_le_bytes());
-            }
-        }
+        record.extend_from_slice(&self.next_seq.to_le_bytes());
+        record.push(opcode);
+        record.extend_from_slice(&oid.to_le_bytes());
+        record
+    }
+
+    /// Frame the record begun by [`Wal::begin_record`] — length word in
+    /// front, checksum behind — and write it; returns its sequence number.
+    fn write_record(&mut self) -> io::Result<u64> {
+        let (seq, record) = (self.next_seq, &mut self.record);
         let payload = record.len() - 4;
         debug_assert!(payload <= MAX_RECORD);
         record[..4].copy_from_slice(&(payload as u32).to_le_bytes());
