@@ -522,4 +522,107 @@ mod tests {
         assert_eq!(engine.query(q, 9).0, single.query(q, 9).0);
         assert_eq!(engine.query_fanout(q, 9, &SearchOptions::default()).0, single.query(q, 9).0);
     }
+
+    /// Pins what one 6 000 × 12 data set answers at 1, 3 and 4 shards:
+    /// per (c, β·n, query row, offset added to every coordinate, k, label
+    /// filter) the first id, an FNV-1a of every id and distance's bits,
+    /// rounds, final radius, collisions, verified, abandoned, filtered and
+    /// the terminating condition. The rows cover T1 in the first round and
+    /// after several, T2 in the first round and in a later one. `golden`
+    /// holds the answers of one shard, which are [`C2lshIndex`]'s;
+    /// `shard_major` the rows that read otherwise at 3 or 4 shards, where a
+    /// range of several buckets is visited shard by shard: the budget runs
+    /// out at another id, or a candidate meets another abandon bound.
+    #[test]
+    fn golden_answers_at_one_and_four_shards() {
+        use crate::meta::Predicate;
+        use crate::stats::Termination::{self, T1AtRadius as T1, T2CandidateBudget as T2};
+        type Ask = (u32, u64, usize, f32, usize, bool);
+        type Want = (u32, u64, u32, i64, u64, usize, usize, usize, Termination);
+        #[rustfmt::skip]
+        let golden: [(Ask, Want); 20] = [
+            ((2, 300, 5, 0.3, 1, false), (5501, 5_888_565_586_053_662_639, 1, 1, 49_173, 182, 65, 0, T1)),
+            ((2, 300, 5, 0.3, 10, true), (3077, 16_323_071_659_754_759_305, 1, 1, 49_173, 38, 0, 144, T1)),
+            ((2, 300, 2500, 0.6, 10, false), (260, 12_378_683_759_749_052_750, 2, 2, 80_046, 168, 22, 0, T1)),
+            ((2, 300, 5, 5.0, 10, false), (5230, 1_081_732_582_016_980_006, 5, 16, 215_015, 31, 0, 0, T1)),
+            ((2, 300, 5, 0.0, 10, false), (5, 17_524_422_206_563_501_287, 1, 1, 44_540, 310, 206, 0, T2)),
+            ((2, 300, 5999, 0.6, 1, false), (1647, 9_994_238_837_717_563_748, 2, 2, 78_929, 301, 218, 0, T2)),
+            ((2, 300, 2500, 1.0, 10, false), (260, 16_006_165_877_309_492_610, 3, 4, 115_002, 310, 15, 0, T2)),
+            ((3, 300, 5999, 0.6, 10, false), (2591, 2_668_629_573_819_702_471, 1, 1, 23_646, 10, 0, 0, T1)),
+            ((3, 300, 5999, 1.0, 10, false), (1647, 2_336_351_094_943_579_482, 2, 3, 49_804, 217, 5, 0, T1)),
+            ((3, 300, 5999, 0.6, 10, true), (1647, 12_303_184_789_837_195_526, 2, 3, 69_012, 150, 55, 600, T1)),
+            ((3, 300, 5999, 5.0, 1, false), (3969, 6_279_072_531_252_257_512, 3, 9, 88_979, 19, 0, 0, T1)),
+            ((3, 300, 2500, 30.0, 10, true), (5512, 9_090_722_331_801_978_853, 5, 81, 127_926, 306, 0, 1213, T1)),
+            ((3, 300, 5, 2.0, 10, true), (5557, 9_784_624_197_337_950_114, 3, 9, 119_936, 310, 160, 1226, T2)),
+            ((3, 300, 2500, 0.6, 1, false), (260, 3_626_848_482_219_242_182, 2, 3, 41_640, 301, 209, 0, T2)),
+            ((2, 30, 5, 5.0, 1, false), (5861, 14_716_050_044_677_539_296, 5, 16, 312_784, 19, 0, 0, T1)),
+            ((2, 30, 2500, 0.3, 1, false), (36, 919_845_504_273_861_283, 1, 1, 64_905, 31, 11, 0, T2)),
+            ((2, 30, 5999, 30.0, 10, true), (117, 6_569_527_640_387_894_356, 8, 128, 342_396, 40, 0, 130, T2)),
+            ((3, 30, 5999, 0.3, 10, true), (5207, 18_417_791_205_157_601_095, 1, 1, 35_361, 40, 6, 156, T2)),
+            ((3, 30, 5, 30.0, 1, false), (5840, 17_153_567_111_618_282_443, 6, 243, 183_043, 31, 0, 0, T2)),
+            ((3, 30, 5999, 2.0, 1, false), (1647, 18_284_493_468_113_838_838, 3, 9, 117_651, 31, 0, 0, T2)),
+        ];
+        // (row of `golden`, shards) -> what that many shards answer instead.
+        #[rustfmt::skip]
+        let shard_major: [(usize, usize, Want); 14] = [
+            (6, 3, (260, 16_006_165_877_309_492_610, 3, 4, 115_021, 310, 12, 0, T2)),
+            (6, 4, (260, 16_006_165_877_309_492_610, 3, 4, 115_024, 310, 13, 0, T2)),
+            (8, 3, (1647, 2_336_351_094_943_579_482, 2, 3, 49_804, 217, 6, 0, T1)),
+            (8, 4, (1647, 2_336_351_094_943_579_482, 2, 3, 49_804, 217, 6, 0, T1)),
+            (9, 3, (1647, 12_303_184_789_837_195_526, 2, 3, 69_012, 150, 54, 600, T1)),
+            (9, 4, (1647, 12_303_184_789_837_195_526, 2, 3, 69_012, 150, 54, 600, T1)),
+            (12, 3, (5557, 9_784_624_197_337_950_114, 3, 9, 119_890, 310, 160, 1215, T2)),
+            (12, 4, (5557, 9_784_624_197_337_950_114, 3, 9, 119_943, 310, 160, 1224, T2)),
+            (13, 3, (260, 3_626_848_482_219_242_182, 2, 3, 41_652, 301, 209, 0, T2)),
+            (13, 4, (260, 3_626_848_482_219_242_182, 2, 3, 41_674, 301, 209, 0, T2)),
+            (16, 3, (997, 13_228_008_660_116_715_524, 8, 128, 343_425, 40, 0, 138, T2)),
+            (16, 4, (997, 13_329_352_600_733_622_654, 8, 128, 342_974, 40, 0, 131, T2)),
+            (18, 3, (1888, 2_793_286_163_649_889_301, 6, 243, 182_822, 31, 0, 0, T2)),
+            (18, 4, (1168, 3_884_971_681_698_852_406, 6, 243, 182_700, 31, 0, 0, T2)),
+        ];
+        let data = clustered(6000, 12, 21);
+        let metas: Vec<PointMeta> = (0..6000).map(|i| PointMeta::labeled(i % 5)).collect();
+        for shards in [1, 3, 4] {
+            let sharded = ShardedData::partition(&data, shards);
+            let mut built: Option<((u32, u64), ShardedEngine)> = None;
+            for (row, &((c, beta, qi, offset, k, filtered), want)) in golden.iter().enumerate() {
+                // Rows of one (c, β·n) follow one another: build once for them.
+                if built.as_ref().map(|(of, _)| *of) != Some((c, beta)) {
+                    let cfg = C2lshConfig::builder()
+                        .bucket_width(1.0)
+                        .approximation_ratio(c)
+                        .seed(11)
+                        .beta(Beta::Count(beta))
+                        .build();
+                    let engine = ShardedEngine::build(&sharded, &cfg).with_meta(metas.clone());
+                    built = Some(((c, beta), engine));
+                }
+                let engine = &built.as_ref().expect("built above").1;
+                let q: Vec<f32> = data.get(qi).iter().map(|x| x + offset).collect();
+                let filter = filtered.then(|| Predicate::label(2));
+                let (nn, s) =
+                    engine.query_with(&q, k, &SearchOptions { filter, ..Default::default() });
+                let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+                for byte in nn.iter().flat_map(|n| {
+                    n.id.to_le_bytes().into_iter().chain(n.dist.to_bits().to_le_bytes())
+                }) {
+                    fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+                let got: Want = (
+                    nn[0].id,
+                    fnv,
+                    s.rounds,
+                    s.final_radius,
+                    s.collisions_counted,
+                    s.candidates_verified,
+                    s.candidates_abandoned,
+                    s.candidates_filtered,
+                    s.terminated_by,
+                );
+                let other = shard_major.iter().find(|&&(r, s, _)| (r, s) == (row, shards));
+                let want = other.map_or(want, |&(_, _, want)| want);
+                assert_eq!(got, want, "row {row}, {shards} shards");
+            }
+        }
+    }
 }
