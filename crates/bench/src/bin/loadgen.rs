@@ -384,6 +384,10 @@ fn main() {
     match mode.as_str() {
         "sharded" => {
             assert_eq!(write_pct, 0, "CC_WRITE_PCT needs CC_MODE=dynamic (read-only engine)");
+            if n < 4 {
+                eprintln!("CC_N={n}: the self-hosted engine has 4 shards, each holding a vector");
+                std::process::exit(2);
+            }
             eprintln!("self-hosting: building a 4-shard index over {n} vectors in R^{dim}…");
             let sharded = ShardedData::partition(&data, 4);
             let metas: Vec<PointMeta> = (0..n).map(seed_meta).collect();

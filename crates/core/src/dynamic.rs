@@ -25,13 +25,13 @@
 //! virtual-rehashing windows, incremental counting and T1/T2 termination
 //! as every other backend — expressed over key ranges ([`KeyWindows`])
 //! instead of array positions: a bucket's ids go out segment by segment,
-//! which is one table's `(bucket, oid)` order.
+//! which is one table's `(bucket, oid)` order — the walk of
+//! `index::Segment::expand`, shared with [`crate::sharded`].
 
 use crate::config::C2lshConfig;
 use crate::engine::{self, KeyWindows, SearchOptions, SearchParams, TableStore};
 use crate::hash::HashFamily;
-use crate::index::{build_tables, per_table, SortedRun};
-use crate::kernels;
+use crate::index::{build_tables, per_table, Segment, SortedRun};
 use crate::meta::PointMeta;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
@@ -51,32 +51,12 @@ const WORKER_ROWS: usize = 256;
 /// A segment of fewer rows is a tail: two neighbouring tails merge, so a
 /// one-row batch rewrites fewer than this many rows.
 const TAIL_ROWS: usize = 256;
-/// Segments whose slices of a bucket are looked up before the first is
-/// handed out, and cache lines asked for at the head of each.
-const HEADS: usize = 8;
-const HEAD_LINES: usize = 16;
 /// No merge makes a segment of more rows, which bounds the longest stall
 /// a write can meet to writing `4·m` bytes for each of them.
 const SEGMENT_CAP: usize = 65_536;
 
-/// The rows of one sealed block, or of several merged: per hash table a
-/// run of their object ids by `(bucket, oid)`. Never written after it
-/// is sealed, so snapshots share it.
-struct Segment {
-    runs: Vec<SortedRun>,
-    /// The lowest and the highest id it was sealed with; the segments of
-    /// an index cover ascending, disjoint ranges.
-    first: u32,
-    last: u32,
-}
-
-impl Segment {
-    fn rows(&self) -> usize {
-        self.runs[0].oids.len()
-    }
-}
-
-/// A segment as one snapshot sees it.
+/// A segment — the rows of one sealed block, or of several merged — as
+/// one snapshot sees it.
 #[derive(Clone)]
 struct Sealed {
     segment: Arc<Segment>,
@@ -87,6 +67,12 @@ struct Sealed {
 impl Sealed {
     fn live(&self) -> usize {
         self.segment.rows() - self.dead
+    }
+}
+
+impl AsRef<Segment> for Sealed {
+    fn as_ref(&self) -> &Segment {
+        &self.segment
     }
 }
 
@@ -356,16 +342,12 @@ impl DynamicIndex {
     }
 
     /// Seal `rows` as a segment under `oids`: workers hash the block
-    /// table by table and counting-sort each column into a run of block
-    /// positions, which become the ids. The runs stay where the workers
-    /// allocated them.
+    /// table by table and counting-sort each column into a run of its
+    /// rows' ids. The runs stay where the workers allocated them.
     fn index_rows(&mut self, rows: &Dataset, oids: &[u32]) {
         let (Some(&first), Some(&last)) = (oids.first(), oids.last()) else { return };
         let workers = self.workers.min(oids.len() / WORKER_ROWS).max(1);
-        let mut runs = build_tables(rows, &self.family, workers);
-        for id in runs.iter_mut().flat_map(|run| &mut run.oids) {
-            *id = oids[*id as usize];
-        }
+        let runs = build_tables(rows, &self.family, workers, |i| oids[i]);
         self.segments.push(Sealed { segment: Arc::new(Segment { runs, first, last }), dead: 0 });
         self.live += oids.len();
         self.restore();
@@ -554,46 +536,13 @@ impl TableStore for DynamicIndex {
         radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        // A bucket's ids from every segment in turn, bucket after
-        // bucket: segments hold ascending id ranges, so that is the
-        // order of one run over all of them.
-        for (lo, hi) in cursor.grow(t, radius) {
-            let mut from = lo;
-            while from < hi {
-                // A range of one bucket, as in every first round, has no
-                // next occupied bucket to look for.
-                let next = if lo + 1 == hi {
-                    Some(lo)
-                } else {
-                    self.segments.iter().filter_map(|s| s.segment.runs[t].key_from(from)).min()
-                };
-                let Some(b) = next.filter(|&b| b < hi) else { break };
-                // Every slice costs a directory search and a first read of
-                // ids nothing has touched: look a group's slices up and ask
-                // for their heads together, so those misses overlap
-                // instead of following one another.
-                for group in self.segments.chunks(HEADS) {
-                    let mut slices: [&[u32]; HEADS] = [&[]; HEADS];
-                    for (slice, s) in slices.iter_mut().zip(group) {
-                        *slice = s.segment.runs[t].bucket(b);
-                        (0..HEAD_LINES).for_each(|line| kernels::prefetch_read(slice, 16 * line));
-                    }
-                    if !slices.into_iter().filter(|ids| !ids.is_empty()).all(&mut *visit) {
-                        return;
-                    }
-                }
-                from = b + 1;
-            }
-        }
+        Segment::expand(&self.segments, cursor, t, radius, visit)
     }
 
     fn exhausted(&self, cursor: &KeyWindows) -> bool {
         // Over the buckets resident ids occupy: one that holds only
         // tombstoned ids is still to be covered.
-        (0..self.params.m).all(|t| {
-            let spans = self.segments.iter().filter_map(|s| s.segment.runs[t].key_span());
-            cursor.covers(t, spans.reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max))))
-        })
+        Segment::exhausted(&self.segments, cursor, self.params.m)
     }
 
     fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
@@ -713,6 +662,30 @@ mod tests {
         let (nn, stats) = idx.query(&[50.0; 4], 2);
         assert_eq!(nn.len(), 2);
         assert!(matches!(stats.terminated_by, Termination::Exhausted | Termination::T1AtRadius));
+    }
+
+    /// No segment — nothing inserted yet, or every id tombstoned and its
+    /// segment dropped — is `m` tables with no bucket to cover: exhausted
+    /// once every table has been grown, not before.
+    #[test]
+    fn an_index_without_a_segment_is_exhausted_once_grown() {
+        let empty = DynamicIndex::new(4, 1000, &cfg());
+        let mut emptied = empty.clone();
+        emptied.insert(vec![0.0; 4]);
+        emptied.insert(vec![100.0; 4]);
+        assert!(emptied.delete(0) && emptied.delete(1));
+        for idx in [&empty, &emptied] {
+            assert!(idx.segments.is_empty() && idx.is_empty());
+            let mut cursor = idx.begin(&[50.0; 4]);
+            assert!(!idx.exhausted(&cursor));
+            for t in 0..idx.params().m {
+                idx.expand(&mut cursor, t, 1, &mut |ids| panic!("handed out {ids:?}"));
+            }
+            assert!(idx.exhausted(&cursor));
+            let (nn, stats) = idx.query(&[50.0; 4], 2);
+            assert!(nn.is_empty());
+            assert_eq!((stats.rounds, stats.terminated_by), (1, Termination::Exhausted));
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   buffer pool,
 //! * [`crate::dynamic::DynamicIndex`] — the same runs in sealed segments
 //!   over id ranges, merged by size tier as writes seal more,
-//! * [`crate::sharded::ShardedEngine`] — per-shard runs presented as
-//!   one concatenated table per function,
+//! * [`crate::sharded::ShardedEngine`] — the same runs in one segment
+//!   per shard, walked as the dynamic index walks its own,
 //! * `qalsh::Qalsh` (sibling crate) — query-centred windows over sorted
 //!   projection columns, metered as B+-trees.
 //!
@@ -286,9 +286,9 @@ impl BucketWindows {
 }
 
 /// Key-range window state for stores that look a bucket up by its id in
-/// more than one run ([`crate::dynamic`]): tracks the covered bucket
-/// interval per table and yields the delta key ranges as the radius
-/// grows.
+/// more than one run ([`crate::dynamic`], [`crate::sharded`]): tracks the
+/// covered bucket interval per table and yields the delta key ranges as
+/// the radius grows.
 #[derive(Debug, Clone)]
 pub struct KeyWindows {
     q_buckets: Vec<i64>,

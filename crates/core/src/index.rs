@@ -15,11 +15,16 @@
 //! with tables spread over the machine's cores.
 //!
 //! The query loop itself lives in [`crate::engine`]; this module only
-//! maps delta-range requests onto its sorted runs.
+//! maps delta-range requests onto its sorted runs. A store that keeps
+//! several runs per table — the shards of [`crate::sharded`], the sealed
+//! blocks of [`crate::dynamic`] — keeps them as `Segment`s over
+//! ascending id ranges, and the walk that hands them out bucket by
+//! bucket as one table lives here too.
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, BucketWindows, SearchOptions, SearchParams, TableStore};
+use crate::engine::{self, BucketWindows, KeyWindows, SearchOptions, SearchParams, TableStore};
 use crate::hash::{HashFamily, PstableHash};
+use crate::kernels;
 use crate::meta::PointMeta;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
@@ -61,17 +66,22 @@ impl SortedRun {
         Some(run)
     }
 
-    /// Hash every object under `h` into `column` (a buffer reused from
+    /// Hash every row under `h` into `column` (a buffer reused from
     /// table to table) and order the ids by `(bucket, oid)`.
-    fn build(data: &Dataset, h: &PstableHash, column: &mut Vec<i64>) -> Self {
+    fn build(
+        data: &Dataset,
+        h: &PstableHash,
+        column: &mut Vec<i64>,
+        id: impl Fn(usize) -> u32,
+    ) -> Self {
         column.clear();
         column.extend(data.iter().map(|v| h.bucket(v)));
-        Self::from_column(column)
+        Self::from_column(column, id)
     }
 
-    /// The run of objects `0..column.len()`, object `i` in bucket
-    /// `column[i]`.
-    pub(crate) fn from_column(column: &[i64]) -> Self {
+    /// The run of `column.len()` objects, the `i`-th of them `id(i)` in
+    /// bucket `column[i]`; `id` ascends.
+    pub(crate) fn from_column(column: &[i64], id: impl Fn(usize) -> u32) -> Self {
         let n = column.len();
         let min = column.iter().copied().min().unwrap_or(0);
         let max = column.iter().copied().max().unwrap_or(0);
@@ -82,7 +92,7 @@ impl SortedRun {
             // histogram over the span would dwarf the run. Sort the ids.
             let mut order: Vec<u32> = (0..n as u32).collect();
             order.sort_unstable_by_key(|&i| (column[i as usize], i));
-            let entries = order.into_iter().map(|i| (column[i as usize], i));
+            let entries = order.into_iter().map(|i| (column[i as usize], id(i as usize)));
             return Self::from_sorted(entries).expect("entries were just sorted");
         }
         // Counting sort. The histogram's prefix sums are the directory,
@@ -108,7 +118,7 @@ impl SortedRun {
         let mut oids = vec![0u32; n];
         for (i, &b) in column.iter().enumerate() {
             let at = &mut next[slot(b)];
-            oids[*at as usize] = i as u32;
+            oids[*at as usize] = id(i);
             *at += 1;
         }
         SortedRun { keys, starts, oids }
@@ -197,6 +207,90 @@ impl SortedRun {
     }
 }
 
+/// Segments whose slices of a bucket are looked up before the first is
+/// handed out, and cache lines asked for at the head of each.
+const HEADS: usize = 8;
+const HEAD_LINES: usize = 16;
+
+/// The rows of one id range — a shard, a sealed block, several blocks
+/// merged: per hash table a run of their object ids by `(bucket, oid)`.
+/// Never written once built, so snapshots share it.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    pub(crate) runs: Vec<SortedRun>,
+    /// The lowest and the highest id it was built with; the segments of
+    /// a store cover ascending, disjoint ranges.
+    pub(crate) first: u32,
+    pub(crate) last: u32,
+}
+
+impl AsRef<Segment> for Segment {
+    fn as_ref(&self) -> &Segment {
+        self
+    }
+}
+
+impl Segment {
+    pub(crate) fn rows(&self) -> usize {
+        self.runs[0].oids.len()
+    }
+
+    /// [`TableStore::expand`] over `segments` as one table: a bucket's
+    /// ids from every segment in turn, bucket after bucket. Segments hold
+    /// ascending id ranges, so that is the `(bucket, oid)` order of one
+    /// run over all of them.
+    pub(crate) fn expand(
+        segments: &[impl AsRef<Segment>],
+        cursor: &mut KeyWindows,
+        t: usize,
+        radius: i64,
+        visit: &mut dyn FnMut(&[u32]) -> bool,
+    ) {
+        for (lo, hi) in cursor.grow(t, radius) {
+            let mut from = lo;
+            while from < hi {
+                // A range of one bucket, as in every first round, has no
+                // next occupied bucket to look for.
+                let next = if lo + 1 == hi {
+                    Some(lo)
+                } else {
+                    segments.iter().filter_map(|s| s.as_ref().runs[t].key_from(from)).min()
+                };
+                let Some(b) = next.filter(|&b| b < hi) else { break };
+                // Every slice costs a directory search and a first read of
+                // ids nothing has touched: look a group's slices up and ask
+                // for their heads together, so those misses overlap
+                // instead of following one another.
+                for group in segments.chunks(HEADS) {
+                    let mut slices: [&[u32]; HEADS] = [&[]; HEADS];
+                    for (slice, s) in slices.iter_mut().zip(group) {
+                        *slice = s.as_ref().runs[t].bucket(b);
+                        (0..HEAD_LINES).for_each(|line| kernels::prefetch_read(slice, 16 * line));
+                    }
+                    if !slices.into_iter().filter(|ids| !ids.is_empty()).all(&mut *visit) {
+                        return;
+                    }
+                }
+                from = b + 1;
+            }
+        }
+    }
+
+    /// [`TableStore::exhausted`] over `segments` as `m` tables: every
+    /// bucket an id of theirs occupies is covered. A table no segment
+    /// holds an id of is covered once it has been grown at all.
+    pub(crate) fn exhausted(
+        segments: &[impl AsRef<Segment>],
+        cursor: &KeyWindows,
+        m: usize,
+    ) -> bool {
+        (0..m).all(|t| {
+            let spans = segments.iter().filter_map(|s| s.as_ref().runs[t].key_span());
+            cursor.covers(t, spans.reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max))))
+        })
+    }
+}
+
 /// The in-memory C2LSH index over a borrowed dataset.
 #[derive(Debug)]
 pub struct C2lshIndex<'d> {
@@ -224,7 +318,7 @@ impl<'d> C2lshIndex<'d> {
         let params = FullParams::derive(data.len(), config);
         let family = HashFamily::generate(params.m, data.dim(), config);
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let tables = build_tables(data, &family, threads);
+        let tables = build_tables(data, &family, threads, |i| i as u32);
         Self { data, config: config.clone(), params, family, tables, metas: Vec::new() }
     }
 
@@ -347,11 +441,17 @@ impl<'d> C2lshIndex<'d> {
     }
 }
 
-/// One run per hash function, in family order.
-pub(crate) fn build_tables(data: &Dataset, family: &HashFamily, threads: usize) -> Vec<SortedRun> {
+/// One run per hash function, in family order, row `i` of `data`
+/// entered as `id(i)`.
+pub(crate) fn build_tables(
+    data: &Dataset,
+    family: &HashFamily,
+    threads: usize,
+    id: impl Fn(usize) -> u32 + Sync,
+) -> Vec<SortedRun> {
     per_table(family.len(), threads, |tables| {
         let mut column = Vec::with_capacity(data.len());
-        tables.map(|t| SortedRun::build(data, family.get(t), &mut column)).collect()
+        tables.map(|t| SortedRun::build(data, family.get(t), &mut column, &id)).collect()
     })
 }
 
@@ -632,7 +732,11 @@ mod tests {
             let at_keys = column.iter().take(3).map(|b| b.clamp(&-(1 << 60), &(1 << 60)));
             let queries: Vec<i64> = at_keys.copied().chain([q, 0, -1]).collect();
             let want = sorted_pairs(&column, 0..);
-            check_run(&SortedRun::from_column(&column), &want, &queries);
+            check_run(&SortedRun::from_column(&column, |i| i as u32), &want, &queries);
+            // Ascending ids of a shard or a block, written in the one pass.
+            let id = |i: usize| 1000 + 3 * i as u32;
+            let want = sorted_pairs(&column, (0..column.len()).map(id));
+            check_run(&SortedRun::from_column(&column, id), &want, &queries);
             // Arbitrary ids, repeats included, as a loaded blob may hold.
             let want = sorted_pairs(&column, raw.iter().map(|r| (r >> 7) as u32));
             check_run(&SortedRun::from_sorted(want.iter().copied()).unwrap(), &want, &queries);
@@ -655,7 +759,7 @@ mod tests {
             .map(|h| sorted_pairs(&data.iter().map(|v| h.bucket(v)).collect::<Vec<_>>(), 0..))
             .collect();
         for threads in [1, 2, 7] {
-            let tables = build_tables(&data, index.family(), threads);
+            let tables = build_tables(&data, index.family(), threads, |i| i as u32);
             let got: Vec<Vec<(i64, u32)>> = tables.iter().map(|t| t.entries().collect()).collect();
             assert_eq!(got, want, "{threads} threads");
         }

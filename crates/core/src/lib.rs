@@ -34,7 +34,8 @@
 //! counting, the T1/T2 terminating conditions — is implemented exactly
 //! once, in [`engine`]. Each backend (in-memory sorted runs, the same
 //! runs metered in 4 KiB pages, compressed runs behind a buffer pool,
-//! updatable B-tree tables, concatenated shards, and the query-aware
+//! the same runs in segments over id ranges — sealed blocks of an
+//! updatable index, shards of a partitioned one — and the query-aware
 //! sorted columns of the downstream `qalsh` crate) implements
 //! [`engine::TableStore`] and gets `query` and a parallel `query_batch`
 //! from the engine, along with the [`stats`] observability layer.
@@ -55,8 +56,8 @@
 //!   segments shared between snapshots (a clone copies pointers, a
 //!   write seals a block and merges neighbours by size tier),
 //! * [`sharded`] — one logical index over `S` disjoint data shards:
-//!   exact single-loop queries over concatenated shard tables, plus a
-//!   parallel per-shard fan-out with `total_cmp` top-k merging,
+//!   a segment of runs per shard under one hash family, answering as
+//!   the unsharded index does,
 //! * [`mutable`] — crash-safe online mutations: snapshot-consistent
 //!   reads over the dynamic backend plus WAL-backed durability
 //!   (acknowledged inserts/deletes survive a kill at any byte offset),

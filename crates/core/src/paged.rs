@@ -83,7 +83,7 @@ fn encode_column(
         column.extend(ids.map(|b| i64::from_le_bytes(b.try_into().expect("8-byte chunk"))));
     }
     let mut run = PostingRunBuilder::new();
-    for (bucket, oids) in SortedRun::from_column(column).buckets() {
+    for (bucket, oids) in SortedRun::from_column(column, |i| i as u32).buckets() {
         run.push_bucket(bucket, oids);
     }
     Ok(run)

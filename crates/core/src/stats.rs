@@ -17,11 +17,6 @@ use cc_storage::IoStats;
 /// per-stage accounting the LSH benchmarking literature keys on —
 /// hashing vs. counting vs. verification — and what the service's
 /// `/metrics` histograms are fed from.
-///
-/// Under [`QueryStats::merge`]'s parallel-composition semantics every
-/// stage *adds*: the merged value is total CPU-nanoseconds spent in
-/// that stage across shards, not wall clock (wall clock stays in
-/// [`QueryStats::elapsed_nanos`], which maxes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageNanos {
     /// Hashing the query under all `m` functions and positioning the
@@ -159,75 +154,6 @@ impl QueryStats {
             spans: Vec::new(),
         }
     }
-
-    /// Fold another sub-query's counters into this one, under
-    /// *parallel-composition* semantics: the two stats blocks describe
-    /// the same logical query executed against disjoint shards of the
-    /// data, so work counters (collisions, verifications, I/O) add
-    /// while depth/time counters (rounds, final radius, wall clock)
-    /// take the maximum and terminations combine by severity
-    /// (`T2 > T1 > Exhausted`). Per-round breakdowns merge level by
-    /// level.
-    ///
-    /// The operation is associative and commutative on the counter
-    /// fields, with a fresh `QueryStats` whose `rounds == 0` acting as
-    /// the identity (any real query reaches `final_radius ≥ 1`), so
-    /// shard- and batch-level aggregations compose in any grouping.
-    pub fn merge(&mut self, other: &QueryStats) {
-        self.rounds = self.rounds.max(other.rounds);
-        self.final_radius = self.final_radius.max(other.final_radius);
-        self.collisions_counted += other.collisions_counted;
-        self.candidates_verified += other.candidates_verified;
-        self.candidates_abandoned += other.candidates_abandoned;
-        self.candidates_filtered += other.candidates_filtered;
-        self.io.reads += other.io.reads;
-        self.io.writes += other.io.writes;
-        self.terminated_by = severest(self.terminated_by, other.terminated_by);
-        for (level, r) in other.per_round.iter().enumerate() {
-            if let Some(mine) = self.per_round.get_mut(level) {
-                mine.collisions += r.collisions;
-                mine.verified += r.verified;
-                mine.within_c_r += r.within_c_r;
-                mine.elapsed_nanos = mine.elapsed_nanos.max(r.elapsed_nanos);
-            } else {
-                self.per_round.push(*r);
-            }
-        }
-        self.elapsed_nanos = self.elapsed_nanos.max(other.elapsed_nanos);
-        // Shards of one logical query see the same snapshot; max keeps
-        // the merge total and makes 0 (immutable backend) the identity.
-        self.snapshot_seq = self.snapshot_seq.max(other.snapshot_seq);
-        // Stage time adds (CPU-time across shards); spans union as a
-        // multiset, kept in a canonical total order so the merge stays
-        // associative and commutative under equality.
-        self.stage.merge(&other.stage);
-        if !other.spans.is_empty() {
-            self.spans.extend(other.spans.iter().cloned());
-            self.spans.sort_unstable_by(|a, b| {
-                (a.start_ns, a.depth, a.name, a.dur_ns, a.detail)
-                    .cmp(&(b.start_ns, b.depth, b.name, b.dur_ns, b.detail))
-            });
-        }
-    }
-}
-
-/// Combine terminations of parallel sub-queries: a budget hit anywhere
-/// dominates, a radius stop beats running out of data. The ordering is
-/// total, so the combine is associative; `Exhausted` (the fresh-stats
-/// default) is its identity.
-fn severest(a: Termination, b: Termination) -> Termination {
-    fn rank(t: Termination) -> u8 {
-        match t {
-            Termination::Exhausted => 0,
-            Termination::T1AtRadius => 1,
-            Termination::T2CandidateBudget => 2,
-        }
-    }
-    if rank(b) > rank(a) {
-        b
-    } else {
-        a
-    }
 }
 
 impl Default for QueryStats {
@@ -353,9 +279,7 @@ impl BatchStats {
     /// serving queue, independent benchmark runs): every field —
     /// including `queries` and wall clock — adds. The operation is
     /// associative and commutative with `BatchStats::default()` as the
-    /// identity, so aggregates compose in any grouping. (Combining the
-    /// *same* queries run against different shards is the job of
-    /// [`QueryStats::merge`], not this.)
+    /// identity, so aggregates compose in any grouping.
     pub fn merge(&mut self, other: &BatchStats) {
         self.queries += other.queries;
         self.rounds += other.rounds;
@@ -479,8 +403,7 @@ mod tests {
         s.snapshot_seq = (seed * 17) % 23;
         s.stage =
             StageNanos { hash: 10 * seed, count: 40 * seed + 3, verify: 25 * seed, rank: seed };
-        // Spans in canonical (start-ordered) order, as captured live —
-        // the merge keeps the union canonical.
+        // Spans in start order, as captured live.
         s.spans = vec![SpanRecord {
             name: "round",
             start_ns: 100 * seed,
@@ -502,61 +425,6 @@ mod tests {
             wal_bytes: 100 * seed + 31,
             last_seq: (seed * 13) % 29,
         }
-    }
-
-    #[test]
-    fn query_merge_identity() {
-        // A fresh block is the identity on both sides.
-        for seed in 0..12 {
-            let s = sample_query_stats(seed);
-            let mut left = QueryStats::new();
-            left.merge(&s);
-            assert_eq!(left, s, "fresh.merge(s) != s (seed {seed})");
-            let mut right = s.clone();
-            right.merge(&QueryStats::new());
-            assert_eq!(right, s, "s.merge(fresh) != s (seed {seed})");
-        }
-    }
-
-    #[test]
-    fn query_merge_associative_and_commutative() {
-        for seeds in [[1u64, 2, 3], [4, 9, 2], [7, 7, 0], [12, 5, 31]] {
-            let [a, b, c] = seeds.map(sample_query_stats);
-            // (a ⊕ b) ⊕ c
-            let mut ab = a.clone();
-            ab.merge(&b);
-            let mut ab_c = ab.clone();
-            ab_c.merge(&c);
-            // a ⊕ (b ⊕ c)
-            let mut bc = b.clone();
-            bc.merge(&c);
-            let mut a_bc = a.clone();
-            a_bc.merge(&bc);
-            assert_eq!(ab_c, a_bc, "associativity failed for seeds {seeds:?}");
-            // b ⊕ a
-            let mut ba = b.clone();
-            ba.merge(&a);
-            assert_eq!(ab, ba, "commutativity failed for seeds {seeds:?}");
-        }
-    }
-
-    #[test]
-    fn query_merge_parallel_semantics() {
-        let mut a = sample_query_stats(3); // T1, 4 rounds
-        let b = sample_query_stats(4); // T2, 5 rounds
-        let (col_a, col_b) = (a.collisions_counted, b.collisions_counted);
-        let want_verify_ns = a.stage.verify + b.stage.verify;
-        a.merge(&b);
-        assert_eq!(a.collisions_counted, col_a + col_b, "work adds");
-        assert_eq!(a.rounds, 5, "depth is the max across shards");
-        assert_eq!(a.terminated_by, Termination::T2CandidateBudget, "budget hit dominates");
-        assert_eq!(a.per_round.len(), 5, "per-round merges level by level");
-        assert_eq!(a.stage.verify, want_verify_ns, "stage time adds like work");
-        assert_eq!(a.spans.len(), 2, "spans union across shards");
-        assert!(
-            a.spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
-            "merged spans stay start-ordered"
-        );
     }
 
     #[test]
@@ -638,16 +506,6 @@ mod tests {
         want.merge(&b.mutations);
         a.merge(&b);
         assert_eq!(a.mutations, want);
-    }
-
-    #[test]
-    fn query_merge_snapshot_seq_is_max() {
-        let mut a = QueryStats::new();
-        a.snapshot_seq = 7;
-        let mut b = QueryStats::new();
-        b.snapshot_seq = 3;
-        a.merge(&b);
-        assert_eq!(a.snapshot_seq, 7);
     }
 
     #[test]

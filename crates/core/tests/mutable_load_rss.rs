@@ -5,16 +5,12 @@
 //! test in this binary, so nothing else moves the high-water mark.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use c2lsh::{C2lshConfig, MutableIndex, MutationOp};
 use cc_storage::wal::scratch_dir;
 use cc_vector::gen::{generate, Distribution};
-
-/// High-water mark of this process's resident set, in KiB.
-fn vm_hwm_kib() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:")).expect("VmHWM line");
-    line.split_whitespace().next().and_then(|kib| kib.parse().ok()).expect("VmHWM value")
-}
+use common::vm_hwm_kib;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-mode load, run by the CI fault-injection job")]

@@ -7,17 +7,13 @@
 //! test in this binary, so nothing else moves the high-water mark.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use c2lsh::{C2lshConfig, DynamicIndex, MutableIndex, MutationAck, MutationOp, TableStore};
 use cc_storage::wal::scratch_dir;
 use cc_vector::gen::{generate, Distribution};
+use common::vm_hwm_kib;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// High-water mark of this process's resident set, in KiB.
-fn vm_hwm_kib() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:")).expect("VmHWM line");
-    line.split_whitespace().next().and_then(|kib| kib.parse().ok()).expect("VmHWM value")
-}
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-mode soak, run by the CI fault-injection job")]

@@ -225,6 +225,13 @@ fn main() {
         eprintln!("--shards, --n and --dim must all be at least 1");
         exit(2);
     }
+    if args.mode == "sharded" && args.shards > args.n {
+        eprintln!(
+            "--shards {} is more than --n {}: every shard holds a vector",
+            args.shards, args.n
+        );
+        exit(2);
+    }
     // Pin the SIMD kernel before anything hashes: index build, WAL
     // recovery and queries must all dispatch through the same kernel.
     let kd = match args.kernel {

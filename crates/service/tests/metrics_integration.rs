@@ -310,3 +310,17 @@ fn binary_serves_metrics_endpoint() {
     client.shutdown().unwrap();
     child.wait().expect("server drains after shutdown");
 }
+
+/// The real binary asked for more shards than vectors: a usage error —
+/// exit code 2 and one line on stderr — not a panic from the partition.
+#[test]
+fn binary_refuses_more_shards_than_vectors() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cc-service"))
+        .args(["--addr", "127.0.0.1:0", "--shards", "8", "--n", "4"])
+        .output()
+        .expect("run cc-service");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--shards 8 is more than --n 4"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
