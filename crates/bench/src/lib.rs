@@ -4,6 +4,8 @@
 //! `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
 //! recorded results). The shared machinery lives here:
 //!
+//! * [`large`] — the out-of-core slice: points streamed through the
+//!   paged tier, never materialized,
 //! * [`methods`] — a uniform [`methods::AnnIndex`] facade over C2LSH
 //!   (memory + disk), QALSH, E2LSH, rigorous-LSH, LSB-forest and linear
 //!   scan,
@@ -21,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod eval;
+pub mod large;
 pub mod methods;
 pub mod prep;
 pub mod report;
