@@ -43,34 +43,17 @@ pub fn evaluate(index: &dyn AnnIndex, w: &Workload, k: usize) -> EvalRow {
 /// [`evaluate`], also returning the aggregated [`BatchStats`] for
 /// callers that want rounds / termination tallies beyond the row.
 pub fn evaluate_with_stats(index: &dyn AnnIndex, w: &Workload, k: usize) -> (EvalRow, BatchStats) {
-    let (row, agg, _) = evaluate_detailed(index, w, k);
-    (row, agg)
-}
-
-/// [`evaluate_with_stats`], additionally returning the raw per-query
-/// wall-clock latencies in nanoseconds (workload order) so callers can
-/// compute percentiles — the `bench run` harness reports p50/p95/p99.
-pub fn evaluate_detailed(
-    index: &dyn AnnIndex,
-    w: &Workload,
-    k: usize,
-) -> (EvalRow, BatchStats, Vec<u64>) {
     let truth = w.truth_at(k);
     let mut recalls = Vec::with_capacity(w.queries.len());
     let mut ratios = Vec::with_capacity(w.queries.len());
-    let mut latencies_ns = Vec::with_capacity(w.queries.len());
     let mut agg = BatchStats::default();
     for (qi, q) in w.queries.iter().enumerate() {
         let t0 = Instant::now();
         let (nn, mut stats) = index.query(q, k);
-        let wall = t0.elapsed().as_nanos() as u64;
         if stats.elapsed_nanos == 0 {
             // Baselines don't self-time; stamp the harness measurement.
-            stats.elapsed_nanos = wall;
+            stats.elapsed_nanos = t0.elapsed().as_nanos() as u64;
         }
-        // Percentiles always use the harness clock so engine-backed and
-        // baseline methods are measured identically.
-        latencies_ns.push(wall);
         recalls.push(recall(&nn, &truth[qi]));
         ratios.push(overall_ratio(&nn, &truth[qi]));
         agg.absorb(&stats);
@@ -85,7 +68,7 @@ pub fn evaluate_detailed(
         time_ms: agg.mean_time_ms(),
         index_mib: index.size_bytes() as f64 / (1024.0 * 1024.0),
     };
-    (row, agg, latencies_ns)
+    (row, agg)
 }
 
 #[cfg(test)]
@@ -116,14 +99,5 @@ mod tests {
         assert!(agg.rounds >= agg.queries as u64, "at least one round per query");
         assert_eq!(agg.t1 + agg.t2 + agg.exhausted, agg.queries);
         assert!(row.time_ms > 0.0, "engine self-times with the timing flag");
-    }
-
-    #[test]
-    fn detailed_returns_one_latency_per_query() {
-        let w = Workload::from_profile(Profile::Color, 0.01, 5, 10, 3);
-        let idx = defaults::linear(&w.data);
-        let (_, _, lat) = evaluate_detailed(&idx, &w, 10);
-        assert_eq!(lat.len(), w.queries.len());
-        assert!(lat.iter().all(|&ns| ns > 0), "harness clock always advances");
     }
 }

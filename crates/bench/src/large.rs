@@ -127,7 +127,7 @@ pub fn run(n: usize, nq: usize, k: usize, seed: u64) -> io::Result<LargeRun> {
     let scratch = |what: &str| {
         std::env::temp_dir().join(format!("cc-bench-{what}-{}.ccpg", std::process::id()))
     };
-    let mut builder = PagedBuilder::create(&scratch("large"), DIM, n, &config)?;
+    let mut builder = PagedBuilder::create(scratch("large"), DIM, n, &config)?;
     let mut heaps: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
     let mut next_id = 0u32;
     for (chunk_i, start) in (0..n).step_by(CHUNK).enumerate() {
@@ -167,7 +167,7 @@ pub fn run(n: usize, nq: usize, k: usize, seed: u64) -> io::Result<LargeRun> {
     let parity_truth = ground_truth(&parity_data, &queries, k);
     let mem_index = C2lshIndex::build(&parity_data, &config);
     let parity_pool = ((parity_n * DIM * 4 / cc_storage::PAGE_SIZE) / 20).max(64);
-    let parity_store = PagedStore::build(&parity_data, &config, &scratch("parity"), parity_pool)?
+    let parity_store = PagedStore::build(&parity_data, &config, scratch("parity"), parity_pool)?
         .delete_file_on_drop();
 
     Ok(LargeRun {

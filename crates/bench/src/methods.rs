@@ -1,6 +1,6 @@
 //! A uniform facade over every method in the evaluation.
 //!
-//! The experiment binaries talk to [`AnnIndex`] only, so each figure's
+//! The experiments talk to [`AnnIndex`] only, so each figure's
 //! code is a loop over methods instead of per-method plumbing. Every
 //! method reports its cost as a [`QueryStats`] — the engine-backed
 //! methods return theirs natively (with wall-clock timing enabled);
@@ -89,21 +89,6 @@ impl AnnIndex for C2lshDisk<'_> {
     }
     fn size_bytes(&self) -> usize {
         self.0.size_bytes()
-    }
-}
-
-/// C2LSH, updatable backend (owns its vectors).
-pub struct C2lshDyn(pub c2lsh::DynamicIndex);
-
-impl AnnIndex for C2lshDyn {
-    fn name(&self) -> &str {
-        "C2LSH(dyn)"
-    }
-    fn query(&self, q: &[f32], k: usize) -> (Vec<Neighbor>, QueryStats) {
-        self.0.query_with(q, k, &timed())
-    }
-    fn size_bytes(&self) -> usize {
-        0 // in-memory maps; not part of the paper's index-size metric
     }
 }
 
@@ -203,7 +188,7 @@ impl AnnIndex for LinearIdx<'_> {
 }
 
 /// Default-parameter constructors used by most experiments; the seeds are
-/// fixed so every binary is reproducible.
+/// fixed so every experiment is reproducible.
 pub mod defaults {
     use super::*;
     use cc_baselines::e2lsh::E2lshConfig;
@@ -217,7 +202,7 @@ pub mod defaults {
 
     /// C2LSH out-of-core backend, same parameters; the page file lands
     /// in a scratch directory and the buffer pool is capped at ~10% of
-    /// the file so the smoke run actually exercises eviction.
+    /// the file so the smoke table actually exercises eviction.
     pub fn c2lsh_paged(data: &Dataset, seed: u64) -> C2lshPaged {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -240,12 +225,6 @@ pub mod defaults {
     pub fn c2lsh_disk(data: &Dataset, seed: u64) -> C2lshDisk<'_> {
         let cfg = c2lsh::C2lshConfig::builder().bucket_width(2.184).seed(seed).build();
         C2lshDisk(c2lsh::DiskIndex::build(data, &cfg))
-    }
-
-    /// C2LSH dynamic backend, same parameters (bulk-loaded).
-    pub fn c2lsh_dyn(data: &Dataset, seed: u64) -> C2lshDyn {
-        let cfg = c2lsh::C2lshConfig::builder().bucket_width(2.184).seed(seed).build();
-        C2lshDyn(c2lsh::DynamicIndex::from_dataset(data, &cfg))
     }
 
     /// QALSH at its ρ-optimal width.

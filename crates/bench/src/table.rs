@@ -1,7 +1,7 @@
 //! Aligned console tables + CSV output.
 //!
-//! Every experiment binary prints one or more tables and mirrors them as
-//! CSV under `results/` so `EXPERIMENTS.md` can reference stable files.
+//! Every experiment prints its table and mirrors it as CSV under
+//! `results/` so `EXPERIMENTS.md` can reference stable files.
 
 use std::fs;
 use std::path::Path;

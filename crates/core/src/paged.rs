@@ -6,8 +6,8 @@
 //! runs live in an on-disk [`DiskPageFile`] (checksummed 4 KiB pages)
 //! and every read goes through a [`PinnedPool`] buffer pool. Peak memory
 //! is the pool size plus per-table page directories — independent of
-//! dataset size — which is what lets `bench run --profile large` ingest
-//! millions of points.
+//! dataset size — which is what lets `bench large` ingest millions of
+//! points.
 //!
 //! Construction streams: [`PagedBuilder`] accepts rows one at a time and
 //! writes their bytes straight into vector pages. Every 4 096 rows it

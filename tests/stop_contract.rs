@@ -138,7 +138,7 @@ fn range_stops(f: &Fixture) -> [usize; 4] {
 }
 
 /// Every store over bucket-id windows hands out the same ids in one
-/// round; the sharded one shard after shard.
+/// round; the sharded one bucket after bucket, shard by shard inside one.
 fn check_bucket_store<S: TableStore>(name: &str, store: &S, f: &Fixture, metered: bool) {
     let ids = check_stops(name, store, f, &range_stops(f), metered);
     assert_eq!(ids, f.left + f.right, "{name}");
