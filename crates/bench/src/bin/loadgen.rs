@@ -5,7 +5,8 @@
 //! the answer, repeats — for `CC_SECONDS`, then reports throughput,
 //! latency percentiles (p50/p95/p99) split by reads and writes, the
 //! overload-rejection count, and the server's own coalescing evidence
-//! (batches, largest batch) pulled from the stats frame.
+//! (batches, largest batch) and latency quantiles, read from its
+//! Prometheus exposition (the `Metrics` frame) before and after.
 //!
 //! With `CC_MODE=dynamic` the self-hosted server is a WAL-backed
 //! [`MutableIndex`] and `CC_WRITE_PCT` percent of each client's
@@ -34,16 +35,15 @@
 //! label predicate — self-hosted servers seed labels `i % 3`, and the
 //! probe predicate `label == 0` also matches every point of an
 //! external server without metadata), `CC_WAL_DIR` (scratch directory
-//! by default), `CC_METRICS_ADDR` (scrape the server's `/metrics`
-//! endpoint after the run and print its latency quantiles next to the
-//! client-measured ones — the external server must run with
-//! `--metrics-addr`).
+//! by default). The server's own latency quantiles are printed when it
+//! records them (`cc-service --metrics-addr`).
 
 use c2lsh::{
     C2lshConfig, MutableIndex, MutationOp, PointMeta, Predicate, ShardedData, ShardedEngine,
 };
 use cc_bench::env_usize;
-use cc_service::{Client, QueryRequest, SearchOutcome, ServiceConfig, StatsSnapshot};
+use cc_obs::sample;
+use cc_service::{Client, QueryRequest, SearchOutcome, ServiceConfig};
 use cc_vector::gen::{generate, Distribution};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -168,7 +168,7 @@ fn drive(
 
     let mut probe = Client::connect(addr).expect("connect");
     probe.ping().expect("ping");
-    let before = probe.stats().expect("stats");
+    let before = probe.metrics_text().expect("metrics");
 
     eprintln!(
         "driving {clients} closed-loop clients for {seconds}s \
@@ -186,8 +186,9 @@ fn drive(
     })
     .unwrap();
 
-    let after = probe.stats().expect("stats");
-    let delta = |get: fn(&StatsSnapshot) -> u64| get(&after).saturating_sub(get(&before));
+    let after = probe.metrics_text().expect("metrics");
+    let read = |text: &str, series: &str| sample(text, series).unwrap_or(0.0);
+    let delta = |series: &str| (read(&after, series) - read(&before, series)) as u64;
 
     let mut reads: Vec<u64> =
         reports.iter().flat_map(|r| r.read_latencies_ns.iter().copied()).collect();
@@ -222,7 +223,7 @@ fn drive(
             percentile(&filtered, 0.50),
             percentile(&filtered, 0.95),
             percentile(&filtered, 0.99),
-            delta(|s| s.engine.filtered),
+            delta("cc_filtered_candidates_total"),
         );
     }
     if !writes.is_empty() {
@@ -234,75 +235,41 @@ fn drive(
         );
         println!(
             "write path  {} inserts, {} deletes, {} mutation flushes",
-            delta(|s| s.inserts),
-            delta(|s| s.deletes),
-            delta(|s| s.mutation_batches),
+            delta("cc_inserts_total"),
+            delta("cc_deletes_total"),
+            delta("cc_mutation_batches_total"),
         );
     }
-    let batches = delta(|s| s.batches);
-    let mean_batch = if batches > 0 { delta(|s| s.queries) as f64 / batches as f64 } else { 0.0 };
+    let batches = delta("cc_batches_total");
+    let mean_batch =
+        if batches > 0 { delta("cc_queries_total") as f64 / batches as f64 } else { 0.0 };
+    let max_batch = read(&after, "cc_max_batch") as u64;
     println!(
-        "coalescing  {batches} engine flushes, mean batch {mean_batch:.1}, largest batch {} \
-         (whole server lifetime)",
-        after.max_batch,
+        "coalescing  {batches} engine flushes, mean batch {mean_batch:.1}, largest batch \
+         {max_batch} (whole server lifetime)",
     );
-    if answered > 0 && after.max_batch < 2 {
+    if answered > 0 && max_batch < 2 {
         eprintln!("warning: no request coalescing observed — is the server idle-tuned?");
     }
-    // A server running with observability on reports its own latency
-    // quantiles in the schema-2 stats frame — print them next to the
-    // client-side measurement (server time excludes the network, so it
-    // must come in at or under what the clients saw).
-    if let Some(latency) = &after.latency {
+    // A server running with observability on records its own latency
+    // quantiles — print them next to the client-side measurement.
+    if read(&after, "cc_query_seconds_count") > 0.0 {
+        let p50 = read(&after, "cc_query_seconds{quantile=\"0.5\"}") * 1e3;
+        let p99 = read(&after, "cc_query_seconds{quantile=\"0.99\"}") * 1e3;
         println!(
-            "server lat. p50 {:.3} ms   p99 {:.3} ms (reported by the server, network excluded)",
-            latency.query_p50_nanos as f64 / 1e6,
-            latency.query_p99_nanos as f64 / 1e6,
+            "server lat. p50 {p50:.3} ms   p99 {p99:.3} ms (reported by the server, network excluded)"
         );
-    }
-    scrape_metrics(&reads);
-    reports
-}
-
-/// With `CC_METRICS_ADDR` set, scrape the server's Prometheus endpoint
-/// and print its end-to-end quantiles next to the client-measured
-/// ones — the consistency check the metrics exist for.
-fn scrape_metrics(client_reads_sorted_ns: &[u64]) {
-    let Ok(addr) = std::env::var("CC_METRICS_ADDR") else { return };
-    let addr: std::net::SocketAddr = addr.parse().expect("CC_METRICS_ADDR must be HOST:PORT");
-    let text = match cc_obs::http_get(addr, "/metrics") {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("warning: scraping {addr}/metrics failed: {e}");
-            return;
-        }
-    };
-    let series = |name: &str| -> Option<f64> {
-        text.lines()
-            .find(|l| l.strip_prefix(name).map(|r| r.starts_with(' ')).unwrap_or(false))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-    };
-    let (Some(p50), Some(p99)) = (
-        series("cc_query_seconds{quantile=\"0.5\"}"),
-        series("cc_query_seconds{quantile=\"0.99\"}"),
-    ) else {
-        eprintln!("warning: {addr}/metrics has no cc_query_seconds quantiles (obs disabled?)");
-        return;
-    };
-    println!("scrape      cc_query_seconds p50 {:.3} ms   p99 {:.3} ms", p50 * 1e3, p99 * 1e3);
-    if !client_reads_sorted_ns.is_empty() {
-        let client_p50 = percentile(client_reads_sorted_ns, 0.50);
         // Server-side time excludes the network and the client stack,
         // so a server p50 far above the client p50 means the two views
         // disagree about what was measured.
-        if p50 * 1e3 > client_p50 * 2.0 + 1.0 {
+        let client_p50 = percentile(&reads, 0.50);
+        if p50 > client_p50 * 2.0 + 1.0 {
             eprintln!(
-                "warning: server p50 {:.3} ms vs client p50 {client_p50:.3} ms — inconsistent",
-                p50 * 1e3
+                "warning: server p50 {p50:.3} ms vs client p50 {client_p50:.3} ms — inconsistent"
             );
         }
     }
+    reports
 }
 
 /// Reopen the WAL directory cold — the same code path crash recovery

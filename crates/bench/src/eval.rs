@@ -1,7 +1,7 @@
 //! Query-set evaluation: run a method over a workload, aggregate the
 //! paper's metrics.
 //!
-//! Cost counters are folded through [`BatchStats`] — the same
+//! Cost counters are aggregated through [`BatchStats`] — the same
 //! aggregation the engine's batch executor produces — so the harness
 //! never hand-sums counters; only the quality metrics (recall, ratio),
 //! which need per-query ground truth, keep their own accumulators.

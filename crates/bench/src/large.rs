@@ -3,7 +3,7 @@
 //! of a twentieth of it.
 //!
 //! The data set is never materialized: points are generated in chunks
-//! and appended to the builder while exact ground truth is folded into
+//! and appended to the builder while exact ground truth is gathered into
 //! per-query top-k heaps (early-abandoned against the current k-th
 //! distance), so the working set is one chunk plus the heaps whatever
 //! `n` is, and peak RSS stays far below the page file's size. The run

@@ -207,7 +207,7 @@ pub fn load_index<'d>(data: &'d Dataset, buf: &[u8]) -> Result<C2lshIndex<'d>, P
     }
     // Identify the format before verifying the checksum: a well-formed
     // blob from a newer format version must surface as
-    // `UnsupportedVersion`, not be folded into the corruption path
+    // `UnsupportedVersion`, not be lumped into the corruption path
     // (newer versions may checksum differently).
     let magic = u32::from_le_bytes(buf[..4].try_into().unwrap());
     if magic & !0xFF != MAGIC_PREFIX {

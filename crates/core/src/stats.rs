@@ -164,9 +164,8 @@ impl Default for QueryStats {
 
 /// Counters for the write path: mutations applied and the WAL work
 /// they cost. Produced per batch by
-/// [`crate::mutable::MutableIndex::apply_batch`] and accumulated into
-/// [`BatchStats::mutations`] by the serving layer, mirroring how query
-/// counters flow into the same aggregate.
+/// [`crate::mutable::MutableIndex::apply_batch`] and accumulated by the
+/// index into [`crate::mutable::MutableIndex::mutation_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationStats {
     /// Vectors inserted.
@@ -192,8 +191,7 @@ pub struct MutationStats {
 impl MutationStats {
     /// Fold another window's counters into this one: every count adds,
     /// `last_seq` takes the maximum. Associative and commutative with
-    /// `MutationStats::default()` as the identity, matching the other
-    /// stats merges.
+    /// `MutationStats::default()` as the identity.
     pub fn merge(&mut self, other: &MutationStats) {
         self.inserts += other.inserts;
         self.deletes += other.deletes;
@@ -244,11 +242,6 @@ pub struct BatchStats {
     /// sequentially, or the whole-batch wall time from the parallel
     /// executor (with [`crate::engine::SearchOptions::timing`]).
     pub elapsed_nanos: u64,
-    /// Write-path counters for workloads that interleave mutations with
-    /// queries (untouched by [`BatchStats::absorb`], which folds a
-    /// read-only query; filled by the serving layer via
-    /// [`MutationStats::merge`]).
-    pub mutations: MutationStats,
     /// Summed per-stage time across all absorbed queries; all-zero
     /// unless [`crate::engine::SearchOptions::stage_timing`] was set.
     pub stage: StageNanos,
@@ -272,29 +265,6 @@ impl BatchStats {
         }
         self.elapsed_nanos += s.elapsed_nanos;
         self.stage.merge(&s.stage);
-    }
-
-    /// Fold another batch's counters into this one. The two batches
-    /// must cover *disjoint* query sets (successive flushes of a
-    /// serving queue, independent benchmark runs): every field —
-    /// including `queries` and wall clock — adds. The operation is
-    /// associative and commutative with `BatchStats::default()` as the
-    /// identity, so aggregates compose in any grouping.
-    pub fn merge(&mut self, other: &BatchStats) {
-        self.queries += other.queries;
-        self.rounds += other.rounds;
-        self.collisions += other.collisions;
-        self.verified += other.verified;
-        self.abandoned += other.abandoned;
-        self.filtered += other.filtered;
-        self.io.reads += other.io.reads;
-        self.io.writes += other.io.writes;
-        self.t1 += other.t1;
-        self.t2 += other.t2;
-        self.exhausted += other.exhausted;
-        self.elapsed_nanos += other.elapsed_nanos;
-        self.mutations.merge(&other.mutations);
-        self.stage.merge(&other.stage);
     }
 
     /// Mean verified candidates per query (0 for an empty batch).
@@ -374,46 +344,6 @@ mod tests {
         assert_eq!(b.mean_time_ms(), 3.0);
     }
 
-    fn sample_query_stats(seed: u64) -> QueryStats {
-        let mut s = QueryStats::new();
-        s.rounds = 1 + (seed % 5) as u32;
-        s.final_radius = 1 << (seed % 7);
-        s.collisions_counted = 13 * seed + 7;
-        s.candidates_verified = (3 * seed + 1) as usize;
-        s.candidates_abandoned = (seed % 3) as usize;
-        s.candidates_filtered = (seed % 5) as usize;
-        s.io.reads = 11 * seed;
-        s.io.writes = seed / 2;
-        s.terminated_by = match seed % 3 {
-            0 => Termination::T1AtRadius,
-            1 => Termination::T2CandidateBudget,
-            _ => Termination::Exhausted,
-        };
-        for level in 0..s.rounds {
-            s.per_round.push(RoundStats {
-                level,
-                radius: 1 << level,
-                collisions: seed + level as u64,
-                verified: (seed % 4) as usize,
-                within_c_r: level as usize,
-                elapsed_nanos: 100 * seed,
-            });
-        }
-        s.elapsed_nanos = 1_000 * seed + 5;
-        s.snapshot_seq = (seed * 17) % 23;
-        s.stage =
-            StageNanos { hash: 10 * seed, count: 40 * seed + 3, verify: 25 * seed, rank: seed };
-        // Spans in start order, as captured live.
-        s.spans = vec![SpanRecord {
-            name: "round",
-            start_ns: 100 * seed,
-            dur_ns: 50 * seed + 1,
-            depth: 0,
-            detail: seed,
-        }];
-        s
-    }
-
     fn sample_mutation_stats(seed: u64) -> MutationStats {
         MutationStats {
             inserts: 5 * seed + 1,
@@ -425,39 +355,6 @@ mod tests {
             wal_bytes: 100 * seed + 31,
             last_seq: (seed * 13) % 29,
         }
-    }
-
-    #[test]
-    fn batch_merge_identity_and_associativity() {
-        let qs: Vec<QueryStats> = (0..9).map(sample_query_stats).collect();
-        let batch_of = |r: std::ops::Range<usize>| {
-            let mut b = BatchStats::default();
-            for q in &qs[r] {
-                b.absorb(q);
-            }
-            b
-        };
-        let (a, b, c) = (batch_of(0..3), batch_of(3..5), batch_of(5..9));
-
-        // Identity.
-        let mut id = BatchStats::default();
-        id.merge(&a);
-        assert_eq!(id, a);
-        let mut id2 = a.clone();
-        id2.merge(&BatchStats::default());
-        assert_eq!(id2, a);
-
-        // Associativity: ((a ⊕ b) ⊕ c) == (a ⊕ (b ⊕ c)) == absorb-all.
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-        assert_eq!(ab_c, batch_of(0..9), "merge of partial batches equals one big batch");
-        assert_eq!(ab_c.queries, 9);
     }
 
     #[test]
@@ -493,19 +390,6 @@ mod tests {
         assert_eq!(a.inserts, ins_a + ins_b);
         assert_eq!(a.last_seq, want_seq, "last_seq is a high-water mark, not a sum");
         assert_eq!(a.applied(), a.inserts + a.deletes);
-    }
-
-    #[test]
-    fn batch_merge_carries_mutations_but_absorb_does_not() {
-        let mut a = BatchStats { mutations: sample_mutation_stats(3), ..Default::default() };
-        let before = a.mutations;
-        a.absorb(&sample_query_stats(4));
-        assert_eq!(a.mutations, before, "absorbing a query must not touch write counters");
-        let b = BatchStats { mutations: sample_mutation_stats(8), ..Default::default() };
-        let mut want = before;
-        want.merge(&b.mutations);
-        a.merge(&b);
-        assert_eq!(a.mutations, want);
     }
 
     #[test]

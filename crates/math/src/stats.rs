@@ -30,7 +30,7 @@ impl Welford {
         self.m2 += d * (x - self.mean);
     }
 
-    /// Number of observations folded in so far.
+    /// Number of observations added so far.
     pub fn count(&self) -> u64 {
         self.n
     }

@@ -123,7 +123,7 @@ impl HistSnapshot {
 
     /// Fold `other` into `self`: bucket-wise add, `max` of maxima.
     /// Associative and commutative, so per-shard snapshots can be
-    /// folded in any order.
+    /// combined in any order.
     pub fn merge(&mut self, other: &HistSnapshot) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;

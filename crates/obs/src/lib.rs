@@ -18,7 +18,8 @@
 //! * [`SlowLog`] — a fixed-capacity ring buffer of the slowest / most
 //!   recent offending queries with their span trees.
 //! * [`PromText`] — Prometheus text-format exposition (`# HELP` /
-//!   `# TYPE`, duplicate-series detection, summary quantiles).
+//!   `# TYPE`, duplicate-series detection, summary quantiles), and
+//!   [`sample`], its one reader.
 //! * [`MetricsServer`] — a minimal HTTP/1.0 listener serving
 //!   `/metrics`, `/healthz` and `/slowlog` for scrapers and humans.
 //!
@@ -39,7 +40,7 @@ mod span;
 pub use counter::Counter;
 pub use hist::{HistSnapshot, Histogram, NUM_BUCKETS};
 pub use http::{http_get, MetricsServer, MetricsSource};
-pub use prom::PromText;
+pub use prom::{sample, PromText};
 pub use slowlog::{SlowLog, SlowQuery};
 pub use span::{SpanGuard, SpanRecord, Trace};
 

@@ -136,6 +136,14 @@ impl PromText {
     }
 }
 
+/// The value of one series in an exposition document: `series` is the
+/// whole sample name, labels included (`cc_queries_total`,
+/// `cc_query_seconds{quantile="0.5"}`). `None` when no sample line
+/// carries exactly that name.
+pub fn sample(text: &str, series: &str) -> Option<f64> {
+    text.lines().find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.trim().parse().ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +204,29 @@ mod tests {
             "one header per family: {text}"
         );
         assert!(!text.contains("cc_empty_total"), "empty family must emit nothing: {text}");
+    }
+
+    #[test]
+    fn sample_reads_exactly_the_named_series() {
+        let hist = Histogram::new();
+        for v in [1_000u64, 2_000, 3_000] {
+            hist.record(v);
+        }
+        let mut doc = PromText::new();
+        doc.counter_labeled(
+            "cc_collection_queries_total",
+            "Queries per collection.",
+            "collection",
+            &[("alpha".into(), 3), ("beta".into(), 9)],
+        );
+        doc.summary_seconds("cc_query_seconds", "End-to-end latency.", &hist.snapshot());
+        let text = doc.finish();
+        assert_eq!(sample(&text, "cc_collection_queries_total{collection=\"beta\"}"), Some(9.0));
+        assert_eq!(sample(&text, "cc_collection_queries_total"), None, "labels are part of it");
+        assert_eq!(sample(&text, "cc_missing_total"), None);
+        // A family name that prefixes another's reads neither.
+        assert_eq!(sample(&text, "cc_query_seconds_count"), Some(3.0));
+        assert_eq!(sample(&text, "cc_query_seconds"), None);
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! ```
 
 use crate::protocol::{self, CollectionInfo, ProtoError, QueryCost, Request, Response};
-use crate::snapshot::StatsSnapshot;
 use c2lsh::{ErrorKind, Predicate};
 use cc_storage::wal::WalRecord;
 use cc_vector::gt::Neighbor;
@@ -229,25 +228,9 @@ impl Client {
         self.search(req)?.into_result()
     }
 
-    /// Fetch the aggregated service statistics as the raw JSON
-    /// document ([`Client::stats`] parses it).
-    pub fn stats_json(&mut self) -> Result<String, ProtoError> {
-        match self.call(&Request::Stats)? {
-            Response::StatsJson(json) => Ok(json),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Fetch and parse the service statistics into a typed
-    /// [`StatsSnapshot`].
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ProtoError> {
-        let json = self.stats_json()?;
-        StatsSnapshot::parse(&json)
-            .ok_or_else(|| ProtoError::Malformed("unparseable stats document".into()))
-    }
-
     /// Fetch the Prometheus text exposition over the binary protocol
-    /// (the same document `--metrics-addr` serves at `/metrics`).
+    /// (the same document `--metrics-addr` serves at `/metrics`) — every
+    /// counter the server keeps; read one series with [`cc_obs::sample`].
     pub fn metrics_text(&mut self) -> Result<String, ProtoError> {
         match self.call(&Request::Metrics)? {
             Response::MetricsText(text) => Ok(text),

@@ -1,15 +1,14 @@
 //! The workspace's one JSON codec — deliberately tiny; the workspace
-//! is offline, so no serde.
+//! is offline, so no serde. The service itself speaks no JSON: the
+//! codec lives here because the `benchmark/` ledger imports it for its
+//! reports, and moves with the ledger's own PR.
 //!
-//! [`JsonObject`] covers exactly what the stats frame needs: flat-ish
-//! objects of numbers, strings and nested objects, emitted compactly
-//! in insertion order. Numbers are formatted so they parse back
-//! exactly (`u64`/`usize` verbatim, `f64` via `{:?}` which
-//! round-trips). [`JsonValue`] is the document tree:
-//! [`JsonValue::parse`] reads whatever a peer or a file hands over —
-//! it backs the typed [`StatsSnapshot`](crate::snapshot::StatsSnapshot)
-//! and the bench reports — and [`JsonValue::to_pretty`] writes the
-//! indented form the checked-in bench baselines are kept in.
+//! [`JsonObject`] writes flat-ish objects of numbers, strings and
+//! nested objects, compactly in insertion order. Numbers are formatted
+//! so they parse back exactly (`u64`/`usize` verbatim, `f64` via `{:?}`
+//! which round-trips). [`JsonValue`] is the document tree:
+//! [`JsonValue::parse`] reads whatever a file hands over, and
+//! [`JsonValue::to_pretty`] writes the indented form.
 
 use std::fmt::Write as _;
 
@@ -503,8 +502,8 @@ mod tests {
 
     #[test]
     fn nesting_is_bounded() {
-        // A hostile peer's stats frame or a corrupt baseline file: the
-        // recursive-descent parser must refuse it, not overflow its stack.
+        // A hostile or corrupt document: the recursive-descent parser
+        // must refuse it, not overflow its stack.
         assert_eq!(JsonValue::parse(&"[".repeat(100_000)), None);
         assert_eq!(JsonValue::parse(&"{\"a\":".repeat(100_000)), None);
         let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));

@@ -22,15 +22,14 @@
 //! * [`router`] — the scatter-gather front: fan QueryV2 out across
 //!   shard groups, fail over within each group, merge top-k, forward
 //!   writes to the primary,
-//! * [`obs`] — the live metric registry ([`obs::ServerObs`]):
-//!   counters, per-stage latency histograms, trace sampling, the
-//!   slow-query ring, and the Prometheus renderer,
+//! * [`obs`] — the live metric registry ([`obs::ServerObs`]), the one
+//!   place the service keeps its counters: counters, per-stage latency
+//!   histograms, trace sampling, the slow-query ring, and the
+//!   Prometheus renderer, the one way a running service is read,
 //! * [`client`] — a minimal blocking [`Client`] and the
 //!   builder-style [`QueryRequest`],
-//! * [`json`] — the workspace's one hand-rolled JSON codec, behind the
-//!   stats frame and the bench reports,
-//! * [`snapshot`] — [`snapshot::StatsSnapshot`], the typed view of the
-//!   stats frame.
+//! * [`json`] — the workspace's one hand-rolled JSON codec, kept here
+//!   for the `benchmark/` ledger's reports.
 //!
 //! ## Quick start
 //!
@@ -76,7 +75,6 @@ pub mod protocol;
 pub mod replication;
 pub mod router;
 pub mod server;
-pub mod snapshot;
 
 pub use client::{Client, QueryRequest, QueryResult, SearchOutcome};
 pub use collections::CollectionsConfig;
@@ -85,4 +83,3 @@ pub use protocol::{CollectionInfo, ProtoError, QueryCost, Request, Response, Wir
 pub use replication::{run_follower, ReplicationConfig, ReplicationStats};
 pub use router::{route, route_with_obs, RouterConfig, RouterStats};
 pub use server::{serve, serve_with_obs, ServeEngine, ServiceConfig, ServiceStats};
-pub use snapshot::StatsSnapshot;

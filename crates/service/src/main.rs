@@ -20,7 +20,9 @@
 //! * `--mode dynamic --replicate-from HOST:PORT`: run as a read-only
 //!   **follower** — never seeds, refuses direct writes, and advances
 //!   only by pulling the primary's WAL stream (`--node-name NAME`
-//!   labels it on the primary's `cc_replica_lag_seq` gauge).
+//!   labels it on the primary's `cc_replica_lag_seq` gauge). Either
+//!   way the engine's write path is exported as `cc_wal_*`,
+//!   `cc_delete_misses_total` and `cc_applied_seq`.
 //! * `--mode router`: no engine at all — scatter-gather reads across
 //!   `--replicas A,B[,…]` groups (repeat the flag per shard group)
 //!   with per-leg `--node-deadline-ms` failover, and forward every
@@ -394,7 +396,7 @@ fn main() {
             }
         }
         "dynamic" => {
-            let engine = match &args.wal {
+            let engine = Arc::new(match &args.wal {
                 Some(dir) => {
                     MutableIndex::open(dir, args.dim, args.n, &config).unwrap_or_else(|e| {
                         eprintln!("cannot open WAL directory {dir}: {e}");
@@ -402,7 +404,15 @@ fn main() {
                     })
                 }
                 None => MutableIndex::ephemeral(DynamicIndex::new(args.dim, args.n, &config)),
-            };
+            });
+            // Scraped beside the engine like the paged tier's pool: a
+            // follower's applied seq is exact even if it never answers
+            // a query.
+            let write_path = engine.clone();
+            obs.set_mutations_source(Box::new(move || {
+                (write_path.mutation_stats(), write_path.len() as u64)
+            }));
+            let engine = &*engine;
             // A follower's state may only advance through the
             // replication stream: never seed it, and refuse direct
             // writes — either would fork its sequence history from the
@@ -464,7 +474,6 @@ fn main() {
                         .unwrap_or_else(|| format!("follower-{}", std::process::id()));
                     let repl = cc_service::ReplicationConfig::new(primary.clone(), name);
                     let stop = std::sync::atomic::AtomicBool::new(false);
-                    let engine = &engine;
                     let repl = &repl;
                     let stop = &stop;
                     crossbeam::scope(move |s| {
@@ -481,7 +490,7 @@ fn main() {
                     })
                     .expect("follower worker panicked")
                 }
-                None => cc_service::serve_with_obs(&engine, listener, &service, obs),
+                None => cc_service::serve_with_obs(engine, listener, &service, obs),
             }
         }
         other => {

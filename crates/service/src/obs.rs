@@ -1,7 +1,8 @@
-//! The service's live metric registry: counters, stage histograms,
-//! the slow-query ring, and the Prometheus renderer behind both the
+//! The service's live metric registry — the one place its counters are
+//! kept — and the Prometheus renderer behind both the
 //! [`crate::Request::Metrics`] opcode and the `--metrics-addr` HTTP
-//! listener.
+//! listener, the one way to read them. The [`crate::ServiceStats`] a
+//! drained server returns is read from it too.
 //!
 //! One [`ServerObs`] lives for the whole service lifetime and is
 //! shared (via `Arc`) between the serving core — which feeds it from
@@ -9,14 +10,18 @@
 //! demand. Everything inside is lock-free or locked off the hot path:
 //! counters are striped atomics, histograms are atomic bucket arrays,
 //! and the slow log's mutex is only taken for queries already known to
-//! be slow.
+//! be slow. What lives outside the registry — collections, the buffer
+//! pool, replica lag, a mutable engine's WAL — is read at scrape time
+//! through a source the serving layer installs.
 //!
-//! The cheap monotone counters are maintained unconditionally (they
-//! also back the stats frame); the per-query histograms, traces and
-//! slow log are gated on [`ObsConfig::enabled`] so a service started
-//! without observability pays nothing per query.
+//! The cheap monotone counters (requests, the engine's work and stop
+//! conditions, the write path) are maintained unconditionally; the
+//! per-query histograms, traces and slow log are gated on
+//! [`ObsConfig::enabled`] so a service started without observability
+//! pays nothing per query.
 
 use crate::collections::CollectionMetricsRow;
+use c2lsh::stats::{BatchStats, MutationStats};
 use cc_obs::{Counter, Histogram, MetricsSource, ObsConfig, PromText, SlowLog, SlowQuery};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -64,6 +69,12 @@ pub type BufpoolSource = Box<dyn Fn() -> BufpoolSnapshot + Send + Sync>;
 /// primary with at least one subscriber.
 pub type ReplicasSource = Box<dyn Fn() -> Vec<(String, u64)> + Send + Sync>;
 
+/// A provider of a mutable engine's cumulative write-path counters and
+/// its live object count — installed beside the engine by `cc-service
+/// --mode dynamic`, so a scrape reads both exact even on a follower
+/// whose state only moves through replication.
+pub type MutationsSource = Box<dyn Fn() -> (MutationStats, u64) + Send + Sync>;
+
 /// Live metric registry for one service instance.
 pub struct ServerObs {
     config: ObsConfig,
@@ -73,10 +84,10 @@ pub struct ServerObs {
     dim: AtomicU64,
     shards: AtomicU64,
     draining: AtomicBool,
-    // Monotone counters (also visible in the stats frame).
+    // Monotone counters.
     /// Queries answered with a top-k response.
     pub queries: Counter,
-    /// Engine flushes performed.
+    /// Engine calls made (one per predicate group of a flush).
     pub batches: Counter,
     /// Requests answered with an error frame.
     pub errors: Counter,
@@ -88,8 +99,11 @@ pub struct ServerObs {
     pub inserts: Counter,
     /// Deletes acknowledged (found or not).
     pub deletes: Counter,
-    /// Candidates rejected by filter predicates before verification.
-    pub filtered: Counter,
+    /// Flushes that applied at least one mutation.
+    pub mutation_batches: Counter,
+    /// WAL-truncating checkpoints written (size-triggered plus the
+    /// final one of a graceful drain).
+    pub checkpoints: Counter,
     /// Queries that had a span tree captured.
     pub traces: Counter,
     /// Queries recorded in the slow log.
@@ -102,6 +116,17 @@ pub struct ServerObs {
     /// Router: individual node legs that errored (connect failure,
     /// deadline, stale, or error frame).
     pub router_node_errors: Counter,
+    // The engine's work, summed over every engine call.
+    max_batch: AtomicU64,
+    rounds: Counter,
+    collisions: Counter,
+    verified: Counter,
+    abandoned: Counter,
+    filtered: Counter,
+    io_reads: Counter,
+    t1: Counter,
+    t2: Counter,
+    exhausted: Counter,
     // Latency histograms, all in nanoseconds.
     queue_wait: Histogram,
     query_total: Histogram,
@@ -125,6 +150,9 @@ pub struct ServerObs {
     /// Per-replica lag provider; installed when this node ships its
     /// WAL to subscribers (same locking discipline as `collections`).
     replicas: Mutex<Option<ReplicasSource>>,
+    /// Write-path provider; installed beside a mutable engine (same
+    /// locking discipline as `collections`).
+    mutations: Mutex<Option<MutationsSource>>,
 }
 
 impl ServerObs {
@@ -144,12 +172,23 @@ impl ServerObs {
             deadline_expired: Counter::new(),
             inserts: Counter::new(),
             deletes: Counter::new(),
-            filtered: Counter::new(),
+            mutation_batches: Counter::new(),
+            checkpoints: Counter::new(),
             traces: Counter::new(),
             slow_queries: Counter::new(),
             router_fanout: Counter::new(),
             router_failover: Counter::new(),
             router_node_errors: Counter::new(),
+            max_batch: AtomicU64::new(0),
+            rounds: Counter::new(),
+            collisions: Counter::new(),
+            verified: Counter::new(),
+            abandoned: Counter::new(),
+            filtered: Counter::new(),
+            io_reads: Counter::new(),
+            t1: Counter::new(),
+            t2: Counter::new(),
+            exhausted: Counter::new(),
             queue_wait: Histogram::new(),
             query_total: Histogram::new(),
             stage_hash: Histogram::new(),
@@ -164,6 +203,7 @@ impl ServerObs {
             collections: Mutex::new(None),
             bufpool: Mutex::new(None),
             replicas: Mutex::new(None),
+            mutations: Mutex::new(None),
         }
     }
 
@@ -180,6 +220,11 @@ impl ServerObs {
     /// Install (or replace) the per-replica lag provider.
     pub fn set_replicas_source(&self, source: ReplicasSource) {
         *self.replicas.lock().unwrap() = Some(source);
+    }
+
+    /// Install (or replace) the write-path provider.
+    pub fn set_mutations_source(&self, source: MutationsSource) {
+        *self.mutations.lock().unwrap() = Some(source);
     }
 
     /// A registry with everything off (the plain [`crate::serve`] path).
@@ -235,15 +280,40 @@ impl ServerObs {
         self.stage_rank.record(stage.rank);
     }
 
-    /// Record one flush: its wall time, queries coalesced, and the WAL
-    /// apply time when the flush carried mutations. No-op unless
-    /// enabled.
-    pub fn record_flush(&self, flush_ns: u64, batch_len: u64, wal_ns: Option<u64>) {
+    /// Count one engine call that answered `answered` queries at the
+    /// aggregate cost `agg`: the query and batch counters, the engine's
+    /// work and stop conditions, the largest batch and — when enabled —
+    /// one `cc_batch_size` observation.
+    pub(crate) fn record_engine_call(&self, answered: u64, agg: &BatchStats) {
+        self.queries.add(answered);
+        self.batches.inc();
+        self.max_batch.fetch_max(answered, Ordering::Relaxed);
+        self.rounds.add(agg.rounds);
+        self.collisions.add(agg.collisions);
+        self.verified.add(agg.verified);
+        self.abandoned.add(agg.abandoned);
+        self.filtered.add(agg.filtered);
+        self.io_reads.add(agg.io.reads);
+        self.t1.add(agg.t1 as u64);
+        self.t2.add(agg.t2 as u64);
+        self.exhausted.add(agg.exhausted as u64);
+        if self.on() {
+            self.batch_size.record(answered);
+        }
+    }
+
+    /// Most queries one engine call answered so far.
+    pub(crate) fn max_batch(&self) -> u64 {
+        self.max_batch.load(Ordering::Relaxed)
+    }
+
+    /// Record one flush: its wall time, and the WAL apply time when the
+    /// flush carried mutations. No-op unless enabled.
+    pub fn record_flush(&self, flush_ns: u64, wal_ns: Option<u64>) {
         if !self.on() {
             return;
         }
         self.flush_total.record(flush_ns);
-        self.batch_size.record(batch_len);
         if let Some(ns) = wal_ns {
             self.wal_apply.record(ns);
         }
@@ -269,15 +339,10 @@ impl ServerObs {
         true
     }
 
-    /// p50/p99 of end-to-end query latency in nanoseconds (for the
-    /// stats frame's `latency` object).
-    pub fn query_latency_quantiles(&self) -> (u64, u64) {
-        let snap = self.query_total.snapshot();
-        (snap.quantile(0.5), snap.quantile(0.99))
-    }
-
     /// Render the full Prometheus text exposition document.
     pub fn render_prometheus(&self) -> String {
+        let write_path = self.mutations.lock().unwrap().as_ref().map(|source| source());
+        let objects = write_path.map_or(self.objects.load(Ordering::Relaxed), |(_, n)| n);
         let mut doc = PromText::new();
         doc.gauge("cc_up", "The service is running.", 1.0);
         doc.gauge(
@@ -285,11 +350,7 @@ impl ServerObs {
             "1 once graceful shutdown began.",
             if self.draining.load(Ordering::Relaxed) { 1.0 } else { 0.0 },
         );
-        doc.gauge(
-            "cc_objects",
-            "Live objects served.",
-            self.objects.load(Ordering::Relaxed) as f64,
-        );
+        doc.gauge("cc_objects", "Live objects served.", objects as f64);
         doc.gauge("cc_dim", "Dataset dimensionality.", self.dim.load(Ordering::Relaxed) as f64);
         doc.gauge_labeled(
             "cc_kernel_info",
@@ -302,92 +363,130 @@ impl ServerObs {
             "Shards behind the engine.",
             self.shards.load(Ordering::Relaxed) as f64,
         );
-        doc.counter(
-            "cc_queries_total",
-            "Queries answered with a top-k response.",
-            self.queries.get(),
+        doc.gauge(
+            "cc_max_batch",
+            "Most queries one engine call answered.",
+            self.max_batch() as f64,
         );
-        doc.counter("cc_batches_total", "Engine flushes performed.", self.batches.get());
-        doc.counter("cc_errors_total", "Requests answered with an error frame.", self.errors.get());
-        doc.counter("cc_overloaded_total", "Queries refused at admission.", self.overloaded.get());
-        doc.counter(
-            "cc_deadline_expired_total",
-            "Queries whose deadline expired while queued.",
-            self.deadline_expired.get(),
+        let counters: [(&str, &str, &Counter); 20] = [
+            ("cc_queries_total", "Queries answered with a top-k response.", &self.queries),
+            ("cc_batches_total", "Engine calls (one per predicate group).", &self.batches),
+            ("cc_errors_total", "Requests answered with an error frame.", &self.errors),
+            ("cc_overloaded_total", "Queries refused at admission.", &self.overloaded),
+            (
+                "cc_deadline_expired_total",
+                "Queries whose deadline expired while queued.",
+                &self.deadline_expired,
+            ),
+            ("cc_inserts_total", "Inserts acknowledged.", &self.inserts),
+            ("cc_deletes_total", "Deletes acknowledged (found or not).", &self.deletes),
+            (
+                "cc_mutation_batches_total",
+                "Flushes that applied at least one mutation.",
+                &self.mutation_batches,
+            ),
+            ("cc_checkpoints_total", "WAL-truncating checkpoints written.", &self.checkpoints),
+            ("cc_rounds_total", "Virtual-rehashing rounds run across all queries.", &self.rounds),
+            (
+                "cc_collisions_total",
+                "Collision-count increments across all queries.",
+                &self.collisions,
+            ),
+            ("cc_verified_total", "Candidates whose true distance was computed.", &self.verified),
+            (
+                "cc_abandoned_total",
+                "Verified candidates cut short by the early-abandon bound.",
+                &self.abandoned,
+            ),
+            (
+                "cc_filtered_candidates_total",
+                "Candidates rejected by filter predicates before verification.",
+                &self.filtered,
+            ),
+            ("cc_io_reads_total", "Backend page reads across all queries.", &self.io_reads),
+            ("cc_traces_total", "Queries with a captured span tree.", &self.traces),
+            ("cc_slow_queries_total", "Queries retained in the slow log.", &self.slow_queries),
+            (
+                "cc_router_fanout_total",
+                "Scatter legs issued by the router (one per node per query).",
+                &self.router_fanout,
+            ),
+            (
+                "cc_router_failover_total",
+                "Queries that fell over to another replica after a node failure.",
+                &self.router_failover,
+            ),
+            (
+                "cc_router_node_errors_total",
+                "Individual node legs that errored (connect, deadline, stale, error frame).",
+                &self.router_node_errors,
+            ),
+        ];
+        for (name, help, counter) in counters {
+            doc.counter(name, help, counter.get());
+        }
+        let by = [("t1", &self.t1), ("t2", &self.t2), ("exhausted", &self.exhausted)];
+        doc.counter_labeled(
+            "cc_terminations_total",
+            "Queries by what stopped them: T1 (k within c*R), T2 (budget), exhausted windows.",
+            "by",
+            &by.map(|(cause, counter)| (cause.to_string(), counter.get())),
         );
-        doc.counter("cc_inserts_total", "Inserts acknowledged.", self.inserts.get());
-        doc.counter("cc_deletes_total", "Deletes acknowledged (found or not).", self.deletes.get());
-        doc.counter(
-            "cc_filtered_candidates_total",
-            "Candidates rejected by filter predicates before verification.",
-            self.filtered.get(),
-        );
-        doc.counter("cc_traces_total", "Queries with a captured span tree.", self.traces.get());
-        doc.counter(
-            "cc_slow_queries_total",
-            "Queries retained in the slow log.",
-            self.slow_queries.get(),
-        );
-        doc.counter(
-            "cc_router_fanout_total",
-            "Scatter legs issued by the router (one per node per query).",
-            self.router_fanout.get(),
-        );
-        doc.counter(
-            "cc_router_failover_total",
-            "Queries that fell over to another replica after a node failure.",
-            self.router_failover.get(),
-        );
-        doc.counter(
-            "cc_router_node_errors_total",
-            "Individual node legs that errored (connect, deadline, stale, error frame).",
-            self.router_node_errors.get(),
-        );
-        doc.summary_seconds(
-            "cc_queue_wait_seconds",
-            "Time from admission to engine dispatch.",
-            &self.queue_wait.snapshot(),
-        );
-        doc.summary_seconds(
-            "cc_query_seconds",
-            "End-to-end query latency (queue wait + execution).",
-            &self.query_total.snapshot(),
-        );
-        doc.summary_seconds(
-            "cc_stage_hash_seconds",
-            "Per-query time hashing into table keys.",
-            &self.stage_hash.snapshot(),
-        );
-        doc.summary_seconds(
-            "cc_stage_count_seconds",
-            "Per-query time expanding windows and counting collisions.",
-            &self.stage_count.snapshot(),
-        );
-        doc.summary_seconds(
-            "cc_stage_verify_seconds",
-            "Per-query time verifying candidate distances.",
-            &self.stage_verify.snapshot(),
-        );
-        doc.summary_seconds(
-            "cc_stage_rank_seconds",
-            "Per-query time ranking candidates.",
-            &self.stage_rank.snapshot(),
-        );
-        doc.summary_seconds(
-            "cc_wal_apply_seconds",
-            "Per-flush time applying mutations durably (WAL append + fsync).",
-            &self.wal_apply.snapshot(),
-        );
-        doc.summary_seconds(
-            "cc_flush_seconds",
-            "Wall time of one whole flush (mutations + query batch).",
-            &self.flush_total.snapshot(),
-        );
-        doc.summary_units(
-            "cc_batch_size",
-            "Queries coalesced per engine flush.",
-            &self.batch_size.snapshot(),
-        );
+        let seconds: [(&str, &str, &Histogram); 8] = [
+            ("cc_queue_wait_seconds", "Time from admission to engine dispatch.", &self.queue_wait),
+            (
+                "cc_query_seconds",
+                "End-to-end query latency (queue wait + execution).",
+                &self.query_total,
+            ),
+            ("cc_stage_hash_seconds", "Per-query time hashing into table keys.", &self.stage_hash),
+            (
+                "cc_stage_count_seconds",
+                "Per-query time expanding windows and counting collisions.",
+                &self.stage_count,
+            ),
+            (
+                "cc_stage_verify_seconds",
+                "Per-query time verifying candidate distances.",
+                &self.stage_verify,
+            ),
+            ("cc_stage_rank_seconds", "Per-query time ranking candidates.", &self.stage_rank),
+            (
+                "cc_wal_apply_seconds",
+                "Per-flush time applying mutations durably (WAL append + fsync).",
+                &self.wal_apply,
+            ),
+            (
+                "cc_flush_seconds",
+                "Wall time of one whole flush (mutations + query batch).",
+                &self.flush_total,
+            ),
+        ];
+        for (name, help, hist) in seconds {
+            doc.summary_seconds(name, help, &hist.snapshot());
+        }
+        let batch_size = self.batch_size.snapshot();
+        doc.summary_units("cc_batch_size", "Queries answered per engine call.", &batch_size);
+        // Write-path families, present only beside a mutable engine.
+        if let Some((m, _)) = write_path {
+            doc.counter("cc_wal_records_total", "WAL records appended since open.", m.wal_records);
+            doc.counter(
+                "cc_wal_syncs_total",
+                "WAL fsyncs issued since open (one per group commit).",
+                m.wal_syncs,
+            );
+            doc.counter("cc_wal_bytes_total", "Bytes appended to the WAL since open.", m.wal_bytes);
+            doc.counter(
+                "cc_delete_misses_total",
+                "Deletes of an unknown or already deleted id since open.",
+                m.delete_misses,
+            );
+            doc.gauge(
+                "cc_applied_seq",
+                "Sequence number of the last applied mutation (survives restarts).",
+                m.last_seq as f64,
+            );
+        }
         // Buffer-pool families, present only when the paged disk tier
         // is behind the server.
         if let Some(source) = self.bufpool.lock().unwrap().as_ref() {
@@ -508,11 +607,16 @@ mod tests {
     fn disabled_registry_records_nothing_per_query() {
         let obs = ServerObs::disabled();
         obs.record_query(1_000, 2_000, &StageNanos::default());
-        obs.record_flush(5_000, 4, Some(100));
+        obs.record_engine_call(4, &BatchStats::default());
+        obs.record_flush(5_000, Some(100));
         assert!(!obs.maybe_log_slow(1, u64::MAX, 10, &[]));
         let text = obs.render_prometheus();
         assert!(text.contains("cc_query_seconds_count 0"), "{text}");
         assert!(text.contains("cc_flush_seconds_count 0"), "{text}");
+        assert!(text.contains("cc_batch_size_count 0"), "{text}");
+        // The counters count regardless.
+        assert!(text.contains("cc_batches_total 1"), "{text}");
+        assert!(text.contains("cc_max_batch 4"), "{text}");
     }
 
     #[test]
@@ -521,7 +625,7 @@ mod tests {
             ServerObs::new(ObsConfig { enabled: true, slow_query_ms: 1, ..ObsConfig::default() });
         let stage = StageNanos { hash: 100, count: 4_000, verify: 900, rank: 50 };
         obs.record_query(10_000, 5_000_000, &stage);
-        obs.record_flush(6_000_000, 1, None);
+        obs.record_flush(6_000_000, None);
         assert!(obs.maybe_log_slow(3, 5_000_000, 7, &[]));
         assert_eq!(obs.slow_queries.get(), 1);
         let text = obs.render_prometheus();
@@ -599,6 +703,58 @@ mod tests {
     }
 
     #[test]
+    fn engine_work_and_write_path_families() {
+        let obs = ServerObs::disabled();
+        let agg = BatchStats {
+            rounds: 9,
+            collisions: 700,
+            verified: 40,
+            abandoned: 12,
+            filtered: 5,
+            t1: 2,
+            t2: 1,
+            io: cc_storage::IoStats { reads: 17, writes: 0 },
+            ..BatchStats::default()
+        };
+        obs.record_engine_call(3, &agg);
+        obs.record_engine_call(2, &agg);
+        let before = obs.render_prometheus();
+        assert!(!before.contains("cc_applied_seq"), "{before}");
+        obs.set_mutations_source(Box::new(|| {
+            let m = MutationStats {
+                wal_records: 8,
+                wal_syncs: 3,
+                wal_bytes: 400,
+                ..Default::default()
+            };
+            (MutationStats { delete_misses: 1, last_seq: 8, ..m }, 77)
+        }));
+        let text = obs.render_prometheus();
+        for series in [
+            "cc_batches_total 2",
+            "cc_max_batch 3",
+            "cc_queries_total 5",
+            "cc_rounds_total 18",
+            "cc_collisions_total 1400",
+            "cc_verified_total 80",
+            "cc_abandoned_total 24",
+            "cc_filtered_candidates_total 10",
+            "cc_io_reads_total 34",
+            "cc_terminations_total{by=\"t1\"} 4",
+            "cc_terminations_total{by=\"t2\"} 2",
+            "cc_terminations_total{by=\"exhausted\"} 0",
+            "cc_wal_records_total 8",
+            "cc_wal_syncs_total 3",
+            "cc_wal_bytes_total 400",
+            "cc_delete_misses_total 1",
+            "cc_applied_seq 8",
+            "cc_objects 77",
+        ] {
+            assert!(text.lines().any(|l| l == series), "{series} not in:\n{text}");
+        }
+    }
+
+    #[test]
     fn exposition_has_help_and_type_for_every_series() {
         let obs = ServerObs::new(ObsConfig::all_on());
         obs.set_index_info(1000, 16, 4);
@@ -606,6 +762,7 @@ mod tests {
             requests: 1,
             ..BufpoolSnapshot::default()
         }));
+        obs.set_mutations_source(Box::new(|| (MutationStats::default(), 1000)));
         let text = obs.render_prometheus();
         // Every non-comment series name must have HELP and TYPE.
         for line in text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {

@@ -7,12 +7,13 @@
 //! little-endian, matching the persistence format of the core crate.
 //! There is one frame per operation: the opcodes of the retired
 //! first-generation query, insert and answer frames (`0x02`, `0x05`,
-//! `0x82`) stay reserved and are refused like any unknown opcode, and
-//! the surviving frames keep the names they were introduced under.
+//! `0x82`) and of the retired JSON stats request and answer (`0x03`,
+//! `0x85`; counters are read through `0x08` Metrics) stay reserved and
+//! are refused like any unknown opcode, and the surviving frames keep
+//! the names they were introduced under.
 //!
 //! ```text
 //! request  0x01 Ping
-//!          0x03 Stats
 //!          0x04 Shutdown
 //!          0x06 Delete    u32 oid
 //!          0x07 QueryV2   u32 k | u32 deadline_ms (0 = none) |
@@ -37,7 +38,6 @@
 //! response 0x81 Pong
 //!          0x83 Overloaded          (admission queue full)
 //!          0x84 DeadlineExceeded    (expired while queued)
-//!          0x85 StatsJson utf-8 JSON document
 //!          0x86 ShutdownAck
 //!          0x87 InsertAck u32 oid | u64 seq
 //!          0x88 DeleteAck u8 found (0/1) | u32 oid | u64 seq
@@ -197,8 +197,6 @@ impl QueryCost {
 pub enum Request {
     /// Liveness check.
     Ping,
-    /// Ask for the aggregated service statistics as JSON.
-    Stats,
     /// Begin graceful shutdown: the server stops admitting work,
     /// drains its queue, answers everything in flight, then exits.
     Shutdown,
@@ -302,8 +300,6 @@ pub enum Response {
     Overloaded,
     /// The request's deadline expired before the engine ran it.
     DeadlineExceeded,
-    /// Aggregated service statistics, serialized by [`crate::json`].
-    StatsJson(String),
     /// Shutdown acknowledged; the connection will close after the
     /// drain completes.
     ShutdownAck,
@@ -396,9 +392,9 @@ impl From<ProtoError> for Error {
 }
 
 // 0x02, 0x05 and 0x82 belonged to the retired first-generation query,
-// insert and answer frames; they stay unassigned.
+// insert and answer frames, 0x03 and 0x85 to the retired JSON stats
+// frames; they stay unassigned.
 const OP_PING: u8 = 0x01;
-const OP_STATS: u8 = 0x03;
 const OP_SHUTDOWN: u8 = 0x04;
 const OP_DELETE: u8 = 0x06;
 const OP_QUERY_V2: u8 = 0x07;
@@ -412,7 +408,6 @@ const OP_REPL_ACK: u8 = 0x0E;
 const OP_PONG: u8 = 0x81;
 const OP_OVERLOADED: u8 = 0x83;
 const OP_DEADLINE: u8 = 0x84;
-const OP_STATS_JSON: u8 = 0x85;
 const OP_SHUTDOWN_ACK: u8 = 0x86;
 const OP_INSERT_ACK: u8 = 0x87;
 const OP_DELETE_ACK: u8 = 0x88;
@@ -615,7 +610,6 @@ fn decode_cost(cur: &mut Cur<'_>) -> Result<QueryCost, ProtoError> {
 fn encode_request(req: &Request) -> Vec<u8> {
     match req {
         Request::Ping => vec![OP_PING],
-        Request::Stats => vec![OP_STATS],
         Request::Shutdown => vec![OP_SHUTDOWN],
         Request::Delete { oid } => {
             let mut buf = Vec::with_capacity(5);
@@ -713,12 +707,6 @@ fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Pong => vec![OP_PONG],
         Response::Overloaded => vec![OP_OVERLOADED],
         Response::DeadlineExceeded => vec![OP_DEADLINE],
-        Response::StatsJson(json) => {
-            let mut buf = Vec::with_capacity(1 + json.len());
-            buf.push(OP_STATS_JSON);
-            buf.extend_from_slice(json.as_bytes());
-            buf
-        }
         Response::ShutdownAck => vec![OP_SHUTDOWN_ACK],
         Response::InsertAck { oid, seq } => {
             let mut buf = Vec::with_capacity(13);
@@ -900,7 +888,6 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ProtoError> {
     let mut cur = Cur { buf: &payload[1..] };
     let req = match payload[0] {
         OP_PING => Request::Ping,
-        OP_STATS => Request::Stats,
         OP_SHUTDOWN => Request::Shutdown,
         OP_DELETE => Request::Delete { oid: cur.u32()? },
         OP_QUERY_V2 => {
@@ -963,7 +950,6 @@ pub fn read_response(r: &mut impl Read) -> Result<Option<Response>, ProtoError> 
         OP_PONG => Response::Pong,
         OP_OVERLOADED => Response::Overloaded,
         OP_DEADLINE => Response::DeadlineExceeded,
-        OP_STATS_JSON => Response::StatsJson(cur.utf8_rest()?),
         OP_SHUTDOWN_ACK => Response::ShutdownAck,
         OP_INSERT_ACK => {
             let oid = cur.u32()?;
@@ -1067,14 +1053,13 @@ mod tests {
 
     /// The wire bytes of one frame of every kind, length prefix
     /// included. Recorded before the v1 frames were retired and the
-    /// vector loops folded into helpers: whatever else changes, these
+    /// vector loops moved into helpers: whatever else changes, these
     /// frames must keep encoding to exactly these bytes and decode back.
     #[test]
     fn golden_frame_bytes() {
         let vector = vec![1.5f32, -2.0];
         let requests: Vec<(Request, &str)> = vec![
             (Request::Ping, "0100000001"),
-            (Request::Stats, "0100000003"),
             (Request::Shutdown, "0100000004"),
             (Request::Metrics, "0100000008"),
             (Request::ListCollections, "010000000b"),
@@ -1164,7 +1149,6 @@ mod tests {
             (Response::Overloaded, "0100000083"),
             (Response::DeadlineExceeded, "0100000084"),
             (Response::ShutdownAck, "0100000086"),
-            (Response::StatsJson("{\"schema\":2}".into()), "0d000000857b22736368656d61223a327d"),
             (Response::MetricsText("cc_up 1\n".into()), "090000008a63635f757020310a"),
             (Response::InsertAck { oid: 12, seq: 99 }, "0d000000870c0000006300000000000000"),
             (
@@ -1225,7 +1209,6 @@ mod tests {
     fn requests_round_trip() {
         for req in [
             Request::Ping,
-            Request::Stats,
             Request::Shutdown,
             Request::Delete { oid: u32::MAX },
             Request::Metrics,
@@ -1463,7 +1446,6 @@ mod tests {
             Response::Overloaded,
             Response::DeadlineExceeded,
             Response::ShutdownAck,
-            Response::StatsJson("{\"queries\":3}".into()),
             Response::Error(Error::invalid("dim mismatch")),
             Response::Error(Error::new(ErrorKind::Draining, "shutting down")),
             Response::InsertAck { oid: 12, seq: u64::MAX },

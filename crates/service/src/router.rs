@@ -8,7 +8,7 @@
 //!                        │ (merge   │ ───────▶ │ replica C │ …
 //!                        │  top-k)  │          └───────────┘
 //!                        └────┬─────┘
-//!            writes, stats ───┴──────────────▶ primary
+//!                   writes ───┴──────────────▶ primary
 //! ```
 //!
 //! **Reads** scatter one sub-query per [`RouterConfig::groups`] entry —
@@ -28,7 +28,7 @@
 //! rejections (bad dimensionality, `k` out of range) are returned to
 //! the client unchanged — retrying them elsewhere cannot help.
 //!
-//! **Writes**, collection operations and stats forward verbatim to
+//! **Writes** and collection operations forward verbatim to
 //! [`RouterConfig::primary`] over a fresh connection per request, so a
 //! primary restart never wedges the router. `Ping` and `Metrics` are
 //! answered locally (the router exports its own `cc_router_*`
@@ -48,8 +48,8 @@ use std::time::Duration;
 /// Topology and tunables of one router process.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// The write path: every mutation, collection op and stats request
-    /// forwards here (`HOST:PORT`).
+    /// The write path: every mutation and collection op forwards here
+    /// (`HOST:PORT`).
     pub primary: String,
     /// The read path: one entry per shard group, each listing the
     /// replicas that can answer for that group. A single group whose
@@ -91,7 +91,7 @@ pub struct RouterStats {
     /// Individual legs that errored (connect, deadline, stale,
     /// overloaded, or an error frame).
     pub node_errors: u64,
-    /// Requests forwarded to the primary (writes, collections, stats).
+    /// Requests forwarded to the primary (writes, collections).
     pub forwards: u64,
     /// Requests answered with an error frame.
     pub errors: u64,
@@ -199,8 +199,7 @@ fn serve_connection(shared: &RouterShared, stream: &mut TcpStream) -> Result<(),
             // fleet — collections live on the primary.
             req @ Request::QueryV2 { collection: Some(_), .. } => forward_to_primary(shared, req),
             req @ Request::QueryV2 { .. } => scatter_query(shared, req),
-            req @ (Request::Stats
-            | Request::InsertV2 { .. }
+            req @ (Request::InsertV2 { .. }
             | Request::Delete { .. }
             | Request::CreateCollection { .. }
             | Request::DropCollection { .. }
@@ -315,8 +314,8 @@ fn ask_node(node: &str, req: &Request, deadline: Duration) -> io::Result<Respons
 /// Forward one request verbatim to the primary; failures come back as
 /// typed error frames rather than dropped connections, so the client
 /// can tell "primary down" from "router down". The forward deadline is
-/// deliberately generous — group-commit fsyncs and stats rendering are
-/// slower than a read leg.
+/// deliberately generous — group-commit fsyncs are slower than a read
+/// leg.
 fn forward_to_primary(shared: &RouterShared, req: Request) -> Response {
     shared.forwards.fetch_add(1, Ordering::Relaxed);
     let deadline = shared.config.node_deadline.max(Duration::from_secs(2)) * 5;

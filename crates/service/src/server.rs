@@ -46,12 +46,15 @@
 //! (so no request can slip in behind the batcher's final sweep), the
 //! queue is flushed, every waiting client gets its answer, and idle
 //! connections are force-closed after [`ServiceConfig::drain_grace`].
+//!
+//! Every count the serving core keeps lives in its [`ServerObs`]
+//! registry and is read through the Prometheus exposition (opcode
+//! `0x08`, or `/metrics` with `--metrics-addr`); the [`ServiceStats`]
+//! returned at drain is read from the same counters.
 
 use crate::collections::{Collection, CollectionsConfig, Registry};
-use crate::json::JsonObject;
 use crate::obs::ServerObs;
 use crate::protocol::{self, ProtoError, QueryCost, Request, Response};
-use crate::snapshot::STATS_SCHEMA;
 use c2lsh::engine::SearchOptions;
 use c2lsh::stats::{BatchStats, MutationStats, QueryStats};
 use c2lsh::{
@@ -84,8 +87,8 @@ pub trait ServeEngine: Sync {
         self.len() == 0
     }
 
-    /// Shards behind this engine (1 for unsharded engines); reported in
-    /// the stats document.
+    /// Shards behind this engine (1 for unsharded engines); exported as
+    /// `cc_shards`.
     fn num_shards(&self) -> usize {
         1
     }
@@ -113,11 +116,6 @@ pub trait ServeEngine: Sync {
         _ops: Vec<MutationOp>,
     ) -> io::Result<(Vec<MutationAck>, MutationStats)> {
         Err(io::Error::new(io::ErrorKind::Unsupported, "engine is immutable"))
-    }
-
-    /// Cumulative write-path counters, `None` for immutable engines.
-    fn mutation_stats(&self) -> Option<MutationStats> {
-        None
     }
 
     /// Write a durable checkpoint and truncate the WAL once it has
@@ -220,10 +218,6 @@ impl ServeEngine for MutableIndex {
         self.apply_batch(&ops)
     }
 
-    fn mutation_stats(&self) -> Option<MutationStats> {
-        Some(MutableIndex::mutation_stats(self))
-    }
-
     fn checkpoint_if_wal_exceeds(&self, wal_bytes: u64) -> io::Result<bool> {
         MutableIndex::checkpoint_if_wal_exceeds(self, wal_bytes)
     }
@@ -292,18 +286,17 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Aggregated service counters, served as JSON by the stats frame and
-/// returned by [`serve`] as the final snapshot. Every field with a
-/// [`ServerObs`] counter behind `/metrics` (`queries` … `deletes`) is
-/// read from it: each event is counted once, there.
+/// The service counters [`serve`] returns after the drain, read from
+/// its [`ServerObs`] registry — the counters `/metrics` exposes, each
+/// event counted once, there.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Queries answered with a [`Response::TopKV2`].
     pub queries: u64,
-    /// Engine flushes performed.
+    /// Engine calls made (one per predicate group of a flush).
     pub batches: u64,
-    /// Largest number of queries coalesced into one flush.
-    pub max_batch: usize,
+    /// Most queries one engine call answered.
+    pub max_batch: u64,
     /// Queries refused at admission (queue full).
     pub overloaded: u64,
     /// Queries whose deadline expired while queued.
@@ -319,10 +312,6 @@ pub struct ServiceStats {
     /// WAL-truncating checkpoints written (size-triggered plus the
     /// final one on a graceful drain).
     pub checkpoints: u64,
-    /// Engine-side work, folded across all flushes with
-    /// [`BatchStats::merge`]; includes the write path in
-    /// [`BatchStats::mutations`].
-    pub engine: BatchStats,
 }
 
 /// One admitted query waiting for the batcher.
@@ -394,9 +383,6 @@ struct Shared {
     queue: Mutex<Queue>,
     not_empty: Condvar,
     stopping: AtomicBool,
-    /// The fields no [`ServerObs`] counter holds (`max_batch`,
-    /// `mutation_batches`, `checkpoints`, `engine`); the rest stay zero.
-    folded: Mutex<ServiceStats>,
     conns: Mutex<Vec<(u64, TcpStream)>>,
     local_addr: SocketAddr,
     obs: Arc<ServerObs>,
@@ -450,7 +436,6 @@ pub fn serve_with_obs<E: ServeEngine>(
         queue: Mutex::new(Queue { items: VecDeque::new(), draining: false }),
         not_empty: Condvar::new(),
         stopping: AtomicBool::new(false),
-        folded: Mutex::new(ServiceStats::default()),
         conns: Mutex::new(Vec::new()),
         local_addr,
         obs,
@@ -483,13 +468,12 @@ pub fn serve_with_obs<E: ServeEngine>(
         // durable via the WAL, so a failure here only costs restart
         // time — report it, don't fail the drain.
         match engine.checkpoint_if_wal_exceeds(0) {
-            Ok(true) => shared.folded.lock().unwrap().checkpoints += 1,
+            Ok(true) => shared.obs.checkpoints.inc(),
             Ok(false) => {}
             Err(e) => eprintln!("final checkpoint failed: {e}"),
         }
         // Same deal for every durable collection.
-        let collection_ckpts = shared.collections.checkpoint_all(0);
-        shared.folded.lock().unwrap().checkpoints += collection_ckpts;
+        shared.obs.checkpoints.add(shared.collections.checkpoint_all(0));
         // Handlers deregister on exit; give stragglers (clients that
         // keep idle connections open across the shutdown) a grace
         // period, then sever them so the scope can join.
@@ -506,7 +490,7 @@ pub fn serve_with_obs<E: ServeEngine>(
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        stats_snapshot(shared)
+        service_stats(&shared.obs)
     })
     .expect("service worker panicked");
     Ok(stats)
@@ -595,7 +579,6 @@ fn serve_connection<E: ServeEngine>(
         let Some(req) = read_request_or_refuse(stream, &shared.obs)? else { return Ok(()) };
         let resp = match req {
             Request::Ping => Response::Pong,
-            Request::Stats => Response::StatsJson(render_stats(engine, shared)),
             Request::Metrics => Response::MetricsText(shared.obs.render_prometheus()),
             Request::Shutdown => {
                 protocol::write_response(stream, &Response::ShutdownAck)?;
@@ -969,12 +952,8 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
                     // The live-object gauge follows the default engine.
                     None => obs.set_objects(engine.len() as u64),
                 }
-                {
-                    let mut st = shared.folded.lock().unwrap();
-                    st.mutation_batches += 1;
-                    st.engine.mutations.merge(&delta);
-                }
-                // Replies only after the stats are recorded (and, more
+                obs.mutation_batches.inc();
+                // Replies only after the counters are recorded (and, more
                 // importantly, after apply_mutations' fsync returned).
                 for (tx, ack) in op_txs.iter().zip(acks) {
                     let resp = match ack {
@@ -990,7 +969,7 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
                 // bounds recovery time). A failure is not a lost write,
                 // so it is reported rather than propagated.
                 match engine.checkpoint_if_wal_exceeds(config.checkpoint_wal_bytes) {
-                    Ok(true) => shared.folded.lock().unwrap().checkpoints += 1,
+                    Ok(true) => obs.checkpoints.inc(),
                     Ok(false) => {}
                     Err(e) => eprintln!("checkpoint of {} failed: {e}", target.label()),
                 }
@@ -1044,13 +1023,7 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
             };
             let (group_results, agg) = engine.query_batch_with(&queries, k_max, &opts);
             let answered = idxs.len() as u64;
-            let mut st = shared.folded.lock().unwrap();
-            st.max_batch = st.max_batch.max(idxs.len());
-            st.engine.merge(&agg);
-            drop(st);
-            obs.queries.add(answered);
-            obs.batches.inc();
-            obs.filtered.add(agg.filtered);
+            obs.record_engine_call(answered, &agg);
             if let Some(col) = target.collection {
                 col.queries.add(answered);
                 col.filtered.add(agg.filtered);
@@ -1064,9 +1037,9 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
         Vec::new()
     };
     obs.deadline_expired.add(expired.len() as u64);
-    obs.record_flush(now.elapsed().as_nanos() as u64, batch_len as u64, wal_ns);
+    obs.record_flush(now.elapsed().as_nanos() as u64, wal_ns);
     // Reply only after every counter is recorded: a client holding its
-    // answer must find it reflected in an immediate stats read.
+    // answer must find it reflected in an immediate scrape.
     for p in expired {
         let _ = p.tx.send(Response::DeadlineExceeded);
     }
@@ -1117,92 +1090,18 @@ fn begin_shutdown(shared: &Shared) {
     let _ = TcpStream::connect(shared.local_addr);
 }
 
-/// The service counters as of now: the per-event counts from the
-/// registry's always-on counters, the rest from the flush path's fold.
-fn stats_snapshot(shared: &Shared) -> ServiceStats {
-    let obs = &shared.obs;
+/// The service counters as of now, read from the registry.
+fn service_stats(obs: &ServerObs) -> ServiceStats {
     ServiceStats {
         queries: obs.queries.get(),
         batches: obs.batches.get(),
+        max_batch: obs.max_batch(),
         overloaded: obs.overloaded.get(),
         deadline_expired: obs.deadline_expired.get(),
         errors: obs.errors.get(),
         inserts: obs.inserts.get(),
         deletes: obs.deletes.get(),
-        ..shared.folded.lock().unwrap().clone()
+        mutation_batches: obs.mutation_batches.get(),
+        checkpoints: obs.checkpoints.get(),
     }
-}
-
-/// Serialize the current counters (plus static index facts) for the
-/// stats frame.
-///
-/// The document carries a `"schema": 2` marker — the only schema
-/// [`crate::StatsSnapshot::parse`] accepts — the service counters, the
-/// engine totals with their per-stage nanoseconds, a `mutations`
-/// object when the engine is mutable and, when observability is on, a
-/// `latency` object with live quantiles.
-fn render_stats<E: ServeEngine>(engine: &E, shared: &Shared) -> String {
-    let st = stats_snapshot(shared);
-    let draining = shared.queue.lock().unwrap().draining;
-    let e = &st.engine;
-    let engine_obj = JsonObject::new()
-        .field_u64("rounds", e.rounds)
-        .field_u64("collisions", e.collisions)
-        .field_u64("verified", e.verified)
-        .field_u64("abandoned", e.abandoned)
-        .field_u64("filtered", e.filtered)
-        .field_u64("t1", e.t1 as u64)
-        .field_u64("t2", e.t2 as u64)
-        .field_u64("exhausted", e.exhausted as u64)
-        .field_u64("io_reads", e.io.reads)
-        .field_u64("elapsed_nanos", e.elapsed_nanos)
-        .field_u64("stage_hash_nanos", e.stage.hash)
-        .field_u64("stage_count_nanos", e.stage.count)
-        .field_u64("stage_verify_nanos", e.stage.verify)
-        .field_u64("stage_rank_nanos", e.stage.rank)
-        .finish();
-    let mut doc = JsonObject::new()
-        .field_u64("schema", STATS_SCHEMA)
-        .field_str("state", if draining { "draining" } else { "serving" })
-        .field_u64("shards", engine.num_shards() as u64)
-        .field_u64("objects", engine.len() as u64)
-        .field_u64("dim", engine.dim() as u64)
-        .field_u64("queries", st.queries)
-        .field_u64("batches", st.batches)
-        .field_u64("max_batch", st.max_batch as u64)
-        .field_u64("overloaded", st.overloaded)
-        .field_u64("deadline_expired", st.deadline_expired)
-        .field_u64("errors", st.errors)
-        .field_u64("inserts", st.inserts)
-        .field_u64("deletes", st.deletes)
-        .field_u64("mutation_batches", st.mutation_batches)
-        .field_u64("checkpoints", st.checkpoints)
-        .field_u64("collections", shared.collections.list().len() as u64)
-        .field_obj("engine", &engine_obj);
-    // Cumulative write-path counters straight from the engine (these
-    // include recovery state — `last_seq` survives restarts — where the
-    // ServiceStats counters above start at zero per process).
-    if let Some(m) = engine.mutation_stats() {
-        let mutations = JsonObject::new()
-            .field_u64("inserts", m.inserts)
-            .field_u64("deletes", m.deletes)
-            .field_u64("delete_misses", m.delete_misses)
-            .field_u64("batches", m.batches)
-            .field_u64("wal_records", m.wal_records)
-            .field_u64("wal_syncs", m.wal_syncs)
-            .field_u64("wal_bytes", m.wal_bytes)
-            .field_u64("last_seq", m.last_seq)
-            .finish();
-        doc = doc.field_obj("mutations", &mutations);
-    }
-    // Live latency quantiles, only when the histograms are being fed.
-    if shared.obs.on() {
-        let (p50, p99) = shared.obs.query_latency_quantiles();
-        let latency = JsonObject::new()
-            .field_u64("query_p50_nanos", p50)
-            .field_u64("query_p99_nanos", p99)
-            .finish();
-        doc = doc.field_obj("latency", &latency);
-    }
-    doc.finish()
 }

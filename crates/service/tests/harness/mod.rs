@@ -246,17 +246,17 @@ impl Drop for ClusterHarness {
     }
 }
 
-/// Poll a node's stats until its applied sequence reaches `min_seq`,
-/// panicking after `limit`. The replication catch-up assertions all
-/// funnel through this.
+/// Poll a node's `cc_applied_seq` (over its `Metrics` frame) until it
+/// reaches `min_seq`, panicking after `limit`. The replication catch-up
+/// assertions all funnel through this.
 pub fn wait_for_seq(addr: SocketAddr, min_seq: u64, limit: Duration) {
     let deadline = Instant::now() + limit;
     let mut last = 0;
     loop {
         // Reconnect per probe: the node may be mid-restart.
         if let Ok(mut client) = Client::connect(addr) {
-            if let Ok(snap) = client.stats() {
-                last = snap.mutations.map_or(0, |m| m.last_seq);
+            if let Ok(text) = client.metrics_text() {
+                last = cc_obs::sample(&text, "cc_applied_seq").unwrap_or(0.0) as u64;
                 if last >= min_seq {
                     return;
                 }

@@ -1,18 +1,19 @@
 //! The observability layer against live servers.
 //!
 //! In-process: a mutable engine served with metrics on — mixed
-//! read/write load, `/metrics` scraped twice over real HTTP and checked
-//! for monotone counters that agree with the client-side tally, the
+//! read/write load, `/metrics` scraped over real HTTP and checked for
+//! monotone counters that agree with the client-side tally, the
 //! exposition linted (unique series, `# HELP`/`# TYPE` for every
 //! family), traces and the slow log exercised end-to-end.
 //!
 //! Against the real binary: `--metrics-addr` must announce itself on
-//! stderr, serve `/metrics` and `/healthz`, and count the queries the
-//! client sends.
+//! stderr, serve `/metrics` and `/healthz`, count the queries the
+//! client sends, and label the series of two live collections whose
+//! filtered answers honour their predicate.
 
 use c2lsh::config::Beta;
-use c2lsh::{C2lshConfig, DynamicIndex, MutableIndex, MutationOp};
-use cc_obs::{http_get, MetricsServer, ObsConfig};
+use c2lsh::{C2lshConfig, DynamicIndex, MutableIndex, MutationOp, Predicate};
+use cc_obs::{http_get, sample, MetricsServer, ObsConfig};
 use cc_service::{Client, QueryRequest, ServerObs, ServiceConfig};
 use cc_vector::gen::{generate, Distribution};
 use std::collections::HashSet;
@@ -35,19 +36,9 @@ fn with_watchdog(label: &'static str, limit: Duration, f: impl FnOnce()) {
     let _ = done_tx.send(());
 }
 
-/// Pull the value of a single-sample series (`name value`) out of an
-/// exposition document.
-fn metric(text: &str, name: &str) -> f64 {
-    let line = text
-        .lines()
-        .find(|l| l.strip_prefix(name).map(|r| r.starts_with(' ')).unwrap_or(false))
-        .unwrap_or_else(|| panic!("series {name} missing from exposition:\n{text}"));
-    line.split_whitespace().nth(1).unwrap().parse().unwrap()
-}
-
-/// The exposition lint CI also applies: every sample line belongs to a
-/// family with `# HELP` and `# TYPE`, and no series name (including its
-/// labels) appears twice.
+/// The exposition lint: every sample line belongs to a family with
+/// `# HELP` and `# TYPE`, and no series name (including its labels)
+/// appears twice.
 fn lint_exposition(text: &str) {
     let mut help = HashSet::new();
     let mut ty = HashSet::new();
@@ -143,17 +134,17 @@ fn live_scrape_is_monotone_and_consistent_with_load() {
             }
             let first = http_get(scrape, "/metrics").unwrap();
             lint_exposition(&first);
-            assert_eq!(metric(&first, "cc_up"), 1.0);
-            assert_eq!(metric(&first, "cc_queries_total"), QUERIES_1 as f64);
-            assert_eq!(metric(&first, "cc_dim"), D as f64);
-            assert_eq!(metric(&first, "cc_objects"), SEED_N as f64);
+            assert_eq!(sample(&first, "cc_up"), Some(1.0));
+            assert_eq!(sample(&first, "cc_queries_total"), Some(QUERIES_1 as f64));
+            assert_eq!(sample(&first, "cc_dim"), Some(D as f64));
+            assert_eq!(sample(&first, "cc_objects"), Some(SEED_N as f64));
             // The per-stage histograms saw exactly the answered queries.
-            assert_eq!(metric(&first, "cc_query_seconds_count"), QUERIES_1 as f64);
-            assert_eq!(metric(&first, "cc_stage_count_seconds_count"), QUERIES_1 as f64);
-            assert!(metric(&first, "cc_query_seconds_sum") > 0.0);
+            assert_eq!(sample(&first, "cc_query_seconds_count"), Some(QUERIES_1 as f64));
+            assert_eq!(sample(&first, "cc_stage_count_seconds_count"), Some(QUERIES_1 as f64));
+            assert!(sample(&first, "cc_query_seconds_sum").unwrap() > 0.0);
             // p50 ≤ p99 by construction.
-            let p50 = metric(&first, "cc_query_seconds{quantile=\"0.5\"}");
-            let p99 = metric(&first, "cc_query_seconds{quantile=\"0.99\"}");
+            let p50 = sample(&first, "cc_query_seconds{quantile=\"0.5\"}").unwrap();
+            let p99 = sample(&first, "cc_query_seconds{quantile=\"0.99\"}").unwrap();
             assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
 
             // Second wave: writes plus traced/stats queries.
@@ -182,26 +173,26 @@ fn live_scrape_is_monotone_and_consistent_with_load() {
 
             let second = http_get(scrape, "/metrics").unwrap();
             lint_exposition(&second);
-            assert_eq!(metric(&second, "cc_queries_total"), (QUERIES_1 + QUERIES_2) as f64);
-            assert_eq!(metric(&second, "cc_inserts_total"), INSERTS as f64);
-            assert_eq!(metric(&second, "cc_deletes_total"), DELETES as f64);
-            assert_eq!(metric(&second, "cc_objects"), (SEED_N + INSERTS - DELETES) as f64);
-            assert!(metric(&second, "cc_traces_total") >= QUERIES_2 as f64);
+            assert_eq!(sample(&second, "cc_queries_total"), Some((QUERIES_1 + QUERIES_2) as f64));
+            assert_eq!(sample(&second, "cc_inserts_total"), Some(INSERTS as f64));
+            assert_eq!(sample(&second, "cc_deletes_total"), Some(DELETES as f64));
+            assert_eq!(sample(&second, "cc_objects"), Some((SEED_N + INSERTS - DELETES) as f64));
+            assert!(sample(&second, "cc_traces_total").unwrap() >= QUERIES_2 as f64);
             // One WAL-apply observation per flush that carried mutations:
             // at least one (something was written), at most one per request.
-            let wal_flushes = metric(&second, "cc_wal_apply_seconds_count");
+            let wal_flushes = sample(&second, "cc_wal_apply_seconds_count").unwrap();
             assert!(
                 (1.0..=(INSERTS + DELETES) as f64).contains(&wal_flushes),
                 "wal flushes {wal_flushes}"
             );
-            // A collection write is its own batch: one more observation,
-            // and the batch shows in the stats frame.
-            let batches = client.stats().unwrap().mutation_batches;
+            // A collection write is its own batch: one more observation
+            // and one more mutation batch.
+            let batches = sample(&second, "cc_mutation_batches_total").unwrap();
             client.create_collection("side", D as u32).unwrap();
             client.insert_with_meta(Some("side"), data.get(0), 1, 2).unwrap();
             let third = http_get(scrape, "/metrics").unwrap();
-            assert_eq!(metric(&third, "cc_wal_apply_seconds_count"), wal_flushes + 1.0);
-            assert_eq!(client.stats().unwrap().mutation_batches, batches + 1);
+            assert_eq!(sample(&third, "cc_wal_apply_seconds_count"), Some(wal_flushes + 1.0));
+            assert_eq!(sample(&third, "cc_mutation_batches_total"), Some(batches + 1.0));
             // Monotonicity across the two scrapes, counter by counter.
             for family in [
                 "cc_queries_total",
@@ -215,7 +206,7 @@ fn live_scrape_is_monotone_and_consistent_with_load() {
                 "cc_flush_seconds_count",
             ] {
                 assert!(
-                    metric(&second, family) >= metric(&first, family),
+                    sample(&second, family).unwrap() >= sample(&first, family).unwrap(),
                     "{family} went backwards"
                 );
             }
@@ -228,10 +219,39 @@ fn live_scrape_is_monotone_and_consistent_with_load() {
             let last_id = *traced_ids.last().unwrap();
             assert!(slowlog.contains(&format!("trace_id={last_id} ")), "{slowlog}");
 
+            // Two clients at once, one filtered and one not, so flushes
+            // split into predicate groups. `cc_batch_size` observes
+            // engine calls: one value per group, none for the
+            // mutation-only flushes of the second wave.
+            let data = &data;
+            let waves: Vec<_> = [None, Some(Predicate::label(0))]
+                .into_iter()
+                .map(|filter| {
+                    s.spawn(move |_| {
+                        let mut client = Client::connect(addr).unwrap();
+                        for i in 0..QUERIES_1 {
+                            let mut req = QueryRequest::new(data.get(i).to_vec()).k(2);
+                            if let Some(pred) = filter {
+                                req = req.filter(pred);
+                            }
+                            assert!(!client.search_result(&req).unwrap().neighbors.is_empty());
+                        }
+                    })
+                })
+                .collect();
+            for wave in waves {
+                wave.join().unwrap();
+            }
+
             // The same document is served over the binary protocol.
             let inband = client.metrics_text().unwrap();
             lint_exposition(&inband);
-            assert!(metric(&inband, "cc_queries_total") >= (QUERIES_1 + QUERIES_2) as f64);
+            let answered = sample(&inband, "cc_queries_total").unwrap();
+            assert_eq!(answered, (3 * QUERIES_1 + QUERIES_2) as f64, "{inband}");
+            let calls = sample(&inband, "cc_batches_total");
+            assert_eq!(sample(&inband, "cc_batch_size_count"), calls, "{inband}");
+            assert_eq!(sample(&inband, "cc_batch_size_sum"), Some(answered), "{inband}");
+            assert!(sample(&inband, "cc_batch_size{quantile=\"0.5\"}").unwrap() >= 1.0);
 
             client.shutdown().unwrap();
             server.join().unwrap();
@@ -242,7 +262,9 @@ fn live_scrape_is_monotone_and_consistent_with_load() {
 }
 
 /// The real binary: `--metrics-addr` announces the scrape endpoint on
-/// stderr and serves a lintable exposition that tracks served queries.
+/// stderr and serves a lintable exposition that tracks served queries,
+/// including the per-collection series of two collections under a
+/// mixed filtered load whose answers honour their predicate.
 #[test]
 fn binary_serves_metrics_endpoint() {
     use std::io::{BufRead, BufReader};
@@ -292,8 +314,11 @@ fn binary_serves_metrics_endpoint() {
     assert_eq!(http_get(scrape_addr, "/healthz").unwrap(), "ok\n");
     let before = http_get(scrape_addr, "/metrics").unwrap();
     lint_exposition(&before);
-    assert_eq!(metric(&before, "cc_up"), 1.0);
-    assert_eq!(metric(&before, "cc_queries_total"), 0.0);
+    assert_eq!(sample(&before, "cc_up"), Some(1.0));
+    assert_eq!(sample(&before, "cc_queries_total"), Some(0.0));
+    for family in ["cc_query_seconds", "cc_stage_count_seconds", "cc_terminations_total"] {
+        assert!(before.contains(&format!("# TYPE {family} ")), "no {family}:\n{before}");
+    }
 
     let mut client = Client::connect(serve_addr).unwrap();
     for i in 0..7u32 {
@@ -304,8 +329,58 @@ fn binary_serves_metrics_endpoint() {
     }
     let after = http_get(scrape_addr, "/metrics").unwrap();
     lint_exposition(&after);
-    assert_eq!(metric(&after, "cc_queries_total"), 7.0);
-    assert!(metric(&after, "cc_query_seconds_count") >= 7.0);
+    assert_eq!(sample(&after, "cc_queries_total"), Some(7.0));
+    assert!(sample(&after, "cc_query_seconds_count").unwrap() >= 7.0);
+
+    // Two collections whose rows carry labels `i % 3` — coprime to the
+    // 8 generator clusters, so a label predicate is selective — then a
+    // mixed load: two in three collection queries filtered.
+    let rows = generate(
+        Distribution::GaussianMixture { clusters: 8, spread: 0.02, scale: 10.0 },
+        60,
+        D,
+        5,
+    );
+    for name in ["alpha", "beta"] {
+        assert!(!client.create_collection(name, D as u32).unwrap(), "{name} is new");
+        for (i, v) in rows.iter().enumerate() {
+            client.insert_with_meta(Some(name), v, 1 << (i % 4), (i % 3) as u32).unwrap();
+        }
+    }
+    let mut rejected = 0;
+    for (i, q) in rows.iter().take(30).enumerate() {
+        let name = if i % 2 == 0 { "alpha" } else { "beta" };
+        let mut req = QueryRequest::new(q.to_vec()).k(5).collection(name).with_stats();
+        if i % 3 != 0 {
+            req = req.filter(Predicate::label(1));
+        }
+        let res = client.search_result(&req).unwrap();
+        assert!(!res.neighbors.is_empty(), "query {i} served nothing");
+        if i % 3 != 0 {
+            assert!(res.neighbors.iter().all(|n| n.id % 3 == 1), "query {i}: {:?}", res.neighbors);
+        }
+        rejected += res.cost.unwrap().filtered;
+    }
+    assert!(rejected > 0, "a selective predicate must reject some candidates");
+    let labelled = http_get(scrape_addr, "/metrics").unwrap();
+    lint_exposition(&labelled);
+    for name in ["alpha", "beta"] {
+        let series =
+            |family: &str| sample(&labelled, &format!("{family}{{collection=\"{name}\"}}"));
+        assert_eq!(series("cc_collection_objects"), Some(60.0), "{labelled}");
+        assert_eq!(series("cc_collection_inserts_total"), Some(60.0), "{labelled}");
+        assert_eq!(series("cc_collection_queries_total"), Some(15.0), "{labelled}");
+    }
+    let filtered: f64 = ["alpha", "beta"]
+        .iter()
+        .filter_map(|name| {
+            sample(
+                &labelled,
+                &format!("cc_collection_filtered_candidates_total{{collection=\"{name}\"}}"),
+            )
+        })
+        .sum();
+    assert_eq!(filtered, rejected as f64, "{labelled}");
 
     client.shutdown().unwrap();
     child.wait().expect("server drains after shutdown");

@@ -143,9 +143,9 @@ proptest! {
     /// Opcodes `0x0F..=0x7E` name no request and `0x8D`/`0x8E` plus
     /// `0x91..` name no response (requests run through `0x0E` ReplAck;
     /// responses skip to `0x8F` Error and `0x90` ReplBatch), and the
-    /// retired `0x02` Query, `0x05` Insert and `0x82` TopK stay
-    /// unassigned: both directions must refuse them as malformed no
-    /// matter what body follows.
+    /// retired `0x02` Query, `0x03` Stats, `0x05` Insert, `0x82` TopK
+    /// and `0x85` stats answer stay unassigned: both directions must refuse
+    /// them as malformed no matter what body follows.
     #[test]
     fn unknown_opcodes_are_rejected(
         req_op in 0x0Fu8..0x7F,
@@ -155,7 +155,7 @@ proptest! {
         let mut wire = ((body.len() + 1) as u32).to_le_bytes().to_vec();
         wire.push(req_op);
         wire.extend_from_slice(&body);
-        for req_op in [0x02, 0x05, req_op] {
+        for req_op in [0x02, 0x03, 0x05, req_op] {
             wire[4] = req_op;
             prop_assert!(matches!(
                 read_request(&mut Cursor::new(&wire[..])),
@@ -163,9 +163,10 @@ proptest! {
             ), "request opcode {req_op:#04x} must be unknown");
         }
 
-        // 0x82, 0x8D and 0x8E are the only holes below Error (0x8F)
-        // and ReplBatch (0x90); everything past 0x90 is unassigned.
-        for resp_op in [0x82, 0x8D, 0x8E, sampled_resp_op] {
+        // 0x82, 0x85, 0x8D and 0x8E are the only holes below Error
+        // (0x8F) and ReplBatch (0x90); everything past 0x90 is
+        // unassigned.
+        for resp_op in [0x82, 0x85, 0x8D, 0x8E, sampled_resp_op] {
             wire[4] = resp_op;
             prop_assert!(matches!(
                 read_response(&mut Cursor::new(&wire[..])),
