@@ -1,19 +1,20 @@
 //! The disk-resident C2LSH index, costed under the paper's I/O model.
 //!
 //! The paper's efficiency metric is a *count* of 4 KiB page reads. This
-//! backend answers from the same sorted runs as [`C2lshIndex`] and
-//! charges what the paper's paged layout of each run — one 12-byte
-//! `(bucket, oid)` entry per object, [`ENTRIES_PER_PAGE`] per page,
-//! first key of every page cached in memory — would read: one page per
-//! window-bound probe, every page a scan hands the engine entries from,
-//! and [`TableStore::verify_pages`] per verified candidate. The
-//! count is arithmetic on entry indices, which the in-memory bucket
-//! directory leaves as they are; no page bytes exist. The tier that
-//! does real out-of-core I/O is [`crate::paged`].
+//! backend is a page meter around the walk of [`C2lshIndex`]: it answers
+//! from the same segment and charges what the paper's paged layout of
+//! each run — one 12-byte `(bucket, oid)` entry per object,
+//! [`ENTRIES_PER_PAGE`] per page, first key of every page cached in
+//! memory — would read: one page per window-bound probe, every page a
+//! scan hands the engine entries from, and [`TableStore::verify_pages`]
+//! per verified candidate. The count is arithmetic on entry indices,
+//! which the in-memory bucket directory leaves as they are; no page
+//! bytes exist. The tier that does real out-of-core I/O is
+//! [`crate::paged`].
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, BucketWindows, SearchOptions, TableStore};
-use crate::index::{C2lshIndex, SortedRun};
+use crate::engine::{self, KeyWindows, SearchOptions, TableStore};
+use crate::index::{C2lshIndex, Segment};
 use crate::meta::PointMeta;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
@@ -33,37 +34,37 @@ pub struct DiskIndex<'d> {
     verify_pages: u64,
 }
 
-/// Grow window `t` of `cursor` over `run` to `radius` and add to `reads`
-/// the pages that costs: one per bound probe (the leaf the cached page
-/// keys point at; an empty run has none), and one per slice handed to
-/// `visit`. A delta range is cut where its pages end, so a slice is what
-/// one page holds of the range, and the page is charged as the slice is
-/// handed out — a refusal leaves every later page unread.
+/// Grow window `t` of `cursor` over `segment` to `radius`, charging to
+/// `reads` the two bound probes (none on an empty run) and every page a
+/// scan moves onto. Slices are cut where their pages end, and a page is
+/// charged as its first piece is handed out unless that piece continues
+/// the last one inside a page already read: a refusal reads no later page.
 fn expand_metered(
-    run: &SortedRun,
+    segment: &Segment,
     reads: &AtomicU64,
-    cursor: &mut BucketWindows,
+    cursor: &mut KeyWindows,
     t: usize,
     radius: i64,
     visit: &mut dyn FnMut(&[u32]) -> bool,
 ) {
-    let n = run.oids.len();
-    let (left, right) = cursor.grow(t, radius, n, |b| {
-        reads.fetch_add(u64::from(n > 0), Relaxed);
-        run.lower_bound(b)
-    });
-    for range in [left, right] {
-        let mut at = range.start;
-        while at < range.end {
-            let page_end = (at / ENTRIES_PER_PAGE + 1) * ENTRIES_PER_PAGE;
-            let slice = &run.oids[at..page_end.min(range.end)];
-            reads.fetch_add(1, Relaxed);
-            if !visit(slice) {
-                return;
+    reads.fetch_add(if segment.runs[t].oids.is_empty() { 0 } else { 2 }, Relaxed);
+    // One past the last entry handed out.
+    let mut end = None;
+    Segment::expand(std::slice::from_ref(segment), cursor, t, radius, |mut at, mut ids| {
+        while !ids.is_empty() {
+            let (piece, rest) =
+                ids.split_at(ids.len().min(ENTRIES_PER_PAGE - at % ENTRIES_PER_PAGE));
+            if end != Some(at) || at % ENTRIES_PER_PAGE == 0 {
+                reads.fetch_add(1, Relaxed);
             }
-            at += slice.len();
+            if !visit(piece) {
+                return false;
+            }
+            (at, ids) = (at + piece.len(), rest);
+            end = Some(at);
         }
-    }
+        true
+    });
 }
 
 impl<'d> DiskIndex<'d> {
@@ -117,7 +118,7 @@ impl<'d> DiskIndex<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        engine::run_query(self, &self.mem.search_params(), q, k, opts)
+        engine::run_query(self, &self.mem.params().search(self.mem.config()), q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads.
@@ -142,7 +143,8 @@ impl<'d> DiskIndex<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats) {
-        engine::run_query_batch(self, &self.mem.search_params(), queries, k, opts)
+        let search = self.mem.params().search(self.mem.config());
+        engine::run_query_batch(self, &search, queries, k, opts)
     }
 
     /// Index size in pages (hash tables only; the paper's index-size
@@ -158,7 +160,7 @@ impl<'d> DiskIndex<'d> {
 }
 
 impl TableStore for DiskIndex<'_> {
-    type Cursor = BucketWindows;
+    type Cursor = KeyWindows;
 
     fn dim(&self) -> usize {
         self.mem.dim()
@@ -172,25 +174,25 @@ impl TableStore for DiskIndex<'_> {
         self.mem.num_tables()
     }
 
-    fn begin(&self, q: &[f32]) -> BucketWindows {
+    fn begin(&self, q: &[f32]) -> KeyWindows {
         self.mem.begin(q)
     }
 
-    fn begin_batch(&self, queries: &Dataset) -> Vec<BucketWindows> {
+    fn begin_batch(&self, queries: &Dataset) -> Vec<KeyWindows> {
         self.mem.begin_batch(queries)
     }
 
     fn expand(
         &self,
-        cursor: &mut BucketWindows,
+        cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        expand_metered(&self.mem.tables[t], &self.reads, cursor, t, radius, visit);
+        expand_metered(&self.mem.segment, &self.reads, cursor, t, radius, visit);
     }
 
-    fn exhausted(&self, cursor: &BucketWindows) -> bool {
+    fn exhausted(&self, cursor: &KeyWindows) -> bool {
         self.mem.exhausted(cursor)
     }
 
@@ -214,6 +216,7 @@ impl TableStore for DiskIndex<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::SortedRun;
     use cc_vector::gen::{generate, Distribution};
 
     fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
@@ -354,18 +357,19 @@ mod tests {
     fn check_meter(mut buckets: Vec<i64>, q: i64, stops: &[usize]) {
         buckets.sort_unstable();
         let run = SortedRun::from_sorted(buckets.into_iter().zip(0..)).unwrap();
+        let probes = if run.oids.is_empty() { 0 } else { 2 };
+        let segment = Segment { runs: vec![run], first: 0, last: 0 };
         let reads = AtomicU64::new(0);
-        let mut cursor = BucketWindows::new(vec![q]);
+        let mut cursor = KeyWindows::new(vec![q]);
         for (level, &stop) in stops.iter().enumerate() {
             let (before, mut visited) = (reads.load(Relaxed), Vec::new());
             let radius = crate::rehash::radius_at(2, level as u32);
-            expand_metered(&run, &reads, &mut cursor, 0, radius, &mut |oids| {
+            expand_metered(&segment, &reads, &mut cursor, 0, radius, &mut |oids| {
                 // Consume a slice up to the stop, as the engine does.
                 let take = oids.len().min(stop - visited.len());
                 visited.extend(oids[..take].iter().map(|&oid| oid as usize));
                 visited.len() != stop
             });
-            let probes = if run.oids.is_empty() { 0 } else { 2 };
             assert_eq!(
                 reads.load(Relaxed) - before,
                 naive_pages(probes, &visited),

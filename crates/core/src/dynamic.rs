@@ -23,13 +23,12 @@
 //! the rewrite of a segment more than an eighth dead drops them.
 //! Queries run through the shared [`crate::engine`] loop — the same
 //! virtual-rehashing windows, incremental counting and T1/T2 termination
-//! as every other backend — expressed over key ranges ([`KeyWindows`])
-//! instead of array positions: a bucket's ids go out segment by segment,
-//! which is one table's `(bucket, oid)` order — the walk of
-//! `index::Segment::expand`, shared with [`crate::sharded`].
+//! as every other backend: under one [`KeyWindows`] cursor a bucket's
+//! ids go out segment by segment, which is one table's `(bucket, oid)`
+//! order — the walk of `index::Segment::expand` every store shares.
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, KeyWindows, SearchOptions, SearchParams, TableStore};
+use crate::engine::{self, KeyWindows, SearchOptions, TableStore};
 use crate::hash::HashFamily;
 use crate::index::{build_tables, per_table, Segment, SortedRun};
 use crate::meta::PointMeta;
@@ -455,15 +454,6 @@ impl DynamicIndex {
         self.vectors.get(oid as usize)?.as_deref()
     }
 
-    fn search_params(&self) -> SearchParams {
-        SearchParams {
-            c: self.config.c,
-            l: self.params.l as u32,
-            beta_n: self.params.beta_n,
-            base_radius: self.config.base_radius,
-        }
-    }
-
     /// c-k-ANN query (same algorithm and guarantees as the static
     /// index; see module docs).
     pub fn query(&self, q: &[f32], k: usize) -> (Vec<Neighbor>, QueryStats) {
@@ -477,7 +467,7 @@ impl DynamicIndex {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        engine::run_query(self, &self.search_params(), q, k, opts)
+        engine::run_query(self, &self.params.search(&self.config), q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads
@@ -497,7 +487,7 @@ impl DynamicIndex {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats) {
-        engine::run_query_batch(self, &self.search_params(), queries, k, opts)
+        engine::run_query_batch(self, &self.params.search(&self.config), queries, k, opts)
     }
 }
 
@@ -536,7 +526,7 @@ impl TableStore for DynamicIndex {
         radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        Segment::expand(&self.segments, cursor, t, radius, visit)
+        Segment::expand(&self.segments, cursor, t, radius, |_, ids| visit(ids))
     }
 
     fn exhausted(&self, cursor: &KeyWindows) -> bool {
@@ -1104,10 +1094,9 @@ mod tests {
                         got.extend(oids.iter().filter(|&&oid| idx.get(oid).is_some()));
                         true
                     });
-                    let ranges =
-                        model_cursor.grow(t, radius).into_iter().filter(|(lo, hi)| lo < hi);
+                    let ranges = model_cursor.grow(t, radius).into_iter().filter(|r| !r.is_empty());
                     let want: Vec<u32> = ranges
-                        .flat_map(|(lo, hi)| table.range(lo..hi))
+                        .flat_map(|keys| table.range(keys))
                         .flat_map(|(_, b)| b.iter().copied())
                         .collect();
                     assert_eq!(got, want, "table {t}, radius {radius}, step {step}");

@@ -3,16 +3,13 @@
 //! Exactly one implementation of the paper's query algorithm lives here
 //! (virtual rehashing, dynamic collision counting, terminating
 //! conditions T1/T2); every index backend drives it through the
-//! [`TableStore`] trait:
+//! [`TableStore`] trait, and all but `qalsh` grow one [`KeyWindows`]:
 //!
-//! * [`crate::index::C2lshIndex`] — in-memory sorted runs,
-//! * [`crate::disk::DiskIndex`] — the same runs, metered in 4 KiB pages,
-//! * [`crate::paged::PagedStore`] — compressed runs read through a
-//!   buffer pool,
-//! * [`crate::dynamic::DynamicIndex`] — the same runs in sealed segments
-//!   over id ranges, merged by size tier as writes seal more,
-//! * [`crate::sharded::ShardedEngine`] — the same runs in one segment
-//!   per shard, walked as the dynamic index walks its own,
+//! * [`crate::index::C2lshIndex`] — one segment of in-memory sorted runs,
+//! * [`crate::disk::DiskIndex`] — a page meter over that segment's walk,
+//! * [`crate::paged::PagedStore`] — compressed runs behind a buffer pool,
+//! * [`crate::dynamic::DynamicIndex`] — a segment per sealed block,
+//! * [`crate::sharded::ShardedEngine`] — a segment per shard,
 //! * `qalsh::Qalsh` (sibling crate) — query-centred windows over sorted
 //!   projection columns, metered as B+-trees.
 //!
@@ -29,32 +26,32 @@
 //!         verify o (compute true distance), C ← C ∪ {o}
 //!         if |C| ≥ k + βn: STOP          // T2
 //!   if |{o ∈ C : dist(o, q) ≤ c·R}| ≥ k: STOP   // T1
-//!   if every window covers its whole table: STOP // exhausted
+//!   if every window covers its whole table     // exhausted
+//!      or R saturated at i64::MAX: STOP
 //!   R ← c·R
 //! return the k nearest members of C
 //! ```
 //!
 //! Because the per-level windows nest, each `(object, table)` pair is
 //! visited at most once per query, so the cumulative count *is* the
-//! collision count at the current radius. A store only has to answer
-//! "which entries became newly covered when the radius grew to R" —
-//! [`TableStore::expand`] — plus a handful of bookkeeping queries; the
-//! engine owns counting, verification, termination, result ranking,
-//! per-round observability ([`crate::stats::RoundStats`]), the parallel
-//! batch executor ([`run_query_batch`]) and the per-query scratch, which
-//! it keeps on a free list between queries.
+//! collision count at the current radius. A store only answers "which
+//! entries did growing the radius to R newly cover" —
+//! [`TableStore::expand`] — plus some bookkeeping; the engine owns
+//! counting, verification, termination, ranking, per-round observability
+//! ([`crate::stats::RoundStats`]), the batch executor ([`run_query_batch`])
+//! and the per-query scratch, kept on a free list between queries.
 
 pub mod counting;
 
 use crate::kernels;
 use crate::meta::{PointMeta, Predicate};
-use crate::rehash::{radius_at, window, Window};
+use crate::rehash::{radius_at, window};
 use crate::stats::{BatchStats, QueryStats, RoundStats, Termination};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
 use cc_vector::topk::TopK;
 use counting::CollisionCounter;
-use std::ops::Range;
+use std::ops::RangeInclusive;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -140,12 +137,11 @@ impl Default for SearchOptions {
     }
 }
 
-/// Storage abstraction over the `m` per-function hash tables.
-///
-/// Implementations answer range-expansion queries against whatever
-/// physical layout they keep — positional windows over sorted runs
-/// ([`BucketWindows`]; `qalsh` centres its own on the query), key
-/// windows over bucket ids ([`KeyWindows`]) — and resolve object ids.
+/// Storage abstraction over the `m` per-function hash tables: a store
+/// hands out what a table's window newly covers and resolves object ids.
+/// Every store of this crate grows one [`KeyWindows`] cursor, the
+/// resident ones over `index::Segment`s; `qalsh` centres its windows on
+/// the query.
 pub trait TableStore {
     /// Per-query expansion state: the query's per-table hash position
     /// plus how far each table's window has grown.
@@ -241,57 +237,14 @@ pub trait TableStore {
     }
 }
 
-/// Positional window state for stores whose tables are runs of
-/// `(bucket id, oid)` entries sorted by bucket id ([`crate::index`],
-/// [`crate::disk`], [`crate::paged`]): maps bucket intervals to
-/// entry-index intervals and yields only the newly covered delta ranges
-/// as the radius grows.
-#[derive(Debug, Clone)]
-pub struct BucketWindows {
-    q_buckets: Vec<i64>,
-    windows: Vec<Window>,
-}
-
-impl BucketWindows {
-    /// State for a query hashing to `q_buckets` (one level-1 bucket per
-    /// table).
-    pub fn new(q_buckets: Vec<i64>) -> Self {
-        let m = q_buckets.len();
-        Self { q_buckets, windows: vec![Window::empty(); m] }
-    }
-
-    /// Grow table `t`'s window to `radius`; returns the two delta entry
-    /// ranges (left of and right of the previously covered range).
-    /// `lower_bound(b)` must return the index of the first entry of
-    /// table `t` with bucket id ≥ `b`; `n` is the table length.
-    pub fn grow(
-        &mut self,
-        t: usize,
-        radius: i64,
-        n: usize,
-        mut lower_bound: impl FnMut(i64) -> usize,
-    ) -> (Range<usize>, Range<usize>) {
-        let (blo, bhi) = window(self.q_buckets[t], radius);
-        let elo = lower_bound(blo);
-        // `bhi` saturates/wraps past the key space at extreme radii;
-        // treat it as "end of table".
-        let ehi = if bhi == i64::MIN { n } else { lower_bound(bhi) };
-        self.windows[t].grow(elo, ehi)
-    }
-
-    /// `true` once every window covers its full table of `n` entries.
-    pub fn exhausted(&self, n: usize) -> bool {
-        self.windows.iter().all(|w| w.is_full(n))
-    }
-}
-
-/// Key-range window state for stores that look a bucket up by its id in
-/// more than one run ([`crate::dynamic`], [`crate::sharded`]): tracks the
-/// covered bucket interval per table and yields the delta key ranges as
-/// the radius grows.
+/// Per-query window state, one key window per table: the query's
+/// level-1 bucket in each table and the bucket ids each table's window
+/// covers.
 #[derive(Debug, Clone)]
 pub struct KeyWindows {
     q_buckets: Vec<i64>,
+    /// Per table, the covered buckets `first..=last`; `None` before the
+    /// table's first grow.
     covered: Vec<Option<(i64, i64)>>,
 }
 
@@ -302,28 +255,40 @@ impl KeyWindows {
         Self { q_buckets, covered: vec![None; m] }
     }
 
-    /// Grow table `t`'s covered interval to `radius`; returns up to two
-    /// half-open delta key ranges (empty ranges where nothing grew).
-    pub fn grow(&mut self, t: usize, radius: i64) -> [(i64, i64); 2] {
-        let (blo, bhi) = window(self.q_buckets[t], radius);
+    /// Grow table `t`'s window to `radius`; returns the buckets it newly
+    /// covers below and above the window before, each ascending and
+    /// empty where nothing grew. A window that reaches `i64::MAX` holds
+    /// that bucket too ([`crate::rehash`]).
+    pub fn grow(&mut self, t: usize, radius: i64) -> [RangeInclusive<i64>; 2] {
+        let (lo, hi) = window(self.q_buckets[t], radius);
+        let last = if hi == i64::MAX { hi } else { hi - 1 };
         let deltas = match self.covered[t] {
-            None => [(blo, bhi), (0, 0)],
-            Some((plo, phi)) => [(blo, plo), (phi, bhi)],
+            None => [lo..=last, EMPTY],
+            Some((first, before)) => [
+                if lo < first { lo..=first - 1 } else { EMPTY },
+                if before < last { before + 1..=last } else { EMPTY },
+            ],
         };
-        self.covered[t] = Some((blo, bhi));
+        self.covered[t] = Some((lo, last));
         deltas
     }
 
-    /// `true` when table `t`'s covered interval contains the key range
-    /// `[min, max]` reported by the store (`None` for an empty table).
+    /// The buckets table `t`'s window covers, `(first, last)` inclusive;
+    /// `None` before its first grow.
+    pub fn covered(&self, t: usize) -> Option<(i64, i64)> {
+        self.covered[t]
+    }
+
+    /// `true` when table `t`'s window contains the key range `[min, max]`
+    /// reported by the store (`None` for an empty table).
     pub fn covers(&self, t: usize, key_range: Option<(i64, i64)>) -> bool {
-        let Some((lo, hi)) = self.covered[t] else { return false };
-        match key_range {
-            Some((min, max)) => lo <= min && hi > max,
-            None => true,
-        }
+        let Some((first, last)) = self.covered[t] else { return false };
+        key_range.is_none_or(|(min, max)| first <= min && max <= last)
     }
 }
+
+/// No buckets.
+const EMPTY: RangeInclusive<i64> = RangeInclusive::new(1, 0);
 
 /// Per-query scratch: the collision counter's O(n) arrays, the
 /// retained-candidate buffer, the top-k accumulator that feeds the
@@ -583,7 +548,9 @@ fn search<S: TableStore>(
             stats.terminated_by = Termination::T1AtRadius;
             break;
         }
-        if store.exhausted(&cursor) {
+        // No window grows past the saturated radius (`rehash`), so a
+        // round run at it is the last.
+        if store.exhausted(&cursor) || radius == i64::MAX {
             stats.terminated_by = Termination::Exhausted;
             break;
         }
@@ -738,7 +705,7 @@ mod tests {
     }
 
     impl TableStore for MockStore {
-        type Cursor = BucketWindows;
+        type Cursor = KeyWindows;
 
         fn dim(&self) -> usize {
             self.data.dim()
@@ -749,28 +716,27 @@ mod tests {
         fn num_tables(&self) -> usize {
             self.tables.len()
         }
-        fn begin(&self, q: &[f32]) -> BucketWindows {
-            BucketWindows::new(self.family.buckets(q))
+        fn begin(&self, q: &[f32]) -> KeyWindows {
+            KeyWindows::new(self.family.buckets(q))
         }
         fn expand(
             &self,
-            cursor: &mut BucketWindows,
+            cursor: &mut KeyWindows,
             t: usize,
             radius: i64,
             visit: &mut dyn FnMut(&[u32]) -> bool,
         ) {
-            let table = &self.tables[t];
-            let (left, right) =
-                cursor.grow(t, radius, table.len(), |b| table.partition_point(|e| e.0 < b));
-            for range in [left, right] {
-                let oids: Vec<u32> = table[range].iter().map(|e| e.1).collect();
+            for keys in cursor.grow(t, radius) {
+                let covered = self.tables[t].iter().filter(|e| keys.contains(&e.0));
+                let oids: Vec<u32> = covered.map(|e| e.1).collect();
                 if !oids.is_empty() && !visit(&oids) {
                     return;
                 }
             }
         }
-        fn exhausted(&self, cursor: &BucketWindows) -> bool {
-            cursor.exhausted(self.data.len())
+        fn exhausted(&self, cursor: &KeyWindows) -> bool {
+            let span = |table: &[(i64, u32)]| Some((table.first()?.0, table.last()?.0));
+            self.tables.iter().enumerate().all(|(t, table)| cursor.covers(t, span(table)))
         }
         fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
             Some(self.data.get(oid as usize))

@@ -14,15 +14,16 @@
 //! ids by bucket — the histogram's prefix sums are the directory —
 //! with tables spread over the machine's cores.
 //!
-//! The query loop itself lives in [`crate::engine`]; this module only
-//! maps delta-range requests onto its sorted runs. A store that keeps
-//! several runs per table — the shards of [`crate::sharded`], the sealed
-//! blocks of [`crate::dynamic`] — keeps them as `Segment`s over
-//! ascending id ranges, and the walk that hands them out bucket by
-//! bucket as one table lives here too.
+//! The query loop itself lives in [`crate::engine`]; this module holds
+//! the one walk that feeds it. The index is one `Segment`, a run per
+//! table over the ids `0..n`; a store that keeps several runs per table
+//! — the shards of [`crate::sharded`], the sealed blocks of
+//! [`crate::dynamic`] — keeps a `Segment` per ascending id range. The
+//! walk grows a [`KeyWindows`] cursor and hands the segments' ids out
+//! bucket by bucket as one table; [`crate::disk`] meters it in pages.
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, BucketWindows, KeyWindows, SearchOptions, SearchParams, TableStore};
+use crate::engine::{self, KeyWindows, SearchOptions, TableStore};
 use crate::hash::{HashFamily, PstableHash};
 use crate::kernels;
 use crate::meta::PointMeta;
@@ -124,12 +125,6 @@ impl SortedRun {
         SortedRun { keys, starts, oids }
     }
 
-    /// Index of the first entry with bucket id ≥ `b`: a search over the
-    /// directory, never over the entries.
-    pub(crate) fn lower_bound(&self, b: i64) -> usize {
-        self.starts[self.keys.partition_point(|&k| k < b)] as usize
-    }
-
     /// Every bucket with its ids, in run order.
     pub(crate) fn buckets(&self) -> impl Iterator<Item = (i64, &[u32])> + '_ {
         let bounds = self.starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
@@ -146,11 +141,15 @@ impl SortedRun {
         self.keys.get(self.keys.partition_point(|&k| k < b)).copied()
     }
 
-    /// The ids of bucket `b`, none when no object hashed there.
-    pub(crate) fn bucket(&self, b: i64) -> &[u32] {
+    /// The ids of bucket `b` and the entry they start at, none when no
+    /// object hashed there.
+    pub(crate) fn bucket(&self, b: i64) -> (usize, &[u32]) {
         match self.keys.binary_search(&b) {
-            Ok(i) => &self.oids[self.starts[i] as usize..self.starts[i + 1] as usize],
-            Err(_) => &[],
+            Ok(i) => {
+                let (at, end) = (self.starts[i] as usize, self.starts[i + 1] as usize);
+                (at, &self.oids[at..end])
+            }
+            Err(_) => (0, &[]),
         }
     }
 
@@ -238,40 +237,45 @@ impl Segment {
     /// [`TableStore::expand`] over `segments` as one table: a bucket's
     /// ids from every segment in turn, bucket after bucket. Segments hold
     /// ascending id ranges, so that is the `(bucket, oid)` order of one
-    /// run over all of them.
+    /// run over all of them. `visit` gets each slice with the entry it
+    /// starts at in its segment's run.
     pub(crate) fn expand(
         segments: &[impl AsRef<Segment>],
         cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(&[u32]) -> bool,
+        mut visit: impl FnMut(usize, &[u32]) -> bool,
     ) {
-        for (lo, hi) in cursor.grow(t, radius) {
-            let mut from = lo;
-            while from < hi {
+        for keys in cursor.grow(t, radius) {
+            let (first, last) = keys.into_inner();
+            let mut from = first;
+            while from <= last {
                 // A range of one bucket, as in every first round, has no
                 // next occupied bucket to look for.
-                let next = if lo + 1 == hi {
-                    Some(lo)
+                let next = if first == last {
+                    Some(first)
                 } else {
                     segments.iter().filter_map(|s| s.as_ref().runs[t].key_from(from)).min()
                 };
-                let Some(b) = next.filter(|&b| b < hi) else { break };
+                let Some(b) = next.filter(|&b| b <= last) else { break };
                 // Every slice costs a directory search and a first read of
                 // ids nothing has touched: look a group's slices up and ask
                 // for their heads together, so those misses overlap
                 // instead of following one another.
                 for group in segments.chunks(HEADS) {
-                    let mut slices: [&[u32]; HEADS] = [&[]; HEADS];
+                    let mut slices: [(usize, &[u32]); HEADS] = [(0, &[]); HEADS];
                     for (slice, s) in slices.iter_mut().zip(group) {
                         *slice = s.as_ref().runs[t].bucket(b);
-                        (0..HEAD_LINES).for_each(|line| kernels::prefetch_read(slice, 16 * line));
+                        (0..HEAD_LINES).for_each(|line| kernels::prefetch_read(slice.1, 16 * line));
                     }
-                    if !slices.into_iter().filter(|ids| !ids.is_empty()).all(&mut *visit) {
+                    let mut handed = slices.into_iter().filter(|(_, ids)| !ids.is_empty());
+                    if !handed.all(|(at, ids)| visit(at, ids)) {
                         return;
                     }
                 }
-                from = b + 1;
+                // Bucket `i64::MAX` is the last there is.
+                let Some(after) = b.checked_add(1) else { break };
+                from = after;
             }
         }
     }
@@ -298,7 +302,8 @@ pub struct C2lshIndex<'d> {
     config: C2lshConfig,
     params: FullParams,
     family: HashFamily,
-    pub(crate) tables: Vec<SortedRun>,
+    /// Every table's run over the ids `0..n`.
+    pub(crate) segment: Segment,
     /// Per-point attribute payloads, indexed by object id; empty when
     /// the corpus carries no metadata (every point reads as default).
     metas: Vec<PointMeta>,
@@ -318,8 +323,9 @@ impl<'d> C2lshIndex<'d> {
         let params = FullParams::derive(data.len(), config);
         let family = HashFamily::generate(params.m, data.dim(), config);
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let tables = build_tables(data, &family, threads, |i| i as u32);
-        Self { data, config: config.clone(), params, family, tables, metas: Vec::new() }
+        let runs = build_tables(data, &family, threads, |i| i as u32);
+        let segment = Segment { runs, first: 0, last: data.len() as u32 - 1 };
+        Self { data, config: config.clone(), params, family, segment, metas: Vec::new() }
     }
 
     /// Attach per-point attribute payloads (row `i` of the dataset gets
@@ -354,15 +360,6 @@ impl<'d> C2lshIndex<'d> {
         &self.family
     }
 
-    pub(crate) fn search_params(&self) -> SearchParams {
-        SearchParams {
-            c: self.config.c,
-            l: self.params.l as u32,
-            beta_n: self.params.beta_n,
-            base_radius: self.config.base_radius,
-        }
-    }
-
     /// c-k-ANN query: the `k` nearest verified candidates, ascending by
     /// distance, plus cost counters.
     pub fn query(&self, q: &[f32], k: usize) -> (Vec<Neighbor>, QueryStats) {
@@ -376,7 +373,7 @@ impl<'d> C2lshIndex<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        engine::run_query(self, &self.search_params(), q, k, opts)
+        engine::run_query(self, &self.params.search(&self.config), q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads.
@@ -399,19 +396,20 @@ impl<'d> C2lshIndex<'d> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats) {
-        engine::run_query_batch(self, &self.search_params(), queries, k, opts)
+        engine::run_query_batch(self, &self.params.search(&self.config), queries, k, opts)
     }
 
     /// Resident index size in bytes: every table's ids and bucket
     /// directory, plus the hash family. (The paper's index-size table
     /// is the 12-byte-entry disk layout, [`crate::DiskIndex::size_bytes`].)
     pub fn size_bytes(&self) -> usize {
-        self.tables.iter().map(SortedRun::size_bytes).sum::<usize>() + self.family.size_bytes()
+        self.segment.runs.iter().map(SortedRun::size_bytes).sum::<usize>()
+            + self.family.size_bytes()
     }
 
     /// Number of hash tables `m`.
     pub fn num_tables(&self) -> usize {
-        self.tables.len()
+        self.segment.runs.len()
     }
 
     /// `(n, dim)` of the indexed dataset (for persistence fingerprints).
@@ -422,7 +420,7 @@ impl<'d> C2lshIndex<'d> {
     /// Visit every `(bucket, oid)` entry, table by table in order (the
     /// persistence serializer).
     pub fn for_each_table_entry(&self, mut f: impl FnMut(i64, u32)) {
-        for (bucket, oid) in self.tables.iter().flat_map(SortedRun::entries) {
+        for (bucket, oid) in self.segment.runs.iter().flat_map(SortedRun::entries) {
             f(bucket, oid);
         }
     }
@@ -432,12 +430,13 @@ impl<'d> C2lshIndex<'d> {
         data: &'d Dataset,
         config: C2lshConfig,
         functions: Vec<PstableHash>,
-        tables: Vec<SortedRun>,
+        runs: Vec<SortedRun>,
     ) -> Self {
         let params = FullParams::derive(data.len(), &config);
         let family = HashFamily::from_functions(functions);
         assert_eq!(family.len(), params.m, "family size disagrees with parameters");
-        Self { data, config, params, family, tables, metas: Vec::new() }
+        let segment = Segment { runs, first: 0, last: data.len() as u32 - 1 };
+        Self { data, config, params, family, segment, metas: Vec::new() }
     }
 }
 
@@ -478,7 +477,7 @@ pub(crate) fn per_table<T: Send>(
 }
 
 impl TableStore for C2lshIndex<'_> {
-    type Cursor = BucketWindows;
+    type Cursor = KeyWindows;
 
     fn dim(&self) -> usize {
         self.data.dim()
@@ -489,37 +488,31 @@ impl TableStore for C2lshIndex<'_> {
     }
 
     fn num_tables(&self) -> usize {
-        self.tables.len()
+        self.segment.runs.len()
     }
 
-    fn begin(&self, q: &[f32]) -> BucketWindows {
-        BucketWindows::new(self.family.buckets(q))
+    fn begin(&self, q: &[f32]) -> KeyWindows {
+        KeyWindows::new(self.family.buckets(q))
     }
 
-    fn begin_batch(&self, queries: &Dataset) -> Vec<BucketWindows> {
-        self.family.cursors_batch(queries, BucketWindows::new)
+    fn begin_batch(&self, queries: &Dataset) -> Vec<KeyWindows> {
+        self.family.cursors_batch(queries, KeyWindows::new)
     }
 
     fn expand(
         &self,
-        cursor: &mut BucketWindows,
+        cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        // Each delta range of a sorted run is already a contiguous id
-        // run, handed to the engine as it lies.
-        let run = &self.tables[t];
-        let (left, right) = cursor.grow(t, radius, run.oids.len(), |b| run.lower_bound(b));
-        for range in [left, right] {
-            if !range.is_empty() && !visit(&run.oids[range]) {
-                return;
-            }
-        }
+        Segment::expand(std::slice::from_ref(&self.segment), cursor, t, radius, |_, ids| {
+            visit(ids)
+        });
     }
 
-    fn exhausted(&self, cursor: &BucketWindows) -> bool {
-        cursor.exhausted(self.data.len())
+    fn exhausted(&self, cursor: &KeyWindows) -> bool {
+        Segment::exhausted(std::slice::from_ref(&self.segment), cursor, self.num_tables())
     }
 
     fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
@@ -671,33 +664,40 @@ mod tests {
         pairs
     }
 
-    fn reference_lower_bound(want: &[(i64, u32)], b: i64) -> usize {
-        want.partition_point(|e| e.0 < b)
-    }
-
-    /// `run` must hold exactly `want`, answer every bound search like
-    /// it, and hand a cursor the same delta ranges at every radius.
-    fn check_run(run: &SortedRun, want: &[(i64, u32)], queries: &[i64]) {
-        let n = want.len();
+    /// `run` must hold exactly `want`, and one segment of it must hand a
+    /// cursor, at every radius up to the saturated one, what the window
+    /// newly covers of `want` in `want`'s order, and be exhausted exactly
+    /// when the window covers all of it.
+    fn check_run(run: SortedRun, want: &[(i64, u32)], queries: &[i64]) {
         assert_eq!(run.entries().collect::<Vec<_>>(), want);
         assert_eq!(run.oids, want.iter().map(|e| e.1).collect::<Vec<_>>());
         assert_eq!(run.starts.len(), run.keys.len() + 1);
-        let near_keys =
-            want.iter().flat_map(|e| [e.0.saturating_sub(1), e.0, e.0.saturating_add(1)]);
-        for b in near_keys.chain([i64::MIN, -1, 0, i64::MAX]) {
-            assert_eq!(run.lower_bound(b), reference_lower_bound(want, b), "bucket {b}");
-        }
+        let segment = [Segment { runs: vec![run], first: 0, last: 0 }];
+        // A window reaching `i64::MAX` holds that bucket too.
+        let holds = |(lo, hi): (i64, i64), b: i64| lo <= b && (b < hi || hi == i64::MAX);
         for &q in queries {
-            let mut cursors = [0; 2].map(|_| BucketWindows::new(vec![q]));
-            // `rehash::window` needs |q| + radius to fit an i64.
-            for radius in (0..=61).map(|level| 1i64 << level) {
-                let [got, reference] = &mut cursors;
-                let got = got.grow(0, radius, n, |b| run.lower_bound(b));
-                let by_pairs = |b| reference_lower_bound(want, b);
-                assert_eq!(got, reference.grow(0, radius, n, by_pairs), "q {q}, radius {radius}");
-                if cursors[0].exhausted(n) {
+            let (mut cursor, mut before) = (KeyWindows::new(vec![q]), None);
+            for radius in (0..64).map(|level| crate::rehash::radius_at(2, level)) {
+                let now = crate::rehash::window(q, radius);
+                let new =
+                    |&&(b, _): &&(i64, u32)| holds(now, b) && !before.is_some_and(|w| holds(w, b));
+                let reference: Vec<u32> = want.iter().filter(new).map(|e| e.1).collect();
+                let mut got = Vec::new();
+                Segment::expand(&segment, &mut cursor, 0, radius, |_, ids| {
+                    got.extend_from_slice(ids);
+                    true
+                });
+                assert_eq!(got, reference, "q {q}, radius {radius}");
+                let whole = want.iter().all(|&(b, _)| holds(now, b));
+                assert_eq!(
+                    Segment::exhausted(&segment, &cursor, 1),
+                    whole,
+                    "q {q}, radius {radius}"
+                );
+                if whole {
                     break;
                 }
+                before = Some(now);
             }
         }
     }
@@ -729,24 +729,24 @@ mod tests {
             q in -(1i64 << 40)..(1i64 << 40),
         ) {
             let column = shaped_column(shape, &raw);
-            let at_keys = column.iter().take(3).map(|b| b.clamp(&-(1 << 60), &(1 << 60)));
-            let queries: Vec<i64> = at_keys.copied().chain([q, 0, -1]).collect();
+            let ends = [0, -1, i64::MIN, i64::MAX];
+            let queries: Vec<i64> = column.iter().take(3).copied().chain([q]).chain(ends).collect();
             let want = sorted_pairs(&column, 0..);
-            check_run(&SortedRun::from_column(&column, |i| i as u32), &want, &queries);
+            check_run(SortedRun::from_column(&column, |i| i as u32), &want, &queries);
             // Ascending ids of a shard or a block, written in the one pass.
             let id = |i: usize| 1000 + 3 * i as u32;
             let want = sorted_pairs(&column, (0..column.len()).map(id));
-            check_run(&SortedRun::from_column(&column, id), &want, &queries);
+            check_run(SortedRun::from_column(&column, id), &want, &queries);
             // Arbitrary ids, repeats included, as a loaded blob may hold.
             let want = sorted_pairs(&column, raw.iter().map(|r| (r >> 7) as u32));
-            check_run(&SortedRun::from_sorted(want.iter().copied()).unwrap(), &want, &queries);
+            check_run(SortedRun::from_sorted(want.iter().copied()).unwrap(), &want, &queries);
         }
     }
 
     #[test]
     fn from_sorted_rejects_descending_buckets() {
         assert!(SortedRun::from_sorted([(1, 0), (3, 1), (2, 2)]).is_none());
-        assert_eq!(SortedRun::from_sorted([]).unwrap().lower_bound(0), 0);
+        assert_eq!(SortedRun::from_sorted([]).unwrap().key_span(), None);
     }
 
     #[test]

@@ -32,25 +32,23 @@
 //!
 //! The c-k-ANN search loop — virtual rehashing, dynamic collision
 //! counting, the T1/T2 terminating conditions — is implemented exactly
-//! once, in [`engine`]. Each backend (in-memory sorted runs, the same
-//! runs metered in 4 KiB pages, compressed runs behind a buffer pool,
-//! the same runs in segments over id ranges — sealed blocks of an
-//! updatable index, shards of a partitioned one — and the query-aware
-//! sorted columns of the downstream `qalsh` crate) implements
+//! once, in [`engine`]. Each backend (one segment of sorted runs in
+//! memory or metered in 4 KiB pages, compressed runs behind a buffer
+//! pool, a segment per sealed block or per shard, the query-aware
+//! columns of the downstream `qalsh` crate) implements
 //! [`engine::TableStore`] and gets `query` and a parallel `query_batch`
-//! from the engine, along with the [`stats`] observability layer.
+//! from the engine, along with the [`stats`] observability layer. All
+//! but `qalsh` grow one window cursor; the resident ones share one walk.
 //!
 //! * [`config`] — tunables (`c`, `w`, `δ`, `β`, seed) with a builder,
 //! * [`params`] — per-dataset derived parameters (`m`, `l`, `α`),
 //! * [`hash`] — the p-stable hash family and hash-string computation,
-//! * [`engine`] — the generic collision-counting search engine: the
-//!   [`engine::TableStore`] backend trait, the single c-k-ANN loop
-//!   ([`engine::run_query`]), the parallel batch executor
-//!   ([`engine::run_query_batch`]), window cursors
-//!   ([`engine::BucketWindows`], [`engine::KeyWindows`]) and the
-//!   epoch-stamped [`engine::counting::CollisionCounter`],
-//! * [`index`] — the in-memory backend over sorted runs,
-//! * [`disk`] — the same runs with exact paper-model I/O accounting,
+//! * [`engine`] — the search engine: the [`engine::TableStore`] trait,
+//!   the c-k-ANN loop ([`engine::run_query`]), the batch executor
+//!   ([`engine::run_query_batch`]), the window cursor
+//!   ([`engine::KeyWindows`]) and [`engine::counting::CollisionCounter`],
+//! * [`index`] — the in-memory backend: one segment of sorted runs,
+//! * [`disk`] — a page meter over its walk: paper-model I/O accounting,
 //! * [`paged`] — the out-of-core backend: page file and buffer pool,
 //! * [`dynamic`] — the updatable backend: the same runs in sealed
 //!   segments shared between snapshots (a clone copies pointers, a

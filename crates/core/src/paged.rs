@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::sync_channel;
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, BucketWindows, SearchOptions, SearchParams, TableStore};
+use crate::engine::{self, KeyWindows, SearchOptions, TableStore};
 use crate::hash::{HashFamily, PstableHash};
 use crate::index::SortedRun;
 use crate::params::FullParams;
@@ -372,15 +372,6 @@ impl PagedStore {
         self
     }
 
-    fn search_params(&self) -> SearchParams {
-        SearchParams {
-            c: self.config.c,
-            l: self.params.l as u32,
-            beta_n: self.params.beta_n,
-            base_radius: self.config.base_radius,
-        }
-    }
-
     /// c-k-ANN query; [`QueryStats::io`] counts *physical* page reads
     /// (pool misses), so it reflects the buffer pool's effectiveness.
     pub fn query(&self, q: &[f32], k: usize) -> (Vec<Neighbor>, QueryStats) {
@@ -394,7 +385,7 @@ impl PagedStore {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<Neighbor>, QueryStats) {
-        engine::run_query(self, &self.search_params(), q, k, opts)
+        engine::run_query(self, &self.params.search(&self.config), q, k, opts)
     }
 
     /// Answer a whole query set in parallel across scoped threads.
@@ -413,7 +404,7 @@ impl PagedStore {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats) {
-        engine::run_query_batch(self, &self.search_params(), queries, k, opts)
+        engine::run_query_batch(self, &self.params.search(&self.config), queries, k, opts)
     }
 
     /// Hash-table (posting) bytes on disk — the paper's index-size
@@ -480,16 +471,20 @@ impl Drop for PagedStore {
     }
 }
 
-/// Per-query state of a [`PagedStore`]: the windows over its runs, and
-/// the buffer every posting group of the query is decoded into.
+/// Per-query state of a [`PagedStore`]: the windows over its runs, the
+/// entries each table's window covers, and the buffer every posting
+/// group of the query is decoded into.
 pub struct PagedCursor {
-    windows: BucketWindows,
+    windows: KeyWindows,
+    /// Per table, the entry range `[lo, hi)` its window covers.
+    entries: Vec<(usize, usize)>,
     ids: Vec<u32>,
 }
 
 impl PagedCursor {
     fn new(q_buckets: Vec<i64>) -> Self {
-        PagedCursor { windows: BucketWindows::new(q_buckets), ids: Vec::new() }
+        let entries = vec![(0, 0); q_buckets.len()];
+        PagedCursor { windows: KeyWindows::new(q_buckets), entries, ids: Vec::new() }
     }
 }
 
@@ -524,10 +519,17 @@ impl TableStore for PagedStore {
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
         let (run, file, pool) = (&self.tables[t], &self.file, &self.pool);
-        let (left, right) = cursor.windows.grow(t, radius, self.n, |b| {
-            run.lower_bound(file, pool, b).expect("posting page read failed")
-        });
-        for range in [left, right] {
+        cursor.windows.grow(t, radius);
+        let (first, last) = cursor.windows.covered(t).expect("the window was just grown");
+        // Only the window's two new bounds are probed; the entries between
+        // them and the old bounds are what it newly covers.
+        let bound = |b| run.lower_bound(file, pool, b).expect("posting page read failed");
+        let lo = bound(first);
+        let hi = if last == i64::MAX { run.len() } else { bound(last + 1) };
+        let (old_lo, old_hi) = std::mem::replace(&mut cursor.entries[t], (lo, hi));
+        // After a window that covered no entry, the new range is one scan.
+        let ranges = if old_lo == old_hi { [lo..hi, 0..0] } else { [lo..old_lo, old_hi..hi] };
+        for range in ranges {
             let keep_going = run
                 .scan_while(file, pool, range.start, range.end, &mut cursor.ids, |_, oids| {
                     visit(oids)
@@ -540,7 +542,7 @@ impl TableStore for PagedStore {
     }
 
     fn exhausted(&self, cursor: &PagedCursor) -> bool {
-        cursor.windows.exhausted(self.n)
+        cursor.entries.iter().all(|&(lo, hi)| lo == 0 && hi == self.n)
     }
 
     /// Vectors live in pages: `buf` is filled through the buffer pool.

@@ -11,6 +11,7 @@
 //! and `w` together leaves every derived parameter unchanged.
 
 use crate::config::C2lshConfig;
+use crate::engine::SearchParams;
 use cc_math::hoeffding::{derive_params, DerivedParams};
 use cc_math::pstable::collision_probability;
 
@@ -71,6 +72,12 @@ impl FullParams {
     /// The collision-threshold percentage in effect (`l/m`).
     pub fn alpha_effective(&self) -> f64 {
         self.l as f64 / self.m as f64
+    }
+
+    /// What the query loop needs of these parameters under `config`.
+    pub fn search(&self, config: &C2lshConfig) -> SearchParams {
+        let (c, base_radius) = (config.c, config.base_radius);
+        SearchParams { c, l: self.l as u32, beta_n: self.beta_n, base_radius }
     }
 }
 

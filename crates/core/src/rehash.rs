@@ -8,16 +8,27 @@
 //! window only ever *grows*, which is what makes incremental collision
 //! counting correct: entries are counted exactly once, when the window
 //! first reaches them.
+//!
+//! The arithmetic is total. Hashing saturates a bucket id past the key
+//! space at `i64::MIN` or `i64::MAX`, and a window's bounds saturate
+//! there too: a window that reaches `hi = i64::MAX` holds bucket
+//! `i64::MAX` as well. The radius saturates at `i64::MAX`, which is no
+//! power of `c`; its window is the whole key space, so it still contains
+//! every window below it, and no window grows past it.
 
 /// The half-open level-1 bucket-id interval `[lo, hi)` covered by the
-/// level-`radius` bucket of `bucket` (`radius = c^level ≥ 1`).
+/// level-`radius` bucket of `bucket` (`radius = c^level ≥ 1`), with the
+/// bounds saturated as the module docs describe.
 ///
 /// # Panics
 /// Panics when `radius < 1`.
 pub fn window(bucket: i64, radius: i64) -> (i64, i64) {
     assert!(radius >= 1, "radius must be >= 1, got {radius}");
+    if radius == i64::MAX {
+        return (i64::MIN, i64::MAX);
+    }
     let v = bucket.div_euclid(radius);
-    (v * radius, v * radius + radius)
+    (v.saturating_mul(radius), v.saturating_add(1).saturating_mul(radius))
 }
 
 /// Radius at `level` for ratio `c`: `c^level`, saturating at `i64::MAX`
@@ -25,57 +36,6 @@ pub fn window(bucket: i64, radius: i64) -> (i64, i64) {
 /// arithmetic total).
 pub fn radius_at(c: u32, level: u32) -> i64 {
     (c as i64).checked_pow(level).unwrap_or(i64::MAX)
-}
-
-/// Tracks the covered entry range `[lo, hi)` (indices into one hash
-/// table's sorted run) per hash function, and yields only the *delta*
-/// ranges when the radius grows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Window {
-    /// Start of the covered entry range.
-    pub lo: usize,
-    /// End (exclusive) of the covered entry range.
-    pub hi: usize,
-}
-
-impl Window {
-    /// An empty window (nothing covered yet).
-    pub fn empty() -> Self {
-        Window { lo: 0, hi: 0 }
-    }
-
-    /// `true` once the window covers the entire table of `n` entries.
-    pub fn is_full(&self, n: usize) -> bool {
-        self.lo == 0 && self.hi >= n
-    }
-
-    /// Grow to `[new_lo, new_hi)` and return the delta ranges
-    /// `(left, right)` that became newly covered. The new window must
-    /// contain the old one (guaranteed by level nesting).
-    ///
-    /// # Panics
-    /// Panics when the new window does not contain the old one.
-    pub fn grow(
-        &mut self,
-        new_lo: usize,
-        new_hi: usize,
-    ) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        if self.lo == self.hi {
-            // Previously empty: everything is new.
-            *self = Window { lo: new_lo, hi: new_hi };
-            return (new_lo..new_hi, 0..0);
-        }
-        assert!(
-            new_lo <= self.lo && new_hi >= self.hi,
-            "window must grow monotonically: old [{}, {}), new [{new_lo}, {new_hi})",
-            self.lo,
-            self.hi
-        );
-        let left = new_lo..self.lo;
-        let right = self.hi..new_hi;
-        *self = Window { lo: new_lo, hi: new_hi };
-        (left, right)
-    }
 }
 
 #[cfg(test)]
@@ -122,26 +82,12 @@ mod tests {
     }
 
     #[test]
-    fn grow_yields_exact_deltas() {
-        let mut w = Window::empty();
-        let (l, r) = w.grow(10, 20);
-        assert_eq!((l, r), (10..20, 0..0));
-        let (l, r) = w.grow(5, 25);
-        assert_eq!((l, r), (5..10, 20..25));
-        let (l, r) = w.grow(5, 25); // no growth
-        assert_eq!((l, r), (5..5, 25..25));
-        assert!(!w.is_full(26));
-        let (l, r) = w.grow(0, 26);
-        assert_eq!((l, r), (0..5, 25..26));
-        assert!(w.is_full(26));
-    }
-
-    #[test]
-    #[should_panic(expected = "monotonically")]
-    fn grow_rejects_shrinking() {
-        let mut w = Window::empty();
-        w.grow(10, 20);
-        w.grow(12, 25);
+    fn windows_saturate_at_the_ends_of_the_key_space() {
+        assert_eq!(window(i64::MAX, 1), (i64::MAX, i64::MAX));
+        assert_eq!(window(i64::MAX, 2), (i64::MAX - 1, i64::MAX));
+        assert_eq!(window(i64::MIN, 3), (i64::MIN, i64::MIN + 2));
+        assert_eq!(window(i64::MAX, 1 << 62), (1 << 62, i64::MAX));
+        assert_eq!(window(5, i64::MAX), (i64::MIN, i64::MAX));
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! global ids. A query runs the single engine loop of
 //! [`crate::engine::run_query`] under one [`KeyWindows`] cursor, and a
 //! bucket's ids go out shard by shard, bucket after bucket — one
-//! table's `(bucket, oid)` order, the walk [`crate::DynamicIndex`] makes
-//! over its sealed segments. Answers, rounds, terminating conditions and
-//! every cost counter equal those of an unsharded [`crate::C2lshIndex`]
-//! over the same data, whichever condition ends the query — the
-//! property pinned by `tests/proptest_sharded.rs`.
+//! table's `(bucket, oid)` order, the walk every store makes over its
+//! segments. Answers, rounds, terminating conditions and every cost
+//! counter equal those of an unsharded [`crate::C2lshIndex`] over the
+//! same data, whichever condition ends the query — the property pinned
+//! by `tests/proptest_sharded.rs`.
 
 use crate::config::C2lshConfig;
 use crate::engine::{self, KeyWindows, SearchOptions, SearchParams, TableStore};
@@ -131,12 +131,7 @@ impl<'d> ShardedEngine<'d> {
                 last: ids[1] - 1,
             })
             .collect();
-        let search = SearchParams {
-            c: config.c,
-            l: params.l as u32,
-            beta_n: params.beta_n,
-            base_radius: config.base_radius,
-        };
+        let search = params.search(config);
         Self { data, family, segments, metas: Vec::new(), params, search }
     }
 
@@ -254,7 +249,7 @@ impl TableStore for ShardedEngine<'_> {
         radius: i64,
         visit: &mut dyn FnMut(&[u32]) -> bool,
     ) {
-        Segment::expand(&self.segments, cursor, t, radius, visit)
+        Segment::expand(&self.segments, cursor, t, radius, |_, ids| visit(ids))
     }
 
     fn exhausted(&self, cursor: &KeyWindows) -> bool {

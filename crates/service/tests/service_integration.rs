@@ -344,6 +344,37 @@ fn sharded_engine_rejects_mutations() {
     });
 }
 
+/// A finite query far past the key space hashes to the saturated bucket
+/// ids: its frame is answered, and the batcher goes on to answer the next
+/// query.
+#[test]
+fn saturated_bucket_query_is_answered_and_serving_continues() {
+    const N: usize = 200;
+    const D: usize = 8;
+    let data = clustered(N, D, 9);
+    let sharded = ShardedData::partition(&data, 2);
+    let engine = ShardedEngine::build(&sharded, &cfg_exact(N));
+    let service = ServiceConfig::default();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("saturated_bucket_query", Duration::from_secs(60), || {
+        let (engine, service) = (&engine, &service);
+        crossbeam::scope(move |s| {
+            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+
+            let mut client = Client::connect(addr).unwrap();
+            assert_eq!(top_k(&mut client, &[1.0e30; D], 3).len(), 3);
+            assert_eq!(top_k(&mut client, data.get(4), 1)[0].id, 4);
+
+            client.shutdown().unwrap();
+            server.join().unwrap();
+        })
+        .unwrap();
+    });
+}
+
 /// An engine whose write path always fails, standing in for a full disk.
 struct FailingWrites;
 

@@ -382,3 +382,51 @@ fn extreme_magnitude_coordinates_sort_totally() {
         assert_eq!(nn, gt);
     }
 }
+
+#[test]
+fn saturated_bucket_ids_end_every_query() {
+    // A finite query far past the key space hashes to bucket `i64::MIN`
+    // or `i64::MAX` in every table, and so does such a data row. Windows
+    // saturate with them, and the round run at the saturated radius is
+    // the last: every store ends each query, and all five answer alike.
+    use c2lsh::sharded::{ShardedData, ShardedEngine};
+    use c2lsh::{DynamicIndex, PagedStore, Termination};
+    let near = generate(
+        Distribution::GaussianMixture { clusters: 3, spread: 0.05, scale: 5.0 },
+        60,
+        4,
+        17,
+    );
+    let mut rows: Vec<Vec<f32>> = near.iter().map(<[f32]>::to_vec).collect();
+    rows.push(vec![1.0e30; 4]);
+    let far = cc_vector::Dataset::from_rows(&rows);
+    let cfg = C2lshConfig::builder().bucket_width(1.0).seed(3).build();
+    let dir = cc_storage::wal::scratch_dir("saturated_buckets");
+    let asks = [
+        (&near, vec![1.0e30f32; 4], 5),
+        (&near, vec![-1.0e30, 5.0, 0.0, 0.0], 5),
+        // Every reachable point, one of them past the key space.
+        (&far, near.get(0).to_vec(), far.len() + 1),
+    ];
+    for (data, q, k) in asks {
+        let paged = PagedStore::build(data, &cfg, dir.join("index.ccpg"), 8).unwrap();
+        let shards = ShardedData::partition(data, 3);
+        let answers = [
+            C2lshIndex::build(data, &cfg).query(&q, k),
+            DiskIndex::build(data, &cfg).query(&q, k),
+            paged.query(&q, k),
+            DynamicIndex::from_dataset(data, &cfg).query(&q, k),
+            ShardedEngine::build(&shards, &cfg).query(&q, k),
+        ];
+        let (nn, stats) = &answers[0];
+        assert_eq!(nn.len(), k.min(data.len()), "q {q:?}");
+        assert_eq!((stats.rounds, stats.final_radius), (64, i64::MAX), "q {q:?}");
+        assert_eq!(stats.terminated_by, Termination::Exhausted, "q {q:?}");
+        for (store, (other_nn, other)) in answers.iter().enumerate().skip(1) {
+            assert_eq!(other_nn, nn, "store {store}, q {q:?}");
+            assert_eq!(other.collisions_counted, stats.collisions_counted, "store {store}");
+            assert_eq!(other.terminated_by, stats.terminated_by, "store {store}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

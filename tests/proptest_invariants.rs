@@ -65,15 +65,27 @@ proptest! {
     }
 
     #[test]
-    fn rehash_windows_nest_and_cover(bucket in -1_000_000i64..1_000_000, level in 0u32..20, c in 2u32..5) {
+    fn rehash_windows_nest_and_cover(
+        near in -1_000_000i64..1_000_000,
+        end in 0usize..3,
+        level in 0u32..70,
+        c in 2u32..5,
+    ) {
+        // Buckets near zero, and the ends of the key space where hashing
+        // saturates a bucket id, at every radius up to the saturated one.
+        let bucket = [near, i64::MIN, i64::MAX][end];
         let r1 = radius_at(c, level);
         let r2 = radius_at(c, level + 1);
         let (lo1, hi1) = window(bucket, r1);
         let (lo2, hi2) = window(bucket, r2);
-        prop_assert!((lo1..hi1).contains(&bucket), "window covers its bucket");
+        // A window that reaches `i64::MAX` holds that bucket too.
+        prop_assert!(lo1 <= bucket && (bucket < hi1 || hi1 == i64::MAX), "window covers its bucket");
         prop_assert!(lo2 <= lo1 && hi2 >= hi1, "windows nest");
-        prop_assert_eq!(hi1 - lo1, r1, "window width = radius");
-        prop_assert_eq!(hi2 - lo2, r2);
+        for (lo, hi, r) in [(lo1, hi1, r1), (lo2, hi2, r2)] {
+            if i64::MIN < lo && hi < i64::MAX {
+                prop_assert_eq!(hi - lo, r, "window width = radius inside the key space");
+            }
+        }
     }
 
     #[test]
