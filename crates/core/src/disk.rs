@@ -13,7 +13,7 @@
 //! [`crate::paged`].
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, KeyWindows, SearchOptions, TableStore};
+use crate::engine::{self, Ids, KeyWindows, SearchOptions, TableStore};
 use crate::index::{C2lshIndex, Segment};
 use crate::meta::PointMeta;
 use crate::params::FullParams;
@@ -34,33 +34,35 @@ pub struct DiskIndex<'d> {
     verify_pages: u64,
 }
 
-/// Grow window `t` of `cursor` over `segment` to `radius`, charging to
-/// `reads` the two bound probes (none on an empty run) and every page a
-/// scan moves onto. Slices are cut where their pages end, and a page is
-/// charged as its first piece is handed out unless that piece continues
-/// the last one inside a page already read: a refusal reads no later page.
+/// Grow window `t` of `cursor` over `segments` to `radius`, charging to
+/// `reads` the two bound probes (none on an empty table) and every page
+/// a scan moves onto. The pages are those of one run over all segments:
+/// slices are cut where their pages end, and a page is charged as its
+/// first piece is handed out unless that piece continues the last one
+/// inside a page already read: a refusal reads no later page.
 fn expand_metered(
-    segment: &Segment,
+    segments: &[Segment],
     reads: &AtomicU64,
     cursor: &mut KeyWindows,
     t: usize,
     radius: i64,
-    visit: &mut dyn FnMut(&[u32]) -> bool,
+    visit: &mut dyn FnMut(&Ids<'_, u16>) -> bool,
 ) {
-    reads.fetch_add(if segment.runs[t].oids.is_empty() { 0 } else { 2 }, Relaxed);
+    let empty = segments.iter().all(|s| s.runs[t].oids.is_empty());
+    reads.fetch_add(if empty { 0 } else { 2 }, Relaxed);
     // One past the last entry handed out.
     let mut end = None;
-    Segment::expand(std::slice::from_ref(segment), cursor, t, radius, |mut at, mut ids| {
-        while !ids.is_empty() {
-            let (piece, rest) =
-                ids.split_at(ids.len().min(ENTRIES_PER_PAGE - at % ENTRIES_PER_PAGE));
+    Segment::expand(segments, cursor, t, radius, |mut at, Ids { first, mut offsets }| {
+        while !offsets.is_empty() {
+            let page_left = ENTRIES_PER_PAGE - at % ENTRIES_PER_PAGE;
+            let (piece, rest) = offsets.split_at(offsets.len().min(page_left));
             if end != Some(at) || at % ENTRIES_PER_PAGE == 0 {
                 reads.fetch_add(1, Relaxed);
             }
-            if !visit(piece) {
+            if !visit(&Ids { first, offsets: piece }) {
                 return false;
             }
-            (at, ids) = (at + piece.len(), rest);
+            (at, offsets) = (at + piece.len(), rest);
             end = Some(at);
         }
         true
@@ -161,6 +163,7 @@ impl<'d> DiskIndex<'d> {
 
 impl TableStore for DiskIndex<'_> {
     type Cursor = KeyWindows;
+    type Id = u16;
 
     fn dim(&self) -> usize {
         self.mem.dim()
@@ -187,9 +190,9 @@ impl TableStore for DiskIndex<'_> {
         cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(&[u32]) -> bool,
+        visit: &mut dyn FnMut(&Ids<'_, u16>) -> bool,
     ) {
-        expand_metered(&self.mem.segment, &self.reads, cursor, t, radius, visit);
+        expand_metered(&self.mem.segments, &self.reads, cursor, t, radius, visit);
     }
 
     fn exhausted(&self, cursor: &KeyWindows) -> bool {
@@ -352,39 +355,61 @@ mod tests {
         pages + scan.len() as u64
     }
 
-    /// Expand one run round by round around bucket `q`, stopping round
-    /// `r` at its `stops[r]`-th visit, and compare each round's charge.
-    fn check_meter(mut buckets: Vec<i64>, q: i64, stops: &[usize]) {
-        buckets.sort_unstable();
-        let run = SortedRun::from_sorted(buckets.into_iter().zip(0..)).unwrap();
-        let probes = if run.oids.is_empty() { 0 } else { 2 };
-        let segment = Segment { runs: vec![run], first: 0, last: 0 };
+    /// Expand the objects of `buckets` (object `i` in bucket
+    /// `buckets[i]`), split into `parts` segments of consecutive ids,
+    /// round by round around bucket `q`, stopping round `r` at its
+    /// `stops[r]`-th visit, and compare each round's charge with the
+    /// pages of the one run of every `(bucket, oid)` entry.
+    fn check_meter(buckets: Vec<i64>, q: i64, stops: &[usize], parts: usize) {
+        let n = buckets.len();
+        let mut order: Vec<(i64, usize)> = buckets.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        // Object id → its entry in the one run.
+        let mut entry = vec![0; n];
+        order.iter().enumerate().for_each(|(at, &(_, oid))| entry[oid] = at);
+        let share = n.div_ceil(parts).max(1);
+        let segments: Vec<Segment> = (0..n)
+            .step_by(share)
+            .map(|first| {
+                let rows = &buckets[first..n.min(first + share)];
+                let run = SortedRun::from_column(rows, |i| i as u16);
+                Segment {
+                    runs: vec![run],
+                    first: first as u32,
+                    last: (first + rows.len() - 1) as u32,
+                }
+            })
+            .collect();
+        let probes = if n == 0 { 0 } else { 2 };
         let reads = AtomicU64::new(0);
         let mut cursor = KeyWindows::new(vec![q]);
         for (level, &stop) in stops.iter().enumerate() {
             let (before, mut visited) = (reads.load(Relaxed), Vec::new());
             let radius = crate::rehash::radius_at(2, level as u32);
-            expand_metered(&segment, &reads, &mut cursor, 0, radius, &mut |oids| {
+            expand_metered(&segments, &reads, &mut cursor, 0, radius, &mut |ids| {
                 // Consume a slice up to the stop, as the engine does.
-                let take = oids.len().min(stop - visited.len());
-                visited.extend(oids[..take].iter().map(|&oid| oid as usize));
+                let take = ids.len().min(stop - visited.len());
+                let oids = ids[..take].iter().map(|&oid| (ids.first + u32::from(oid)) as usize);
+                visited.extend(oids.map(|oid| entry[oid]));
                 visited.len() != stop
             });
             assert_eq!(
                 reads.load(Relaxed) - before,
                 naive_pages(probes, &visited),
-                "round {level}"
+                "round {level}, {parts} segments"
             );
         }
     }
 
     #[test]
     fn meter_handles_empty_run_and_page_boundary() {
-        check_meter(Vec::new(), 0, &[1, 1]);
-        // One bucket of exactly two pages: the scan ends on a page boundary.
-        check_meter(vec![5; 2 * ENTRIES_PER_PAGE], 5, &[usize::MAX]);
-        // ... and stopping on the last entry of the first page reads one.
-        check_meter(vec![5; 2 * ENTRIES_PER_PAGE], 5, &[ENTRIES_PER_PAGE]);
+        check_meter(Vec::new(), 0, &[1, 1], 1);
+        for parts in [1, 3] {
+            // One bucket of exactly two pages: the scan ends on a page boundary.
+            check_meter(vec![5; 2 * ENTRIES_PER_PAGE], 5, &[usize::MAX], parts);
+            // ... and stopping on the last entry of the first page reads one.
+            check_meter(vec![5; 2 * ENTRIES_PER_PAGE], 5, &[ENTRIES_PER_PAGE], parts);
+        }
     }
 
     proptest::proptest! {
@@ -393,8 +418,9 @@ mod tests {
             buckets in proptest::collection::vec(-60i64..60, 0..1500),
             q in -60i64..60,
             stops in proptest::collection::vec(1usize..700, 1..8),
+            parts in 1usize..5,
         ) {
-            check_meter(buckets, q, &stops);
+            check_meter(buckets, q, &stops, parts);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! then restored by a tiered merge of neighbours (`merge_due`), so a
 //! one-row batch rebuilds a tail of under 256 rows, whatever the index
 //! holds, and an id is rewritten a handful of times on its way into a
-//! segment of up to 65 536 rows — which is what lets
+//! segment spanning up to 65 536 ids — which is what lets
 //! [`crate::mutable::MutableIndex`] publish a snapshot per write batch.
 //! A delete tombstones the object's slot; its ids stay in their segment,
 //! counted and then skipped at [`TableStore::vector`], until a merge or
@@ -28,9 +28,9 @@
 //! order — the walk of `index::Segment::expand` every store shares.
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, KeyWindows, SearchOptions, TableStore};
+use crate::engine::{self, Ids, KeyWindows, SearchOptions, TableStore};
 use crate::hash::HashFamily;
-use crate::index::{build_tables, per_table, Segment, SortedRun};
+use crate::index::{build_segments, per_table, Segment, SortedRun, SEGMENT_IDS};
 use crate::meta::PointMeta;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
@@ -42,7 +42,7 @@ use std::sync::Arc;
 /// Rows per chunk of the vector and metadata columns.
 const ROW_CHUNK: usize = 256;
 /// Rows gathered before a block is hashed and sealed; its rows and runs
-/// (`4·dim + 4·m` bytes a row) are built before anything is merged.
+/// (`4·dim + 2·m` bytes a row) are built before anything is merged.
 const HASH_BLOCK: usize = 4096;
 /// Rows of a block or a merge per worker: shorter work stays on the
 /// calling thread, where starting a thread would cost more than it saves.
@@ -50,9 +50,6 @@ const WORKER_ROWS: usize = 256;
 /// A segment of fewer rows is a tail: two neighbouring tails merge, so a
 /// one-row batch rewrites fewer than this many rows.
 const TAIL_ROWS: usize = 256;
-/// No merge makes a segment of more rows, which bounds the longest stall
-/// a write can meet to writing `4·m` bytes for each of them.
-const SEGMENT_CAP: usize = 65_536;
 
 /// A segment — the rows of one sealed block, or of several merged — as
 /// one snapshot sees it.
@@ -66,6 +63,11 @@ struct Sealed {
 impl Sealed {
     fn live(&self) -> usize {
         self.segment.rows() - self.dead
+    }
+
+    /// Live rows, first and last id: what [`merge_due`] decides on.
+    fn shape(&self) -> (usize, u32, u32) {
+        (self.live(), self.segment.first, self.segment.last)
     }
 }
 
@@ -81,22 +83,27 @@ fn class(rows: usize) -> Option<u32> {
     (rows / TAIL_ROWS).checked_ilog(4)
 }
 
-/// The neighbours to merge next in a list of segments of these sizes,
-/// the rightmost first: four of one class; or two of which the first is
-/// of a smaller class than the second, or both are tails — so classes
-/// descend along the list, there are fewer than four of each and at most
-/// one tail, which a block sealed behind them keeps true. Nothing merges
-/// past [`SEGMENT_CAP`]; neighbours that would are left as they are.
-fn merge_due(rows: &[usize]) -> Option<Range<usize>> {
-    let fits = |due: Range<usize>| rows[due].iter().sum::<usize>() <= SEGMENT_CAP;
-    let due_at = |i: usize| {
-        let (a, b) = (class(rows[i]), class(*rows.get(i + 1)?));
-        let four = rows.get(i..i + 4).filter(|four| four.iter().all(|&r| class(r) == a));
-        let due = if four.is_some() { i..i + 4 } else { i..i + 2 };
-        let pair = a < b || (a, b) == (None, None);
-        (four.is_some() || pair).then_some(due).filter(|due| fits(due.clone()))
+/// The neighbours to merge next in a list of segments of these live
+/// rows and first and last ids, the rightmost first: four of one class;
+/// or two of which the first is of a smaller class than the second, or
+/// both are tails — so classes descend along the list, there are fewer
+/// than four of each and at most one tail, which a block sealed behind
+/// them keeps true. No merge spans more than [`SEGMENT_IDS`] ids, which
+/// also bounds the longest stall a write can meet to writing `2·m` bytes
+/// for each of them: neighbours that would are left as they are, and
+/// four tails that would are taken two at a time.
+fn merge_due(segments: &[(usize, u32, u32)]) -> Option<Range<usize>> {
+    let fits = |due: &Range<usize>| {
+        ((segments[due.end - 1].2 - segments[due.start].1) as usize) < SEGMENT_IDS
     };
-    (0..rows.len()).rev().find_map(due_at)
+    let class_at = |i: usize| segments.get(i).map(|&(rows, ..)| class(rows));
+    let due_at = |i: usize| {
+        let (a, b) = (class_at(i)?, class_at(i + 1)?);
+        let four = (i..i + 4).all(|j| class_at(j) == Some(a)).then_some(i..i + 4);
+        let pair = (a < b || (a, b) == (None, None)).then_some(i..i + 2);
+        four.into_iter().chain(pair).find(fits)
+    };
+    (0..segments.len()).rev().find_map(due_at)
 }
 
 /// One write of a batch handed to [`DynamicIndex::apply`].
@@ -340,14 +347,19 @@ impl DynamicIndex {
         self.index_rows(&block, &oids);
     }
 
-    /// Seal `rows` as a segment under `oids`: workers hash the block
-    /// table by table and counting-sort each column into a run of its
-    /// rows' ids. The runs stay where the workers allocated them.
+    /// Seal `rows` as segments under `oids`: workers hash the block
+    /// table by table and counting-sort each column into runs of its
+    /// rows' ids, a new segment wherever the ids would span more than
+    /// [`SEGMENT_IDS`] — as the empty slots of a restored checkpoint can
+    /// make them. The runs stay where the workers allocated them.
     fn index_rows(&mut self, rows: &Dataset, oids: &[u32]) {
-        let (Some(&first), Some(&last)) = (oids.first(), oids.last()) else { return };
+        if oids.is_empty() {
+            return;
+        }
         let workers = self.workers.min(oids.len() / WORKER_ROWS).max(1);
-        let runs = build_tables(rows, &self.family, workers, |i| oids[i]);
-        self.segments.push(Sealed { segment: Arc::new(Segment { runs, first, last }), dead: 0 });
+        for segment in build_segments(rows, &self.family, workers, |i| oids[i]) {
+            self.segments.push(Sealed { segment: Arc::new(segment), dead: 0 });
+        }
         self.live += oids.len();
         self.restore();
     }
@@ -357,9 +369,9 @@ impl DynamicIndex {
     fn restore(&mut self) {
         let eighth_dead = |s: &Sealed| 8 * s.dead > s.segment.rows();
         loop {
-            let live: Vec<usize> = self.segments.iter().map(Sealed::live).collect();
+            let shape: Vec<_> = self.segments.iter().map(Sealed::shape).collect();
             let dead = || self.segments.iter().position(eighth_dead).map(|i| i..i + 1);
-            let Some(due) = merge_due(&live).or_else(dead) else { return };
+            let Some(due) = merge_due(&shape).or_else(dead) else { return };
             self.merge(due);
         }
     }
@@ -370,12 +382,14 @@ impl DynamicIndex {
         let parts = &self.segments[due.clone()];
         let rows = parts.iter().map(Sealed::live).sum();
         let (first, last) = (parts[0].segment.first, parts[parts.len() - 1].segment.last);
+        // Every id is stored as a `u16` offset from `first`.
+        assert!(((last - first) as usize) < SEGMENT_IDS, "a merge spans {first}..={last}");
         let keep = |oid: u32| self.get(oid).is_some();
         let workers = self.workers.min(rows / WORKER_ROWS).max(1);
         let runs = per_table(self.params.m, workers, |tables| {
             let merged = |t| {
-                let runs = parts.iter().map(|part| (&part.segment.runs[t], part.dead > 0));
-                SortedRun::merged(&runs.collect::<Vec<_>>(), rows, keep)
+                let runs = parts.iter().map(|p| (&p.segment.runs[t], p.segment.first, p.dead > 0));
+                SortedRun::merged(&runs.collect::<Vec<_>>(), first, rows, keep)
             };
             tables.map(merged).collect()
         });
@@ -493,6 +507,7 @@ impl DynamicIndex {
 
 impl TableStore for DynamicIndex {
     type Cursor = KeyWindows;
+    type Id = u16;
 
     fn dim(&self) -> usize {
         self.dim
@@ -524,9 +539,9 @@ impl TableStore for DynamicIndex {
         cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(&[u32]) -> bool,
+        visit: &mut dyn FnMut(&Ids<'_, u16>) -> bool,
     ) {
-        Segment::expand(&self.segments, cursor, t, radius, |_, ids| visit(ids))
+        Segment::expand(&self.segments, cursor, t, radius, |_, ids| visit(&ids))
     }
 
     fn exhausted(&self, cursor: &KeyWindows) -> bool {
@@ -760,6 +775,27 @@ mod tests {
         let mut a = idx;
         let mut b = restored;
         assert_eq!(a.insert(vec![1.0; 8]), b.insert(vec![1.0; 8]));
+    }
+
+    /// Slots a checkpoint restores empty can set a block's rows further
+    /// apart than a segment's offsets reach: the block is sealed as two
+    /// segments, and no merge joins what one segment could not hold.
+    #[test]
+    fn a_segment_spans_at_most_65_536_ids() {
+        let live = [0, 5, SEGMENT_IDS - 1, SEGMENT_IDS, SEGMENT_IDS + 7, 2 * SEGMENT_IDS - 1];
+        let mut slots: Vec<Option<Vec<f32>>> = vec![None; 2 * SEGMENT_IDS];
+        for at in live {
+            slots[at] = Some(vec![at as f32 / 1000.0, 0.0]);
+        }
+        let idx = DynamicIndex::from_slots(2, 1000, &cfg(), slots, Vec::new());
+        let ranges: Vec<(u32, u32)> =
+            idx.segments.iter().map(|s| (s.segment.first, s.segment.last)).collect();
+        let top = 2 * SEGMENT_IDS as u32 - 1;
+        assert_eq!(ranges, [(0, SEGMENT_IDS as u32 - 1), (SEGMENT_IDS as u32, top)]);
+        for at in live {
+            let (nn, _) = idx.query(&[at as f32 / 1000.0, 0.0], 1);
+            assert_eq!((nn[0].id, nn[0].dist), (at as u32, 0.0));
+        }
     }
 
     #[test]
@@ -1090,8 +1126,9 @@ mod tests {
             for &radius in radii {
                 for (t, table) in model.tables.iter().enumerate() {
                     let mut got: Vec<u32> = Vec::new();
-                    idx.expand(&mut cursor, t, radius, &mut |oids| {
-                        got.extend(oids.iter().filter(|&&oid| idx.get(oid).is_some()));
+                    idx.expand(&mut cursor, t, radius, &mut |ids| {
+                        let oids = ids.iter().map(|&oid| ids.first + u32::from(oid));
+                        got.extend(oids.filter(|&oid| idx.get(oid).is_some()));
                         true
                     });
                     let ranges = model_cursor.grow(t, radius).into_iter().filter(|r| !r.is_empty());
@@ -1109,8 +1146,8 @@ mod tests {
                         .covers(t, keys.iter().min().copied().zip(keys.iter().max().copied()))
                 };
                 let resident = (0..model.tables.len()).all(|t| {
-                    let runs = idx.segments.iter().map(|s| &s.segment.runs[t]);
-                    covered(t, &mut runs.flat_map(|run| run.buckets().map(|(b, _)| b)))
+                    let entries = idx.segments.iter().flat_map(|s| s.segment.entries(t));
+                    covered(t, &mut entries.map(|(b, _)| b))
                 });
                 assert_eq!(idx.exhausted(&cursor), resident, "radius {radius}, step {step}");
                 let model_covered = (0..model.tables.len())
@@ -1121,73 +1158,108 @@ mod tests {
         assert_shape(idx, step);
     }
 
-    /// The list `merge_due` leaves: nothing over the cap and, between
-    /// segments of a quarter of the cap or more — which a merge may have
-    /// had to leave beside a smaller neighbour — classes descend, fewer
-    /// than four of a class, at most one tail.
-    fn assert_list_shape(live: &[usize], step: usize) {
-        assert_eq!(merge_due(live), None, "{live:?} at step {step}");
-        assert!(
-            live.iter().all(|&rows| 0 < rows && rows <= SEGMENT_CAP),
-            "{live:?} at step {step}"
-        );
-        for stretch in live.split(|&rows| rows >= SEGMENT_CAP / 4) {
-            let classes: Vec<_> = stretch.iter().map(|&rows| class(rows)).collect();
-            assert!(classes.windows(2).all(|w| w[0] >= w[1]), "{live:?} at step {step}");
+    /// The list `merge_due` leaves, of segments of these live rows and
+    /// first and last ids: ascending, disjoint id ranges none of which
+    /// spans more than the cap and, between segments whose ids up to the
+    /// next one's reach a quarter of the cap — which a merge may have had
+    /// to leave beside a smaller neighbour — classes descend, fewer than
+    /// four of a class, at most one tail.
+    fn assert_list_shape(shape: &[(usize, u32, u32)], step: usize) {
+        assert_eq!(merge_due(shape), None, "{shape:?} at step {step}");
+        let fits = |&(rows, first, last): &(usize, u32, u32)| {
+            0 < rows
+                && rows <= (last - first) as usize + 1
+                && ((last - first) as usize) < SEGMENT_IDS
+        };
+        assert!(shape.iter().all(fits), "{shape:?} at step {step}");
+        assert!(shape.windows(2).all(|w| w[0].2 < w[1].1), "{shape:?} at step {step}");
+        let ends = shape.iter().skip(1).map(|s| s.1).chain(shape.last().map(|s| s.2 + 1));
+        let reach: Vec<(Option<u32>, usize)> = shape
+            .iter()
+            .zip(ends)
+            .map(|(&(rows, first, _), end)| (class(rows), (end - first) as usize))
+            .collect();
+        for stretch in reach.split(|&(_, ids)| ids >= SEGMENT_IDS / 4) {
+            let classes: Vec<_> = stretch.iter().map(|&(class, _)| class).collect();
+            assert!(classes.windows(2).all(|w| w[0] >= w[1]), "{shape:?} at step {step}");
             let of = |c| classes.iter().filter(|&&class| class == c).count();
-            assert!(of(None) <= 1 && (0..4).all(|k| of(Some(k)) < 4), "{live:?} at step {step}");
+            assert!(of(None) <= 1 && (0..4).all(|k| of(Some(k)) < 4), "{shape:?} at step {step}");
         }
     }
 
     proptest::proptest! {
-        /// The merge policy on row counts alone, at sizes a test cannot
-        /// afford to build: blocks of every length sealed behind the
-        /// list and deletes anywhere in it, restored as
+        /// The merge policy on row counts and id ranges alone, at sizes a
+        /// test cannot afford to build: blocks of every length sealed
+        /// behind the list, ids a restored checkpoint leaves empty between
+        /// them, and deletes anywhere in it, restored as
         /// [`DynamicIndex::restore`] restores. No row is lost or made up,
-        /// the shape of [`assert_list_shape`] holds after every write and
-        /// a load of full blocks ends in segments of exactly the cap.
+        /// no merge spans more than the cap, the shape of
+        /// [`assert_list_shape`] holds after every write and a load of full
+        /// blocks ends in segments of exactly the cap.
         #[test]
         fn merge_policy_keeps_the_list_in_shape_at_any_size(
-            writes in proptest::collection::vec((0u8..6, 1usize..HASH_BLOCK + 1, 0usize..1 << 20), 1..400),
+            writes in proptest::collection::vec((0u8..7, 1usize..HASH_BLOCK + 1, 0usize..1 << 20), 1..400),
         ) {
-            // (rows, dead) per segment.
-            let mut list: Vec<(usize, usize)> = Vec::new();
-            let restore = |list: &mut Vec<(usize, usize)>| loop {
-                let live: Vec<usize> = list.iter().map(|&(rows, dead)| rows - dead).collect();
-                let dead = || list.iter().position(|&(rows, dead)| 8 * dead > rows).map(|i| i..i + 1);
-                let Some(due) = merge_due(&live).or_else(dead) else { break };
-                let rows: usize = live[due.clone()].iter().sum();
-                assert!(rows <= SEGMENT_CAP, "{live:?} merges {due:?}");
-                list.splice(due, (rows > 0).then_some((rows, 0)));
+            // (rows, dead, first id, last id) per segment.
+            type Listed = (usize, usize, u32, u32);
+            let shape = |list: &[Listed]| -> Vec<(usize, u32, u32)> {
+                list.iter().map(|&(rows, dead, first, last)| (rows - dead, first, last)).collect()
             };
-            let mut held = 0;
+            let restore = |list: &mut Vec<Listed>| loop {
+                let now = shape(list);
+                let dead = || list.iter().position(|&(rows, dead, ..)| 8 * dead > rows).map(|i| i..i + 1);
+                let Some(due) = merge_due(&now).or_else(dead) else { break };
+                let rows: usize = now[due.clone()].iter().map(|&(rows, ..)| rows).sum();
+                let (first, last) = (list[due.start].2, list[due.end - 1].3);
+                assert!(((last - first) as usize) < SEGMENT_IDS, "{now:?} merges {due:?}");
+                list.splice(due, (rows > 0).then_some((rows, 0, first, last)));
+            };
+            let seal = |list: &mut Vec<Listed>, next: &mut u32, rows: usize| {
+                list.push((rows, 0, *next, *next + rows as u32 - 1));
+                *next += rows as u32;
+            };
+            let (mut list, mut next, mut held) = (Vec::new(), 0u32, 0);
             for (step, (kind, rows, pick)) in writes.into_iter().enumerate() {
-                // A full block, a block of any length, one row — or up
-                // to a block's worth of deletes in one segment.
-                let sealed = [HASH_BLOCK, HASH_BLOCK, rows, 1].get(kind as usize).copied();
-                if let Some(rows) = sealed {
-                    list.push((rows, 0));
-                    held += rows;
-                } else if !list.is_empty() {
-                    let at = pick % list.len();
-                    let (of, dead) = &mut list[at];
-                    let more = rows.min(*of - *dead);
-                    *dead += more;
-                    held -= more;
+                match kind {
+                    // A full block, a block of any length, one row.
+                    0..=3 => {
+                        let rows = [HASH_BLOCK, HASH_BLOCK, rows, 1][kind as usize];
+                        seal(&mut list, &mut next, rows);
+                        held += rows;
+                    }
+                    // Up to a block's worth of deletes in one segment.
+                    4 | 5 if !list.is_empty() => {
+                        let at = pick % list.len();
+                        let (of, dead, ..) = &mut list[at];
+                        let more = rows.min(*of - *dead);
+                        *dead += more;
+                        held -= more;
+                    }
+                    // Ids whose slots a restored checkpoint holds empty.
+                    6 => next += (pick % SEGMENT_IDS) as u32,
+                    _ => {}
                 }
                 restore(&mut list);
-                let live: Vec<usize> = list.iter().map(|&(rows, dead)| rows - dead).collect();
-                proptest::prop_assert_eq!(live.iter().sum::<usize>(), held, "step {}", step);
-                assert_list_shape(&live, step);
-                proptest::prop_assert!(list.iter().all(|&(rows, dead)| 8 * dead <= rows));
+                let now = shape(&list);
+                proptest::prop_assert_eq!(now.iter().map(|s| s.0).sum::<usize>(), held, "step {}", step);
+                assert_list_shape(&now, step);
+                proptest::prop_assert!(list.iter().all(|&(rows, dead, ..)| 8 * dead <= rows));
             }
-            let mut load = Vec::new();
+            let (mut load, mut next) = (Vec::new(), 0);
             for _ in 0..41 {
-                load.push((HASH_BLOCK, 0));
+                seal(&mut load, &mut next, HASH_BLOCK);
                 restore(&mut load);
             }
-            let quarter = SEGMENT_CAP / 4;
-            let want = [SEGMENT_CAP, SEGMENT_CAP, quarter, quarter, HASH_BLOCK].map(|rows| (rows, 0));
+            let (cap, quarter) = (SEGMENT_IDS as u32, SEGMENT_IDS as u32 / 4);
+            let ends = [cap, 2 * cap, 2 * cap + quarter, 2 * cap + 2 * quarter, next];
+            let want: Vec<Listed> = ends
+                .iter()
+                .scan(0, |first, &end| {
+                    let segment = ((end - *first) as usize, 0, *first, end - 1);
+                    *first = end;
+                    Some(segment)
+                })
+                .collect();
             proptest::prop_assert_eq!(load, want);
         }
     }
@@ -1196,16 +1268,18 @@ mod tests {
     fn assert_shape(idx: &DynamicIndex, step: usize) {
         let mut holder = vec![0; TableStore::id_bound(idx)];
         for (at, s) in idx.segments.iter().enumerate() {
-            let (segment, mut ids) = (&s.segment, s.segment.runs[0].oids.clone());
+            let segment = &s.segment;
+            let mut ids: Vec<u32> = segment.entries(0).map(|(_, oid)| oid).collect();
             ids.sort_unstable();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "an id twice at step {step}");
             assert!(segment.first <= ids[0] && ids[ids.len() - 1] <= segment.last, "{step}");
-            for run in &segment.runs {
-                let mut of_run = run.oids.clone();
+            for t in 0..segment.runs.len() {
+                let entries: Vec<(i64, u32)> = segment.entries(t).collect();
+                let mut of_run: Vec<u32> = entries.iter().map(|&(_, oid)| oid).collect();
                 of_run.sort_unstable();
                 assert_eq!(of_run, ids, "tables differ in their ids at step {step}");
-                let in_order = |(_, ids): (i64, &[u32])| ids.windows(2).all(|w| w[0] < w[1]);
-                assert!(run.buckets().all(in_order), "a bucket out of id order at step {step}");
+                let in_order = entries.windows(2).all(|w| w[0] < w[1]);
+                assert!(in_order, "a bucket out of id order at step {step}");
             }
             assert_eq!(ids.iter().filter(|&&oid| idx.get(oid).is_none()).count(), s.dead, "{step}");
             assert!(8 * s.dead <= segment.rows(), "segment {at} too dead at step {step}");
@@ -1216,9 +1290,9 @@ mod tests {
         for (oid, held) in holder.into_iter().enumerate() {
             assert!(held <= 1 && (held == 1 || idx.get(oid as u32).is_none()), "id {oid}, {step}");
         }
-        let live: Vec<usize> = idx.segments.iter().map(Sealed::live).collect();
-        assert_eq!(live.iter().sum::<usize>(), idx.len(), "live rows at step {step}");
-        assert_list_shape(&live, step);
+        let shape: Vec<_> = idx.segments.iter().map(Sealed::shape).collect();
+        assert_eq!(shape.iter().map(|s| s.0).sum::<usize>(), idx.len(), "live rows at step {step}");
+        assert_list_shape(&shape, step);
     }
 
     proptest::proptest! {
@@ -1311,10 +1385,9 @@ mod tests {
     fn bucket_lists(idx: &DynamicIndex) -> Vec<BTreeMap<i64, Vec<u32>>> {
         let mut tables = vec![BTreeMap::<i64, Vec<u32>>::new(); idx.params().m];
         for (t, table) in tables.iter_mut().enumerate() {
-            let buckets = idx.segments.iter().flat_map(|s| s.segment.runs[t].buckets());
-            for (b, ids) in buckets {
-                let live = ids.iter().filter(|&&oid| idx.get(oid).is_some());
-                table.entry(b).or_default().extend(live);
+            for (b, oid) in idx.segments.iter().flat_map(|s| s.segment.entries(t)) {
+                let ids = table.entry(b).or_default();
+                ids.extend(idx.get(oid).map(|_| oid));
             }
             table.retain(|_, ids| !ids.is_empty());
         }

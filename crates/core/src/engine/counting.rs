@@ -10,6 +10,8 @@
 //! instead of two parallel arrays. A separate flag array (same epoch
 //! trick) remembers which objects were already verified, so an object
 //! is never verified twice even though its count keeps growing past `l`.
+//! A store hands ids out as offsets from a first id, and a
+//! [`CounterView`] that starts at that id counts them as they are.
 
 /// Collision counter for up to `n` objects.
 #[derive(Debug)]
@@ -38,7 +40,40 @@ impl CollisionCounter {
         }
     }
 
-    /// Increment the collision count of `oid`; returns the new count.
+    /// The counts of the ids from `first` up, indexed by their offset
+    /// from it: what a store's slice of offsets from `first` counts
+    /// against, with no add per id.
+    ///
+    /// # Panics
+    /// Panics when `first` is past the counter's capacity.
+    #[inline]
+    pub fn view(&mut self, first: u32) -> CounterView<'_> {
+        let from = first as usize;
+        CounterView {
+            state: &mut self.state[from..],
+            verified_epoch: &mut self.verified_epoch[from..],
+            epoch: self.epoch,
+        }
+    }
+
+    /// Capacity (number of object ids representable).
+    pub fn capacity(&self) -> usize {
+        self.state.len()
+    }
+}
+
+/// The counts of the ids from one id up ([`CollisionCounter::view`]),
+/// indexed by offset from it.
+#[derive(Debug)]
+pub struct CounterView<'a> {
+    state: &'a mut [u64],
+    verified_epoch: &'a mut [u32],
+    epoch: u32,
+}
+
+impl CounterView<'_> {
+    /// Increment the collision count of the id at offset `i`; returns
+    /// the new count.
     ///
     /// Branchless on purpose: whether a touched object's stamp is
     /// current is data-dependent (≈ one stale touch then several fresh
@@ -46,8 +81,7 @@ impl CollisionCounter {
     /// hottest loop of a query. `old_count * same_epoch + 1` compiles to
     /// a compare + masked multiply with no jump.
     #[inline]
-    pub fn increment(&mut self, oid: u32) -> u32 {
-        let i = oid as usize;
+    pub fn increment(&mut self, i: usize) -> u32 {
         let v = self.state[i];
         let same = u32::from((v >> 32) as u32 == self.epoch);
         let c = (v as u32) * same + 1;
@@ -55,44 +89,24 @@ impl CollisionCounter {
         c
     }
 
-    /// Hint that `oid`'s counter word will be incremented shortly (see
-    /// [`crate::kernels::prefetch_read`]); out-of-range ids are
-    /// ignored.
+    /// Hint that the counter word at offset `i` will be incremented
+    /// shortly (see [`crate::kernels::prefetch_read`]); offsets past the
+    /// end are ignored.
     #[inline]
-    pub fn prefetch(&self, oid: u32) {
-        crate::kernels::prefetch_read(&self.state, oid as usize);
+    pub fn prefetch(&self, i: usize) {
+        crate::kernels::prefetch_read(self.state, i);
     }
 
-    /// Current count of `oid` in this query (0 when untouched).
-    pub fn count(&self, oid: u32) -> u32 {
-        let v = self.state[oid as usize];
-        if (v >> 32) as u32 == self.epoch {
-            v as u32
-        } else {
-            0
-        }
-    }
-
-    /// Mark `oid` verified; returns `false` when it already was.
+    /// Mark the id at offset `i` verified; returns `false` when it
+    /// already was.
     #[inline]
-    pub fn mark_verified(&mut self, oid: u32) -> bool {
-        let i = oid as usize;
+    pub fn mark_verified(&mut self, i: usize) -> bool {
         if self.verified_epoch[i] == self.epoch {
             false
         } else {
             self.verified_epoch[i] = self.epoch;
             true
         }
-    }
-
-    /// Whether `oid` was verified in this query.
-    pub fn is_verified(&self, oid: u32) -> bool {
-        self.verified_epoch[oid as usize] == self.epoch
-    }
-
-    /// Capacity (number of object ids representable).
-    pub fn capacity(&self) -> usize {
-        self.state.len()
     }
 }
 
@@ -104,50 +118,67 @@ mod tests {
     fn counts_accumulate() {
         let mut c = CollisionCounter::new(10);
         c.begin_query();
-        assert_eq!(c.count(3), 0);
-        assert_eq!(c.increment(3), 1);
-        assert_eq!(c.increment(3), 2);
-        assert_eq!(c.increment(5), 1);
-        assert_eq!(c.count(3), 2);
-        assert_eq!(c.count(5), 1);
-        assert_eq!(c.count(0), 0);
+        let mut v = c.view(0);
+        assert_eq!(v.increment(3), 1);
+        assert_eq!(v.increment(3), 2);
+        assert_eq!(v.increment(5), 1);
+        assert_eq!(v.increment(3), 3);
+    }
+
+    #[test]
+    fn a_view_counts_from_its_first_id() {
+        let mut c = CollisionCounter::new(10);
+        c.begin_query();
+        assert_eq!(c.view(4).increment(1), 1);
+        assert!(c.view(4).mark_verified(1));
+        // Offset 1 from id 4 and offset 5 from id 0 are one id.
+        assert_eq!(c.view(0).increment(5), 2);
+        assert!(!c.view(0).mark_verified(5));
+        assert_eq!(c.view(9).increment(0), 1);
+        assert_eq!(c.view(10).state.len(), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_view_past_the_capacity_is_refused() {
+        CollisionCounter::new(10).view(11);
     }
 
     #[test]
     fn begin_query_resets_logically() {
         let mut c = CollisionCounter::new(4);
         c.begin_query();
-        c.increment(1);
-        c.increment(1);
-        c.mark_verified(1);
+        c.view(0).increment(1);
+        c.view(0).increment(1);
+        c.view(0).mark_verified(1);
         c.begin_query();
-        assert_eq!(c.count(1), 0);
-        assert!(!c.is_verified(1));
-        assert_eq!(c.increment(1), 1, "stale count must not leak across queries");
+        assert!(c.view(0).mark_verified(1), "a stale flag must not leak across queries");
+        assert_eq!(c.view(0).increment(1), 1, "a stale count must not leak across queries");
     }
 
     #[test]
     fn verification_happens_once() {
         let mut c = CollisionCounter::new(4);
         c.begin_query();
-        assert!(c.mark_verified(2));
-        assert!(!c.mark_verified(2));
-        assert!(c.is_verified(2));
-        assert!(!c.is_verified(3));
+        let mut v = c.view(0);
+        assert!(v.mark_verified(2));
+        assert!(!v.mark_verified(2));
+        assert!(v.mark_verified(3));
     }
 
     #[test]
     fn epoch_wrap_is_safe() {
         let mut c = CollisionCounter::new(2);
         c.begin_query();
-        c.increment(0);
-        c.mark_verified(0);
+        c.view(0).increment(0);
+        c.view(0).mark_verified(0);
         // Force a wrap.
         c.epoch = u32::MAX;
         c.begin_query();
         assert_eq!(c.epoch, 1);
-        assert_eq!(c.count(0), 0, "wrapped epoch must not alias old stamps");
-        assert!(!c.is_verified(0));
+        let mut v = c.view(0);
+        assert!(v.mark_verified(0), "a wrapped epoch must not alias old flags");
+        assert_eq!(v.increment(0), 1, "a wrapped epoch must not alias old stamps");
     }
 
     #[test]
@@ -155,10 +186,10 @@ mod tests {
         // Many increments never bleed into the epoch half of the word.
         let mut c = CollisionCounter::new(1);
         c.begin_query();
+        let mut v = c.view(0);
         for expect in 1..=1000u32 {
-            assert_eq!(c.increment(0), expect);
+            assert_eq!(v.increment(0), expect);
         }
-        assert_eq!(c.count(0), 1000);
     }
 
     #[test]

@@ -1,29 +1,31 @@
 //! The in-memory C2LSH index.
 //!
-//! Per hash function, the index stores one run of object ids ordered
-//! by `(level-1 bucket id, object id)` behind a *bucket directory*: the
+//! Per hash function, the index stores runs of object ids ordered by
+//! `(level-1 bucket id, object id)` behind a *bucket directory*: the
 //! distinct bucket ids in ascending order and the entry offset at which
 //! each one starts. A table holds a few dozen distinct buckets however
-//! many objects it indexes, so the directory stays cache-resident and
-//! the index costs 4 bytes per entry — the ids — instead of 12. This
-//! *is* the paper's hash table: virtual rehashing only ever asks a run
-//! where a bucket starts, and turns every level-`R` bucket lookup into
-//! a contiguous range of the run.
+//! many objects it indexes, so the directory stays cache-resident. The
+//! ids are kept per `Segment` of at most 65 536 ids, each as a `u16`
+//! offset from the segment's first id, so the index costs 2 bytes per
+//! entry instead of the 12 of a `(bucket, oid)` pair. This *is* the
+//! paper's hash table: virtual rehashing only ever asks a run where a
+//! bucket starts, and turns every level-`R` bucket lookup into a
+//! contiguous range of each segment's run.
 //!
-//! The build hashes one table's column at a time and counting-sorts the
-//! ids by bucket — the histogram's prefix sums are the directory —
-//! with tables spread over the machine's cores.
+//! The build hashes one table's column at a time and counting-sorts
+//! each segment's share of it by bucket — the histogram's prefix sums
+//! are the directory — with tables spread over the machine's cores.
 //!
 //! The query loop itself lives in [`crate::engine`]; this module holds
-//! the one walk that feeds it. The index is one `Segment`, a run per
-//! table over the ids `0..n`; a store that keeps several runs per table
-//! — the shards of [`crate::sharded`], the sealed blocks of
-//! [`crate::dynamic`] — keeps a `Segment` per ascending id range. The
-//! walk grows a [`KeyWindows`] cursor and hands the segments' ids out
-//! bucket by bucket as one table; [`crate::disk`] meters it in pages.
+//! the one walk that feeds it. Every resident store is a list of
+//! segments over ascending id ranges: `⌈n / 65 536⌉` of them here, the
+//! shards of [`crate::sharded`] split the same way, the sealed blocks of
+//! [`crate::dynamic`]. The walk grows a [`KeyWindows`] cursor and hands
+//! the segments' ids out bucket by bucket as one table; [`crate::disk`]
+//! meters it in pages.
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, KeyWindows, SearchOptions, TableStore};
+use crate::engine::{self, Ids, KeyWindows, SearchOptions, TableStore};
 use crate::hash::{HashFamily, PstableHash};
 use crate::kernels;
 use crate::meta::PointMeta;
@@ -33,8 +35,12 @@ use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
 use std::ops::Range;
 
-/// One hash table: object ids ordered by `(bucket, oid)`, plus the
-/// directory of where each distinct bucket starts.
+/// The most ids a segment spans, `last − first + 1`: its runs store each
+/// as a `u16` offset from `first`.
+pub(crate) const SEGMENT_IDS: usize = 1 << 16;
+
+/// One hash table of a segment: id offsets ordered by `(bucket, id)`,
+/// plus the directory of where each distinct bucket starts.
 #[derive(Debug)]
 pub(crate) struct SortedRun {
     /// Distinct bucket ids, ascending.
@@ -42,13 +48,14 @@ pub(crate) struct SortedRun {
     /// `keys.len() + 1` entry offsets: bucket `keys[i]` owns
     /// `oids[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
-    pub(crate) oids: Vec<u32>,
+    /// Offsets from the segment's first id.
+    pub(crate) oids: Vec<u16>,
 }
 
 impl SortedRun {
     /// A run over entries already ordered by bucket id; `None` when a
     /// bucket id descends.
-    pub(crate) fn from_sorted(entries: impl IntoIterator<Item = (i64, u32)>) -> Option<Self> {
+    pub(crate) fn from_sorted(entries: impl IntoIterator<Item = (i64, u16)>) -> Option<Self> {
         let entries = entries.into_iter();
         let oids = Vec::with_capacity(entries.size_hint().0);
         let mut run = SortedRun { keys: Vec::new(), starts: Vec::new(), oids };
@@ -67,22 +74,9 @@ impl SortedRun {
         Some(run)
     }
 
-    /// Hash every row under `h` into `column` (a buffer reused from
-    /// table to table) and order the ids by `(bucket, oid)`.
-    fn build(
-        data: &Dataset,
-        h: &PstableHash,
-        column: &mut Vec<i64>,
-        id: impl Fn(usize) -> u32,
-    ) -> Self {
-        column.clear();
-        column.extend(data.iter().map(|v| h.bucket(v)));
-        Self::from_column(column, id)
-    }
-
     /// The run of `column.len()` objects, the `i`-th of them `id(i)` in
     /// bucket `column[i]`; `id` ascends.
-    pub(crate) fn from_column(column: &[i64], id: impl Fn(usize) -> u32) -> Self {
+    pub(crate) fn from_column(column: &[i64], id: impl Fn(usize) -> u16) -> Self {
         let n = column.len();
         let min = column.iter().copied().min().unwrap_or(0);
         let max = column.iter().copied().max().unwrap_or(0);
@@ -116,7 +110,7 @@ impl SortedRun {
             seen += count;
         }
         starts.push(seen);
-        let mut oids = vec![0u32; n];
+        let mut oids = vec![0u16; n];
         for (i, &b) in column.iter().enumerate() {
             let at = &mut next[slot(b)];
             oids[*at as usize] = id(i);
@@ -125,31 +119,21 @@ impl SortedRun {
         SortedRun { keys, starts, oids }
     }
 
-    /// Every bucket with its ids, in run order.
-    pub(crate) fn buckets(&self) -> impl Iterator<Item = (i64, &[u32])> + '_ {
-        let bounds = self.starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
-        self.keys.iter().zip(bounds).map(|(&bucket, ids)| (bucket, &self.oids[ids]))
-    }
-
-    /// Every `(bucket, oid)` entry in run order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
-        self.buckets().flat_map(|(bucket, ids)| ids.iter().map(move |&oid| (bucket, oid)))
-    }
-
     /// The first occupied bucket at or above `b`.
     pub(crate) fn key_from(&self, b: i64) -> Option<i64> {
         self.keys.get(self.keys.partition_point(|&k| k < b)).copied()
     }
 
-    /// The ids of bucket `b` and the entry they start at, none when no
-    /// object hashed there.
-    pub(crate) fn bucket(&self, b: i64) -> (usize, &[u32]) {
+    /// The entry bucket `b` starts at, occupied or not.
+    fn start(&self, b: i64) -> usize {
+        self.starts[self.keys.partition_point(|&k| k < b)] as usize
+    }
+
+    /// The id offsets of bucket `b`, none when no object hashed there.
+    fn bucket(&self, b: i64) -> &[u16] {
         match self.keys.binary_search(&b) {
-            Ok(i) => {
-                let (at, end) = (self.starts[i] as usize, self.starts[i + 1] as usize);
-                (at, &self.oids[at..end])
-            }
-            Err(_) => (0, &[]),
+            Ok(i) => &self.oids[self.starts[i] as usize..self.starts[i + 1] as usize],
+            Err(_) => &[],
         }
     }
 
@@ -158,43 +142,41 @@ impl SortedRun {
         self.keys.first().copied().zip(self.keys.last().copied())
     }
 
-    /// One run holding the `rows` ids of `parts` that `keep` accepts; it
-    /// is asked only about parts flagged as holding ids it refuses. Every
-    /// id of a part is above every id of the part before it, so a bucket
-    /// written part by part is in id order.
+    /// One run from `first` holding the `rows` ids of `parts` that `keep`
+    /// accepts; each part is a run with the first id its offsets count
+    /// from, and `keep` is asked only about parts flagged as holding ids
+    /// it refuses. Every id of a part is above every id of the part
+    /// before it, and no id is `SEGMENT_IDS` or more past `first`.
     pub(crate) fn merged(
-        parts: &[(&SortedRun, bool)],
+        parts: &[(&SortedRun, u32, bool)],
+        first: u32,
         rows: usize,
         keep: impl Fn(u32) -> bool,
     ) -> Self {
-        let buckets = parts.iter().map(|(part, _)| part.keys.len()).sum::<usize>().min(rows);
+        let buckets = parts.iter().map(|(part, ..)| part.keys.len()).sum::<usize>().min(rows);
         let mut run = SortedRun {
             keys: Vec::with_capacity(buckets),
             starts: Vec::with_capacity(buckets + 1),
             oids: Vec::with_capacity(rows),
         };
-        let mut next = vec![0; parts.len()];
-        let heads = |next: &[usize]| {
-            parts.iter().zip(next).filter_map(|((part, _), &i)| part.keys.get(i)).min().copied()
-        };
-        while let Some(bucket) = heads(&next) {
+        let runs: Vec<&SortedRun> = parts.iter().map(|&(part, ..)| part).collect();
+        each_bucket(&runs, |bucket, slices| {
             let start = run.oids.len();
-            for (&(part, sift), i) in parts.iter().zip(&mut next) {
-                if part.keys.get(*i) == Some(&bucket) {
-                    let ids = &part.oids[part.starts[*i] as usize..part.starts[*i + 1] as usize];
-                    if sift {
-                        run.oids.extend(ids.iter().copied().filter(|&oid| keep(oid)));
-                    } else {
-                        run.oids.extend_from_slice(ids);
-                    }
-                    *i += 1;
+            for &(p, ids) in slices {
+                let (_, from, sift) = parts[p];
+                let shift = (from - first) as u16;
+                let ids = ids.iter().map(|&oid| oid + shift);
+                if sift {
+                    run.oids.extend(ids.filter(|&oid| keep(first + u32::from(oid))));
+                } else {
+                    run.oids.extend(ids);
                 }
             }
             if run.oids.len() > start {
                 run.keys.push(bucket);
                 run.starts.push(start as u32);
             }
-        }
+        });
         run.starts.push(run.oids.len() as u32);
         debug_assert_eq!(run.oids.len(), rows);
         run
@@ -202,7 +184,30 @@ impl SortedRun {
 
     /// Resident bytes: the ids plus the directory.
     fn size_bytes(&self) -> usize {
-        self.oids.len() * 4 + self.keys.len() * 8 + self.starts.len() * 4
+        self.oids.len() * 2 + self.keys.len() * 8 + self.starts.len() * 4
+    }
+}
+
+/// Every bucket of `runs`, ascending, with the index and the ids of each
+/// run that holds it, in run order.
+pub(crate) fn each_bucket<'r>(
+    runs: &[&'r SortedRun],
+    mut visit: impl FnMut(i64, &[(usize, &'r [u16])]),
+) {
+    let mut next = vec![0; runs.len()];
+    let mut slices = Vec::with_capacity(runs.len());
+    let head = |next: &[usize]| {
+        runs.iter().zip(next).filter_map(|(run, &i)| run.keys.get(i)).min().copied()
+    };
+    while let Some(bucket) = head(&next) {
+        slices.clear();
+        for (p, (run, i)) in runs.iter().zip(&mut next).enumerate() {
+            if run.keys.get(*i) == Some(&bucket) {
+                slices.push((p, &run.oids[run.starts[*i] as usize..run.starts[*i + 1] as usize]));
+                *i += 1;
+            }
+        }
+        visit(bucket, &slices);
     }
 }
 
@@ -211,9 +216,10 @@ impl SortedRun {
 const HEADS: usize = 8;
 const HEAD_LINES: usize = 16;
 
-/// The rows of one id range — a shard, a sealed block, several blocks
-/// merged: per hash table a run of their object ids by `(bucket, oid)`.
-/// Never written once built, so snapshots share it.
+/// The rows of one id range of at most [`SEGMENT_IDS`] ids — a part of
+/// the index or of a shard, a sealed block, several blocks merged: per
+/// hash table a run of their id offsets by `(bucket, id)`. Never written
+/// once built, so snapshots share it.
 #[derive(Debug)]
 pub(crate) struct Segment {
     pub(crate) runs: Vec<SortedRun>,
@@ -238,16 +244,22 @@ impl Segment {
     /// ids from every segment in turn, bucket after bucket. Segments hold
     /// ascending id ranges, so that is the `(bucket, oid)` order of one
     /// run over all of them. `visit` gets each slice with the entry it
-    /// starts at in its segment's run.
+    /// starts at in that one run.
     pub(crate) fn expand(
         segments: &[impl AsRef<Segment>],
         cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
-        mut visit: impl FnMut(usize, &[u32]) -> bool,
+        mut visit: impl FnMut(usize, Ids<'_, u16>) -> bool,
     ) {
         for keys in cursor.grow(t, radius) {
             let (first, last) = keys.into_inner();
+            if first > last {
+                continue;
+            }
+            // Where bucket `first` starts in the one run; past each bucket
+            // it is where the next occupied one starts.
+            let mut at: usize = segments.iter().map(|s| s.as_ref().runs[t].start(first)).sum();
             let mut from = first;
             while from <= last {
                 // A range of one bucket, as in every first round, has no
@@ -263,14 +275,17 @@ impl Segment {
                 // for their heads together, so those misses overlap
                 // instead of following one another.
                 for group in segments.chunks(HEADS) {
-                    let mut slices: [(usize, &[u32]); HEADS] = [(0, &[]); HEADS];
+                    let mut slices = [Ids { first: 0, offsets: &[] as &[u16] }; HEADS];
                     for (slice, s) in slices.iter_mut().zip(group) {
-                        *slice = s.as_ref().runs[t].bucket(b);
-                        (0..HEAD_LINES).for_each(|line| kernels::prefetch_read(slice.1, 16 * line));
+                        let s = s.as_ref();
+                        *slice = Ids { first: s.first, offsets: s.runs[t].bucket(b) };
+                        (0..HEAD_LINES).for_each(|line| kernels::prefetch_read(slice, 32 * line));
                     }
-                    let mut handed = slices.into_iter().filter(|(_, ids)| !ids.is_empty());
-                    if !handed.all(|(at, ids)| visit(at, ids)) {
-                        return;
+                    for ids in slices.into_iter().filter(|ids| !ids.is_empty()) {
+                        if !visit(at, ids) {
+                            return;
+                        }
+                        at += ids.len();
                     }
                 }
                 // Bucket `i64::MAX` is the last there is.
@@ -302,8 +317,9 @@ pub struct C2lshIndex<'d> {
     config: C2lshConfig,
     params: FullParams,
     family: HashFamily,
-    /// Every table's run over the ids `0..n`.
-    pub(crate) segment: Segment,
+    /// Every table's runs over the ids `0..n`, [`SEGMENT_IDS`] to a
+    /// segment.
+    pub(crate) segments: Vec<Segment>,
     /// Per-point attribute payloads, indexed by object id; empty when
     /// the corpus carries no metadata (every point reads as default).
     metas: Vec<PointMeta>,
@@ -323,11 +339,9 @@ impl<'d> C2lshIndex<'d> {
         let params = FullParams::derive(data.len(), config);
         let family = HashFamily::generate(params.m, data.dim(), config);
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let runs = build_tables(data, &family, threads, |i| i as u32);
-        let segment = Segment { runs, first: 0, last: data.len() as u32 - 1 };
-        Self { data, config: config.clone(), params, family, segment, metas: Vec::new() }
+        let segments = build_segments(data, &family, threads, |i| i as u32);
+        Self { data, config: config.clone(), params, family, segments, metas: Vec::new() }
     }
-
     /// Attach per-point attribute payloads (row `i` of the dataset gets
     /// `metas[i]`), enabling filtered queries via
     /// [`SearchOptions::filter`].
@@ -399,17 +413,18 @@ impl<'d> C2lshIndex<'d> {
         engine::run_query_batch(self, &self.params.search(&self.config), queries, k, opts)
     }
 
-    /// Resident index size in bytes: every table's ids and bucket
-    /// directory, plus the hash family. (The paper's index-size table
-    /// is the 12-byte-entry disk layout, [`crate::DiskIndex::size_bytes`].)
+    /// Resident index size in bytes: every table's ids — 2 bytes an
+    /// entry — and every segment's bucket directory of it, plus the hash
+    /// family. (The paper's index-size table is the 12-byte-entry disk
+    /// layout, [`crate::DiskIndex::size_bytes`].)
     pub fn size_bytes(&self) -> usize {
-        self.segment.runs.iter().map(SortedRun::size_bytes).sum::<usize>()
-            + self.family.size_bytes()
+        let runs = self.segments.iter().flat_map(|s| &s.runs);
+        runs.map(SortedRun::size_bytes).sum::<usize>() + self.family.size_bytes()
     }
 
     /// Number of hash tables `m`.
     pub fn num_tables(&self) -> usize {
-        self.segment.runs.len()
+        self.params.m
     }
 
     /// `(n, dim)` of the indexed dataset (for persistence fingerprints).
@@ -420,8 +435,14 @@ impl<'d> C2lshIndex<'d> {
     /// Visit every `(bucket, oid)` entry, table by table in order (the
     /// persistence serializer).
     pub fn for_each_table_entry(&self, mut f: impl FnMut(i64, u32)) {
-        for (bucket, oid) in self.segment.runs.iter().flat_map(SortedRun::entries) {
-            f(bucket, oid);
+        for t in 0..self.params.m {
+            let runs: Vec<&SortedRun> = self.segments.iter().map(|s| &s.runs[t]).collect();
+            each_bucket(&runs, |bucket, slices| {
+                for &(at, ids) in slices {
+                    let first = self.segments[at].first;
+                    ids.iter().for_each(|&oid| f(bucket, first + u32::from(oid)));
+                }
+            });
         }
     }
 
@@ -430,28 +451,54 @@ impl<'d> C2lshIndex<'d> {
         data: &'d Dataset,
         config: C2lshConfig,
         functions: Vec<PstableHash>,
-        runs: Vec<SortedRun>,
+        segments: Vec<Segment>,
     ) -> Self {
         let params = FullParams::derive(data.len(), &config);
         let family = HashFamily::from_functions(functions);
         assert_eq!(family.len(), params.m, "family size disagrees with parameters");
-        let segment = Segment { runs, first: 0, last: data.len() as u32 - 1 };
-        Self { data, config, params, family, segment, metas: Vec::new() }
+        Self { data, config, params, family, segments, metas: Vec::new() }
     }
 }
 
-/// One run per hash function, in family order, row `i` of `data`
-/// entered as `id(i)`.
-pub(crate) fn build_tables(
+/// The segments of `data`, row `i` entered as `id(i)`: a new segment
+/// starts at the first row whose id is [`SEGMENT_IDS`] or more past its
+/// first. `id` ascends. Each worker hashes a table's column once and
+/// sorts every segment's share of it.
+pub(crate) fn build_segments(
     data: &Dataset,
     family: &HashFamily,
     threads: usize,
     id: impl Fn(usize) -> u32 + Sync,
-) -> Vec<SortedRun> {
-    per_table(family.len(), threads, |tables| {
+) -> Vec<Segment> {
+    let mut bounds: Vec<Range<usize>> = Vec::new();
+    for row in 0..data.len() {
+        match bounds.last_mut() {
+            Some(rows) if (id(row) - id(rows.start)) < SEGMENT_IDS as u32 => rows.end = row + 1,
+            _ => bounds.push(row..row + 1),
+        }
+    }
+    let tables = per_table(family.len(), threads, |tables| {
         let mut column = Vec::with_capacity(data.len());
-        tables.map(|t| SortedRun::build(data, family.get(t), &mut column, &id)).collect()
-    })
+        let mut runs_of = |t: usize| {
+            column.clear();
+            column.extend(data.iter().map(|v| family.get(t).bucket(v)));
+            let run = |rows: &Range<usize>| {
+                let first = id(rows.start);
+                SortedRun::from_column(&column[rows.clone()], |i| {
+                    (id(rows.start + i) - first) as u16
+                })
+            };
+            bounds.iter().map(run).collect::<Vec<_>>()
+        };
+        tables.map(&mut runs_of).collect()
+    });
+    let mut tables: Vec<_> = tables.into_iter().map(Vec::into_iter).collect();
+    let segment = |rows: &Range<usize>| Segment {
+        runs: tables.iter_mut().map(|runs| runs.next().expect("a run per segment")).collect(),
+        first: id(rows.start),
+        last: id(rows.end - 1),
+    };
+    bounds.iter().map(segment).collect()
 }
 
 /// What `build` makes of each of `m` tables, in table order: `threads`
@@ -478,6 +525,7 @@ pub(crate) fn per_table<T: Send>(
 
 impl TableStore for C2lshIndex<'_> {
     type Cursor = KeyWindows;
+    type Id = u16;
 
     fn dim(&self) -> usize {
         self.data.dim()
@@ -488,7 +536,7 @@ impl TableStore for C2lshIndex<'_> {
     }
 
     fn num_tables(&self) -> usize {
-        self.segment.runs.len()
+        self.params.m
     }
 
     fn begin(&self, q: &[f32]) -> KeyWindows {
@@ -504,15 +552,13 @@ impl TableStore for C2lshIndex<'_> {
         cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(&[u32]) -> bool,
+        visit: &mut dyn FnMut(&Ids<'_, u16>) -> bool,
     ) {
-        Segment::expand(std::slice::from_ref(&self.segment), cursor, t, radius, |_, ids| {
-            visit(ids)
-        });
+        Segment::expand(&self.segments, cursor, t, radius, |_, ids| visit(&ids));
     }
 
     fn exhausted(&self, cursor: &KeyWindows) -> bool {
-        Segment::exhausted(std::slice::from_ref(&self.segment), cursor, self.num_tables())
+        Segment::exhausted(&self.segments, cursor, self.params.m)
     }
 
     fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
@@ -532,6 +578,23 @@ mod tests {
     use cc_vector::gen::{generate, Distribution};
     use cc_vector::gt::knn_linear;
     use cc_vector::metrics::{overall_ratio, recall};
+
+    impl SortedRun {
+        /// Every `(bucket, offset)` entry in run order.
+        pub(crate) fn entries(&self) -> impl Iterator<Item = (i64, u16)> + '_ {
+            let bounds = self.starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
+            let buckets =
+                self.keys.iter().zip(bounds).map(|(&bucket, ids)| (bucket, &self.oids[ids]));
+            buckets.flat_map(|(bucket, ids)| ids.iter().map(move |&oid| (bucket, oid)))
+        }
+    }
+
+    impl Segment {
+        /// Every `(bucket, id)` entry of table `t`, in run order.
+        pub(crate) fn entries(&self, t: usize) -> impl Iterator<Item = (i64, u32)> + '_ {
+            self.runs[t].entries().map(|(bucket, oid)| (bucket, self.first + u32::from(oid)))
+        }
+    }
 
     fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
         generate(
@@ -643,9 +706,9 @@ mod tests {
         let data = clustered(1000, 8, 8);
         let index = C2lshIndex::build(&data, &cfg());
         let mn = index.num_tables() * 1000;
-        // 4 bytes per entry per table; the directories and the family
+        // 2 bytes per entry per table; the directories and the family
         // are small change beside them.
-        assert!((4 * mn..5 * mn).contains(&index.size_bytes()), "{}", index.size_bytes());
+        assert!((2 * mn..3 * mn).contains(&index.size_bytes()), "{}", index.size_bytes());
 
         // Worst case, every object alone in its bucket: a key and an
         // offset per entry on top of the id.
@@ -654,12 +717,12 @@ mod tests {
         let data = Dataset::from_rows(&rows);
         let index = C2lshIndex::build(&data, &cfg());
         let (m, tables) = (index.num_tables(), index.size_bytes() - index.family().size_bytes());
-        assert!(tables > 15 * m * 200 && tables <= m * (16 * 200 + 4), "{tables}");
+        assert!(tables > 13 * m * 200 && tables <= m * (14 * 200 + 4), "{tables}");
     }
 
     /// The reference run: the `(bucket, oid)` pairs themselves, sorted.
-    fn sorted_pairs(buckets: &[i64], oids: impl Iterator<Item = u32>) -> Vec<(i64, u32)> {
-        let mut pairs: Vec<(i64, u32)> = buckets.iter().copied().zip(oids).collect();
+    fn sorted_pairs<T: Ord>(buckets: &[i64], oids: impl Iterator<Item = T>) -> Vec<(i64, T)> {
+        let mut pairs: Vec<(i64, T)> = buckets.iter().copied().zip(oids).collect();
         pairs.sort_unstable();
         pairs
     }
@@ -668,7 +731,7 @@ mod tests {
     /// cursor, at every radius up to the saturated one, what the window
     /// newly covers of `want` in `want`'s order, and be exhausted exactly
     /// when the window covers all of it.
-    fn check_run(run: SortedRun, want: &[(i64, u32)], queries: &[i64]) {
+    fn check_run(run: SortedRun, want: &[(i64, u16)], queries: &[i64]) {
         assert_eq!(run.entries().collect::<Vec<_>>(), want);
         assert_eq!(run.oids, want.iter().map(|e| e.1).collect::<Vec<_>>());
         assert_eq!(run.starts.len(), run.keys.len() + 1);
@@ -680,11 +743,11 @@ mod tests {
             for radius in (0..64).map(|level| crate::rehash::radius_at(2, level)) {
                 let now = crate::rehash::window(q, radius);
                 let new =
-                    |&&(b, _): &&(i64, u32)| holds(now, b) && !before.is_some_and(|w| holds(w, b));
-                let reference: Vec<u32> = want.iter().filter(new).map(|e| e.1).collect();
+                    |&&(b, _): &&(i64, u16)| holds(now, b) && !before.is_some_and(|w| holds(w, b));
+                let reference: Vec<u16> = want.iter().filter(new).map(|e| e.1).collect();
                 let mut got = Vec::new();
                 Segment::expand(&segment, &mut cursor, 0, radius, |_, ids| {
-                    got.extend_from_slice(ids);
+                    got.extend_from_slice(&ids);
                     true
                 });
                 assert_eq!(got, reference, "q {q}, radius {radius}");
@@ -732,13 +795,13 @@ mod tests {
             let ends = [0, -1, i64::MIN, i64::MAX];
             let queries: Vec<i64> = column.iter().take(3).copied().chain([q]).chain(ends).collect();
             let want = sorted_pairs(&column, 0..);
-            check_run(SortedRun::from_column(&column, |i| i as u32), &want, &queries);
+            check_run(SortedRun::from_column(&column, |i| i as u16), &want, &queries);
             // Ascending ids of a shard or a block, written in the one pass.
-            let id = |i: usize| 1000 + 3 * i as u32;
+            let id = |i: usize| 1000 + 3 * i as u16;
             let want = sorted_pairs(&column, (0..column.len()).map(id));
             check_run(SortedRun::from_column(&column, id), &want, &queries);
             // Arbitrary ids, repeats included, as a loaded blob may hold.
-            let want = sorted_pairs(&column, raw.iter().map(|r| (r >> 7) as u32));
+            let want = sorted_pairs(&column, raw.iter().map(|r| (r >> 48) as u16));
             check_run(SortedRun::from_sorted(want.iter().copied()).unwrap(), &want, &queries);
         }
     }
@@ -749,23 +812,40 @@ mod tests {
         assert_eq!(SortedRun::from_sorted([]).unwrap().key_span(), None);
     }
 
+    /// Whatever the thread count, every table of every segment is its
+    /// rows' `(bucket, id)` pairs sorted, a segment ends where the next
+    /// id would take it past `SEGMENT_IDS` ids, and the entries walked
+    /// across the segments are the sorted pairs of all rows.
     #[test]
-    fn build_tables_matches_reference_for_any_thread_count() {
+    fn build_segments_matches_reference_for_any_thread_count() {
         let data = clustered(700, 6, 15);
         let index = C2lshIndex::build(&data, &cfg());
-        let want: Vec<Vec<(i64, u32)>> = index
-            .family()
-            .iter()
-            .map(|h| sorted_pairs(&data.iter().map(|v| h.bucket(v)).collect::<Vec<_>>(), 0..))
-            .collect();
-        for threads in [1, 2, 7] {
-            let tables = build_tables(&data, index.family(), threads, |i| i as u32);
-            let got: Vec<Vec<(i64, u32)>> = tables.iter().map(|t| t.entries().collect()).collect();
-            assert_eq!(got, want, "{threads} threads");
+        let columns: Vec<Vec<i64>> =
+            index.family().iter().map(|h| data.iter().map(|v| h.bucket(v)).collect()).collect();
+        let functions: Vec<PstableHash> = index.family().iter().cloned().collect();
+        // Ids 300 apart: 219 of them span fewer than 65 536.
+        for (step, rows) in [(1, 700), (300, 219)] {
+            let id = |i: usize| i as u32 * step;
+            let want: Vec<Vec<(i64, u32)>> =
+                columns.iter().map(|column| sorted_pairs(column, (0..700).map(id))).collect();
+            let bounds: Vec<(u32, u32)> =
+                (0..700).step_by(rows).map(|lo| (id(lo), id((lo + rows).min(700) - 1))).collect();
+            for threads in [1, 2, 7] {
+                let segments = build_segments(&data, index.family(), threads, id);
+                assert_eq!(segments.iter().map(|s| (s.first, s.last)).collect::<Vec<_>>(), bounds);
+                for (s, lo) in segments.iter().zip((0..700).step_by(rows)) {
+                    for (t, column) in columns.iter().enumerate() {
+                        let own = &column[lo..(lo + rows).min(700)];
+                        let want = sorted_pairs(own, (lo..lo + own.len()).map(id));
+                        assert_eq!(s.entries(t).collect::<Vec<_>>(), want, "{threads} threads");
+                    }
+                }
+                let walked = C2lshIndex::from_parts(&data, cfg(), functions.clone(), segments);
+                let mut entries = Vec::new();
+                walked.for_each_table_entry(|b, o| entries.push((b, o)));
+                assert_eq!(entries, want.concat(), "{threads} threads, ids {step} apart");
+            }
         }
-        let mut entries = Vec::new();
-        index.for_each_table_entry(|b, o| entries.push((b, o)));
-        assert_eq!(entries, want.concat());
     }
 
     #[test]

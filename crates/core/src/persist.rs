@@ -7,8 +7,9 @@
 //! caller keeps (the index borrows them at load time, and a fingerprint
 //! of the dataset shape guards against loading an index against the
 //! wrong data). Tables are written one `(bucket, oid)` entry per object,
-//! whatever the runs look like in memory; loading folds the repeated
-//! bucket ids back into each run's directory.
+//! whatever the runs look like in memory; loading splits each table's
+//! entries by id range into its segments and folds the repeated bucket
+//! ids back into each run's directory.
 //!
 //! Layout (all little-endian):
 //!
@@ -31,7 +32,7 @@
 
 use crate::config::{Beta, C2lshConfig};
 use crate::dynamic::DynamicIndex;
-use crate::index::{C2lshIndex, SortedRun};
+use crate::index::{C2lshIndex, Segment, SortedRun, SEGMENT_IDS};
 use crate::meta::PointMeta;
 use bytes::BufMut;
 use cc_vector::dataset::Dataset;
@@ -276,7 +277,13 @@ pub fn load_index<'d>(data: &'d Dataset, buf: &[u8]) -> Result<C2lshIndex<'d>, P
         let b = r.get_f64_le()?;
         functions.push(crate::hash::PstableHash::from_parts(a, b, w));
     }
-    let mut tables = Vec::with_capacity(m);
+    let mut segments: Vec<Segment> = (0..n)
+        .step_by(SEGMENT_IDS)
+        .map(|first| {
+            let last = n.min(first + SEGMENT_IDS) - 1;
+            Segment { runs: Vec::with_capacity(m), first: first as u32, last: last as u32 }
+        })
+        .collect();
     for _ in 0..m {
         let entries = r.take(n * 12)?.chunks_exact(12).map(|e| {
             let (bucket, oid) = e.split_at(8);
@@ -285,15 +292,22 @@ pub fn load_index<'d>(data: &'d Dataset, buf: &[u8]) -> Result<C2lshIndex<'d>, P
                 u32::from_le_bytes(oid.try_into().unwrap()),
             )
         });
-        let run = SortedRun::from_sorted(entries)
-            .ok_or_else(|| PersistError::Malformed("table not sorted".into()))?;
-        if run.oids.iter().any(|&o| o as usize >= n) {
+        if !entries.clone().map(|(bucket, _)| bucket).is_sorted() {
+            return Err(PersistError::Malformed("table not sorted".into()));
+        }
+        if entries.clone().any(|(_, oid)| oid as usize >= n) {
             return Err(PersistError::Malformed("object id out of range".into()));
         }
-        tables.push(run);
+        for segment in &mut segments {
+            let (first, last) = (segment.first, segment.last);
+            let own = entries.clone().filter(|&(_, oid)| (first..=last).contains(&oid));
+            let run =
+                SortedRun::from_sorted(own.map(|(bucket, oid)| (bucket, (oid - first) as u16)));
+            segment.runs.push(run.expect("the table was checked sorted"));
+        }
     }
     // beta_n re-derives identically from (beta, n); sanity-check it.
-    let idx = C2lshIndex::from_parts(data, config, functions, tables);
+    let idx = C2lshIndex::from_parts(data, config, functions, segments);
     if idx.params().beta_n != beta_n {
         return Err(PersistError::Malformed(format!(
             "beta_n mismatch: stored {beta_n}, derived {}",

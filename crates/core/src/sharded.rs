@@ -7,8 +7,8 @@
 //! never on other objects — and an index partitioned by object id *is*
 //! the unpartitioned index. [`ShardedEngine`] keeps one hash family and
 //! one set of parameters, both derived from the **total** object count,
-//! and per shard one `index::Segment`: the shard's sorted runs over
-//! global ids. A query runs the single engine loop of
+//! and per shard the `index::Segment`s of its sorted runs over global
+//! ids, one per 65 536 of them. A query runs the single engine loop of
 //! [`crate::engine::run_query`] under one [`KeyWindows`] cursor, and a
 //! bucket's ids go out shard by shard, bucket after bucket — one
 //! table's `(bucket, oid)` order, the walk every store makes over its
@@ -18,9 +18,9 @@
 //! by `tests/proptest_sharded.rs`.
 
 use crate::config::C2lshConfig;
-use crate::engine::{self, KeyWindows, SearchOptions, SearchParams, TableStore};
+use crate::engine::{self, Ids, KeyWindows, SearchOptions, SearchParams, TableStore};
 use crate::hash::HashFamily;
-use crate::index::{build_tables, Segment};
+use crate::index::{build_segments, Segment};
 use crate::meta::PointMeta;
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
@@ -94,14 +94,15 @@ impl ShardedData {
     }
 }
 
-/// One logical collision-counting index over partitioned data: a
-/// segment of sorted runs per shard under one hash family and one set
-/// of derived parameters, driven by the generic engine.
+/// One logical collision-counting index over partitioned data: the
+/// segments of sorted runs of every shard under one hash family and one
+/// set of derived parameters, driven by the generic engine.
 #[derive(Debug)]
 pub struct ShardedEngine<'d> {
     data: &'d ShardedData,
     family: HashFamily,
-    /// Shard `s`'s runs, over the global ids `offsets[s]..offsets[s + 1]`.
+    /// Every shard's segments in shard order, shard `s`'s over the global
+    /// ids `offsets[s]..offsets[s + 1]`.
     segments: Vec<Segment>,
     /// Per-point attribute payloads by global object id; empty when the
     /// corpus carries no metadata (every point reads as default).
@@ -125,11 +126,7 @@ impl<'d> ShardedEngine<'d> {
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         let shards = data.shards.iter().zip(data.offsets.windows(2));
         let segments = shards
-            .map(|(rows, ids)| Segment {
-                runs: build_tables(rows, &family, threads, |i| ids[0] + i as u32),
-                first: ids[0],
-                last: ids[1] - 1,
-            })
+            .flat_map(|(rows, ids)| build_segments(rows, &family, threads, |i| ids[0] + i as u32))
             .collect();
         let search = params.search(config);
         Self { data, family, segments, metas: Vec::new(), params, search }
@@ -142,7 +139,7 @@ impl<'d> ShardedEngine<'d> {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.segments.len()
+        self.data.num_shards()
     }
 
     /// Dataset dimensionality (inherent mirror of the [`TableStore`]
@@ -221,6 +218,7 @@ impl<'d> ShardedEngine<'d> {
 
 impl TableStore for ShardedEngine<'_> {
     type Cursor = KeyWindows;
+    type Id = u16;
 
     fn dim(&self) -> usize {
         self.data.dim()
@@ -247,9 +245,9 @@ impl TableStore for ShardedEngine<'_> {
         cursor: &mut KeyWindows,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(&[u32]) -> bool,
+        visit: &mut dyn FnMut(&Ids<'_, u16>) -> bool,
     ) {
-        Segment::expand(&self.segments, cursor, t, radius, |_, ids| visit(ids))
+        Segment::expand(&self.segments, cursor, t, radius, |_, ids| visit(&ids))
     }
 
     fn exhausted(&self, cursor: &KeyWindows) -> bool {
@@ -378,6 +376,23 @@ mod tests {
         let engine = ShardedEngine::build(&sharded, &cfg);
         let q = data.get(200);
         assert_eq!(engine.query(q, 9), single.query(q, 9));
+    }
+
+    /// A shard of more than 65 536 rows is several segments, and still
+    /// one shard.
+    #[test]
+    fn a_shard_past_one_segment_is_still_one_shard() {
+        let data = clustered(140_000, 2, 9);
+        let config = C2lshConfig::builder().seed(3).m_override(3).l_override(2).build();
+        let sharded = ShardedData::partition(&data, 2);
+        let engine = ShardedEngine::build(&sharded, &config);
+        assert_eq!(engine.num_shards(), 2);
+        let ranges: Vec<(u32, u32)> = engine.segments.iter().map(|s| (s.first, s.last)).collect();
+        assert_eq!(ranges, [(0, 65_535), (65_536, 69_999), (70_000, 135_535), (135_536, 139_999)]);
+        let single = C2lshIndex::build(&data, &config);
+        for qi in [0usize, 65_535, 65_536, 70_000, 139_999] {
+            assert_eq!(engine.query(data.get(qi), 5), single.query(data.get(qi), 5), "query {qi}");
+        }
     }
 
     /// Pins what one 6 000 × 12 data set answers at 1, 3 and 4 shards:

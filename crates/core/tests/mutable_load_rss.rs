@@ -1,6 +1,6 @@
 //! What a bulk load through [`MutableIndex`] costs in resident memory,
 //! against what it must hold: every vector once and every id once per
-//! hash table. Release-only (the CI fault-injection job runs it) and
+//! hash table, as a 2-byte offset inside its segment. Release-only (the CI fault-injection job runs it) and
 //! Linux-only (`VmHWM` comes from `/proc/self/status`). It is the only
 //! test in this binary, so nothing else moves the high-water mark.
 #![cfg(target_os = "linux")]
@@ -39,14 +39,14 @@ fn a_bulk_load_peaks_near_the_bytes_it_must_hold() {
     index.checkpoint().unwrap();
     let grown = (vm_hwm_kib() - before_kib) as f64 * 1024.0;
 
-    // The vectors, and an id per object per table. Everything else —
-    // the batch in flight, the block being hashed, the segments a merge
-    // reads while it writes their successor, the retained log's and the
-    // columns' pointers, the checkpoint blob — is the factor: 3.11 with
-    // the ids in power-of-two chunks and a copy of every vector in the
-    // retained log, 1.58 with sealed segments and shared vectors (three
-    // runs each, equal to the second decimal). The bound sits halfway.
-    let payload = (4 * N * (DIM + m)) as f64;
+    // The vectors, and a 2-byte id per object per table. Everything
+    // else — the batch in flight, the block being hashed, the segments a
+    // merge reads while it writes their successor, the retained log's and
+    // the columns' pointers, the checkpoint blob — is the factor: 2.85
+    // with 4-byte ids in the runs (78.4 MiB grown), 1.84 with 2-byte
+    // offsets (50.4 MiB; three runs each, equal to the second decimal).
+    // The bound sits halfway.
+    let payload = (N * (4 * DIM + 2 * m)) as f64;
     println!(
         "VmHWM grew {:.1} MiB for {:.1} MiB of payload: x{:.2}",
         grown / 1048576.0,

@@ -17,7 +17,7 @@
 //! pair walking that tree would read. No node exists.
 
 use crate::params::derive;
-use c2lsh::engine::{self, SearchOptions, SearchParams, TableStore};
+use c2lsh::engine::{self, Ids, SearchOptions, SearchParams, TableStore};
 use c2lsh::meta::PointMeta;
 use c2lsh::stats::{BatchStats, QueryStats};
 use c2lsh::{ENTRIES_PER_PAGE, PAGE_SIZE};
@@ -302,6 +302,7 @@ pub struct QalshCursor {
 
 impl TableStore for Qalsh<'_> {
     type Cursor = QalshCursor;
+    type Id = u32;
 
     fn dim(&self) -> usize {
         self.data.dim()
@@ -329,11 +330,13 @@ impl TableStore for Qalsh<'_> {
         cursor: &mut QalshCursor,
         t: usize,
         radius: i64,
-        visit: &mut dyn FnMut(&[u32]) -> bool,
+        visit: &mut dyn FnMut(&Ids<'_, u32>) -> bool,
     ) {
         let half = self.config.w * radius as f64 / 2.0;
         let window = (cursor.pq[t] - half, cursor.pq[t] + half);
-        self.columns[t].expand(&mut cursor.covered[t], window, &self.reads, visit);
+        let covered = &mut cursor.covered[t];
+        self.columns[t]
+            .expand(covered, window, &self.reads, &mut |offsets| visit(&Ids { first: 0, offsets }));
     }
 
     fn exhausted(&self, cursor: &QalshCursor) -> bool {
