@@ -32,7 +32,7 @@
 //!
 //! The c-k-ANN search loop — virtual rehashing, dynamic collision
 //! counting, the T1/T2 terminating conditions — is implemented exactly
-//! once, in [`engine`]. Each backend (one segment of sorted runs in
+//! once, in [`engine`]. Each backend (segments of sorted runs in
 //! memory or metered in 4 KiB pages, compressed runs behind a buffer
 //! pool, a segment per sealed block or per shard, the query-aware
 //! columns of the downstream `qalsh` crate) implements
@@ -47,7 +47,7 @@
 //!   the c-k-ANN loop ([`engine::run_query`]), the batch executor
 //!   ([`engine::run_query_batch`]), the window cursor
 //!   ([`engine::KeyWindows`]) and [`engine::counting::CollisionCounter`],
-//! * [`index`] — the in-memory backend: one segment of sorted runs,
+//! * [`index`] — the in-memory backend: segments of sorted runs,
 //! * [`disk`] — a page meter over its walk: paper-model I/O accounting,
 //! * [`paged`] — the out-of-core backend: page file and buffer pool,
 //! * [`dynamic`] — the updatable backend: the same runs in sealed
