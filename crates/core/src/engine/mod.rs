@@ -175,10 +175,10 @@ pub trait TableStore {
     /// Start a whole coalesced query batch: one cursor per query, in
     /// query order, each identical to [`TableStore::begin`] on that
     /// query. The default maps `begin`; backends whose cursors are
-    /// bucket ids override this with one blocked
-    /// [`crate::hash::HashFamily::buckets_batch`] matrix product so the
-    /// hash matrix streams through cache once per query block instead
-    /// of once per query.
+    /// bucket ids override this with one
+    /// [`crate::hash::HashFamily::buckets_batch`] call, which runs every
+    /// query against eight functions per pass, so each eight rows of the
+    /// hash matrix stay in cache for the whole batch.
     fn begin_batch(&self, queries: &Dataset) -> Vec<Self::Cursor> {
         (0..queries.len()).map(|qi| self.begin(queries.get(qi))).collect()
     }
@@ -624,9 +624,8 @@ fn search<S: TableStore>(
 
 /// Answer a whole query set in parallel across scoped threads.
 ///
-/// The batch is hashed up front as one blocked matrix product
-/// ([`TableStore::begin_batch`]) — each hash-matrix row streams through
-/// cache once per query block instead of once per query — then queries
+/// The batch is hashed up front in one call ([`TableStore::begin_batch`])
+/// — eight hash functions at a time against every query — then queries
 /// fan out to workers (hence the `S::Cursor: Send` bound). Results are
 /// in query order and identical to sequential [`run_query`] calls, with
 /// two observable differences: [`QueryStats::elapsed_nanos`] excludes

@@ -10,10 +10,11 @@
 //! probability `p(s, wR)`.
 
 use crate::config::C2lshConfig;
-use crate::kernels;
+use crate::kernels::{self, HashTile, TILE};
 use cc_vector::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// The highest virtual-rehashing level supported (radii up to
 /// `c^MAX_LEVEL`); chosen so `2^MAX_LEVEL` dwarfs any practical radius.
@@ -81,18 +82,19 @@ impl PstableHash {
 /// A family of `m` i.i.d. p-stable hash functions.
 ///
 /// Besides the individual [`PstableHash`] functions, the family keeps
-/// their projection vectors packed into one row-major `m×d` matrix so
-/// whole-family hashing runs as a blocked matrix product through the
-/// dispatched SIMD kernel ([`kernels::KernelDispatch::project_family`] /
-/// [`kernels::KernelDispatch::project_batch`]) instead of `m` separate
-/// virtual calls.
+/// their projection vectors packed into one row-major `m×d` matrix, with
+/// their offsets and widths beside it, so every row is hashed by the one
+/// dispatched kernel ([`kernels::KernelDispatch::hash_rows`]) against
+/// [`TILE`] functions at a time instead of one virtual call per function.
 #[derive(Debug, Clone)]
 pub struct HashFamily {
     functions: Vec<PstableHash>,
     /// Row-major `m×d` packing of the functions' `a` vectors.
     matrix: Vec<f32>,
-    /// Per-function offsets `b` (added by the projection kernels).
+    /// Per-function offsets `b`.
     offsets: Vec<f64>,
+    /// Per-function widths `w`.
+    widths: Vec<f64>,
     /// Dimensionality shared by every function.
     d: usize,
 }
@@ -106,13 +108,10 @@ impl HashFamily {
         assert!(!functions.is_empty(), "empty hash family");
         let d = functions[0].dim();
         assert!(functions.iter().all(|h| h.dim() == d), "mixed dimensions in family");
-        let mut matrix = Vec::with_capacity(functions.len() * d);
-        let mut offsets = Vec::with_capacity(functions.len());
-        for h in &functions {
-            matrix.extend_from_slice(&h.a);
-            offsets.push(h.b);
-        }
-        Self { functions, matrix, offsets, d }
+        let matrix = functions.iter().flat_map(|h| h.a.iter().copied()).collect();
+        let offsets = functions.iter().map(|h| h.b).collect();
+        let widths = functions.iter().map(|h| h.w).collect();
+        Self { functions, matrix, offsets, widths, d }
     }
 
     /// Draw `m` functions for `d`-dimensional data, deterministically
@@ -159,30 +158,66 @@ impl HashFamily {
         self.d
     }
 
-    /// Level-1 bucket ids of `o` under every function ("hash string").
-    /// One blocked `m×d` matrix product through the dispatched kernel;
+    /// Level-1 bucket ids of `o` under every function ("hash string"),
     /// bit-identical to calling [`PstableHash::bucket`] per function.
+    ///
+    /// # Panics
+    /// Panics when `o` has another dimensionality than the family.
     pub fn buckets(&self, o: &[f32]) -> Vec<i64> {
-        let mut proj = vec![0.0f64; self.functions.len()];
-        kernels::dispatch().project_family(&self.matrix, self.d, o, &self.offsets, &mut proj);
-        proj.iter().zip(&self.functions).map(|(p, h)| (p / h.w).floor() as i64).collect()
+        assert_eq!(o.len(), self.d, "query dimensionality mismatch");
+        self.row_major(o)
     }
 
     /// Level-1 bucket ids for a whole coalesced query batch:
-    /// `out[qi*m + t]` is query `qi`'s bucket under function `t`. The
-    /// blocked kernel reads each matrix row once per query block, which
-    /// is where batched hashing beats `nq` single calls; results are
+    /// `out[qi*m + t]` is query `qi`'s bucket under function `t`,
     /// bit-identical to per-query [`HashFamily::buckets`].
     ///
     /// # Panics
     /// Panics when the batch dimensionality disagrees with the family's.
     pub fn buckets_batch(&self, queries: &Dataset) -> Vec<i64> {
+        assert_eq!(queries.dim(), self.d, "query dimensionality mismatch");
+        self.row_major(queries.as_flat())
+    }
+
+    /// The bucket ids of the row-major `rows`, row after row.
+    fn row_major(&self, rows: &[f32]) -> Vec<i64> {
         let m = self.functions.len();
-        let mut proj = vec![0.0f64; m * queries.len()];
-        kernels::dispatch().project_batch(&self.matrix, self.d, queries, &self.offsets, &mut proj);
-        proj.chunks_exact(m)
-            .flat_map(|row| row.iter().zip(&self.functions).map(|(p, h)| (p / h.w).floor() as i64))
-            .collect()
+        let mut out = vec![0; rows.len() / self.d * m];
+        if out.is_empty() {
+            return out;
+        }
+        for lo in (0..m).step_by(TILE) {
+            let tile = self.tile(lo..(lo + TILE).min(m));
+            kernels::dispatch().hash_rows(&tile, rows, &mut out[lo..], (m, 1));
+        }
+        out
+    }
+
+    /// Hash the row-major `rows` under every function of `tables`, and
+    /// hand `visit` each function's column of bucket ids, in table order.
+    /// One pass over the rows fills [`TILE`] columns.
+    pub(crate) fn each_column(
+        &self,
+        tables: Range<usize>,
+        rows: &[f32],
+        mut visit: impl FnMut(usize, &[i64]),
+    ) {
+        let n = rows.len() / self.d;
+        let mut columns = Vec::new();
+        for lo in tables.clone().step_by(TILE) {
+            let tile = lo..(lo + TILE).min(tables.end);
+            columns.resize(tile.len() * n, 0);
+            kernels::dispatch().hash_rows(&self.tile(tile.clone()), rows, &mut columns, (1, n));
+            for (i, t) in tile.enumerate() {
+                visit(t, &columns[i * n..(i + 1) * n]);
+            }
+        }
+    }
+
+    /// The functions `tables`, at most [`TILE`] of them, as a kernel tile.
+    fn tile(&self, tables: Range<usize>) -> HashTile<'_> {
+        let coeffs = &self.matrix[tables.start * self.d..tables.end * self.d];
+        HashTile::new(coeffs, &self.offsets[tables.clone()], &self.widths[tables])
     }
 
     /// One query cursor per row of a coalesced batch, in row order:

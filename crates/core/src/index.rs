@@ -12,9 +12,10 @@
 //! bucket starts, and turns every level-`R` bucket lookup into a
 //! contiguous range of each segment's run.
 //!
-//! The build hashes one table's column at a time and counting-sorts
-//! each segment's share of it by bucket — the histogram's prefix sums
-//! are the directory — with tables spread over the machine's cores.
+//! The build hashes the rows against eight tables per pass — one kernel
+//! call fills eight columns — and counting-sorts each segment's share of
+//! every column by bucket — the histogram's prefix sums are the
+//! directory — with tables spread over the machine's cores.
 //!
 //! The query loop itself lives in [`crate::engine`]; this module holds
 //! the one walk that feeds it. Every resident store is a list of
@@ -462,8 +463,9 @@ impl<'d> C2lshIndex<'d> {
 
 /// The segments of `data`, row `i` entered as `id(i)`: a new segment
 /// starts at the first row whose id is [`SEGMENT_IDS`] or more past its
-/// first. `id` ascends. Each worker hashes a table's column once and
-/// sorts every segment's share of it.
+/// first. `id` ascends. Each worker hashes the rows against eight of its
+/// tables per pass ([`HashFamily::each_column`]) and sorts every
+/// segment's share of each column.
 pub(crate) fn build_segments(
     data: &Dataset,
     family: &HashFamily,
@@ -478,19 +480,17 @@ pub(crate) fn build_segments(
         }
     }
     let tables = per_table(family.len(), threads, |tables| {
-        let mut column = Vec::with_capacity(data.len());
-        let mut runs_of = |t: usize| {
-            column.clear();
-            column.extend(data.iter().map(|v| family.get(t).bucket(v)));
+        let mut runs = Vec::with_capacity(tables.len());
+        family.each_column(tables, data.as_flat(), |_, column| {
             let run = |rows: &Range<usize>| {
                 let first = id(rows.start);
                 SortedRun::from_column(&column[rows.clone()], |i| {
                     (id(rows.start + i) - first) as u16
                 })
             };
-            bounds.iter().map(run).collect::<Vec<_>>()
-        };
-        tables.map(&mut runs_of).collect()
+            runs.push(bounds.iter().map(run).collect::<Vec<_>>());
+        });
+        runs
     });
     let mut tables: Vec<_> = tables.into_iter().map(Vec::into_iter).collect();
     let segment = |rows: &Range<usize>| Segment {

@@ -1,6 +1,7 @@
-//! Runtime-dispatched SIMD kernels for the two query-path hot loops:
-//! the `m×d` projection behind hashing and the bounded squared-distance
-//! behind candidate verification.
+//! Runtime-dispatched SIMD kernels for the two hot loops: the
+//! projection behind hashing ([`KernelDispatch::hash_rows`], every row
+//! of every build, load and ingest path and every query) and the bounded
+//! squared distance behind candidate verification.
 //!
 //! ## Dispatch model
 //!
@@ -24,7 +25,15 @@
 //! * projection: same value as [`scalar::dot`], the canonical lane-
 //!   parallel schedule (which this module *defines* — the old
 //!   sequential-`f64` `cc_vector::dist::dot` cannot be reproduced by a
-//!   lane-parallel kernel, so hashing now funnels through this one).
+//!   lane-parallel kernel, so hashing now funnels through this one), and
+//!   the same bucket id from [`KernelDispatch::hash_rows`] as
+//!   `⌊(scalar::dot + b) / w⌋`.
+//!
+//! A projection may fuse its multiply-adds: the product of two `f32`
+//! values widened to `f64` is exact (48 significant bits, exponents far
+//! inside `f64`'s range), so `fma(a, x, acc)` rounds once, exactly as
+//! `acc + a·x` does. A distance may not: `(a − b)²` is formed in `f32`
+//! and rounded, and fusing would skip that rounding.
 //!
 //! Kernel choice therefore never affects results, only speed: an index
 //! built under AVX2 answers queries hashed under `CC_FORCE_SCALAR=1`
@@ -36,9 +45,11 @@
 //! below) is the only code in the crate allowed to use `unsafe` — the
 //! crate-level lint is `deny(unsafe_code)` with narrow `allow`s here.
 //! The obligations are (a) SIMD loads stay in bounds, guaranteed by
-//! slice-length arithmetic at each load, and (b) AVX2 functions are only
-//! entered after `is_x86_feature_detected!("avx2")` succeeded, which
-//! [`KernelDispatch::new`] establishes and the dispatch methods rely on.
+//! slice-length arithmetic at each load and, in the projection tile, by
+//! [`HashTile`] holding exactly `d` coefficients per function, and (b)
+//! AVX2 functions are only entered after `is_x86_feature_detected!`
+//! found AVX2 and FMA, which [`KernelDispatch::new`] establishes and the
+//! dispatch methods rely on.
 
 pub mod scalar;
 
@@ -47,10 +58,9 @@ mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-use cc_vector::dataset::Dataset;
 use std::sync::OnceLock;
 
-/// One ISA implementation of the kernel pair. All variants exist on
+/// One ISA implementation of the kernels. All variants exist on
 /// every architecture (so kernel names parse anywhere — a bench report
 /// from an aarch64 box is readable on x86), but only some are
 /// [`available`](Kernel::available) at runtime.
@@ -60,7 +70,7 @@ pub enum Kernel {
     Scalar,
     /// x86-64 SSE2 (baseline — always available on x86-64).
     Sse2,
-    /// x86-64 AVX2 (runtime-detected).
+    /// x86-64 AVX2 with FMA (both runtime-detected).
     Avx2,
     /// aarch64 NEON (baseline — always available on aarch64).
     Neon,
@@ -96,8 +106,10 @@ impl Kernel {
         match self {
             Kernel::Scalar => true,
             Kernel::Sse2 => cfg!(target_arch = "x86_64"),
+            // The projection tile fuses with FMA, which is a separate
+            // feature: an AVX2 machine without it runs SSE2.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
+            Kernel::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
             #[cfg(not(target_arch = "x86_64"))]
             Kernel::Avx2 => false,
             Kernel::Neon => cfg!(target_arch = "aarch64"),
@@ -252,70 +264,127 @@ impl KernelDispatch {
         }
     }
 
-    /// Project one vector through a whole hash family: `out[t] =
-    /// rows[t]·q + offsets[t]` over the packed row-major `m×d` matrix.
+    /// Bucket ids `⌊(a·row + b) / w⌋` of every row of the row-major
+    /// `rows` under every function of `tile`: row `r`'s id under function
+    /// `f` lands at `out[r * stride.0 + f * stride.1]`. Each projection is
+    /// bit-identical to [`scalar::dot`] plus the offset, so the ids equal
+    /// [`crate::PstableHash::bucket`]'s under every kernel.
     ///
     /// # Panics
-    /// Panics when the buffer shapes disagree.
-    pub fn project_family(
+    /// Panics when `rows` is not whole rows of the tile's dimension or
+    /// `out` is too short for the strides.
+    #[allow(unsafe_code)]
+    pub fn hash_rows(
         &self,
-        matrix: &[f32],
-        d: usize,
-        q: &[f32],
-        offsets: &[f64],
-        out: &mut [f64],
+        tile: &HashTile<'_>,
+        rows: &[f32],
+        out: &mut [i64],
+        stride: (usize, usize),
     ) {
-        let m = offsets.len();
-        assert_eq!(matrix.len(), m * d, "matrix shape mismatch");
-        assert_eq!(q.len(), d, "query dimensionality mismatch");
-        assert_eq!(out.len(), m, "output length mismatch");
-        for t in 0..m {
-            out[t] = self.dot(&matrix[t * d..(t + 1) * d], q) + offsets[t];
-        }
-    }
-
-    /// Batched projection: hash a whole coalesced query batch against
-    /// the `m×d` matrix at once, `out[qi*m + t] = rows[t]·q_qi +
-    /// offsets[t]`. Queries are processed in blocks of
-    /// [`PROJECT_QUERY_BLOCK`] with the row loop outside the block —
-    /// each matrix row is read once per block instead of once per
-    /// query, which is where batch coalescing pays. Per-query results
-    /// are bit-identical to [`KernelDispatch::project_family`] (the
-    /// per-row dot is pure; blocking only reorders independent rows).
-    ///
-    /// # Panics
-    /// Panics when the buffer shapes disagree.
-    pub fn project_batch(
-        &self,
-        matrix: &[f32],
-        d: usize,
-        queries: &Dataset,
-        offsets: &[f64],
-        out: &mut [f64],
-    ) {
-        let m = offsets.len();
-        let nq = queries.len();
-        assert_eq!(matrix.len(), m * d, "matrix shape mismatch");
-        assert_eq!(queries.dim(), d, "query dimensionality mismatch");
-        assert_eq!(out.len(), m * nq, "output length mismatch");
-        let mut q_base = 0usize;
-        while q_base < nq {
-            let q_end = (q_base + PROJECT_QUERY_BLOCK).min(nq);
-            for t in 0..m {
-                let row = &matrix[t * d..(t + 1) * d];
-                let off = offsets[t];
-                for qi in q_base..q_end {
-                    out[qi * m + t] = self.dot(row, queries.get(qi)) + off;
-                }
-            }
-            q_base = q_end;
+        assert!(rows.len().is_multiple_of(tile.dim()), "rows of the tile's dimension");
+        match self.kernel {
+            Kernel::Scalar => each_row(tile, rows, out, stride, |row| scalar::hash_row(tile, row)),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: SSE2 is part of the x86-64 baseline, so the
+            // feature is unconditionally present.
+            Kernel::Sse2 => unsafe { x86::hash_rows_sse2(tile, rows, out, stride) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `KernelDispatch::new` only admits Avx2 after
+            // `is_x86_feature_detected!` found both AVX2 and FMA.
+            Kernel::Avx2 => unsafe { x86::hash_rows_avx2(tile, rows, out, stride) },
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: NEON is part of the aarch64 baseline, so the
+            // feature is unconditionally present.
+            Kernel::Neon => unsafe { neon::hash_rows_neon(tile, rows, out, stride) },
+            #[allow(unreachable_patterns)]
+            _ => unreachable!("kernel {:?} unavailable on this architecture", self.kernel),
         }
     }
 }
 
-/// Queries per block of the batched projection (sized so a block of
-/// query rows stays L1-resident while the matrix streams through once).
-pub const PROJECT_QUERY_BLOCK: usize = 8;
+/// Functions [`KernelDispatch::hash_rows`] hashes a row against in one
+/// pass: each row chunk is widened once for all of them.
+pub const TILE: usize = 8;
+
+/// One to [`TILE`] p-stable functions over the same `d` dimensions, as
+/// [`KernelDispatch::hash_rows`] takes them. A tile of fewer functions
+/// repeats its last one, so every kernel runs the one eight-function
+/// tile and only the first `k` ids are stored.
+#[derive(Debug, Clone, Copy)]
+pub struct HashTile<'a> {
+    /// Coefficients of each function, `d` each.
+    pub(crate) a: [&'a [f32]; TILE],
+    /// Offsets `b`.
+    pub(crate) b: [f64; TILE],
+    /// Bucket widths `w`.
+    pub(crate) w: [f64; TILE],
+    /// Functions whose ids are stored.
+    k: usize,
+}
+
+impl<'a> HashTile<'a> {
+    /// The tile of `offsets.len()` functions: function `f` has the
+    /// coefficients `coeffs[f * d..(f + 1) * d]`, offset `offsets[f]`
+    /// and width `widths[f]`.
+    ///
+    /// # Panics
+    /// Panics unless there are 1 to [`TILE`] functions of one positive
+    /// dimension, each with an offset and a width.
+    pub fn new(coeffs: &'a [f32], offsets: &[f64], widths: &[f64]) -> Self {
+        let k = offsets.len();
+        assert!((1..=TILE).contains(&k), "1 to {TILE} functions in a tile, not {k}");
+        assert_eq!(widths.len(), k, "a width per function");
+        assert!(
+            !coeffs.is_empty() && coeffs.len().is_multiple_of(k),
+            "coefficients of one dimension"
+        );
+        let d = coeffs.len() / k;
+        HashTile {
+            a: std::array::from_fn(|f| &coeffs[f.min(k - 1) * d..][..d]),
+            b: std::array::from_fn(|f| offsets[f.min(k - 1)]),
+            w: std::array::from_fn(|f| widths[f.min(k - 1)]),
+            k,
+        }
+    }
+
+    /// Dimensions of every function.
+    pub fn dim(&self) -> usize {
+        self.a[0].len()
+    }
+
+    /// Per function, the projection of the elements past the last whole
+    /// chunk of [`scalar::PROJ_LANES`], summed in order as [`scalar::dot`]
+    /// sums them.
+    #[inline(always)]
+    pub(crate) fn tails(&self, row: &[f32]) -> [f64; TILE] {
+        let split = row.len() - row.len() % scalar::PROJ_LANES;
+        if split == row.len() {
+            return [0.0; TILE];
+        }
+        std::array::from_fn(|f| {
+            let products = self.a[f][split..].iter().zip(&row[split..]);
+            products.fold(0.0, |tail, (x, y)| tail + f64::from(*x) * f64::from(*y))
+        })
+    }
+}
+
+/// Run `hash` over each row of `rows` and store the bucket ids of the
+/// tile's first `k` functions where [`KernelDispatch::hash_rows`] says.
+#[inline(always)]
+pub(crate) fn each_row(
+    tile: &HashTile<'_>,
+    rows: &[f32],
+    out: &mut [i64],
+    (row_stride, fn_stride): (usize, usize),
+    mut hash: impl FnMut(&[f32]) -> [i64; TILE],
+) {
+    for (r, row) in rows.chunks_exact(tile.dim()).enumerate() {
+        let ids = hash(row);
+        for (f, &id) in ids[..tile.k].iter().enumerate() {
+            out[r * row_stride + f * fn_stride] = id;
+        }
+    }
+}
 
 /// Hint the CPU to pull `slice[i]`'s cache line toward L1 (out-of-bounds
 /// indices are ignored; a no-op on architectures without a stable
@@ -440,33 +509,85 @@ mod tests {
         }
     }
 
+    /// The exact-product argument, then the hashing tile on the values
+    /// that would expose a product rounded before its add: a projection
+    /// of `2^-46` or `−2^-46` next to a bucket edge (`(1 + 2^-23)²` is
+    /// not an `f32`), projections cancelling to zero against offsets of
+    /// both signs, subnormals and `f32::MAX`.
     #[test]
-    fn kernels_batched_projection_matches_single_bitwise() {
-        use cc_vector::gen::{generate, Distribution};
-        let d = 24;
-        let m = 9;
-        let queries = generate(
-            Distribution::GaussianMixture { clusters: 3, spread: 0.1, scale: 2.0 },
-            21,
-            d,
-            5,
-        );
-        let (matrix, _) = vecs(m * d, 77);
-        let offsets: Vec<f64> = (0..m).map(|t| t as f64 * 0.37).collect();
-        for kernel in Kernel::all_available() {
-            let kd = KernelDispatch::new(kernel).unwrap();
-            let mut batched = vec![0.0f64; m * queries.len()];
-            kd.project_batch(&matrix, d, &queries, &offsets, &mut batched);
-            let mut single = vec![0.0f64; m];
-            for qi in 0..queries.len() {
-                kd.project_family(&matrix, d, queries.get(qi), &offsets, &mut single);
-                for t in 0..m {
+    fn kernels_hash_rows_at_f32_extremes() {
+        let e = 1.0 + f32::EPSILON;
+        let values = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            -1e-40,
+            f32::MAX,
+            -f32::MAX,
+            1e38,
+            e,
+            -e,
+            1.0 + 2.0 * f32::EPSILON,
+            -3.0,
+        ];
+        let accs = [0.0, -0.0, 1.0, -1.0 - 2f64.powi(-22), -1e300, f64::MIN_POSITIVE];
+        for a in values.map(f64::from) {
+            for x in values.map(f64::from) {
+                for acc in accs {
                     assert_eq!(
-                        batched[qi * m + t].to_bits(),
-                        single[t].to_bits(),
-                        "{kernel} q={qi} t={t}"
+                        a.mul_add(x, acc).to_bits(),
+                        (acc + a * x).to_bits(),
+                        "{a} {x} {acc}"
                     );
                 }
+            }
+        }
+
+        let d = 9;
+        let crafted: [(Vec<f32>, Vec<f32>); 4] = [
+            // e² − (1 + 2^-22) = 2^-46: bucket 0, and −2^-46: bucket −1.
+            (vec![e, -1.0], vec![e, 1.0 + 2.0 * f32::EPSILON]),
+            (vec![e, -1.0], vec![-e, -1.0 - 2.0 * f32::EPSILON]),
+            // Eight products cancelling exactly across the lanes.
+            (vec![e; 8], vec![e, -e, e, -e, e, -e, e, -e]),
+            (vec![f32::MAX, f32::MAX], vec![f32::MAX, -f32::MAX]),
+        ];
+        let pad = |mut v: Vec<f32>| {
+            v.resize(d, 0.0);
+            v
+        };
+        let (mut coeffs, mut rows): (Vec<f32>, Vec<f32>) = (Vec::new(), Vec::new());
+        for (a, row) in crafted {
+            coeffs.extend(pad(a));
+            rows.extend(pad(row));
+        }
+        for i in 0..4 * d {
+            coeffs.push(values[i % values.len()]);
+            rows.push(values[(3 * i + 1) % values.len()]);
+        }
+        let offsets = [0.0, -0.0, 0.0, -0.0, 0.5, -1e300, 2.0, 0.0];
+        let widths = [1.0, 1.0, 1.0, 1.0, 1.3, 0.7, f64::MIN_POSITIVE, 1e-3];
+        let (coeffs, rows) = (&coeffs, &rows);
+        for k in [1, 5, 8] {
+            let tile = HashTile::new(&coeffs[..k * d], &offsets[..k], &widths[..k]);
+            let oracle: Vec<i64> = rows
+                .chunks_exact(d)
+                .flat_map(|row| {
+                    (0..k).map(move |f| {
+                        let dot = scalar::dot(&coeffs[f * d..(f + 1) * d], row);
+                        ((dot + offsets[f]) / widths[f]).floor() as i64
+                    })
+                })
+                .collect();
+            if k == 8 {
+                assert_eq!([oracle[0], oracle[9], oracle[18], oracle[27]], [0, -1, 0, 0]);
+            }
+            for kernel in Kernel::all_available() {
+                let mut got = vec![7; oracle.len()];
+                KernelDispatch::new(kernel).unwrap().hash_rows(&tile, rows, &mut got, (k, 1));
+                assert_eq!(got, oracle, "{kernel} k={k}");
             }
         }
     }
@@ -481,6 +602,13 @@ mod tests {
         assert_eq!(Kernel::parse("avx2").unwrap(), Some(Kernel::Avx2));
         assert!(Kernel::parse("avx512").is_err());
         assert_eq!(Kernel::Neon.name(), "neon");
+        // The AVX2 kernel fuses projections, so it is admitted only with
+        // FMA.
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            Kernel::Avx2.available(),
+            is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+        );
     }
 
     #[test]

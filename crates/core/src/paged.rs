@@ -11,8 +11,8 @@
 //!
 //! Construction streams: [`PagedBuilder`] accepts rows one at a time and
 //! writes their bytes straight into vector pages. Every 4 096 rows it
-//! hashes the buffered block table by table on the machine's cores and
-//! appends each table's bucket ids — 8 bytes per object, in object
+//! hashes the buffered block eight tables per pass on the machine's cores
+//! and appends each table's bucket ids — 8 bytes per object, in object
 //! order, nothing sorted — to that table's temp-file column.
 //! `finish` reads the columns back one per worker, counting-sorts each
 //! 65 536-row chunk into `(bucket, oid)` order exactly as
@@ -34,8 +34,8 @@ use std::sync::mpsc::sync_channel;
 
 use crate::config::C2lshConfig;
 use crate::engine::{self, Ids, KeyWindows, SearchOptions, TableStore};
-use crate::hash::{HashFamily, PstableHash};
-use crate::index::{each_bucket, SortedRun, SEGMENT_IDS};
+use crate::hash::HashFamily;
+use crate::index::{each_bucket, per_table, SortedRun, SEGMENT_IDS};
 use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
 use cc_storage::diskfile::{DiskPageFile, DiskPageFileWriter, PAYLOAD_BYTES};
@@ -212,37 +212,25 @@ impl PagedBuilder {
     }
 
     /// Hash the buffered rows table-major — each worker takes a
-    /// contiguous share of the tables, so a block is read `m` times from
+    /// contiguous share of the tables and fills eight of their columns
+    /// per pass over the block, so a block is read `m / 8` times from
     /// cache and no row's ids are scattered `m` ways — and append each
     /// table's bucket ids to its column file.
     fn spill_block(&mut self) -> io::Result<()> {
         if self.block.is_empty() {
             return Ok(());
         }
-        let functions: Vec<&PstableHash> = self.family.iter().collect();
-        let share = functions.len().div_ceil(self.workers);
-        let (block, dim) = (&self.block, self.dim);
-        crossbeam::scope(|scope| {
-            let workers: Vec<_> = functions
-                .chunks(share)
-                .zip(self.spill.columns.chunks_mut(share))
-                .map(|(hs, columns)| {
-                    scope.spawn(move |_| -> io::Result<()> {
-                        let mut bytes = Vec::with_capacity(block.len() / dim * 8);
-                        for (h, column) in hs.iter().zip(columns) {
-                            bytes.clear();
-                            for row in block.chunks_exact(dim) {
-                                bytes.extend_from_slice(&h.bucket(row).to_le_bytes());
-                            }
-                            column.write_all(&bytes)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            workers.into_iter().try_for_each(|w| w.join().expect("hash worker panicked"))
-        })
-        .expect("hash scope panicked")?;
+        let (family, block, files) = (&self.family, &self.block, &self.spill.columns);
+        let written = per_table(family.len(), self.workers, |tables| {
+            let (mut bytes, mut written) = (Vec::new(), Vec::with_capacity(tables.len()));
+            family.each_column(tables, block, |t, column| {
+                bytes.clear();
+                bytes.extend(column.iter().flat_map(|b| b.to_le_bytes()));
+                written.push((&files[t]).write_all(&bytes));
+            });
+            written
+        });
+        written.into_iter().collect::<io::Result<()>>()?;
         self.block.clear();
         Ok(())
     }
@@ -591,6 +579,7 @@ impl TableStore for PagedStore {
 mod tests {
     use super::*;
     use crate::config::Beta;
+    use crate::hash::PstableHash;
     use crate::index::C2lshIndex;
     use crate::stats::Termination;
     use cc_storage::wal::scratch_dir;

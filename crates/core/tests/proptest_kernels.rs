@@ -1,17 +1,17 @@
-//! Scalar vs SIMD equivalence properties for the kernel pair.
+//! Scalar vs SIMD equivalence properties for the kernels.
 //!
 //! Every kernel the machine can run ([`Kernel::all_available`]) is held
 //! to the bit-identity contract against the scalar oracle — same
 //! distance bits, same `Some`/`None` abandon decision, same projection
-//! bits, batched hashing identical to one-query-at-a-time — across
-//! dimensions from 1 to 512 including every non-multiple-of-lane
-//! remainder. The CI kernel matrix runs this file twice (default and
-//! `CC_FORCE_SCALAR=1`); the properties themselves always exercise all
-//! kernels explicitly, so the env leg guards the *dispatch* path while
-//! the explicit loop guards the *kernels*.
+//! bits, and from the hashing tile the same bucket id as the floored
+//! scalar projection for every row and function, partial tiles included
+//! — across dimensions from 1 to 512 including every
+//! non-multiple-of-lane remainder. The CI kernel matrix runs this file
+//! twice (default and `CC_FORCE_SCALAR=1`); the properties themselves
+//! always exercise all kernels explicitly, so the env leg guards the
+//! *dispatch* path while the explicit loop guards the *kernels*.
 
-use c2lsh::kernels::{scalar, Kernel, KernelDispatch};
-use cc_vector::dataset::Dataset;
+use c2lsh::kernels::{scalar, HashTile, Kernel, KernelDispatch, TILE};
 use proptest::prelude::*;
 
 fn vec_f32(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -82,11 +82,11 @@ proptest! {
     }
 
     #[test]
-    fn batched_projection_matches_single_query(
-        (d, m, queries) in (dim(), 1usize..25).prop_flat_map(|(d, m)| (
+    fn hash_rows_matches_floored_scalar_projection(
+        (d, m, rows) in (dim(), 1usize..25).prop_flat_map(|(d, m)| (
             Just(d),
             Just(m),
-            proptest::collection::vec(vec_f32(d), 1..11),
+            proptest::collection::vec(vec_f32(d), 0..11),
         )),
         matrix_seed in 0u64..u64::MAX,
     ) {
@@ -99,21 +99,45 @@ proptest! {
             state ^= state << 17;
             (state >> 40) as f32 / (1u32 << 24) as f32 - 0.5
         };
-        let matrix: Vec<f32> = (0..m * d).map(|_| next()).collect();
-        let offsets: Vec<f64> = (0..m).map(|_| f64::from(next())).collect();
-        let flat: Vec<f32> = queries.iter().flatten().copied().collect();
-        let ds = Dataset::from_flat(d, flat);
+        // A quotient rounds to a full 24-bit significand, so the products
+        // need more than 53 bits and their sums round: a sum taken in
+        // another order shows in the ids below.
+        let matrix: Vec<f32> = (0..m * d).map(|_| next() / (0.75 + next())).collect();
+        let offsets: Vec<f64> = (0..m).map(|_| f64::from(next()) * 40.0).collect();
+        // Widths of 2^-49 to 2^-31 put a bucket edge within an ulp or a
+        // few of most projections, so an id moves with a projection's
+        // last bit: the ids check the projection bit for bit.
+        let widths: Vec<f64> =
+            (0..m).map(|_| 2f64.powi(-40 + (f64::from(next()) * 20.0) as i32)).collect();
+        let flat: Vec<f32> = rows.iter().flatten().copied().collect();
+        let n = rows.len();
+        let oracle = |r: usize, t: usize| {
+            let dot = scalar::dot(&matrix[t * d..(t + 1) * d], &rows[r]);
+            ((dot + offsets[t]) / widths[t]).floor() as i64
+        };
 
         for kd in available() {
-            let mut single = vec![0.0f64; m];
-            let mut batch = vec![0.0f64; queries.len() * m];
-            kd.project_batch(&matrix, d, &ds, &offsets, &mut batch);
-            for (qi, q) in queries.iter().enumerate() {
-                kd.project_family(&matrix, d, q, &offsets, &mut single);
+            // Row-major as a query batch is hashed, column-major as a
+            // build fills its columns; tiles of eight, the last partial.
+            let (mut by_row, mut by_column) = (vec![0i64; n * m], vec![0i64; n * m]);
+            for lo in (0..m).step_by(TILE) {
+                let hi = (lo + TILE).min(m);
+                let tile = HashTile::new(&matrix[lo * d..hi * d], &offsets[lo..hi], &widths[lo..hi]);
+                // No rows leave no ids to start at function `lo`.
+                let by_row = by_row.get_mut(lo..).unwrap_or_default();
+                kd.hash_rows(&tile, &flat, by_row, (m, 1));
+                kd.hash_rows(&tile, &flat, &mut by_column[lo * n..], (1, n));
+            }
+            for r in 0..n {
                 for t in 0..m {
+                    let want = oracle(r, t);
                     prop_assert_eq!(
-                        batch[qi * m + t].to_bits(), single[t].to_bits(),
-                        "{}: batch diverged at query {} row {}", kd.kernel(), qi, t
+                        by_row[r * m + t], want,
+                        "{}: row-major id diverged at row {} function {}", kd.kernel(), r, t
+                    );
+                    prop_assert_eq!(
+                        by_column[t * n + r], want,
+                        "{}: column-major id diverged at row {} function {}", kd.kernel(), r, t
                     );
                 }
             }
