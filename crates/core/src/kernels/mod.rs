@@ -313,11 +313,11 @@ pub const TILE: usize = 8;
 #[derive(Debug, Clone, Copy)]
 pub struct HashTile<'a> {
     /// Coefficients of each function, `d` each.
-    pub(crate) a: [&'a [f32]; TILE],
+    a: [&'a [f32]; TILE],
     /// Offsets `b`.
-    pub(crate) b: [f64; TILE],
+    b: [f64; TILE],
     /// Bucket widths `w`.
-    pub(crate) w: [f64; TILE],
+    w: [f64; TILE],
     /// Functions whose ids are stored.
     k: usize,
 }
@@ -356,7 +356,7 @@ impl<'a> HashTile<'a> {
     /// chunk of [`scalar::PROJ_LANES`], summed in order as [`scalar::dot`]
     /// sums them.
     #[inline(always)]
-    pub(crate) fn tails(&self, row: &[f32]) -> [f64; TILE] {
+    fn tails(&self, row: &[f32]) -> [f64; TILE] {
         let split = row.len() - row.len() % scalar::PROJ_LANES;
         if split == row.len() {
             return [0.0; TILE];
@@ -371,7 +371,7 @@ impl<'a> HashTile<'a> {
 /// Run `hash` over each row of `rows` and store the bucket ids of the
 /// tile's first `k` functions where [`KernelDispatch::hash_rows`] says.
 #[inline(always)]
-pub(crate) fn each_row(
+fn each_row(
     tile: &HashTile<'_>,
     rows: &[f32],
     out: &mut [i64],
