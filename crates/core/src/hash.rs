@@ -186,16 +186,18 @@ impl HashFamily {
         if out.is_empty() {
             return out;
         }
+        let kernel = kernels::dispatch();
         for lo in (0..m).step_by(TILE) {
             let tile = self.tile(lo..(lo + TILE).min(m));
-            kernels::dispatch().hash_rows(&tile, rows, &mut out[lo..], (m, 1));
+            kernel.hash_rows(&tile, rows, &mut out[lo..], (m, 1));
         }
         out
     }
 
     /// Hash the row-major `rows` under every function of `tables`, and
     /// hand `visit` each function's column of bucket ids, in table order.
-    /// One pass over the rows fills [`TILE`] columns.
+    /// One pass over the rows fills [`TILE`] columns, so the call holds
+    /// `TILE` columns of `rows` at a time.
     pub(crate) fn each_column(
         &self,
         tables: Range<usize>,
@@ -203,11 +205,11 @@ impl HashFamily {
         mut visit: impl FnMut(usize, &[i64]),
     ) {
         let n = rows.len() / self.d;
-        let mut columns = Vec::new();
+        let (kernel, mut columns) = (kernels::dispatch(), Vec::new());
         for lo in tables.clone().step_by(TILE) {
             let tile = lo..(lo + TILE).min(tables.end);
             columns.resize(tile.len() * n, 0);
-            kernels::dispatch().hash_rows(&self.tile(tile.clone()), rows, &mut columns, (1, n));
+            kernel.hash_rows(&self.tile(tile.clone()), rows, &mut columns, (1, n));
             for (i, t) in tile.enumerate() {
                 visit(t, &columns[i * n..(i + 1) * n]);
             }

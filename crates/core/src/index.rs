@@ -12,9 +12,9 @@
 //! bucket starts, and turns every level-`R` bucket lookup into a
 //! contiguous range of each segment's run.
 //!
-//! The build hashes the rows against eight tables per pass — one kernel
-//! call fills eight columns — and counting-sorts each segment's share of
-//! every column by bucket — the histogram's prefix sums are the
+//! The build hashes one segment's rows at a time against eight tables
+//! per pass — one kernel call fills eight columns — and counting-sorts
+//! each column by bucket — the histogram's prefix sums are the
 //! directory — with tables spread over the machine's cores.
 //!
 //! The query loop itself lives in [`crate::engine`]; this module holds
@@ -463,9 +463,10 @@ impl<'d> C2lshIndex<'d> {
 
 /// The segments of `data`, row `i` entered as `id(i)`: a new segment
 /// starts at the first row whose id is [`SEGMENT_IDS`] or more past its
-/// first. `id` ascends. Each worker hashes the rows against eight of its
-/// tables per pass ([`HashFamily::each_column`]) and sorts every
-/// segment's share of each column.
+/// first. `id` ascends. Each worker hashes one segment's rows at a time
+/// against eight of its tables per pass ([`HashFamily::each_column`]) and
+/// sorts each column, so it holds at most eight columns of
+/// [`SEGMENT_IDS`] ids — 4 MiB — however many rows there are.
 pub(crate) fn build_segments(
     data: &Dataset,
     family: &HashFamily,
@@ -479,17 +480,17 @@ pub(crate) fn build_segments(
             _ => bounds.push(row..row + 1),
         }
     }
+    let d = data.dim();
     let tables = per_table(family.len(), threads, |tables| {
-        let mut runs = Vec::with_capacity(tables.len());
-        family.each_column(tables, data.as_flat(), |_, column| {
-            let run = |rows: &Range<usize>| {
-                let first = id(rows.start);
-                SortedRun::from_column(&column[rows.clone()], |i| {
-                    (id(rows.start + i) - first) as u16
-                })
-            };
-            runs.push(bounds.iter().map(run).collect::<Vec<_>>());
-        });
+        let mut runs: Vec<_> = tables.clone().map(|_| Vec::with_capacity(bounds.len())).collect();
+        for rows in &bounds {
+            let first = id(rows.start);
+            let block = &data.as_flat()[rows.start * d..rows.end * d];
+            family.each_column(tables.clone(), block, |t, column| {
+                let run = SortedRun::from_column(column, |i| (id(rows.start + i) - first) as u16);
+                runs[t - tables.start].push(run);
+            });
+        }
         runs
     });
     let mut tables: Vec<_> = tables.into_iter().map(Vec::into_iter).collect();

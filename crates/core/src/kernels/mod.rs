@@ -270,6 +270,9 @@ impl KernelDispatch {
     /// bit-identical to [`scalar::dot`] plus the offset, so the ids equal
     /// [`crate::PstableHash::bucket`]'s under every kernel.
     ///
+    /// AVX2 runs a tile of its own; the other kernels take each
+    /// function's projection with their [`KernelDispatch::dot`].
+    ///
     /// # Panics
     /// Panics when `rows` is not whole rows of the tile's dimension or
     /// `out` is too short for the strides.
@@ -283,21 +286,11 @@ impl KernelDispatch {
     ) {
         assert!(rows.len().is_multiple_of(tile.dim()), "rows of the tile's dimension");
         match self.kernel {
-            Kernel::Scalar => each_row(tile, rows, out, stride, |row| scalar::hash_row(tile, row)),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: SSE2 is part of the x86-64 baseline, so the
-            // feature is unconditionally present.
-            Kernel::Sse2 => unsafe { x86::hash_rows_sse2(tile, rows, out, stride) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `KernelDispatch::new` only admits Avx2 after
             // `is_x86_feature_detected!` found both AVX2 and FMA.
             Kernel::Avx2 => unsafe { x86::hash_rows_avx2(tile, rows, out, stride) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is part of the aarch64 baseline, so the
-            // feature is unconditionally present.
-            Kernel::Neon => unsafe { neon::hash_rows_neon(tile, rows, out, stride) },
-            #[allow(unreachable_patterns)]
-            _ => unreachable!("kernel {:?} unavailable on this architecture", self.kernel),
+            _ => each_row(tile, rows, out, stride, |row| tile.ids(|a| self.dot(a, row))),
         }
     }
 }
@@ -350,6 +343,14 @@ impl<'a> HashTile<'a> {
     /// Dimensions of every function.
     pub fn dim(&self) -> usize {
         self.a[0].len()
+    }
+
+    /// The bucket ids `⌊(project(a) + b) / w⌋` of one row under the
+    /// tile's functions, `project` taking the row's dot product with a
+    /// function's coefficients `a`.
+    #[inline(always)]
+    fn ids(&self, project: impl Fn(&[f32]) -> f64) -> [i64; TILE] {
+        std::array::from_fn(|f| ((project(self.a[f]) + self.b[f]) / self.w[f]).floor() as i64)
     }
 
     /// Per function, the projection of the elements past the last whole

@@ -6,21 +6,16 @@
 //! bit-identity argument; the NEON register layout matches SSE2's
 //! two-register (distance) and four-register (projection) shapes. The
 //! distance keeps its multiplies and adds separate (no `vfmaq`): its
-//! `f32` products are rounded before the add. A projection's products of
-//! two widened `f32` are exact in `f64`, so the hashing tile fuses them
-//! with `vfmaq_f64`, one rounding either way. The tile widens each
-//! quarter of a row chunk once for its eight functions, combines two
-//! functions at a time, and floors and converts in registers.
+//! `f32` products are rounded before the add. NEON hashes rows through
+//! [`dot_neon`], one function at a time; it has no hashing tile.
 //!
 //! # Safety
 //!
-//! The only unsafe operations are unaligned vector loads and stores
-//! (`vld1*`, `vst1q_s64`) whose in-bounds-ness is guaranteed by the
-//! surrounding slice arithmetic.
+//! The only unsafe operations are unaligned vector loads (`vld1q_f32`)
+//! whose in-bounds-ness is guaranteed by the surrounding slice
+//! arithmetic.
 #![allow(unsafe_code)]
 
-use super::scalar::PROJ_LANES;
-use super::{HashTile, TILE};
 use cc_vector::dist::{BOUND_CHECK_DIMS, LANES};
 use core::arch::aarch64::*;
 
@@ -128,53 +123,4 @@ pub fn dot_neon(a: &[f32], q: &[f32]) -> f64 {
         tail += f64::from(*x) * f64::from(*y);
     }
     main + tail
-}
-
-/// NEON hashing tile: [`super::KernelDispatch::hash_rows`].
-#[target_feature(enable = "neon")]
-pub fn hash_rows_neon(tile: &HashTile<'_>, rows: &[f32], out: &mut [i64], stride: (usize, usize)) {
-    super::each_row(tile, rows, out, stride, |row| hash_row_neon(tile, row));
-}
-
-/// The bucket ids of one row under the tile's eight functions.
-#[inline]
-#[target_feature(enable = "neon")]
-fn hash_row_neon(tile: &HashTile<'_>, row: &[f32]) -> [i64; TILE] {
-    assert_eq!(row.len(), tile.dim(), "row of the tile's dimension");
-    let split = row.len() - row.len() % PROJ_LANES;
-    // Lanes 0–1 of every function, then 2–3, 4–5 and 6–7: each quarter of
-    // a row chunk is widened once for all eight functions.
-    let mut acc = [[vdupq_n_f64(0.0); TILE]; 4];
-    for (quarter, acc) in acc.iter_mut().enumerate() {
-        let mut i = 2 * quarter;
-        while i < split {
-            // SAFETY: i + 2 <= split <= row.len(), and every function of
-            // the tile has row.len() coefficients (`HashTile::new`).
-            let x = vcvt_f64_f32(unsafe { vld1_f32(row.as_ptr().add(i)) });
-            for (acc, a) in acc.iter_mut().zip(&tile.a) {
-                let a = vcvt_f64_f32(unsafe { vld1_f32(a.as_ptr().add(i)) });
-                *acc = vfmaq_f64(*acc, a, x);
-            }
-            i += PROJ_LANES;
-        }
-    }
-    let tails = tile.tails(row);
-    let mut ids = [0i64; TILE];
-    for f in (0..TILE).step_by(2) {
-        // [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7)] of function `f`.
-        let halves = |f: usize| {
-            let [l01, l23, l45, l67] = acc.map(|lanes| lanes[f]);
-            vaddq_f64(vaddq_f64(l01, l45), vaddq_f64(l23, l67))
-        };
-        let main = vpaddq_f64(halves(f), halves(f + 1));
-        // SAFETY: f + 2 <= TILE, the length of all four arrays.
-        unsafe {
-            let at = |v: &[f64; TILE]| vld1q_f64(v.as_ptr().add(f));
-            let p = vaddq_f64(vaddq_f64(main, at(&tails)), at(&tile.b));
-            let floored = vrndmq_f64(vdivq_f64(p, at(&tile.w)));
-            // FCVTZS saturates and takes NaN to 0, as `as i64` does.
-            vst1q_s64(ids.as_mut_ptr().add(f), vcvtq_s64_f64(floored));
-        }
-    }
-    ids
 }

@@ -53,12 +53,6 @@ pub fn dot(a: &[f32], q: &[f32]) -> f64 {
     combine(acc) + tail
 }
 
-/// The bucket ids `⌊(dot(a, row) + b) / w⌋` of `row` under every
-/// function of `tile`: the oracle of [`super::KernelDispatch::hash_rows`].
-pub(crate) fn hash_row(tile: &super::HashTile<'_>, row: &[f32]) -> [i64; super::TILE] {
-    std::array::from_fn(|f| ((dot(tile.a[f], row) + tile.b[f]) / tile.w[f]).floor() as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

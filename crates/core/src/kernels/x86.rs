@@ -17,12 +17,13 @@
 //!   per function (two 256-bit / four 128-bit registers), combine
 //!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, sequential `f64` tail
 //!   added last. Products are formed in `f64` from `f32` inputs, so they
-//!   are exact and AVX2 fuses them into the accumulators with
-//!   `_mm256_fmadd_pd`: one rounding either way. The hashing tile widens
-//!   each chunk of eight row elements once and runs it against eight
-//!   functions, whose `f32` coefficients are widened in registers; its
-//!   epilogue combines four functions (AVX2) or two (SSE2) at a time,
-//!   adds the tails and offsets and divides by the widths, and floors.
+//!   are exact. The AVX2 hashing tile fuses them into the accumulators
+//!   with `_mm256_fmadd_pd`, one rounding either way: it widens each
+//!   chunk of eight row elements once and runs it against eight
+//!   functions, whose `f32` coefficients are widened in registers, and
+//!   its epilogue combines four functions at a time, adds the tails and
+//!   offsets, divides by the widths and floors. SSE2 hashes through
+//!   [`dot_sse2`], one function at a time.
 //!
 //! Per-lane IEEE ops are identical scalar-vs-packed, conversions are
 //! exact, and the reduction order is fixed — so results (including the
@@ -283,7 +284,7 @@ fn hash_row_avx2(tile: &HashTile<'_>, row: &[f32]) -> [i64; TILE] {
     }
     let [lo, hi] = acc;
     let tails = tile.tails(row);
-    let mut ids = [0i64; TILE];
+    let mut quotients = [0.0f64; TILE];
     for q in [0, 4] {
         // Per function s = [l0+l4, l1+l5, l2+l6, l3+l7]; transposed, the
         // four functions' (s0+s2) + (s1+s3) are three packed adds.
@@ -301,104 +302,13 @@ fn hash_row_avx2(tile: &HashTile<'_>, row: &[f32]) -> [i64; TILE] {
             _mm256_permute2f128_pd::<0x31>(t1, t3),
         );
         let main = _mm256_add_pd(even, odd);
-        // SAFETY: q + 4 <= TILE, the length of all three arrays.
-        let (tail, b, w) = unsafe {
-            let at = |v: &[f64; TILE]| _mm256_loadu_pd(v.as_ptr().add(q));
-            (at(&tails), at(&tile.b), at(&tile.w))
-        };
-        let p = _mm256_add_pd(_mm256_add_pd(main, tail), b);
-        let floored = _mm256_floor_pd(_mm256_div_pd(p, w));
-        ids[q..q + 4].copy_from_slice(&ids_avx2(floored));
-    }
-    ids
-}
-
-/// `q as i64` for four floored quotients. Shifted by 2^52 + 2^51, a
-/// whole number of magnitude below 2^51 is the low bits of the sum's
-/// significand, exactly; a larger one or a NaN takes the saturating cast.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn ids_avx2(q: __m256d) -> [i64; 4] {
-    let shift = _mm256_set1_pd(SHIFT);
-    let magnitude = _mm256_andnot_pd(_mm256_set1_pd(-0.0), q);
-    let exact = _mm256_cmp_pd::<_CMP_LT_OQ>(magnitude, _mm256_set1_pd(EXACT_BELOW));
-    let mut ids = [0i64; 4];
-    if _mm256_movemask_pd(exact) == 0b1111 {
-        let shifted = _mm256_castpd_si256(_mm256_add_pd(q, shift));
-        let bits = _mm256_sub_epi64(shifted, _mm256_castpd_si256(shift));
-        // SAFETY: `ids` holds exactly the four i64 of one 256-bit store.
-        unsafe { _mm256_storeu_si256(ids.as_mut_ptr().cast(), bits) };
-    } else {
-        let mut lanes = [0.0f64; 4];
-        // SAFETY: `lanes` holds exactly the four f64 of one 256-bit store.
-        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), q) };
-        ids = lanes.map(|q| q as i64);
-    }
-    ids
-}
-
-/// 2^52 + 2^51: the sum of it and a whole number below [`EXACT_BELOW`]
-/// in magnitude is exact.
-const SHIFT: f64 = 6_755_399_441_055_744.0;
-/// 2^51.
-const EXACT_BELOW: f64 = 2_251_799_813_685_248.0;
-
-/// SSE2 hashing tile: [`super::KernelDispatch::hash_rows`], unfused.
-#[target_feature(enable = "sse2")]
-pub fn hash_rows_sse2(tile: &HashTile<'_>, rows: &[f32], out: &mut [i64], stride: (usize, usize)) {
-    super::each_row(tile, rows, out, stride, |row| hash_row_sse2(tile, row));
-}
-
-/// The two `f32` at `p`, widened to `f64`.
-///
-/// # Safety
-/// `p` must be valid for reads of two `f32`.
-#[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn widen_two(p: *const f32) -> __m128d {
-    // SAFETY: the caller guarantees two readable values at `p`.
-    _mm_cvtps_pd(_mm_castsi128_ps(unsafe { _mm_loadl_epi64(p.cast()) }))
-}
-
-/// The bucket ids of one row under the tile's eight functions.
-#[inline]
-#[target_feature(enable = "sse2")]
-fn hash_row_sse2(tile: &HashTile<'_>, row: &[f32]) -> [i64; TILE] {
-    assert_eq!(row.len(), tile.dim(), "row of the tile's dimension");
-    let split = row.len() - row.len() % PROJ_LANES;
-    // Lanes 0–1 of every function, then 2–3, 4–5 and 6–7: each quarter of
-    // a row chunk is widened once for all eight functions.
-    let mut acc = [[_mm_setzero_pd(); TILE]; 4];
-    for (quarter, acc) in acc.iter_mut().enumerate() {
-        let mut i = 2 * quarter;
-        while i < split {
-            // SAFETY: i + 2 <= split <= row.len(), and every function of
-            // the tile has row.len() coefficients (`HashTile::new`).
-            let x = unsafe { widen_two(row.as_ptr().add(i)) };
-            for (acc, a) in acc.iter_mut().zip(&tile.a) {
-                let a = unsafe { widen_two(a.as_ptr().add(i)) };
-                *acc = _mm_add_pd(*acc, _mm_mul_pd(a, x));
-            }
-            i += PROJ_LANES;
-        }
-    }
-    let tails = tile.tails(row);
-    let mut quotients = [0.0f64; TILE];
-    for f in (0..TILE).step_by(2) {
-        // [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7)] of function `f`.
-        let halves = |f: usize| {
-            let [l01, l23, l45, l67] = acc.map(|lanes| lanes[f]);
-            _mm_add_pd(_mm_add_pd(l01, l45), _mm_add_pd(l23, l67))
-        };
-        let (u, v) = (halves(f), halves(f + 1));
-        let main = _mm_add_pd(_mm_unpacklo_pd(u, v), _mm_unpackhi_pd(u, v));
-        // SAFETY: f + 2 <= TILE, the length of all four arrays.
+        // SAFETY: q + 4 <= TILE, the length of all four arrays.
         unsafe {
-            let at = |v: &[f64; TILE]| _mm_loadu_pd(v.as_ptr().add(f));
-            let p = _mm_add_pd(_mm_add_pd(main, at(&tails)), at(&tile.b));
-            _mm_storeu_pd(quotients.as_mut_ptr().add(f), _mm_div_pd(p, at(&tile.w)));
+            let at = |v: &[f64; TILE]| _mm256_loadu_pd(v.as_ptr().add(q));
+            let p = _mm256_add_pd(_mm256_add_pd(main, at(&tails)), at(&tile.b));
+            let floored = _mm256_floor_pd(_mm256_div_pd(p, at(&tile.w)));
+            _mm256_storeu_pd(quotients.as_mut_ptr().add(q), floored);
         }
     }
-    // SSE2 has no packed floor.
-    quotients.map(|q| q.floor() as i64)
+    quotients.map(|q| q as i64)
 }
