@@ -58,17 +58,8 @@ impl PstableHash {
         self.w
     }
 
-    /// The projection coefficients `a` (for persistence).
-    pub fn projection_coeffs(&self) -> &[f32] {
-        &self.a
-    }
-
-    /// The offset `b` (for persistence).
-    pub fn offset(&self) -> f64 {
-        self.b
-    }
-
-    /// Reassemble a function from persisted parts.
+    /// Assemble a function from its projection `a`, offset `b` and
+    /// width `w`.
     ///
     /// # Panics
     /// Panics on an empty projection or non-positive width.
@@ -100,7 +91,7 @@ pub struct HashFamily {
 }
 
 impl HashFamily {
-    /// Reassemble a family from persisted functions.
+    /// Assemble a family from its functions.
     ///
     /// # Panics
     /// Panics when `functions` is empty or dimensions disagree.

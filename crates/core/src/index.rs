@@ -27,7 +27,7 @@
 
 use crate::config::C2lshConfig;
 use crate::engine::{self, Ids, KeyWindows, SearchOptions, TableStore};
-use crate::hash::{HashFamily, PstableHash};
+use crate::hash::HashFamily;
 use crate::kernels;
 use crate::meta::PointMeta;
 use crate::params::FullParams;
@@ -54,15 +54,13 @@ pub(crate) struct SortedRun {
 }
 
 impl SortedRun {
-    /// A run over entries already ordered by bucket id; `None` when a
-    /// bucket id descends.
-    pub(crate) fn from_sorted(entries: impl IntoIterator<Item = (i64, u16)>) -> Option<Self> {
+    /// A run over entries already ordered by bucket id.
+    fn from_sorted(entries: impl IntoIterator<Item = (i64, u16)>) -> Self {
         let entries = entries.into_iter();
         let oids = Vec::with_capacity(entries.size_hint().0);
         let mut run = SortedRun { keys: Vec::new(), starts: Vec::new(), oids };
         for (bucket, oid) in entries {
             match run.keys.last() {
-                Some(&last) if bucket < last => return None,
                 Some(&last) if bucket == last => {}
                 _ => {
                     run.keys.push(bucket);
@@ -72,7 +70,7 @@ impl SortedRun {
             run.oids.push(oid);
         }
         run.starts.push(run.oids.len() as u32);
-        Some(run)
+        run
     }
 
     /// The run of `column.len()` objects, the `i`-th of them `id(i)` in
@@ -89,7 +87,7 @@ impl SortedRun {
             let mut order: Vec<u32> = (0..n as u32).collect();
             order.sort_unstable_by_key(|&i| (column[i as usize], i));
             let entries = order.into_iter().map(|i| (column[i as usize], id(i as usize)));
-            return Self::from_sorted(entries).expect("entries were just sorted");
+            return Self::from_sorted(entries);
         }
         // Counting sort. The histogram's prefix sums are the directory,
         // and scattering ids in ascending order leaves them ascending
@@ -426,38 +424,6 @@ impl<'d> C2lshIndex<'d> {
     /// Number of hash tables `m`.
     pub fn num_tables(&self) -> usize {
         self.params.m
-    }
-
-    /// `(n, dim)` of the indexed dataset (for persistence fingerprints).
-    pub fn data_shape(&self) -> (usize, usize) {
-        (self.data.len(), self.data.dim())
-    }
-
-    /// Visit every `(bucket, oid)` entry, table by table in order (the
-    /// persistence serializer).
-    pub fn for_each_table_entry(&self, mut f: impl FnMut(i64, u32)) {
-        for t in 0..self.params.m {
-            let runs: Vec<&SortedRun> = self.segments.iter().map(|s| &s.runs[t]).collect();
-            each_bucket(&runs, |bucket, slices| {
-                for &(at, ids) in slices {
-                    let first = self.segments[at].first;
-                    ids.iter().for_each(|&oid| f(bucket, first + u32::from(oid)));
-                }
-            });
-        }
-    }
-
-    /// Reassemble an index from persisted parts (`crate::persist`).
-    pub(crate) fn from_parts(
-        data: &'d Dataset,
-        config: C2lshConfig,
-        functions: Vec<PstableHash>,
-        segments: Vec<Segment>,
-    ) -> Self {
-        let params = FullParams::derive(data.len(), &config);
-        let family = HashFamily::from_functions(functions);
-        assert_eq!(family.len(), params.m, "family size disagrees with parameters");
-        Self { data, config, params, family, segments, metas: Vec::new() }
     }
 }
 
@@ -801,29 +767,19 @@ mod tests {
             let id = |i: usize| 1000 + 3 * i as u16;
             let want = sorted_pairs(&column, (0..column.len()).map(id));
             check_run(SortedRun::from_column(&column, id), &want, &queries);
-            // Arbitrary ids, repeats included, as a loaded blob may hold.
-            let want = sorted_pairs(&column, raw.iter().map(|r| (r >> 48) as u16));
-            check_run(SortedRun::from_sorted(want.iter().copied()).unwrap(), &want, &queries);
         }
-    }
-
-    #[test]
-    fn from_sorted_rejects_descending_buckets() {
-        assert!(SortedRun::from_sorted([(1, 0), (3, 1), (2, 2)]).is_none());
-        assert_eq!(SortedRun::from_sorted([]).unwrap().key_span(), None);
     }
 
     /// Whatever the thread count, every table of every segment is its
     /// rows' `(bucket, id)` pairs sorted, a segment ends where the next
-    /// id would take it past `SEGMENT_IDS` ids, and the entries walked
-    /// across the segments are the sorted pairs of all rows.
+    /// id would take it past `SEGMENT_IDS` ids, and the segments' entries
+    /// of a table together are the sorted pairs of all rows.
     #[test]
     fn build_segments_matches_reference_for_any_thread_count() {
         let data = clustered(700, 6, 15);
         let index = C2lshIndex::build(&data, &cfg());
         let columns: Vec<Vec<i64>> =
             index.family().iter().map(|h| data.iter().map(|v| h.bucket(v)).collect()).collect();
-        let functions: Vec<PstableHash> = index.family().iter().cloned().collect();
         // Ids 300 apart: 219 of them span fewer than 65 536.
         for (step, rows) in [(1, 700), (300, 219)] {
             let id = |i: usize| i as u32 * step;
@@ -841,10 +797,11 @@ mod tests {
                         assert_eq!(s.entries(t).collect::<Vec<_>>(), want, "{threads} threads");
                     }
                 }
-                let walked = C2lshIndex::from_parts(&data, cfg(), functions.clone(), segments);
-                let mut entries = Vec::new();
-                walked.for_each_table_entry(|b, o| entries.push((b, o)));
-                assert_eq!(entries, want.concat(), "{threads} threads, ids {step} apart");
+                for (t, want) in want.iter().enumerate() {
+                    let mut walked: Vec<_> = segments.iter().flat_map(|s| s.entries(t)).collect();
+                    walked.sort_unstable();
+                    assert_eq!(&walked, want, "{threads} threads, ids {step} apart");
+                }
             }
         }
     }

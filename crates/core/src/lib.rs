@@ -64,8 +64,8 @@
 //!   counting loop (filtered search),
 //! * [`rehash`] — virtual rehashing window arithmetic (shared),
 //! * [`stats`] — per-query, per-round and per-batch cost counters,
-//! * [`persist`] — index save/load (static `C2L1` blobs and dynamic
-//!   `C2D1` checkpoints),
+//! * [`persist`] — `C2D1` checkpoints of the dynamic backend (a static
+//!   index is rebuilt, not loaded: building it is faster),
 //! * [`error`] — configuration errors plus the unified [`Error`] /
 //!   [`ErrorKind`] type whose stable numeric codes ride the service's
 //!   protocol Error frames.
@@ -109,7 +109,7 @@ pub use meta::{PointMeta, Predicate};
 pub use mutable::{MutableIndex, MutationAck, MutationOp};
 pub use paged::{PagedBuilder, PagedStore};
 pub use params::FullParams;
-pub use persist::{load_dynamic, load_index, save_dynamic, save_index, PersistError};
+pub use persist::{load_dynamic, save_dynamic, PersistError};
 pub use sharded::{ShardedData, ShardedEngine};
 pub use stats::{BatchStats, MutationStats, QueryStats, RoundStats, StageNanos, Termination};
 

@@ -313,15 +313,8 @@ impl MutableIndex {
         let ckpt_path = dir.join(CHECKPOINT_FILE);
         let (mut index, ckpt_seq) = if ckpt_path.exists() {
             let blob = std::fs::read(&ckpt_path)?;
-            let (index, seq) = load_dynamic(&blob)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            if index.dim() != dim || index.expected_n() != expected_n || index.config() != config {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "checkpoint does not match the requested (dim, expected_n, config)",
-                ));
-            }
-            (index, seq)
+            load_dynamic(&blob, dim, expected_n, config)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
         } else {
             (DynamicIndex::new(dim, expected_n, config), 0)
         };

@@ -1,106 +1,20 @@
-//! Property tests for index persistence: round-trips preserve query
-//! behavior, and malformed input — truncations at every byte boundary,
-//! random corruption, arbitrary garbage — always surfaces as a
-//! [`PersistError`], never as a panic.
+//! Property tests for the `C2D1` checkpoint and crash recovery.
 //!
-//! The second half covers the crash-consistency story: a WAL-backed
-//! [`MutableIndex`] killed at *any* byte offset of its log recovers
-//! exactly the acknowledged prefix of mutations — never a torn record,
-//! never a reordering, and (when the kill falls on a record boundary or
-//! beyond) never a lost ack.
+//! A WAL-backed [`MutableIndex`] killed at *any* byte offset of its log
+//! recovers exactly the acknowledged prefix of mutations — never a torn
+//! record, never a reordering, and (when the kill falls on a record
+//! boundary or beyond) never a lost ack. A checkpoint round-trips any
+//! mutation history, and malformed input — arbitrary garbage, a crafted
+//! header — always surfaces as a [`PersistError`], never as a panic or
+//! an abort.
 
 use c2lsh::{
-    load_dynamic, load_index, save_dynamic, save_index, C2lshConfig, C2lshIndex, DynamicIndex,
-    MutableIndex, MutationAck, MutationOp, PersistError, PointMeta,
+    load_dynamic, save_dynamic, C2lshConfig, DynamicIndex, MutableIndex, MutationAck, MutationOp,
+    PersistError, PointMeta,
 };
 use cc_storage::wal::scratch_dir;
 use cc_storage::FailpointFile;
-use cc_vector::dataset::Dataset;
 use proptest::prelude::*;
-
-fn small_dataset() -> impl Strategy<Value = Dataset> {
-    (5usize..60, 2usize..8, 0u64..1000).prop_map(|(n, d, seed)| {
-        cc_vector::gen::generate(
-            cc_vector::gen::Distribution::GaussianMixture {
-                clusters: 4,
-                spread: 0.05,
-                scale: 10.0,
-            },
-            n,
-            d,
-            seed,
-        )
-    })
-}
-
-fn cfg(seed: u64) -> C2lshConfig {
-    C2lshConfig::builder().bucket_width(1.0).seed(seed).build()
-}
-
-/// Truncation at *every* byte boundary must report `Malformed` —
-/// exhaustive, so a deterministic test rather than a sampled property.
-#[test]
-fn truncation_at_every_boundary_is_malformed() {
-    let data = cc_vector::gen::generate(
-        cc_vector::gen::Distribution::GaussianMixture { clusters: 4, spread: 0.05, scale: 10.0 },
-        30,
-        4,
-        7,
-    );
-    let idx = C2lshIndex::build(&data, &cfg(7));
-    let blob = save_index(&idx);
-    for len in 0..blob.len() {
-        match load_index(&data, &blob[..len]) {
-            Err(PersistError::Malformed(_)) => {}
-            other => {
-                panic!("truncation to {len}/{} bytes must be Malformed, got {other:?}", blob.len())
-            }
-        }
-    }
-    assert!(load_index(&data, &blob).is_ok(), "the untruncated blob must load");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn round_trip_preserves_queries(data in small_dataset(), seed in 0u64..100, k in 1usize..6) {
-        let idx = C2lshIndex::build(&data, &cfg(seed));
-        let blob = save_index(&idx);
-        let loaded = load_index(&data, &blob).unwrap();
-        prop_assert_eq!(loaded.params().m, idx.params().m);
-        prop_assert_eq!(loaded.params().l, idx.params().l);
-        for qi in [0, data.len() / 2, data.len() - 1] {
-            let q = data.get(qi);
-            prop_assert_eq!(idx.query(q, k).0, loaded.query(q, k).0, "query {}", qi);
-        }
-    }
-
-    #[test]
-    fn corruption_errors_instead_of_panicking(
-        data in small_dataset(),
-        flips in proptest::collection::vec((0usize..usize::MAX, 1u8..255), 1..8),
-    ) {
-        let idx = C2lshIndex::build(&data, &cfg(3));
-        let mut blob = save_index(&idx);
-        for (pos, mask) in flips {
-            let pos = pos % blob.len();
-            blob[pos] ^= mask;
-        }
-        // The property is panic-freedom: corruption is (nearly always)
-        // detected as an Err, and in the measure-zero case where flips
-        // cancel in the checksum, loading still must not panic.
-        let _ = load_index(&data, &blob);
-    }
-
-    #[test]
-    fn arbitrary_garbage_never_panics(
-        data in small_dataset(),
-        garbage in proptest::collection::vec(0u8..255, 0..256),
-    ) {
-        prop_assert!(load_index(&data, &garbage).is_err());
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Crash consistency: WAL-backed MutableIndex vs kill-at-any-offset.
@@ -318,7 +232,7 @@ proptest! {
         }
         let seq = ops.len() as u64;
         let blob = save_dynamic(&index, seq);
-        let (loaded, loaded_seq) = load_dynamic(&blob).unwrap();
+        let (loaded, loaded_seq) = load_dynamic(&blob, dim, EXPECTED_N, &cfg).unwrap();
         prop_assert_eq!(loaded_seq, seq);
         prop_assert_eq!(loaded.slots(), index.slots());
         prop_assert_eq!(loaded.len(), index.len());
@@ -340,6 +254,42 @@ proptest! {
     fn dynamic_garbage_never_panics(
         garbage in proptest::collection::vec(0u8..255, 0..256),
     ) {
-        prop_assert!(load_dynamic(&garbage).is_err());
+        prop_assert!(load_dynamic(&garbage, 4, EXPECTED_N, &dyn_cfg(1)).is_err());
+    }
+}
+
+/// The checkpoint's xor-fold checksum, so a crafted header passes it.
+fn xor_fold(bytes: &[u8]) -> u32 {
+    bytes.chunks(4).fold(0u32, |acc, chunk| {
+        let mut word = [0u8; 4];
+        word[..chunk.len()].copy_from_slice(chunk);
+        acc.rotate_left(1) ^ u32::from_le_bytes(word)
+    })
+}
+
+/// A valid checkpoint whose `dim` word reads `u32::MAX`, checksum fixed
+/// up: sized from that word, loading would ask for 16 GiB and abort.
+/// Refused with zero live slots (the hash family is sized from `dim`)
+/// and with one (its vector is), whether the caller's shape differs or
+/// claims the same `dim`.
+#[test]
+fn crafted_checkpoint_header_is_refused_without_allocating() {
+    let cfg = dyn_cfg(5);
+    for live in [0, 1] {
+        let mut index = DynamicIndex::new(4, EXPECTED_N, &cfg);
+        if live == 1 {
+            index.insert(vec![1.0; 4]);
+        }
+        let mut blob = save_dynamic(&index, 3);
+        blob[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let end = blob.len() - 4;
+        let sum = xor_fold(&blob[..end]);
+        blob[end..].copy_from_slice(&sum.to_le_bytes());
+        let err = load_dynamic(&blob, 4, EXPECTED_N, &cfg).unwrap_err();
+        assert_eq!(err, PersistError::Mismatch, "{live} live slots");
+        if live == 1 {
+            let err = load_dynamic(&blob, u32::MAX as usize, EXPECTED_N, &cfg).unwrap_err();
+            assert!(matches!(err, PersistError::Malformed(_)), "{err}");
+        }
     }
 }

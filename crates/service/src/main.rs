@@ -56,10 +56,10 @@
 //! captures a span tree for every Nth query. Without `--metrics-addr`
 //! the service records nothing per query.
 //!
-//! Kernels: `--kernel auto|scalar|sse2|avx2|neon` (auto) pins the SIMD
-//! kernel both hot loops dispatch through; `auto` honors
-//! `CC_FORCE_SCALAR=1` and otherwise picks the best the CPU supports.
-//! The selection is exported as the `cc_kernel_info` gauge.
+//! Kernels: both hot loops dispatch through the best SIMD kernel the
+//! CPU supports, or the scalar one under `CC_FORCE_SCALAR=1`. The
+//! selection is printed at startup and exported as the `cc_kernel_info`
+//! gauge.
 
 use c2lsh::{
     C2lshConfig, DynamicIndex, MutableIndex, MutationOp, PagedStore, ShardedData, ShardedEngine,
@@ -92,7 +92,6 @@ struct Args {
     metrics_addr: Option<String>,
     slow_query_ms: u64,
     trace_sample: u32,
-    kernel: Option<c2lsh::Kernel>,
     replicate_from: Option<String>,
     node_name: Option<String>,
     primary: Option<String>,
@@ -122,7 +121,6 @@ impl Args {
             metrics_addr: None,
             slow_query_ms: 100,
             trace_sample: 64,
-            kernel: None,
             replicate_from: None,
             node_name: None,
             primary: None,
@@ -182,12 +180,6 @@ impl Args {
                     args.node_deadline_ms =
                         parse(&value("--node-deadline-ms"), "--node-deadline-ms")
                 }
-                "--kernel" => {
-                    args.kernel = c2lsh::Kernel::parse(&value("--kernel")).unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        exit(2);
-                    })
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: cc-service [--addr HOST:PORT] \
@@ -197,7 +189,6 @@ impl Args {
                          [--seed SEED] [--bucket-width W] [--queue-cap Q] [--max-batch B] \
                          [--max-delay-us US] [--k-max K] [--checkpoint-wal-bytes BYTES] \
                          [--metrics-addr HOST:PORT] [--slow-query-ms MS] [--trace-sample N] \
-                         [--kernel auto|scalar|sse2|avx2|neon] \
                          [--replicate-from HOST:PORT] [--node-name NAME] \
                          [--primary HOST:PORT] [--replicas A,B[,…]]… \
                          [--node-deadline-ms MS]"
@@ -234,16 +225,7 @@ fn main() {
         );
         exit(2);
     }
-    // Pin the SIMD kernel before anything hashes: index build, WAL
-    // recovery and queries must all dispatch through the same kernel.
-    let kd = match args.kernel {
-        Some(k) => c2lsh::kernels::init(k).unwrap_or_else(|e| {
-            eprintln!("--kernel: {e}");
-            exit(2);
-        }),
-        None => c2lsh::kernels::dispatch(),
-    };
-    eprintln!("kernel: {}", kd.kernel());
+    eprintln!("kernel: {}", c2lsh::kernels::dispatch().kernel());
     let config = C2lshConfig::builder().bucket_width(args.bucket_width).seed(args.seed).build();
     let mut service = ServiceConfig {
         max_batch: args.max_batch,

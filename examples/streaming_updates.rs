@@ -1,17 +1,17 @@
-//! Streaming updates + index persistence — the operational story.
+//! Streaming updates + checkpoints — the operational story.
 //!
 //! The paper argues C2LSH is update-friendly: every hash table is keyed
 //! by a single LSH function, so inserting or deleting an object touches
 //! exactly `m` buckets — no compound keys to recompute, no per-radius
 //! indexes to maintain. This example runs a rolling window over a
-//! stream of vectors with [`c2lsh::DynamicIndex`], then shows the static
-//! index's save/load path for deployment snapshots.
+//! stream of vectors with [`c2lsh::DynamicIndex`], then checkpoints the
+//! window to bytes and reloads it.
 //!
 //! ```text
 //! cargo run --release --example streaming_updates
 //! ```
 
-use c2lsh::{C2lshConfig, C2lshIndex, DynamicIndex};
+use c2lsh::{C2lshConfig, DynamicIndex};
 use cc_vector::gen::{generate, Distribution};
 
 fn main() {
@@ -55,19 +55,18 @@ fn main() {
         probes
     );
 
-    // --- Part 2: snapshot a static index to bytes and reload ----------
-    let data = stream.slice_rows(0, 3_000);
-    let static_idx = C2lshIndex::build(&data, &config);
-    let blob = c2lsh::save_index(&static_idx);
+    // --- Part 2: checkpoint the window to bytes and reload ------------
+    let blob = c2lsh::save_dynamic(&index, stream.len() as u64);
     println!(
-        "\nsnapshot: serialized index = {:.1} MiB (m = {} tables)",
+        "\ncheckpoint: {:.1} MiB for {} live vectors (m = {} tables, rebuilt on load)",
         blob.len() as f64 / (1024.0 * 1024.0),
-        static_idx.params().m
+        index.len(),
+        index.params().m
     );
-    let reloaded = c2lsh::load_index(&data, &blob).expect("reload");
-    let q = data.get(1234);
-    let (a, _) = static_idx.query(q, 5);
-    let (b, _) = reloaded.query(q, 5);
-    assert_eq!(a, b);
-    println!("reloaded index answers identically: verified on a sample query");
+    let (reloaded, _) = c2lsh::load_dynamic(&blob, d, window, index.config()).expect("reload");
+    for i in [0, 2_345, stream.len() - 1] {
+        let q = stream.get(i);
+        assert_eq!(index.query(q, 5).0, reloaded.query(q, 5).0, "query {i}");
+    }
+    println!("reloaded index answers identically: verified on three queries");
 }
