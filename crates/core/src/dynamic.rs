@@ -234,15 +234,16 @@ impl DynamicIndex {
     }
 
     /// Rebuild an index from a checkpoint's slot array (object id →
-    /// vector or tombstone), preserving ids exactly. The hash family is
-    /// re-generated from `(dim, expected_n, config)` — the same
-    /// derivation as [`DynamicIndex::new`] — so an index restored this
-    /// way answers queries identically to the one that was saved.
+    /// vector or tombstone), preserving ids exactly and keeping each
+    /// vector's allocation as its slot. The hash family is re-generated
+    /// from `(dim, expected_n, config)` — the same derivation as
+    /// [`DynamicIndex::new`] — so an index restored this way answers
+    /// queries identically to the one that was saved.
     pub(crate) fn from_slots(
         dim: usize,
         expected_n: usize,
         config: &C2lshConfig,
-        slots: Vec<Option<Vec<f32>>>,
+        slots: Vec<Option<Arc<[f32]>>>,
         metas: Vec<PointMeta>,
     ) -> Self {
         assert!(
@@ -326,8 +327,12 @@ impl DynamicIndex {
     }
 
     /// Append slots (`None` = tombstone) in object-id order, sealing
-    /// the live rows a block at a time.
-    fn append<V: AsRef<[f32]>>(&mut self, slots: impl Iterator<Item = (Option<V>, PointMeta)>) {
+    /// the live rows a block at a time. A slot keeps an `Arc<[f32]>` it
+    /// is handed and copies a borrowed vector into one.
+    fn append<V: AsRef<[f32]> + Into<Arc<[f32]>>>(
+        &mut self,
+        slots: impl Iterator<Item = (Option<V>, PointMeta)>,
+    ) {
         let mut block = Dataset::empty(self.dim);
         let mut oids = Vec::new();
         for (slot, meta) in slots {
@@ -337,7 +342,7 @@ impl DynamicIndex {
                 oids.push(self.vectors.len() as u32);
                 block.push(v);
             }
-            self.vectors.push(slot.map(|v| v.as_ref().into()));
+            self.vectors.push(slot.map(Into::into));
             self.metas.push(meta);
             if oids.len() == self.block_rows {
                 self.index_rows(&std::mem::replace(&mut block, Dataset::empty(self.dim)), &oids);
@@ -581,8 +586,8 @@ mod tests {
     }
 
     /// The slot column as a checkpoint decodes it.
-    fn owned_slots(idx: &DynamicIndex) -> Vec<Option<Vec<f32>>> {
-        idx.slots().iter().map(|slot| slot.as_deref().map(<[f32]>::to_vec)).collect()
+    fn owned_slots(idx: &DynamicIndex) -> Vec<Option<Arc<[f32]>>> {
+        idx.slots().iter().map(|slot| slot.as_deref().map(Arc::from)).collect()
     }
 
     #[test]
@@ -783,9 +788,9 @@ mod tests {
     #[test]
     fn a_segment_spans_at_most_65_536_ids() {
         let live = [0, 5, SEGMENT_IDS - 1, SEGMENT_IDS, SEGMENT_IDS + 7, 2 * SEGMENT_IDS - 1];
-        let mut slots: Vec<Option<Vec<f32>>> = vec![None; 2 * SEGMENT_IDS];
+        let mut slots: Vec<Option<Arc<[f32]>>> = vec![None; 2 * SEGMENT_IDS];
         for at in live {
-            slots[at] = Some(vec![at as f32 / 1000.0, 0.0]);
+            slots[at] = Some(Arc::from([at as f32 / 1000.0, 0.0]));
         }
         let idx = DynamicIndex::from_slots(2, 1000, &cfg(), slots, Vec::new());
         let ranges: Vec<(u32, u32)> =

@@ -231,7 +231,8 @@ proptest! {
             }
         }
         let seq = ops.len() as u64;
-        let blob = save_dynamic(&index, seq);
+        let mut blob = Vec::new();
+        save_dynamic(&index, seq, &mut blob).unwrap();
         let (loaded, loaded_seq) = load_dynamic(&blob, dim, EXPECTED_N, &cfg).unwrap();
         prop_assert_eq!(loaded_seq, seq);
         prop_assert_eq!(loaded.slots(), index.slots());
@@ -280,7 +281,8 @@ fn crafted_checkpoint_header_is_refused_without_allocating() {
         if live == 1 {
             index.insert(vec![1.0; 4]);
         }
-        let mut blob = save_dynamic(&index, 3);
+        let mut blob = Vec::new();
+        save_dynamic(&index, 3, &mut blob).unwrap();
         blob[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         let end = blob.len() - 4;
         let sum = xor_fold(&blob[..end]);

@@ -56,7 +56,8 @@ fn main() {
     );
 
     // --- Part 2: checkpoint the window to bytes and reload ------------
-    let blob = c2lsh::save_dynamic(&index, stream.len() as u64);
+    let mut blob = Vec::new();
+    c2lsh::save_dynamic(&index, stream.len() as u64, &mut blob).expect("checkpoint");
     println!(
         "\ncheckpoint: {:.1} MiB for {} live vectors (m = {} tables, rebuilt on load)",
         blob.len() as f64 / (1024.0 * 1024.0),

@@ -89,7 +89,8 @@ fn check(n: usize, want: (u64, [usize; 3], u64)) {
 
     let dynamic = DynamicIndex::from_dataset(&data, &config);
     assert_eq!(digest(&data, |q, k| dynamic.query(q, k)), answers, "{n} rows: DynamicIndex");
-    let blob = save_dynamic(&dynamic, 0);
+    let mut blob = Vec::new();
+    save_dynamic(&dynamic, 0, &mut blob).unwrap();
     drop(dynamic);
     let (loaded, _) = load_dynamic(&blob, DIM, n, &config).unwrap();
     drop(blob);
