@@ -7,13 +7,6 @@
 //! `checkpoint.c2d` + `wal.log` pair plus a tiny `collection.meta`
 //! manifest recording the dimensionality, so a restart can reopen
 //! every collection without the client re-declaring it.
-//!
-//! Collection requests are handled synchronously in the connection
-//! threads rather than through the batching worker: collections are
-//! expected to be many and small, so cross-client coalescing (a
-//! per-collection batcher each) would cost threads without winning
-//! latency. The default engine keeps the batcher; both run the same
-//! validation and the same flush routine (see [`crate::server`]).
 
 use crate::protocol::CollectionInfo;
 use c2lsh::{C2lshConfig, DynamicIndex, Error, MutableIndex};
@@ -29,8 +22,11 @@ const MANIFEST: &str = "collection.meta";
 /// Longest accepted collection name.
 pub const MAX_COLLECTION_NAME: usize = 64;
 
+/// Expected object count of a new collection (sizes its hash domain).
+const EXPECTED_N: usize = 4096;
+
 /// How new collections are provisioned.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CollectionsConfig {
     /// Durable root: each collection persists under `root/<name>/`.
     /// `None` makes every collection ephemeral (acks die with the
@@ -38,15 +34,6 @@ pub struct CollectionsConfig {
     pub root: Option<PathBuf>,
     /// Index parameters every new collection is built with.
     pub config: C2lshConfig,
-    /// Expected object count (sizes the hash domain of new
-    /// collections).
-    pub expected_n: usize,
-}
-
-impl Default for CollectionsConfig {
-    fn default() -> Self {
-        Self { root: None, config: C2lshConfig::default(), expected_n: 4096 }
-    }
 }
 
 /// One live collection: its index plus the monotone counters behind
@@ -105,6 +92,17 @@ pub fn valid_name(name: &str) -> bool {
         && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
+/// [`valid_name`] as a refusal; `what` names the name's use (collection
+/// names, replica names).
+pub fn check_name(what: &str, name: &str) -> Result<(), Error> {
+    if !valid_name(name) {
+        return Err(Error::invalid(format!(
+            "bad {what} name {name:?}: want 1-{MAX_COLLECTION_NAME} chars of [A-Za-z0-9_-]"
+        )));
+    }
+    Ok(())
+}
+
 impl Registry {
     /// Open the registry: with a durable root, every subdirectory
     /// holding a `collection.meta` manifest is reopened (checkpoint
@@ -130,28 +128,18 @@ impl Registry {
                             format!("unreadable manifest {}", manifest.display()),
                         )
                     })?;
-                let index = MutableIndex::open(entry.path(), dim, cfg.expected_n, &cfg.config)?;
+                let index = MutableIndex::open(entry.path(), dim, EXPECTED_N, &cfg.config)?;
                 map.insert(name.clone(), Arc::new(new_collection(name, dim, index)));
             }
         }
         Ok(Registry { cfg, map: RwLock::new(map) })
     }
 
-    /// An all-ephemeral registry with default provisioning.
-    pub fn ephemeral() -> Self {
-        Registry { cfg: CollectionsConfig::default(), map: RwLock::new(BTreeMap::new()) }
-    }
-
     /// Create `name` with dimensionality `dim`; returns whether it
     /// already existed (in which case it is left untouched — the
     /// existing dimensionality wins).
     pub fn create(&self, name: &str, dim: usize) -> Result<bool, Error> {
-        if !valid_name(name) {
-            return Err(Error::invalid(format!(
-                "bad collection name {name:?}: want 1-{MAX_COLLECTION_NAME} chars of \
-                 [A-Za-z0-9_-]"
-            )));
-        }
+        check_name("collection", name)?;
         if dim == 0 {
             return Err(Error::invalid("collection dimensionality must be at least 1"));
         }
@@ -164,8 +152,8 @@ impl Registry {
         let index = match &self.cfg.root {
             Some(root) => {
                 let dir = root.join(name);
-                let index = MutableIndex::open(&dir, dim, self.cfg.expected_n, &self.cfg.config)
-                    .map_err(|e| {
+                let index =
+                    MutableIndex::open(&dir, dim, EXPECTED_N, &self.cfg.config).map_err(|e| {
                         Error::new(c2lsh::ErrorKind::Io, format!("cannot open {name:?}: {e}"))
                     })?;
                 // The manifest goes down last: a crash before this
@@ -175,11 +163,7 @@ impl Registry {
                 })?;
                 index
             }
-            None => MutableIndex::ephemeral(DynamicIndex::new(
-                dim,
-                self.cfg.expected_n,
-                &self.cfg.config,
-            )),
+            None => MutableIndex::ephemeral(DynamicIndex::new(dim, EXPECTED_N, &self.cfg.config)),
         };
         let mut map = self.map.write().unwrap();
         // A racing create may have won while the index was building.
@@ -295,7 +279,7 @@ mod tests {
 
     #[test]
     fn ephemeral_create_query_drop() {
-        let reg = Registry::ephemeral();
+        let reg = Registry::open(CollectionsConfig::default()).unwrap();
         assert!(!reg.create("alpha", 4).unwrap(), "fresh create");
         assert!(reg.create("alpha", 4).unwrap(), "second create reports existed");
         assert!(reg.create("bad name", 4).is_err());
@@ -321,11 +305,7 @@ mod tests {
     #[test]
     fn durable_collections_survive_reopen() {
         let root = cc_storage::wal::scratch_dir("collections");
-        let cfg = CollectionsConfig {
-            root: Some(root.clone()),
-            expected_n: 64,
-            ..CollectionsConfig::default()
-        };
+        let cfg = CollectionsConfig { root: Some(root.clone()), ..CollectionsConfig::default() };
         {
             let reg = Registry::open(cfg.clone()).unwrap();
             reg.create("persisted", 3).unwrap();

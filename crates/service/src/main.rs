@@ -65,6 +65,7 @@ use c2lsh::{
     C2lshConfig, DynamicIndex, MutableIndex, MutationOp, PagedStore, ShardedData, ShardedEngine,
 };
 use cc_obs::{MetricsServer, ObsConfig};
+use cc_service::collections::check_name;
 use cc_service::{BufpoolSnapshot, ServerObs, ServiceConfig};
 use cc_vector::gen::{generate, Distribution};
 use std::net::TcpListener;
@@ -216,6 +217,10 @@ fn main() {
     let args = Args::parse();
     if args.shards == 0 || args.n == 0 || args.dim == 0 {
         eprintln!("--shards, --n and --dim must all be at least 1");
+        exit(2);
+    }
+    if let Some(Err(e)) = args.node_name.as_deref().map(|n| check_name("node", n)) {
+        eprintln!("--node-name: {e}");
         exit(2);
     }
     if args.mode == "sharded" && args.shards > args.n {

@@ -276,7 +276,7 @@ pub enum Request {
     ReplSubscribe {
         /// Subscriber's self-chosen name (shows up in the primary's
         /// `cc_replica_lag_seq` gauge; same charset rules as
-        /// collection names).
+        /// collection names, refused as invalid otherwise).
         replica: String,
         /// Ship records with sequence numbers strictly greater than
         /// this (the subscriber's current high-water mark).

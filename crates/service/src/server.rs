@@ -30,10 +30,10 @@
 //! an ack and then queries always sees its own write
 //! (read-your-writes), and the write survives a crash.
 //!
-//! A request that names a collection skips the queue: its handler
-//! validates it with the same code and runs the same flush routine
-//! inline, as a batch of one, against the collection's own index — so
-//! it is counted, timed, traced and slow-logged like any other.
+//! A request that names a collection joins the same queue, tagged with
+//! its collection; the batcher flushes each drained batch once per
+//! target, so collections get the same admission, deadlines,
+//! coalescing and drain as the default engine.
 //!
 //! **Admission control** is a hard bound: when the queue already holds
 //! [`ServiceConfig::queue_capacity`] requests, new queries are refused
@@ -52,7 +52,7 @@
 //! `0x08`, or `/metrics` with `--metrics-addr`); the [`ServiceStats`]
 //! returned at drain is read from the same counters.
 
-use crate::collections::{Collection, CollectionsConfig, Registry};
+use crate::collections::{check_name, Collection, CollectionsConfig, Registry};
 use crate::obs::ServerObs;
 use crate::protocol::{self, ProtoError, QueryCost, Request, Response};
 use c2lsh::engine::SearchOptions;
@@ -260,7 +260,7 @@ pub struct ServiceConfig {
     /// by [`serve_with_obs`], which takes a pre-built registry.)
     pub obs: ObsConfig,
     /// How named collections are provisioned: durable root directory
-    /// (default none — ephemeral), index parameters and sizing.
+    /// (default none — ephemeral) and index parameters.
     pub collections: CollectionsConfig,
     /// Refuse every direct mutation (insert/delete and collection
     /// create/drop/insert) with [`ErrorKind::Unsupported`]. Set on
@@ -348,7 +348,8 @@ enum Work {
 /// handler admits a query under the lock, the batcher cannot already
 /// have made its final sweep.
 struct Queue {
-    items: VecDeque<Work>,
+    /// Admitted work with its collection (`None` = the default engine).
+    items: VecDeque<(Option<Arc<Collection>>, Work)>,
     draining: bool,
 }
 
@@ -524,13 +525,17 @@ fn repl_batch_cap(dim: usize) -> usize {
 }
 
 /// Answer one replication pull: ship the tail after `from_seq`, update
-/// the lag board, surface engine refusals as typed errors.
+/// the lag board, surface engine refusals as typed errors. The board
+/// only ever holds names that pass the collection-name rules.
 fn answer_repl_pull<E: ServeEngine>(
     engine: &E,
     shared: &Shared,
     replica: &str,
     from_seq: u64,
 ) -> Response {
+    if let Err(e) = check_name("replica", replica) {
+        return Response::Error(e);
+    }
     match engine.replication_tail(from_seq, repl_batch_cap(engine.dim())) {
         Ok((last_seq, records)) => {
             let last_seq = last_seq.max(engine.current_seq());
@@ -675,20 +680,19 @@ fn serve_connection<E: ServeEngine>(
     }
 }
 
-/// Where one request runs. The default engine sits behind the batching
-/// queue, which exists to coalesce load on *one* shared index; a named
-/// collection is served inline by the connection thread, because
-/// collections are many independent small indexes and a batcher each
-/// would cost threads without winning latency. Either way the request
-/// passes the same validation and the same [`flush`].
-#[derive(Clone, Copy)]
+/// Where one request runs: the default engine, or a named collection's
+/// own index.
 struct Target<'a> {
     engine: &'a dyn ServeEngine,
     /// The collection behind `engine`; `None` for the default engine.
-    collection: Option<&'a Collection>,
+    collection: Option<&'a Arc<Collection>>,
 }
 
-impl Target<'_> {
+impl<'a> Target<'a> {
+    fn new(default: &'a dyn ServeEngine, collection: Option<&'a Arc<Collection>>) -> Self {
+        Target { engine: collection.map_or(default, |col| &col.index), collection }
+    }
+
     /// How error messages name the target.
     fn label(&self) -> String {
         match self.collection {
@@ -706,9 +710,9 @@ fn with_target(
     collection: Option<&str>,
     answer: impl FnOnce(Target<'_>) -> Response,
 ) -> Response {
-    let Some(name) = collection else { return answer(Target { engine, collection: None }) };
+    let Some(name) = collection else { return answer(Target::new(engine, None)) };
     match shared.collections.get(name) {
-        Some(col) => answer(Target { engine: &col.index, collection: Some(&col) }),
+        Some(col) => answer(Target::new(engine, Some(&col))),
         None => Response::Error(Error::invalid(format!("unknown collection {name:?}"))),
     }
 }
@@ -834,11 +838,8 @@ fn answer_mutation(
     })
 }
 
-/// Hand one validated unit of work to its target and wait for the
-/// reply. The default engine's work joins the bounded queue — refused
-/// when it is full, never blocking — and the batcher replies from its
-/// next [`flush`]; a collection's work is flushed right here as a batch
-/// of one.
+/// Queue one validated unit of work for its target — refused when the
+/// queue is full, never blocking — and wait for the batcher's reply.
 fn submit(
     target: Target<'_>,
     shared: &Shared,
@@ -846,20 +847,17 @@ fn submit(
     work: impl FnOnce(mpsc::Sender<Response>) -> Work,
 ) -> Response {
     let (tx, rx) = mpsc::channel();
-    if target.collection.is_some() {
-        flush(target, shared, config, vec![work(tx)]);
-    } else {
-        let mut q = shared.queue.lock().unwrap();
-        if q.draining {
-            return Response::Error(Error::new(ErrorKind::Draining, "server is draining"));
-        }
-        if q.items.len() >= config.queue_capacity {
-            shared.obs.overloaded.inc();
-            return Response::Overloaded;
-        }
-        q.items.push_back(work(tx));
-        shared.not_empty.notify_one();
+    let mut q = shared.queue.lock().unwrap();
+    if q.draining {
+        return Response::Error(Error::new(ErrorKind::Draining, "server is draining"));
     }
+    if q.items.len() >= config.queue_capacity {
+        shared.obs.overloaded.inc();
+        return Response::Overloaded;
+    }
+    q.items.push_back((target.collection.cloned(), work(tx)));
+    drop(q);
+    shared.not_empty.notify_one();
     // Every admitted request is answered, including during the drain; a
     // dead channel means the batcher panicked.
     rx.recv().unwrap_or_else(|_| {
@@ -868,11 +866,11 @@ fn submit(
 }
 
 /// The single batching worker: wait for work, linger for coalescing,
-/// flush through the engine. Exits once draining *and* empty — both
+/// flush once per target. Exits once draining *and* empty — both
 /// checked under the queue lock, so no admitted request is stranded.
 fn batcher_loop<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceConfig) {
     loop {
-        let batch: Vec<Work> = {
+        let batch: Vec<(Option<Arc<Collection>>, Work)> = {
             let mut q = shared.queue.lock().unwrap();
             loop {
                 if q.items.is_empty() {
@@ -902,7 +900,19 @@ fn batcher_loop<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceCon
             let take = q.items.len().min(config.max_batch);
             q.items.drain(..take).collect()
         };
-        flush(Target { engine, collection: None }, shared, config, batch);
+        // One flush per target, each in queue order. Targets compare by
+        // pointer, so a re-created collection is never its predecessor.
+        let mut parts: Vec<(Option<Arc<Collection>>, Vec<Work>)> = Vec::new();
+        for (col, work) in batch {
+            let key = col.as_ref().map(Arc::as_ptr);
+            match parts.iter_mut().find(|(c, _)| c.as_ref().map(Arc::as_ptr) == key) {
+                Some((_, works)) => works.push(work),
+                None => parts.push((col, vec![work])),
+            }
+        }
+        for (col, works) in parts {
+            flush(Target::new(engine, col.as_ref()), shared, config, works);
+        }
     }
 }
 
@@ -913,8 +923,6 @@ fn batcher_loop<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceCon
 /// one engine batch at the largest requested `k`. Ordering mutations
 /// before queries keeps a flush monotone: no query in the batch can
 /// miss a mutation that was acknowledged before the query was sent.
-/// The batcher calls this on every batch it drains; a collection's
-/// connection thread calls it on a batch of one.
 fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec<Work>) {
     let (engine, obs) = (target.engine, &shared.obs);
     let now = Instant::now();

@@ -399,3 +399,18 @@ fn binary_refuses_more_shards_than_vectors() {
     assert!(stderr.contains("--shards 8 is more than --n 4"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+/// A `--node-name` outside the collection-name rules is a usage error
+/// at startup (exit code 2), checked before anything else: `--mode
+/// none` keeps a build without the check from serving.
+#[test]
+fn binary_refuses_a_bad_node_name() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cc-service"))
+        .args(["--addr", "127.0.0.1:0", "--node-name", "bad name!", "--mode", "none"])
+        .output()
+        .expect("run cc-service");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.starts_with("--node-name: "), "stderr: {stderr}");
+    assert!(stderr.contains("bad node name \"bad name!\""), "stderr: {stderr}");
+}

@@ -17,8 +17,8 @@ use c2lsh::{
 };
 use cc_obs::{sample, ObsConfig};
 use cc_service::{
-    Client, CollectionsConfig, QueryRequest, Response, SearchOutcome, ServeEngine, ServerObs,
-    ServiceConfig,
+    Client, CollectionsConfig, QueryRequest, Request, Response, SearchOutcome, ServeEngine,
+    ServerObs, ServiceConfig,
 };
 use cc_vector::dataset::Dataset;
 use cc_vector::gen::{generate, Distribution};
@@ -260,6 +260,201 @@ fn admission_control_and_deadlines() {
             let stats = server.join().unwrap();
             assert_eq!(stats.overloaded, 1);
             assert_eq!(stats.deadline_expired, 1);
+        })
+        .unwrap();
+    });
+}
+
+/// The same pin with every request naming a collection: collection
+/// work waits in the one bounded queue, so a second concurrent query is
+/// refused with `Overloaded` and a queued 50 ms deadline expires.
+#[test]
+fn collection_requests_meet_admission_control_and_deadlines() {
+    const D: usize = 8;
+    let data = clustered(4, D, 5);
+    let engine = MutableIndex::ephemeral(DynamicIndex::new(D, 64, &cfg_exact(64)));
+    let service = ServiceConfig {
+        max_batch: 8,
+        max_delay: Duration::from_millis(400),
+        queue_capacity: 1,
+        k_max: 16,
+        drain_grace: Duration::from_secs(2),
+        collections: CollectionsConfig { config: cfg_exact(64), ..CollectionsConfig::default() },
+        ..ServiceConfig::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("collection_admission", Duration::from_secs(60), || {
+        let (engine, service, data) = (&engine, &service, &data);
+        crossbeam::scope(move |s| {
+            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+            let mut client = Client::connect(addr).unwrap();
+            client.create_collection("alpha", D as u32).unwrap();
+            for v in data.iter() {
+                client.insert_with_meta(Some("alpha"), v, 0, 0).unwrap();
+            }
+            let ask =
+                |row: usize| QueryRequest::new(data.get(row).to_vec()).k(3).collection("alpha");
+
+            let slow = s.spawn(move |_| {
+                Client::connect(addr).unwrap().search(&ask(0).deadline_ms(50)).unwrap()
+            });
+            std::thread::sleep(Duration::from_millis(150));
+            assert_eq!(client.search(&ask(1)).unwrap(), SearchOutcome::Overloaded);
+            assert_eq!(slow.join().unwrap(), SearchOutcome::DeadlineExceeded);
+
+            let nn = client.search_result(&ask(2)).unwrap().neighbors;
+            assert_eq!((nn[0].id, nn[0].dist), (2, 0.0));
+            let m = client.metrics_text().unwrap();
+            assert_eq!(sample(&m, "cc_overloaded_total"), Some(1.0), "{m}");
+            assert_eq!(sample(&m, "cc_deadline_expired_total"), Some(1.0), "{m}");
+            assert_eq!(
+                sample(&m, "cc_collection_queries_total{collection=\"alpha\"}"),
+                Some(1.0),
+                "{m}"
+            );
+
+            client.shutdown().unwrap();
+            let stats = server.join().unwrap();
+            assert_eq!((stats.overloaded, stats.deadline_expired), (1, 1));
+        })
+        .unwrap();
+    });
+}
+
+/// 32 clients querying one collection share engine calls: the batcher
+/// coalesces collection work exactly as it does the default engine's.
+#[test]
+fn collection_queries_coalesce_in_the_batcher() {
+    const D: usize = 8;
+    const CLIENTS: usize = 32;
+    const ROUNDS: usize = 20;
+    let data = clustered(2 * CLIENTS, D, 9);
+    let engine = MutableIndex::ephemeral(DynamicIndex::new(D, 64, &cfg_exact(64)));
+    let service = ServiceConfig {
+        max_batch: 16,
+        max_delay: Duration::from_millis(50),
+        k_max: 16,
+        obs: ObsConfig::all_on(),
+        collections: CollectionsConfig { config: cfg_exact(64), ..CollectionsConfig::default() },
+        ..ServiceConfig::default()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("collection_coalescing", Duration::from_secs(120), || {
+        let barrier = Barrier::new(CLIENTS);
+        let (engine, service, data, barrier) = (&engine, &service, &data, &barrier);
+        crossbeam::scope(move |s| {
+            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+            let mut control = Client::connect(addr).unwrap();
+            control.create_collection("alpha", D as u32).unwrap();
+
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|t| {
+                    s.spawn(move |_| {
+                        let mut client = Client::connect(addr).unwrap();
+                        for row in [2 * t, 2 * t + 1] {
+                            client.insert_with_meta(Some("alpha"), data.get(row), 0, 0).unwrap();
+                        }
+                        for i in 0..ROUNDS {
+                            barrier.wait();
+                            let row = (t + i) % data.len();
+                            let req = QueryRequest::new(data.get(row).to_vec()).k(1);
+                            let nn = client.search_result(&req.collection("alpha")).unwrap();
+                            assert_eq!(nn.neighbors[0].dist, 0.0, "client {t} round {i}");
+                        }
+                    })
+                })
+                .collect();
+            for handle in clients {
+                handle.join().unwrap();
+            }
+
+            let m = control.metrics_text().unwrap();
+            let p50 = sample(&m, "cc_batch_size{quantile=\"0.5\"}").unwrap();
+            assert!(p50 > 1.0, "collection queries were not coalesced: {m}");
+            control.shutdown().unwrap();
+            let stats = server.join().unwrap();
+            assert_eq!(stats.queries, (CLIENTS * ROUNDS) as u64);
+            assert!(stats.max_batch > 1, "{stats:?}");
+            assert!(stats.batches < stats.queries, "{stats:?}");
+        })
+        .unwrap();
+    });
+}
+
+/// After a `Shutdown`, a connection that is still open gets the same
+/// `Draining` refusal for a collection insert as for a default-engine
+/// insert.
+#[test]
+fn draining_server_refuses_collection_writes() {
+    const D: usize = 4;
+    let engine = MutableIndex::ephemeral(DynamicIndex::new(D, 64, &cfg_exact(64)));
+    let service = ServiceConfig { drain_grace: Duration::from_secs(5), ..ServiceConfig::default() };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("collection_drain", Duration::from_secs(60), || {
+        let (engine, service) = (&engine, &service);
+        crossbeam::scope(move |s| {
+            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+            let mut open = Client::connect(addr).unwrap();
+            open.create_collection("alpha", D as u32).unwrap();
+            open.insert_with_meta(Some("alpha"), &[1.0; D], 0, 0).unwrap();
+
+            Client::connect(addr).unwrap().shutdown().unwrap();
+            // The ack is written before the drain flag flips; wait for
+            // the flag, which the exposition shows.
+            while sample(&open.metrics_text().unwrap(), "cc_draining") != Some(1.0) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let default = open.insert(&[2.0; D]).unwrap_err();
+            let named = open.insert_with_meta(Some("alpha"), &[2.0; D], 0, 0).unwrap_err();
+            assert!(default.to_string().contains("draining"), "{default}");
+            assert_eq!(named.to_string(), default.to_string());
+            drop(open);
+            let stats = server.join().unwrap();
+            assert_eq!(stats.inserts, 1, "{stats:?}");
+        })
+        .unwrap();
+    });
+}
+
+/// A replica name follows the collection-name rules: a subscriber with
+/// any other name is refused, and no lag series is exported for it.
+#[test]
+fn replica_names_are_validated_before_the_lag_board() {
+    const D: usize = 4;
+    let engine = MutableIndex::ephemeral(DynamicIndex::new(D, 64, &cfg_exact(64)));
+    let service = ServiceConfig::default();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("replica_names", Duration::from_secs(60), || {
+        let (engine, service) = (&engine, &service);
+        crossbeam::scope(move |s| {
+            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+            for bad in ["bad name!\n", "", &"r".repeat(65)] {
+                let mut raw = std::net::TcpStream::connect(addr).unwrap();
+                let req = Request::ReplSubscribe { replica: bad.into(), from_seq: 0 };
+                cc_service::protocol::write_request(&mut raw, &req).unwrap();
+                match cc_service::protocol::read_response(&mut raw).unwrap().unwrap() {
+                    Response::Error(e) => {
+                        assert_eq!(e.kind(), c2lsh::ErrorKind::InvalidArgument, "{e}")
+                    }
+                    other => panic!("replica {bad:?} answered with {other:?}"),
+                }
+            }
+            let mut client = Client::connect(addr).unwrap();
+            client.repl_subscribe("f-1", 0).unwrap();
+            let m = client.metrics_text().unwrap();
+            assert_eq!(m.matches("cc_replica_lag_seq{").count(), 1, "{m}");
+            assert_eq!(sample(&m, "cc_replica_lag_seq{replica=\"f-1\"}"), Some(0.0), "{m}");
+
+            client.shutdown().unwrap();
+            server.join().unwrap();
         })
         .unwrap();
     });
