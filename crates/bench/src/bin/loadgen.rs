@@ -17,7 +17,7 @@
 //! distance zero, every acked delete gone.
 //!
 //! ```text
-//! # self-hosted read-only: 4-shard engine on an ephemeral port
+//! # self-hosted read-only: the in-memory index on an ephemeral port
 //! cargo run -p cc-bench --release --bin loadgen
 //!
 //! # self-hosted mixed read/write with durability verification
@@ -30,7 +30,7 @@
 //! Environment overrides: `CC_ADDR` (default: self-host), `CC_CLIENTS`
 //! (32), `CC_SECONDS` (5), `CC_K` (10), `CC_N` (20000, self-host
 //! only), `CC_DIM` (16, self-host only), `CC_MODE`
-//! (`sharded`|`dynamic`, self-host only), `CC_WRITE_PCT` (0; needs a
+//! (`memory`|`dynamic`, self-host only), `CC_WRITE_PCT` (0; needs a
 //! mutable server), `CC_FILTER_PCT` (0; that share of reads carries a
 //! label predicate — self-hosted servers seed labels `i % 3`, and the
 //! probe predicate `label == 0` also matches every point of an
@@ -38,9 +38,7 @@
 //! by default). The server's own latency quantiles are printed when it
 //! records them (`cc-service --metrics-addr`).
 
-use c2lsh::{
-    C2lshConfig, MutableIndex, MutationOp, PointMeta, Predicate, ShardedData, ShardedEngine,
-};
+use c2lsh::{C2lshConfig, C2lshIndex, MutableIndex, MutationOp, PointMeta, Predicate};
 use cc_bench::env_usize;
 use cc_obs::sample;
 use cc_service::{Client, QueryRequest, SearchOutcome, ServiceConfig};
@@ -330,7 +328,7 @@ fn main() {
 
     let n = env_usize("CC_N", 20_000);
     let dim = env_usize("CC_DIM", 16);
-    let mode = std::env::var("CC_MODE").unwrap_or_else(|_| "sharded".into());
+    let mode = std::env::var("CC_MODE").unwrap_or_else(|_| "memory".into());
     let data = generate(
         Distribution::GaussianMixture { clusters: 10, spread: 0.02, scale: 10.0 },
         n,
@@ -349,16 +347,11 @@ fn main() {
     let addr = listener.local_addr().expect("local addr");
 
     match mode.as_str() {
-        "sharded" => {
+        "memory" => {
             assert_eq!(write_pct, 0, "CC_WRITE_PCT needs CC_MODE=dynamic (read-only engine)");
-            if n < 4 {
-                eprintln!("CC_N={n}: the self-hosted engine has 4 shards, each holding a vector");
-                std::process::exit(2);
-            }
-            eprintln!("self-hosting: building a 4-shard index over {n} vectors in R^{dim}…");
-            let sharded = ShardedData::partition(&data, 4);
+            eprintln!("self-hosting: building the index over {n} vectors in R^{dim}…");
             let metas: Vec<PointMeta> = (0..n).map(seed_meta).collect();
-            let engine = ShardedEngine::build(&sharded, &config).with_meta(metas);
+            let engine = C2lshIndex::build(&data, &config).with_meta(metas);
             let (engine, service, queries) = (&engine, &service, &queries);
             crossbeam::scope(move |s| {
                 let server =
@@ -416,6 +409,6 @@ fn main() {
                 std::fs::remove_dir_all(&dir).ok();
             }
         }
-        other => panic!("unknown CC_MODE {other:?} (expected sharded or dynamic)"),
+        other => panic!("unknown CC_MODE {other:?} (expected memory or dynamic)"),
     }
 }

@@ -6,10 +6,11 @@
 //! [`TableStore`] trait, and all but `qalsh` grow one [`KeyWindows`]:
 //!
 //! * [`crate::index::C2lshIndex`] — segments of in-memory sorted runs,
+//!   per part of its rows (one dataset, or the shards of a
+//!   [`crate::ShardedData`]),
 //! * [`crate::disk::DiskIndex`] — a page meter over their walk,
 //! * [`crate::paged::PagedStore`] — compressed runs behind a buffer pool,
 //! * [`crate::dynamic::DynamicIndex`] — a segment per sealed block,
-//! * [`crate::sharded::ShardedEngine`] — segments per shard,
 //! * `qalsh::Qalsh` (sibling crate) — query-centred windows over sorted
 //!   projection columns, metered as B+-trees.
 //!

@@ -19,11 +19,10 @@
 //!
 //! The query loop itself lives in [`crate::engine`]; this module holds
 //! the one walk that feeds it. Every resident store is a list of
-//! segments over ascending id ranges: `⌈n / 65 536⌉` of them here, the
-//! shards of [`crate::sharded`] split the same way, the sealed blocks of
-//! [`crate::dynamic`]. The walk grows a [`KeyWindows`] cursor and hands
-//! the segments' ids out bucket by bucket as one table; [`crate::disk`]
-//! meters it in pages.
+//! segments over ascending id ranges: `⌈len / 65 536⌉` of them here per
+//! part of the rows, the sealed blocks of [`crate::dynamic`]. The walk
+//! grows a [`KeyWindows`] cursor and hands the segments' ids out bucket
+//! by bucket as one table; [`crate::disk`] meters it in pages.
 
 use crate::config::C2lshConfig;
 use crate::engine::{self, Ids, KeyWindows, SearchOptions, TableStore};
@@ -215,10 +214,10 @@ pub(crate) fn each_bucket<'r>(
 const HEADS: usize = 8;
 const HEAD_LINES: usize = 16;
 
-/// The rows of one id range of at most [`SEGMENT_IDS`] ids — a part of
-/// the index or of a shard, a sealed block, several blocks merged: per
-/// hash table a run of their id offsets by `(bucket, id)`. Never written
-/// once built, so snapshots share it.
+/// The rows of one id range of at most [`SEGMENT_IDS`] ids — a slice of
+/// one part of the index's rows, a sealed block, several blocks merged:
+/// per hash table a run of their id offsets by `(bucket, id)`. Never
+/// written once built, so snapshots share it.
 #[derive(Debug)]
 pub(crate) struct Segment {
     pub(crate) runs: Vec<SortedRun>,
@@ -309,15 +308,32 @@ impl Segment {
     }
 }
 
-/// The in-memory C2LSH index over a borrowed dataset.
+/// What an index is built over: rows in one or more parts. Row `i` of
+/// part `p` is object id `i` plus the rows of the parts before `p`. A
+/// [`Dataset`] is one part; a [`crate::ShardedData`] is its shards.
+pub trait Rows: Sync {
+    /// The parts, in id order; each holds rows of one dimensionality.
+    fn parts(&self) -> &[Dataset];
+}
+
+impl Rows for Dataset {
+    fn parts(&self) -> &[Dataset] {
+        std::slice::from_ref(self)
+    }
+}
+
+/// The in-memory C2LSH index over borrowed rows.
 #[derive(Debug)]
 pub struct C2lshIndex<'d> {
-    data: &'d Dataset,
+    parts: &'d [Dataset],
+    /// `offsets[p]` = id of part `p`'s first row; a trailing entry holds
+    /// the total count.
+    offsets: Vec<u32>,
     config: C2lshConfig,
     params: FullParams,
     family: HashFamily,
-    /// Every table's runs over the ids `0..n`, [`SEGMENT_IDS`] to a
-    /// segment.
+    /// Every part's segments in part order, part `p`'s over the ids
+    /// `offsets[p]..offsets[p + 1]`, [`SEGMENT_IDS`] to a segment.
     pub(crate) segments: Vec<Segment>,
     /// Per-point attribute payloads, indexed by object id; empty when
     /// the corpus carries no metadata (every point reads as default).
@@ -326,21 +342,61 @@ pub struct C2lshIndex<'d> {
 
 impl<'d> C2lshIndex<'d> {
     /// Build an index: draw `m` hash functions, hash every object, order
-    /// each table's ids by bucket id. Tables are built in parallel on
-    /// the machine's cores.
+    /// each table's ids by bucket id. Parameters `(m, l, β·n)` and the
+    /// hash family come from the total object count, and each part's
+    /// segments are built in turn, its tables in parallel on the
+    /// machine's cores. How the rows are split into parts changes the
+    /// segments' edges and nothing a query sees.
     ///
     /// # Panics
-    /// Panics on an empty dataset, one with more than `u32::MAX`
-    /// objects, or an invalid config.
-    pub fn build(data: &'d Dataset, config: &C2lshConfig) -> Self {
-        assert!(!data.is_empty(), "cannot index an empty dataset");
-        assert!(u32::try_from(data.len()).is_ok(), "object ids are 32-bit");
-        let params = FullParams::derive(data.len(), config);
-        let family = HashFamily::generate(params.m, data.dim(), config);
+    /// Panics when the rows are empty, number more than `u32::MAX`, or
+    /// the config is invalid.
+    pub fn build<R: Rows + ?Sized>(rows: &'d R, config: &C2lshConfig) -> Self {
+        let parts = rows.parts();
+        let n: usize = parts.iter().map(Dataset::len).sum();
+        assert!(n > 0, "cannot index an empty dataset");
+        assert!(u32::try_from(n).is_ok(), "object ids are 32-bit");
+        let ends = parts.iter().scan(0, |end, part| {
+            *end += part.len() as u32;
+            Some(*end)
+        });
+        let offsets: Vec<u32> = std::iter::once(0).chain(ends).collect();
+        let params = FullParams::derive(n, config);
+        let family = HashFamily::generate(params.m, parts[0].dim(), config);
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let segments = build_segments(data, &family, threads, |i| i as u32);
-        Self { data, config: config.clone(), params, family, segments, metas: Vec::new() }
+        let segments = parts
+            .iter()
+            .zip(&offsets)
+            .flat_map(|(rows, &first)| {
+                build_segments(rows, &family, threads, move |i| first + i as u32)
+            })
+            .collect();
+        let config = config.clone();
+        Self { parts, offsets, config, params, family, segments, metas: Vec::new() }
     }
+
+    /// Dataset dimensionality (inherent mirror of the [`TableStore`]
+    /// accessor, so callers don't need the trait in scope).
+    pub fn dim(&self) -> usize {
+        self.parts[0].dim()
+    }
+
+    /// Number of indexed objects.
+    pub fn len(&self) -> usize {
+        *self.offsets.last().expect("a trailing offset") as usize
+    }
+
+    /// Always `false`: [`C2lshIndex::build`] refuses empty rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of parts the rows came in: 1 for a [`Dataset`], the shard
+    /// count for a [`crate::ShardedData`].
+    pub fn num_shards(&self) -> usize {
+        self.parts.len()
+    }
+
     /// Attach per-point attribute payloads (row `i` of the dataset gets
     /// `metas[i]`), enabling filtered queries via
     /// [`SearchOptions::filter`].
@@ -348,7 +404,7 @@ impl<'d> C2lshIndex<'d> {
     /// # Panics
     /// Panics unless exactly one payload per indexed point is supplied.
     pub fn set_meta(&mut self, metas: Vec<PointMeta>) {
-        assert_eq!(metas.len(), self.data.len(), "one PointMeta per indexed point");
+        assert_eq!(metas.len(), self.len(), "one PointMeta per indexed point");
         self.metas = metas;
     }
 
@@ -495,11 +551,11 @@ impl TableStore for C2lshIndex<'_> {
     type Id = u16;
 
     fn dim(&self) -> usize {
-        self.data.dim()
+        C2lshIndex::dim(self)
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        C2lshIndex::len(self)
     }
 
     fn num_tables(&self) -> usize {
@@ -529,7 +585,8 @@ impl TableStore for C2lshIndex<'_> {
     }
 
     fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
-        Some(self.data.get(oid as usize))
+        let p = self.offsets.partition_point(|&first| first <= oid) - 1;
+        Some(self.parts[p].get((oid - self.offsets[p]) as usize))
     }
 
     fn meta(&self, oid: u32) -> PointMeta {

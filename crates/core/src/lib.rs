@@ -34,7 +34,7 @@
 //! counting, the T1/T2 terminating conditions — is implemented exactly
 //! once, in [`engine`]. Each backend (segments of sorted runs in
 //! memory or metered in 4 KiB pages, compressed runs behind a buffer
-//! pool, a segment per sealed block or per shard, the query-aware
+//! pool, a segment per sealed block, the query-aware
 //! columns of the downstream `qalsh` crate) implements
 //! [`engine::TableStore`] and gets `query` and a parallel `query_batch`
 //! from the engine, along with the [`stats`] observability layer. All
@@ -47,15 +47,15 @@
 //!   the c-k-ANN loop ([`engine::run_query`]), the batch executor
 //!   ([`engine::run_query_batch`]), the window cursor
 //!   ([`engine::KeyWindows`]) and [`engine::counting::CollisionCounter`],
-//! * [`index`] — the in-memory backend: segments of sorted runs,
+//! * [`index`] — the in-memory backend: segments of sorted runs over
+//!   [`Rows`] in one or more parts,
 //! * [`disk`] — a page meter over its walk: paper-model I/O accounting,
 //! * [`paged`] — the out-of-core backend: page file and buffer pool,
 //! * [`dynamic`] — the updatable backend: the same runs in sealed
 //!   segments shared between snapshots (a clone copies pointers, a
 //!   write seals a block and merges neighbours by size tier),
-//! * [`sharded`] — one logical index over `S` disjoint data shards:
-//!   a segment of runs per shard under one hash family, answering as
-//!   the unsharded index does,
+//! * [`sharded`] — a dataset split into `S` contiguous shards, the
+//!   [`Rows`] of one [`C2lshIndex`] that answers as the unsplit one does,
 //! * [`mutable`] — crash-safe online mutations: snapshot-consistent
 //!   reads over the dynamic backend plus WAL-backed durability
 //!   (acknowledged inserts/deletes survive a kill at any byte offset),
@@ -103,7 +103,7 @@ pub use dynamic::DynamicIndex;
 pub use engine::{SearchOptions, SearchParams, TableStore};
 pub use error::{C2lshError, Error, ErrorKind};
 pub use hash::{HashFamily, PstableHash};
-pub use index::C2lshIndex;
+pub use index::{C2lshIndex, Rows};
 pub use kernels::{Kernel, KernelDispatch};
 pub use meta::{PointMeta, Predicate};
 pub use mutable::{MutableIndex, MutationAck, MutationOp};

@@ -1,49 +1,33 @@
-//! Horizontal sharding: one logical index over `S` disjoint data shards.
+//! A dataset split by object id into contiguous shards.
 //!
-//! Scaling an index past one allocation (or, eventually, one machine)
-//! means partitioning the dataset. Collision counting makes this
-//! unusually clean: every table is keyed by a single hash function, so
-//! an object's count at radius `R` depends only on its own buckets —
-//! never on other objects — and an index partitioned by object id *is*
-//! the unpartitioned index. [`ShardedEngine`] keeps one hash family and
-//! one set of parameters, both derived from the **total** object count,
-//! and per shard the `index::Segment`s of its sorted runs over global
-//! ids, one per 65 536 of them. A query runs the single engine loop of
-//! [`crate::engine::run_query`] under one [`KeyWindows`] cursor, and a
-//! bucket's ids go out shard by shard, bucket after bucket — one
-//! table's `(bucket, oid)` order, the walk every store makes over its
-//! segments. Answers, rounds, terminating conditions and every cost
-//! counter equal those of an unsharded [`crate::C2lshIndex`] over the
-//! same data, whichever condition ends the query — the property pinned
-//! by `tests/proptest_sharded.rs`.
+//! Collision counting keys every table by a single hash function, so an
+//! object's count at radius `R` depends only on its own buckets — never
+//! on other objects — and an index partitioned by object id *is* the
+//! unpartitioned index. [`ShardedData`] is therefore only a list of
+//! parts: [`crate::C2lshIndex::build`] takes it as [`Rows`], builds each
+//! shard's segments over its global ids, and answers, in every cost
+//! counter, as the index over the unsplit data does — the property
+//! pinned by `tests/proptest_sharded.rs`.
 
-use crate::config::C2lshConfig;
-use crate::engine::{self, Ids, KeyWindows, SearchOptions, SearchParams, TableStore};
-use crate::hash::HashFamily;
-use crate::index::{build_segments, Segment};
-use crate::meta::PointMeta;
-use crate::params::FullParams;
-use crate::stats::{BatchStats, QueryStats};
+use crate::index::{C2lshIndex, Rows};
 use cc_vector::dataset::Dataset;
-use cc_vector::gt::Neighbor;
 
 /// A dataset partitioned into contiguous shards. Owns the per-shard
-/// copies; [`ShardedEngine`] borrows them (the same borrow discipline
-/// as [`crate::C2lshIndex`] over a [`Dataset`]).
+/// copies; a [`C2lshIndex`] built over it borrows them.
 #[derive(Debug)]
 pub struct ShardedData {
     shards: Vec<Dataset>,
-    /// `offsets[s]` = global id of shard `s`'s first object;
-    /// a trailing entry holds the total count.
-    offsets: Vec<u32>,
 }
+
+/// The index over a [`ShardedData`], a [`C2lshIndex`]: a name kept
+/// because the ledger benchmark (`benchmark/`) imports it.
+pub type ShardedEngine<'d> = C2lshIndex<'d>;
 
 impl ShardedData {
     /// Split `data` into `num_shards` contiguous chunks of near-equal
-    /// size (the first `n % num_shards` shards get one extra row).
-    /// Global object id `g` lands in the shard covering it, as local id
-    /// `g - offsets[s]` — so ids reported by a [`ShardedEngine`] match
-    /// the source dataset's row numbers.
+    /// size (the first `n % num_shards` shards get one extra row), so
+    /// ids reported by an index over the shards match the source
+    /// dataset's row numbers.
     ///
     /// # Panics
     /// Panics when `num_shards == 0` or `num_shards > data.len()`
@@ -52,19 +36,15 @@ impl ShardedData {
         let n = data.len();
         assert!(num_shards > 0, "need at least one shard");
         assert!(num_shards <= n, "cannot spread {n} objects over {num_shards} shards");
-        let base = n / num_shards;
-        let extra = n % num_shards;
+        let (base, extra) = (n / num_shards, n % num_shards);
         let mut shards = Vec::with_capacity(num_shards);
-        let mut offsets = Vec::with_capacity(num_shards + 1);
         let mut lo = 0usize;
         for s in 0..num_shards {
             let len = base + usize::from(s < extra);
-            offsets.push(lo as u32);
             shards.push(data.slice_rows(lo, lo + len));
             lo += len;
         }
-        offsets.push(n as u32);
-        Self { shards, offsets }
+        Self { shards }
     }
 
     /// Number of shards.
@@ -74,7 +54,7 @@ impl ShardedData {
 
     /// Total objects across all shards.
     pub fn len(&self) -> usize {
-        *self.offsets.last().unwrap() as usize
+        self.shards.iter().map(Dataset::len).sum()
     }
 
     /// `true` when no shard holds any object (unreachable via
@@ -94,182 +74,18 @@ impl ShardedData {
     }
 }
 
-/// One logical collision-counting index over partitioned data: the
-/// segments of sorted runs of every shard under one hash family and one
-/// set of derived parameters, driven by the generic engine.
-#[derive(Debug)]
-pub struct ShardedEngine<'d> {
-    data: &'d ShardedData,
-    family: HashFamily,
-    /// Every shard's segments in shard order, shard `s`'s over the global
-    /// ids `offsets[s]..offsets[s + 1]`.
-    segments: Vec<Segment>,
-    /// Per-point attribute payloads by global object id; empty when the
-    /// corpus carries no metadata (every point reads as default).
-    metas: Vec<PointMeta>,
-    params: FullParams,
-    search: SearchParams,
-}
-
-impl<'d> ShardedEngine<'d> {
-    /// Build the per-shard runs. Parameters `(m, l, β·n)` and the hash
-    /// family are derived once, from the **total** object count; each
-    /// shard's tables are built in parallel on the machine's cores.
-    ///
-    /// # Panics
-    /// Panics on an invalid config (same contract as
-    /// [`crate::C2lshIndex::build`]).
-    pub fn build(data: &'d ShardedData, config: &C2lshConfig) -> Self {
-        assert!(u32::try_from(data.len()).is_ok(), "object ids are 32-bit");
-        let params = FullParams::derive(data.len(), config);
-        let family = HashFamily::generate(params.m, data.dim(), config);
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let shards = data.shards.iter().zip(data.offsets.windows(2));
-        let segments = shards
-            .flat_map(|(rows, ids)| build_segments(rows, &family, threads, |i| ids[0] + i as u32))
-            .collect();
-        let search = params.search(config);
-        Self { data, family, segments, metas: Vec::new(), params, search }
-    }
-
-    /// The derived parameters in effect (shared by every shard).
-    pub fn params(&self) -> &FullParams {
-        &self.params
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.data.num_shards()
-    }
-
-    /// Dataset dimensionality (inherent mirror of the [`TableStore`]
-    /// accessor, so callers don't need the trait in scope).
-    pub fn dim(&self) -> usize {
-        self.data.dim()
-    }
-
-    /// Total objects across all shards.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` when no shard holds any object (unreachable via
-    /// [`ShardedData::partition`]).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// c-k-ANN query with unsharded semantics: one engine loop over
-    /// every shard's runs. Ids are global row numbers of the source
-    /// dataset.
-    pub fn query(&self, q: &[f32], k: usize) -> (Vec<Neighbor>, QueryStats) {
-        self.query_with(q, k, &SearchOptions::default())
-    }
-
-    /// [`ShardedEngine::query`] with explicit observability options.
-    pub fn query_with(
-        &self,
-        q: &[f32],
-        k: usize,
-        opts: &SearchOptions,
-    ) -> (Vec<Neighbor>, QueryStats) {
-        engine::run_query(self, &self.search, q, k, opts)
-    }
-
-    /// Answer a whole query set in parallel across scoped threads
-    /// (results as [`ShardedEngine::query`]).
-    pub fn query_batch(
-        &self,
-        queries: &Dataset,
-        k: usize,
-    ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats) {
-        self.query_batch_with(queries, k, &SearchOptions::default())
-    }
-
-    /// [`ShardedEngine::query_batch`] with explicit observability
-    /// options.
-    pub fn query_batch_with(
-        &self,
-        queries: &Dataset,
-        k: usize,
-        opts: &SearchOptions,
-    ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats) {
-        engine::run_query_batch(self, &self.search, queries, k, opts)
-    }
-
-    /// Attach per-point metadata, indexed by **global** object id (one
-    /// entry per row of the source dataset), enabling filtered queries
-    /// via `SearchOptions::filter`.
-    ///
-    /// # Panics
-    /// Panics when `metas.len() != len()`.
-    pub fn set_meta(&mut self, metas: Vec<PointMeta>) {
-        assert_eq!(metas.len(), self.len(), "one PointMeta per indexed point");
-        self.metas = metas;
-    }
-
-    /// Builder-style [`ShardedEngine::set_meta`].
-    #[must_use]
-    pub fn with_meta(mut self, metas: Vec<PointMeta>) -> Self {
-        self.set_meta(metas);
-        self
-    }
-}
-
-impl TableStore for ShardedEngine<'_> {
-    type Cursor = KeyWindows;
-    type Id = u16;
-
-    fn dim(&self) -> usize {
-        self.data.dim()
-    }
-
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    fn num_tables(&self) -> usize {
-        self.params.m
-    }
-
-    fn begin(&self, q: &[f32]) -> KeyWindows {
-        KeyWindows::new(self.family.buckets(q))
-    }
-
-    fn begin_batch(&self, queries: &Dataset) -> Vec<KeyWindows> {
-        self.family.cursors_batch(queries, KeyWindows::new)
-    }
-
-    fn expand(
-        &self,
-        cursor: &mut KeyWindows,
-        t: usize,
-        radius: i64,
-        visit: &mut dyn FnMut(&Ids<'_, u16>) -> bool,
-    ) {
-        Segment::expand(&self.segments, cursor, t, radius, |_, ids| visit(&ids))
-    }
-
-    fn exhausted(&self, cursor: &KeyWindows) -> bool {
-        Segment::exhausted(&self.segments, cursor, self.params.m)
-    }
-
-    fn vector<'a>(&'a self, oid: u32, _: &'a mut Vec<f32>) -> Option<&'a [f32]> {
-        let offsets = &self.data.offsets;
-        let s = offsets.partition_point(|&first| first <= oid) - 1;
-        Some(self.data.shards[s].get((oid - offsets[s]) as usize))
-    }
-
-    fn meta(&self, oid: u32) -> PointMeta {
-        self.metas.get(oid as usize).copied().unwrap_or_default()
+impl Rows for ShardedData {
+    fn parts(&self) -> &[Dataset] {
+        &self.shards
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Beta;
-    use crate::index::C2lshIndex;
+    use crate::config::{Beta, C2lshConfig};
+    use crate::engine::SearchOptions;
+    use crate::meta::PointMeta;
     use cc_vector::gen::{generate, Distribution};
 
     fn clustered(n: usize, d: usize, seed: u64) -> Dataset {

@@ -1,7 +1,7 @@
 //! # cc-service — serving the collision-counting engine over TCP
 //!
 //! A batching query (and mutation) service over any
-//! [`server::ServeEngine`] — the read-only [`c2lsh::ShardedEngine`] or
+//! [`server::ServeEngine`] — the read-only [`c2lsh::C2lshIndex`] or
 //! the crash-safe [`c2lsh::MutableIndex`]: clients speak a
 //! length-prefixed binary protocol ([`protocol`]) to a
 //! thread-per-connection server ([`server`]) whose single batching
@@ -34,7 +34,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use c2lsh::{C2lshConfig, ShardedData, ShardedEngine};
+//! use c2lsh::{C2lshConfig, C2lshIndex};
 //! use cc_service::{Client, ServiceConfig};
 //! use cc_vector::gen::{generate, Distribution};
 //! use std::net::TcpListener;
@@ -43,8 +43,7 @@
 //!     Distribution::GaussianMixture { clusters: 4, spread: 0.02, scale: 10.0 },
 //!     400, 8, 42,
 //! );
-//! let sharded = ShardedData::partition(&data, 4);
-//! let engine = ShardedEngine::build(&sharded, &C2lshConfig::default());
+//! let engine = C2lshIndex::build(&data, &C2lshConfig::default());
 //!
 //! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
 //! let addr = listener.local_addr().unwrap();

@@ -1,10 +1,10 @@
 //! `cc-service` — stand up a collision-counting query server.
 //!
-//! Two modes:
+//! Modes:
 //!
-//! * `--mode sharded` (default): generate a synthetic clustered
-//!   dataset, partition it across shards, build one read-only
-//!   [`ShardedEngine`] and serve queries.
+//! * `--mode memory` (default): generate a synthetic clustered
+//!   dataset, build one read-only [`C2lshIndex`] over it and serve
+//!   queries.
 //! * `--mode dynamic`: serve a mutable [`MutableIndex`] that accepts
 //!   insert/delete frames. With `--wal DIR` the index is durable —
 //!   mutations are WAL-logged under `DIR` and recovered on restart; the
@@ -29,7 +29,7 @@
 //!   write to `--primary HOST:PORT`.
 //!
 //! ```text
-//! cargo run -p cc-service --release -- --shards 4
+//! cargo run -p cc-service --release
 //! cargo run -p cc-service --release -- --mode dynamic --wal /tmp/cc-wal
 //! cargo run -p cc-service --release -- --mode paged --pool-pages 512
 //! cargo run -p cc-service --release -- --mode dynamic --wal /tmp/f1 \
@@ -39,11 +39,11 @@
 //! ```
 //!
 //! Flags (all optional): `--addr HOST:PORT` (default `127.0.0.1:7878`),
-//! `--mode sharded|dynamic|paged` (sharded), `--wal DIR` (dynamic
+//! `--mode memory|dynamic|paged|router` (memory), `--wal DIR` (dynamic
 //! only), `--paged-file PATH` / `--pool-pages N` (paged only),
 //! `--collections-dir DIR` (persist named collections under `DIR`;
 //! without it collections are in-memory),
-//! `--shards S` (4), `--n N` (20000), `--dim D` (16), `--seed SEED`
+//! `--n N` (20000), `--dim D` (16), `--seed SEED`
 //! (42), `--bucket-width W` (1.0), `--queue-cap Q` (1024),
 //! `--max-batch B` (32), `--max-delay-us US` (2000), `--k-max K`
 //! (1024), `--checkpoint-wal-bytes BYTES` (16 MiB; the batcher
@@ -61,9 +61,7 @@
 //! selection is printed at startup and exported as the `cc_kernel_info`
 //! gauge.
 
-use c2lsh::{
-    C2lshConfig, DynamicIndex, MutableIndex, MutationOp, PagedStore, ShardedData, ShardedEngine,
-};
+use c2lsh::{C2lshConfig, C2lshIndex, DynamicIndex, MutableIndex, MutationOp, PagedStore};
 use cc_obs::{MetricsServer, ObsConfig};
 use cc_service::collections::check_name;
 use cc_service::{BufpoolSnapshot, ServerObs, ServiceConfig};
@@ -80,7 +78,6 @@ struct Args {
     paged_file: Option<String>,
     pool_pages: Option<usize>,
     collections_dir: Option<String>,
-    shards: usize,
     n: usize,
     dim: usize,
     seed: u64,
@@ -104,12 +101,11 @@ impl Args {
     fn parse() -> Args {
         let mut args = Args {
             addr: "127.0.0.1:7878".into(),
-            mode: "sharded".into(),
+            mode: "memory".into(),
             wal: None,
             paged_file: None,
             pool_pages: None,
             collections_dir: None,
-            shards: 4,
             n: 20_000,
             dim: 16,
             seed: 42,
@@ -145,7 +141,6 @@ impl Args {
                     args.pool_pages = Some(parse(&value("--pool-pages"), "--pool-pages"))
                 }
                 "--collections-dir" => args.collections_dir = Some(value("--collections-dir")),
-                "--shards" => args.shards = parse(&value("--shards"), "--shards"),
                 "--n" => args.n = parse(&value("--n"), "--n"),
                 "--dim" => args.dim = parse(&value("--dim"), "--dim"),
                 "--seed" => args.seed = parse(&value("--seed"), "--seed"),
@@ -184,9 +179,9 @@ impl Args {
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: cc-service [--addr HOST:PORT] \
-                         [--mode sharded|dynamic|paged|router] \
+                         [--mode memory|dynamic|paged|router] \
                          [--wal DIR] [--paged-file PATH] [--pool-pages N] \
-                         [--collections-dir DIR] [--shards S] [--n N] [--dim D] \
+                         [--collections-dir DIR] [--n N] [--dim D] \
                          [--seed SEED] [--bucket-width W] [--queue-cap Q] [--max-batch B] \
                          [--max-delay-us US] [--k-max K] [--checkpoint-wal-bytes BYTES] \
                          [--metrics-addr HOST:PORT] [--slow-query-ms MS] [--trace-sample N] \
@@ -215,19 +210,12 @@ fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
 
 fn main() {
     let args = Args::parse();
-    if args.shards == 0 || args.n == 0 || args.dim == 0 {
-        eprintln!("--shards, --n and --dim must all be at least 1");
+    if args.n == 0 || args.dim == 0 || args.max_batch == 0 {
+        eprintln!("--n, --dim and --max-batch must all be at least 1");
         exit(2);
     }
     if let Some(Err(e)) = args.node_name.as_deref().map(|n| check_name("node", n)) {
         eprintln!("--node-name: {e}");
-        exit(2);
-    }
-    if args.mode == "sharded" && args.shards > args.n {
-        eprintln!(
-            "--shards {} is more than --n {}: every shard holds a vector",
-            args.shards, args.n
-        );
         exit(2);
     }
     eprintln!("kernel: {}", c2lsh::kernels::dispatch().kernel());
@@ -274,7 +262,7 @@ fn main() {
     });
 
     let stats = match args.mode.as_str() {
-        "sharded" => {
+        "memory" => {
             eprintln!("generating {} clustered vectors in R^{}…", args.n, args.dim);
             let data = generate(
                 Distribution::GaussianMixture { clusters: 10, spread: 0.02, scale: 10.0 },
@@ -282,14 +270,11 @@ fn main() {
                 args.dim,
                 args.seed,
             );
-            let sharded = ShardedData::partition(&data, args.shards);
-            eprintln!("building {} shards…", args.shards);
-            let engine = ShardedEngine::build(&sharded, &config);
+            let engine = C2lshIndex::build(&data, &config);
             let params = engine.params();
             eprintln!(
-                "cc-service listening on {shown_addr} — read-only, n = {}, d = {}, \
-                 shards = {}, m = {}, l = {}",
-                args.n, args.dim, args.shards, params.m, params.l,
+                "cc-service listening on {shown_addr} — read-only, n = {}, d = {}, m = {}, l = {}",
+                args.n, args.dim, params.m, params.l,
             );
             cc_service::serve_with_obs(&engine, listener, &service, obs)
         }
@@ -481,7 +466,7 @@ fn main() {
             }
         }
         other => {
-            eprintln!("unknown --mode {other} (expected sharded, dynamic, paged or router)");
+            eprintln!("unknown --mode {other} (expected memory, dynamic, paged or router)");
             exit(2);
         }
     };

@@ -4,7 +4,7 @@
 //! ```text
 //!             ┌────────────┐   bounded queue    ┌─────────────┐
 //!  conn 1 ──▶ │ handler 1  │ ──┐                │   batcher   │
-//!  conn 2 ──▶ │ handler 2  │ ──┼──▶ VecDeque ──▶│ (coalesces, │──▶ ShardedEngine
+//!  conn 2 ──▶ │ handler 2  │ ──┼──▶ VecDeque ──▶│ (coalesces, │──▶ C2lshIndex
 //!   ...       │    ...     │ ──┘   + Condvar    │  flushes)   │    ::query_batch
 //!  conn C ──▶ │ handler C  │ ◀──── mpsc reply ──┴─────────────┘
 //!             └────────────┘
@@ -21,7 +21,7 @@
 //! instead of contending for it.
 //!
 //! The engine behind the queue is anything implementing
-//! [`ServeEngine`]: the read-only [`ShardedEngine`] or the mutable,
+//! [`ServeEngine`]: the read-only [`C2lshIndex`] or the mutable,
 //! WAL-backed [`c2lsh::MutableIndex`]. When a flush contains both
 //! mutations and queries, the mutations are applied first — as one
 //! group-committed [`c2lsh::MutableIndex::apply_batch`] — and the
@@ -58,8 +58,8 @@ use crate::protocol::{self, ProtoError, QueryCost, Request, Response};
 use c2lsh::engine::SearchOptions;
 use c2lsh::stats::{BatchStats, MutationStats, QueryStats};
 use c2lsh::{
-    Error, ErrorKind, MutableIndex, MutationAck, MutationOp, PagedStore, PointMeta, Predicate,
-    ShardedEngine,
+    C2lshIndex, Error, ErrorKind, MutableIndex, MutationAck, MutationOp, PagedStore, PointMeta,
+    Predicate,
 };
 use cc_obs::ObsConfig;
 use cc_storage::wal::WalRecord;
@@ -73,7 +73,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// What the serving layer needs from an engine. Implemented by the
-/// read-only [`ShardedEngine`] (mutations rejected at admission) and by
+/// read-only [`C2lshIndex`] (mutations rejected at admission) and by
 /// [`MutableIndex`] (snapshot reads + WAL-backed mutations).
 pub trait ServeEngine: Sync {
     /// Dataset dimensionality (used to validate requests).
@@ -87,14 +87,14 @@ pub trait ServeEngine: Sync {
         self.len() == 0
     }
 
-    /// Shards behind this engine (1 for unsharded engines); exported as
-    /// `cc_shards`.
+    /// Parts the index was built over (1 for engines that are not
+    /// split); exported as `cc_shards`.
     fn num_shards(&self) -> usize {
         1
     }
 
     /// Answer a whole batch of queries; semantics of
-    /// [`ShardedEngine::query_batch_with`].
+    /// [`C2lshIndex::query_batch_with`].
     fn query_batch_with(
         &self,
         queries: &Dataset,
@@ -144,17 +144,17 @@ pub trait ServeEngine: Sync {
     }
 }
 
-impl ServeEngine for ShardedEngine<'_> {
+impl ServeEngine for C2lshIndex<'_> {
     fn dim(&self) -> usize {
-        ShardedEngine::dim(self)
+        C2lshIndex::dim(self)
     }
 
     fn len(&self) -> usize {
-        ShardedEngine::len(self)
+        C2lshIndex::len(self)
     }
 
     fn num_shards(&self) -> usize {
-        ShardedEngine::num_shards(self)
+        C2lshIndex::num_shards(self)
     }
 
     fn query_batch_with(
@@ -163,12 +163,12 @@ impl ServeEngine for ShardedEngine<'_> {
         k: usize,
         opts: &SearchOptions,
     ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats) {
-        ShardedEngine::query_batch_with(self, queries, k, opts)
+        C2lshIndex::query_batch_with(self, queries, k, opts)
     }
 }
 
 /// The out-of-core disk tier serves read-only, exactly like the
-/// sharded engine: posting lists and vectors stream through the pinned
+/// resident index: posting lists and vectors stream through the pinned
 /// buffer pool, mutations are refused at admission.
 impl ServeEngine for PagedStore {
     fn dim(&self) -> usize {
@@ -235,7 +235,7 @@ impl ServeEngine for MutableIndex {
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Most queries answered by one engine batch; a flush triggers as
-    /// soon as this many are queued.
+    /// soon as this many are queued. At least 1: [`serve`] refuses 0.
     pub max_batch: usize,
     /// How long the batcher lingers for more work before flushing a
     /// partial batch (the latency cost of coalescing).
@@ -415,6 +415,10 @@ pub fn serve_with_obs<E: ServeEngine>(
     config: &ServiceConfig,
     obs: Arc<ServerObs>,
 ) -> io::Result<ServiceStats> {
+    if config.max_batch == 0 {
+        // A batch of none would leave every admitted request unanswered.
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "max_batch must be at least 1"));
+    }
     let local_addr = listener.local_addr()?;
     obs.set_index_info(engine.len() as u64, engine.dim() as u64, engine.num_shards() as u64);
     let collections = Arc::new(Registry::open(config.collections.clone())?);

@@ -386,18 +386,34 @@ fn binary_serves_metrics_endpoint() {
     child.wait().expect("server drains after shutdown");
 }
 
-/// The real binary asked for more shards than vectors: a usage error —
-/// exit code 2 and one line on stderr — not a panic from the partition.
+/// `--max-batch 0` is a usage error at startup (exit code 2), as `--n 0`
+/// is: a batch of none would leave every admitted query unanswered. A
+/// build without the check serves, so the wait is bounded and such a
+/// server is killed.
 #[test]
-fn binary_refuses_more_shards_than_vectors() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cc-service"))
-        .args(["--addr", "127.0.0.1:0", "--shards", "8", "--n", "4"])
-        .output()
-        .expect("run cc-service");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("--shards 8 is more than --n 4"), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+fn binary_refuses_a_zero_max_batch() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_cc-service"))
+        .args(["--addr", "127.0.0.1:0", "--max-batch", "0", "--n", "50", "--dim", "4"])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cc-service");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll cc-service") {
+            break Some(status);
+        }
+        if std::time::Instant::now() >= deadline {
+            child.kill().ok();
+            child.wait().ok();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).ok();
+    let status = status.unwrap_or_else(|| panic!("still serving after 30 s; stderr: {stderr}"));
+    assert_eq!(status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--max-batch must all be at least 1"), "stderr: {stderr}");
 }
 
 /// A `--node-name` outside the collection-name rules is a usage error

@@ -140,6 +140,20 @@ fn concurrent_clients_match_single_index_ground_truth() {
     });
 }
 
+/// A zero `max_batch` would take no work from the queue, so every
+/// admitted query would wait forever: `serve` refuses the config before
+/// it spawns anything (a build that serves trips the watchdog).
+#[test]
+fn serve_refuses_a_zero_max_batch() {
+    let engine = MutableIndex::ephemeral(DynamicIndex::new(4, 16, &cfg_exact(16)));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let service = ServiceConfig { max_batch: 0, ..ServiceConfig::default() };
+    with_watchdog("zero_max_batch", Duration::from_secs(30), || {
+        let err = cc_service::serve(&engine, listener, &service).expect_err("max_batch 0");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    });
+}
+
 /// Admission control and deadlines, pinned deterministically by a long
 /// linger: a queued request occupies the (capacity-1) queue for the
 /// full linger window, so a second concurrent query must be refused

@@ -21,7 +21,7 @@ fn clustered(n: usize, d: usize, seed: u64) -> cc_vector::Dataset {
 fn concurrent_queries_match_sequential() {
     let data = Arc::new(clustered(1500, 16, 1));
     let cfg = C2lshConfig::builder().bucket_width(1.0).seed(2).build();
-    let index = C2lshIndex::build(&data, &cfg);
+    let index = C2lshIndex::build(&*data, &cfg);
 
     // Sequential reference.
     let expected: Vec<Vec<Neighbor>> =

@@ -21,11 +21,13 @@ use c2lsh::rehash::{radius_at, window};
 use c2lsh::sharded::{ShardedData, ShardedEngine};
 use c2lsh::{Beta, C2lshConfig, C2lshIndex, DiskIndex, DynamicIndex, FullParams, HashFamily};
 use c2lsh::{PagedStore, QueryStats, Termination};
+use cc_service::{Client, QueryRequest, RouterConfig, ServiceConfig};
 use cc_vector::dataset::Dataset;
 use cc_vector::dist::euclidean;
 use cc_vector::gen::{generate, Distribution};
 use cc_vector::gt::Neighbor;
 use proptest::prelude::*;
+use std::net::TcpListener;
 
 /// What a query returns and what it cost, in the paper's quantities.
 #[derive(Debug, PartialEq)]
@@ -174,5 +176,85 @@ proptest! {
         }
         drop(paged);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Neighbours as ids and the bits of their distances.
+fn bits(neighbors: &[Neighbor]) -> Vec<(u32, u64)> {
+    neighbors.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+}
+
+/// Through the wire: a `C2lshIndex` and one over three parts, each
+/// served on loopback and asked directly and through a one-group router,
+/// return the oracle's neighbours bit for bit and its rounds, collisions
+/// and verified count in the cost block — under a config whose queries
+/// end on T1 and under one whose queries end on T2.
+#[test]
+fn served_and_routed_answers_are_the_oracles() {
+    let data = generate(
+        Distribution::GaussianMixture { clusters: 6, spread: 0.05, scale: 10.0 },
+        600,
+        6,
+        7,
+    );
+    let parts = ShardedData::partition(&data, 3);
+    for (beta, ends) in [(100_000, Termination::T1AtRadius), (2, Termination::T2CandidateBudget)] {
+        let config =
+            C2lshConfig::builder().bucket_width(1.0).beta(Beta::Count(beta)).seed(5).build();
+        let asks: Vec<(Vec<f32>, Answer)> = [0usize, 150, 333, 599]
+            .iter()
+            .map(|&row| {
+                let q: Vec<f32> = data.get(row).iter().map(|x| x + 0.5).collect();
+                let want = oracle(&data, &config, &q, 10);
+                assert_eq!(want.terminated_by, ends, "row {row}, β·n = {beta}");
+                (q, want)
+            })
+            .collect();
+        let whole = C2lshIndex::build(&data, &config);
+        let split = C2lshIndex::build(&parts, &config);
+        crossbeam::scope(|s| {
+            let (mut servers, mut routers, mut running) = (Vec::new(), Vec::new(), Vec::new());
+            for engine in [&whole, &split] {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let served = listener.local_addr().unwrap();
+                running.push(s.spawn(move |_| {
+                    cc_service::serve(engine, listener, &ServiceConfig::default()).map(drop)
+                }));
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                routers.push(listener.local_addr().unwrap());
+                let router = RouterConfig {
+                    primary: served.to_string(),
+                    groups: vec![vec![served.to_string()]],
+                    ..RouterConfig::default()
+                };
+                running.push(s.spawn(move |_| cc_service::route(listener, &router).map(drop)));
+                servers.push(served);
+            }
+            for (via, addr) in
+                servers.iter().map(|a| ("direct", a)).chain(routers.iter().map(|a| ("router", a)))
+            {
+                let mut client = Client::connect(addr).unwrap();
+                for (q, want) in &asks {
+                    let got = client
+                        .search_result(&QueryRequest::new(q.clone()).k(10).with_stats())
+                        .unwrap();
+                    let cost = got.cost.expect("a cost block");
+                    assert_eq!(bits(&got.neighbors), bits(&want.neighbors), "{via} {addr}");
+                    assert_eq!(
+                        (cost.rounds, cost.collisions, cost.verified),
+                        (want.rounds, want.collisions, want.verified as u64),
+                        "{via} {addr}"
+                    );
+                }
+            }
+            // Routers first: a router's shutdown stops it, not its group.
+            for addr in routers.iter().chain(&servers) {
+                Client::connect(addr).unwrap().shutdown().unwrap();
+            }
+            for handle in running {
+                handle.join().unwrap().unwrap();
+            }
+        })
+        .unwrap();
     }
 }
