@@ -46,7 +46,7 @@
 //! * [`engine`] — the search engine: the [`engine::TableStore`] trait,
 //!   the c-k-ANN loop ([`engine::run_query`]), the batch executor
 //!   ([`engine::run_query_batch`]), the window cursor
-//!   ([`engine::KeyWindows`]) and [`engine::counting::CollisionCounter`],
+//!   ([`engine::KeyWindows`]) and one `u16` collision count per object,
 //! * [`index`] — the in-memory backend: segments of sorted runs over
 //!   [`Rows`] in one or more parts,
 //! * [`disk`] — a page meter over its walk: paper-model I/O accounting,
@@ -93,9 +93,6 @@ pub mod persist;
 pub mod rehash;
 pub mod sharded;
 pub mod stats;
-
-/// Epoch-stamped collision counters (re-export of [`engine::counting`]).
-pub use engine::counting;
 
 pub use config::{Beta, C2lshConfig, ConfigBuilder};
 pub use disk::DiskIndex;
