@@ -6,14 +6,16 @@
 //! digest of every neighbour's id and distance bits, the rounds, the
 //! final radius, the collisions counted, the candidates verified and the
 //! terminating condition. The in-memory index, a 3-shard engine, the
-//! dynamic index, the dynamic index reloaded from its `C2D1` checkpoint
-//! and the disk index must all reach that one digest. The disk index's
-//! page reads are pinned beside it. Release-only: a debug build takes
+//! dynamic index, the dynamic index reloaded from its `C2D1` checkpoint,
+//! the disk index and the paged store must all reach that one digest.
+//! The paged store reads through a pool of 64 pages, so its scans miss,
+//! and its buckets span many posting pages. The disk index's page reads
+//! are pinned beside the digest. Release-only: a debug build takes
 //! minutes over these sizes.
 
 use c2lsh::sharded::{ShardedData, ShardedEngine};
 use c2lsh::{load_dynamic, save_dynamic, C2lshConfig, C2lshIndex, DiskIndex, DynamicIndex};
-use c2lsh::{QueryStats, Termination};
+use c2lsh::{PagedStore, QueryStats, Termination};
 use cc_vector::dataset::Dataset;
 use cc_vector::gen::{generate, Distribution};
 use cc_vector::gt::Neighbor;
@@ -105,6 +107,13 @@ fn check(n: usize, want: (u64, [usize; 3], u64)) {
         (nn, s)
     });
     assert_eq!(disk_answers, answers, "{n} rows: DiskIndex");
+    drop(disk);
+
+    let dir = cc_storage::wal::scratch_dir("segment_boundaries");
+    let paged = PagedStore::build(&data, &config, dir.join("paged.ccpg"), 64).unwrap();
+    assert_eq!(digest(&data, |q, k| paged.query(q, k)), answers, "{n} rows: PagedStore");
+    drop(paged);
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!((answers.0, answers.1, reads), want, "{n} rows");
 }
 
