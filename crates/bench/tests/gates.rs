@@ -173,7 +173,7 @@ fn paged_slice_200k() {
     let before = cc_bench::large::peak_rss_bytes();
     let run = cc_bench::large::run(200_000, 50, K, 7).expect("paged slice");
     assert_reads("recall", run.recall, 0.79);
-    assert_reads("physical reads / query", run.reads_per_query, 761.38);
+    assert_reads("physical reads / query", run.reads_per_query, 709.84);
     assert!(run.compression >= 2.0, "postings compress {:.2}x", run.compression);
     assert_eq!(run.parity_n, 100_000);
     assert_eq!(run.paged_parity_recall, run.mem_parity_recall);

@@ -33,21 +33,87 @@ use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 /// The most ids a segment spans, `last − first + 1`: its runs store each
 /// as a `u16` offset from `first`.
 pub(crate) const SEGMENT_IDS: usize = 1 << 16;
 
-/// One hash table of a segment: id offsets ordered by `(bucket, id)`,
-/// plus the directory of where each distinct bucket starts.
-#[derive(Debug)]
-pub(crate) struct SortedRun {
+/// Where each distinct bucket of one hash table starts: the bucket ids
+/// in ascending order and the entry offset at which each one's ids
+/// begin. A [`SortedRun`] keeps one in front of its ids;
+/// [`crate::paged::PagedStore`] keeps one per table in RAM in front of
+/// its posting pages, so a window's entries are known before any read.
+#[derive(Debug, Default)]
+pub(crate) struct BucketDirectory {
     /// Distinct bucket ids, ascending.
     keys: Vec<i64>,
-    /// `keys.len() + 1` entry offsets: bucket `keys[i]` owns
-    /// `oids[starts[i]..starts[i + 1]]`.
+    /// `keys.len() + 1` entry offsets once finished: bucket `keys[i]`
+    /// owns entries `starts[i]..starts[i + 1]`.
     starts: Vec<u32>,
+}
+
+impl BucketDirectory {
+    fn with_capacity(buckets: usize) -> Self {
+        BucketDirectory {
+            keys: Vec::with_capacity(buckets),
+            starts: Vec::with_capacity(buckets + 1),
+        }
+    }
+
+    /// Open bucket `key`, above every key so far, at entry `start`.
+    pub(crate) fn push(&mut self, key: i64, start: usize) {
+        debug_assert!(self.keys.last().is_none_or(|&last| last < key), "keys out of order");
+        self.keys.push(key);
+        self.starts.push(u32::try_from(start).expect("entry offsets are 32-bit"));
+    }
+
+    /// Close the last bucket at `len` entries.
+    pub(crate) fn finish(&mut self, len: usize) {
+        self.starts.push(u32::try_from(len).expect("entry offsets are 32-bit"));
+    }
+
+    /// The first occupied bucket at or above `b`.
+    pub(crate) fn key_from(&self, b: i64) -> Option<i64> {
+        self.keys.get(self.keys.partition_point(|&k| k < b)).copied()
+    }
+
+    /// The entry bucket `b` starts at, occupied or not.
+    fn start(&self, b: i64) -> usize {
+        self.starts[self.keys.partition_point(|&k| k < b)] as usize
+    }
+
+    /// The entries of buckets `first..=last`: two searches, no ids read.
+    pub(crate) fn entries(&self, keys: RangeInclusive<i64>) -> Range<usize> {
+        let (first, last) = keys.into_inner();
+        let lo = self.start(first);
+        lo..lo.max(self.starts[self.keys.partition_point(|&k| k <= last)] as usize)
+    }
+
+    /// The entries of bucket `b`, none when no object hashed there.
+    fn bucket(&self, b: i64) -> Range<usize> {
+        match self.keys.binary_search(&b) {
+            Ok(i) => self.starts[i] as usize..self.starts[i + 1] as usize,
+            Err(_) => 0..0,
+        }
+    }
+
+    /// The lowest and the highest occupied bucket, `None` when empty.
+    pub(crate) fn key_span(&self) -> Option<(i64, i64)> {
+        self.keys.first().copied().zip(self.keys.last().copied())
+    }
+
+    /// Resident bytes.
+    fn size_bytes(&self) -> usize {
+        self.keys.len() * 8 + self.starts.len() * 4
+    }
+}
+
+/// One hash table of a segment: id offsets ordered by `(bucket, id)`,
+/// behind the directory of where each distinct bucket starts.
+#[derive(Debug)]
+pub(crate) struct SortedRun {
+    dir: BucketDirectory,
     /// Offsets from the segment's first id.
     pub(crate) oids: Vec<u16>,
 }
@@ -57,18 +123,14 @@ impl SortedRun {
     fn from_sorted(entries: impl IntoIterator<Item = (i64, u16)>) -> Self {
         let entries = entries.into_iter();
         let oids = Vec::with_capacity(entries.size_hint().0);
-        let mut run = SortedRun { keys: Vec::new(), starts: Vec::new(), oids };
+        let mut run = SortedRun { dir: BucketDirectory::default(), oids };
         for (bucket, oid) in entries {
-            match run.keys.last() {
-                Some(&last) if bucket == last => {}
-                _ => {
-                    run.keys.push(bucket);
-                    run.starts.push(run.oids.len() as u32);
-                }
+            if run.dir.keys.last() != Some(&bucket) {
+                run.dir.push(bucket, run.oids.len());
             }
             run.oids.push(oid);
         }
-        run.starts.push(run.oids.len() as u32);
+        run.dir.finish(run.oids.len());
         run
     }
 
@@ -96,48 +158,29 @@ impl SortedRun {
         for &b in column.iter() {
             next[slot(b)] += 1;
         }
-        let (mut keys, mut starts) = (Vec::new(), Vec::new());
+        let mut dir = BucketDirectory::default();
         let mut seen = 0u32;
         for (j, cell) in next.iter_mut().enumerate() {
             let count = *cell;
             if count > 0 {
-                keys.push(min.wrapping_add(j as i64));
-                starts.push(seen);
+                dir.push(min.wrapping_add(j as i64), seen as usize);
             }
             *cell = seen;
             seen += count;
         }
-        starts.push(seen);
+        dir.finish(seen as usize);
         let mut oids = vec![0u16; n];
         for (i, &b) in column.iter().enumerate() {
             let at = &mut next[slot(b)];
             oids[*at as usize] = id(i);
             *at += 1;
         }
-        SortedRun { keys, starts, oids }
-    }
-
-    /// The first occupied bucket at or above `b`.
-    pub(crate) fn key_from(&self, b: i64) -> Option<i64> {
-        self.keys.get(self.keys.partition_point(|&k| k < b)).copied()
-    }
-
-    /// The entry bucket `b` starts at, occupied or not.
-    fn start(&self, b: i64) -> usize {
-        self.starts[self.keys.partition_point(|&k| k < b)] as usize
+        SortedRun { dir, oids }
     }
 
     /// The id offsets of bucket `b`, none when no object hashed there.
     fn bucket(&self, b: i64) -> &[u16] {
-        match self.keys.binary_search(&b) {
-            Ok(i) => &self.oids[self.starts[i] as usize..self.starts[i + 1] as usize],
-            Err(_) => &[],
-        }
-    }
-
-    /// The lowest and the highest occupied bucket, `None` for an empty run.
-    pub(crate) fn key_span(&self) -> Option<(i64, i64)> {
-        self.keys.first().copied().zip(self.keys.last().copied())
+        &self.oids[self.dir.bucket(b)]
     }
 
     /// One run from `first` holding the `rows` ids of `parts` that `keep`
@@ -151,10 +194,9 @@ impl SortedRun {
         rows: usize,
         keep: impl Fn(u32) -> bool,
     ) -> Self {
-        let buckets = parts.iter().map(|(part, ..)| part.keys.len()).sum::<usize>().min(rows);
+        let buckets = parts.iter().map(|(part, ..)| part.dir.keys.len()).sum::<usize>().min(rows);
         let mut run = SortedRun {
-            keys: Vec::with_capacity(buckets),
-            starts: Vec::with_capacity(buckets + 1),
+            dir: BucketDirectory::with_capacity(buckets),
             oids: Vec::with_capacity(rows),
         };
         let runs: Vec<&SortedRun> = parts.iter().map(|&(part, ..)| part).collect();
@@ -171,18 +213,17 @@ impl SortedRun {
                 }
             }
             if run.oids.len() > start {
-                run.keys.push(bucket);
-                run.starts.push(start as u32);
+                run.dir.push(bucket, start);
             }
         });
-        run.starts.push(run.oids.len() as u32);
+        run.dir.finish(run.oids.len());
         debug_assert_eq!(run.oids.len(), rows);
         run
     }
 
     /// Resident bytes: the ids plus the directory.
     fn size_bytes(&self) -> usize {
-        self.oids.len() * 2 + self.keys.len() * 8 + self.starts.len() * 4
+        self.oids.len() * 2 + self.dir.size_bytes()
     }
 }
 
@@ -195,13 +236,14 @@ pub(crate) fn each_bucket<'r>(
     let mut next = vec![0; runs.len()];
     let mut slices = Vec::with_capacity(runs.len());
     let head = |next: &[usize]| {
-        runs.iter().zip(next).filter_map(|(run, &i)| run.keys.get(i)).min().copied()
+        runs.iter().zip(next).filter_map(|(run, &i)| run.dir.keys.get(i)).min().copied()
     };
     while let Some(bucket) = head(&next) {
         slices.clear();
         for (p, (run, i)) in runs.iter().zip(&mut next).enumerate() {
-            if run.keys.get(*i) == Some(&bucket) {
-                slices.push((p, &run.oids[run.starts[*i] as usize..run.starts[*i + 1] as usize]));
+            if run.dir.keys.get(*i) == Some(&bucket) {
+                let (from, to) = (run.dir.starts[*i] as usize, run.dir.starts[*i + 1] as usize);
+                slices.push((p, &run.oids[from..to]));
                 *i += 1;
             }
         }
@@ -257,7 +299,7 @@ impl Segment {
             }
             // Where bucket `first` starts in the one run; past each bucket
             // it is where the next occupied one starts.
-            let mut at: usize = segments.iter().map(|s| s.as_ref().runs[t].start(first)).sum();
+            let mut at: usize = segments.iter().map(|s| s.as_ref().runs[t].dir.start(first)).sum();
             let mut from = first;
             while from <= last {
                 // A range of one bucket, as in every first round, has no
@@ -265,7 +307,7 @@ impl Segment {
                 let next = if first == last {
                     Some(first)
                 } else {
-                    segments.iter().filter_map(|s| s.as_ref().runs[t].key_from(from)).min()
+                    segments.iter().filter_map(|s| s.as_ref().runs[t].dir.key_from(from)).min()
                 };
                 let Some(b) = next.filter(|&b| b <= last) else { break };
                 // Every slice costs a directory search and a first read of
@@ -302,7 +344,7 @@ impl Segment {
         m: usize,
     ) -> bool {
         (0..m).all(|t| {
-            let spans = segments.iter().filter_map(|s| s.as_ref().runs[t].key_span());
+            let spans = segments.iter().filter_map(|s| s.as_ref().runs[t].dir.key_span());
             cursor.covers(t, spans.reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max))))
         })
     }
@@ -606,9 +648,9 @@ mod tests {
     impl SortedRun {
         /// Every `(bucket, offset)` entry in run order.
         pub(crate) fn entries(&self) -> impl Iterator<Item = (i64, u16)> + '_ {
-            let bounds = self.starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
+            let bounds = self.dir.starts.windows(2).map(|w| w[0] as usize..w[1] as usize);
             let buckets =
-                self.keys.iter().zip(bounds).map(|(&bucket, ids)| (bucket, &self.oids[ids]));
+                self.dir.keys.iter().zip(bounds).map(|(&bucket, ids)| (bucket, &self.oids[ids]));
             buckets.flat_map(|(bucket, ids)| ids.iter().map(move |&oid| (bucket, oid)))
         }
     }
@@ -758,7 +800,15 @@ mod tests {
     fn check_run(run: SortedRun, want: &[(i64, u16)], queries: &[i64]) {
         assert_eq!(run.entries().collect::<Vec<_>>(), want);
         assert_eq!(run.oids, want.iter().map(|e| e.1).collect::<Vec<_>>());
-        assert_eq!(run.starts.len(), run.keys.len() + 1);
+        assert_eq!(run.dir.starts.len(), run.dir.keys.len() + 1);
+        for &q in queries {
+            let (near, far) = (q.saturating_sub(3), q.saturating_add(3));
+            for (first, last) in [(q, q), (near, far), (far, near), (i64::MIN, i64::MAX)] {
+                let lo = want.partition_point(|e| e.0 < first);
+                let hi = want.partition_point(|e| e.0 <= last).max(lo);
+                assert_eq!(run.dir.entries(first..=last), lo..hi, "buckets {first}..={last}");
+            }
+        }
         let segment = [Segment { runs: vec![run], first: 0, last: 0 }];
         // A window reaching `i64::MAX` holds that bucket too.
         let holds = |(lo, hi): (i64, i64), b: i64| lo <= b && (b < hi || hi == i64::MAX);

@@ -34,8 +34,9 @@ pub const PAYLOAD_BYTES: usize = PAGE_SIZE - 4;
 
 /// Magic bytes identifying a cc-storage disk page file.
 const MAGIC: [u8; 4] = *b"CCPG";
-/// On-disk format version.
-const VERSION: u32 = 1;
+/// On-disk format version. Version 2 holds ids-only posting pages
+/// (`crate::paged_bucket`); a version-1 file is refused, not migrated.
+const VERSION: u32 = 2;
 
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -261,6 +262,28 @@ mod tests {
         }
         assert_eq!(f.reads(), 5);
         assert!(f.read_payload(5, &mut buf).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_1_file_is_refused() {
+        let dir = scratch_dir("diskfile_v1");
+        let path = dir.join("pages.ccpg");
+        let mut w = DiskPageFileWriter::create(&path).unwrap();
+        w.append_page(&[1, 2, 3]).unwrap();
+        drop(w.finish().unwrap());
+        // The same file under a sound version-1 header.
+        let mut header = [0u8; PAYLOAD_BYTES];
+        header[0..4].copy_from_slice(&MAGIC);
+        header[4..8].copy_from_slice(&1u32.to_le_bytes());
+        header[8..12].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+        header[12..20].copy_from_slice(&1u64.to_le_bytes());
+        let mut file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all(&seal(&header)).unwrap();
+        drop(file);
+        let err = DiskPageFile::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

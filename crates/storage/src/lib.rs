@@ -7,11 +7,12 @@
 //!   (positioned `pread`-style I/O),
 //! * [`pool`] — a pinned buffer pool (clock eviction, pin counts,
 //!   hit/miss/eviction counters) fronting the page file,
-//! * [`codec`] — delta + bitpacked posting-list compression with a plain
-//!   fallback,
-//! * [`paged_bucket`] — compressed `(bucket, object)` posting runs packed
-//!   into disk pages with an in-memory page directory; the on-disk layout
-//!   of a C2LSH hash table,
+//! * [`codec`] — delta + bitpacked posting-list compression, one width
+//!   per block of 32 gaps,
+//! * [`paged_bucket`] — a hash table's object ids in `(bucket, object)`
+//!   order, compressed into full disk pages with no bucket ids (the
+//!   caller keeps the bucket directory); the on-disk layout of a C2LSH
+//!   hash table,
 //! * [`wal`] — a checksummed write-ahead log for online index mutations
 //!   (append + fsync + replay with torn-tail truncation), plus the
 //!   [`wal::FailpointFile`] fault injector used by the crash-recovery

@@ -127,7 +127,7 @@ impl PinnedPool {
             frame.referenced = true;
             frame.pins += 1;
             let data = Arc::clone(&frame.data);
-            return Ok(PinnedPage { pool: Some(self), page_no, data });
+            return Ok(PinnedPage { pool: Some(self), page_no, data, missed: false });
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Holding the lock across the read keeps the miss path simple and
@@ -147,10 +147,10 @@ impl PinnedPool {
                 inner.map.insert(page_no, slot);
                 inner.frames[slot] =
                     Some(Frame { page_no, data: Arc::clone(&data), pins: 1, referenced: true });
-                Ok(PinnedPage { pool: Some(self), page_no, data })
+                Ok(PinnedPage { pool: Some(self), page_no, data, missed: true })
             }
             // Every frame pinned: serve around the pool.
-            None => Ok(PinnedPage { pool: None, page_no, data }),
+            None => Ok(PinnedPage { pool: None, page_no, data, missed: true }),
         }
     }
 
@@ -188,12 +188,19 @@ pub struct PinnedPage<'p> {
     pool: Option<&'p PinnedPool>,
     page_no: u32,
     data: Arc<Vec<u8>>,
+    /// Whether this request read the page from the file (a miss).
+    missed: bool,
 }
 
 impl PinnedPage<'_> {
     /// Page number this guard refers to.
     pub fn page_no(&self) -> u32 {
         self.page_no
+    }
+
+    /// Whether this request was a miss: the page was read from the file.
+    pub fn missed(&self) -> bool {
+        self.missed
     }
 }
 
@@ -233,9 +240,10 @@ mod tests {
     fn hits_and_misses_are_counted() {
         let (dir, file) = sample_file("pool_counts", 4);
         let pool = PinnedPool::new(2);
-        for _ in 0..3 {
+        for i in 0..3 {
             let p = pool.get(&file, 0).unwrap();
             assert_eq!(p[0], 0);
+            assert_eq!(p.missed(), i == 0);
         }
         let s = pool.stats();
         assert_eq!((s.requests, s.hits, s.misses), (3, 2, 1));

@@ -137,6 +137,6 @@ fn page_file(dim: usize) -> (usize, u64) {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-mode sizes, run by the CI test job's release leg")]
 fn golden_page_files_at_70_000_rows() {
-    assert_eq!(page_file(64), (30_646_272, 4_176_502_406_987_687_460), "d = 64");
-    assert_eq!(page_file(13), (14_393_344, 12_247_396_435_798_085_473), "d = 13");
+    assert_eq!(page_file(64), (28_336_128, 3_224_020_022_536_708_516), "d = 64");
+    assert_eq!(page_file(13), (12_500_992, 16_807_205_322_368_535_933), "d = 13");
 }
