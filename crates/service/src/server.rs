@@ -353,6 +353,12 @@ struct Queue {
     draining: bool,
 }
 
+/// Most distinct replica names the lag board holds. A pull under a new
+/// name once it is full is refused, so a client that subscribes under
+/// fresh names grows neither the board nor the exposition; a name
+/// already on it keeps pulling.
+pub const MAX_REPLICAS: usize = 64;
+
 /// Replication progress per connected subscriber, shared between the
 /// connection handlers (which update it on every subscribe/ack) and
 /// the metrics renderer (which turns it into the per-replica
@@ -366,6 +372,18 @@ struct ReplicaBoard {
 }
 
 impl ReplicaBoard {
+    /// Record that `replica` acknowledged `acked`; `false`, recording
+    /// nothing, for a new name when the board already holds
+    /// [`MAX_REPLICAS`].
+    fn record(&self, replica: &str, acked: u64) -> bool {
+        let mut board = self.acked.lock().unwrap();
+        if board.len() >= MAX_REPLICAS && !board.contains_key(replica) {
+            return false;
+        }
+        board.insert(replica.to_string(), acked);
+        true
+    }
+
     fn lag_rows(&self) -> Vec<(String, u64)> {
         let last = self.last_seq.load(Ordering::Relaxed);
         let mut rows: Vec<(String, u64)> = self
@@ -530,7 +548,8 @@ fn repl_batch_cap(dim: usize) -> usize {
 
 /// Answer one replication pull: ship the tail after `from_seq`, update
 /// the lag board, surface engine refusals as typed errors. The board
-/// only ever holds names that pass the collection-name rules.
+/// only ever holds names that pass the collection-name rules, and at
+/// most [`MAX_REPLICAS`] of them.
 fn answer_repl_pull<E: ServeEngine>(
     engine: &E,
     shared: &Shared,
@@ -542,9 +561,13 @@ fn answer_repl_pull<E: ServeEngine>(
     }
     match engine.replication_tail(from_seq, repl_batch_cap(engine.dim())) {
         Ok((last_seq, records)) => {
+            if !shared.replicas.record(replica, from_seq) {
+                return Response::Error(Error::invalid(format!(
+                    "replica {replica:?} refused: the lag board holds {MAX_REPLICAS} replicas"
+                )));
+            }
             let last_seq = last_seq.max(engine.current_seq());
             shared.replicas.last_seq.store(last_seq, Ordering::Relaxed);
-            shared.replicas.acked.lock().unwrap().insert(replica.to_string(), from_seq);
             Response::ReplBatch { last_seq, records }
         }
         Err(e) if e.kind() == io::ErrorKind::Unsupported => {

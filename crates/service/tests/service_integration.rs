@@ -474,6 +474,50 @@ fn replica_names_are_validated_before_the_lag_board() {
     });
 }
 
+/// The lag board holds at most `MAX_REPLICAS` names: the next new name
+/// is refused as an invalid argument, the exposition keeps exactly that
+/// many rows, and a name already on the board still subscribes.
+#[test]
+fn lag_board_refuses_new_names_past_its_cap() {
+    use cc_service::server::MAX_REPLICAS;
+    const D: usize = 4;
+    let engine = MutableIndex::ephemeral(DynamicIndex::new(D, 64, &cfg_exact(64)));
+    let service = ServiceConfig::default();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("lag_board_cap", Duration::from_secs(60), || {
+        let (engine, service) = (&engine, &service);
+        crossbeam::scope(move |s| {
+            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+            let mut client = Client::connect(addr).unwrap();
+            for i in 0..MAX_REPLICAS {
+                client.repl_subscribe(&format!("f-{i}"), 0).unwrap();
+            }
+            let mut raw = std::net::TcpStream::connect(addr).unwrap();
+            let req = Request::ReplSubscribe { replica: "one-too-many".into(), from_seq: 0 };
+            cc_service::protocol::write_request(&mut raw, &req).unwrap();
+            match cc_service::protocol::read_response(&mut raw).unwrap().unwrap() {
+                Response::Error(e) => {
+                    assert_eq!(e.kind(), c2lsh::ErrorKind::InvalidArgument, "{e}")
+                }
+                other => panic!("a name past the cap answered with {other:?}"),
+            }
+            let m = client.metrics_text().unwrap();
+            assert_eq!(m.matches("cc_replica_lag_seq{").count(), MAX_REPLICAS, "{m}");
+            assert!(!m.contains("one-too-many"), "{m}");
+            let mut again = Client::connect(addr).unwrap();
+            again.repl_subscribe("f-0", 0).unwrap();
+            let m = client.metrics_text().unwrap();
+            assert_eq!(m.matches("cc_replica_lag_seq{").count(), MAX_REPLICAS, "{m}");
+
+            client.shutdown().unwrap();
+            server.join().unwrap();
+        })
+        .unwrap();
+    });
+}
+
 /// Protocol violations get an explicit `Error` frame and a closed
 /// connection — never a hang, never a crash of the server.
 #[test]
