@@ -13,12 +13,12 @@
 //!   accumulates elements `j, j+8, j+16, …` (each product is computed in
 //!   `f64`, exact for `f32` inputs).
 //! * The combine pairs lane `j` with lane `j+4` first — exactly the two
-//!   4-wide AVX2 registers (four 2-wide SSE2/NEON registers) the SIMD
-//!   kernels keep the lanes in — then folds `(s0+s2)+(s1+s3)`.
+//!   4-wide AVX2 registers the SIMD kernel keeps the lanes in — then
+//!   folds `(s0+s2)+(s1+s3)`.
 //! * Elements past the lane-chunked region accumulate sequentially into
 //!   a separate `tail` added last.
 //!
-//! Every ISA path reproduces these exact operations in the same order,
+//! The AVX2 path reproduces these exact operations in the same order,
 //! so scalar and SIMD projections (and hence bucket ids) are
 //! bit-identical — which matters because an index built under one
 //! kernel must answer queries hashed under another

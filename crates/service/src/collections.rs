@@ -8,7 +8,7 @@
 //! manifest recording the dimensionality, so a restart can reopen
 //! every collection without the client re-declaring it.
 
-use crate::protocol::CollectionInfo;
+use crate::protocol::{CollectionInfo, MAX_DIM};
 use c2lsh::{C2lshConfig, DynamicIndex, Error, MutableIndex};
 use cc_obs::Counter;
 use std::collections::BTreeMap;
@@ -137,11 +137,14 @@ impl Registry {
 
     /// Create `name` with dimensionality `dim`; returns whether it
     /// already existed (in which case it is left untouched — the
-    /// existing dimensionality wins).
+    /// existing dimensionality wins). A `dim` of 0 or past what a vector
+    /// frame can carry is refused before anything is allocated.
     pub fn create(&self, name: &str, dim: usize) -> Result<bool, Error> {
         check_name("collection", name)?;
-        if dim == 0 {
-            return Err(Error::invalid("collection dimensionality must be at least 1"));
+        if !(1..=MAX_DIM).contains(&dim) {
+            return Err(Error::invalid(format!(
+                "collection dimensionality {dim} is outside 1..={MAX_DIM}"
+            )));
         }
         {
             let map = self.map.read().unwrap();
@@ -251,9 +254,10 @@ fn new_collection(name: String, dim: usize, index: MutableIndex) -> Collection {
     }
 }
 
+/// The dimensionality a manifest records, if it is one `create` admits.
 fn parse_manifest(text: &str) -> Option<usize> {
     let rest = text.trim().strip_prefix("dim ")?;
-    rest.parse().ok().filter(|&d| d > 0)
+    rest.parse().ok().filter(|d| (1..=MAX_DIM).contains(d))
 }
 
 #[cfg(test)]
@@ -300,6 +304,23 @@ mod tests {
         assert!(reg.drop_collection("alpha").unwrap());
         assert!(!reg.drop_collection("alpha").unwrap(), "second drop is a miss");
         assert!(reg.get("alpha").is_none());
+    }
+
+    /// A manifest whose dimensionality `create` would refuse fails the
+    /// open before the collection's index is sized from it.
+    #[test]
+    fn manifest_dims_past_a_frame_are_refused() {
+        assert_eq!(parse_manifest(&format!("dim {MAX_DIM}\n")), Some(MAX_DIM));
+        for bad in ["dim 0", &format!("dim {}", MAX_DIM + 1), &format!("dim {}", u32::MAX)] {
+            assert_eq!(parse_manifest(bad), None, "{bad}");
+        }
+        let root = cc_storage::wal::scratch_dir("collections-dim");
+        std::fs::create_dir_all(root.join("wide")).unwrap();
+        std::fs::write(root.join("wide").join(MANIFEST), format!("dim {}\n", u32::MAX)).unwrap();
+        let cfg = CollectionsConfig { root: Some(root.clone()), ..CollectionsConfig::default() };
+        let err = Registry::open(cfg).err().expect("an oversized manifest is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -99,6 +99,11 @@ use std::io::{self, Read, Write};
 /// garbage: 16 MiB comfortably holds a 1M-dimensional query).
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// The largest dimensionality a vector frame can carry: its `f32`s
+/// must fit in one frame. A collection of more dimensions could never
+/// be written to or queried.
+pub(crate) const MAX_DIM: usize = MAX_FRAME / 4;
+
 /// A span as it travels the wire: like [`c2lsh::SpanRecord`] but with
 /// an owned name, since the receiving process cannot intern the
 /// sender's `&'static str`.
@@ -856,7 +861,7 @@ impl<'a> Cur<'a> {
     /// The dimensionality is bounded before anything is allocated.
     fn vector(&mut self, what: &str) -> Result<Vec<f32>, ProtoError> {
         let dim = self.u32()? as usize;
-        if dim == 0 || dim > MAX_FRAME / 4 {
+        if dim == 0 || dim > MAX_DIM {
             return Err(ProtoError::Malformed(format!("bad {what} dimensionality {dim}")));
         }
         let bytes = self.take(dim * 4)?;
