@@ -46,34 +46,72 @@ fn block_bytes(gaps: usize, width: u8) -> usize {
 /// Panics if `ids` is decreasing or longer than `u32::MAX`.
 pub fn encode_postings(ids: &[u32], out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    let mut count = u32::try_from(ids.len()).expect("posting list longer than u32::MAX");
+    if encode_prefix(ids, usize::MAX, out) == 0 {
+        out.push(0);
+    }
+    out.len() - start
+}
+
+/// Encode the longest prefix of `ids` that takes at most `room` bytes,
+/// appending to `out`, and return its length: the largest `k` with
+/// `encode_postings(&ids[..k])` no longer than `room`, written as that
+/// call writes it. Nothing is appended when not even one id fits. A
+/// list's encoding never shrinks as ids are added, so this is where a
+/// page that must stay full splits it.
+///
+/// # Panics
+///
+/// Panics if `ids` is decreasing or longer than `u32::MAX`.
+pub(crate) fn encode_prefix(ids: &[u32], room: usize, out: &mut Vec<u8>) -> usize {
+    let size = |k: usize, blocks: usize, gaps: usize, width: u8| {
+        varint_len(k) + 4 + blocks + if gaps > 0 { block_bytes(gaps, width) } else { 0 }
+    };
+    if ids.is_empty() || size(1, 0, 0, 0) > room {
+        return 0;
+    }
+    // Each block's width, found once. `closed`: the bytes of the whole
+    // blocks before the one at `at`.
+    let (mut widths, mut closed, mut len) = (Vec::new(), 0, ids.len());
+    for at in (1..ids.len()).step_by(BLOCK_GAPS) {
+        let end = ids.len().min(at + BLOCK_GAPS);
+        let width = block_width(&ids[at - 1..end]);
+        if size(end, closed, end - at, width) > room {
+            // The list ends inside this block: with `at` ids it fit.
+            let fits = |k: &usize| size(*k, closed, k - at, block_width(&ids[at - 1..*k])) <= room;
+            len = (at + 1..end).take_while(fits).last().unwrap_or(at);
+            if len > at {
+                widths.push(block_width(&ids[at - 1..len]));
+            }
+            break;
+        }
+        closed += block_bytes(end - at, width);
+        widths.push(width);
+    }
+    let ids = &ids[..len];
+    let mut count = u32::try_from(len).expect("posting list longer than u32::MAX");
     while count >= 0x80 {
         out.push(count as u8 | 0x80);
         count >>= 7;
     }
     out.push(count as u8);
-    let Some(&first) = ids.first() else { return out.len() - start };
-    out.extend_from_slice(&first.to_le_bytes());
-    for at in (1..ids.len()).step_by(BLOCK_GAPS) {
-        let block = &ids[at - 1..ids.len().min(at + BLOCK_GAPS)];
-        let width = block_width(block);
+    out.extend_from_slice(&ids[0].to_le_bytes());
+    for (at, width) in (1..len).step_by(BLOCK_GAPS).zip(widths) {
         out.push(width);
-        // Gap i of the block occupies bits [i*width, (i+1)*width).
+        // Gap i of the block occupies bits [i*width, (i+1)*width); the
+        // accumulator holds fewer than 32 bits between gaps.
         let (mut acc, mut acc_bits) = (0u64, 0u32);
-        for w in block.windows(2) {
+        for w in ids[at - 1..len.min(at + BLOCK_GAPS)].windows(2) {
             acc |= u64::from(w[1] - w[0]) << acc_bits;
             acc_bits += u32::from(width);
-            while acc_bits >= 8 {
-                out.push(acc as u8);
-                acc >>= 8;
-                acc_bits -= 8;
+            if acc_bits >= 32 {
+                out.extend_from_slice(&(acc as u32).to_le_bytes());
+                acc >>= 32;
+                acc_bits -= 32;
             }
         }
-        if acc_bits > 0 {
-            out.push(acc as u8);
-        }
+        out.extend_from_slice(&acc.to_le_bytes()[..acc_bits.div_ceil(8) as usize]);
     }
-    out.len() - start
+    len
 }
 
 /// Bits per gap of the block whose ids, its last id before it included,
@@ -90,32 +128,6 @@ fn block_width(ids: &[u32]) -> u8 {
     }
     assert!(sorted, "posting list must be non-decreasing");
     bits_for(all)
-}
-
-/// How many leading ids of `ids` encode in at most `room` bytes: the
-/// largest `k` with `encode_postings(&ids[..k])` no longer than `room`
-/// (0 when not even one id fits). A list's encoding never shrinks as
-/// ids are added, so this is where a page that must stay full splits it.
-pub(crate) fn fitting_prefix(ids: &[u32], room: usize) -> usize {
-    let size = |k: usize, blocks: usize, gaps: usize, width: u8| {
-        varint_len(k) + 4 + blocks + if gaps > 0 { block_bytes(gaps, width) } else { 0 }
-    };
-    if ids.is_empty() || size(1, 0, 0, 0) > room {
-        return 0;
-    }
-    // `closed`: the bytes of the whole blocks before the one at `at`.
-    let mut closed = 0;
-    for at in (1..ids.len()).step_by(BLOCK_GAPS) {
-        let end = ids.len().min(at + BLOCK_GAPS);
-        let width = block_width(&ids[at - 1..end]);
-        if size(end, closed, end - at, width) > room {
-            // The list ends inside this block: with `at` ids it fit.
-            let fits = |k: &usize| size(*k, closed, k - at, block_width(&ids[at - 1..*k])) <= room;
-            return (at + 1..end).take_while(fits).last().unwrap_or(at);
-        }
-        closed += block_bytes(end - at, width);
-    }
-    ids.len()
 }
 
 /// The count of an encoded list and the bytes its count takes.
@@ -263,13 +275,19 @@ mod tests {
     }
 
     #[test]
-    fn fitting_prefix_is_the_longest_that_fits() {
+    fn encode_prefix_is_the_longest_that_fits() {
         let ids: Vec<u32> = (0..300u32).map(|i| i * i / 7).collect();
         for room in [0, 4, 5, 6, 9, 20, 40, 41, 100, 333, 10_000] {
-            let k = fitting_prefix(&ids, room);
+            let mut got = vec![0xAB];
+            let k = encode_prefix(&ids, room, &mut got);
             let len = |k: usize| encode_postings(&ids[..k], &mut Vec::new());
             assert!(k == 0 || len(k) <= room, "room {room}: {k} ids take {}", len(k));
             assert!(k == ids.len() || len(k + 1) > room, "room {room}: {} ids fit", k + 1);
+            let mut want = vec![0xAB];
+            if k > 0 {
+                encode_postings(&ids[..k], &mut want);
+            }
+            assert_eq!(got, want, "room {room}");
         }
     }
 

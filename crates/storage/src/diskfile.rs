@@ -17,9 +17,11 @@
 //! Reads go through positioned I/O (`pread` via
 //! `std::os::unix::fs::FileExt::read_exact_at` on Unix), which is safe,
 //! lock-free, and shares one file descriptor across query threads. An
-//! mmap-backed variant was considered and rejected: this crate is
-//! `#![forbid(unsafe_code)]` and memory mapping cannot be expressed safely
-//! without a new dependency (see `DESIGN.md` §12).
+//! mmap-backed variant was considered and rejected: this crate allows
+//! `unsafe` only in its checksum module, and memory mapping cannot be
+//! expressed safely without a new dependency (see `DESIGN.md` §12).
+//!
+//! A writer hands the file 1 MiB of sealed pages per write.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -31,6 +33,10 @@ use crate::PAGE_SIZE;
 
 /// Usable payload bytes per page (the last 4 bytes hold the CRC trailer).
 pub const PAYLOAD_BYTES: usize = PAGE_SIZE - 4;
+
+/// Sealed pages a writer gathers before it hands them to the file in
+/// one write (1 MiB, 256 pages).
+const WRITE_BYTES: usize = 256 * PAGE_SIZE;
 
 /// Magic bytes identifying a cc-storage disk page file.
 const MAGIC: [u8; 4] = *b"CCPG";
@@ -81,7 +87,7 @@ impl DiskPageFileWriter {
         let path = path.as_ref().to_path_buf();
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        let mut out = BufWriter::new(file);
+        let mut out = BufWriter::with_capacity(WRITE_BYTES, file);
         // Placeholder header page; rewritten (with the real page count and a
         // valid CRC) by `finish`. Until then the file is unopenable.
         out.write_all(&[0u8; PAGE_SIZE])?;

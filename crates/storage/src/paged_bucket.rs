@@ -71,7 +71,7 @@ impl PostingRunBuilder {
         debug_assert!(oids.is_sorted(), "oids out of order");
         let mut rest = oids;
         while !rest.is_empty() {
-            let take = codec::fitting_prefix(rest, PAYLOAD_BYTES - self.page.len());
+            let take = codec::encode_prefix(rest, PAYLOAD_BYTES - self.page.len(), &mut self.page);
             if take == 0 {
                 debug_assert!(self.segments > 0, "one id always fits an empty page");
                 self.flush_page();
@@ -80,7 +80,6 @@ impl PostingRunBuilder {
             if self.segments == 0 {
                 self.entry_base.push(self.len);
             }
-            codec::encode_postings(&rest[..take], &mut self.page);
             self.segments += 1;
             self.len += take;
             rest = &rest[take..];

@@ -131,8 +131,11 @@ impl PinnedPool {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Holding the lock across the read keeps the miss path simple and
-        // prevents duplicate frames for the same page; reads are sub-µs on
-        // page cache and the engine batches per-thread anyway.
+        // prevents duplicate frames for the same page. A miss from the
+        // page cache costs about 2 µs (pread, folded CRC, copy), and two
+        // threads querying a pool of a twentieth of the file wait on
+        // this lock for under 4 % of their query time (EXPERIMENTS.md
+        // §W16), too little to pay for reading outside it.
         let mut payload = Vec::new();
         file.read_payload(page_no, &mut payload)?;
         let data = Arc::new(payload);

@@ -61,6 +61,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+pub use crate::crc::crc32;
+
 /// Magic word of the WAL format: `"CWL"` family prefix + version byte
 /// `'1'`, written little-endian so the file starts with the ASCII bytes
 /// `1LWC` reversed into `"CWL1"` when read as a big-endian word.
@@ -509,59 +511,6 @@ fn decode_op(body: &[u8]) -> Option<WalOp> {
         }
         _ => None,
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the
-/// checksum guarding each record's payload and each disk page. Eight
-/// bytes per step (slicing-by-8), the tail bytewise.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static T: [[u32; 256]; 8] = crc32_tables();
-    let mut crc = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = T[7][(lo & 0xFF) as usize]
-            ^ T[6][((lo >> 8) & 0xFF) as usize]
-            ^ T[5][((lo >> 16) & 0xFF) as usize]
-            ^ T[4][(lo >> 24) as usize]
-            ^ T[3][(hi & 0xFF) as usize]
-            ^ T[2][((hi >> 8) & 0xFF) as usize]
-            ^ T[1][((hi >> 16) & 0xFF) as usize]
-            ^ T[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// `T[0]` is the bytewise table; `T[k][b]` is the CRC state after byte
-/// `b` and then `k` zero bytes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            bit += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,6 +1024,8 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
+
+    use crate::crc::crc32_tables;
 
     /// The one-byte-per-step loop `crc32` replaced, kept as its reference.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
