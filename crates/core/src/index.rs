@@ -33,6 +33,7 @@ use crate::params::FullParams;
 use crate::stats::{BatchStats, QueryStats};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
+use std::io::{self, Read};
 use std::ops::{Range, RangeInclusive};
 
 /// The most ids a segment spans, `last − first + 1`: its runs store each
@@ -44,7 +45,7 @@ pub(crate) const SEGMENT_IDS: usize = 1 << 16;
 /// begin. A [`SortedRun`] keeps one in front of its ids;
 /// [`crate::paged::PagedStore`] keeps one per table in RAM in front of
 /// its posting pages, so a window's entries are known before any read.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct BucketDirectory {
     /// Distinct bucket ids, ascending.
     keys: Vec<i64>,
@@ -111,7 +112,7 @@ impl BucketDirectory {
 
 /// One hash table of a segment: id offsets ordered by `(bucket, id)`,
 /// behind the directory of where each distinct bucket starts.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SortedRun {
     dir: BucketDirectory,
     /// Offsets from the segment's first id.
@@ -224,6 +225,47 @@ impl SortedRun {
     /// Resident bytes: the ids plus the directory.
     fn size_bytes(&self) -> usize {
         self.oids.len() * 2 + self.dir.size_bytes()
+    }
+
+    /// Append the run to `out` as the paged build spills it, all
+    /// little-endian: the bucket count (`u32`), the keys (`i64`), the
+    /// starts (`u32`, one more than the keys) and the ids (`u16`).
+    pub(crate) fn spill(&self, out: &mut Vec<u8>) {
+        let BucketDirectory { keys, starts } = &self.dir;
+        let buckets = u32::try_from(keys.len()).expect("a run has at most 65 536 buckets");
+        out.extend_from_slice(&buckets.to_le_bytes());
+        out.extend(keys.iter().flat_map(|k| k.to_le_bytes()));
+        out.extend(starts.iter().flat_map(|s| s.to_le_bytes()));
+        let at = out.len();
+        out.resize(at + 2 * self.oids.len(), 0);
+        for (bytes, oid) in out[at..].chunks_exact_mut(2).zip(&self.oids) {
+            bytes.copy_from_slice(&oid.to_le_bytes());
+        }
+    }
+
+    /// Read back the next run [`SortedRun::spill`] wrote to `input`.
+    pub(crate) fn unspill(input: &mut impl Read) -> io::Result<Self> {
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("spill: {what}"));
+        let mut word = [0u8; 4];
+        input.read_exact(&mut word)?;
+        let buckets = u32::from_le_bytes(word) as usize;
+        if buckets > SEGMENT_IDS {
+            return Err(bad("more buckets than a run has ids"));
+        }
+        let mut bytes = vec![0u8; buckets * 12 + 4];
+        input.read_exact(&mut bytes)?;
+        let (keys, starts) = bytes.split_at(buckets * 8);
+        let keys = keys.chunks_exact(8).map(|b| i64::from_le_bytes(b.try_into().expect("8 bytes")));
+        let starts = starts.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4")));
+        let dir = BucketDirectory { keys: keys.collect(), starts: starts.collect() };
+        let len = *dir.starts.last().expect("a finished directory has a last start") as usize;
+        if len > SEGMENT_IDS {
+            return Err(bad("a run longer than a segment"));
+        }
+        bytes.resize(2 * len, 0);
+        input.read_exact(&mut bytes)?;
+        let oids = bytes.chunks_exact(2).map(|b| u16::from_le_bytes([b[0], b[1]])).collect();
+        Ok(SortedRun { dir, oids })
     }
 }
 
