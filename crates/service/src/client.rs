@@ -154,19 +154,16 @@ pub enum SearchOutcome {
 }
 
 impl SearchOutcome {
-    /// Unwrap the served result; maps [`SearchOutcome::Overloaded`] and
-    /// [`SearchOutcome::DeadlineExceeded`] to a [`ProtoError`] for
-    /// callers that treat them as failures.
+    /// Unwrap the served result; maps [`SearchOutcome::Overloaded`],
+    /// [`SearchOutcome::DeadlineExceeded`] and [`SearchOutcome::Stale`]
+    /// to the [`ProtoError`] variants of the same names for callers that
+    /// treat them as failures.
     pub fn into_result(self) -> Result<QueryResult, ProtoError> {
         match self {
             SearchOutcome::Result(r) => Ok(r),
-            SearchOutcome::Overloaded => Err(ProtoError::Malformed("server overloaded".into())),
-            SearchOutcome::DeadlineExceeded => {
-                Err(ProtoError::Malformed("deadline exceeded".into()))
-            }
-            SearchOutcome::Stale => {
-                Err(ProtoError::Malformed("replica stale for requested min_seq".into()))
-            }
+            SearchOutcome::Overloaded => Err(ProtoError::Overloaded),
+            SearchOutcome::DeadlineExceeded => Err(ProtoError::DeadlineExceeded),
+            SearchOutcome::Stale => Err(ProtoError::Stale),
         }
     }
 }
@@ -199,7 +196,7 @@ impl Client {
     pub fn ping(&mut self) -> Result<(), ProtoError> {
         match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -207,7 +204,7 @@ impl Client {
     /// outcomes ([`SearchOutcome::Overloaded`] /
     /// [`SearchOutcome::DeadlineExceeded`]) in-band so the caller can
     /// react; server-side rejections ([`Response::Error`]) surface as
-    /// `Err`.
+    /// [`ProtoError::Server`] with the server's [`ErrorKind`].
     pub fn search(&mut self, req: &QueryRequest) -> Result<SearchOutcome, ProtoError> {
         match self.call(&req.to_wire())? {
             Response::TopKV2 { trace_id, neighbors, cost } => {
@@ -216,8 +213,7 @@ impl Client {
             Response::Overloaded => Ok(SearchOutcome::Overloaded),
             Response::DeadlineExceeded => Ok(SearchOutcome::DeadlineExceeded),
             Response::Error(e) if e.kind() == ErrorKind::Stale => Ok(SearchOutcome::Stale),
-            Response::Error(e) => Err(ProtoError::Malformed(e.to_string())),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -234,7 +230,7 @@ impl Client {
     pub fn metrics_text(&mut self) -> Result<String, ProtoError> {
         match self.call(&Request::Metrics)? {
             Response::MetricsText(text) => Ok(text),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -265,8 +261,7 @@ impl Client {
         };
         match self.call(&req)? {
             Response::InsertAck { oid, seq } => Ok((oid, seq)),
-            Response::Error(e) => Err(ProtoError::Malformed(e.to_string())),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -275,8 +270,7 @@ impl Client {
     pub fn create_collection(&mut self, name: &str, dim: u32) -> Result<bool, ProtoError> {
         match self.call(&Request::CreateCollection { name: name.into(), dim })? {
             Response::CollectionAck { existed } => Ok(existed),
-            Response::Error(e) => Err(ProtoError::Malformed(e.to_string())),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -285,8 +279,7 @@ impl Client {
     pub fn drop_collection(&mut self, name: &str) -> Result<bool, ProtoError> {
         match self.call(&Request::DropCollection { name: name.into() })? {
             Response::CollectionAck { existed } => Ok(existed),
-            Response::Error(e) => Err(ProtoError::Malformed(e.to_string())),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -295,7 +288,7 @@ impl Client {
     pub fn list_collections(&mut self) -> Result<Vec<CollectionInfo>, ProtoError> {
         match self.call(&Request::ListCollections)? {
             Response::CollectionList(infos) => Ok(infos),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -312,7 +305,7 @@ impl Client {
                 }
                 Ok((found, seq))
             }
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -329,8 +322,7 @@ impl Client {
         let req = Request::ReplSubscribe { replica: replica.into(), from_seq };
         match self.call(&req)? {
             Response::ReplBatch { last_seq, records } => Ok((last_seq, records)),
-            Response::Error(e) => Err(ProtoError::Malformed(e.to_string())),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -340,8 +332,7 @@ impl Client {
     pub fn repl_ack(&mut self, applied_seq: u64) -> Result<(u64, Vec<WalRecord>), ProtoError> {
         match self.call(&Request::ReplAck { applied_seq })? {
             Response::ReplBatch { last_seq, records } => Ok((last_seq, records)),
-            Response::Error(e) => Err(ProtoError::Malformed(e.to_string())),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -349,11 +340,16 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ProtoError> {
         match self.call(&Request::Shutdown)? {
             Response::ShutdownAck => Ok(()),
-            other => Err(unexpected(&other)),
+            other => Err(unexpected(other)),
         }
     }
 }
 
-fn unexpected(resp: &Response) -> ProtoError {
-    ProtoError::Malformed(format!("unexpected response {resp:?}"))
+/// The error a reply other than the expected one stands for: the
+/// server's own error for an error frame, a protocol fault otherwise.
+fn unexpected(resp: Response) -> ProtoError {
+    match resp {
+        Response::Error(e) => ProtoError::Server(e),
+        other => ProtoError::Malformed(format!("unexpected response {other:?}")),
+    }
 }

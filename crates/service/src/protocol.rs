@@ -361,13 +361,24 @@ pub enum Response {
     },
 }
 
-/// Why decoding a frame failed.
+/// Why a frame could not be read, or why the server did not answer a
+/// request with its result.
 #[derive(Debug)]
 pub enum ProtoError {
     /// The underlying transport failed (includes clean EOF mid-frame).
     Io(io::Error),
-    /// The bytes don't parse as a frame of the expected direction.
+    /// The bytes don't parse as a frame of the expected direction, or
+    /// the reply is not one the request can get.
     Malformed(String),
+    /// The server refused the request with a typed error frame; its
+    /// [`Error::kind`] says why.
+    Server(Error),
+    /// The query was refused at admission (queue full).
+    Overloaded,
+    /// The query's deadline expired while it was queued.
+    DeadlineExceeded,
+    /// The node has not applied the query's `min_seq` yet.
+    Stale,
 }
 
 impl fmt::Display for ProtoError {
@@ -375,6 +386,10 @@ impl fmt::Display for ProtoError {
         match self {
             ProtoError::Io(e) => write!(f, "transport error: {e}"),
             ProtoError::Malformed(m) => write!(f, "malformed frame: {m}"),
+            ProtoError::Server(e) => write!(f, "server error: {e}"),
+            ProtoError::Overloaded => f.write_str("server overloaded"),
+            ProtoError::DeadlineExceeded => f.write_str("deadline exceeded"),
+            ProtoError::Stale => f.write_str("replica stale for requested min_seq"),
         }
     }
 }
@@ -392,6 +407,9 @@ impl From<ProtoError> for Error {
         match e {
             ProtoError::Io(io) => Error::new(ErrorKind::Io, io.to_string()),
             ProtoError::Malformed(m) => Error::new(ErrorKind::Protocol, m),
+            ProtoError::Server(e) => e,
+            ProtoError::Stale => Error::new(ErrorKind::Stale, ProtoError::Stale.to_string()),
+            other => Error::new(ErrorKind::Internal, other.to_string()),
         }
     }
 }

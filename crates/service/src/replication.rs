@@ -198,8 +198,6 @@ fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
             "primary closed the replication stream",
         )),
         Err(ProtoError::Io(e)) => Err(e),
-        Err(ProtoError::Malformed(msg)) => {
-            Err(io::Error::new(io::ErrorKind::InvalidData, format!("malformed frame: {msg}")))
-        }
+        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
     }
 }

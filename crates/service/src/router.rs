@@ -305,9 +305,7 @@ fn ask_node(node: &str, req: &Request, deadline: Duration) -> io::Result<Respons
         Ok(Some(resp)) => Ok(resp),
         Ok(None) => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "node closed the connection")),
         Err(ProtoError::Io(e)) => Err(e),
-        Err(ProtoError::Malformed(msg)) => {
-            Err(io::Error::new(io::ErrorKind::InvalidData, format!("malformed frame: {msg}")))
-        }
+        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
     }
 }
 

@@ -17,8 +17,8 @@ use c2lsh::{
 };
 use cc_obs::{sample, ObsConfig};
 use cc_service::{
-    Client, CollectionsConfig, QueryRequest, Request, Response, SearchOutcome, ServeEngine,
-    ServerObs, ServiceConfig,
+    Client, CollectionsConfig, ProtoError, QueryRequest, Request, Response, SearchOutcome,
+    ServeEngine, ServerObs, ServiceConfig,
 };
 use cc_vector::dataset::Dataset;
 use cc_vector::gen::{generate, Distribution};
@@ -199,7 +199,8 @@ fn admission_control_and_deadlines() {
             let mut client = Client::connect(addr).unwrap();
             let refused = client.search(&QueryRequest::new(data.get(1).to_vec()).k(3)).unwrap();
             assert_eq!(refused, SearchOutcome::Overloaded);
-            assert!(refused.into_result().is_err(), "overload maps to Err for strict callers");
+            let strict = refused.into_result();
+            assert!(matches!(strict, Err(ProtoError::Overloaded)), "{strict:?}");
 
             let expired = slow.join().unwrap();
             assert_eq!(expired, SearchOutcome::DeadlineExceeded);
@@ -252,7 +253,10 @@ fn admission_control_and_deadlines() {
             // Bad requests are answered with an error frame, which the
             // client surfaces as `Err` — never dropped.
             let wrong_dim = client.search(&QueryRequest::new(vec![0.0f32; D + 1]).k(3));
-            assert!(wrong_dim.is_err(), "{wrong_dim:?}");
+            let invalid = |e: &ProtoError| {
+                matches!(e, ProtoError::Server(e) if e.kind() == c2lsh::ErrorKind::InvalidArgument)
+            };
+            assert!(wrong_dim.as_ref().is_err_and(invalid), "{wrong_dim:?}");
             let bad_k = client.search(&QueryRequest::new(data.get(0).to_vec()).k(0));
             assert!(bad_k.is_err(), "{bad_k:?}");
             // Non-finite coordinates must be refused at admission — the
@@ -497,20 +501,16 @@ fn collection_dims_no_frame_can_carry_are_refused() {
         let (engine, service, data) = (&engine, &service, &data);
         crossbeam::scope(move |s| {
             let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
-            let mut raw = std::net::TcpStream::connect(addr).unwrap();
+            let mut client = Client::connect(addr).unwrap();
             let too_wide = (cc_service::protocol::MAX_FRAME / 4 + 1) as u32;
             for dim in [u32::MAX, too_wide] {
-                let req = Request::CreateCollection { name: format!("d{dim}"), dim };
-                cc_service::protocol::write_request(&mut raw, &req).unwrap();
-                match cc_service::protocol::read_response(&mut raw).unwrap().unwrap() {
-                    Response::Error(e) => {
+                match client.create_collection(&format!("d{dim}"), dim) {
+                    Err(ProtoError::Server(e)) => {
                         assert_eq!(e.kind(), c2lsh::ErrorKind::InvalidArgument, "{e}")
                     }
                     other => panic!("dim {dim} answered with {other:?}"),
                 }
             }
-            drop(raw);
-            let mut client = Client::connect(addr).unwrap();
             assert!(client.list_collections().unwrap().is_empty());
             client.ping().unwrap();
             assert_eq!(top_k(&mut client, data.get(7), 1)[0].id, 7);
