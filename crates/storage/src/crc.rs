@@ -1,13 +1,9 @@
-//! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`): the
-//! checksum behind every `CCPG` page trailer and every `CWL1` record.
-//!
-//! Two ways compute the same value. The reference is table-driven,
-//! eight bytes per step (slicing-by-8). On x86-64 machines with
-//! PCLMULQDQ and SSE4.1, inputs of at least 128 bytes are
-//! folded 64 bytes per step with carry-less multiplication instead
+//! CRC-32, the checksum behind every `CCPG` page trailer and every
+//! `CWL1` record, computed two ways that give one value: slicing-by-8,
+//! the reference, and on x86-64 folding by carry-less multiplication
 //! (Gopal et al., "Fast CRC computation for generic polynomials using
-//! PCLMULQDQ instruction", Intel, 2009), and the reference takes the
-//! last 0–15 bytes. The machine's features are detected once;
+//! PCLMULQDQ instruction", Intel, 2009), the reference taking the last
+//! 0–15 bytes. The machine's features are detected once;
 //! `CC_FORCE_SCALAR=1` pins the reference, as it pins the scalar
 //! kernels of the `c2lsh` crate.
 //!
@@ -24,23 +20,18 @@
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the
 /// checksum guarding each write-ahead-log record's payload and each
 /// disk page. Folded 64 bytes a step by carry-less multiplication where
-/// the CPU has PCLMULQDQ and SSE4.1 and the input is at least 128
-/// bytes, otherwise table-driven (slicing-by-8, eight bytes a step);
-/// both compute the same value. `CC_FORCE_SCALAR=1` pins the table.
+/// the CPU has PCLMULQDQ and SSE4.1 and the input is at least 64 bytes,
+/// otherwise table-driven (slicing-by-8, eight bytes a step); both
+/// compute the same value. `CC_FORCE_SCALAR=1` pins the table.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !update(!0, bytes)
-}
-
-/// Advance the CRC register `crc` (not inverted) over `bytes`.
-fn update(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if bytes.len() >= x86::FOLD_MIN && folding() {
+    if folding() {
         // SAFETY: `folding` detected PCLMULQDQ and SSE4.1, the features
         // `fold` enables.
-        let (crc, tail) = unsafe { x86::fold(crc, bytes) };
-        return slicing_by_8(crc, tail);
+        let (crc, tail) = unsafe { x86::fold(!0, bytes) };
+        return !slicing_by_8(crc, tail);
     }
-    slicing_by_8(crc, bytes)
+    !slicing_by_8(!0, bytes)
 }
 
 /// Whether `crc32` folds: once per process, PCLMULQDQ and SSE4.1
@@ -53,8 +44,8 @@ fn folding() -> bool {
     })
 }
 
-/// The reference: advance the register over `bytes` eight bytes per
-/// step, the tail bytewise.
+/// The reference: advance the CRC register `crc` (not inverted) over
+/// `bytes` eight bytes per step, the tail bytewise.
 fn slicing_by_8(mut crc: u32, bytes: &[u8]) -> u32 {
     static T: [[u32; 256]; 8] = crc32_tables();
     let mut words = bytes.chunks_exact(8);
@@ -121,10 +112,6 @@ mod x86 {
     const POLY: i64 = 0x1_DB71_0641;
     const MU: i64 = 0x1_F701_1641;
 
-    /// The shortest input `crc32` folds. Below it, setting up and
-    /// reducing the four lanes costs more than the table saves.
-    pub(super) const FOLD_MIN: usize = 128;
-
     /// Whether this machine has the features [`fold`] enables.
     pub(super) fn detected() -> bool {
         is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
@@ -133,7 +120,8 @@ mod x86 {
     /// Advance the CRC register `crc` over the longest prefix of
     /// `bytes` whose length is a multiple of 16, and return the new
     /// register and the 0–15 bytes left over. An input shorter than 64
-    /// bytes is returned whole, with `crc` unchanged.
+    /// bytes, too short for the four lanes, is returned whole with `crc`
+    /// unchanged; from 64 bytes on the fold is faster than the table.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     pub(super) fn fold(crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
         if bytes.len() < 64 {
