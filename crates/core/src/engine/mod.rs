@@ -79,39 +79,24 @@ pub struct SearchParams {
 
 /// Per-query knobs for the observability layer. All default to off /
 /// cheapest; the flags only cost a branch when disabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchOptions {
     /// Record a [`RoundStats`] entry per virtual-rehashing round.
     pub per_round: bool,
     /// Measure wall-clock time (whole query, and per round when
     /// `per_round` is also set).
     pub timing: bool,
-    /// Charge the store's table I/O delta to this query's stats.
-    /// Disabled by the batch executor, where concurrent queries share
-    /// the store's I/O counters and a per-query delta would be noise;
-    /// the batch-level delta is reported in [`BatchStats::io`] instead.
-    pub charge_table_io: bool,
-    /// Early-abandon candidate verification against the running k-th
-    /// best distance ([`cc_vector::dist::euclidean_sq_bounded`]). The
-    /// returned neighbors, the per-round progress, and the terminating
-    /// condition are bit-identical either way (pinned by proptest); only
-    /// the verification cost and [`QueryStats::candidates_abandoned`]
-    /// change. On by default; turn off to measure the plain kernel.
-    pub early_abandon: bool,
     /// Attribute wall clock to pipeline stages
     /// ([`crate::stats::StageNanos`]: hash / count / verify / rank).
     /// Costs two clock reads per *verified* candidate plus two per
     /// round; off by default so the plain hot path pays one branch.
     pub stage_timing: bool,
-    /// Capture a span tree ([`QueryStats::spans`]) for this query:
-    /// one `hash` span, one `round` span per level (detail = radius),
-    /// one `rank` span. Off by default (zero allocation).
-    pub capture_spans: bool,
-    /// In [`run_query_batch`]: additionally capture spans for every
-    /// `trace_every`-th query, counted across calls in the order they
-    /// reserve their positions, so batches of one are sampled like one
-    /// large batch (0 = only what `capture_spans` says). Lets a service
-    /// trace a sample of live traffic without paying for every query.
+    /// In [`run_query_batch`]: additionally trace every
+    /// `trace_every`-th query — turn on `per_round` and `timing` for
+    /// it — counted across calls in the order they reserve their
+    /// positions, so batches of one are sampled like one large batch
+    /// (0 = only what `per_round` says). Lets a service trace a sample
+    /// of live traffic without paying for every query.
     pub trace_every: u32,
     /// Per-query attribute filter, evaluated against
     /// [`TableStore::meta`] for every frequent object *before* its
@@ -122,21 +107,6 @@ pub struct SearchOptions {
     /// T1 or T2 fires: the query ends `Exhausted` after about `m·n`
     /// increments (≈ 12 M at 100 000 objects).
     pub filter: Option<Predicate>,
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        Self {
-            per_round: false,
-            timing: false,
-            charge_table_io: true,
-            early_abandon: true,
-            stage_timing: false,
-            capture_spans: false,
-            trace_every: 0,
-            filter: None,
-        }
-    }
 }
 
 /// Storage abstraction over the `m` per-function hash tables: a store
@@ -384,7 +354,8 @@ impl ScratchPool {
 
 /// Run one c-k-ANN query against `store`. Returns the k nearest
 /// verified candidates (ascending distance, ties by id) plus cost
-/// counters.
+/// counters, whose [`QueryStats::io`] includes the store's table I/O
+/// past hashing.
 pub fn run_query<S: TableStore>(
     store: &S,
     params: &SearchParams,
@@ -393,23 +364,26 @@ pub fn run_query<S: TableStore>(
     opts: &SearchOptions,
 ) -> (Vec<Neighbor>, QueryStats) {
     let query_start = opts.timing.then(Instant::now);
-    let trace = opts.capture_spans.then(cc_obs::Trace::new);
     let hash_start = opts.stage_timing.then(Instant::now);
-    let cursor = {
-        let _span = trace.as_ref().map(|tr| tr.span("hash"));
-        store.begin(q)
-    };
+    let cursor = store.begin(q);
     let hash_ns = hash_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
-    SCRATCHES.with(|scratch| {
-        search(store, params, scratch, q, k, opts, cursor, hash_ns, trace, query_start)
-    })
+    let io_before = store.io_reads();
+    let (nn, mut stats) =
+        SCRATCHES.with(|scratch| search(store, params, scratch, q, k, opts, cursor, hash_ns));
+    stats.io.reads += store.io_reads() - io_before;
+    if let Some(start) = query_start {
+        stats.elapsed_nanos = start.elapsed().as_nanos() as u64;
+    }
+    (nn, stats)
 }
 
 /// The query loop, with hashing already done: `cursor` came from
 /// [`TableStore::begin`] or one slot of [`TableStore::begin_batch`], and
 /// `hash_ns` is the hashing time to attribute to this query's
 /// [`crate::stats::StageNanos::hash`] (a batch passes its per-query
-/// share). `scratch` is grown and its counts zeroed here.
+/// share). `scratch` is grown and its counts zeroed here. The stats
+/// charge only the verification pages; the caller adds table I/O and
+/// the elapsed time.
 #[allow(clippy::too_many_arguments)] // the seam between the single and the batch entry point
 fn search<S: TableStore>(
     store: &S,
@@ -420,8 +394,6 @@ fn search<S: TableStore>(
     opts: &SearchOptions,
     mut cursor: S::Cursor,
     hash_ns: u64,
-    trace: Option<cc_obs::Trace>,
-    query_start: Option<Instant>,
 ) -> (Vec<Neighbor>, QueryStats) {
     assert!(k > 0, "k must be positive");
     assert_eq!(q.len(), store.dim(), "query dimensionality mismatch");
@@ -454,10 +426,9 @@ fn search<S: TableStore>(
     let kd = kernels::dispatch();
 
     let mut stats = QueryStats::new();
-    let io_before = opts.charge_table_io.then(|| store.io_reads());
-    // Stage accounting (hash / count / verify / rank) and span capture
-    // are both opt-in; when off, the hot loop pays one branch per
-    // verified candidate and nothing per collision increment.
+    // Stage accounting (hash / count / verify / rank) is opt-in; when
+    // off, the hot loop pays one branch per verified candidate and
+    // nothing per collision increment.
     let stage_on = opts.stage_timing;
     let mut verify_ns: u64 = 0;
     let mut count_ns: u64 = 0;
@@ -472,11 +443,6 @@ fn search<S: TableStore>(
         let round_verified = stats.candidates_verified;
         let verify_ns_before = verify_ns;
         let expand_start = stage_on.then(Instant::now);
-        let round_span = trace.as_ref().map(|tr| {
-            let mut s = tr.span("round");
-            s.detail(radius as u64);
-            s
-        });
 
         let mut budget_hit = false;
         for t in 0..m {
@@ -516,9 +482,7 @@ fn search<S: TableStore>(
                             // count.
                             stats.candidates_verified += 1;
                             let verify_start = stage_on.then(Instant::now);
-                            let bound =
-                                if opts.early_abandon { topk.bound_sq() } else { f64::INFINITY };
-                            match kd.euclidean_sq_bounded(v, q, bound) {
+                            match kd.euclidean_sq_bounded(v, q, topk.bound_sq()) {
                                 Some(d_sq) => {
                                     topk.insert(d_sq, oid);
                                     candidates.push(Neighbor::new(oid, d_sq.sqrt()));
@@ -555,7 +519,6 @@ fn search<S: TableStore>(
             let round_total = s.elapsed().as_nanos() as u64;
             count_ns += round_total.saturating_sub(verify_ns - verify_ns_before);
         }
-        drop(round_span);
 
         // T1 progress: verified candidates within the geometric radius
         // c·R·base_radius. Abandoned candidates are not counted, which
@@ -594,23 +557,14 @@ fn search<S: TableStore>(
     }
 
     stats.io.reads = stats.candidates_verified as u64 * store.verify_pages();
-    if let Some(before) = io_before {
-        stats.io.reads += store.io_reads() - before;
-    }
     // Rank exactly as before the early-abandon change: sort *all*
     // retained candidates by (dist, id) and take k. (The top-k heap
     // selects by squared distance, whose ties can differ from post-sqrt
     // ties at the boundary, so it serves only as the abandon bound.)
     let rank_start = stage_on.then(Instant::now);
-    let result = {
-        let mut _span = trace.as_ref().map(|tr| tr.span("rank"));
-        if let Some(s) = _span.as_mut() {
-            s.detail(candidates.len() as u64);
-        }
-        candidates.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        candidates.truncate(k);
-        candidates.clone()
-    };
+    candidates.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+    candidates.truncate(k);
+    let result = candidates.clone();
     if stage_on {
         stats.stage = crate::stats::StageNanos {
             hash: hash_ns,
@@ -618,12 +572,6 @@ fn search<S: TableStore>(
             verify: verify_ns,
             rank: rank_start.map_or(0, |s| s.elapsed().as_nanos() as u64),
         };
-    }
-    if let Some(tr) = trace {
-        stats.spans = tr.finish();
-    }
-    if let Some(start) = query_start {
-        stats.elapsed_nanos = start.elapsed().as_nanos() as u64;
     }
     (result, stats)
 }
@@ -635,14 +583,14 @@ fn search<S: TableStore>(
 /// fan out to workers (hence the `S::Cursor: Send` bound). Results are
 /// in query order and identical to sequential [`run_query`] calls, with
 /// two observable differences: [`QueryStats::elapsed_nanos`] excludes
-/// hashing and a captured span tree has no `hash` span. Each worker
-/// holds one scratch from the engine's free list for its whole share.
-/// Thread count defaults to the machine's parallelism. Per-query [`QueryStats::io`] carries only the
-/// deterministic verification charge; the store's table I/O over the
+/// hashing, and per-query [`QueryStats::io`] carries only the
+/// deterministic verification charge. The store's table I/O over the
 /// whole batch is reported once in [`BatchStats::io`] (concurrent
 /// workers share the store's I/O counters, so a per-query table delta
-/// would be attribution noise). With stage timing on, each query's
-/// `hash` stage carries its 1/nq share of the batched hashing time.
+/// would be attribution noise). Each worker holds one scratch from the
+/// engine's free list for its whole share. Thread count defaults to the
+/// machine's parallelism. With stage timing on, each query's `hash`
+/// stage carries its 1/nq share of the batched hashing time.
 pub fn run_query_batch<S: TableStore + Sync>(
     store: &S,
     params: &SearchParams,
@@ -666,7 +614,6 @@ where
     static TRACE_POSITIONS: AtomicU64 = AtomicU64::new(0);
     let first_pos =
         if opts.trace_every > 0 { TRACE_POSITIONS.fetch_add(nq as u64, Relaxed) } else { 0 };
-    let worker_opts = SearchOptions { charge_table_io: false, ..*opts };
 
     // Hash the whole batch in one pass; workers consume their cursors.
     let hash_start = opts.stage_timing.then(Instant::now);
@@ -687,27 +634,24 @@ where
                 SCRATCHES.with(|scratch| {
                     for (off, (slot, cur)) in out_chunk.iter_mut().zip(cur_chunk).enumerate() {
                         let qi = lo + off;
-                        let mut per_query = worker_opts;
+                        let mut per_query = *opts;
                         // Sampled tracing: every trace_every-th position
-                        // captures its span tree.
-                        per_query.capture_spans |= opts.trace_every > 0
-                            && (first_pos + qi as u64).is_multiple_of(u64::from(opts.trace_every));
+                        // records its timed rounds.
+                        if opts.trace_every > 0
+                            && (first_pos + qi as u64).is_multiple_of(u64::from(opts.trace_every))
+                        {
+                            per_query.per_round = true;
+                            per_query.timing = true;
+                        }
                         let query_start = per_query.timing.then(Instant::now);
-                        let trace = per_query.capture_spans.then(cc_obs::Trace::new);
                         let cursor = cur.take().expect("each batch cursor is consumed once");
                         let q = queries.get(qi);
-                        *slot = search(
-                            store,
-                            params,
-                            scratch,
-                            q,
-                            k,
-                            &per_query,
-                            cursor,
-                            hash_ns_each,
-                            trace,
-                            query_start,
-                        );
+                        let (nn, mut stats) =
+                            search(store, params, scratch, q, k, &per_query, cursor, hash_ns_each);
+                        if let Some(start) = query_start {
+                            stats.elapsed_nanos = start.elapsed().as_nanos() as u64;
+                        }
+                        *slot = (nn, stats);
                     }
                 })
             });
@@ -856,7 +800,7 @@ mod tests {
     /// [`search`] for the 2 nearest to row `qi`, observability off.
     fn search_in(scratch: &mut QueryScratch, store: &MockStore, params: &SearchParams, qi: usize) {
         let (q, opts) = (store.data.get(qi), SearchOptions::default());
-        let (nn, _) = search(store, params, scratch, q, 2, &opts, store.begin(q), 0, None, None);
+        let (nn, _) = search(store, params, scratch, q, 2, &opts, store.begin(q), 0);
         assert_eq!((nn.len(), nn[0].id), (2, qi as u32));
     }
 
@@ -866,7 +810,7 @@ mod tests {
 
     fn counted(scratch: &mut QueryScratch, store: &MockStore, params: &SearchParams) -> Counted {
         let (q, opts) = (store.data.get(11), SearchOptions::default());
-        let (nn, s) = search(store, params, scratch, q, 4, &opts, store.begin(q), 0, None, None);
+        let (nn, s) = search(store, params, scratch, q, 4, &opts, store.begin(q), 0);
         (nn, s.collisions_counted, s.candidates_verified, s.rounds, s.final_radius, s.terminated_by)
     }
 
@@ -953,13 +897,13 @@ mod tests {
     }
 
     #[test]
-    fn stage_timing_and_spans_account_for_the_query() {
+    fn stage_timing_and_rounds_account_for_the_query() {
         let (store, params) = mock_store(300, 8);
         let q = store.data.get(9).to_vec();
         let opts = SearchOptions {
             timing: true,
             stage_timing: true,
-            capture_spans: true,
+            per_round: true,
             ..Default::default()
         };
         let (plain_nn, plain) = run_query(&store, &params, &q, 5, &SearchOptions::default());
@@ -973,17 +917,16 @@ mod tests {
         assert!(stats.stage.count > 0, "counting time must be attributed");
         assert!(stats.stage.verify > 0, "verification time must be attributed");
         assert!(stats.stage.total() <= stats.elapsed_nanos * 2, "{:?}", stats.stage);
-        // Span tree: one hash, one round per level, one rank, with the
-        // round details carrying the radius schedule.
-        let rounds: Vec<&cc_obs::SpanRecord> =
-            stats.spans.iter().filter(|s| s.name == "round").collect();
-        assert_eq!(rounds.len(), stats.rounds as usize);
-        assert_eq!(rounds.last().unwrap().detail, stats.final_radius as u64);
-        assert_eq!(stats.spans.iter().filter(|s| s.name == "hash").count(), 1);
-        assert_eq!(stats.spans.iter().filter(|s| s.name == "rank").count(), 1);
+        // One timed round per level, the last at the final radius, all
+        // inside the query's wall clock.
+        assert_eq!(stats.per_round.len(), stats.rounds as usize);
+        assert_eq!(stats.per_round.last().unwrap().radius, stats.final_radius);
+        assert!(stats.per_round.iter().all(|r| r.elapsed_nanos > 0), "{:?}", stats.per_round);
+        let round_ns: u64 = stats.per_round.iter().map(|r| r.elapsed_nanos).sum();
+        assert!(round_ns <= stats.elapsed_nanos, "{round_ns} > {}", stats.elapsed_nanos);
         // Disabled observability stays disabled.
         assert_eq!(plain.stage, crate::stats::StageNanos::default());
-        assert!(plain.spans.is_empty());
+        assert!(plain.per_round.is_empty());
     }
 
     /// The only test that samples, so no other test shifts the positions
@@ -995,7 +938,7 @@ mod tests {
         // One batch of ten: one traced query per 4 positions, wherever the
         // batch starts among them.
         let (batch, _) = run_query_batch(&store, &params, &store.data.slice_rows(0, 10), 3, &opts);
-        let traced: Vec<usize> = (0..10).filter(|&qi| !batch[qi].1.spans.is_empty()).collect();
+        let traced: Vec<usize> = (0..10).filter(|&qi| !batch[qi].1.per_round.is_empty()).collect();
         assert!(traced[0] < 4, "{traced:?}");
         assert!(traced.windows(2).all(|w| w[1] - w[0] == 4), "{traced:?}");
         assert!(traced[traced.len() - 1] + 4 >= 10, "{traced:?}");
@@ -1004,7 +947,7 @@ mod tests {
             .filter(|&qi| {
                 let (batch, _) =
                     run_query_batch(&store, &params, &store.data.slice_rows(qi, qi + 1), 3, &opts);
-                !batch[0].1.spans.is_empty()
+                !batch[0].1.per_round.is_empty()
             })
             .count();
         assert_eq!(traced_singles, 10);
@@ -1045,7 +988,7 @@ mod tests {
         store.tables = vec![Vec::new(); 65_536];
         let (q, opts) = (store.data.get(0), SearchOptions::default());
         let cursor = KeyWindows::new(vec![0; 65_536]);
-        search(&store, &params, &mut QueryScratch::new(), q, 1, &opts, cursor, 0, None, None);
+        search(&store, &params, &mut QueryScratch::new(), q, 1, &opts, cursor, 0);
     }
 
     #[test]

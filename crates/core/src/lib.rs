@@ -114,8 +114,3 @@ pub use stats::{BatchStats, MutationStats, QueryStats, RoundStats, StageNanos, T
 /// entries a page of the paper's I/O model holds, so downstream crates
 /// can size buffer pools and count pages without a `cc-storage` dep.
 pub use cc_storage::{ENTRIES_PER_PAGE, PAGE_SIZE};
-
-/// Re-export of the observability primitives ([`cc_obs`]) the stats
-/// layer builds on, so downstream crates need no direct `cc-obs` dep
-/// to consume [`stats::QueryStats::spans`].
-pub use cc_obs::{SpanRecord, Trace};

@@ -8,7 +8,6 @@
 //! and enabled through [`crate::engine::SearchOptions`]; batch runs
 //! aggregate into [`BatchStats`].
 
-use cc_obs::SpanRecord;
 use cc_storage::IoStats;
 
 /// Wall-clock nanoseconds attributed to each stage of the query
@@ -100,8 +99,7 @@ pub struct QueryStats {
     /// Of the verified candidates, how many the early-abandon kernel cut
     /// short (their partial distance exceeded the running k-th best, so
     /// the full distance was never finished). Always ≤
-    /// `candidates_verified`; 0 when
-    /// [`crate::engine::SearchOptions::early_abandon`] is off.
+    /// `candidates_verified`; the rest are the candidates ranked.
     pub candidates_abandoned: usize,
     /// Frequent objects rejected by the query's
     /// [`crate::meta::Predicate`] *before* verification: their true
@@ -128,11 +126,6 @@ pub struct QueryStats {
     /// Per-stage wall-clock breakdown; all-zero unless
     /// [`crate::engine::SearchOptions::stage_timing`] was set.
     pub stage: StageNanos,
-    /// Captured span tree; empty unless
-    /// [`crate::engine::SearchOptions::capture_spans`] selected this
-    /// query for tracing. Offsets are relative to the query's own
-    /// start.
-    pub spans: Vec<SpanRecord>,
 }
 
 impl QueryStats {
@@ -151,7 +144,6 @@ impl QueryStats {
             elapsed_nanos: 0,
             snapshot_seq: 0,
             stage: StageNanos::default(),
-            spans: Vec::new(),
         }
     }
 }

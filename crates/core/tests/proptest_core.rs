@@ -106,37 +106,4 @@ proptest! {
         let beta = c2lsh::Beta::Count(count.max(1)).resolve(n);
         prop_assert!(beta > 0.0 && beta < 1.0);
     }
-
-    /// Early-abandon verification is a pure optimization: neighbors,
-    /// ranking, rounds, termination, and the verification count are
-    /// bit-identical with it on or off (only `candidates_abandoned`
-    /// may differ).
-    #[test]
-    fn early_abandon_results_bit_identical(
-        ds in small_dataset(),
-        k in 1usize..8,
-        qi in 0usize..40,
-        w in 0.5f64..4.0,
-    ) {
-        let qi = qi % ds.len();
-        let cfg = C2lshConfig::builder().bucket_width(w).seed(9).build();
-        let idx = C2lshIndex::build(&ds, &cfg);
-        let q = ds.get(qi);
-        let on = c2lsh::SearchOptions { early_abandon: true, ..Default::default() };
-        let off = c2lsh::SearchOptions { early_abandon: false, ..Default::default() };
-        let (nn_on, st_on) = idx.query_with(q, k, &on);
-        let (nn_off, st_off) = idx.query_with(q, k, &off);
-        prop_assert_eq!(nn_on.len(), nn_off.len());
-        for (a, b) in nn_on.iter().zip(&nn_off) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(a.dist.to_bits(), b.dist.to_bits());
-        }
-        prop_assert_eq!(st_on.rounds, st_off.rounds);
-        prop_assert_eq!(st_on.final_radius, st_off.final_radius);
-        prop_assert_eq!(st_on.terminated_by, st_off.terminated_by);
-        prop_assert_eq!(st_on.candidates_verified, st_off.candidates_verified);
-        prop_assert_eq!(st_on.collisions_counted, st_off.collisions_counted);
-        prop_assert_eq!(st_off.candidates_abandoned, 0);
-        prop_assert!(st_on.candidates_abandoned <= st_on.candidates_verified);
-    }
 }

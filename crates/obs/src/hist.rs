@@ -101,9 +101,7 @@ impl Histogram {
     }
 }
 
-/// An immutable copy of a [`Histogram`]'s state. Snapshots form a
-/// commutative monoid under [`merge`](HistSnapshot::merge) with
-/// [`HistSnapshot::empty`] as the identity.
+/// An immutable copy of a [`Histogram`]'s state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     counts: Vec<u64>,
@@ -116,23 +114,6 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// The identity snapshot: zero observations.
-    pub fn empty() -> Self {
-        HistSnapshot { counts: vec![0; NUM_BUCKETS], count: 0, sum: 0, max: 0 }
-    }
-
-    /// Fold `other` into `self`: bucket-wise add, `max` of maxima.
-    /// Associative and commutative, so per-shard snapshots can be
-    /// combined in any order.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) of the recorded distribution,
     /// within one bucket width of the true value (≤ 1/32 relative
     /// error for values ≥ 64; exact below that). Returns 0 when empty.
@@ -241,49 +222,6 @@ mod tests {
             let q = (v + 1) as f64 / 64.0;
             assert_eq!(snap.quantile(q), v, "values below 64 must be exact");
         }
-    }
-
-    fn snap_of(values: &[u64]) -> HistSnapshot {
-        let h = Histogram::new();
-        for &v in values {
-            h.record(v);
-        }
-        h.snapshot()
-    }
-
-    #[test]
-    fn merge_is_associative_commutative_with_identity() {
-        let a = snap_of(&[1, 5, 900, 1 << 20]);
-        let b = snap_of(&[0, 63, 64, 12345]);
-        let c = snap_of(&[7, 7, 7, u64::MAX]);
-
-        // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ab_c = ab.clone();
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-
-        // a ⊕ b == b ⊕ a
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-
-        // identity
-        let mut a_e = a.clone();
-        a_e.merge(&HistSnapshot::empty());
-        assert_eq!(a_e, a);
-        let mut e_a = HistSnapshot::empty();
-        e_a.merge(&a);
-        assert_eq!(e_a, a);
-
-        // The merged snapshot equals the snapshot of the concatenation.
-        let all = snap_of(&[1, 5, 900, 1 << 20, 0, 63, 64, 12345]);
-        assert_eq!(ab, all);
     }
 
     #[test]

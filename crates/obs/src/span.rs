@@ -1,28 +1,17 @@
-//! Lightweight tracing spans.
-//!
-//! A [`Trace`] collects [`SpanRecord`]s for one logical operation (one
-//! query, one flush). Spans are opened with [`Trace::span`] — or the
-//! [`span!`] macro — and closed by dropping the returned RAII
-//! [`SpanGuard`]; nesting depth is tracked automatically so the flat
-//! record list reconstructs the tree. A `Trace` is single-threaded by
-//! design (`RefCell`, not `Mutex`): each worker owns its own trace and
-//! the records are moved out with [`Trace::finish`] when the operation
-//! completes.
+//! The span record: one named interval of a traced operation, as the
+//! slow log prints it and the wire carries it.
 
-use std::cell::{Cell, RefCell};
-use std::time::Instant;
-
-/// One closed span: a named interval relative to the trace epoch.
+/// One closed span: a named interval relative to the operation's start.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Static span name (e.g. `"verify"`); part of the span taxonomy
+    /// Static span name (e.g. `"round"`); part of the span taxonomy
     /// documented in DESIGN.md §10.
     pub name: &'static str,
-    /// Start offset from the trace epoch, nanoseconds.
+    /// Start offset from the operation's start, nanoseconds.
     pub start_ns: u64,
     /// Span duration, nanoseconds.
     pub dur_ns: u64,
-    /// Nesting depth at open time (root spans are depth 0).
+    /// Nesting depth (root spans are depth 0).
     pub depth: u8,
     /// Free-form payload — a radius, a candidate count, a byte count;
     /// `0` when unused. Interpreted per span name.
@@ -43,165 +32,5 @@ impl SpanRecord {
             self.detail,
             indent = self.depth as usize * 2,
         );
-    }
-}
-
-/// A per-operation span collector. Create one per traced query, open
-/// spans against it, then [`finish`](Trace::finish) to take the
-/// records.
-pub struct Trace {
-    epoch: Instant,
-    spans: RefCell<Vec<SpanRecord>>,
-    depth: Cell<u8>,
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Trace {
-    /// A fresh trace; the epoch (t = 0) is now.
-    pub fn new() -> Self {
-        Trace { epoch: Instant::now(), spans: RefCell::new(Vec::new()), depth: Cell::new(0) }
-    }
-
-    /// Open a span. It closes (and its duration is recorded) when the
-    /// returned guard drops.
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        let start = Instant::now();
-        let depth = self.depth.get();
-        self.depth.set(depth.saturating_add(1));
-        let idx = {
-            let mut spans = self.spans.borrow_mut();
-            spans.push(SpanRecord {
-                name,
-                start_ns: start.duration_since(self.epoch).as_nanos() as u64,
-                dur_ns: 0,
-                depth,
-                detail: 0,
-            });
-            spans.len() - 1
-        };
-        SpanGuard { trace: self, idx, start, detail: 0 }
-    }
-
-    /// Append an already-closed record (e.g. spans captured by the
-    /// engine on a worker thread), re-based at `offset_ns` past this
-    /// trace's epoch and nested under the current depth.
-    pub fn adopt(&self, records: &[SpanRecord], offset_ns: u64) {
-        let base_depth = self.depth.get();
-        let mut spans = self.spans.borrow_mut();
-        for r in records {
-            spans.push(SpanRecord {
-                name: r.name,
-                start_ns: r.start_ns.saturating_add(offset_ns),
-                dur_ns: r.dur_ns,
-                depth: r.depth.saturating_add(base_depth),
-                detail: r.detail,
-            });
-        }
-    }
-
-    /// Close the trace and take its records, ordered by open time.
-    pub fn finish(self) -> Vec<SpanRecord> {
-        self.spans.into_inner()
-    }
-
-    /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.spans.borrow().len()
-    }
-
-    /// True when no span has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// RAII guard for an open span: records the duration on drop.
-pub struct SpanGuard<'a> {
-    trace: &'a Trace,
-    idx: usize,
-    start: Instant,
-    detail: u64,
-}
-
-impl SpanGuard<'_> {
-    /// Attach a free-form payload to the span (kept on drop).
-    pub fn detail(&mut self, detail: u64) {
-        self.detail = detail;
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let dur = self.start.elapsed().as_nanos() as u64;
-        let mut spans = self.trace.spans.borrow_mut();
-        let rec = &mut spans[self.idx];
-        rec.dur_ns = dur;
-        rec.detail = self.detail;
-        self.trace.depth.set(self.trace.depth.get().saturating_sub(1));
-    }
-}
-
-/// Open a span against a `Trace`, e.g.
-/// `let _s = span!(trace, "verify");` — expands to
-/// [`Trace::span`], exists for call-site brevity and grep-ability.
-#[macro_export]
-macro_rules! span {
-    ($trace:expr, $name:expr) => {
-        $trace.span($name)
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spans_nest_and_record_depth() {
-        let trace = Trace::new();
-        {
-            let _outer = trace.span("outer");
-            {
-                let mut inner = trace.span("inner");
-                inner.detail(42);
-            }
-            let _sibling = trace.span("sibling");
-        }
-        let records = trace.finish();
-        assert_eq!(records.len(), 3);
-        assert_eq!((records[0].name, records[0].depth), ("outer", 0));
-        assert_eq!((records[1].name, records[1].depth, records[1].detail), ("inner", 1, 42));
-        assert_eq!((records[2].name, records[2].depth), ("sibling", 1));
-        // Children start no earlier than their parent and all durations
-        // are closed.
-        assert!(records[1].start_ns >= records[0].start_ns);
-        assert!(records[0].dur_ns >= records[1].dur_ns);
-    }
-
-    #[test]
-    fn adopt_rebases_and_renests() {
-        let trace = Trace::new();
-        let _outer = trace.span("query");
-        let captured =
-            vec![SpanRecord { name: "hash", start_ns: 10, dur_ns: 5, depth: 0, detail: 0 }];
-        trace.adopt(&captured, 1000);
-        drop(_outer);
-        let records = trace.finish();
-        assert_eq!(records[1].name, "hash");
-        assert_eq!(records[1].start_ns, 1010);
-        assert_eq!(records[1].depth, 1);
-    }
-
-    #[test]
-    fn macro_compiles_and_records() {
-        let trace = Trace::new();
-        {
-            let _s = span!(trace, "macro_span");
-        }
-        assert_eq!(trace.finish()[0].name, "macro_span");
     }
 }

@@ -247,7 +247,6 @@ fn main() {
             enabled: true,
             trace_sample_every: args.trace_sample,
             slow_query_ms: args.slow_query_ms,
-            slow_log_capacity: 64,
         },
         None => ObsConfig::default(),
     }));

@@ -21,10 +21,35 @@
 //! pays nothing per query.
 
 use crate::collections::CollectionMetricsRow;
-use c2lsh::stats::{BatchStats, MutationStats};
-use cc_obs::{Counter, Histogram, MetricsSource, ObsConfig, PromText, SlowLog, SlowQuery};
+use c2lsh::stats::{BatchStats, MutationStats, QueryStats};
+use cc_obs::{
+    Counter, Histogram, MetricsSource, ObsConfig, PromText, SlowLog, SlowQuery, SpanRecord,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// Slow queries the `/slowlog` ring remembers.
+const SLOW_LOG_CAPACITY: usize = 64;
+
+/// A traced query's spans, laid out from the rounds the engine recorded:
+/// one `round` per level (detail = radius) end to end from 0, then one
+/// `rank` (detail = the candidates ranked, verified less abandoned).
+/// Empty when no round was recorded.
+pub(crate) fn trace_spans(stats: &QueryStats) -> Vec<SpanRecord> {
+    let span =
+        |name, start_ns, dur_ns, detail| SpanRecord { name, start_ns, dur_ns, depth: 0, detail };
+    let mut spans = Vec::new();
+    let mut at = 0;
+    for r in &stats.per_round {
+        spans.push(span("round", at, r.elapsed_nanos, r.radius as u64));
+        at += r.elapsed_nanos;
+    }
+    if !spans.is_empty() {
+        let ranked = stats.candidates_verified - stats.candidates_abandoned;
+        spans.push(span("rank", at, stats.stage.rank, ranked as u64));
+    }
+    spans
+}
 
 /// A provider of per-collection counter snapshots — the serving layer
 /// installs one backed by its collection registry.
@@ -198,7 +223,7 @@ impl ServerObs {
             wal_apply: Histogram::new(),
             flush_total: Histogram::new(),
             batch_size: Histogram::new(),
-            slowlog: SlowLog::new(config.slow_log_capacity),
+            slowlog: SlowLog::new(SLOW_LOG_CAPACITY),
             next_trace_id: AtomicU64::new(1),
             collections: Mutex::new(None),
             bufpool: Mutex::new(None),
@@ -319,14 +344,14 @@ impl ServerObs {
         }
     }
 
-    /// Consider a query for the slow log; returns whether it was
-    /// retained.
+    /// Consider a query for the slow log, with the spans of `traced`;
+    /// returns whether it was retained.
     pub fn maybe_log_slow(
         &self,
         trace_id: u64,
         total_ns: u64,
         k: u32,
-        spans: &[c2lsh::SpanRecord],
+        traced: Option<&QueryStats>,
     ) -> bool {
         if !self.on() || self.config.slow_query_ms == 0 {
             return false;
@@ -335,7 +360,8 @@ impl ServerObs {
             return false;
         }
         self.slow_queries.inc();
-        self.slowlog.push(SlowQuery { trace_id, total_ns, k, spans: spans.to_vec() });
+        let spans = traced.map_or_else(Vec::new, trace_spans);
+        self.slowlog.push(SlowQuery { trace_id, total_ns, k, spans });
         true
     }
 
@@ -609,7 +635,7 @@ mod tests {
         obs.record_query(1_000, 2_000, &StageNanos::default());
         obs.record_engine_call(4, &BatchStats::default());
         obs.record_flush(5_000, Some(100));
-        assert!(!obs.maybe_log_slow(1, u64::MAX, 10, &[]));
+        assert!(!obs.maybe_log_slow(1, u64::MAX, 10, None));
         let text = obs.render_prometheus();
         assert!(text.contains("cc_query_seconds_count 0"), "{text}");
         assert!(text.contains("cc_flush_seconds_count 0"), "{text}");
@@ -626,7 +652,7 @@ mod tests {
         let stage = StageNanos { hash: 100, count: 4_000, verify: 900, rank: 50 };
         obs.record_query(10_000, 5_000_000, &stage);
         obs.record_flush(6_000_000, None);
-        assert!(obs.maybe_log_slow(3, 5_000_000, 7, &[]));
+        assert!(obs.maybe_log_slow(3, 5_000_000, 7, None));
         assert_eq!(obs.slow_queries.get(), 1);
         let text = obs.render_prometheus();
         assert!(text.contains("cc_query_seconds_count 1"), "{text}");
@@ -635,6 +661,41 @@ mod tests {
         let kernel = c2lsh::kernels::dispatch().kernel().name();
         assert!(text.contains(&format!("cc_kernel_info{{kernel=\"{kernel}\"}} 1")), "{text}");
         assert!(obs.render_slowlog().contains("trace_id=3"), "{}", obs.render_slowlog());
+    }
+
+    #[test]
+    fn trace_spans_lay_the_rounds_end_to_end_then_rank() {
+        let round = |level, radius, elapsed_nanos| c2lsh::RoundStats {
+            level,
+            radius,
+            collisions: 10,
+            verified: 2,
+            within_c_r: 0,
+            elapsed_nanos,
+        };
+        let mut stats = QueryStats {
+            rounds: 3,
+            final_radius: 4,
+            candidates_verified: 9,
+            candidates_abandoned: 3,
+            per_round: vec![round(0, 1, 100), round(1, 2, 250), round(2, 4, 400)],
+            stage: StageNanos { rank: 30, ..StageNanos::default() },
+            ..QueryStats::new()
+        };
+        let spans = trace_spans(&stats);
+        let laid: Vec<_> = spans.iter().map(|s| (s.name, s.start_ns, s.dur_ns, s.detail)).collect();
+        assert_eq!(
+            laid,
+            [
+                ("round", 0, 100, 1),
+                ("round", 100, 250, 2),
+                ("round", 350, 400, 4),
+                ("rank", 750, 30, 6),
+            ]
+        );
+        assert!(spans.iter().all(|s| s.depth == 0));
+        stats.per_round.clear();
+        assert!(trace_spans(&stats).is_empty());
     }
 
     #[test]

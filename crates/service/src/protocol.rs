@@ -104,12 +104,12 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// be written to or queried.
 pub(crate) const MAX_DIM: usize = MAX_FRAME / 4;
 
-/// A span as it travels the wire: like [`c2lsh::SpanRecord`] but with
+/// A span as it travels the wire: like [`cc_obs::SpanRecord`] but with
 /// an owned name, since the receiving process cannot intern the
 /// sender's `&'static str`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSpan {
-    /// Stage name (`"hash"`, `"round"`, `"rank"`, …).
+    /// Stage name (`"round"`, `"rank"`).
     pub name: String,
     /// Nanoseconds from the start of the operation to span open.
     pub start_ns: u64,
@@ -182,9 +182,8 @@ impl QueryCost {
             count_ns: stats.stage.count,
             verify_ns: stats.stage.verify,
             rank_ns: stats.stage.rank,
-            spans: stats
-                .spans
-                .iter()
+            spans: crate::obs::trace_spans(stats)
+                .into_iter()
                 .map(|s| WireSpan {
                     name: s.name.to_string(),
                     start_ns: s.start_ns,

@@ -43,6 +43,14 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+/// Pause between reconnect attempts after a connection failure.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(200);
+
+/// Read timeout on the stream. It exceeds the primary's long-poll
+/// window (250 ms) by a comfortable margin; a primary silent for this
+/// long is treated as dead and the loop reconnects.
+const READ_TIMEOUT: Duration = Duration::from_secs(3);
+
 /// Tunables of one follower pull loop.
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
@@ -51,24 +59,12 @@ pub struct ReplicationConfig {
     /// This follower's name on the primary's lag board (the `replica`
     /// label of `cc_replica_lag_seq`).
     pub node_name: String,
-    /// Pause between reconnect attempts after a connection failure.
-    pub reconnect_backoff: Duration,
-    /// Read timeout on the stream. Must exceed the primary's long-poll
-    /// window (250 ms) by a comfortable margin; a primary silent for
-    /// this long is treated as dead and the loop reconnects.
-    pub read_timeout: Duration,
 }
 
 impl ReplicationConfig {
-    /// A config for `primary` with defaults: 200 ms backoff, 3 s read
-    /// timeout.
+    /// A config for `primary`, announcing `node_name`.
     pub fn new(primary: impl Into<String>, node_name: impl Into<String>) -> Self {
-        ReplicationConfig {
-            primary: primary.into(),
-            node_name: node_name.into(),
-            reconnect_backoff: Duration::from_millis(200),
-            read_timeout: Duration::from_secs(3),
-        }
+        ReplicationConfig { primary: primary.into(), node_name: node_name.into() }
     }
 }
 
@@ -93,7 +89,7 @@ pub struct ReplicationStats {
 ///
 /// Intended to run on its own thread next to the follower's serve
 /// loop; raise `stop` (the serve loop drained) and the function
-/// returns within roughly `config.read_timeout`.
+/// returns within roughly the 3 s read timeout.
 pub fn run_follower(
     engine: &MutableIndex,
     config: &ReplicationConfig,
@@ -111,11 +107,11 @@ pub fn run_follower(
                 stats.reconnects += 1;
                 eprintln!(
                     "replication: stream to {} broke ({e}); retrying in {:?}",
-                    config.primary, config.reconnect_backoff
+                    config.primary, RECONNECT_BACKOFF
                 );
                 // Sleep in small steps so a stop request during the
                 // backoff still returns promptly.
-                let mut left = config.reconnect_backoff;
+                let mut left = RECONNECT_BACKOFF;
                 while !stop.load(Ordering::SeqCst) && left > Duration::ZERO {
                     let step = left.min(Duration::from_millis(20));
                     std::thread::sleep(step);
@@ -138,7 +134,7 @@ fn stream_once(
 ) -> io::Result<()> {
     let mut stream = TcpStream::connect(&config.primary)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let from_seq = engine.last_seq();
     protocol::write_request(
         &mut stream,

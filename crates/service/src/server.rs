@@ -1022,7 +1022,7 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
         }
     }
     let batch_len = live.len();
-    // Whole-batch trace capture when any client asked for a trace;
+    // Whole-batch round recording when any client asked for a trace;
     // positional sampling (`trace_every`) when the observability layer
     // is on. Stage timing turns on for either — it is what feeds both
     // the per-stage histograms and the cost blocks.
@@ -1051,10 +1051,9 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
             let opts = SearchOptions {
                 timing: true,
                 stage_timing: obs.on() || any_stats || any_trace,
-                capture_spans: any_trace,
+                per_round: any_trace,
                 trace_every: sample_every,
                 filter,
-                ..SearchOptions::default()
             };
             let (group_results, agg) = engine.query_batch_with(&queries, k_max, &opts);
             let answered = idxs.len() as u64;
@@ -1084,22 +1083,19 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
         let queue_wait_ns = now.saturating_duration_since(p.enqueued_at).as_nanos() as u64;
         let total_ns = answered_at.saturating_duration_since(p.enqueued_at).as_nanos() as u64;
         obs.record_query(queue_wait_ns, total_ns, &qstats.stage);
-        // A query is *traced* when it has spans it is entitled to:
+        // A query is *traced* when it has rounds it is entitled to:
         // either it asked, or positional sampling picked it. (A
-        // batchmate's `want_trace` forces whole-batch capture; spans
-        // nobody asked for are dropped here.)
-        let traced = !qstats.spans.is_empty() && (p.want_trace || (sample_every > 0 && !any_trace));
+        // batchmate's `want_trace` records the whole batch's rounds;
+        // rounds nobody asked for are dropped here.)
+        let traced =
+            !qstats.per_round.is_empty() && (p.want_trace || (sample_every > 0 && !any_trace));
         let trace_id = if traced {
             obs.traces.inc();
             obs.alloc_trace_id()
         } else {
             0
         };
-        if traced {
-            obs.maybe_log_slow(trace_id, total_ns, p.k as u32, &qstats.spans);
-        } else {
-            obs.maybe_log_slow(0, total_ns, p.k as u32, &[]);
-        }
+        obs.maybe_log_slow(trace_id, total_ns, p.k as u32, traced.then_some(&qstats));
         let cost = (p.want_stats || p.want_trace).then(|| {
             let mut c = QueryCost::from_stats(&qstats);
             if !p.want_trace {

@@ -96,7 +96,6 @@ fn live_scrape_is_monotone_and_consistent_with_load() {
         enabled: true,
         trace_sample_every: 1,
         slow_query_ms: 1,
-        slow_log_capacity: 8,
     }));
     let metrics = MetricsServer::bind("127.0.0.1:0", obs.clone()).unwrap();
     let scrape = metrics.local_addr();

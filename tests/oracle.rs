@@ -42,6 +42,9 @@ struct Answer {
 
 impl Answer {
     fn of((neighbors, s): (Vec<Neighbor>, QueryStats)) -> Self {
+        // The oracle abandons nothing; a store's early-abandon kernel
+        // may cut short only candidates it verified.
+        assert!(s.candidates_abandoned <= s.candidates_verified, "{s:?}");
         Answer {
             neighbors,
             rounds: s.rounds,
