@@ -3,13 +3,13 @@
 //!
 //! Cost counters are aggregated through [`BatchStats`] — the same
 //! aggregation the engine's batch executor produces — so the harness
-//! never hand-sums counters; only the quality metrics (recall, ratio),
-//! which need per-query ground truth, keep their own accumulators.
+//! never hand-sums counters. Recall and ratio are averaged over the
+//! collected answers by [`mean_recall`] and [`mean_ratio`], as the
+//! ledger does.
 
 use crate::methods::AnnIndex;
 use c2lsh::BatchStats;
-use cc_math::stats::mean;
-use cc_vector::metrics::{overall_ratio, recall};
+use cc_vector::metrics::{mean_ratio, mean_recall};
 use cc_vector::workload::Workload;
 use std::time::Instant;
 
@@ -44,25 +44,23 @@ pub fn evaluate(index: &dyn AnnIndex, w: &Workload, k: usize) -> EvalRow {
 /// callers that want rounds / termination tallies beyond the row.
 pub fn evaluate_with_stats(index: &dyn AnnIndex, w: &Workload, k: usize) -> (EvalRow, BatchStats) {
     let truth = w.truth_at(k);
-    let mut recalls = Vec::with_capacity(w.queries.len());
-    let mut ratios = Vec::with_capacity(w.queries.len());
+    let mut answers = Vec::with_capacity(w.queries.len());
     let mut agg = BatchStats::default();
-    for (qi, q) in w.queries.iter().enumerate() {
+    for q in w.queries.iter() {
         let t0 = Instant::now();
         let (nn, mut stats) = index.query(q, k);
         if stats.elapsed_nanos == 0 {
             // Baselines don't self-time; stamp the harness measurement.
             stats.elapsed_nanos = t0.elapsed().as_nanos() as u64;
         }
-        recalls.push(recall(&nn, &truth[qi]));
-        ratios.push(overall_ratio(&nn, &truth[qi]));
         agg.absorb(&stats);
+        answers.push(nn);
     }
     let row = EvalRow {
         method: index.name().to_string(),
         k,
-        recall: mean(&recalls),
-        ratio: mean(&ratios),
+        recall: mean_recall(&answers, &truth),
+        ratio: mean_ratio(&answers, &truth),
         verified: agg.mean_verified(),
         io_reads: agg.mean_io_reads(),
         time_ms: agg.mean_time_ms(),

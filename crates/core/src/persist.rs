@@ -16,7 +16,6 @@
 use crate::config::{Beta, C2lshConfig};
 use crate::dynamic::DynamicIndex;
 use crate::meta::PointMeta;
-use bytes::BufMut;
 use std::fmt;
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -148,50 +147,50 @@ pub fn save_dynamic(index: &DynamicIndex, last_seq: u64, mut out: impl Write) ->
     let cfg = index.config();
     let mut buf = Vec::with_capacity(SAVE_CHUNK + 16 + 4 * index.dim());
     let mut checksum = 0;
-    buf.put_u32_le(DYN_MAGIC);
-    buf.put_u32_le(index.dim() as u32);
-    buf.put_u64_le(index.expected_n() as u64);
-    buf.put_u32_le(cfg.c);
-    buf.put_f64_le(cfg.w);
-    buf.put_f64_le(cfg.delta);
-    buf.put_f64_le(cfg.base_radius);
+    buf.extend_from_slice(&DYN_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&(index.dim() as u32).to_le_bytes());
+    buf.extend_from_slice(&(index.expected_n() as u64).to_le_bytes());
+    buf.extend_from_slice(&cfg.c.to_le_bytes());
+    buf.extend_from_slice(&cfg.w.to_le_bytes());
+    buf.extend_from_slice(&cfg.delta.to_le_bytes());
+    buf.extend_from_slice(&cfg.base_radius.to_le_bytes());
     match cfg.beta {
         Beta::Count(c) => {
-            buf.put_u8(0);
-            buf.put_u64_le(c);
+            buf.push(0);
+            buf.extend_from_slice(&c.to_le_bytes());
         }
         Beta::Fraction(f) => {
-            buf.put_u8(1);
-            buf.put_f64_le(f);
+            buf.push(1);
+            buf.extend_from_slice(&f.to_le_bytes());
         }
     }
-    buf.put_u64_le(cfg.seed);
+    buf.extend_from_slice(&cfg.seed.to_le_bytes());
     for over in [cfg.m_override, cfg.l_override] {
         match over {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(v) => {
-                buf.put_u8(1);
-                buf.put_u32_le(v as u32);
+                buf.push(1);
+                buf.extend_from_slice(&(v as u32).to_le_bytes());
             }
         }
     }
     let p = index.params();
-    buf.put_u32_le(p.m as u32);
-    buf.put_u32_le(p.l as u32);
-    buf.put_u32_le(p.beta_n as u32);
-    buf.put_u64_le(last_seq);
+    buf.extend_from_slice(&(p.m as u32).to_le_bytes());
+    buf.extend_from_slice(&(p.l as u32).to_le_bytes());
+    buf.extend_from_slice(&(p.beta_n as u32).to_le_bytes());
+    buf.extend_from_slice(&last_seq.to_le_bytes());
     let slots = index.slots();
-    buf.put_u64_le(slots.len() as u64);
+    buf.extend_from_slice(&(slots.len() as u64).to_le_bytes());
     for (slot, meta) in slots.iter().zip(index.meta_slots().iter()) {
         match slot {
-            None => buf.put_u8(0),
+            None => buf.push(0),
             Some(v) => {
                 if *meta == PointMeta::default() {
-                    buf.put_u8(1);
+                    buf.push(1);
                 } else {
-                    buf.put_u8(2);
-                    buf.put_u64_le(meta.tag);
-                    buf.put_u32_le(meta.label);
+                    buf.push(2);
+                    buf.extend_from_slice(&meta.tag.to_le_bytes());
+                    buf.extend_from_slice(&meta.label.to_le_bytes());
                 }
                 let at = buf.len();
                 buf.resize(at + 4 * v.len(), 0);
@@ -210,7 +209,7 @@ pub fn save_dynamic(index: &DynamicIndex, last_seq: u64, mut out: impl Write) ->
         }
     }
     checksum = xor_fold(checksum, &buf);
-    buf.put_u32_le(checksum);
+    buf.extend_from_slice(&checksum.to_le_bytes());
     out.write_all(&buf)
 }
 

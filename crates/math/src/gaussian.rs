@@ -1,10 +1,9 @@
-//! Standard normal distribution: PDF, CDF and quantile (inverse CDF).
+//! The standard normal CDF, the one distribution function C2LSH needs:
+//! the collision probabilities `p1 = p(1, w)` and `p2 = p(c, w)` of the
+//! 2-stable family are read through it.
 //!
 //! The CDF is expressed through [`crate::erfc`] to stay accurate deep in
-//! the tails; the quantile uses Peter Acklam's rational approximation
-//! refined with one Halley step, giving ~1e-15 relative accuracy — more
-//! than enough for deriving LSH parameters and for the statistical checks
-//! in the experiment harness.
+//! the tails.
 
 use crate::erf::erfc;
 
@@ -13,92 +12,12 @@ pub const SQRT_2PI: f64 = 2.506_628_274_631_000_7;
 
 const SQRT_2: f64 = core::f64::consts::SQRT_2;
 
-/// Probability density function of `N(0, 1)`.
-pub fn normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / SQRT_2PI
-}
-
 /// Cumulative distribution function `Φ(x)` of `N(0, 1)`.
 ///
 /// Computed as `Φ(x) = erfc(−x/√2)/2`, which keeps full relative accuracy
 /// for very negative `x` (e.g. `Φ(−10) ≈ 7.6e-24`).
 pub fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / SQRT_2)
-}
-
-/// Upper tail `Q(x) = 1 − Φ(x) = Φ(−x)`.
-pub fn normal_sf(x: f64) -> f64 {
-    0.5 * erfc(x / SQRT_2)
-}
-
-/// Quantile function `Φ⁻¹(p)` of `N(0, 1)` for `p ∈ (0, 1)`.
-///
-/// Returns `−∞` for `p = 0`, `+∞` for `p = 1` and `NaN` outside `[0, 1]`.
-pub fn normal_quantile(p: f64) -> f64 {
-    if p.is_nan() || !(0.0..=1.0).contains(&p) {
-        return f64::NAN;
-    }
-    if p == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-    let x = acklam(p);
-    // One Halley refinement: x' = x - r/(1 - x r / 2) with r = (Φ(x)-p)/φ(x).
-    let e = normal_cdf(x) - p;
-    let u = e / normal_pdf(x);
-    x - u / (1.0 + x * u / 2.0)
-}
-
-/// Acklam's rational approximation to the normal quantile (~1.15e-9 rel.).
-fn acklam(p: f64) -> f64 {
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.024_25;
-    const P_HIGH: f64 = 1.0 - P_LOW;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= P_HIGH {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -128,42 +47,5 @@ mod tests {
         let got = normal_cdf(-10.0);
         let want = 7.619_853_024_160_526e-24;
         assert!(((got - want) / want).abs() < 1e-9, "got {got:e}");
-    }
-
-    #[test]
-    fn pdf_symmetry_and_peak() {
-        assert!((normal_pdf(0.0) - 0.398_942_280_401_432_7).abs() < 1e-15);
-        for i in 0..50 {
-            let x = i as f64 * 0.1;
-            assert!((normal_pdf(x) - normal_pdf(-x)).abs() < 1e-16);
-        }
-    }
-
-    #[test]
-    fn quantile_round_trips_cdf() {
-        for i in 1..999 {
-            let p = i as f64 / 1000.0;
-            let x = normal_quantile(p);
-            let back = normal_cdf(x);
-            assert!((back - p).abs() < 1e-12, "p={p}: x={x}, back={back}");
-        }
-    }
-
-    #[test]
-    fn quantile_extreme_probabilities() {
-        let x = normal_quantile(1e-12);
-        assert!((normal_cdf(x) - 1e-12).abs() / 1e-12 < 1e-6);
-        assert_eq!(normal_quantile(0.0), f64::NEG_INFINITY);
-        assert_eq!(normal_quantile(1.0), f64::INFINITY);
-        assert!(normal_quantile(-0.1).is_nan());
-        assert!(normal_quantile(1.1).is_nan());
-    }
-
-    #[test]
-    fn sf_is_one_minus_cdf() {
-        for i in -40..=40 {
-            let x = i as f64 * 0.1;
-            assert!((normal_sf(x) + normal_cdf(x) - 1.0).abs() < 1e-13);
-        }
     }
 }

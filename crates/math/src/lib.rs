@@ -12,12 +12,11 @@
 //! scratch (no external numerics dependency):
 //!
 //! * [`mod@erf`] — error function and friends, accurate to ~1e-15,
-//! * [`gaussian`] — standard normal PDF / CDF / quantile,
+//! * [`gaussian`] — the standard normal CDF,
 //! * [`pstable`] — collision probability `p(s, w)` of the 2-stable
 //!   (Gaussian) LSH family and the hash quality `ρ`,
 //! * [`hoeffding`] — the closed-form C2LSH parameter solver
-//!   (`α*`, `m`, `l`),
-//! * [`stats`] — summary statistics used by the experiment harness.
+//!   (`α*`, `m`, `l`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,9 +25,8 @@ pub mod erf;
 pub mod gaussian;
 pub mod hoeffding;
 pub mod pstable;
-pub mod stats;
 
 pub use erf::{erf, erfc};
-pub use gaussian::{normal_cdf, normal_pdf, normal_quantile};
+pub use gaussian::normal_cdf;
 pub use hoeffding::{derive_params, DerivedParams};
 pub use pstable::{collision_probability, rho};

@@ -1,9 +1,7 @@
 //! Property-based tests for the numerics substrate.
 
 use cc_math::erf::{erf, erfc};
-use cc_math::gaussian::{normal_cdf, normal_pdf, normal_quantile};
 use cc_math::hoeffding::{derive_params, satisfies_bounds};
-use cc_math::stats::{percentile_sorted, Summary, Welford};
 use proptest::prelude::*;
 
 proptest! {
@@ -22,19 +20,6 @@ proptest! {
     }
 
     #[test]
-    fn cdf_quantile_roundtrip(p in 1e-9f64..1.0) {
-        prop_assume!(p < 1.0 - 1e-9);
-        let x = normal_quantile(p);
-        prop_assert!((normal_cdf(x) - p).abs() < 1e-9 * (1.0 + 1.0 / p.min(1.0 - p)).min(1e3));
-    }
-
-    #[test]
-    fn pdf_positive_and_bounded(x in -50.0f64..50.0) {
-        let d = normal_pdf(x);
-        prop_assert!((0.0..=0.4).contains(&d));
-    }
-
-    #[test]
     fn derive_params_feasible_for_any_gap(
         p2 in 0.05f64..0.9,
         gap in 0.02f64..0.4,
@@ -48,41 +33,5 @@ proptest! {
         prop_assert!(satisfies_bounds(p1, p2, delta, beta, d.m, d.l));
         // Success probability formula.
         prop_assert!((d.success_probability() - (0.5 - delta)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn welford_merge_any_split(
-        xs in proptest::collection::vec(-1e3f64..1e3, 2..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = Welford::new();
-        for &x in &xs { whole.push(x); }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..split] { a.push(x); }
-        for &x in &xs[split..] { b.push(x); }
-        a.merge(&b);
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * (1.0 + whole.mean().abs()));
-        prop_assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn percentile_within_range(
-        mut xs in proptest::collection::vec(-1e3f64..1e3, 1..100),
-        p in 0.0f64..100.0,
-    ) {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        let v = percentile_sorted(&xs, p);
-        prop_assert!(v >= xs[0] - 1e-12 && v <= xs[xs.len() - 1] + 1e-12);
-    }
-
-    #[test]
-    fn summary_invariants(xs in proptest::collection::vec(-1e3f64..1e3, 1..100)) {
-        let s = Summary::of(&xs).unwrap();
-        prop_assert!(s.min <= s.median && s.median <= s.max);
-        prop_assert!(s.median <= s.p95 + 1e-12 && s.p95 <= s.max + 1e-12);
-        prop_assert!(s.mean >= s.min - 1e-12 && s.mean <= s.max + 1e-12);
-        prop_assert_eq!(s.n, xs.len());
     }
 }

@@ -30,6 +30,7 @@ use cc_storage::wal::WalRecord;
 use cc_vector::gt::Neighbor;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// One c-k-ANN query, built fluently and executed with
 /// [`Client::search`].
@@ -180,6 +181,12 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Self { stream })
+    }
+
+    /// Give up on a reply after `timeout` instead of waiting forever;
+    /// the call then fails with [`ProtoError::Io`].
+    pub fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
+        self.stream.set_read_timeout(Some(timeout))
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, ProtoError> {

@@ -6,9 +6,8 @@
 //! [`JsonObject`] writes flat-ish objects of numbers, strings and
 //! nested objects, compactly in insertion order. Numbers are formatted
 //! so they parse back exactly (`u64`/`usize` verbatim, `f64` via `{:?}`
-//! which round-trips). [`JsonValue`] is the document tree:
-//! [`JsonValue::parse`] reads whatever a file hands over, and
-//! [`JsonValue::to_pretty`] writes the indented form.
+//! which round-trips). [`JsonValue`] is the document tree that
+//! [`JsonValue::parse`] reads back from whatever a file hands over.
 
 use std::fmt::Write as _;
 
@@ -82,89 +81,6 @@ impl JsonValue {
         match self {
             JsonValue::String(s) => Some(s),
             _ => None,
-        }
-    }
-
-    /// The elements, if the value is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Shorthand: member `key` of an object, as a float.
-    pub fn num(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(JsonValue::as_f64)
-    }
-
-    /// A number value: whole numbers print without a fraction,
-    /// anything else via `{:?}` (which round-trips); non-finite values
-    /// become `null`, since JSON has no NaN.
-    pub fn number(v: f64) -> JsonValue {
-        if !v.is_finite() {
-            JsonValue::Null
-        } else if v == v.trunc() && v.abs() < 9.0e15 {
-            JsonValue::Number(format!("{}", v as i64))
-        } else {
-            JsonValue::Number(format!("{v:?}"))
-        }
-    }
-
-    /// Serialize with 2-space indentation, one member per line, and a
-    /// trailing newline.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        let newline = |out: &mut String, depth: usize| {
-            out.push('\n');
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-        };
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(raw) => out.push_str(raw),
-            JsonValue::String(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
-            JsonValue::Array(items) if items.is_empty() => out.push_str("[]"),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                newline(out, depth);
-                out.push(']');
-            }
-            JsonValue::Object(members) if members.is_empty() => out.push_str("{}"),
-            JsonValue::Object(members) => {
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, depth + 1);
-                    out.push('"');
-                    escape_into(out, key);
-                    out.push_str("\": ");
-                    value.write_pretty(out, depth + 1);
-                }
-                newline(out, depth);
-                out.push('}');
-            }
         }
     }
 }
@@ -491,9 +407,20 @@ mod tests {
             other => panic!("expected array, got {other:?}"),
         }
         let v = JsonValue::parse(r#" { "a\n\"x\"" : [ -2.5e3, {"inner": "A"} ] } "#).unwrap();
-        let items = v.get("a\n\"x\"").and_then(JsonValue::as_array).unwrap();
+        let Some(JsonValue::Array(items)) = v.get("a\n\"x\"") else { panic!("expected array") };
         assert_eq!(items[0].as_f64(), Some(-2500.0));
         assert_eq!(items[1].get("inner").and_then(JsonValue::as_str), Some("A"));
+        let v =
+            JsonValue::parse(r#"{"empty": [], "none": {}, "rows": [{"ok": true}, {}]}"#).unwrap();
+        assert_eq!(v.get("empty"), Some(&JsonValue::Array(vec![])));
+        assert_eq!(v.get("none"), Some(&JsonValue::Object(vec![])));
+        assert_eq!(
+            v.get("rows"),
+            Some(&JsonValue::Array(vec![
+                JsonValue::Object(vec![("ok".into(), JsonValue::Bool(true))]),
+                JsonValue::Object(vec![]),
+            ]))
+        );
         for bad in ["", "{", "{\"a\":}", "{\"a\" 1}", "[1,]", "{\"a\":1} trailing", "nul", "\"open"]
         {
             assert_eq!(JsonValue::parse(bad), None, "{bad:?} must not parse");
@@ -511,33 +438,6 @@ mod tests {
         assert_eq!(JsonValue::parse(&nested(MAX_DEPTH + 1)), None);
         // Siblings do not accumulate depth.
         assert!(JsonValue::parse(&format!("[{}]", vec!["[[1]]"; 100].join(","))).is_some());
-    }
-
-    #[test]
-    fn pretty_writer_round_trips_and_formats_numbers() {
-        let doc = JsonValue::Object(vec![
-            ("n".into(), JsonValue::number(4000.0)),
-            ("ratio".into(), JsonValue::number(1.0125)),
-            ("nan".into(), JsonValue::number(f64::NAN)),
-            ("tag".into(), JsonValue::String("a \"b\"\n".into())),
-            ("empty".into(), JsonValue::Array(vec![])),
-            (
-                "rows".into(),
-                JsonValue::Array(vec![
-                    JsonValue::Object(vec![("ok".into(), JsonValue::Bool(true))]),
-                    JsonValue::Object(vec![]),
-                ]),
-            ),
-        ]);
-        let text = doc.to_pretty();
-        assert_eq!(
-            text,
-            "{\n  \"n\": 4000,\n  \"ratio\": 1.0125,\n  \"nan\": null,\n  \
-             \"tag\": \"a \\\"b\\\"\\n\",\n  \"empty\": [],\n  \"rows\": [\n    {\n      \
-             \"ok\": true\n    },\n    {}\n  ]\n}\n"
-        );
-        assert_eq!(JsonValue::parse(&text), Some(doc));
-        assert_eq!(JsonValue::parse(&text).unwrap().num("ratio"), Some(1.0125));
     }
 
     #[test]

@@ -36,10 +36,9 @@
 //! visibly behind the primary and assert that freshness-bounded reads
 //! (`min_seq`) refuse to be served from it.
 
-use crate::protocol::{self, ProtoError, Request, Response};
+use crate::client::Client;
+use crate::protocol::ProtoError;
 use c2lsh::MutableIndex;
-use std::io;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -124,76 +123,38 @@ pub fn run_follower(
 }
 
 /// One connection's worth of streaming: subscribe, then apply/ack
-/// until the stream breaks (`Err`) or `stop` is raised (`Ok`).
+/// until the stream breaks (`Err`) or `stop` is raised (`Ok`). A typed
+/// refusal (e.g. below the primary's retention floor) is not retryable
+/// by reconnecting with the same position; it surfaces as an error all
+/// the same, so an operator sees the loop spinning on it.
 fn stream_once(
     engine: &MutableIndex,
     config: &ReplicationConfig,
     stop: &AtomicBool,
     stall: Option<Duration>,
     stats: &mut ReplicationStats,
-) -> io::Result<()> {
-    let mut stream = TcpStream::connect(&config.primary)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+) -> Result<(), ProtoError> {
+    let mut client = Client::connect(&config.primary)?;
+    client.set_read_timeout(READ_TIMEOUT)?;
     let from_seq = engine.last_seq();
-    protocol::write_request(
-        &mut stream,
-        &Request::ReplSubscribe { replica: config.node_name.clone(), from_seq },
-    )?;
+    let (mut last_seq, mut records) = client.repl_subscribe(&config.node_name, from_seq)?;
     eprintln!("replication: subscribed to {} from seq {from_seq}", config.primary);
     loop {
-        let resp = read_response(&mut stream)?;
-        match resp {
-            Response::ReplBatch { last_seq, records } => {
-                if records.is_empty() {
-                    stats.heartbeats += 1;
-                } else {
-                    if let Some(pause) = stall {
-                        std::thread::sleep(pause);
-                    }
-                    let first = records[0].seq;
-                    let applied = engine.apply_replicated(&records)?;
-                    stats.batches += 1;
-                    stats.records += records.len() as u64;
-                    eprintln!(
-                        "replication: applied seqs {first}..={applied} \
-                         (primary at {last_seq})"
-                    );
-                }
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                protocol::write_request(
-                    &mut stream,
-                    &Request::ReplAck { applied_seq: engine.last_seq() },
-                )?;
+        if records.is_empty() {
+            stats.heartbeats += 1;
+        } else {
+            if let Some(pause) = stall {
+                std::thread::sleep(pause);
             }
-            Response::Error(e) => {
-                // A typed refusal (e.g. below the primary's retention
-                // floor) is not retryable by reconnecting with the same
-                // position — surface it loudly and back off anyway so
-                // an operator sees the loop spinning on it.
-                return Err(io::Error::other(format!("primary refused the stream: {e}")));
-            }
-            other => {
-                return Err(io::Error::other(format!(
-                    "unexpected response on the replication stream: {other:?}"
-                )));
-            }
+            let first = records[0].seq;
+            let applied = engine.apply_replicated(&records)?;
+            stats.batches += 1;
+            stats.records += records.len() as u64;
+            eprintln!("replication: applied seqs {first}..={applied} (primary at {last_seq})");
         }
-    }
-}
-
-/// Read one response, mapping protocol and EOF conditions into
-/// [`io::Error`] so the caller has a single retry path.
-fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
-    match protocol::read_response(stream) {
-        Ok(Some(resp)) => Ok(resp),
-        Ok(None) => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "primary closed the replication stream",
-        )),
-        Err(ProtoError::Io(e)) => Err(e),
-        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+        if stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        (last_seq, records) = client.repl_ack(engine.last_seq())?;
     }
 }

@@ -478,6 +478,113 @@ fn replica_names_are_validated_before_the_lag_board() {
     });
 }
 
+/// The follower pull loop in process. A follower started halfway
+/// through a primary's inserts catches up over the stream: its sequence
+/// and its answers equal the primary's, and it applied every record
+/// without a reconnect. A follower that subscribes below the floor of a
+/// primary reopened from a checkpoint is refused, reconnects, and
+/// applies nothing.
+#[test]
+fn follower_loop_catches_up_and_is_refused_below_the_floor() {
+    use cc_service::{run_follower, ReplicationConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const N: usize = 300;
+    const D: usize = 8;
+    let cfg = cfg_exact(N);
+    let data = clustered(N, D, 31);
+    let queries = clustered(8, D, 32);
+    let service = ServiceConfig {
+        max_batch: 8,
+        max_delay: Duration::from_millis(1),
+        ..ServiceConfig::default()
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+
+    let primary = MutableIndex::ephemeral(DynamicIndex::new(D, N, &cfg));
+    let follower = MutableIndex::ephemeral(DynamicIndex::new(D, N, &cfg));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = AtomicBool::new(false);
+    let repl = ReplicationConfig::new(addr.to_string(), "f-1");
+    with_watchdog("follower_catch_up", Duration::from_secs(90), || {
+        let (primary, follower, service, data) = (&primary, &follower, &service, &data);
+        let (queries, wait_for, stop, repl) = (&queries, &wait_for, &stop, &repl);
+        crossbeam::scope(move |s| {
+            let server = s.spawn(move |_| cc_service::serve(primary, listener, service).unwrap());
+            let mut client = Client::connect(addr).unwrap();
+            let mut puller = None;
+            for (i, v) in data.iter().enumerate() {
+                if i == N / 2 {
+                    puller = Some(s.spawn(move |_| run_follower(follower, repl, stop)));
+                }
+                client.insert(v).unwrap();
+            }
+            assert_eq!(primary.last_seq(), N as u64);
+            wait_for("the follower to catch up", &|| follower.last_seq() == primary.last_seq());
+            for q in queries.iter() {
+                assert_eq!(follower.query(q, 5).0, primary.query(q, 5).0);
+            }
+            stop.store(true, Ordering::SeqCst);
+            let pulled = puller.unwrap().join().unwrap();
+            assert_eq!(pulled.records, N as u64, "{pulled:?}");
+            assert_eq!(pulled.reconnects, 0, "{pulled:?}");
+            client.shutdown().unwrap();
+            server.join().unwrap();
+        })
+        .unwrap();
+    });
+
+    let dir = cc_storage::wal::scratch_dir("svc-repl-floor");
+    let reopened = {
+        let engine = MutableIndex::open(&dir, D, N, &cfg).unwrap();
+        let seed: Vec<MutationOp> = data
+            .iter()
+            .take(20)
+            .map(|v| MutationOp::Insert { vector: v.to_vec(), meta: PointMeta::default() })
+            .collect();
+        engine.apply_batch(&seed).unwrap();
+        engine.checkpoint().unwrap();
+        drop(engine);
+        MutableIndex::open(&dir, D, N, &cfg).unwrap()
+    };
+    assert_eq!(reopened.replication_floor(), 20);
+    let follower = MutableIndex::ephemeral(DynamicIndex::new(D, N, &cfg));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = AtomicBool::new(false);
+    let repl = ReplicationConfig::new(addr.to_string(), "f-1");
+    with_watchdog("follower_below_floor", Duration::from_secs(90), || {
+        let (reopened, follower, service, wait_for) = (&reopened, &follower, &service, &wait_for);
+        let (stop, repl) = (&stop, &repl);
+        crossbeam::scope(move |s| {
+            let server = s.spawn(move |_| cc_service::serve(reopened, listener, service).unwrap());
+            let puller = s.spawn(move |_| run_follower(follower, repl, stop));
+            // Two refusals written: the loop came back after the first.
+            wait_for("two refused subscriptions", &|| {
+                let m = Client::connect(addr).unwrap().metrics_text().unwrap();
+                sample(&m, "cc_errors_total").unwrap_or(0.0) >= 2.0
+            });
+            stop.store(true, Ordering::SeqCst);
+            let pulled = puller.join().unwrap();
+            assert!(pulled.reconnects >= 1, "{pulled:?}");
+            assert_eq!((pulled.batches, pulled.records), (0, 0), "{pulled:?}");
+            assert_eq!(follower.last_seq(), 0);
+            assert!(follower.is_empty());
+            Client::connect(addr).unwrap().shutdown().unwrap();
+            server.join().unwrap();
+        })
+        .unwrap();
+    });
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A collection of a dimensionality no vector frame could carry is
 /// refused as an invalid argument before anything is allocated for it:
 /// at `u32::MAX` the hash family alone would ask for 16 GiB and abort the

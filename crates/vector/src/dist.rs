@@ -1,11 +1,9 @@
 //! Distance kernels.
 //!
-//! C2LSH targets Euclidean space; the angular distance is included because
-//! the baseline comparison (and follow-up work) occasionally normalizes
-//! vectors. The squared-Euclidean kernel is the hot loop of every method's
-//! verification phase, so it is written to auto-vectorize: eight
-//! independent accumulators over `chunks_exact(8)` (two full SSE lanes /
-//! one AVX lane of independent FMA chains).
+//! C2LSH targets Euclidean space. The squared-Euclidean kernel is the hot
+//! loop of every method's verification phase, so it is written to
+//! auto-vectorize: eight independent accumulators over `chunks_exact(8)`
+//! (two full SSE lanes / one AVX lane of independent FMA chains).
 //!
 //! The verification phase of every counting-based method computes the
 //! true distance of each frequent candidate only to *rank* it against the
@@ -180,32 +178,11 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f64 {
     euclidean_sq(a, b).sqrt()
 }
 
-/// Euclidean norm `‖a‖`.
-pub fn norm(a: &[f32]) -> f64 {
-    a.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt()
-}
-
 /// Dot product in `f64` accumulation.
 #[track_caller]
 pub fn dot(a: &[f32], b: &[f32]) -> f64 {
     check_dims(a, b);
     a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum()
-}
-
-/// Angular distance `θ(a, b) = arccos(a·b / (‖a‖‖b‖)) ∈ [0, π]`.
-///
-/// Returns `0` when either vector is all-zero (the convention used by the
-/// normalized-data experiments; a zero vector carries no direction). The
-/// cosine is clamped into `[-1, 1]` before `acos` — floating-point
-/// round-off on near-parallel vectors can push `a·b / (‖a‖‖b‖)` a hair
-/// outside the domain, which would yield `NaN`.
-pub fn angular(a: &[f32], b: &[f32]) -> f64 {
-    let na = norm(a);
-    let nb = norm(b);
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0).acos()
 }
 
 #[cfg(test)]
@@ -301,35 +278,6 @@ mod tests {
         let b = vec![3.0f32; 7];
         let exact = euclidean_sq(&a, &b);
         assert_eq!(euclidean_sq_bounded(&a, &b, 0.5), Some(exact));
-    }
-
-    #[test]
-    fn angular_distance_properties() {
-        let x = [1.0, 0.0];
-        let y = [0.0, 1.0];
-        let z = [-1.0, 0.0];
-        assert!((angular(&x, &y) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        assert!((angular(&x, &z) - std::f64::consts::PI).abs() < 1e-12);
-        assert!(angular(&x, &x).abs() < 1e-6);
-        assert_eq!(angular(&[0.0, 0.0], &x), 0.0);
-    }
-
-    #[test]
-    fn angular_never_nan_on_near_parallel_vectors() {
-        // Scaled copies and tiny perturbations can push the cosine just
-        // past 1.0 in floating point; the clamp must keep acos finite.
-        let mut next = lcg(0xD1B54A32D192ED03);
-        for d in [2usize, 5, 33, 128] {
-            let a: Vec<f32> = (0..d).map(|_| next() + 1.0).collect();
-            let scaled: Vec<f32> = a.iter().map(|x| x * 3.0).collect();
-            let th = angular(&a, &scaled);
-            assert!(th.is_finite(), "dim {d}: parallel gave {th}");
-            assert!(th.abs() < 1e-3, "dim {d}: parallel angle {th}");
-            let anti: Vec<f32> = a.iter().map(|x| -x * 0.5).collect();
-            let th = angular(&a, &anti);
-            assert!(th.is_finite(), "dim {d}: anti-parallel gave {th}");
-            assert!((th - std::f64::consts::PI).abs() < 1e-3);
-        }
     }
 
     #[test]

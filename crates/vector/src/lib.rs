@@ -3,7 +3,7 @@
 //! Everything the experiments need around the raw vectors:
 //!
 //! * [`dataset`] — a flat, cache-friendly `f32` vector store,
-//! * [`dist`] — Euclidean / angular distance kernels,
+//! * [`dist`] — Euclidean distance kernels,
 //! * [`gen`] — seeded synthetic dataset generators (Gaussian mixtures,
 //!   uniform cubes, heavy-tailed scales),
 //! * [`synth`] — named profiles reproducing the *(n, d)* shapes of the
@@ -11,7 +11,6 @@
 //! * [`gt`] — exact k-NN ground truth by (parallel) linear scan,
 //! * [`topk`] — reusable top-k accumulator driving early-abandon
 //!   verification,
-//! * [`io`] — `fvecs`/`ivecs` and a native binary format,
 //! * [`workload`] — dataset + queries + ground truth bundles,
 //! * [`metrics`] — recall and the paper's *overall ratio* quality metric.
 
@@ -22,7 +21,6 @@ pub mod dataset;
 pub mod dist;
 pub mod gen;
 pub mod gt;
-pub mod io;
 pub mod metrics;
 pub mod scale;
 pub mod synth;

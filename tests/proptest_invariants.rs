@@ -104,15 +104,6 @@ proptest! {
     }
 
     #[test]
-    fn io_roundtrips_any_dataset(rows in proptest::collection::vec(vec_f32(5), 1..40)) {
-        let ds = Dataset::from_rows(&rows);
-        let f = cc_vector::io::from_fvecs(&cc_vector::io::to_fvecs(&ds)).unwrap();
-        prop_assert_eq!(&f, &ds);
-        let c = cc_vector::io::from_ccv1(&cc_vector::io::to_ccv1(&ds)).unwrap();
-        prop_assert_eq!(&c, &ds);
-    }
-
-    #[test]
     fn collision_probability_in_unit_interval(s in 0.0f64..1000.0, w in 0.01f64..100.0) {
         let p = cc_math::pstable::collision_probability(s, w);
         prop_assert!((0.0..=1.0).contains(&p));
