@@ -36,11 +36,6 @@ pub const DEFAULT_SCALE: f64 = 0.10;
 /// with `CC_QUERIES`.
 pub const DEFAULT_QUERIES: usize = 50;
 
-/// Read a `usize` environment override.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 /// An experiment setting from the environment: `default` when `name` is
 /// unset; a value that does not parse or that `accept` refuses ends the
 /// process with a one-line message and exit code 2, before any table is

@@ -705,18 +705,17 @@ mod tests {
         let data = clustered(150, 6, 5);
         let idx = DynamicIndex::from_dataset(&data, &cfg());
         let expected = idx.query(data.get(3), 4).0;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let expected = &expected;
                 let idx = &idx;
                 let data = &data;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let (nn, _) = idx.query(data.get(3), 4);
                     assert_eq!(&nn, expected);
                 });
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]

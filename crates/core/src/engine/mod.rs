@@ -624,13 +624,13 @@ where
 
     let threads = parallelism().min(nq);
     let mut out: Vec<(Vec<Neighbor>, QueryStats)> = vec![(Vec::new(), QueryStats::new()); nq];
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let chunk = nq.div_ceil(threads);
         for (t, (out_chunk, cur_chunk)) in
             out.chunks_mut(chunk).zip(cursors.chunks_mut(chunk)).enumerate()
         {
             let lo = t * chunk;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 SCRATCHES.with(|scratch| {
                     for (off, (slot, cur)) in out_chunk.iter_mut().zip(cur_chunk).enumerate() {
                         let qi = lo + off;
@@ -656,8 +656,7 @@ where
                 })
             });
         }
-    })
-    .expect("batch-query worker panicked");
+    });
 
     for (_, s) in &out {
         batch.absorb(s);

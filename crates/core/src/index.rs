@@ -620,14 +620,13 @@ pub(crate) fn per_table<T: Send>(
         return build(0..m);
     }
     let (build, share) = (&build, m.div_ceil(threads));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let workers: Vec<_> = (0..m)
             .step_by(share)
-            .map(|lo| scope.spawn(move |_| build(lo..(lo + share).min(m))))
+            .map(|lo| scope.spawn(move || build(lo..(lo + share).min(m))))
             .collect();
         workers.into_iter().flat_map(|w| w.join().expect("table worker panicked")).collect()
     })
-    .expect("table worker scope panicked")
 }
 
 impl TableStore for C2lshIndex<'_> {

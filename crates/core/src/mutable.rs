@@ -1301,13 +1301,13 @@ mod tests {
         let q = data.get(11).to_vec();
         let pre = m.query(&q, 3).0;
         let stop = std::sync::atomic::AtomicBool::new(false);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let stop = &stop;
             let m = &m;
             let q = &q;
             let pre = &pre;
             for _ in 0..4 {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let (nn, stats) = m.query(q, 3);
                         // Exactly one of the two published states.
@@ -1327,8 +1327,7 @@ mod tests {
             }
             m.apply_batch(&batch).unwrap();
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        })
-        .unwrap();
+        });
     }
 
     /// However the same 20 000 points arrive — in 4 096-row batches, one

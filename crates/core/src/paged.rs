@@ -262,11 +262,11 @@ impl PagedBuilder {
             (self.block_rows, &self.spill.columns, &mut self.writer);
         let blocks = self.expected_n.div_ceil(block_rows);
         let workers = self.workers.min(columns.len());
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let encoded: Vec<_> = (0..workers)
                 .map(|w| {
                     let (tx, rx) = sync_channel(1);
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for file in columns.iter().skip(w).step_by(workers) {
                             if tx.send(encode_column(file, blocks, block_rows)).is_err() {
                                 return; // the writer failed and hung up
@@ -284,7 +284,6 @@ impl PagedBuilder {
                 })
                 .collect()
         })
-        .expect("encode scope panicked")
     }
 
     /// Hash what is still buffered, sort and encode every table, seal

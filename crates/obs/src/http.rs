@@ -12,7 +12,7 @@
 //! Anything else is 404. The listener owns no metrics itself — it
 //! renders on demand through the [`MetricsSource`] the caller hands in.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -91,23 +91,22 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Most bytes of a request's line and headers read: past it, a request is cut off (a 404 for its
+/// garbled path) and closed, so no client can grow the listener or hold its one thread.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+
 fn handle_conn(stream: TcpStream, source: &dyn MetricsSource) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
     if reader.read_line(&mut request_line).is_err() {
         return;
     }
-    // Drain headers (bounded) so well-behaved clients see a clean close.
-    for _ in 0..64 {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) => continue,
-            Err(_) => break,
-        }
+    // Drain the headers (the byte cap bounds them) for a clean close.
+    let mut line = String::new();
+    while reader.read_line(&mut line).is_ok_and(|n| n > 0 && !line.trim_end().is_empty()) {
+        line.clear();
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = match path {
@@ -124,7 +123,7 @@ fn handle_conn(stream: TcpStream, source: &dyn MetricsSource) {
         "/slowlog" => ("200 OK", "text/plain; charset=utf-8", source.render_slowlog()),
         _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_string()),
     };
-    let mut stream = reader.into_inner();
+    let mut stream = reader.into_inner().into_inner();
     let _ = write!(
         stream,
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -135,11 +134,10 @@ fn handle_conn(stream: TcpStream, source: &dyn MetricsSource) {
 }
 
 /// Fetch `path` from an HTTP server with a plain `TcpStream` — the
-/// client-side twin of this listener, used by loadgen and the CI lint
-/// to scrape `/metrics` without an HTTP dependency. Returns the body
-/// iff the status is 200.
+/// client-side twin of this listener, used by the CI lint to scrape
+/// `/metrics` without an HTTP dependency. Returns the body iff the
+/// status is 200.
 pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<String> {
-    use std::io::Read;
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     write!(stream, "GET {path} HTTP/1.0\r\nHost: scrape\r\nConnection: close\r\n\r\n")?;
@@ -202,5 +200,37 @@ mod tests {
         let server = MetricsServer::bind("127.0.0.1:0", Arc::new(Unhealthy)).unwrap();
         let err = http_get(server.local_addr(), "/healthz").unwrap_err();
         assert!(err.to_string().contains("503"), "{err}");
+    }
+
+    /// A client that streams a request line with no end must not keep
+    /// the listener's one thread from answering the next scrape.
+    #[test]
+    fn an_endless_request_line_does_not_starve_the_scrape() {
+        use std::time::Instant;
+        let server = MetricsServer::bind("127.0.0.1:0", Arc::new(Fixed)).unwrap();
+        let addr = server.local_addr();
+        let done = Arc::new(AtomicBool::new(false));
+        let streamer = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.set_write_timeout(Some(Duration::from_secs(1))).unwrap();
+                let chunk = vec![b'A'; 64 * 1024];
+                // Paced well inside the listener's 2 s read timeout; a
+                // refused write means the listener closed the connection.
+                while !done.load(Ordering::Relaxed) && stream.write_all(&chunk).is_ok() {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
+        };
+        std::thread::sleep(Duration::from_millis(200));
+        let started = Instant::now();
+        let scraped = http_get(addr, "/metrics");
+        let took = started.elapsed();
+        done.store(true, Ordering::Relaxed);
+        streamer.join().unwrap();
+        assert!(scraped.unwrap().contains("cc_up 1"));
+        assert!(took < Duration::from_secs(3), "the scrape waited {took:?}");
+        server.stop();
     }
 }

@@ -25,6 +25,9 @@ pub const MAX_COLLECTION_NAME: usize = 64;
 /// Expected object count of a new collection (sizes its hash domain).
 const EXPECTED_N: usize = 4096;
 
+/// Most collections a registry holds (each costs an index, a WAL when durable, and metric series).
+const MAX_COLLECTIONS: usize = 64;
+
 /// How new collections are provisioned.
 #[derive(Debug, Clone, Default)]
 pub struct CollectionsConfig {
@@ -138,7 +141,8 @@ impl Registry {
     /// Create `name` with dimensionality `dim`; returns whether it
     /// already existed (in which case it is left untouched — the
     /// existing dimensionality wins). A `dim` of 0 or past what a vector
-    /// frame can carry is refused before anything is allocated.
+    /// frame can carry, or a new name past `MAX_COLLECTIONS`, is refused
+    /// before anything is allocated.
     pub fn create(&self, name: &str, dim: usize) -> Result<bool, Error> {
         check_name("collection", name)?;
         if !(1..=MAX_DIM).contains(&dim) {
@@ -150,6 +154,9 @@ impl Registry {
             let map = self.map.read().unwrap();
             if map.contains_key(name) {
                 return Ok(true);
+            }
+            if map.len() >= MAX_COLLECTIONS {
+                return Err(registry_full(name));
             }
         }
         let index = match &self.cfg.root {
@@ -169,9 +176,16 @@ impl Registry {
             None => MutableIndex::ephemeral(DynamicIndex::new(dim, EXPECTED_N, &self.cfg.config)),
         };
         let mut map = self.map.write().unwrap();
-        // A racing create may have won while the index was building.
+        // A racing create may have won while the index was building, or
+        // others may have filled the registry: a refused one removes its dir.
         if map.contains_key(name) {
             return Ok(true);
+        }
+        if map.len() >= MAX_COLLECTIONS {
+            if let Some(root) = &self.cfg.root {
+                let _ = std::fs::remove_dir_all(root.join(name));
+            }
+            return Err(registry_full(name));
         }
         map.insert(name.to_string(), Arc::new(new_collection(name.to_string(), dim, index)));
         Ok(false)
@@ -242,6 +256,10 @@ impl Registry {
     }
 }
 
+fn registry_full(name: &str) -> Error {
+    Error::invalid(format!("collection {name:?} refused: the registry holds {MAX_COLLECTIONS}"))
+}
+
 fn new_collection(name: String, dim: usize, index: MutableIndex) -> Collection {
     Collection {
         name,
@@ -304,6 +322,29 @@ mod tests {
         assert!(reg.drop_collection("alpha").unwrap());
         assert!(!reg.drop_collection("alpha").unwrap(), "second drop is a miss");
         assert!(reg.get("alpha").is_none());
+    }
+
+    /// Ephemeral and durable: a new name past the cap is refused before
+    /// its directory is written; an existing name and a freed place are not.
+    #[test]
+    fn new_names_past_the_cap_are_refused() {
+        let root = cc_storage::wal::scratch_dir("collections-cap");
+        for dir in [None, Some(root.clone())] {
+            let reg =
+                Registry::open(CollectionsConfig { root: dir, ..Default::default() }).unwrap();
+            for i in 0..MAX_COLLECTIONS {
+                assert!(!reg.create(&format!("c{i}"), 2).unwrap(), "create {i}");
+            }
+            let err = reg.create("one-too-many", 2).unwrap_err();
+            assert_eq!(err.kind(), c2lsh::ErrorKind::InvalidArgument, "{err}");
+            assert!(!root.join("one-too-many").exists());
+            assert_eq!(reg.list().len(), MAX_COLLECTIONS);
+            assert!(reg.create("c0", 2).unwrap(), "an existing name still answers existed");
+            assert!(reg.drop_collection("c0").unwrap());
+            assert!(!reg.create("one-too-many", 2).unwrap(), "a drop frees a place");
+            assert_eq!(reg.list().len(), MAX_COLLECTIONS);
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A manifest whose dimensionality `create` would refuse fails the

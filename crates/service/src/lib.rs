@@ -47,8 +47,8 @@
 //!
 //! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
 //! let addr = listener.local_addr().unwrap();
-//! crossbeam::scope(|s| {
-//!     let server = s.spawn(|_| {
+//! std::thread::scope(|s| {
+//!     let server = s.spawn(|| {
 //!         cc_service::serve(&engine, listener, &ServiceConfig::default()).unwrap()
 //!     });
 //!     let mut client = Client::connect(addr).unwrap();
@@ -59,8 +59,7 @@
 //!     client.shutdown().unwrap();
 //!     let stats = server.join().unwrap();
 //!     assert_eq!(stats.queries, 1);
-//! })
-//! .unwrap();
+//! });
 //! ```
 
 #![forbid(unsafe_code)]

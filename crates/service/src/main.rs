@@ -447,8 +447,8 @@ fn main() {
                     let stop = std::sync::atomic::AtomicBool::new(false);
                     let repl = &repl;
                     let stop = &stop;
-                    crossbeam::scope(move |s| {
-                        let puller = s.spawn(move |_| cc_service::run_follower(engine, repl, stop));
+                    std::thread::scope(move |s| {
+                        let puller = s.spawn(move || cc_service::run_follower(engine, repl, stop));
                         let stats = cc_service::serve_with_obs(engine, listener, &service, obs);
                         stop.store(true, std::sync::atomic::Ordering::SeqCst);
                         let pulled = puller.join().expect("replication thread panicked");
@@ -459,7 +459,6 @@ fn main() {
                         );
                         stats
                     })
-                    .expect("follower worker panicked")
                 }
                 None => cc_service::serve_with_obs(engine, listener, &service, obs),
             }

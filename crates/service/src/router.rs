@@ -141,7 +141,7 @@ pub fn route_with_obs(
         obs,
     };
     let shared = &shared;
-    let stats = crossbeam::scope(move |s| {
+    let stats = std::thread::scope(move |s| {
         let mut next_id = 0u64;
         for stream in listener.incoming() {
             if shared.stopping.load(Ordering::SeqCst) {
@@ -156,7 +156,7 @@ pub fn route_with_obs(
             if let Ok(clone) = stream.try_clone() {
                 shared.conns.lock().unwrap().push((id, clone));
             }
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut stream = stream;
                 let _ = stream.set_nodelay(true);
                 let _ = serve_connection(shared, &mut stream);
@@ -178,8 +178,7 @@ pub fn route_with_obs(
             forwards: shared.forwards.load(Ordering::Relaxed),
             errors: obs.errors.get(),
         }
-    })
-    .expect("router worker panicked");
+    });
     Ok(stats)
 }
 

@@ -466,8 +466,8 @@ pub fn serve_with_obs<E: ServeEngine>(
         replicas,
     };
     let shared = &shared;
-    let stats = crossbeam::scope(move |s| {
-        let batcher = s.spawn(move |_| batcher_loop(engine, shared, config));
+    let stats = std::thread::scope(move |s| {
+        let batcher = s.spawn(move || batcher_loop(engine, shared, config));
         let mut next_id = 0u64;
         for stream in listener.incoming() {
             if shared.stopping.load(Ordering::SeqCst) {
@@ -482,7 +482,7 @@ pub fn serve_with_obs<E: ServeEngine>(
             if let Ok(clone) = stream.try_clone() {
                 shared.conns.lock().unwrap().push((id, clone));
             }
-            s.spawn(move |_| handle_connection(engine, shared, config, stream, id));
+            s.spawn(move || handle_connection(engine, shared, config, stream, id));
         }
         drop(listener); // stop accepting before the drain
         batcher.join().expect("batch worker panicked");
@@ -514,8 +514,7 @@ pub fn serve_with_obs<E: ServeEngine>(
             std::thread::sleep(Duration::from_millis(5));
         }
         service_stats(&shared.obs)
-    })
-    .expect("service worker panicked");
+    });
     Ok(stats)
 }
 

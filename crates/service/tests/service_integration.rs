@@ -11,6 +11,7 @@
 //! acknowledged mutation from the WAL.
 
 use c2lsh::config::Beta;
+use c2lsh::engine::SearchOptions;
 use c2lsh::{
     C2lshConfig, C2lshIndex, DynamicIndex, MutableIndex, MutationOp, PointMeta, Predicate,
     ShardedData, ShardedEngine,
@@ -94,15 +95,15 @@ fn concurrent_clients_match_single_index_ground_truth() {
         let barrier = Barrier::new(CLIENTS);
         let (engine, service, queries, expected, barrier) =
             (&engine, &service, &queries, &expected, &barrier);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
 
             let mut control = Client::connect(addr).unwrap();
             control.ping().unwrap();
 
             let clients: Vec<_> = (0..CLIENTS)
                 .map(|t| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut client = Client::connect(addr).unwrap();
                         for i in 0..ROUNDS {
                             // All clients fire together each round so the
@@ -135,8 +136,7 @@ fn concurrent_clients_match_single_index_ground_truth() {
             let stats = server.join().unwrap();
             assert_eq!(stats.queries, answered);
             assert_eq!(stats.max_batch, max_batch);
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -182,12 +182,12 @@ fn admission_control_and_deadlines() {
 
     with_watchdog("admission_and_deadlines", Duration::from_secs(60), || {
         let (engine, service, data) = (&engine, &service, &data);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
 
             // A: admitted, then sits out the 400 ms linger with a 50 ms
             // deadline → expires while queued.
-            let slow = s.spawn(move |_| {
+            let slow = s.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 client
                     .search(&QueryRequest::new(data.get(0).to_vec()).k(3).deadline_ms(50))
@@ -253,9 +253,7 @@ fn admission_control_and_deadlines() {
             // Bad requests are answered with an error frame, which the
             // client surfaces as `Err` — never dropped.
             let wrong_dim = client.search(&QueryRequest::new(vec![0.0f32; D + 1]).k(3));
-            let invalid = |e: &ProtoError| {
-                matches!(e, ProtoError::Server(e) if e.kind() == c2lsh::ErrorKind::InvalidArgument)
-            };
+            let invalid = |e: &ProtoError| matches!(e, ProtoError::Server(e) if e.kind() == c2lsh::ErrorKind::InvalidArgument);
             assert!(wrong_dim.as_ref().is_err_and(invalid), "{wrong_dim:?}");
             let bad_k = client.search(&QueryRequest::new(data.get(0).to_vec()).k(0));
             assert!(bad_k.is_err(), "{bad_k:?}");
@@ -278,8 +276,7 @@ fn admission_control_and_deadlines() {
             let stats = server.join().unwrap();
             assert_eq!(stats.overloaded, 1);
             assert_eq!(stats.deadline_expired, 1);
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -305,8 +302,8 @@ fn collection_requests_meet_admission_control_and_deadlines() {
 
     with_watchdog("collection_admission", Duration::from_secs(60), || {
         let (engine, service, data) = (&engine, &service, &data);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
             let mut client = Client::connect(addr).unwrap();
             client.create_collection("alpha", D as u32).unwrap();
             for v in data.iter() {
@@ -315,7 +312,7 @@ fn collection_requests_meet_admission_control_and_deadlines() {
             let ask =
                 |row: usize| QueryRequest::new(data.get(row).to_vec()).k(3).collection("alpha");
 
-            let slow = s.spawn(move |_| {
+            let slow = s.spawn(move || {
                 Client::connect(addr).unwrap().search(&ask(0).deadline_ms(50)).unwrap()
             });
             std::thread::sleep(Duration::from_millis(150));
@@ -336,8 +333,7 @@ fn collection_requests_meet_admission_control_and_deadlines() {
             client.shutdown().unwrap();
             let stats = server.join().unwrap();
             assert_eq!((stats.overloaded, stats.deadline_expired), (1, 1));
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -364,14 +360,14 @@ fn collection_queries_coalesce_in_the_batcher() {
     with_watchdog("collection_coalescing", Duration::from_secs(120), || {
         let barrier = Barrier::new(CLIENTS);
         let (engine, service, data, barrier) = (&engine, &service, &data, &barrier);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
             let mut control = Client::connect(addr).unwrap();
             control.create_collection("alpha", D as u32).unwrap();
 
             let clients: Vec<_> = (0..CLIENTS)
                 .map(|t| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut client = Client::connect(addr).unwrap();
                         for row in [2 * t, 2 * t + 1] {
                             client.insert_with_meta(Some("alpha"), data.get(row), 0, 0).unwrap();
@@ -398,8 +394,7 @@ fn collection_queries_coalesce_in_the_batcher() {
             assert_eq!(stats.queries, (CLIENTS * ROUNDS) as u64);
             assert!(stats.max_batch > 1, "{stats:?}");
             assert!(stats.batches < stats.queries, "{stats:?}");
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -416,8 +411,8 @@ fn draining_server_refuses_collection_writes() {
 
     with_watchdog("collection_drain", Duration::from_secs(60), || {
         let (engine, service) = (&engine, &service);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
             let mut open = Client::connect(addr).unwrap();
             open.create_collection("alpha", D as u32).unwrap();
             open.insert_with_meta(Some("alpha"), &[1.0; D], 0, 0).unwrap();
@@ -435,8 +430,7 @@ fn draining_server_refuses_collection_writes() {
             drop(open);
             let stats = server.join().unwrap();
             assert_eq!(stats.inserts, 1, "{stats:?}");
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -452,8 +446,8 @@ fn replica_names_are_validated_before_the_lag_board() {
 
     with_watchdog("replica_names", Duration::from_secs(60), || {
         let (engine, service) = (&engine, &service);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
             for bad in ["bad name!\n", "", &"r".repeat(65)] {
                 let mut raw = std::net::TcpStream::connect(addr).unwrap();
                 let req = Request::ReplSubscribe { replica: bad.into(), from_seq: 0 };
@@ -473,8 +467,7 @@ fn replica_names_are_validated_before_the_lag_board() {
 
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -515,13 +508,13 @@ fn follower_loop_catches_up_and_is_refused_below_the_floor() {
     with_watchdog("follower_catch_up", Duration::from_secs(90), || {
         let (primary, follower, service, data) = (&primary, &follower, &service, &data);
         let (queries, wait_for, stop, repl) = (&queries, &wait_for, &stop, &repl);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(primary, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(primary, listener, service).unwrap());
             let mut client = Client::connect(addr).unwrap();
             let mut puller = None;
             for (i, v) in data.iter().enumerate() {
                 if i == N / 2 {
-                    puller = Some(s.spawn(move |_| run_follower(follower, repl, stop)));
+                    puller = Some(s.spawn(move || run_follower(follower, repl, stop)));
                 }
                 client.insert(v).unwrap();
             }
@@ -536,8 +529,7 @@ fn follower_loop_catches_up_and_is_refused_below_the_floor() {
             assert_eq!(pulled.reconnects, 0, "{pulled:?}");
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
 
     let dir = cc_storage::wal::scratch_dir("svc-repl-floor");
@@ -562,9 +554,9 @@ fn follower_loop_catches_up_and_is_refused_below_the_floor() {
     with_watchdog("follower_below_floor", Duration::from_secs(90), || {
         let (reopened, follower, service, wait_for) = (&reopened, &follower, &service, &wait_for);
         let (stop, repl) = (&stop, &repl);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(reopened, listener, service).unwrap());
-            let puller = s.spawn(move |_| run_follower(follower, repl, stop));
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(reopened, listener, service).unwrap());
+            let puller = s.spawn(move || run_follower(follower, repl, stop));
             // Two refusals written: the loop came back after the first.
             wait_for("two refused subscriptions", &|| {
                 let m = Client::connect(addr).unwrap().metrics_text().unwrap();
@@ -578,8 +570,7 @@ fn follower_loop_catches_up_and_is_refused_below_the_floor() {
             assert!(follower.is_empty());
             Client::connect(addr).unwrap().shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
     drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
@@ -606,8 +597,8 @@ fn collection_dims_no_frame_can_carry_are_refused() {
 
     with_watchdog("collection_dims", Duration::from_secs(60), || {
         let (engine, service, data) = (&engine, &service, &data);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
             let mut client = Client::connect(addr).unwrap();
             let too_wide = (cc_service::protocol::MAX_FRAME / 4 + 1) as u32;
             for dim in [u32::MAX, too_wide] {
@@ -624,8 +615,7 @@ fn collection_dims_no_frame_can_carry_are_refused() {
 
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -643,8 +633,8 @@ fn lag_board_refuses_new_names_past_its_cap() {
 
     with_watchdog("lag_board_cap", Duration::from_secs(60), || {
         let (engine, service) = (&engine, &service);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
             let mut client = Client::connect(addr).unwrap();
             for i in 0..MAX_REPLICAS {
                 client.repl_subscribe(&format!("f-{i}"), 0).unwrap();
@@ -668,8 +658,7 @@ fn lag_board_refuses_new_names_past_its_cap() {
 
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -691,8 +680,8 @@ fn malformed_frames_are_rejected_and_connection_closed() {
 
     with_watchdog("malformed_frames", Duration::from_secs(60), || {
         let (engine, service) = (&engine, &service);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
 
             // Raw socket: a frame with an unknown opcode.
             let mut raw = std::net::TcpStream::connect(addr).unwrap();
@@ -709,8 +698,7 @@ fn malformed_frames_are_rejected_and_connection_closed() {
 
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -731,8 +719,8 @@ fn sharded_engine_rejects_mutations() {
 
     with_watchdog("sharded_rejects_mutations", Duration::from_secs(60), || {
         let (engine, service) = (&engine, &service);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
 
             let mut client = Client::connect(addr).unwrap();
             assert!(client.insert(&[0.5f32; D]).is_err(), "insert must be refused");
@@ -747,8 +735,7 @@ fn sharded_engine_rejects_mutations() {
 
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -769,8 +756,8 @@ fn saturated_bucket_query_is_answered_and_serving_continues() {
 
     with_watchdog("saturated_bucket_query", Duration::from_secs(60), || {
         let (engine, service) = (&engine, &service);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
 
             let mut client = Client::connect(addr).unwrap();
             assert_eq!(top_k(&mut client, &[1.0e30; D], 3).len(), 3);
@@ -778,8 +765,7 @@ fn saturated_bucket_query_is_answered_and_serving_continues() {
 
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -799,7 +785,7 @@ impl ServeEngine for FailingWrites {
         &self,
         _queries: &Dataset,
         _k: usize,
-        _opts: &c2lsh::engine::SearchOptions,
+        _opts: &SearchOptions,
     ) -> (Vec<(Vec<Neighbor>, c2lsh::stats::QueryStats)>, c2lsh::stats::BatchStats) {
         unreachable!("this test sends no queries")
     }
@@ -832,12 +818,12 @@ fn failed_mutation_batch_counts_each_error_once() {
 
     with_watchdog("failed_mutation_batch", Duration::from_secs(60), || {
         let service = &service;
-        crossbeam::scope(move |s| {
+        std::thread::scope(move |s| {
             let server =
-                s.spawn(move |_| cc_service::serve(&FailingWrites, listener, service).unwrap());
+                s.spawn(move || cc_service::serve(&FailingWrites, listener, service).unwrap());
             let writers: Vec<_> = (0..2)
                 .map(|_| {
-                    s.spawn(move |_| Client::connect(addr).unwrap().insert(&[1.0; 4]).unwrap_err())
+                    s.spawn(move || Client::connect(addr).unwrap().insert(&[1.0; 4]).unwrap_err())
                 })
                 .collect();
             for w in writers {
@@ -853,8 +839,7 @@ fn failed_mutation_batch_counts_each_error_once() {
 
             client.shutdown().unwrap();
             assert_eq!(server.join().unwrap().errors, 2);
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -878,12 +863,18 @@ fn mutable_server_applies_durable_mutations_under_racing_readers() {
     let data = clustered(SEED_N, D, 7);
 
     let engine = Arc::new(MutableIndex::open(&dir, D, SEED_N, &cfg).unwrap());
+    // Seeded rows carry label i % 3; a writer's insert carries label 0.
     let seed_ops: Vec<MutationOp> = data
         .iter()
-        .map(|v| MutationOp::Insert { vector: v.to_vec(), meta: Default::default() })
+        .enumerate()
+        .map(|(i, v)| MutationOp::Insert {
+            vector: v.to_vec(),
+            meta: PointMeta::new(0, (i % 3) as u32),
+        })
         .collect();
     engine.apply_batch(&seed_ops).unwrap();
     assert_eq!(engine.last_seq(), SEED_N as u64);
+    let labelled_0 = |id: u32| id as usize >= SEED_N || id.is_multiple_of(3);
 
     let service = ServiceConfig {
         max_batch: 16,
@@ -900,17 +891,16 @@ fn mutable_server_applies_durable_mutations_under_racing_readers() {
         let obs = obs_watching(&engine, ObsConfig::default());
         let (engine, service, data, acked) = (&*engine, &service, &data, &acked);
         let (ack_tx, ack_rx) = mpsc::channel::<(u32, Vec<f32>)>();
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| {
-                cc_service::serve_with_obs(engine, listener, service, obs).unwrap()
-            });
+        std::thread::scope(move |s| {
+            let server = s
+                .spawn(move || cc_service::serve_with_obs(engine, listener, service, obs).unwrap());
             let mut control = Client::connect(addr).unwrap();
             control.ping().unwrap();
 
             let writers: Vec<_> = (0..WRITERS)
                 .map(|t| {
                     let ack_tx = ack_tx.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut client = Client::connect(addr).unwrap();
                         // A vector far outside the seeded clusters,
                         // unique per writer.
@@ -941,15 +931,29 @@ fn mutable_server_applies_durable_mutations_under_racing_readers() {
                 .collect();
             let readers: Vec<_> = (0..READERS)
                 .map(|r| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut client = Client::connect(addr).unwrap();
                         for i in 0..READS {
                             let qi = (r * READS + i) % SEED_N;
                             // Concurrent with deletes, so only sanity is
                             // checkable: a well-formed, ordered answer.
-                            let nn = top_k(&mut client, data.get(qi), 3);
+                            // Reader 1 filters on label 0, so each of its
+                            // answers also keeps to that label.
+                            let nn = match r {
+                                1 => {
+                                    let req = QueryRequest::new(data.get(qi).to_vec())
+                                        .k(3)
+                                        .filter(Predicate::label(0));
+                                    client.search_result(&req).unwrap().neighbors
+                                }
+                                _ => top_k(&mut client, data.get(qi), 3),
+                            };
                             assert!(!nn.is_empty());
                             assert!(nn.windows(2).all(|w| w[0].dist <= w[1].dist));
+                            assert!(
+                                r != 1 || nn.iter().all(|n| labelled_0(n.id)),
+                                "label-0 read answered {nn:?}"
+                            );
                         }
                     })
                 })
@@ -974,8 +978,7 @@ fn mutable_server_applies_durable_mutations_under_racing_readers() {
             assert_eq!(stats.deletes, WRITERS as u64);
             drop(ack_tx);
             acked.lock().unwrap().extend(ack_rx);
-        })
-        .unwrap();
+        });
     });
 
     // Durability, the gentle way: a fresh process-equivalent reopen of
@@ -995,6 +998,11 @@ fn mutable_server_applies_durable_mutations_under_racing_readers() {
         let (nn, _) = reopened.query(data.get(victim as usize), 1);
         assert!(nn[0].id != victim, "acked delete resurrected across reopen");
     }
+    // The labels survived replay: a filtered read of a label-1 row still
+    // answers only label-0 objects.
+    let opts = SearchOptions { filter: Some(Predicate::label(0)), ..SearchOptions::default() };
+    let (nn, _) = reopened.query_with(data.get(1), 5, &opts);
+    assert!(!nn.is_empty() && nn.iter().all(|n| labelled_0(n.id)), "after reopen: {nn:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1038,8 +1046,8 @@ fn checkpoint_policy_bounds_the_wal_and_preserves_acks() {
     let acked = std::sync::Mutex::new(Vec::<(u32, Vec<f32>)>::new());
     with_watchdog("checkpoint_policy", Duration::from_secs(60), || {
         let (engine, service, acked) = (&engine, &service, &acked);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
             let mut client = Client::connect(addr).unwrap();
             for i in 0..INSERTS {
                 let novel: Vec<f32> = (0..D).map(|j| 5000.0 + (i * D + j) as f32).collect();
@@ -1058,8 +1066,7 @@ fn checkpoint_policy_bounds_the_wal_and_preserves_acks() {
             client.shutdown().unwrap();
             let stats = server.join().unwrap();
             assert!(stats.checkpoints >= checkpoints, "drain adds the final checkpoint");
-        })
-        .unwrap();
+        });
     });
 
     // After the drain the log holds nothing but its header …
@@ -1118,8 +1125,8 @@ fn collections_and_filtered_search_over_the_wire() {
 
     with_watchdog("collections_wire", Duration::from_secs(120), || {
         let (engine, service, data, col_data) = (&engine, &service, &data, &col_data);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
             let mut client = Client::connect(addr).unwrap();
 
             // Lifecycle: create is idempotent-with-signal, bad names
@@ -1234,8 +1241,7 @@ fn collections_and_filtered_search_over_the_wire() {
 
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
 }
 
@@ -1385,10 +1391,9 @@ fn golden_counters_of_a_scripted_session() {
 
     with_watchdog("golden_counters", Duration::from_secs(60), || {
         let (engine, service, data) = (&*engine, &service, &data);
-        crossbeam::scope(move |s| {
-            let server = s.spawn(move |_| {
-                cc_service::serve_with_obs(engine, listener, service, obs).unwrap()
-            });
+        std::thread::scope(move |s| {
+            let server = s
+                .spawn(move || cc_service::serve_with_obs(engine, listener, service, obs).unwrap());
             let mut client = Client::connect(addr).unwrap();
             let rounds = |client: &mut Client, req: QueryRequest| {
                 client.search_result(&req.with_stats()).unwrap().cost.unwrap().rounds
@@ -1449,8 +1454,7 @@ fn golden_counters_of_a_scripted_session() {
 
             client.shutdown().unwrap();
             server.join().unwrap();
-        })
-        .unwrap();
+        });
     });
     std::fs::remove_dir_all(&dir).ok();
 }

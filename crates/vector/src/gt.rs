@@ -3,8 +3,8 @@
 //! Every quality metric in the paper (recall, overall ratio) is defined
 //! against the *exact* k-NN of each query, so ground truth must be
 //! computed by brute force. Queries are independent, which makes this an
-//! embarrassingly parallel scan: the query set is chunked across scoped
-//! `crossbeam` threads.
+//! embarrassingly parallel scan: the query set is chunked across
+//! `std::thread::scope` threads.
 
 use crate::dataset::Dataset;
 use crate::dist::euclidean_sq_bounded;
@@ -95,18 +95,17 @@ pub fn ground_truth(data: &Dataset, queries: &Dataset, k: usize) -> Vec<Vec<Neig
     let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(nq);
     let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let chunk = nq.div_ceil(threads);
         for (t, out_chunk) in results.chunks_mut(chunk).enumerate() {
             let lo = t * chunk;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (off, slot) in out_chunk.iter_mut().enumerate() {
                     *slot = knn_linear(data, queries.get(lo + off), k);
                 }
             });
         }
-    })
-    .expect("ground-truth worker panicked");
+    });
 
     results
 }

@@ -75,8 +75,8 @@ fn main() {
     let addr = listener.local_addr().expect("local addr");
 
     let (engine, service, data) = (&engine, &service, &data);
-    crossbeam::scope(move |s| {
-        s.spawn(move |_| cc_service::serve(engine, listener, service).unwrap());
+    std::thread::scope(move |s| {
+        s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
 
         let mut client = Client::connect(addr).expect("connect");
         client.create_collection("catalogue", DIM as u32).expect("create");
@@ -109,6 +109,5 @@ fn main() {
         }
 
         client.shutdown().expect("shutdown");
-    })
-    .unwrap();
+    });
 }

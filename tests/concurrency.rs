@@ -28,12 +28,12 @@ fn concurrent_queries_match_sequential() {
         (0..32).map(|qi| index.query(data.get(qi * 40), 5).0).collect();
 
     // 8 threads × 4 queries each, interleaved, against the same index.
-    let results: Vec<Vec<Neighbor>> = crossbeam::scope(|scope| {
+    let results: Vec<Vec<Neighbor>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..8 {
             let index = &index;
             let data = Arc::clone(&data);
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 (0..4)
                     .map(|i| {
                         let qi = t * 4 + i;
@@ -43,8 +43,7 @@ fn concurrent_queries_match_sequential() {
             }));
         }
         handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
 
     assert_eq!(results, expected, "concurrent results diverged from sequential");
 }
@@ -76,18 +75,17 @@ fn disk_index_io_accounting_is_exact_under_concurrency() {
     let per_query_tables = one.io.reads - one.candidates_verified as u64;
 
     let before = disk.io_reads();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..6 {
             let disk = &disk;
             let q = q.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..5 {
                     let _ = disk.query(&q, 5);
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(
         disk.io_reads() - before,
         30 * per_query_tables,
@@ -112,12 +110,12 @@ fn queries_racing_mutation_batches_never_see_a_torn_view() {
     let index = MutableIndex::ephemeral(DynamicIndex::from_dataset(&data, &cfg));
     let stop = AtomicBool::new(false);
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let index = &index;
         let stop = &stop;
         let data = &data;
         for _ in 0..4 {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut last_seen = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let (snap, seq) = index.snapshot();
@@ -148,8 +146,7 @@ fn queries_racing_mutation_batches_never_see_a_torn_view() {
             assert_eq!(acks.len(), 2);
         }
         stop.store(true, Ordering::Release);
-    })
-    .unwrap();
+    });
 
     assert_eq!(index.last_seq(), (BATCHES * 2) as u64);
     assert_eq!(index.len(), BASE_N, "each batch swapped one object for one");

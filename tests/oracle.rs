@@ -215,12 +215,12 @@ fn served_and_routed_answers_are_the_oracles() {
             .collect();
         let whole = C2lshIndex::build(&data, &config);
         let split = C2lshIndex::build(&parts, &config);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let (mut servers, mut routers, mut running) = (Vec::new(), Vec::new(), Vec::new());
             for engine in [&whole, &split] {
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
                 let served = listener.local_addr().unwrap();
-                running.push(s.spawn(move |_| {
+                running.push(s.spawn(move || {
                     cc_service::serve(engine, listener, &ServiceConfig::default()).map(drop)
                 }));
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -230,7 +230,7 @@ fn served_and_routed_answers_are_the_oracles() {
                     groups: vec![vec![served.to_string()]],
                     ..RouterConfig::default()
                 };
-                running.push(s.spawn(move |_| cc_service::route(listener, &router).map(drop)));
+                running.push(s.spawn(move || cc_service::route(listener, &router).map(drop)));
                 servers.push(served);
             }
             for (via, addr) in
@@ -257,7 +257,6 @@ fn served_and_routed_answers_are_the_oracles() {
             for handle in running {
                 handle.join().unwrap().unwrap();
             }
-        })
-        .unwrap();
+        });
     }
 }
