@@ -178,12 +178,6 @@ impl From<std::io::Error> for Error {
     }
 }
 
-impl From<crate::persist::PersistError> for Error {
-    fn from(e: crate::persist::PersistError) -> Self {
-        Error::new(ErrorKind::Io, e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,14 +58,14 @@
 //!   [`Rows`] of one [`C2lshIndex`] that answers as the unsplit one does,
 //! * [`mutable`] — crash-safe online mutations: snapshot-consistent
 //!   reads over the dynamic backend plus WAL-backed durability
-//!   (acknowledged inserts/deletes survive a kill at any byte offset),
+//!   (acknowledged inserts/deletes survive a kill at any byte offset)
+//!   and checkpoints written as `cc-storage` logs (a static index is
+//!   rebuilt, not loaded: building it is faster),
 //! * [`meta`] — per-point attribute payloads ([`meta::PointMeta`]) and
 //!   the conjunctive [`meta::Predicate`] filters evaluated inside the
 //!   counting loop (filtered search),
 //! * [`rehash`] — virtual rehashing window arithmetic (shared),
 //! * [`stats`] — per-query, per-round and per-batch cost counters,
-//! * [`persist`] — `C2D1` checkpoints of the dynamic backend (a static
-//!   index is rebuilt, not loaded: building it is faster),
 //! * [`error`] — configuration errors plus the unified [`Error`] /
 //!   [`ErrorKind`] type whose stable numeric codes ride the service's
 //!   protocol Error frames.
@@ -89,7 +89,6 @@ pub mod meta;
 pub mod mutable;
 pub mod paged;
 pub mod params;
-pub mod persist;
 pub mod rehash;
 pub mod sharded;
 pub mod stats;
@@ -106,7 +105,6 @@ pub use meta::{PointMeta, Predicate};
 pub use mutable::{MutableIndex, MutationAck, MutationOp};
 pub use paged::{PagedBuilder, PagedStore};
 pub use params::FullParams;
-pub use persist::{load_dynamic, save_dynamic, PersistError};
 pub use sharded::{ShardedData, ShardedEngine};
 pub use stats::{BatchStats, MutationStats, QueryStats, RoundStats, StageNanos, Termination};
 

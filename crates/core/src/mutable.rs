@@ -26,19 +26,19 @@
 //! deterministic oid assignment) can only *re-create* state that was
 //! already acknowledged.
 
-use crate::config::C2lshConfig;
+use crate::config::{Beta, C2lshConfig};
 use crate::dynamic::{DynamicIndex, Edit};
 use crate::engine::SearchOptions;
 use crate::meta::PointMeta;
-use crate::persist::{load_dynamic, save_dynamic};
+use crate::params::FullParams;
 use crate::stats::{BatchStats, MutationStats, QueryStats};
-use cc_storage::wal::{Wal, WalOp, WalRecord};
+use cc_storage::wal::{read_checkpoint, write_checkpoint, Wal, WalOp, WalRecord};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -277,6 +277,35 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.c2d";
 /// directory.
 pub const WAL_FILE: &str = "wal.log";
 
+/// A checkpoint head's shape bytes: `expected_n`, the configuration and
+/// the `(m, l, beta_n)` derived from them. An index of other shape bytes
+/// (another build's derivation included) refuses the checkpoint.
+fn shape(expected_n: usize, config: &C2lshConfig, params: &FullParams) -> Vec<u8> {
+    let mut out = (expected_n as u64).to_le_bytes().to_vec();
+    out.extend(config.c.to_le_bytes());
+    out.extend([config.w, config.delta, config.base_radius].iter().flat_map(|x| x.to_le_bytes()));
+    out.extend(match config.beta {
+        Beta::Count(c) => [0].into_iter().chain(c.to_le_bytes()),
+        Beta::Fraction(f) => [1].into_iter().chain(f.to_le_bytes()),
+    });
+    out.extend(config.seed.to_le_bytes());
+    for over in [config.m_override, config.l_override] {
+        out.push(u8::from(over.is_some()));
+        out.extend(over.into_iter().flat_map(|v| (v as u32).to_le_bytes()));
+    }
+    out.extend([params.m, params.l, params.beta_n].iter().flat_map(|&v| (v as u32).to_le_bytes()));
+    out
+}
+
+/// Write the checkpoint of `index` at `last_seq` into `out`: every slot
+/// with its metadata, tombstones included so object ids survive.
+fn save(index: &DynamicIndex, last_seq: u64, out: impl Write) -> io::Result<()> {
+    let shape = shape(index.expected_n(), index.config(), index.params());
+    let slots = index.slots().iter().zip(index.meta_slots().iter());
+    let slots = slots.map(|(slot, meta)| (slot.as_deref(), meta.tag, meta.label));
+    write_checkpoint(out, index.dim(), last_seq, &shape, index.slots().len(), slots)
+}
+
 impl MutableIndex {
     /// Wrap an existing index with snapshot semantics but **no
     /// durability** (no WAL): acknowledged mutations die with the
@@ -301,7 +330,9 @@ impl MutableIndex {
     /// config)` — then replays the WAL's valid prefix on top. A torn
     /// WAL tail (a kill mid-write) is truncated away; it can never
     /// contain an acknowledged mutation, because acks happen only after
-    /// fsync.
+    /// fsync. A checkpoint is renamed into place whole, so a damaged one
+    /// is refused with [`io::ErrorKind::InvalidData`], never opened as a
+    /// shorter index.
     pub fn open(
         dir: impl AsRef<Path>,
         dim: usize,
@@ -312,9 +343,12 @@ impl MutableIndex {
         std::fs::create_dir_all(&dir)?;
         let ckpt_path = dir.join(CHECKPOINT_FILE);
         let (mut index, ckpt_seq) = if ckpt_path.exists() {
-            let blob = std::fs::read(&ckpt_path)?;
-            load_dynamic(&blob, dim, expected_n, config)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+            let shape = shape(expected_n, config, &FullParams::derive(expected_n, config));
+            let ckpt = read_checkpoint(&std::fs::read(&ckpt_path)?, dim, &shape)?;
+            let metas = ckpt.metas.into_iter().map(|(tag, label)| PointMeta::new(tag, label));
+            let index =
+                DynamicIndex::from_slots(dim, expected_n, config, ckpt.slots, metas.collect());
+            (index, ckpt.last_seq)
         } else {
             (DynamicIndex::new(dim, expected_n, config), 0)
         };
@@ -596,8 +630,9 @@ impl MutableIndex {
 
     /// Write a checkpoint (`checkpoint.c2d`, via tmp-file + rename) of
     /// the current snapshot and truncate the WAL, bounding recovery
-    /// time. The checkpoint streams into the tmp file through
-    /// [`save_dynamic`]'s fixed-size buffer; it is never whole in memory.
+    /// time. The checkpoint is a `CWL1` file of slot records
+    /// ([`cc_storage::wal::write_checkpoint`]), each written to the tmp
+    /// file as soon as it is framed; it is never whole in memory.
     /// No-op in ephemeral mode. Readers are unaffected; writers wait on
     /// the writer lock for the file I/O.
     pub fn checkpoint(&self) -> io::Result<()> {
@@ -614,7 +649,7 @@ impl MutableIndex {
         let final_path = dir.join(CHECKPOINT_FILE);
         {
             let mut f = std::fs::File::create(&tmp)?;
-            save_dynamic(&index, seq, &mut f)?;
+            save(&index, seq, &mut f)?;
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &final_path)?;
@@ -760,7 +795,7 @@ mod tests {
 
     fn checkpoint_bytes(index: &DynamicIndex, last_seq: u64) -> Vec<u8> {
         let mut blob = Vec::new();
-        save_dynamic(index, last_seq, &mut blob).unwrap();
+        save(index, last_seq, &mut blob).unwrap();
         blob
     }
 
@@ -1028,9 +1063,11 @@ mod tests {
     /// The two files a checkpoint leaves behind — after a history with
     /// tombstones and metadata slots, and one more batch in the reset
     /// log — pinned while the checkpoint was built whole in memory and
-    /// the log wrote a record at a time. However the bytes travel to the
-    /// disk, these are the bytes: `index_mib` reports their size, and a
-    /// directory an earlier build wrote is one of these.
+    /// the log wrote a record at a time. The checkpoint's half was
+    /// re-pinned when it became a `CWL1` file of a head and slot records;
+    /// the slot bytes inside them did not change. However the bytes
+    /// travel to the disk, these are the bytes: `index_mib` reports their
+    /// size, and a log an earlier build wrote is one of these.
     #[test]
     fn golden_checkpoint_and_log_files() {
         /// 64-bit FNV-1a, enough to pin a file without checking it in.
@@ -1067,10 +1104,13 @@ mod tests {
         let checkpoint = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
         let log = std::fs::read(dir.join(WAL_FILE)).unwrap();
         let tagged = (0..50).filter(|i| i % 3 != 0 && ![4, 9].contains(i)).count();
-        assert_eq!(checkpoint.len(), 91 + 47 * (1 + 6 * 4) + 12 * tagged + 3 + 4);
+        // The header, the head (its body: dim, last_seq, slot count and
+        // 67 shape bytes) and one record of 50 slots, a tag byte each.
+        let (head, slots) = (4 + 8 + 1 + 4 + 8 + 8 + 67 + 4, 4 + 8 + 1 + 4 + 4 + 4);
+        assert_eq!(checkpoint.len(), 8 + head + slots + 47 * (1 + 6 * 4) + 12 * tagged + 3);
         let (plain, meta, delete) = (4 + 8 + 1 + 8 + 24 + 4, 4 + 8 + 1 + 20 + 24 + 4, 21);
         assert_eq!(log.len(), 8 + plain + meta + delete);
-        assert_eq!(fnv1a(&checkpoint), 3_025_263_112_563_492_985, "checkpoint bytes moved");
+        assert_eq!(fnv1a(&checkpoint), 15_372_464_532_963_983_695, "checkpoint bytes moved");
         assert_eq!(fnv1a(&log), 3_161_929_885_051_519_813, "log bytes moved");
         drop(m);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1087,6 +1127,73 @@ mod tests {
         let other = C2lshConfig::builder().bucket_width(2.0).seed(42).build();
         let err = MutableIndex::open(&dir, 4, 100, &other).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An earlier build's checkpoint, stamped `C2D1`, is refused at open,
+    /// never opened as an empty index.
+    #[test]
+    fn checkpoint_of_an_earlier_build_is_refused() {
+        let dir = scratch_dir("mutable-ckpt-c2d1");
+        {
+            let m = MutableIndex::open(&dir, 4, 100, &cfg()).unwrap();
+            m.apply_batch(&[insert(&[1.0; 4])]).unwrap();
+            m.checkpoint().unwrap();
+        }
+        let path = dir.join(CHECKPOINT_FILE);
+        let mut earlier = std::fs::read(&path).unwrap();
+        earlier[..4].copy_from_slice(b"1D2C"); // "C2D1", little-endian
+        std::fs::write(&path, earlier).unwrap();
+        let err = MutableIndex::open(&dir, 4, 100, &cfg()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not a CWL1 file"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A kill between a checkpoint's rename and the log's reset leaves
+    /// the new checkpoint beside the whole old log. Reopen skips the
+    /// records the checkpoint already holds, so none is applied twice,
+    /// and the log numbers on from the checkpoint.
+    #[test]
+    fn checkpoint_then_kill_before_the_log_reset_applies_each_record_once() {
+        let dir = scratch_dir("mutable-ckpt-kill");
+        let data = points(40, 5, 37);
+        let config = cfg();
+        let tagged = |i: usize| MutationOp::Insert {
+            vector: data.get(i).to_vec(),
+            meta: PointMeta::new(1 << (i % 7), i as u32 % 3),
+        };
+        // The slots, the metadata of the live ones (a tombstone keeps
+        // none across a checkpoint) and the seq.
+        let state = |m: &MutableIndex| {
+            let (index, seq) = m.snapshot();
+            let slots = index.slots().iter().zip(index.meta_slots().iter());
+            let metas: Vec<_> = slots.filter(|(v, _)| v.is_some()).map(|(_, meta)| *meta).collect();
+            (index.slots().clone(), metas, seq)
+        };
+        let before = {
+            let m = MutableIndex::open(&dir, 5, 100, &config).unwrap();
+            m.apply_batch(&(0..20).map(tagged).collect::<Vec<_>>()).unwrap();
+            let deletes = [MutationOp::Delete { oid: 3 }, MutationOp::Delete { oid: 11 }];
+            m.apply_batch(&[&deletes[..], &[tagged(20)]].concat()).unwrap();
+            m.apply_batch(&data.iter().skip(21).take(9).map(insert).collect::<Vec<_>>()).unwrap();
+            let log = std::fs::read(dir.join(WAL_FILE)).unwrap();
+            m.checkpoint().unwrap();
+            let before = state(&m);
+            drop(m);
+            std::fs::write(dir.join(WAL_FILE), log).unwrap(); // the reset never happened
+            before
+        };
+        let (ids, last_seq) = (before.0.len() as u32, before.2);
+        assert_eq!((ids, last_seq), (30, 32));
+        let m = MutableIndex::open(&dir, 5, 100, &config).unwrap();
+        assert!(state(&m) == before, "reopen diverged");
+        let (acks, _) = m.apply_batch(&[insert(data.get(30))]).unwrap();
+        assert_eq!(acks[0], MutationAck::Inserted { oid: ids, seq: last_seq + 1 });
+        let after = state(&m);
+        drop(m);
+        let m = MutableIndex::open(&dir, 5, 100, &config).unwrap();
+        assert!(state(&m) == after, "a second reopen diverged");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

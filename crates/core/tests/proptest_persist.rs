@@ -1,17 +1,15 @@
-//! Property tests for the `C2D1` checkpoint and crash recovery.
+//! Property tests for the checkpoint and crash recovery.
 //!
 //! A WAL-backed [`MutableIndex`] killed at *any* byte offset of its log
 //! recovers exactly the acknowledged prefix of mutations — never a torn
 //! record, never a reordering, and (when the kill falls on a record
 //! boundary or beyond) never a lost ack. A checkpoint round-trips any
-//! mutation history, and malformed input — arbitrary garbage, a crafted
-//! header — always surfaces as a [`PersistError`], never as a panic or
-//! an abort.
+//! mutation history, and a malformed checkpoint — arbitrary garbage, a
+//! crafted head — is refused at open with `InvalidData`, never a panic
+//! or an abort.
 
-use c2lsh::{
-    load_dynamic, save_dynamic, C2lshConfig, DynamicIndex, MutableIndex, MutationAck, MutationOp,
-    PersistError, PointMeta,
-};
+use c2lsh::mutable::CHECKPOINT_FILE;
+use c2lsh::{C2lshConfig, DynamicIndex, MutableIndex, MutationAck, MutationOp, PointMeta};
 use cc_storage::wal::scratch_dir;
 use cc_storage::FailpointFile;
 use proptest::prelude::*;
@@ -210,30 +208,27 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// C2D1 checkpoint round-trip under a random mutation history:
-    /// save/load preserves slots, id assignment, and the recorded
-    /// sequence number.
+    /// Checkpoint round-trip under a random mutation history: a reopen
+    /// from the checkpoint alone restores the slots, their metadata, the
+    /// id assignment and the sequence number.
     #[test]
     fn dynamic_checkpoint_round_trips_any_mutation_history(
         script in mutation_script(),
         dim in 2usize..6,
         seed in 0u64..50,
     ) {
+        let dir = scratch_dir("core-ckpt-roundtrip");
         let cfg = dyn_cfg(seed);
         let ops = materialize(&script, dim);
-        let mut index = DynamicIndex::new(dim, EXPECTED_N, &cfg);
-        for op in &ops {
-            match op {
-                MutationOp::Insert { vector, meta } => {
-                    index.insert_with_meta(vector.clone(), *meta);
-                }
-                MutationOp::Delete { oid } => { index.delete(*oid); }
-            }
+        let saved = MutableIndex::open(&dir, dim, EXPECTED_N, &cfg).unwrap();
+        for chunk in ops.chunks(5) {
+            saved.apply_batch(chunk).unwrap();
         }
-        let seq = ops.len() as u64;
-        let mut blob = Vec::new();
-        save_dynamic(&index, seq, &mut blob).unwrap();
-        let (loaded, loaded_seq) = load_dynamic(&blob, dim, EXPECTED_N, &cfg).unwrap();
+        saved.checkpoint().unwrap();
+        let (index, seq) = saved.snapshot();
+        drop(saved);
+        let reopened = MutableIndex::open(&dir, dim, EXPECTED_N, &cfg).unwrap();
+        let (loaded, loaded_seq) = reopened.snapshot();
         prop_assert_eq!(loaded_seq, seq);
         prop_assert_eq!(loaded.slots(), index.slots());
         prop_assert_eq!(loaded.len(), index.len());
@@ -248,50 +243,58 @@ proptest! {
             let (b, _) = loaded.query(q, 3);
             prop_assert_eq!(a, b, "queries agree after a checkpoint round-trip");
         }
+        // The next insert is assigned the id the saved index would give.
+        let (acks, _) = reopened.apply_batch(&[MutationOp::Insert {
+            vector: vec![0.5; dim],
+            meta: PointMeta::default(),
+        }]).unwrap();
+        prop_assert_eq!(acks[0], MutationAck::Inserted { oid: index.slots().len() as u32, seq: seq + 1 });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Arbitrary garbage fed to the C2D1 loader errors, never panics.
+    /// Arbitrary garbage in place of a checkpoint is refused at open,
+    /// never a panic and never an empty index.
     #[test]
     fn dynamic_garbage_never_panics(
         garbage in proptest::collection::vec(0u8..255, 0..256),
     ) {
-        prop_assert!(load_dynamic(&garbage, 4, EXPECTED_N, &dyn_cfg(1)).is_err());
+        let dir = scratch_dir("core-ckpt-garbage");
+        std::fs::write(dir.join(CHECKPOINT_FILE), &garbage).unwrap();
+        let err = MutableIndex::open(&dir, 4, EXPECTED_N, &dyn_cfg(1)).unwrap_err();
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
-/// The checkpoint's xor-fold checksum, so a crafted header passes it.
-fn xor_fold(bytes: &[u8]) -> u32 {
-    bytes.chunks(4).fold(0u32, |acc, chunk| {
-        let mut word = [0u8; 4];
-        word[..chunk.len()].copy_from_slice(chunk);
-        acc.rotate_left(1) ^ u32::from_le_bytes(word)
-    })
-}
-
-/// A valid checkpoint whose `dim` word reads `u32::MAX`, checksum fixed
-/// up: sized from that word, loading would ask for 16 GiB and abort.
-/// Refused with zero live slots (the hash family is sized from `dim`)
-/// and with one (its vector is), whether the caller's shape differs or
-/// claims the same `dim`.
+/// A valid checkpoint whose head's `dim` word reads `u32::MAX`, its CRC
+/// fixed up: sized from that word, loading would ask for 16 GiB per
+/// vector and abort. Refused at open with zero live slots and with one,
+/// before anything is sized from the word.
 #[test]
 fn crafted_checkpoint_header_is_refused_without_allocating() {
     let cfg = dyn_cfg(5);
     for live in [0, 1] {
-        let mut index = DynamicIndex::new(4, EXPECTED_N, &cfg);
-        if live == 1 {
-            index.insert(vec![1.0; 4]);
+        let dir = scratch_dir("core-ckpt-crafted");
+        {
+            let index = MutableIndex::open(&dir, 4, EXPECTED_N, &cfg).unwrap();
+            if live == 1 {
+                let one = MutationOp::Insert { vector: vec![1.0; 4], meta: PointMeta::default() };
+                index.apply_batch(&[one]).unwrap();
+            }
+            index.checkpoint().unwrap();
         }
-        let mut blob = Vec::new();
-        save_dynamic(&index, 3, &mut blob).unwrap();
-        blob[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let end = blob.len() - 4;
-        let sum = xor_fold(&blob[..end]);
-        blob[end..].copy_from_slice(&sum.to_le_bytes());
-        let err = load_dynamic(&blob, 4, EXPECTED_N, &cfg).unwrap_err();
-        assert_eq!(err, PersistError::Mismatch, "{live} live slots");
-        if live == 1 {
-            let err = load_dynamic(&blob, u32::MAX as usize, EXPECTED_N, &cfg).unwrap_err();
-            assert!(matches!(err, PersistError::Malformed(_)), "{err}");
-        }
+        // The head is the file's first record: its length word follows
+        // the 8-byte header, its payload is `seq | op | dim | ...`.
+        let path = dir.join(CHECKPOINT_FILE);
+        let mut blob = std::fs::read(&path).unwrap();
+        let len = u32::from_le_bytes(blob[8..12].try_into().unwrap()) as usize;
+        blob[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = cc_storage::wal::crc32(&blob[12..12 + len]);
+        blob[12 + len..16 + len].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &blob).unwrap();
+        let err = MutableIndex::open(&dir, 4, EXPECTED_N, &cfg).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{live} live slots");
+        assert!(err.to_string().contains("dim 4294967295"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -17,7 +17,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What the listener serves: implemented by the service over its
 /// live metric registry.
@@ -95,10 +95,24 @@ impl Drop for MetricsServer {
 /// garbled path) and closed, so no client can grow the listener or hold its one thread.
 const MAX_HEAD_BYTES: u64 = 8 * 1024;
 
+/// Longest a request head may take to arrive: past it the connection closes without a reply.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A connection whose reads share one deadline, each waiting at most the time left: past it, the
+/// zero timeout left is refused and so is every read.
+struct Deadline(TcpStream, Instant);
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.0.set_read_timeout(Some(self.1.saturating_duration_since(Instant::now())))?;
+        self.0.read(buf)
+    }
+}
+
 fn handle_conn(stream: TcpStream, source: &dyn MetricsSource) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES));
+    let at = Instant::now() + HEAD_DEADLINE;
+    let mut reader = BufReader::new(Deadline(stream, at).take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
     if reader.read_line(&mut request_line).is_err() {
         return;
@@ -107,6 +121,9 @@ fn handle_conn(stream: TcpStream, source: &dyn MetricsSource) {
     let mut line = String::new();
     while reader.read_line(&mut line).is_ok_and(|n| n > 0 && !line.trim_end().is_empty()) {
         line.clear();
+    }
+    if Instant::now() >= at {
+        return;
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = match path {
@@ -123,7 +140,7 @@ fn handle_conn(stream: TcpStream, source: &dyn MetricsSource) {
         "/slowlog" => ("200 OK", "text/plain; charset=utf-8", source.render_slowlog()),
         _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_string()),
     };
-    let mut stream = reader.into_inner().into_inner();
+    let mut stream = reader.into_inner().into_inner().0;
     let _ = write!(
         stream,
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -231,6 +248,33 @@ mod tests {
         streamer.join().unwrap();
         assert!(scraped.unwrap().contains("cc_up 1"));
         assert!(took < Duration::from_secs(3), "the scrape waited {took:?}");
+        server.stop();
+    }
+
+    /// A client that trickles a request head one byte every 300 ms is
+    /// cut off at the head's deadline, so a scrape sent behind it is
+    /// answered within the deadline and a second.
+    #[test]
+    fn a_trickled_request_head_does_not_stall_the_scrape() {
+        let server = MetricsServer::bind("127.0.0.1:0", Arc::new(Fixed)).unwrap();
+        let addr = server.local_addr();
+        let trickler = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for byte in b"GET /metrics HTTP/1.0\r\n" {
+                // A refused write means the listener closed the connection.
+                if stream.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        let scraped = http_get(addr, "/metrics");
+        let took = started.elapsed();
+        trickler.join().unwrap();
+        assert!(scraped.unwrap().contains("cc_up 1"));
+        assert!(took < HEAD_DEADLINE + Duration::from_secs(1), "the scrape waited {took:?}");
         server.stop();
     }
 }

@@ -4,9 +4,10 @@
 //! Each collection owns a [`MutableIndex`] with its own parameters and
 //! — on a durable server ([`CollectionsConfig::root`]) — its own WAL
 //! directory under `root/<name>/`, holding the usual
-//! `checkpoint.c2d` + `wal.log` pair plus a tiny `collection.meta`
-//! manifest recording the dimensionality, so a restart can reopen
-//! every collection without the client re-declaring it.
+//! `checkpoint.c2d` + `wal.log` pair (both in the WAL's `CWL1`
+//! framing) plus a tiny `collection.meta` manifest recording the
+//! dimensionality, so a restart can reopen every collection without
+//! the client re-declaring it.
 
 use crate::protocol::{CollectionInfo, MAX_DIM};
 use c2lsh::{C2lshConfig, DynamicIndex, Error, MutableIndex};

@@ -14,9 +14,10 @@
 //!   caller keeps the bucket directory); the on-disk layout of a C2LSH
 //!   hash table,
 //! * [`wal`] — a checksummed write-ahead log for online index mutations
-//!   (append + fsync + replay with torn-tail truncation), plus the
-//!   [`wal::FailpointFile`] fault injector used by the crash-recovery
-//!   test suites.
+//!   (append + fsync + replay with torn-tail truncation), the index
+//!   checkpoint written in the same framing and refused whole when
+//!   damaged, and the [`wal::FailpointFile`] fault injector used by the
+//!   crash-recovery test suites.
 //!
 //! Beside it, for the paper's I/O-count experiments (the headline
 //! efficiency metric of C2LSH and its competitors is the *number* of

@@ -1,4 +1,5 @@
-//! Write-ahead log for online index mutations.
+//! Write-ahead log for online index mutations, and the checkpoint
+//! written in the same framing.
 //!
 //! The dynamic collision-counting index accepts inserts and deletes at
 //! run time; a service acknowledging such a write must not lose it to a
@@ -26,6 +27,11 @@
 //!         op 2 = delete: u32 oid
 //!         op 3 = insert with metadata:
 //!                u32 oid | u64 tag | u32 label | u32 dim | dim × f32
+//!         op 4 = checkpoint head:
+//!                u32 dim | u64 last_seq | u64 slot count | shape bytes
+//!         op 5 = checkpoint slots: u32 first oid | u32 count | count × slot
+//!         slot   u8 0 = tombstone | u8 1, dim × f32 |
+//!                u8 2, u64 tag, u32 label, dim × f32
 //! ```
 //!
 //! Op 3 extends op 1 with the point's attribute payload (a tag bitmask
@@ -36,11 +42,10 @@
 //! unchanged (op 1 decodes with a zero payload).
 //!
 //! The `"CWL"` prefix of the magic identifies the format family and the
-//! trailing byte its version, mirroring the persistence formats of the
-//! core crate. Sequence numbers are assigned by the log, start after
-//! the caller-provided base (a checkpoint's high-water mark) and
-//! increase by exactly one per record; a gap is treated as corruption
-//! and ends replay there.
+//! trailing byte its version. Sequence numbers are assigned by the log,
+//! start after the caller-provided base (a checkpoint's high-water mark)
+//! and increase by exactly one per record; a gap is treated as
+//! corruption and ends replay there.
 //!
 //! ## Replay semantics
 //!
@@ -53,6 +58,12 @@
 //! an fsync that covered it, so the discarded tail never contains an
 //! acknowledged write.
 //!
+//! A checkpoint ([`write_checkpoint`]) is a file of ops 4 and 5, numbered
+//! from 0: a head, then the slots in object-id order, about 1 MiB of them
+//! per record. It is read by the same scan but never shortened: written
+//! whole and renamed into place, it is refused at the first record the
+//! scan stops at ([`read_checkpoint`]).
+//!
 //! [`FailpointFile`] is the matching test harness: it truncates,
 //! bit-flips or extends a file at a chosen byte offset, simulating a
 //! kill (or a corrupting disk) at that exact point.
@@ -60,6 +71,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 pub use crate::crc::crc32;
 
@@ -70,13 +82,18 @@ pub const WAL_MAGIC: u32 = 0x4357_4C31; // "CWL1"
 const WAL_MAGIC_PREFIX: u32 = WAL_MAGIC & !0xFF;
 /// Size of the file header preceding the first record.
 pub const WAL_HEADER_BYTES: u64 = 8;
-/// Upper bound on one record's payload (a 1M-dimensional vector fits
-/// comfortably); a length word above this is corruption, not data.
-pub const MAX_RECORD: usize = 16 << 20;
+/// Upper bound on one record's payload, over the 16 777 226 bytes of the
+/// largest record an admitted vector yields (4 194 299 coordinates with
+/// metadata); a length word above it is corruption, a record refused.
+pub const MAX_RECORD: usize = 17 << 20;
 
 const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
 const OP_INSERT_META: u8 = 3;
+const OP_CHECKPOINT_HEAD: u8 = 4;
+const OP_CHECKPOINT_SLOTS: u8 = 5;
+/// Payload bytes a checkpoint's slot record fills before it is written.
+const CHECKPOINT_RECORD: usize = 1 << 20;
 
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,59 +189,33 @@ impl Wal {
         let path = path.as_ref().to_path_buf();
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
-        let file_len = file.metadata()?.len();
-
-        if file_len < WAL_HEADER_BYTES {
+        let mut bytes = Vec::with_capacity(file.metadata()?.len() as usize);
+        file.read_to_end(&mut bytes)?;
+        if bytes.len() < WAL_HEADER_BYTES as usize {
             // Brand new (or the header itself was torn mid-creation,
             // before any record could have been acknowledged): start
             // fresh.
+            bytes = WAL_MAGIC.to_le_bytes().into_iter().chain([0; 4]).collect();
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
-            let mut header = Vec::with_capacity(WAL_HEADER_BYTES as usize);
-            header.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-            header.extend_from_slice(&0u32.to_le_bytes());
-            file.write_all(&header)?;
+            file.write_all(&bytes)?;
             file.sync_data()?;
             // A record synced into this log is acknowledged; it must not
             // vanish with a directory entry that never reached the disk.
             let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
             File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
-            let wal = Wal {
-                file,
-                path,
-                next_seq: base_seq + 1,
-                len: WAL_HEADER_BYTES,
-                appended_since_sync: 0,
-                batch: Vec::new(),
-                fail_append: None,
-                fail_syncs: 0,
-            };
-            return Ok((wal, Vec::new(), ReplayReport::default()));
         }
+        let file_len = bytes.len() as u64;
 
-        let mut bytes = Vec::with_capacity(file_len as usize);
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut bytes)?;
+        check_magic(&bytes).map_err(|why| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {why}", path.display()))
+        })?;
 
-        let magic = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-        if magic & !0xFF != WAL_MAGIC_PREFIX {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: bad WAL magic {magic:#010x}", path.display()),
-            ));
-        }
-        if magic != WAL_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{}: unsupported WAL version {:?} (this build reads '1')",
-                    path.display(),
-                    (magic & 0xFF) as u8 as char
-                ),
-            ));
-        }
-
-        let (records, valid_bytes) = scan(&bytes);
+        let mut records = Vec::new();
+        let valid_bytes = scan(&bytes, |seq, body| {
+            records.push(WalRecord { seq, op: decode_op(body)? });
+            Some(())
+        });
         let report = ReplayReport {
             records: records.len(),
             valid_bytes,
@@ -281,11 +272,7 @@ impl Wal {
             batch.extend_from_slice(&label.to_le_bytes());
         }
         batch.extend_from_slice(&(vector.len() as u32).to_le_bytes());
-        let at = batch.len();
-        batch.resize(at + 4 * vector.len(), 0);
-        for (bytes, x) in batch[at..].chunks_exact_mut(4).zip(vector) {
-            bytes.copy_from_slice(&x.to_le_bytes());
-        }
+        put_f32s(batch, vector);
         self.end_record(start)
     }
 
@@ -295,28 +282,20 @@ impl Wal {
         self.end_record(start)
     }
 
-    /// Start the next record at the end of the batch buffer: a place for
-    /// the length word, the sequence number, the opcode and the object
-    /// id. Returns where the record starts.
+    /// Start the next record at the end of the batch buffer ([`begin`])
+    /// with its object id. Returns where the record starts.
     fn begin_record(&mut self, opcode: u8, oid: u32) -> usize {
-        let (start, batch) = (self.batch.len(), &mut self.batch);
-        batch.extend_from_slice(&[0; 4]); // the length word, known once the payload is
-        batch.extend_from_slice(&self.next_seq.to_le_bytes());
-        batch.push(opcode);
-        batch.extend_from_slice(&oid.to_le_bytes());
+        let start = begin(&mut self.batch, self.next_seq, opcode);
+        self.batch.extend_from_slice(&oid.to_le_bytes());
         start
     }
 
-    /// Frame the record begun at `start` by [`Wal::begin_record`] —
-    /// length word in front, checksum behind; returns its sequence
-    /// number.
+    /// Frame the record begun at `start` by [`Wal::begin_record`]
+    /// ([`end`]); returns its sequence number. A record over the cap
+    /// leaves the log as it was.
     fn end_record(&mut self, start: usize) -> io::Result<u64> {
+        end(&mut self.batch, start)?;
         let (seq, batch) = (self.next_seq, &mut self.batch);
-        let payload = batch.len() - start - 4;
-        debug_assert!(payload <= MAX_RECORD);
-        batch[start..start + 4].copy_from_slice(&(payload as u32).to_le_bytes());
-        let crc = crc32(&batch[start + 4..]);
-        batch.extend_from_slice(&crc.to_le_bytes());
         match self.fail_append {
             Some((0, partial)) => {
                 // Injected short write: the batch's earlier records and
@@ -446,10 +425,64 @@ impl Wal {
     }
 }
 
-/// Scan `bytes` (starting after the header) for valid records; returns
-/// them plus the offset one past the last valid record.
-fn scan(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
-    let mut records = Vec::new();
+/// Refuse a file whose header is not `CWL1`'s.
+fn check_magic(bytes: &[u8]) -> Result<(), String> {
+    let magic = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+    if magic & !0xFF != WAL_MAGIC_PREFIX {
+        return Err(format!("bad magic {magic:#010x}, not a CWL1 file"));
+    }
+    if magic != WAL_MAGIC {
+        let version = (magic & 0xFF) as u8 as char;
+        return Err(format!("unsupported CWL version {version:?} (this build reads '1')"));
+    }
+    Ok(())
+}
+
+/// Start a record at the end of `buf`: a place for the length word, the
+/// sequence number and the opcode. Returns where the record starts.
+fn begin(buf: &mut Vec<u8>, seq: u64, opcode: u8) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]); // the length word, known once the payload is
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.push(opcode);
+    start
+}
+
+/// Frame the record begun at `start` by [`begin`]: length word in front,
+/// checksum behind. A payload over [`MAX_RECORD`], which no scan would
+/// accept, is taken back out of `buf` and refused with
+/// [`io::ErrorKind::InvalidInput`].
+fn end(buf: &mut Vec<u8>, start: usize) -> io::Result<()> {
+    let payload = buf.len() - start - 4;
+    if payload > MAX_RECORD {
+        buf.truncate(start);
+        return Err(invalid_input(format!("a record of {payload} bytes is over {MAX_RECORD}")));
+    }
+    buf[start..start + 4].copy_from_slice(&(payload as u32).to_le_bytes());
+    let crc = crc32(&buf[start + 4..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+fn invalid_input(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, why)
+}
+
+/// Append `xs` to `buf`, four little-endian bytes each.
+fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
+    let at = buf.len();
+    buf.resize(at + 4 * xs.len(), 0);
+    for (bytes, x) in buf[at..].chunks_exact_mut(4).zip(xs) {
+        bytes.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Scan the records of a `CWL1` file after its header, handing each
+/// whole record's sequence number and body (opcode onward) to `decode`.
+/// The first record that is torn, fails its CRC, declares an impossible
+/// length, breaks the sequence chain or that `decode` refuses ends the
+/// scan. Returns the offset one past the last accepted record.
+fn scan(bytes: &[u8], mut decode: impl FnMut(u64, &[u8]) -> Option<()>) -> u64 {
     let mut at = WAL_HEADER_BYTES as usize;
     let mut expect_seq: Option<u64> = None;
     while let Some(len_bytes) = bytes.get(at..at + 4) {
@@ -468,49 +501,218 @@ fn scan(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
                 break; // sequence gap: the chain is broken here
             }
         }
-        let Some(op) = decode_op(&payload[8..]) else { break };
-        records.push(WalRecord { seq, op });
+        let Some(()) = decode(seq, &payload[8..]) else { break };
         expect_seq = Some(seq + 1);
         at += 8 + len;
     }
-    (records, at as u64)
+    at as u64
+}
+
+/// Little-endian reads off the front of a record body; `None` once the
+/// body runs out.
+struct Body<'a>(&'a [u8]);
+
+impl<'a> Body<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, tail) = self.0.split_at_checked(n)?;
+        self.0 = tail;
+        Some(head)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// The next `dim` coordinates, taken before any is allocated.
+    fn f32s(&mut self, dim: usize) -> Option<impl Iterator<Item = f32> + 'a> {
+        let raw = self.take(dim.checked_mul(4)?)?;
+        Some(raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())))
+    }
 }
 
 fn decode_op(body: &[u8]) -> Option<WalOp> {
-    match *body.first()? {
-        OP_INSERT => {
-            let oid = u32::from_le_bytes(body.get(1..5)?.try_into().unwrap());
-            let dim = u32::from_le_bytes(body.get(5..9)?.try_into().unwrap()) as usize;
-            let raw = body.get(9..)?;
-            if raw.len() != dim * 4 {
-                return None;
-            }
-            let vector =
-                raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-            Some(WalOp::Insert { oid, vector, tag: 0, label: 0 })
+    let mut b = Body(body);
+    let (opcode, oid) = (b.take(1)?[0], b.u32()?);
+    let op = match opcode {
+        OP_DELETE => WalOp::Delete { oid },
+        OP_INSERT | OP_INSERT_META => {
+            let (tag, label) = if opcode == OP_INSERT_META { (b.u64()?, b.u32()?) } else { (0, 0) };
+            let dim = b.u32()? as usize;
+            WalOp::Insert { oid, vector: b.f32s(dim)?.collect(), tag, label }
         }
-        OP_INSERT_META => {
-            let oid = u32::from_le_bytes(body.get(1..5)?.try_into().unwrap());
-            let tag = u64::from_le_bytes(body.get(5..13)?.try_into().unwrap());
-            let label = u32::from_le_bytes(body.get(13..17)?.try_into().unwrap());
-            let dim = u32::from_le_bytes(body.get(17..21)?.try_into().unwrap()) as usize;
-            let raw = body.get(21..)?;
-            if raw.len() != dim * 4 {
-                return None;
+        _ => return None,
+    };
+    b.0.is_empty().then_some(op)
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints
+// ---------------------------------------------------------------------------
+
+/// What a checkpoint holds, as [`read_checkpoint`] reads it back.
+#[derive(Debug)]
+pub struct Checkpoint {
+    /// Sequence number of the last mutation the checkpoint reflects.
+    pub last_seq: u64,
+    /// Object id → vector, `None` for a tombstone.
+    pub slots: Vec<Option<Arc<[f32]>>>,
+    /// Object id → `(tag, label)`; empty when no slot carries one.
+    pub metas: Vec<(u64, u32)>,
+}
+
+/// Write a checkpoint into `out`: the head (`dim`, `last_seq`,
+/// `slot_count`, the caller's `shape` bytes), then the `slot_count`
+/// slots in object-id order — a vector of `dim` coordinates or `None`
+/// for a tombstone, with its tag and label (zero ones cost no bytes).
+/// Each record goes to `out` once framed, so the writer holds one record
+/// of about 1 MiB (or one larger slot). Making it durable is the caller's.
+pub fn write_checkpoint<'a>(
+    mut out: impl Write,
+    dim: usize,
+    last_seq: u64,
+    shape: &[u8],
+    slot_count: usize,
+    slots: impl IntoIterator<Item = (Option<&'a [f32]>, u64, u32)>,
+) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(CHECKPOINT_RECORD + 4 * dim + 64);
+    buf.extend_from_slice(&WAL_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&0u32.to_le_bytes());
+    let head = begin(&mut buf, 0, OP_CHECKPOINT_HEAD);
+    buf.extend_from_slice(&(dim as u32).to_le_bytes());
+    buf.extend_from_slice(&last_seq.to_le_bytes());
+    buf.extend_from_slice(&(slot_count as u64).to_le_bytes());
+    buf.extend_from_slice(shape);
+    end(&mut buf, head)?;
+    out.write_all(&buf)?;
+
+    let (mut slots, mut written) = (slots.into_iter(), 0u32);
+    for seq in 1.. {
+        buf.clear();
+        let start = begin(&mut buf, seq, OP_CHECKPOINT_SLOTS);
+        buf.extend_from_slice(&written.to_le_bytes());
+        let count_at = buf.len();
+        buf.extend_from_slice(&[0; 4]); // the slot count, known once the record is full
+        let mut count = 0u32;
+        for (slot, tag, label) in slots.by_ref() {
+            match slot {
+                None => buf.push(0),
+                Some(v) if v.len() != dim => {
+                    return Err(invalid_input(format!("slot of dim {}", v.len())))
+                }
+                Some(_) if (tag, label) == (0, 0) => buf.push(1),
+                Some(_) => {
+                    buf.push(2);
+                    buf.extend_from_slice(&tag.to_le_bytes());
+                    buf.extend_from_slice(&label.to_le_bytes());
+                }
             }
-            let vector =
-                raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-            Some(WalOp::Insert { oid, vector, tag, label })
-        }
-        OP_DELETE => {
-            if body.len() != 5 {
-                return None;
+            put_f32s(&mut buf, slot.unwrap_or_default());
+            count += 1;
+            if buf.len() - start >= CHECKPOINT_RECORD {
+                break;
             }
-            let oid = u32::from_le_bytes(body[1..5].try_into().unwrap());
-            Some(WalOp::Delete { oid })
         }
-        _ => None,
+        if count == 0 {
+            break;
+        }
+        buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        end(&mut buf, start)?;
+        out.write_all(&buf)?;
+        written += count;
     }
+    if written as usize != slot_count {
+        return Err(invalid_input(format!("{written} slots, the head counts {slot_count}")));
+    }
+    Ok(())
+}
+
+/// Read back a checkpoint written for `dim` and `shape`, through the
+/// log's scan. Anything short of the whole file is refused with
+/// [`io::ErrorKind::InvalidData`], never read as a shorter index: a torn
+/// or flipped record, a gap in the slot runs, fewer slots than the head
+/// counts, another magic (an earlier build's `C2D1` file). A head of
+/// another `dim` or `shape` is refused before anything is sized from it.
+pub fn read_checkpoint(bytes: &[u8], dim: usize, shape: &[u8]) -> io::Result<Checkpoint> {
+    let invalid =
+        |why: String| io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint {why}"));
+    if bytes.len() < WAL_HEADER_BYTES as usize {
+        return Err(invalid(format!("of {} bytes is shorter than its header", bytes.len())));
+    }
+    let refused =
+        |why| invalid(format!("refused: {why} (an earlier build's C2D1 file is not read)"));
+    check_magic(bytes).map_err(refused)?;
+    let mut ckpt = Checkpoint { last_seq: 0, slots: Vec::new(), metas: Vec::new() };
+    let (mut slot_count, mut refusal) = (None, None);
+    let valid = scan(bytes, |seq, body| {
+        let mut b = Body(body);
+        match b.take(1)?[0] {
+            OP_CHECKPOINT_HEAD if seq == 0 => {
+                let found = b.u32()? as usize;
+                if found != dim {
+                    refusal = Some(format!("was written for dim {found}, not {dim}"));
+                    return None;
+                }
+                let (last_seq, count) = (b.u64()?, b.u64()?);
+                if b.0 != shape {
+                    refusal = Some("was written for another size or configuration".into());
+                    return None;
+                }
+                // Every slot costs at least its tag byte: a count past the
+                // file's length must not size the allocation below.
+                if count > bytes.len() as u64 {
+                    return None;
+                }
+                ckpt.last_seq = last_seq;
+                ckpt.slots.reserve_exact(count as usize);
+                slot_count = Some(count as usize);
+            }
+            OP_CHECKPOINT_SLOTS => {
+                let (count, first, n) = (slot_count?, b.u32()? as usize, b.u32()? as usize);
+                if first != ckpt.slots.len() || n == 0 || first + n > count {
+                    return None;
+                }
+                for _ in 0..n {
+                    let tag = b.take(1)?[0];
+                    if tag == 2 {
+                        let meta = (b.u64()?, b.u32()?);
+                        ckpt.metas.resize(ckpt.slots.len(), (0, 0));
+                        ckpt.metas.push(meta);
+                    }
+                    let slot = match tag {
+                        0 => None,
+                        1 | 2 => Some(b.f32s(dim)?.collect::<Arc<[f32]>>()),
+                        _ => return None,
+                    };
+                    slot.iter().flat_map(|v| v.iter()).all(|x| x.is_finite()).then_some(())?;
+                    ckpt.slots.push(slot);
+                }
+                return b.0.is_empty().then_some(());
+            }
+            _ => return None,
+        }
+        Some(())
+    });
+    if let Some(why) = refusal {
+        return Err(invalid(why));
+    }
+    if valid != bytes.len() as u64 {
+        return Err(invalid(format!("is damaged at byte {valid} of {}", bytes.len())));
+    }
+    let count = slot_count.ok_or_else(|| invalid("has no head record".into()))?;
+    if ckpt.slots.len() != count {
+        return Err(invalid(format!(
+            "holds {} of the {count} slots its head counts",
+            ckpt.slots.len()
+        )));
+    }
+    if !ckpt.metas.is_empty() {
+        ckpt.metas.resize(count, (0, 0));
+    }
+    Ok(ckpt)
 }
 
 // ---------------------------------------------------------------------------
@@ -621,7 +823,8 @@ mod tests {
         {
             let (mut wal, replayed, report) = Wal::open(&path, 0).unwrap();
             assert!(replayed.is_empty());
-            assert_eq!(report, ReplayReport::default());
+            let fresh = ReplayReport { valid_bytes: WAL_HEADER_BYTES, ..ReplayReport::default() };
+            assert_eq!(report, fresh, "a new log holds its header");
             for (i, op) in ops.iter().enumerate() {
                 assert_eq!(wal.append(op).unwrap(), i as u64 + 1);
             }
@@ -1016,6 +1219,207 @@ mod tests {
             "after 2, a rollback and a reset"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The largest vector an `InsertV2` frame carries, 4 194 299
+    /// coordinates, logged with metadata between two small records: its
+    /// payload, 16 777 225 bytes, is over 16 MiB, and all three records
+    /// replay.
+    #[test]
+    fn the_largest_admitted_insert_replays_with_its_neighbours() {
+        let dir = scratch_dir("largest");
+        let path = dir.join("wal.log");
+        let ops = [
+            WalOp::Insert { oid: 0, vector: vec![1.0; 4], tag: 0, label: 0 },
+            WalOp::Insert { oid: 1, vector: vec![0.5; 4_194_299], tag: 3, label: 9 },
+            WalOp::Delete { oid: 0 },
+        ];
+        let (mut wal, _, _) = Wal::open(&path, 0).unwrap();
+        for op in &ops {
+            wal.append(op).unwrap();
+        }
+        assert_eq!(wal.sync().unwrap(), 3);
+        drop(wal);
+        let (_, replayed, report) = Wal::open(&path, 0).unwrap();
+        assert_eq!(report.torn_bytes, 0);
+        assert_eq!(
+            replayed.iter().map(|r| &r.op).collect::<Vec<_>>(),
+            ops.iter().collect::<Vec<_>>()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record over the cap is refused with `InvalidInput` and taken
+    /// back out of the batch: the records around it replay.
+    #[test]
+    fn an_over_cap_record_is_refused_and_the_log_stays_clean() {
+        let dir = scratch_dir("over-cap");
+        let path = dir.join("wal.log");
+        let (mut wal, _, _) = Wal::open(&path, 0).unwrap();
+        wal.append_delete(1).unwrap();
+        let err = wal.append_insert(2, &vec![0.0; MAX_RECORD / 4], 0, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(wal.append_delete(3).unwrap(), 2, "the refused record took no seq");
+        assert_eq!(wal.sync().unwrap(), 2);
+        drop(wal);
+        let (_, replayed, report) = Wal::open(&path, 0).unwrap();
+        assert_eq!(report.torn_bytes, 0);
+        let ops: Vec<_> = replayed.into_iter().map(|r| r.op).collect();
+        assert_eq!(ops, [WalOp::Delete { oid: 1 }, WalOp::Delete { oid: 3 }]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `n` checkpoint slots of `dim` coordinates: every seventh a
+    /// tombstone, every third live one tagged.
+    fn ckpt_slots(n: usize, dim: usize) -> Vec<(Option<Vec<f32>>, u64, u32)> {
+        let slot = |i: usize| {
+            let v = (i % 7 != 3).then(|| (0..dim).map(|d| (i * dim + d) as f32 * 0.125).collect());
+            let (tag, label) = if i % 3 == 1 { (1 << (i % 64), i as u32) } else { (0, 0) };
+            (v, tag, label)
+        };
+        (0..n).map(slot).collect()
+    }
+
+    const SHAPE: &[u8] = b"shape bytes";
+
+    fn ckpt_bytes(slots: &[(Option<Vec<f32>>, u64, u32)], dim: usize, last_seq: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let iter = slots.iter().map(|(v, tag, label)| (v.as_deref(), *tag, *label));
+        write_checkpoint(&mut out, dim, last_seq, SHAPE, slots.len(), iter).unwrap();
+        out
+    }
+
+    /// Where each record of a `CWL1` file starts, and where the file ends.
+    fn record_starts(bytes: &[u8]) -> Vec<usize> {
+        let mut at = vec![WAL_HEADER_BYTES as usize];
+        while let Some(len) = bytes.get(at[at.len() - 1]..).filter(|rest| !rest.is_empty()) {
+            at.push(
+                at[at.len() - 1] + 8 + u32::from_le_bytes(len[..4].try_into().unwrap()) as usize,
+            );
+        }
+        at
+    }
+
+    fn refused(bytes: &[u8], dim: usize, shape: &[u8]) -> String {
+        let err = read_checkpoint(bytes, dim, shape).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
+    /// A checkpoint of two slot records, tombstones and tagged slots
+    /// among them, reads back what was written, and writing what was
+    /// read gives the same bytes.
+    #[test]
+    fn checkpoint_round_trips_over_two_slot_records() {
+        let (dim, slots) = (64, ckpt_slots(5_000, 64));
+        let bytes = ckpt_bytes(&slots, dim, 417);
+        assert_eq!(record_starts(&bytes).len(), 3 + 1, "head, two slot records, end");
+        let ckpt = read_checkpoint(&bytes, dim, SHAPE).unwrap();
+        assert_eq!(ckpt.last_seq, 417);
+        let metas = ckpt.metas.iter();
+        let got: Vec<_> = ckpt
+            .slots
+            .iter()
+            .zip(metas)
+            .map(|(v, &(tag, label))| (v.as_deref().map(<[f32]>::to_vec), tag, label))
+            .collect();
+        let want: Vec<_> = slots
+            .iter()
+            .map(|slot| if slot.0.is_some() { slot.clone() } else { (None, 0, 0) })
+            .collect();
+        assert_eq!(got, want, "a tombstone keeps no metadata");
+        assert!(ckpt_bytes(&got, dim, 417) == bytes, "read then write is the identity");
+
+        let plain = ckpt_bytes(&[(Some(vec![1.0; 4]), 0, 0), (None, 0, 0)], 4, 9);
+        let ckpt = read_checkpoint(&plain, 4, SHAPE).unwrap();
+        assert!(ckpt.metas.is_empty(), "no slot carries metadata");
+        assert_eq!(ckpt.slots, [Some(vec![1.0; 4].into()), None]);
+        assert!(read_checkpoint(&ckpt_bytes(&[], 4, 0), 4, SHAPE).unwrap().slots.is_empty());
+    }
+
+    /// A cut one byte before, at or after any record boundary of a
+    /// two-slot-record checkpoint, and at every byte of a one-record
+    /// checkpoint, is refused: never a shorter index.
+    #[test]
+    fn checkpoint_cut_anywhere_is_refused() {
+        let (dim, slots) = (64, ckpt_slots(5_000, 64));
+        let bytes = ckpt_bytes(&slots, dim, 1);
+        let starts = record_starts(&bytes);
+        for &boundary in &starts {
+            for cut in [boundary - 1, boundary, boundary + 1] {
+                if cut < bytes.len() {
+                    refused(&bytes[..cut], dim, SHAPE);
+                }
+            }
+        }
+        let small = ckpt_bytes(&ckpt_slots(12, 3), 3, 1);
+        assert_eq!(record_starts(&small).len(), 2 + 1, "head, one slot record, end");
+        for cut in 0..small.len() {
+            refused(&small[..cut], 3, SHAPE);
+        }
+        read_checkpoint(&small, 3, SHAPE).unwrap();
+    }
+
+    /// A flipped bit in the header, the head or either slot record — its
+    /// length word, its body or its CRC — is refused.
+    #[test]
+    fn checkpoint_bit_flip_in_each_record_kind_is_refused() {
+        let (dim, slots) = (64, ckpt_slots(5_000, 64));
+        let bytes = ckpt_bytes(&slots, dim, 1);
+        let starts = record_starts(&bytes);
+        let mut offsets = vec![0, 3];
+        for pair in starts.windows(2) {
+            offsets.extend([pair[0] + 1, pair[0] + 12, (pair[0] + pair[1]) / 2, pair[1] - 2]);
+        }
+        for at in offsets {
+            let mut bad = bytes.clone();
+            bad[at] ^= 1 << (at % 8);
+            refused(&bad, dim, SHAPE);
+        }
+    }
+
+    /// A head written for another `dim` or shape, another file's magic
+    /// (an earlier build's `C2D1` checkpoint), a gap in the slot runs or
+    /// a head that counts more slots than follow: each is refused, the
+    /// last two with every CRC intact.
+    #[test]
+    fn checkpoint_of_another_shape_or_with_missing_slots_is_refused() {
+        let (dim, slots) = (64, ckpt_slots(5_000, 64));
+        let bytes = ckpt_bytes(&slots, dim, 1);
+        assert!(refused(&bytes, 65, SHAPE).contains("dim 64, not 65"));
+        assert!(refused(&bytes, dim, b"shape byteS").contains("another size or configuration"));
+        let mut earlier = bytes.clone();
+        earlier[..4].copy_from_slice(b"1D2C");
+        assert!(refused(&earlier, dim, SHAPE).contains("not a CWL1 file"));
+
+        // Patch a record's body at `at` and fix its CRC.
+        let starts = record_starts(&bytes);
+        let patched = |record: usize, at: usize, word: u64| {
+            let (start, end) = (starts[record], starts[record + 1]);
+            let mut bad = bytes.clone();
+            bad[start + at..start + at + 8].copy_from_slice(&word.to_le_bytes());
+            let crc = crc32(&bad[start + 4..end - 4]);
+            bad[end - 4..end].copy_from_slice(&crc.to_le_bytes());
+            bad
+        };
+        // The second slot record's first oid, one past the end of the first record's.
+        let first = u32::from_le_bytes(bytes[starts[2] + 13..starts[2] + 17].try_into().unwrap());
+        let count = u32::from_le_bytes(bytes[starts[2] + 17..starts[2] + 21].try_into().unwrap());
+        let gap = patched(2, 13, u64::from(first + 1) | u64::from(count) << 32);
+        assert!(refused(&gap, dim, SHAPE).contains("damaged"));
+        let short = patched(0, 25, 5_001);
+        assert!(refused(&short, dim, SHAPE).contains("holds 5000 of the 5001 slots"));
+    }
+
+    /// One tagged slot of the largest admitted vector makes a record of
+    /// 16 777 226 payload bytes on its own, and reads back.
+    #[test]
+    fn checkpoint_round_trips_the_largest_admitted_slot() {
+        let slots = [(Some(vec![-0.25; 4_194_299]), 7, 1)];
+        let bytes = ckpt_bytes(&slots, 4_194_299, 3);
+        let ckpt = read_checkpoint(&bytes, 4_194_299, SHAPE).unwrap();
+        assert_eq!((ckpt.last_seq, ckpt.metas), (3, vec![(7, 1)]));
+        assert!(ckpt.slots[0].as_deref() == Some(&slots[0].0.as_ref().unwrap()[..]));
     }
 
     #[test]

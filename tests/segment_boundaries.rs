@@ -6,7 +6,7 @@
 //! digest of every neighbour's id and distance bits, the rounds, the
 //! final radius, the collisions counted, the candidates verified and the
 //! terminating condition. The in-memory index, a 3-shard engine, the
-//! dynamic index, the dynamic index reloaded from its `C2D1` checkpoint,
+//! dynamic index, a durable `MutableIndex` reopened from its checkpoint,
 //! the disk index and the paged store must all reach that one digest.
 //! The paged store reads through a pool of 64 pages, so its scans miss,
 //! and its buckets span many posting pages. The disk index's page reads
@@ -14,7 +14,7 @@
 //! minutes over these sizes.
 
 use c2lsh::sharded::{ShardedData, ShardedEngine};
-use c2lsh::{load_dynamic, save_dynamic, C2lshConfig, C2lshIndex, DiskIndex, DynamicIndex};
+use c2lsh::{C2lshConfig, C2lshIndex, DiskIndex, DynamicIndex, MutableIndex, MutationOp};
 use c2lsh::{PagedStore, QueryStats, Termination};
 use cc_vector::dataset::Dataset;
 use cc_vector::gen::{generate, Distribution};
@@ -91,13 +91,25 @@ fn check(n: usize, want: (u64, [usize; 3], u64)) {
 
     let dynamic = DynamicIndex::from_dataset(&data, &config);
     assert_eq!(digest(&data, |q, k| dynamic.query(q, k)), answers, "{n} rows: DynamicIndex");
-    let mut blob = Vec::new();
-    save_dynamic(&dynamic, 0, &mut blob).unwrap();
     drop(dynamic);
-    let (loaded, _) = load_dynamic(&blob, DIM, n, &config).unwrap();
-    drop(blob);
-    assert_eq!(digest(&data, |q, k| loaded.query(q, k)), answers, "{n} rows: reloaded");
-    drop(loaded);
+
+    // Bulk-loaded in batches, checkpointed, and reopened from the
+    // checkpoint alone (the checkpoint resets the log).
+    let dir = cc_storage::wal::scratch_dir("segment_boundaries");
+    {
+        let durable = MutableIndex::open(dir.join("rw"), DIM, n, &config).unwrap();
+        let insert =
+            |v: &[f32]| MutationOp::Insert { vector: v.to_vec(), meta: Default::default() };
+        let rows: Vec<MutationOp> = data.iter().map(insert).collect();
+        for chunk in rows.chunks(4096) {
+            durable.apply_batch(chunk).unwrap();
+        }
+        durable.checkpoint().unwrap();
+    }
+    let reopened = MutableIndex::open(dir.join("rw"), DIM, n, &config).unwrap();
+    assert_eq!(reopened.last_seq(), n as u64);
+    assert_eq!(digest(&data, |q, k| reopened.query(q, k)), answers, "{n} rows: reopened");
+    drop(reopened);
 
     let disk = DiskIndex::build(&data, &config);
     let mut reads = 0;
@@ -109,7 +121,6 @@ fn check(n: usize, want: (u64, [usize; 3], u64)) {
     assert_eq!(disk_answers, answers, "{n} rows: DiskIndex");
     drop(disk);
 
-    let dir = cc_storage::wal::scratch_dir("segment_boundaries");
     let paged = PagedStore::build(&data, &config, dir.join("paged.ccpg"), 64).unwrap();
     assert_eq!(digest(&data, |q, k| paged.query(q, k)), answers, "{n} rows: PagedStore");
     drop(paged);
