@@ -468,19 +468,10 @@ impl PagedStore {
         self.vector_reads.load(Ordering::Relaxed)
     }
 
-    /// Buffer-pool counters (requests / hits / misses / evictions).
+    /// Buffer-pool counters (requests / hits / misses / evictions) and
+    /// its capacity and resident pages.
     pub fn pool_stats(&self) -> PinnedPoolStats {
         self.pool.stats()
-    }
-
-    /// Buffer-pool capacity in pages.
-    pub fn pool_pages(&self) -> usize {
-        self.pool.capacity()
-    }
-
-    /// Pages currently resident in the buffer pool.
-    pub fn pool_resident(&self) -> usize {
-        self.pool.resident()
     }
 
     /// Reset the physical-read and pool counters (between bench phases).

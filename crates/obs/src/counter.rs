@@ -1,56 +1,28 @@
-//! Cache-padded striped counters.
+//! The monotone counter.
 //!
-//! A single `AtomicU64` incremented from every worker thread ping-pongs
-//! its cache line between cores. [`Counter`] stripes the value across
-//! cache-line-sized slots; each thread hashes to a stable stripe, so
-//! under steady load increments stay core-local. Reads sum the stripes
-//! — slightly racy (a scrape may miss in-flight increments) but always
-//! monotone between scrapes, which is all Prometheus semantics require.
+//! One relaxed `AtomicU64`. The service's hot counters are bumped by
+//! its one batcher thread alone, and the counters connection threads
+//! bump (errors, refusals, router legs) move once per request, so no
+//! line is contended enough to be worth striping. Reads are relaxed
+//! too: a scrape may miss an in-flight increment, but successive
+//! scrapes never go backwards, which is all Prometheus asks.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One cache line worth of counter, padded so neighbouring stripes
-/// never share a line.
-#[repr(align(64))]
+/// A monotone `u64` counter safe to bump from any thread.
 #[derive(Default)]
-struct Stripe {
-    value: AtomicU64,
-}
-
-/// Monotonically assign each thread a stripe slot the first time it
-/// touches any [`Counter`]; round-robin keeps stripes balanced.
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static SLOT: usize = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A striped, monotone `u64` counter safe to bump from any thread.
-pub struct Counter {
-    stripes: Box<[Stripe]>,
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A zeroed counter with one stripe per (rounded-up) core, capped
-    /// at 16 — beyond that the scrape-time sum costs more than the
-    /// contention it avoids.
+    /// A zeroed counter.
     pub fn new() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        let stripes = cores.min(16).next_power_of_two();
-        Counter { stripes: (0..stripes).map(|_| Stripe::default()).collect() }
+        Self::default()
     }
 
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        let slot = SLOT.with(|s| *s) & (self.stripes.len() - 1);
-        self.stripes[slot].value.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increment by one.
@@ -59,9 +31,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current total across all stripes.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.stripes.iter().map(|s| s.value.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -88,12 +60,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.get(), 8 * 25_000 + 8 * 5);
-    }
-
-    #[test]
-    fn stripe_count_is_a_power_of_two() {
-        let c = Counter::new();
-        assert!(c.stripes.len().is_power_of_two());
-        assert!(c.stripes.len() <= 16);
     }
 }

@@ -99,10 +99,10 @@ const MAX_HEAD_BYTES: u64 = 8 * 1024;
 const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A connection whose reads share one deadline, each waiting at most the time left: past it, the
-/// zero timeout left is refused and so is every read.
-struct Deadline(TcpStream, Instant);
+/// zero timeout left is refused and so is every read. The read timeout stays set afterwards.
+pub struct Deadline<'a>(pub &'a TcpStream, pub Instant);
 
-impl Read for Deadline {
+impl Read for Deadline<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         self.0.set_read_timeout(Some(self.1.saturating_duration_since(Instant::now())))?;
         self.0.read(buf)
@@ -112,7 +112,7 @@ impl Read for Deadline {
 fn handle_conn(stream: TcpStream, source: &dyn MetricsSource) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let at = Instant::now() + HEAD_DEADLINE;
-    let mut reader = BufReader::new(Deadline(stream, at).take(MAX_HEAD_BYTES));
+    let mut reader = BufReader::new(Deadline(&stream, at).take(MAX_HEAD_BYTES));
     let mut request_line = String::new();
     if reader.read_line(&mut request_line).is_err() {
         return;
@@ -140,7 +140,7 @@ fn handle_conn(stream: TcpStream, source: &dyn MetricsSource) {
         "/slowlog" => ("200 OK", "text/plain; charset=utf-8", source.render_slowlog()),
         _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_string()),
     };
-    let mut stream = reader.into_inner().into_inner().0;
+    let mut stream = &stream;
     let _ = write!(
         stream,
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",

@@ -8,8 +8,7 @@
 //! * [`Histogram`] — a lock-free log-linear histogram (HDR-style):
 //!   p50/p90/p99/p999 with a bounded ≤ 1/32 relative error, without
 //!   ever storing samples.
-//! * [`Counter`] — a cache-padded, striped atomic counter for hot
-//!   paths where a single `AtomicU64` would bounce between cores.
+//! * [`Counter`] — a monotone counter, one relaxed `AtomicU64`.
 //! * [`SpanRecord`] — one `(name, start, duration, depth, detail)`
 //!   interval of a traced query. The engine records a query's rounds;
 //!   the service lays them out as these records.
@@ -19,7 +18,9 @@
 //!   `# TYPE`, duplicate-series detection, summary quantiles), and
 //!   [`sample`], its one reader.
 //! * [`MetricsServer`] — a minimal HTTP/1.0 listener serving
-//!   `/metrics`, `/healthz` and `/slowlog` for scrapers and humans.
+//!   `/metrics`, `/healthz` and `/slowlog` for scrapers and humans,
+//!   one connection at a time; its [`Deadline`] reader bounds how long
+//!   a request may take to arrive (the service reads its frames so too).
 //!
 //! Everything is opt-in and gated by [`ObsConfig`]: with observability
 //! disabled no histogram is touched and no span is laid out.
@@ -36,7 +37,7 @@ mod span;
 
 pub use counter::Counter;
 pub use hist::{HistSnapshot, Histogram, NUM_BUCKETS};
-pub use http::{http_get, MetricsServer, MetricsSource};
+pub use http::{http_get, Deadline, MetricsServer, MetricsSource};
 pub use prom::{sample, PromText};
 pub use slowlog::{SlowLog, SlowQuery};
 pub use span::SpanRecord;

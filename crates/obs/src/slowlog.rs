@@ -109,7 +109,7 @@ mod tests {
             total_ns: 5_000_000,
             k: 3,
             spans: vec![SpanRecord {
-                name: "verify",
+                name: "verify".into(),
                 start_ns: 100,
                 dur_ns: 200,
                 depth: 1,

@@ -1,12 +1,15 @@
 //! The span record: one named interval of a traced operation, as the
 //! slow log prints it and the wire carries it.
 
+use std::borrow::Cow;
+
 /// One closed span: a named interval relative to the operation's start.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Static span name (e.g. `"round"`); part of the span taxonomy
-    /// documented in DESIGN.md §10.
-    pub name: &'static str,
+    /// Span name (e.g. `"round"`); part of the span taxonomy documented
+    /// in DESIGN.md §10. Borrowed where it is laid out, owned where a
+    /// client decoded it off the wire.
+    pub name: Cow<'static, str>,
     /// Start offset from the operation's start, nanoseconds.
     pub start_ns: u64,
     /// Span duration, nanoseconds.

@@ -11,9 +11,10 @@
 //!
 //! * [`protocol`] — the wire format: framing, opcodes, encode/decode,
 //!   one frame per operation,
-//! * [`server`] — [`server::serve`]: accept loop, admission control,
-//!   request coalescing, durable mutation acks, per-request deadlines,
-//!   graceful drain,
+//! * [`server`] — [`server::serve`]: the accept loop (the router's
+//!   too), admission control, request coalescing, durable mutation
+//!   acks through the engine's [`c2lsh::MutableIndex`], per-request
+//!   deadlines, graceful drain,
 //! * [`collections`] — the named-collection registry: per-collection
 //!   indexes, WAL directories, metadata manifests and metric counters,
 //! * [`replication`] — the follower side of WAL shipping: subscribe to
@@ -76,8 +77,8 @@ pub mod server;
 
 pub use client::{Client, QueryRequest, QueryResult, SearchOutcome};
 pub use collections::CollectionsConfig;
-pub use obs::{BufpoolSnapshot, ServerObs};
-pub use protocol::{CollectionInfo, ProtoError, QueryCost, Request, Response, WireSpan};
+pub use obs::ServerObs;
+pub use protocol::{CollectionInfo, ProtoError, QueryCost, Request, Response};
 pub use replication::{run_follower, ReplicationConfig, ReplicationStats};
 pub use router::{route, route_with_obs, RouterConfig, RouterStats};
 pub use server::{serve, serve_with_obs, ServeEngine, ServiceConfig, ServiceStats};

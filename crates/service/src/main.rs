@@ -64,7 +64,7 @@
 use c2lsh::{C2lshConfig, C2lshIndex, DynamicIndex, MutableIndex, MutationOp, PagedStore};
 use cc_obs::{MetricsServer, ObsConfig};
 use cc_service::collections::check_name;
-use cc_service::{BufpoolSnapshot, ServerObs, ServiceConfig};
+use cc_service::{ServerObs, ServiceConfig};
 use cc_vector::gen::{generate, Distribution};
 use std::net::TcpListener;
 use std::process::exit;
@@ -260,15 +260,19 @@ fn main() {
         server
     });
 
+    // The synthetic dataset every mode with an engine builds or seeds from.
+    let synthetic = || {
+        eprintln!("generating {} clustered vectors in R^{}…", args.n, args.dim);
+        generate(
+            Distribution::GaussianMixture { clusters: 10, spread: 0.02, scale: 10.0 },
+            args.n,
+            args.dim,
+            args.seed,
+        )
+    };
     let stats = match args.mode.as_str() {
         "memory" => {
-            eprintln!("generating {} clustered vectors in R^{}…", args.n, args.dim);
-            let data = generate(
-                Distribution::GaussianMixture { clusters: 10, spread: 0.02, scale: 10.0 },
-                args.n,
-                args.dim,
-                args.seed,
-            );
+            let data = synthetic();
             let engine = C2lshIndex::build(&data, &config);
             let params = engine.params();
             eprintln!(
@@ -278,13 +282,7 @@ fn main() {
             cc_service::serve_with_obs(&engine, listener, &service, obs)
         }
         "paged" => {
-            eprintln!("generating {} clustered vectors in R^{}…", args.n, args.dim);
-            let data = generate(
-                Distribution::GaussianMixture { clusters: 10, spread: 0.02, scale: 10.0 },
-                args.n,
-                args.dim,
-                args.seed,
-            );
+            let data = synthetic();
             let scratch = args.paged_file.is_none();
             let path = args.paged_file.clone().map(std::path::PathBuf::from).unwrap_or_else(|| {
                 std::env::temp_dir().join(format!("cc-service-paged-{}.ccpg", std::process::id()))
@@ -299,21 +297,9 @@ fn main() {
             let pool_pages = args.pool_pages.unwrap_or((file_pages / 20).max(64));
             store.set_pool_pages(pool_pages);
             let store = Arc::new(store);
-            // The scrape path snapshots the pool through a weak-free
-            // clone of the Arc; plain counter reads, no query-path
-            // cost.
+            // The scrape path reads the pool through a clone of the Arc.
             let pool_src = store.clone();
-            obs.set_bufpool_source(Box::new(move || {
-                let s = pool_src.pool_stats();
-                BufpoolSnapshot {
-                    requests: s.requests,
-                    hits: s.hits,
-                    misses: s.misses,
-                    evictions: s.evictions,
-                    capacity_pages: pool_src.pool_pages() as u64,
-                    resident_pages: pool_src.pool_resident() as u64,
-                }
-            }));
+            obs.set_bufpool_source(Box::new(move || pool_src.pool_stats()));
             let params = store.params();
             eprintln!(
                 "cc-service listening on {shown_addr} — paged (out-of-core, read-only), \
@@ -396,13 +382,7 @@ fn main() {
                 // Fresh store: seed it with the synthetic dataset so
                 // the server has something to answer about. A recovered
                 // store keeps its own data untouched.
-                eprintln!("seeding {} clustered vectors in R^{}…", args.n, args.dim);
-                let data = generate(
-                    Distribution::GaussianMixture { clusters: 10, spread: 0.02, scale: 10.0 },
-                    args.n,
-                    args.dim,
-                    args.seed,
-                );
+                let data = synthetic();
                 // Chunked batches keep the WAL group commits, the
                 // clone-per-batch cost and the second copy of the rows a
                 // batch is made of bounded during the bulk load.

@@ -8,7 +8,7 @@
 //! shared (via `Arc`) between the serving core — which feeds it from
 //! the flush path — and the scrape listener, which renders it on
 //! demand. Everything inside is lock-free or locked off the hot path:
-//! counters are striped atomics, histograms are atomic bucket arrays,
+//! counters are relaxed atomics, histograms are atomic bucket arrays,
 //! and the slow log's mutex is only taken for queries already known to
 //! be slow. What lives outside the registry — collections, the buffer
 //! pool, replica lag, a mutable engine's WAL — is read at scrape time
@@ -25,6 +25,7 @@ use c2lsh::stats::{BatchStats, MutationStats, QueryStats};
 use cc_obs::{
     Counter, Histogram, MetricsSource, ObsConfig, PromText, SlowLog, SlowQuery, SpanRecord,
 };
+use cc_storage::PinnedPoolStats;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -36,8 +37,13 @@ const SLOW_LOG_CAPACITY: usize = 64;
 /// `rank` (detail = the candidates ranked, verified less abandoned).
 /// Empty when no round was recorded.
 pub(crate) fn trace_spans(stats: &QueryStats) -> Vec<SpanRecord> {
-    let span =
-        |name, start_ns, dur_ns, detail| SpanRecord { name, start_ns, dur_ns, depth: 0, detail };
+    let span = |name: &'static str, start_ns, dur_ns, detail| SpanRecord {
+        name: name.into(),
+        start_ns,
+        dur_ns,
+        depth: 0,
+        detail,
+    };
     let mut spans = Vec::new();
     let mut at = 0;
     for r in &stats.per_round {
@@ -55,39 +61,9 @@ pub(crate) fn trace_spans(stats: &QueryStats) -> Vec<SpanRecord> {
 /// installs one backed by its collection registry.
 pub type CollectionsSource = Box<dyn Fn() -> Vec<CollectionMetricsRow> + Send + Sync>;
 
-/// A snapshot of the paged tier's pinned buffer pool — a plain struct
-/// (not the storage crate's stats type) so the registry stays free of
-/// engine-layer dependencies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufpoolSnapshot {
-    /// Page lookups served (hits + misses).
-    pub requests: u64,
-    /// Lookups satisfied from a resident frame.
-    pub hits: u64,
-    /// Lookups that went to disk.
-    pub misses: u64,
-    /// Frames recycled by the clock sweep.
-    pub evictions: u64,
-    /// Pool capacity, in pages.
-    pub capacity_pages: u64,
-    /// Pages currently resident.
-    pub resident_pages: u64,
-}
-
-impl BufpoolSnapshot {
-    /// Hits over requests; 0 before any traffic.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.requests as f64
-        }
-    }
-}
-
 /// A provider of buffer-pool snapshots — installed by the serving
 /// layer when the engine is the paged disk tier.
-pub type BufpoolSource = Box<dyn Fn() -> BufpoolSnapshot + Send + Sync>;
+pub type BufpoolSource = Box<dyn Fn() -> PinnedPoolStats + Send + Sync>;
 
 /// A provider of per-replica lag rows `(replica, lag_in_seqs)` —
 /// installed by the serving layer when this node is a replication
@@ -540,12 +516,12 @@ impl ServerObs {
             doc.gauge(
                 "cc_bufpool_capacity_pages",
                 "Buffer-pool capacity in pages.",
-                s.capacity_pages as f64,
+                s.capacity as f64,
             );
             doc.gauge(
                 "cc_bufpool_resident_pages",
                 "Pages currently resident in the buffer pool.",
-                s.resident_pages as f64,
+                s.resident as f64,
             );
             doc.gauge(
                 "cc_bufpool_hit_ratio",
@@ -628,6 +604,7 @@ impl MetricsSource for ServerObs {
 mod tests {
     use super::*;
     use c2lsh::StageNanos;
+    use cc_obs::sample;
 
     #[test]
     fn disabled_registry_records_nothing_per_query() {
@@ -683,7 +660,8 @@ mod tests {
             ..QueryStats::new()
         };
         let spans = trace_spans(&stats);
-        let laid: Vec<_> = spans.iter().map(|s| (s.name, s.start_ns, s.dur_ns, s.detail)).collect();
+        let laid: Vec<_> =
+            spans.iter().map(|s| (&*s.name, s.start_ns, s.dur_ns, s.detail)).collect();
         assert_eq!(
             laid,
             [
@@ -745,13 +723,13 @@ mod tests {
         let obs = ServerObs::disabled();
         let before = obs.render_prometheus();
         assert!(!before.contains("cc_bufpool_"), "{before}");
-        obs.set_bufpool_source(Box::new(|| BufpoolSnapshot {
+        obs.set_bufpool_source(Box::new(|| PinnedPoolStats {
             requests: 100,
             hits: 90,
             misses: 10,
             evictions: 4,
-            capacity_pages: 64,
-            resident_pages: 60,
+            capacity: 64,
+            resident: 60,
         }));
         let text = obs.render_prometheus();
         assert!(text.contains("cc_bufpool_requests_total 100"), "{text}");
@@ -761,6 +739,10 @@ mod tests {
         assert!(text.contains("cc_bufpool_capacity_pages 64"), "{text}");
         assert!(text.contains("cc_bufpool_resident_pages 60"), "{text}");
         assert!(text.contains("cc_bufpool_hit_ratio 0.9"), "{text}");
+        // An idle pool reads the pool's own ratio: nothing missed yet.
+        obs.set_bufpool_source(Box::new(|| PinnedPoolStats { capacity: 64, ..Default::default() }));
+        let idle = obs.render_prometheus();
+        assert_eq!(sample(&idle, "cc_bufpool_hit_ratio"), Some(1.0), "{idle}");
     }
 
     #[test]
@@ -819,9 +801,9 @@ mod tests {
     fn exposition_has_help_and_type_for_every_series() {
         let obs = ServerObs::new(ObsConfig::all_on());
         obs.set_index_info(1000, 16, 4);
-        obs.set_bufpool_source(Box::new(|| BufpoolSnapshot {
+        obs.set_bufpool_source(Box::new(|| PinnedPoolStats {
             requests: 1,
-            ..BufpoolSnapshot::default()
+            ..PinnedPoolStats::default()
         }));
         obs.set_mutations_source(Box::new(|| (MutationStats::default(), 1000)));
         let text = obs.render_prometheus();

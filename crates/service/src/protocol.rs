@@ -90,6 +90,7 @@
 //! them with `total_cmp` equality, no tolerance.
 
 use c2lsh::{Error, ErrorKind, Predicate};
+use cc_obs::SpanRecord;
 use cc_storage::wal::{WalOp, WalRecord};
 use cc_vector::gt::Neighbor;
 use std::fmt;
@@ -99,27 +100,12 @@ use std::io::{self, Read, Write};
 /// garbage: 16 MiB comfortably holds a 1M-dimensional query).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// The largest dimensionality a vector frame can carry: its `f32`s
-/// must fit in one frame. A collection of more dimensions could never
-/// be written to or queried.
-pub(crate) const MAX_DIM: usize = MAX_FRAME / 4;
-
-/// A span as it travels the wire: like [`cc_obs::SpanRecord`] but with
-/// an owned name, since the receiving process cannot intern the
-/// sender's `&'static str`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireSpan {
-    /// Stage name (`"round"`, `"rank"`).
-    pub name: String,
-    /// Nanoseconds from the start of the operation to span open.
-    pub start_ns: u64,
-    /// Span duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Nesting depth (0 = top level).
-    pub depth: u8,
-    /// Span-specific payload (radius, candidate count, …).
-    pub detail: u64,
-}
+/// The largest dimensionality a vector frame can carry. The largest frame
+/// that carries one vector is the [`Response::ReplBatch`] shipping one
+/// tagged insert (42 bytes + 4 per coordinate), so an insert of up to
+/// this many coordinates is one a follower can be sent. A collection of
+/// more dimensions could never be written to or queried.
+pub(crate) const MAX_DIM: usize = (MAX_FRAME - 42) / 4;
 
 /// One row of a [`Response::CollectionList`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,7 +149,7 @@ pub struct QueryCost {
     /// Nanoseconds ranking / truncating the candidate set.
     pub rank_ns: u64,
     /// Span tree (empty unless the query was traced).
-    pub spans: Vec<WireSpan>,
+    pub spans: Vec<SpanRecord>,
 }
 
 impl QueryCost {
@@ -182,16 +168,7 @@ impl QueryCost {
             count_ns: stats.stage.count,
             verify_ns: stats.stage.verify,
             rank_ns: stats.stage.rank,
-            spans: crate::obs::trace_spans(stats)
-                .into_iter()
-                .map(|s| WireSpan {
-                    name: s.name.to_string(),
-                    start_ns: s.start_ns,
-                    dur_ns: s.dur_ns,
-                    depth: s.depth,
-                    detail: s.detail,
-                })
-                .collect(),
+            spans: crate::obs::trace_spans(stats),
         }
     }
 }
@@ -617,8 +594,8 @@ fn decode_cost(cur: &mut Cur<'_>) -> Result<QueryCost, ProtoError> {
         let name_len = cur.u8()? as usize;
         let name = String::from_utf8(cur.take(name_len)?.to_vec())
             .map_err(|_| ProtoError::Malformed("invalid UTF-8 span name".into()))?;
-        cost.spans.push(WireSpan {
-            name,
+        cost.spans.push(SpanRecord {
+            name: name.into(),
             start_ns: cur.u64()?,
             dur_ns: cur.u64()?,
             depth: cur.u8()?,
@@ -1158,7 +1135,7 @@ mod tests {
             count_ns: 2000,
             verify_ns: 300,
             rank_ns: 40,
-            spans: vec![WireSpan {
+            spans: vec![SpanRecord {
                 name: "round".into(),
                 start_ns: 100,
                 dur_ns: 2300,
@@ -1358,6 +1335,34 @@ mod tests {
         }
     }
 
+    /// The widest insert a server admits is one its followers can be
+    /// sent: a `ReplBatch` of one tagged `MAX_DIM` insert fits a frame
+    /// and round-trips, and an `InsertV2` one coordinate wider is refused.
+    #[test]
+    fn the_widest_admitted_insert_fits_one_repl_batch() {
+        use cc_storage::wal::{WalOp, WalRecord};
+        let vector = vec![1.5; MAX_DIM];
+        let op = WalOp::Insert { oid: u32::MAX, vector, tag: u64::MAX, label: u32::MAX };
+        let resp = Response::ReplBatch {
+            last_seq: u64::MAX,
+            records: vec![WalRecord { seq: u64::MAX, op }],
+        };
+        assert_eq!(round_trip_response(resp.clone()), resp);
+
+        let wide = Request::InsertV2 {
+            collection: None,
+            tag: 0,
+            label: 0,
+            vector: vec![0.0; MAX_DIM + 1],
+        };
+        let mut wire = Vec::new();
+        write_request(&mut wire, &wide).unwrap();
+        match read_request(&mut Cursor::new(wire)) {
+            Err(ProtoError::Malformed(why)) => assert!(why.contains("dimensionality"), "{why}"),
+            other => panic!("an insert of {} coordinates read as {other:?}", MAX_DIM + 1),
+        }
+    }
+
     #[test]
     fn repl_batch_rejects_bad_record_kinds_and_truncations() {
         use cc_storage::wal::{WalOp, WalRecord};
@@ -1496,14 +1501,14 @@ mod tests {
                     verify_ns: 300,
                     rank_ns: 40,
                     spans: vec![
-                        WireSpan {
+                        SpanRecord {
                             name: "hash".into(),
                             start_ns: 0,
                             dur_ns: 100,
                             depth: 0,
                             detail: 0,
                         },
-                        WireSpan {
+                        SpanRecord {
                             name: "round".into(),
                             start_ns: 100,
                             dur_ns: 2300,
@@ -1613,7 +1618,7 @@ mod tests {
             neighbors: vec![Neighbor::new(1, 0.5), Neighbor::new(2, 1.5)],
             cost: Some(QueryCost {
                 rounds: 2,
-                spans: vec![WireSpan {
+                spans: vec![SpanRecord {
                     name: "rank".into(),
                     start_ns: 5,
                     dur_ns: 6,

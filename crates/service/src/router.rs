@@ -36,13 +36,13 @@
 
 use crate::obs::ServerObs;
 use crate::protocol::{self, ProtoError, QueryCost, Request, Response};
-use crate::server::read_request_or_refuse;
+use crate::server::{read_request_or_refuse, Front};
 use c2lsh::{Error, ErrorKind};
 use cc_vector::gt::Neighbor;
 use std::io;
-use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Topology and tunables of one router process.
@@ -99,11 +99,9 @@ pub struct RouterStats {
 
 struct RouterShared {
     config: RouterConfig,
-    stopping: AtomicBool,
+    front: Front,
     /// The one count that is not a counter of `obs`.
     forwards: AtomicU64,
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    local_addr: SocketAddr,
     /// Round-robin cursor so consecutive queries start at different
     /// replicas within a group.
     rr: AtomicU64,
@@ -133,42 +131,18 @@ pub fn route_with_obs(
     }
     let shared = RouterShared {
         config: config.clone(),
-        stopping: AtomicBool::new(false),
+        front: Front::new(&listener)?,
         forwards: AtomicU64::new(0),
-        conns: Mutex::new(Vec::new()),
-        local_addr: listener.local_addr()?,
         rr: AtomicU64::new(0),
         obs,
     };
     let shared = &shared;
     let stats = std::thread::scope(move |s| {
-        let mut next_id = 0u64;
-        for stream in listener.incoming() {
-            if shared.stopping.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            let id = next_id;
-            next_id += 1;
-            if let Ok(clone) = stream.try_clone() {
-                shared.conns.lock().unwrap().push((id, clone));
-            }
-            s.spawn(move || {
-                let mut stream = stream;
-                let _ = stream.set_nodelay(true);
-                let _ = serve_connection(shared, &mut stream);
-                shared.conns.lock().unwrap().retain(|(cid, _)| *cid != id);
-            });
-        }
-        drop(listener);
-        // Sever every client so the scope can join; the router holds no
-        // durable state, there is nothing to drain.
-        for (_, conn) in shared.conns.lock().unwrap().iter() {
-            let _ = conn.shutdown(NetShutdown::Both);
-        }
+        shared.front.accept(s, listener, move |stream| {
+            let _ = serve_connection(shared, stream);
+        });
+        // The router holds no durable state: there is nothing to drain.
+        shared.front.close(Duration::ZERO);
         let obs = &shared.obs;
         RouterStats {
             queries: obs.queries.get(),
@@ -190,8 +164,7 @@ fn serve_connection(shared: &RouterShared, stream: &mut TcpStream) -> Result<(),
             Request::Metrics => Response::MetricsText(shared.obs.render_prometheus()),
             Request::Shutdown => {
                 protocol::write_response(stream, &Response::ShutdownAck)?;
-                shared.stopping.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(shared.local_addr);
+                shared.front.stop();
                 return Ok(());
             }
             // Collection queries are not replicated across the read

@@ -11,7 +11,9 @@
 //! ```
 //!
 //! Every connection gets a thread (scoped — [`serve`] returns only
-//! after all of them joined). A handler never touches the engine
+//! after all of them joined) from the accept loop the router shares.
+//! A frame's first byte may be waited for indefinitely, the rest of it
+//! for [`FRAME_DEADLINE`]. A handler never touches the engine
 //! directly: it validates the request, pushes work onto the shared
 //! queue and blocks on a private reply channel. The single batcher
 //! thread drains the queue — waiting up to [`ServiceConfig::max_delay`]
@@ -22,7 +24,9 @@
 //!
 //! The engine behind the queue is anything implementing
 //! [`ServeEngine`]: the read-only [`C2lshIndex`] or the mutable,
-//! WAL-backed [`c2lsh::MutableIndex`]. When a flush contains both
+//! WAL-backed [`c2lsh::MutableIndex`], which [`ServeEngine::mutable`]
+//! hands over for writes, checkpoints and replication pulls. When a
+//! flush contains both
 //! mutations and queries, the mutations are applied first — as one
 //! group-committed [`c2lsh::MutableIndex::apply_batch`] — and the
 //! queries then run against the post-batch snapshot. Acknowledgements
@@ -56,25 +60,27 @@ use crate::collections::{check_name, Collection, CollectionsConfig, Registry};
 use crate::obs::ServerObs;
 use crate::protocol::{self, ProtoError, QueryCost, Request, Response};
 use c2lsh::engine::SearchOptions;
-use c2lsh::stats::{BatchStats, MutationStats, QueryStats};
+use c2lsh::stats::{BatchStats, QueryStats};
 use c2lsh::{
     C2lshIndex, Error, ErrorKind, MutableIndex, MutationAck, MutationOp, PagedStore, PointMeta,
     Predicate,
 };
-use cc_obs::ObsConfig;
-use cc_storage::wal::WalRecord;
+use cc_obs::{Deadline, ObsConfig};
 use cc_vector::dataset::Dataset;
 use cc_vector::gt::Neighbor;
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-/// What the serving layer needs from an engine. Implemented by the
-/// read-only [`C2lshIndex`] (mutations rejected at admission) and by
-/// [`MutableIndex`] (snapshot reads + WAL-backed mutations).
+/// What the serving layer needs from an engine: the read path, and the
+/// [`MutableIndex`] behind it if there is one. Implemented by the
+/// read-only [`C2lshIndex`] and [`PagedStore`] (mutations refused at
+/// admission) and by [`MutableIndex`] (snapshot reads + WAL-backed
+/// mutations).
 pub trait ServeEngine: Sync {
     /// Dataset dimensionality (used to validate requests).
     fn dim(&self) -> usize;
@@ -102,45 +108,12 @@ pub trait ServeEngine: Sync {
         opts: &SearchOptions,
     ) -> (Vec<(Vec<Neighbor>, QueryStats)>, BatchStats);
 
-    /// `true` when [`ServeEngine::apply_mutations`] is supported; when
-    /// `false`, insert/delete requests are refused at admission.
-    fn supports_mutations(&self) -> bool {
-        false
-    }
-
-    /// Apply one batch of mutations durably (WAL append + fsync before
-    /// returning) and return per-op acknowledgements plus the batch's
-    /// [`MutationStats`] delta.
-    fn apply_mutations(
-        &self,
-        _ops: Vec<MutationOp>,
-    ) -> io::Result<(Vec<MutationAck>, MutationStats)> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "engine is immutable"))
-    }
-
-    /// Write a durable checkpoint and truncate the WAL once it has
-    /// grown past `wal_bytes` (0 forces one), bounding recovery time.
-    /// Returns whether a checkpoint ran; `Ok(false)` for engines
-    /// without a WAL.
-    fn checkpoint_if_wal_exceeds(&self, _wal_bytes: u64) -> io::Result<bool> {
-        Ok(false)
-    }
-
-    /// Sequence number of the last applied mutation. Freshness-bounded
-    /// queries (`min_seq`) compare against this at admission; engines
-    /// without a mutation history report 0, so any positive bound is
-    /// refused as stale there.
-    fn current_seq(&self) -> u64 {
-        0
-    }
-
-    /// The replication tail for a subscriber at `from_seq` (records
-    /// strictly after it, capped at `max`) plus the engine's high-water
-    /// mark. Engines without a replication log refuse with
-    /// [`io::ErrorKind::Unsupported`], which the server surfaces to the
-    /// subscriber as a typed error frame.
-    fn replication_tail(&self, _from_seq: u64, _max: usize) -> io::Result<(u64, Vec<WalRecord>)> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "engine has no replication log"))
+    /// The mutable index behind the engine, through which the server
+    /// applies writes, checkpoints and serves replication pulls; `None`
+    /// for a read-only engine, whose writes are refused at admission and
+    /// whose applied sequence is 0.
+    fn mutable(&self) -> Option<&MutableIndex> {
+        None
     }
 }
 
@@ -207,27 +180,8 @@ impl ServeEngine for MutableIndex {
         MutableIndex::query_batch_with(self, queries, k, opts)
     }
 
-    fn supports_mutations(&self) -> bool {
-        true
-    }
-
-    fn apply_mutations(
-        &self,
-        ops: Vec<MutationOp>,
-    ) -> io::Result<(Vec<MutationAck>, MutationStats)> {
-        self.apply_batch(&ops)
-    }
-
-    fn checkpoint_if_wal_exceeds(&self, wal_bytes: u64) -> io::Result<bool> {
-        MutableIndex::checkpoint_if_wal_exceeds(self, wal_bytes)
-    }
-
-    fn current_seq(&self) -> u64 {
-        MutableIndex::last_seq(self)
-    }
-
-    fn replication_tail(&self, from_seq: u64, max: usize) -> io::Result<(u64, Vec<WalRecord>)> {
-        MutableIndex::replication_tail(self, from_seq, max)
+    fn mutable(&self) -> Option<&MutableIndex> {
+        Some(self)
     }
 }
 
@@ -398,12 +352,75 @@ impl ReplicaBoard {
     }
 }
 
+/// The accept loop the server and the router share: one scoped thread
+/// per connection, registered while it runs so that a drain can sever
+/// what is left.
+pub(crate) struct Front {
+    stopping: AtomicBool,
+    conns: Mutex<Vec<(usize, TcpStream)>>,
+    local_addr: SocketAddr,
+}
+
+impl Front {
+    pub(crate) fn new(listener: &TcpListener) -> io::Result<Front> {
+        let local_addr = listener.local_addr()?;
+        Ok(Front { stopping: AtomicBool::new(false), conns: Mutex::new(Vec::new()), local_addr })
+    }
+
+    /// Serve every connection `listener` accepts with `serve`, each on a
+    /// thread of `scope`, until [`Front::stop`]; the listener is closed
+    /// when this returns.
+    pub(crate) fn accept<'scope>(
+        &'scope self,
+        scope: &'scope Scope<'scope, '_>,
+        listener: TcpListener,
+        serve: impl Fn(&mut TcpStream) + Copy + Send + 'scope,
+    ) {
+        for (id, stream) in listener.incoming().enumerate() {
+            if self.stopped() {
+                break;
+            }
+            let Ok(mut stream) = stream else { continue };
+            if let Ok(clone) = stream.try_clone() {
+                self.conns.lock().unwrap().push((id, clone));
+            }
+            scope.spawn(move || {
+                let _ = stream.set_nodelay(true);
+                serve(&mut stream);
+                self.conns.lock().unwrap().retain(|(cid, _)| *cid != id);
+            });
+        }
+    }
+
+    /// Whether [`Front::stop`] was called.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stopping.load(Ordering::SeqCst)
+    }
+
+    /// End the accept loop: it re-checks the flag per connection, so one
+    /// throwaway local connection gets it past `accept`.
+    pub(crate) fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.local_addr);
+    }
+
+    /// Give open connections up to `grace` to hang up on their own, then
+    /// sever the rest so that the scope can join.
+    pub(crate) fn close(&self, grace: Duration) {
+        let end = Instant::now() + grace;
+        while !self.conns.lock().unwrap().is_empty() && Instant::now() < end {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for (_, conn) in self.conns.lock().unwrap().iter() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 struct Shared {
     queue: Mutex<Queue>,
     not_empty: Condvar,
-    stopping: AtomicBool,
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    local_addr: SocketAddr,
+    front: Front,
     obs: Arc<ServerObs>,
     collections: Arc<Registry>,
     replicas: Arc<ReplicaBoard>,
@@ -437,7 +454,7 @@ pub fn serve_with_obs<E: ServeEngine>(
         // A batch of none would leave every admitted request unanswered.
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "max_batch must be at least 1"));
     }
-    let local_addr = listener.local_addr()?;
+    let front = Front::new(&listener)?;
     obs.set_index_info(engine.len() as u64, engine.dim() as u64, engine.num_shards() as u64);
     let collections = Arc::new(Registry::open(config.collections.clone())?);
     // The scrape listener renders per-collection series through this
@@ -448,7 +465,7 @@ pub fn serve_with_obs<E: ServeEngine>(
         Box::new(move || registry.metrics_rows())
     });
     let replicas = Arc::new(ReplicaBoard {
-        last_seq: AtomicU64::new(engine.current_seq()),
+        last_seq: AtomicU64::new(engine.mutable().map_or(0, MutableIndex::last_seq)),
         acked: Mutex::new(HashMap::new()),
     });
     obs.set_replicas_source({
@@ -458,9 +475,7 @@ pub fn serve_with_obs<E: ServeEngine>(
     let shared = Shared {
         queue: Mutex::new(Queue { items: VecDeque::new(), draining: false }),
         not_empty: Condvar::new(),
-        stopping: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
-        local_addr,
+        front,
         obs,
         collections,
         replicas,
@@ -468,66 +483,28 @@ pub fn serve_with_obs<E: ServeEngine>(
     let shared = &shared;
     let stats = std::thread::scope(move |s| {
         let batcher = s.spawn(move || batcher_loop(engine, shared, config));
-        let mut next_id = 0u64;
-        for stream in listener.incoming() {
-            if shared.stopping.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            let id = next_id;
-            next_id += 1;
-            if let Ok(clone) = stream.try_clone() {
-                shared.conns.lock().unwrap().push((id, clone));
-            }
-            s.spawn(move || handle_connection(engine, shared, config, stream, id));
-        }
-        drop(listener); // stop accepting before the drain
+        shared.front.accept(s, listener, move |stream| {
+            let _ = serve_connection(engine, shared, config, stream);
+        });
         batcher.join().expect("batch worker panicked");
         // Final checkpoint: a graceful drain leaves an empty WAL, so
         // the next start replays nothing. Acked writes are already
         // durable via the WAL, so a failure here only costs restart
         // time — report it, don't fail the drain.
-        match engine.checkpoint_if_wal_exceeds(0) {
-            Ok(true) => shared.obs.checkpoints.inc(),
-            Ok(false) => {}
-            Err(e) => eprintln!("final checkpoint failed: {e}"),
+        match engine.mutable().map(|index| index.checkpoint_if_wal_exceeds(0)) {
+            Some(Ok(true)) => shared.obs.checkpoints.inc(),
+            Some(Err(e)) => eprintln!("final checkpoint failed: {e}"),
+            _ => {}
         }
         // Same deal for every durable collection.
         shared.obs.checkpoints.add(shared.collections.checkpoint_all(0));
         // Handlers deregister on exit; give stragglers (clients that
         // keep idle connections open across the shutdown) a grace
         // period, then sever them so the scope can join.
-        let grace_end = Instant::now() + config.drain_grace;
-        loop {
-            if shared.conns.lock().unwrap().is_empty() {
-                break;
-            }
-            if Instant::now() >= grace_end {
-                for (_, conn) in shared.conns.lock().unwrap().iter() {
-                    let _ = conn.shutdown(Shutdown::Both);
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        shared.front.close(config.drain_grace);
         service_stats(&shared.obs)
     });
     Ok(stats)
-}
-
-fn handle_connection<E: ServeEngine>(
-    engine: &E,
-    shared: &Shared,
-    config: &ServiceConfig,
-    mut stream: TcpStream,
-    id: u64,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = serve_connection(engine, shared, config, &mut stream);
-    shared.conns.lock().unwrap().retain(|(cid, _)| *cid != id);
 }
 
 /// How long a [`Request::ReplAck`] long-polls for fresh records before
@@ -558,19 +535,22 @@ fn answer_repl_pull<E: ServeEngine>(
     if let Err(e) = check_name("replica", replica) {
         return Response::Error(e);
     }
-    match engine.replication_tail(from_seq, repl_batch_cap(engine.dim())) {
+    let Some(index) = engine.mutable() else {
+        return Response::Error(Error::new(
+            ErrorKind::Unsupported,
+            "engine has no replication log",
+        ));
+    };
+    match index.replication_tail(from_seq, repl_batch_cap(engine.dim())) {
         Ok((last_seq, records)) => {
             if !shared.replicas.record(replica, from_seq) {
                 return Response::Error(Error::invalid(format!(
                     "replica {replica:?} refused: the lag board holds {MAX_REPLICAS} replicas"
                 )));
             }
-            let last_seq = last_seq.max(engine.current_seq());
+            let last_seq = last_seq.max(index.last_seq());
             shared.replicas.last_seq.store(last_seq, Ordering::Relaxed);
             Response::ReplBatch { last_seq, records }
-        }
-        Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-            Response::Error(Error::new(ErrorKind::Unsupported, e.to_string()))
         }
         Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
             // Below the retained floor: the subscriber must re-seed.
@@ -580,15 +560,34 @@ fn answer_repl_pull<E: ServeEngine>(
     }
 }
 
+/// Longest the rest of a request frame may take to arrive once its first
+/// byte has: past it the frame is refused as malformed, so a sender that
+/// stops halfway cannot hold its handler thread. An idle connection, one
+/// with no byte of a next frame sent, may wait as long as it likes.
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Read the next request; `None` is a clean hang-up between frames. A
-/// malformed frame is counted and answered with the reason before the
-/// error closes the connection: after a framing violation the stream
-/// position is unreliable. The router's connections read the same way.
+/// malformed frame, or one not completed within [`FRAME_DEADLINE`], is
+/// counted and answered with the reason before the error closes the
+/// connection: after a framing violation the stream position is
+/// unreliable. The router's connections read the same way.
 pub(crate) fn read_request_or_refuse(
     stream: &mut TcpStream,
     obs: &ServerObs,
 ) -> Result<Option<Request>, ProtoError> {
-    let read = protocol::read_request(stream);
+    let mut first = [0u8; 1];
+    stream.set_read_timeout(None)?;
+    match stream.read_exact(&mut first) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e.into()),
+    }
+    let at = Instant::now() + FRAME_DEADLINE;
+    let mut read = protocol::read_request(&mut first.as_slice().chain(Deadline(stream, at)));
+    if matches!(read, Err(ProtoError::Io(_))) && Instant::now() >= at {
+        let late = format!("frame not completed within {FRAME_DEADLINE:?}");
+        read = Err(ProtoError::Malformed(late));
+    }
     if let Err(ProtoError::Malformed(msg)) = &read {
         obs.errors.inc();
         let why = Error::new(ErrorKind::Protocol, format!("malformed request: {msg}"));
@@ -684,9 +683,9 @@ fn serve_connection<E: ServeEngine>(
                     // shutdown promptly).
                     let deadline = Instant::now() + REPL_POLL;
                     loop {
-                        if engine.current_seq() > applied_seq
+                        if engine.mutable().map_or(0, MutableIndex::last_seq) > applied_seq
                             || Instant::now() >= deadline
-                            || shared.stopping.load(Ordering::SeqCst)
+                            || shared.front.stopped()
                         {
                             break;
                         }
@@ -762,17 +761,16 @@ fn validate_query(
     config: &ServiceConfig,
     ask: &QueryAsk,
 ) -> Result<(), Error> {
-    let engine = target.engine;
     // Freshness gate: the check runs before admission, and the target
     // only ever applies *more* writes between now and the flush, so
     // passing here is conservative-correct for read-your-writes.
-    if ask.min_seq > 0 && ask.min_seq > engine.current_seq() {
+    let applied = target.engine.mutable().map_or(0, MutableIndex::last_seq);
+    if ask.min_seq > applied {
         return Err(Error::new(
             ErrorKind::Stale,
             format!(
-                "{} is at seq {} but the query requires at least {}",
+                "{} is at seq {applied} but the query requires at least {}",
                 target.label(),
-                engine.current_seq(),
                 ask.min_seq
             ),
         ));
@@ -804,7 +802,7 @@ fn validate_vector(target: &Target<'_>, what: &str, vector: &[f32]) -> Result<()
 
 /// Everything a mutation must satisfy before it may reach an engine.
 fn validate_mutation(target: &Target<'_>, op: &MutationOp) -> Result<(), Error> {
-    if !target.engine.supports_mutations() {
+    if target.engine.mutable().is_none() {
         return Err(Error::new(
             ErrorKind::Unsupported,
             "engine is immutable: mutations are not supported",
@@ -944,7 +942,7 @@ fn batcher_loop<E: ServeEngine>(engine: &E, shared: &Shared, config: &ServiceCon
 
 /// Execute one batch against its target, account for it, and reply:
 /// apply its mutations first (one durable
-/// [`ServeEngine::apply_mutations`] call — group commit), acknowledge
+/// [`MutableIndex::apply_batch`] call — group commit), acknowledge
 /// them, then expire stale deadlines and run the remaining queries as
 /// one engine batch at the largest requested `k`. Ordering mutations
 /// before queries keeps a flush monotone: no query in the batch can
@@ -971,8 +969,9 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
 
     let mut wal_ns: Option<u64> = None;
     if !ops.is_empty() {
+        let index = engine.mutable().expect("admission refuses writes to a read-only target");
         let wal_start = obs.on().then(Instant::now);
-        match engine.apply_mutations(ops) {
+        match index.apply_batch(&ops) {
             Ok((acks, delta)) => {
                 wal_ns = wal_start.map(|s| s.elapsed().as_nanos() as u64);
                 let deletes = delta.deletes + delta.delete_misses;
@@ -988,7 +987,7 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
                 }
                 obs.mutation_batches.inc();
                 // Replies only after the counters are recorded (and, more
-                // importantly, after apply_mutations' fsync returned).
+                // importantly, after apply_batch's fsync returned).
                 for (tx, ack) in op_txs.iter().zip(acks) {
                     let resp = match ack {
                         MutationAck::Inserted { oid, seq } => Response::InsertAck { oid, seq },
@@ -1002,7 +1001,7 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
                 // (they are already WAL-durable; the checkpoint only
                 // bounds recovery time). A failure is not a lost write,
                 // so it is reported rather than propagated.
-                match engine.checkpoint_if_wal_exceeds(config.checkpoint_wal_bytes) {
+                match index.checkpoint_if_wal_exceeds(config.checkpoint_wal_bytes) {
                     Ok(true) => obs.checkpoints.inc(),
                     Ok(false) => {}
                     Err(e) => eprintln!("checkpoint of {} failed: {e}", target.label()),
@@ -1113,11 +1112,8 @@ fn flush(target: Target<'_>, shared: &Shared, config: &ServiceConfig, batch: Vec
 fn begin_shutdown(shared: &Shared) {
     shared.queue.lock().unwrap().draining = true;
     shared.obs.set_draining();
-    shared.stopping.store(true, Ordering::SeqCst);
     shared.not_empty.notify_all();
-    // Unblock the accept loop: it re-checks `stopping` per connection,
-    // so one throwaway local connection gets it past `accept`.
-    let _ = TcpStream::connect(shared.local_addr);
+    shared.front.stop();
 }
 
 /// The service counters as of now, read from the registry.

@@ -23,7 +23,8 @@ use parking_lot::Mutex;
 
 use crate::diskfile::DiskPageFile;
 
-/// Buffer pool access counters. Monotonic; snapshot via [`PinnedPool::stats`].
+/// Buffer pool state: the monotone access counters and the frames in use.
+/// Snapshot via [`PinnedPool::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PinnedPoolStats {
     /// Page requests served (hits + misses).
@@ -34,6 +35,10 @@ pub struct PinnedPoolStats {
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
+    /// Most pages the pool holds.
+    pub capacity: u64,
+    /// Pages resident now.
+    pub resident: u64,
 }
 
 impl PinnedPoolStats {
@@ -88,23 +93,17 @@ impl PinnedPool {
         }
     }
 
-    /// Maximum resident pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Pages currently resident.
-    pub fn resident(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    /// Snapshot the access counters.
+    /// Snapshot the access counters and the frames in use. Counting
+    /// the resident frames takes the pool lock, so this is for scrapes
+    /// and reports, not the query path.
     pub fn stats(&self) -> PinnedPoolStats {
         PinnedPoolStats {
             requests: self.requests.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            capacity: self.capacity as u64,
+            resident: self.inner.lock().map.len() as u64,
         }
     }
 
@@ -265,7 +264,7 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.misses, 6);
         assert_eq!(s.evictions, 4);
-        assert_eq!(pool.resident(), 2);
+        assert_eq!((s.capacity, s.resident), (2, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -293,8 +292,8 @@ mod tests {
         let _b = pool.get(&file, 1).unwrap();
         let c = pool.get(&file, 2).unwrap();
         assert_eq!(c[0], 2);
-        assert_eq!(pool.resident(), 2);
-        assert_eq!(pool.stats().evictions, 0);
+        let s = pool.stats();
+        assert_eq!((s.resident, s.evictions), (2, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
