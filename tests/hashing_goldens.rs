@@ -7,14 +7,24 @@
 //!   13, 64 and 129. Each family has 13 functions, so a block of eight
 //!   functions leaves five over; two of them are built so that a row's
 //!   products cancel exactly.
+//! - The ids of 4 096 rows of the ledger's data (a Gaussian mixture
+//!   rescaled to a mean nearest-neighbour distance of 1) under 122
+//!   functions of the ledger's width, at 64 dimensions and at 100 (a
+//!   tail past the last eight-lane chunk): row-major as a query batch is
+//!   hashed, and column by column as a build hashes its blocks. Almost
+//!   every id here is an ordinary one, far from a bucket edge.
 //! - The CCPG page file `PagedBuilder` writes for 70 000 rows, at 64
 //!   dimensions and at 13 (a tail past the last eight-lane chunk): every
 //!   vector page and every posting page. Release-only, like
 //!   `tests/segment_boundaries.rs`.
 
+use c2lsh::kernels::{self, HashTile, TILE};
 use c2lsh::{C2lshConfig, HashFamily, PagedStore, PstableHash};
 use cc_vector::dataset::Dataset;
-use cc_vector::gen::{generate, Distribution};
+use cc_vector::gen::{generate, Distribution, NormalSampler};
+use cc_vector::scale::{mean_nn_distance, rescale};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// 64-bit FNV-1a, folded over `bytes` from `hash`.
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
@@ -109,6 +119,66 @@ fn golden_bucket_ids_at_f32_extremes() {
             13_245_838_664_684_276_634,
             17_511_992_906_334_254_589,
             9_401_126_904_154_033_443,
+        ]
+    );
+}
+
+/// `n` rows of the ledger's data at `d` dimensions: 25 points per
+/// cluster of the mixture, rescaled so the mean nearest-neighbour
+/// distance is 1.
+fn mixture_rows(n: usize, d: usize, seed: u64) -> Dataset {
+    let dist = Distribution::GaussianMixture { clusters: n / 25, spread: 0.02, scale: 10.0 };
+    let base = generate(dist, n, d, seed);
+    rescale(&base, 1.0 / mean_nn_distance(&base, 50))
+}
+
+/// `m` functions drawn as `HashFamily::generate` draws them (standard
+/// normal coefficients, offsets uniform over `[0, w·2^30)`) at the
+/// ledger's width, as their coefficient matrix, offsets and widths.
+fn ledger_functions(m: usize, d: usize, seed: u64) -> (Vec<f32>, Vec<f64>, Vec<f64>) {
+    let w = 2.184;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut normal = NormalSampler::new();
+    let matrix = (0..m * d).map(|_| normal.sample(&mut rng) as f32).collect();
+    let offsets = (0..m).map(|_| rng.gen::<f64>() * w * 2f64.powi(30)).collect();
+    (matrix, offsets, vec![w; m])
+}
+
+#[test]
+fn golden_bucket_ids_of_mixture_rows() {
+    let (n, m) = (4096, 122);
+    let mut digests = Vec::new();
+    for d in [64usize, 100] {
+        let rows = mixture_rows(n, d, 42 + d as u64);
+        let (matrix, offsets, widths) = ledger_functions(m, d, 7 + d as u64);
+        let functions = (0..m)
+            .map(|t| PstableHash::from_parts(matrix[t * d..][..d].to_vec(), offsets[t], widths[t]))
+            .collect();
+        let by_row = HashFamily::from_functions(functions).buckets_batch(&rows);
+        // A build's stride: function `t`'s column of `n` ids at `t * n`.
+        let mut by_column = vec![0i64; n * m];
+        for lo in (0..m).step_by(TILE) {
+            let hi = (lo + TILE).min(m);
+            let tile = HashTile::new(&matrix[lo * d..hi * d], &offsets[lo..hi], &widths[lo..hi]);
+            kernels::dispatch().hash_rows(&tile, rows.as_flat(), &mut by_column[lo * n..], (1, n));
+        }
+        for (r, ids) in by_row.chunks_exact(m).enumerate() {
+            for (t, &id) in ids.iter().enumerate() {
+                assert_eq!(by_column[t * n + r], id, "d = {d}, row {r}, function {t}");
+            }
+        }
+        for ids in [&by_row, &by_column] {
+            let bytes: Vec<u8> = ids.iter().flat_map(|b| b.to_le_bytes()).collect();
+            digests.push(fnv1a(FNV_OFFSET, &bytes));
+        }
+    }
+    assert_eq!(
+        digests,
+        [
+            17_516_105_050_168_826_906,
+            6_689_879_674_069_339_890,
+            17_188_734_901_796_871_000,
+            16_382_817_734_718_164_596,
         ]
     );
 }
