@@ -10,7 +10,7 @@
 //! probability `p(s, wR)`.
 
 use crate::config::C2lshConfig;
-use crate::kernels::{self, HashTile, TILE};
+use crate::kernels::{self, HashTile, Margin, TILE};
 use cc_vector::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,6 +86,8 @@ pub struct HashFamily {
     offsets: Vec<f64>,
     /// Per-function widths `w`.
     widths: Vec<f64>,
+    /// Per-function certificate margins of the AVX2 tile, taken once.
+    margins: Vec<Margin>,
     /// Dimensionality shared by every function.
     d: usize,
 }
@@ -102,7 +104,8 @@ impl HashFamily {
         let matrix = functions.iter().flat_map(|h| h.a.iter().copied()).collect();
         let offsets = functions.iter().map(|h| h.b).collect();
         let widths = functions.iter().map(|h| h.w).collect();
-        Self { functions, matrix, offsets, widths, d }
+        let margins = functions.iter().map(|h| Margin::of(&h.a, h.w)).collect();
+        Self { functions, matrix, offsets, widths, margins, d }
     }
 
     /// Draw `m` functions for `d`-dimensional data, deterministically
@@ -210,7 +213,8 @@ impl HashFamily {
     /// The functions `tables`, at most [`TILE`] of them, as a kernel tile.
     fn tile(&self, tables: Range<usize>) -> HashTile<'_> {
         let coeffs = &self.matrix[tables.start * self.d..tables.end * self.d];
-        HashTile::new(coeffs, &self.offsets[tables.clone()], &self.widths[tables])
+        let (offsets, widths) = (&self.offsets[tables.clone()], &self.widths[tables.clone()]);
+        HashTile::with_margins(coeffs, offsets, widths, &self.margins[tables])
     }
 
     /// One query cursor per row of a coalesced batch, in row order:

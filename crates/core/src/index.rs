@@ -139,11 +139,11 @@ impl SortedRun {
     /// bucket `column[i]`; `id` ascends.
     pub(crate) fn from_column(column: &[i64], id: impl Fn(usize) -> u16) -> Self {
         let n = column.len();
-        let min = column.iter().copied().min().unwrap_or(0);
-        let max = column.iter().copied().max().unwrap_or(0);
+        let (min, max) =
+            column.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &b| (lo.min(b), hi.max(b)));
         // Two's complement: exact for any `min <= max`.
         let span = max.wrapping_sub(min) as u64;
-        if span >= n as u64 {
+        if n == 0 || span >= n as u64 {
             // Far more buckets than objects (outliers, a tiny table): a
             // histogram over the span would dwarf the run. Sort the ids.
             let mut order: Vec<u32> = (0..n as u32).collect();
@@ -151,29 +151,58 @@ impl SortedRun {
             let entries = order.into_iter().map(|i| (column[i as usize], id(i as usize)));
             return Self::from_sorted(entries);
         }
-        // Counting sort. The histogram's prefix sums are the directory,
-        // and scattering ids in ascending order leaves them ascending
-        // inside every bucket.
-        let slot = |b: i64| b.wrapping_sub(min) as usize;
-        let mut next = vec![0u32; span as usize + 1];
-        for &b in column.iter() {
-            next[slot(b)] += 1;
+        // Counting sort over the slots `bucket − min`, below `span < n`:
+        // a run has at most `SEGMENT_IDS` ids, so a slot fits a `u16`.
+        // The rows go in four parts, each with a histogram of its own,
+        // walked side by side, so an increment of a hot bucket waits on
+        // the last one of its own part only. Prefix sums over (bucket,
+        // part) give each part its cursor into each bucket, so scattering
+        // the parts side by side still leaves every bucket's ids
+        // ascending.
+        let slots: Vec<u16> = column.iter().map(|&b| b.wrapping_sub(min) as u16).collect();
+        let buckets = span as usize + 1;
+        let len = n / 4;
+        let parts: [&[u16]; 4] = std::array::from_fn(|p| &slots[p * len..(p + 1) * len]);
+        let rest = &slots[4 * len..];
+        let mut next = vec![0u32; 4 * buckets];
+        {
+            let mut counts: Vec<&mut [u32]> = next.chunks_exact_mut(buckets).collect();
+            for i in 0..len {
+                for (count, part) in counts.iter_mut().zip(parts) {
+                    count[usize::from(part[i])] += 1;
+                }
+            }
+            for &slot in rest {
+                counts[3][usize::from(slot)] += 1;
+            }
         }
         let mut dir = BucketDirectory::default();
         let mut seen = 0u32;
-        for (j, cell) in next.iter_mut().enumerate() {
-            let count = *cell;
-            if count > 0 {
-                dir.push(min.wrapping_add(j as i64), seen as usize);
+        for slot in 0..buckets {
+            let start = seen;
+            for p in 0..4 {
+                let cell = &mut next[p * buckets + slot];
+                let count = *cell;
+                *cell = seen;
+                seen += count;
             }
-            *cell = seen;
-            seen += count;
+            if seen > start {
+                dir.push(min.wrapping_add(slot as i64), start as usize);
+            }
         }
         dir.finish(seen as usize);
         let mut oids = vec![0u16; n];
-        for (i, &b) in column.iter().enumerate() {
-            let at = &mut next[slot(b)];
-            oids[*at as usize] = id(i);
+        let mut cursors: Vec<&mut [u32]> = next.chunks_exact_mut(buckets).collect();
+        for i in 0..len {
+            for (p, (cursor, part)) in cursors.iter_mut().zip(parts).enumerate() {
+                let at = &mut cursor[usize::from(part[i])];
+                oids[*at as usize] = id(p * len + i);
+                *at += 1;
+            }
+        }
+        for (i, &slot) in rest.iter().enumerate() {
+            let at = &mut cursors[3][usize::from(slot)];
+            oids[*at as usize] = id(4 * len + i);
             *at += 1;
         }
         SortedRun { dir, oids }

@@ -30,8 +30,8 @@
 //! * projection: same value as [`scalar::dot`], the canonical lane-
 //!   parallel schedule (which this module *defines* — the old
 //!   sequential-`f64` `cc_vector::dist::dot` cannot be reproduced by a
-//!   lane-parallel kernel, so hashing now funnels through this one), and
-//!   the same bucket id from [`KernelDispatch::hash_rows`] as
+//!   lane-parallel kernel, so hashing now funnels through this one);
+//! * bucket ids: the same id from [`KernelDispatch::hash_rows`] as
 //!   `⌊(scalar::dot + b) / w⌋`.
 //!
 //! A projection may fuse its multiply-adds: the product of two `f32`
@@ -39,6 +39,11 @@
 //! inside `f64`'s range), so `fma(a, x, acc)` rounds once, exactly as
 //! `acc + a·x` does. A distance may not: `(a − b)²` is formed in `f32`
 //! and rounded, and fusing would skip that rounding.
+//!
+//! The AVX2 hashing tile reaches the same ids by another road: it
+//! projects in `f32` and keeps an id only where a proven error bound
+//! (`Margin`) leaves the quotient on one side of every bucket edge,
+//! and takes every other id on the reference schedule.
 //!
 //! Kernel choice therefore never affects results, only speed: an index
 //! built under AVX2 answers queries hashed under `CC_FORCE_SCALAR=1`
@@ -50,8 +55,9 @@
 //! the only code in the crate allowed to use `unsafe` — the crate-level
 //! lint is `deny(unsafe_code)` with narrow `allow`s here. The
 //! obligations are (a) SIMD loads stay in bounds, guaranteed by
-//! slice-length arithmetic at each load and, in the projection tile, by
-//! [`HashTile`] holding exactly `d` coefficients per function, and (b)
+//! slice-length arithmetic at each load (a masked load admits only the
+//! lanes inside the slice) and, in the hashing tile, by [`HashTile`]
+//! holding exactly `d` coefficients per function, and (b)
 //! AVX2 functions are only entered after `is_x86_feature_detected!`
 //! found AVX2 and FMA, which [`KernelDispatch::new`] establishes and the
 //! dispatch methods rely on.
@@ -179,12 +185,13 @@ impl KernelDispatch {
 
     /// Bucket ids `⌊(a·row + b) / w⌋` of every row of the row-major
     /// `rows` under every function of `tile`: row `r`'s id under function
-    /// `f` lands at `out[r * stride.0 + f * stride.1]`. Each projection is
-    /// bit-identical to [`scalar::dot`] plus the offset, so the ids equal
+    /// `f` lands at `out[r * stride.0 + f * stride.1]`. Each id equals
+    /// `⌊(scalar::dot + b) / w⌋`, so the ids equal
     /// [`crate::PstableHash::bucket`]'s under every kernel.
     ///
-    /// AVX2 runs a tile of its own; the scalar path takes each
-    /// function's projection with [`scalar::dot`].
+    /// AVX2 runs its certified `f32` tile (module docs), which falls
+    /// back to the reference schedule for the ids it cannot certify; the
+    /// scalar path takes each function's projection with [`scalar::dot`].
     ///
     /// # Panics
     /// Panics when `rows` is not whole rows of the tile's dimension or
@@ -203,13 +210,13 @@ impl KernelDispatch {
             // SAFETY: `KernelDispatch::new` only admits Avx2 after
             // `is_x86_feature_detected!` found both AVX2 and FMA.
             Kernel::Avx2 => unsafe { x86::hash_rows_avx2(tile, rows, out, stride) },
-            _ => each_row(tile, rows, out, stride, |row| tile.ids(|a| scalar::dot(a, row))),
+            _ => each_row(tile, rows, out, stride, |_, row| tile.ids(|a| scalar::dot(a, row))),
         }
     }
 }
 
 /// Functions [`KernelDispatch::hash_rows`] hashes a row against in one
-/// pass: each row chunk is widened once for all of them.
+/// pass: each row chunk is loaded once for all of them.
 pub const TILE: usize = 8;
 
 /// One to [`TILE`] p-stable functions over the same `d` dimensions, as
@@ -224,6 +231,10 @@ pub struct HashTile<'a> {
     b: [f64; TILE],
     /// Bucket widths `w`.
     w: [f64; TILE],
+    /// Each function's [`Margin`], the AVX2 tile's certificate: its
+    /// part per unit of row norm, then its absolute part.
+    per_norm: [f64; TILE],
+    floor: [f64; TILE],
     /// Functions whose ids are stored.
     k: usize,
 }
@@ -237,9 +248,23 @@ impl<'a> HashTile<'a> {
     /// Panics unless there are 1 to [`TILE`] functions of one positive
     /// dimension, each with an offset and a width.
     pub fn new(coeffs: &'a [f32], offsets: &[f64], widths: &[f64]) -> Self {
+        let d = coeffs.len() / offsets.len().max(1);
+        let margins: Vec<Margin> =
+            coeffs.chunks(d.max(1)).zip(widths).map(|(a, &w)| Margin::of(a, w)).collect();
+        Self::with_margins(coeffs, offsets, widths, &margins)
+    }
+
+    /// [`HashTile::new`] with each function's [`Margin`] already taken,
+    /// as a family keeps them.
+    pub(crate) fn with_margins(
+        coeffs: &'a [f32],
+        offsets: &[f64],
+        widths: &[f64],
+        margins: &[Margin],
+    ) -> Self {
         let k = offsets.len();
         assert!((1..=TILE).contains(&k), "1 to {TILE} functions in a tile, not {k}");
-        assert_eq!(widths.len(), k, "a width per function");
+        assert!(widths.len() == k && margins.len() == k, "a width per function");
         assert!(
             !coeffs.is_empty() && coeffs.len().is_multiple_of(k),
             "coefficients of one dimension"
@@ -249,6 +274,8 @@ impl<'a> HashTile<'a> {
             a: std::array::from_fn(|f| &coeffs[f.min(k - 1) * d..][..d]),
             b: std::array::from_fn(|f| offsets[f.min(k - 1)]),
             w: std::array::from_fn(|f| widths[f.min(k - 1)]),
+            per_norm: std::array::from_fn(|f| margins[f.min(k - 1)].per_norm),
+            floor: std::array::from_fn(|f| margins[f.min(k - 1)].floor),
             k,
         }
     }
@@ -263,26 +290,76 @@ impl<'a> HashTile<'a> {
     /// function's coefficients `a`.
     #[inline(always)]
     fn ids(&self, project: impl Fn(&[f32]) -> f64) -> [i64; TILE] {
-        std::array::from_fn(|f| ((project(self.a[f]) + self.b[f]) / self.w[f]).floor() as i64)
+        std::array::from_fn(|f| self.id(f, project(self.a[f])))
     }
 
-    /// Per function, the projection of the elements past the last whole
-    /// chunk of [`scalar::PROJ_LANES`], summed in order as [`scalar::dot`]
-    /// sums them.
+    /// Function `f`'s bucket id of a row whose projection is `dot`.
     #[inline(always)]
-    fn tails(&self, row: &[f32]) -> [f64; TILE] {
-        let split = row.len() - row.len() % scalar::PROJ_LANES;
-        if split == row.len() {
-            return [0.0; TILE];
-        }
-        std::array::from_fn(|f| {
-            let products = self.a[f][split..].iter().zip(&row[split..]);
-            products.fold(0.0, |tail, (x, y)| tail + f64::from(*x) * f64::from(*y))
-        })
+    fn id(&self, f: usize, dot: f64) -> i64 {
+        ((dot + self.b[f]) / self.w[f]).floor() as i64
     }
 }
 
-/// Run `hash` over each row of `rows` and store the bucket ids of the
+/// How far the AVX2 tile's quotient `z = (p̂ + b) / w` may lie from the
+/// reference's `(scalar::dot + b) / w`, for one function: at most
+/// `per_norm · ‖x‖ + floor + F64_ROUNDING · |z|` for a row `x`. The tile
+/// keeps `⌊z⌋` only when `z` is farther than that from every integer.
+///
+/// The tile projects in `f32`: eight lanes of fused multiply-adds, each
+/// lane `⌈d/8⌉` of them, then three levels of pairwise adds, so a
+/// product meets at most `k = ⌈d/8⌉ + 3` roundings of `u = 2⁻²⁴` and the
+/// projection is off by at most `γ_k · Σ|a_i x_i| ≤ γ_k · ‖a‖ · ‖x‖`,
+/// `γ_k = k·u / (1 − k·u)`. The row's norm comes from the same schedule
+/// over `x_i²`, so it too is short by at most a factor `1 − γ_k`, which
+/// `per_norm` undoes. The reference's own `f64` error (`γ` of `⌈d/8⌉ + 8`
+/// roundings of `2⁻⁵³`) rides along, and `floor` covers what gradual
+/// underflow loses (`2⁻¹⁵⁰` per multiply-add, so `⌈d/8⌉ · 2⁻¹⁴⁶` in all)
+/// and a subnormal quotient. A factor `1 + 2⁻⁴⁰` covers the rounding of
+/// the bound itself.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Margin {
+    /// Multiplies an upper bound of the row's norm.
+    per_norm: f64,
+    /// Absolute part, in units of the bucket width.
+    floor: f64,
+}
+
+/// Unit roundoff of `f32`.
+const U32: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// What the add and the divide that form `z` round off, in both the
+/// tile and the reference, per unit of `|z|`: four roundings of `2⁻⁵³`.
+const F64_ROUNDING: f64 = (1.0 + 1.0 / (1u64 << 20) as f64) / (1u64 << 51) as f64;
+
+/// `k·u / (1 − k·u)`: the relative error of `k` roundings of `u`.
+fn gamma(k: usize, u: f64) -> f64 {
+    k as f64 * u / (1.0 - k as f64 * u)
+}
+
+/// What gradual underflow may take from an `f32` sum of `d` products
+/// taken as the tile takes them: `2⁻¹⁵⁰` per multiply-add, a little more
+/// for the roundings after it.
+fn underflow(d: usize) -> f64 {
+    d.div_ceil(8) as f64 * 2f64.powi(-146)
+}
+
+impl Margin {
+    /// The margin of the function with coefficients `a` and width `w`;
+    /// computed once per function, never per row.
+    pub(crate) fn of(a: &[f32], w: f64) -> Margin {
+        let rounds = a.len().div_ceil(8);
+        let gamma32 = gamma(rounds + 3, U32);
+        let gamma64 = gamma(rounds + 8, f64::EPSILON / 2.0);
+        let norm = a.iter().map(|&c| f64::from(c) * f64::from(c)).sum::<f64>().sqrt();
+        let safe = 1.0 + 2f64.powi(-40);
+        Margin {
+            per_norm: (gamma32 + gamma64) / (1.0 - gamma32).sqrt() * norm / w * safe,
+            floor: underflow(a.len()) / w * safe + f64::MIN_POSITIVE,
+        }
+    }
+}
+
+/// Run `hash` over each row of `rows` (with its index) and store the bucket ids of the
 /// tile's first `k` functions where [`KernelDispatch::hash_rows`] says.
 #[inline(always)]
 fn each_row(
@@ -290,10 +367,10 @@ fn each_row(
     rows: &[f32],
     out: &mut [i64],
     (row_stride, fn_stride): (usize, usize),
-    mut hash: impl FnMut(&[f32]) -> [i64; TILE],
+    mut hash: impl FnMut(usize, &[f32]) -> [i64; TILE],
 ) {
     for (r, row) in rows.chunks_exact(tile.dim()).enumerate() {
-        let ids = hash(row);
+        let ids = hash(r, row);
         for (f, &id) in ids[..tile.k].iter().enumerate() {
             out[r * row_stride + f * fn_stride] = id;
         }

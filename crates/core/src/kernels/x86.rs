@@ -3,7 +3,8 @@
 //!
 //! # Bit-identity
 //!
-//! The kernels replicate the scalar schedules operation-for-operation:
+//! The distance kernel and the projection replicate the scalar schedules
+//! operation for operation; the hashing tile certifies instead:
 //!
 //! * **Distance** ([`cc_vector::dist`]): eight `f32` accumulator lanes in
 //!   one 256-bit register, lane `i` accumulating elements `i, i+8, …`.
@@ -12,36 +13,45 @@
 //!   fused op would skip that rounding), the combine pairs lane `i` with
 //!   `i+4` and folds in the scalar `combine`'s association, and the bound
 //!   checks sit at the same [`BOUND_CHECK_DIMS`] block boundaries.
-//! * **Projection** ([`super::scalar`]): eight `f64` accumulator lanes
-//!   per function in two 256-bit registers, combine
-//!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`, sequential `f64` tail
-//!   added last. Products are formed in `f64` from `f32` inputs, so they
-//!   are exact. The hashing tile fuses them into the accumulators with
-//!   `_mm256_fmadd_pd`, one rounding either way: it widens each chunk of
-//!   eight row elements once and runs it against eight functions, whose
-//!   `f32` coefficients are widened in registers, and its epilogue
-//!   combines four functions at a time, adds the tails and offsets,
-//!   divides by the widths and floors.
+//! * **Projection** ([`dot_avx2`], the reference schedule of
+//!   [`super::scalar`]): eight `f64` accumulator lanes per function in two
+//!   256-bit registers, combine `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`,
+//!   sequential `f64` tail added last. Products of `f32` inputs formed in
+//!   `f64` are exact.
+//! * **Hashing tile** ([`hash_rows_avx2`]): it projects in `f32`, eight
+//!   lanes wide, straight from the coefficient matrix: per row chunk one
+//!   fused multiply-add per function, two rows sharing each coefficient
+//!   load, the last partial chunk masked to zeros. Three levels of
+//!   pairwise adds (`hadd`, then the two 128-bit halves) reduce the
+//!   lanes, and the row's squares run the same schedule for its norm.
+//!   Four functions at a time it forms `z = (p̂ + b) / w` in `f64` and
+//!   keeps `⌊z⌋` only where `z` is farther from every integer than the
+//!   function's [`super::Margin`] at this row's norm and `|z| < 2⁵¹`.
+//!   There the reference's quotient lies on the same side of every
+//!   integer, so the id is the reference's. Every other id is taken
+//!   again with [`dot_avx2`]: a few in ten thousand on the ledger's data.
 //!
 //! Per-lane IEEE ops are identical scalar-vs-packed, conversions are
-//! exact, and the reduction order is fixed — so results (including the
-//! bounded kernel's `Some`/`None` decisions) are bit-identical to the
-//! scalar oracle. Pinned by `tests/proptest_kernels.rs`.
+//! exact, and the reduction order is fixed — so distances (including the
+//! bounded kernel's `Some`/`None` decisions), projections and bucket ids
+//! are bit-identical to the scalar oracle. Pinned by
+//! `tests/proptest_kernels.rs`, which also puts projections at bucket
+//! edges where the margin is tight.
 //!
 //! # Safety
 //!
 //! This module is the reason the crate relaxed `#![forbid(unsafe_code)]`
 //! to `deny` + scoped allows. The only unsafe operations are unaligned
 //! SIMD loads and stores (`_mm*_loadu_*`, `_mm*_storeu_*`) whose
-//! in-bounds-ness is guaranteed by the surrounding slice arithmetic, and
-//! calls to `#[target_feature(enable = "avx2")]` functions, which
-//! [`super::KernelDispatch`] only makes after `is_x86_feature_detected!`
-//! found AVX2 and FMA. The two reductions use SSE2 instructions only,
-//! which are part of the x86-64 baseline.
+//! in-bounds-ness is guaranteed by the surrounding slice arithmetic,
+//! masked loads (`_mm256_maskload_ps`) whose masks admit only the lanes
+//! inside the slice, and calls to `#[target_feature(enable = "avx2")]`
+//! functions, which [`super::KernelDispatch`] only makes after
+//! `is_x86_feature_detected!` found AVX2 and FMA. The two reductions use
+//! SSE2 instructions only, which are part of the x86-64 baseline.
 #![allow(unsafe_code)]
 
-use super::scalar::PROJ_LANES;
-use super::{HashTile, TILE};
+use super::{HashTile, F64_ROUNDING, TILE};
 use cc_vector::dist::{BOUND_CHECK_DIMS, LANES};
 use core::arch::x86_64::*;
 
@@ -159,62 +169,157 @@ pub fn dot_avx2(a: &[f32], q: &[f32]) -> f64 {
     main + tail
 }
 
+/// Rows the hashing tile projects before it certifies their ids: a
+/// row's projection and its certificate are each a long chain of
+/// dependent operations, and a block of independent rows keeps both
+/// phases' chains overlapping.
+const BLOCK: usize = 16;
+
 /// AVX2 + FMA hashing tile: [`super::KernelDispatch::hash_rows`].
 #[target_feature(enable = "avx2,fma")]
 pub fn hash_rows_avx2(tile: &HashTile<'_>, rows: &[f32], out: &mut [i64], stride: (usize, usize)) {
-    super::each_row(tile, rows, out, stride, |row| hash_row_avx2(tile, row));
+    let d = tile.dim();
+    let mut projected = [(_mm256_setzero_ps(), 0.0); BLOCK];
+    for (b, block) in rows.chunks(BLOCK * d).enumerate() {
+        for (slots, rows) in projected.chunks_exact_mut(2).zip(block.chunks(2 * d)) {
+            match rows.split_at_checked(d) {
+                Some((one, two)) if !two.is_empty() => {
+                    slots.copy_from_slice(&project(tile, [one, two]))
+                }
+                _ => slots[..1].copy_from_slice(&project(tile, [rows])),
+            }
+        }
+        let out = &mut out[b * BLOCK * stride.0..];
+        super::each_row(tile, block, out, stride, |r, row| certify(tile, row, projected[r]));
+    }
 }
 
-/// The bucket ids of one row under the tile's eight functions.
+/// Lane masks for a chunk of `r` elements: `&TAIL_MASKS[8 - r..][..8]`.
+static TAIL_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// `R` rows' `f32` projections under the tile's eight functions (lane
+/// `f` for function `f`), each with an upper bound of the row's norm.
+/// The rows share each coefficient load, and the functions go `8 / R` at
+/// a time, so eight accumulators are live: two rows take four functions
+/// per pass over the dimensions, one row all eight in one pass.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-fn hash_row_avx2(tile: &HashTile<'_>, row: &[f32]) -> [i64; TILE] {
-    assert_eq!(row.len(), tile.dim(), "row of the tile's dimension");
-    let split = row.len() - row.len() % PROJ_LANES;
-    // Lanes 0..4 of every function, then lanes 4..8: each half of a row
-    // chunk is widened once for all eight functions, and a pass keeps
-    // only its eight accumulators live.
-    let mut acc = [[_mm256_setzero_pd(); TILE]; 2];
-    for (half, acc) in acc.iter_mut().enumerate() {
-        let mut i = 4 * half;
-        while i < split {
-            // SAFETY: i + 4 <= split <= row.len(), and every function of
-            // the tile has row.len() coefficients (`HashTile::new`).
-            let x = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(row.as_ptr().add(i)) });
-            for (acc, a) in acc.iter_mut().zip(&tile.a) {
-                let a = _mm256_cvtps_pd(unsafe { _mm_loadu_ps(a.as_ptr().add(i)) });
-                *acc = _mm256_fmadd_pd(a, x, *acc);
+fn project<const R: usize>(tile: &HashTile<'_>, rows: [&[f32]; R]) -> [(__m256, f64); R] {
+    let d = tile.dim();
+    assert!(rows.iter().all(|row| row.len() == d), "rows of the tile's dimension");
+    let split = d - d % LANES;
+    let per_pass = TILE / R;
+    // Lane `j` of function `f` sums the products of elements `j, j + 8,
+    // …`; `squares` sums each row's squares on the same schedule.
+    let mut squares = [_mm256_setzero_ps(); R];
+    // Per row, functions 0..4 and 4..8 after two of the three levels of
+    // pairwise adds: lanes 0..4 hold the four functions' sums of lanes
+    // 0..4, lanes 4..8 their sums of lanes 4..8.
+    let mut quads = [[_mm256_setzero_ps(); 2]; R];
+    for pass in 0..R {
+        let a = &tile.a[pass * per_pass..(pass + 1) * per_pass];
+        let mut acc = [[_mm256_setzero_ps(); TILE]; R];
+        let mut step = |x: [__m256; R], load: &dyn Fn(&[f32]) -> __m256| {
+            if pass == 0 {
+                for (squares, x) in squares.iter_mut().zip(x) {
+                    *squares = _mm256_fmadd_ps(x, x, *squares);
+                }
             }
-            i += PROJ_LANES;
+            for (f, a) in a.iter().enumerate() {
+                let a = load(a);
+                for (acc, x) in acc.iter_mut().zip(x) {
+                    acc[f] = _mm256_fmadd_ps(a, x, acc[f]);
+                }
+            }
+        };
+        let mut i = 0;
+        while i < split {
+            // SAFETY: i + 8 <= split <= d, the length of every row and of
+            // every function's coefficients (`HashTile::new`).
+            let load = |v: &[f32]| unsafe { _mm256_loadu_ps(v.as_ptr().add(i)) };
+            step(rows.map(load), &load);
+            i += LANES;
+        }
+        if split < d {
+            // The last partial chunk, its missing lanes read as zeros: a
+            // masked load touches no element past the slice.
+            // SAFETY: the mask admits the d - split lanes that are in
+            // bounds, of every row and of every function's coefficients.
+            let mask = unsafe { _mm256_loadu_si256(TAIL_MASKS[8 - (d - split)..].as_ptr().cast()) };
+            let load = |v: &[f32]| unsafe { _mm256_maskload_ps(v.as_ptr().add(split), mask) };
+            step(rows.map(load), &load);
+        }
+        for (quads, acc) in quads.iter_mut().zip(acc) {
+            for g in 0..per_pass / 4 {
+                let [a0, a1, a2, a3] = [0, 1, 2, 3].map(|j| acc[4 * g + j]);
+                quads[pass * per_pass / 4 + g] =
+                    _mm256_hadd_ps(_mm256_hadd_ps(a0, a1), _mm256_hadd_ps(a2, a3));
+            }
         }
     }
-    let [lo, hi] = acc;
-    let tails = tile.tails(row);
-    let mut quotients = [0.0f64; TILE];
-    for q in [0, 4] {
-        // Per function s = [l0+l4, l1+l5, l2+l6, l3+l7]; transposed, the
-        // four functions' (s0+s2) + (s1+s3) are three packed adds.
-        let s: [__m256d; 4] = std::array::from_fn(|j| _mm256_add_pd(lo[q + j], hi[q + j]));
-        let t0 = _mm256_unpacklo_pd(s[0], s[1]); // [f0.s0, f1.s0, f0.s2, f1.s2]
-        let t1 = _mm256_unpackhi_pd(s[0], s[1]); // [f0.s1, f1.s1, f0.s3, f1.s3]
-        let t2 = _mm256_unpacklo_pd(s[2], s[3]);
-        let t3 = _mm256_unpackhi_pd(s[2], s[3]);
-        let even = _mm256_add_pd(
-            _mm256_permute2f128_pd::<0x20>(t0, t2),
-            _mm256_permute2f128_pd::<0x31>(t0, t2),
+    std::array::from_fn(|r| {
+        let [lo, hi] = quads[r];
+        let sums = _mm256_add_ps(
+            _mm256_permute2f128_ps::<0x20>(lo, hi),
+            _mm256_permute2f128_ps::<0x31>(lo, hi),
         );
-        let odd = _mm256_add_pd(
-            _mm256_permute2f128_pd::<0x20>(t1, t3),
-            _mm256_permute2f128_pd::<0x31>(t1, t3),
-        );
-        let main = _mm256_add_pd(even, odd);
-        // SAFETY: q + 4 <= TILE, the length of all four arrays.
-        unsafe {
-            let at = |v: &[f64; TILE]| _mm256_loadu_pd(v.as_ptr().add(q));
-            let p = _mm256_add_pd(_mm256_add_pd(main, at(&tails)), at(&tile.b));
-            let floored = _mm256_floor_pd(_mm256_div_pd(p, at(&tile.w)));
-            _mm256_storeu_pd(quotients.as_mut_ptr().add(q), floored);
-        }
-    }
-    quotients.map(|q| q as i64)
+        // The squares fold in the same three levels.
+        let squares = squares[r];
+        let half = _mm_add_ps(_mm256_castps256_ps128(squares), _mm256_extractf128_ps::<1>(squares));
+        let quarter = _mm_add_ps(half, _mm_movehl_ps(half, half));
+        let sum = _mm_add_ss(quarter, _mm_shuffle_ps::<1>(quarter, quarter));
+        (sums, (f64::from(_mm_cvtss_f32(sum)) + super::underflow(d)).sqrt())
+    })
 }
+
+/// The bucket ids of one row from its [`project`]ion: `⌊z⌋` of
+/// `z = (p̂ + b) / w` where `z` is farther than the function's
+/// [`super::Margin`] from every integer and below 2⁵¹ in magnitude, the
+/// reference schedule's ([`dot_avx2`]) id everywhere else.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+fn certify(tile: &HashTile<'_>, row: &[f32], (projections, norm): (__m256, f64)) -> [i64; TILE] {
+    let (norm, rounding) = (_mm256_set1_pd(norm), _mm256_set1_pd(F64_ROUNDING));
+    let (sign, limit) = (_mm256_set1_pd(-0.0), _mm256_set1_pd((1u64 << 51) as f64));
+    // An integer below 2⁵¹ in magnitude plus 1.5·2⁵² keeps its bits in
+    // the significand: subtracting the sum's bits as integers converts.
+    let magic = _mm256_set1_pd(1.5 * (1u64 << 52) as f64);
+    let mut ids = [0i64; TILE];
+    let mut certified = 0;
+    for q in [0, 4] {
+        let p = if q == 0 {
+            _mm256_castps256_ps128(projections)
+        } else {
+            _mm256_extractf128_ps::<1>(projections)
+        };
+        // SAFETY: q + 4 <= TILE, the length of every array read or
+        // written below.
+        let at = |v: &[f64; TILE]| unsafe { _mm256_loadu_pd(v.as_ptr().add(q)) };
+        let z = _mm256_div_pd(_mm256_add_pd(_mm256_cvtps_pd(p), at(&tile.b)), at(&tile.w));
+        let magnitude = _mm256_andnot_pd(sign, z);
+        let edge = _mm256_andnot_pd(sign, _mm256_sub_pd(z, _mm256_round_pd::<NEAREST>(z)));
+        let margin = _mm256_fmadd_pd(
+            at(&tile.per_norm),
+            norm,
+            _mm256_fmadd_pd(magnitude, rounding, at(&tile.floor)),
+        );
+        let ok = _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_LT_OQ>(margin, edge),
+            _mm256_cmp_pd::<_CMP_LT_OQ>(magnitude, limit),
+        );
+        certified |= _mm256_movemask_pd(ok) << q;
+        let floored = _mm256_castpd_si256(_mm256_add_pd(_mm256_floor_pd(z), magic));
+        let floored = _mm256_sub_epi64(floored, _mm256_castpd_si256(magic));
+        unsafe { _mm256_storeu_si256(ids.as_mut_ptr().add(q).cast(), floored) };
+    }
+    let mut pending = !certified & ((1 << tile.k) - 1);
+    while pending != 0 {
+        let f = pending.trailing_zeros() as usize;
+        ids[f] = tile.id(f, dot_avx2(tile.a[f], row));
+        pending &= pending - 1;
+    }
+    ids
+}
+
+/// Round to nearest, raising no exception.
+const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
