@@ -98,14 +98,26 @@ const MAX_HEAD_BYTES: u64 = 8 * 1024;
 /// Longest a request head may take to arrive: past it the connection closes without a reply.
 const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
-/// A connection whose reads share one deadline, each waiting at most the time left: past it, the
-/// zero timeout left is refused and so is every read. The read timeout stays set afterwards.
+/// A connection whose reads (or writes) share one deadline, each waiting at most the time left:
+/// past it, the zero timeout left is refused and so is every read or write. The timeout stays set
+/// afterwards.
 pub struct Deadline<'a>(pub &'a TcpStream, pub Instant);
 
 impl Read for Deadline<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         self.0.set_read_timeout(Some(self.1.saturating_duration_since(Instant::now())))?;
         self.0.read(buf)
+    }
+}
+
+impl Write for Deadline<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.set_write_timeout(Some(self.1.saturating_duration_since(Instant::now())))?;
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -36,7 +36,7 @@
 
 use crate::obs::ServerObs;
 use crate::protocol::{self, ProtoError, QueryCost, Request, Response};
-use crate::server::{read_request_or_refuse, Front};
+use crate::server::{read_request_or_refuse, send, Front, ServiceConfig};
 use c2lsh::{Error, ErrorKind};
 use cc_vector::gt::Neighbor;
 use std::io;
@@ -131,7 +131,9 @@ pub fn route_with_obs(
     }
     let shared = RouterShared {
         config: config.clone(),
-        front: Front::new(&listener)?,
+        // No queue of its own: it holds the connections a server of
+        // the default queue would.
+        front: Front::new(&listener, ServiceConfig::default().queue_capacity)?,
         forwards: AtomicU64::new(0),
         rr: AtomicU64::new(0),
         obs,
@@ -163,7 +165,7 @@ fn serve_connection(shared: &RouterShared, stream: &mut TcpStream) -> Result<(),
             Request::Ping => Response::Pong,
             Request::Metrics => Response::MetricsText(shared.obs.render_prometheus()),
             Request::Shutdown => {
-                protocol::write_response(stream, &Response::ShutdownAck)?;
+                send(stream, &Response::ShutdownAck)?;
                 shared.front.stop();
                 return Ok(());
             }
@@ -184,7 +186,7 @@ fn serve_connection(shared: &RouterShared, stream: &mut TcpStream) -> Result<(),
         if matches!(resp, Response::Error(_)) {
             shared.obs.errors.inc();
         }
-        protocol::write_response(stream, &resp)?;
+        send(stream, &resp)?;
     }
 }
 

@@ -11,9 +11,12 @@
 //! ```
 //!
 //! Every connection gets a thread (scoped — [`serve`] returns only
-//! after all of them joined) from the accept loop the router shares.
+//! after all of them joined) from the accept loop the router shares,
+//! up to twice [`ServiceConfig::queue_capacity`] connections at once;
+//! one past that is answered [`Response::Overloaded`] and closed.
 //! A frame's first byte may be waited for indefinitely, the rest of it
-//! for [`FRAME_DEADLINE`]. A handler never touches the engine
+//! for [`FRAME_DEADLINE`], and a write that the peer does not drain
+//! within [`FRAME_DEADLINE`] ends the connection. A handler never touches the engine
 //! directly: it validates the request, pushes work onto the shared
 //! queue and blocks on a private reply channel. The single batcher
 //! thread drains the queue — waiting up to [`ServiceConfig::max_delay`]
@@ -195,7 +198,8 @@ pub struct ServiceConfig {
     /// partial batch (the latency cost of coalescing).
     pub max_delay: Duration,
     /// Admission bound: queries arriving while this many are already
-    /// queued are refused with [`Response::Overloaded`].
+    /// queued are refused with [`Response::Overloaded`], and so are
+    /// connections past twice this many open ones.
     pub queue_capacity: usize,
     /// Largest accepted `k` (guards the per-request memory bound).
     pub k_max: usize,
@@ -354,17 +358,33 @@ impl ReplicaBoard {
 
 /// The accept loop the server and the router share: one scoped thread
 /// per connection, registered while it runs so that a drain can sever
-/// what is left.
+/// what is left. At most [`max_connections`] are served at once: one
+/// past it is sent [`Response::Overloaded`] and closed.
 pub(crate) struct Front {
     stopping: AtomicBool,
     conns: Mutex<Vec<(usize, TcpStream)>>,
     local_addr: SocketAddr,
+    max_conns: usize,
+}
+
+/// Connections served at once behind a queue of `queue_capacity`: a
+/// connection has at most one request queued, so `queue_capacity` of
+/// them can fill the queue, and as many again may sit idle or between
+/// requests. Each costs a thread, so past the bound the answer is the
+/// one a full queue gives.
+pub(crate) fn max_connections(queue_capacity: usize) -> usize {
+    queue_capacity.saturating_mul(2).max(1)
 }
 
 impl Front {
-    pub(crate) fn new(listener: &TcpListener) -> io::Result<Front> {
+    pub(crate) fn new(listener: &TcpListener, queue_capacity: usize) -> io::Result<Front> {
         let local_addr = listener.local_addr()?;
-        Ok(Front { stopping: AtomicBool::new(false), conns: Mutex::new(Vec::new()), local_addr })
+        Ok(Front {
+            stopping: AtomicBool::new(false),
+            conns: Mutex::new(Vec::new()),
+            local_addr,
+            max_conns: max_connections(queue_capacity),
+        })
     }
 
     /// Serve every connection `listener` accepts with `serve`, each on a
@@ -381,8 +401,16 @@ impl Front {
                 break;
             }
             let Ok(mut stream) = stream else { continue };
-            if let Ok(clone) = stream.try_clone() {
-                self.conns.lock().unwrap().push((id, clone));
+            {
+                let mut conns = self.conns.lock().unwrap();
+                if conns.len() >= self.max_conns {
+                    drop(conns);
+                    let _ = send(&stream, &Response::Overloaded);
+                    continue;
+                }
+                if let Ok(clone) = stream.try_clone() {
+                    conns.push((id, clone));
+                }
             }
             scope.spawn(move || {
                 let _ = stream.set_nodelay(true);
@@ -454,7 +482,7 @@ pub fn serve_with_obs<E: ServeEngine>(
         // A batch of none would leave every admitted request unanswered.
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "max_batch must be at least 1"));
     }
-    let front = Front::new(&listener)?;
+    let front = Front::new(&listener, config.queue_capacity)?;
     obs.set_index_info(engine.len() as u64, engine.dim() as u64, engine.num_shards() as u64);
     let collections = Arc::new(Registry::open(config.collections.clone())?);
     // The scrape listener renders per-collection series through this
@@ -563,8 +591,17 @@ fn answer_repl_pull<E: ServeEngine>(
 /// Longest the rest of a request frame may take to arrive once its first
 /// byte has: past it the frame is refused as malformed, so a sender that
 /// stops halfway cannot hold its handler thread. An idle connection, one
-/// with no byte of a next frame sent, may wait as long as it likes.
+/// with no byte of a next frame sent, may wait as long as it likes. A
+/// response frame gets as long to leave ([`send`]).
 pub const FRAME_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Send one response frame, all of it within [`FRAME_DEADLINE`]: a peer
+/// that stops reading frees the handler instead of holding it until the
+/// drain. The deadline is the frame's, not each write's: a write that
+/// moves a few bytes would restart a per-write timeout.
+pub(crate) fn send(stream: &TcpStream, resp: &Response) -> io::Result<()> {
+    protocol::write_response(&mut Deadline(stream, Instant::now() + FRAME_DEADLINE), resp)
+}
 
 /// Read the next request; `None` is a clean hang-up between frames. A
 /// malformed frame, or one not completed within [`FRAME_DEADLINE`], is
@@ -591,7 +628,7 @@ pub(crate) fn read_request_or_refuse(
     if let Err(ProtoError::Malformed(msg)) = &read {
         obs.errors.inc();
         let why = Error::new(ErrorKind::Protocol, format!("malformed request: {msg}"));
-        let _ = protocol::write_response(stream, &Response::Error(why));
+        let _ = send(stream, &Response::Error(why));
     }
     read
 }
@@ -611,7 +648,7 @@ fn serve_connection<E: ServeEngine>(
             Request::Ping => Response::Pong,
             Request::Metrics => Response::MetricsText(shared.obs.render_prometheus()),
             Request::Shutdown => {
-                protocol::write_response(stream, &Response::ShutdownAck)?;
+                send(stream, &Response::ShutdownAck)?;
                 begin_shutdown(shared);
                 return Ok(());
             }
@@ -701,7 +738,7 @@ fn serve_connection<E: ServeEngine>(
         if matches!(resp, Response::Error(_)) {
             shared.obs.errors.inc();
         }
-        protocol::write_response(stream, &resp)?;
+        send(stream, &resp)?;
     }
 }
 

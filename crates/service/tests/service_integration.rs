@@ -741,6 +741,110 @@ fn a_half_sent_frame_is_refused_and_closed() {
     });
 }
 
+/// A server holds at most twice its queue's capacity of connections:
+/// with a queue of four, the ninth connection is sent one `Overloaded`
+/// frame and closed, and once a client hangs up its place is free again.
+#[test]
+fn connections_past_twice_the_queue_capacity_are_refused() {
+    use std::io::Read;
+
+    let engine = MutableIndex::ephemeral(DynamicIndex::new(4, 16, &cfg_exact(16)));
+    let service = ServiceConfig { queue_capacity: 4, ..ServiceConfig::default() };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("connection_cap", Duration::from_secs(60), || {
+        let (engine, service) = (&engine, &service);
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
+            let mut clients: Vec<Client> = (0..8)
+                .map(|_| {
+                    let mut client = Client::connect(addr).unwrap();
+                    client.ping().unwrap();
+                    client
+                })
+                .collect();
+
+            let mut raw = std::net::TcpStream::connect(addr).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+            let mut reply = Vec::new();
+            raw.read_to_end(&mut reply).expect("the server answers and closes");
+            let mut frame = &reply[..];
+            let refusal = cc_service::protocol::read_response(&mut frame).unwrap().unwrap();
+            assert!(matches!(refusal, Response::Overloaded), "{refusal:?}");
+            assert!(frame.is_empty(), "exactly one frame before the close");
+
+            // A hang-up frees a place; the server sees it a moment later.
+            let mut last = clients.pop().unwrap();
+            drop(clients);
+            let served = (0..100).any(|_| {
+                let ok = Client::connect(addr).is_ok_and(|mut client| client.ping().is_ok());
+                if !ok {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                ok
+            });
+            assert!(served, "no connection was served after seven hung up");
+
+            last.shutdown().unwrap();
+            server.join().unwrap();
+        });
+    });
+}
+
+/// A peer that sends requests but never reads the answers stalls its
+/// handler's writes; past `FRAME_DEADLINE` the server gives the
+/// connection up instead of holding the thread until the drain.
+#[test]
+fn a_peer_that_never_reads_is_closed_after_the_frame_deadline() {
+    use std::io::{ErrorKind, Read, Write};
+
+    let engine = MutableIndex::ephemeral(DynamicIndex::new(4, 16, &cfg_exact(16)));
+    let service = ServiceConfig { queue_capacity: 4, ..ServiceConfig::default() };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    with_watchdog("unread_answers", Duration::from_secs(60), || {
+        let (engine, service) = (&engine, &service);
+        std::thread::scope(move |s| {
+            let server = s.spawn(move || cc_service::serve(engine, listener, service).unwrap());
+
+            // Twenty thousand Metrics requests: their answers, kilobytes
+            // each, fill both socket buffers long before the last, and
+            // the handler's write stalls well inside the wait below.
+            let mut raw = std::net::TcpStream::connect(addr).unwrap();
+            raw.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
+            let _ = raw.write_all(&[1, 0, 0, 0, 0x08].repeat(20_000));
+            std::thread::sleep(cc_service::server::FRAME_DEADLINE + Duration::from_secs(2));
+
+            // What was buffered drains, then the connection is closed;
+            // a handler still holding it would answer on and then wait.
+            raw.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+            let mut sink = vec![0u8; 1 << 16];
+            let closed = loop {
+                match raw.read(&mut sink) {
+                    Ok(0) => break true,
+                    Ok(_) => {}
+                    Err(e) if e.kind() == ErrorKind::ConnectionReset => break true,
+                    Err(e) => {
+                        assert!(
+                            matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                            "{e}"
+                        );
+                        break false;
+                    }
+                }
+            };
+            assert!(closed, "the server still holds a connection that stopped reading");
+
+            let mut client = Client::connect(addr).unwrap();
+            client.ping().unwrap();
+            client.shutdown().unwrap();
+            server.join().unwrap();
+        });
+    });
+}
+
 /// A read-only (sharded) engine must refuse mutation frames at
 /// admission with an `Error` response — and keep serving queries. Each
 /// refusal has its kind: writes and replication pulls are
