@@ -12,7 +12,8 @@
 //!   functions of the ledger's width, at 64 dimensions and at 100 (a
 //!   tail past the last eight-lane chunk): row-major as a query batch is
 //!   hashed, and column by column as a build hashes its blocks. Almost
-//!   every id here is an ordinary one, far from a bucket edge.
+//!   every id here is an ordinary one, far from a bucket edge. The first
+//!   256 rows are pinned on their own as well, for Miri.
 //! - The CCPG page file `PagedBuilder` writes for 70 000 rows, at 64
 //!   dimensions and at 13 (a tail past the last eight-lane chunk): every
 //!   vector page and every posting page. Release-only, like
@@ -144,43 +145,66 @@ fn ledger_functions(m: usize, d: usize, seed: u64) -> (Vec<f32>, Vec<f64>, Vec<f
     (matrix, offsets, vec![w; m])
 }
 
-#[test]
-fn golden_bucket_ids_of_mixture_rows() {
-    let (n, m) = (4096, 122);
-    let mut digests = Vec::new();
-    for d in [64usize, 100] {
-        let rows = mixture_rows(n, d, 42 + d as u64);
-        let (matrix, offsets, widths) = ledger_functions(m, d, 7 + d as u64);
-        let functions = (0..m)
-            .map(|t| PstableHash::from_parts(matrix[t * d..][..d].to_vec(), offsets[t], widths[t]))
-            .collect();
-        let by_row = HashFamily::from_functions(functions).buckets_batch(&rows);
-        // A build's stride: function `t`'s column of `n` ids at `t * n`.
-        let mut by_column = vec![0i64; n * m];
-        for lo in (0..m).step_by(TILE) {
-            let hi = (lo + TILE).min(m);
-            let tile = HashTile::new(&matrix[lo * d..hi * d], &offsets[lo..hi], &widths[lo..hi]);
-            kernels::dispatch().hash_rows(&tile, rows.as_flat(), &mut by_column[lo * n..], (1, n));
-        }
-        for (r, ids) in by_row.chunks_exact(m).enumerate() {
-            for (t, &id) in ids.iter().enumerate() {
-                assert_eq!(by_column[t * n + r], id, "d = {d}, row {r}, function {t}");
-            }
-        }
-        for ids in [&by_row, &by_column] {
-            let bytes: Vec<u8> = ids.iter().flat_map(|b| b.to_le_bytes()).collect();
-            digests.push(fnv1a(FNV_OFFSET, &bytes));
+/// The digests of `rows`' ids under the functions `(matrix, offsets,
+/// widths)`: row-major from `HashFamily::buckets_batch`, then column by
+/// column from `hash_rows` at a build's stride, after checking that the
+/// two agree.
+fn ids_digests(
+    rows: &Dataset,
+    (matrix, offsets, widths): &(Vec<f32>, Vec<f64>, Vec<f64>),
+) -> [u64; 2] {
+    let (n, m, d) = (rows.len(), offsets.len(), rows.dim());
+    let functions = (0..m)
+        .map(|t| PstableHash::from_parts(matrix[t * d..][..d].to_vec(), offsets[t], widths[t]))
+        .collect();
+    let by_row = HashFamily::from_functions(functions).buckets_batch(rows);
+    // A build's stride: function `t`'s column of `n` ids at `t * n`.
+    let mut by_column = vec![0i64; n * m];
+    for lo in (0..m).step_by(TILE) {
+        let hi = (lo + TILE).min(m);
+        let tile = HashTile::new(&matrix[lo * d..hi * d], &offsets[lo..hi], &widths[lo..hi]);
+        kernels::dispatch().hash_rows(&tile, rows.as_flat(), &mut by_column[lo * n..], (1, n));
+    }
+    for (r, ids) in by_row.chunks_exact(m).enumerate() {
+        for (t, &id) in ids.iter().enumerate() {
+            assert_eq!(by_column[t * n + r], id, "d = {d}, row {r}, function {t}");
         }
     }
-    assert_eq!(
-        digests,
-        [
-            17_516_105_050_168_826_906,
-            6_689_879_674_069_339_890,
-            17_188_734_901_796_871_000,
-            16_382_817_734_718_164_596,
-        ]
-    );
+    [&by_row, &by_column].map(|ids| {
+        let bytes: Vec<u8> = ids.iter().flat_map(|b| b.to_le_bytes()).collect();
+        fnv1a(FNV_OFFSET, &bytes)
+    })
+}
+
+#[test]
+fn golden_bucket_ids_of_mixture_rows() {
+    // The first 256 rows are pinned on their own: Miri interprets those
+    // only.
+    let whole = !cfg!(miri);
+    let mut digests = Vec::new();
+    for d in [64usize, 100] {
+        let rows = mixture_rows(4096, d, 42 + d as u64);
+        let functions = ledger_functions(122, d, 7 + d as u64);
+        digests.extend(ids_digests(&rows.slice_rows(0, 256), &functions));
+        if whole {
+            digests.extend(ids_digests(&rows, &functions));
+        }
+    }
+    let want = [
+        13_169_839_342_811_178_036,
+        6_614_888_472_052_290_780,
+        17_516_105_050_168_826_906,
+        6_689_879_674_069_339_890,
+        3_397_348_870_048_556_135,
+        17_783_930_970_767_452_239,
+        17_188_734_901_796_871_000,
+        16_382_817_734_718_164_596,
+    ];
+    if whole {
+        assert_eq!(digests, want);
+    } else {
+        assert_eq!(digests, [want[0], want[1], want[4], want[5]]);
+    }
 }
 
 /// The page file `PagedStore::build` writes for 70 000 clustered rows of
