@@ -151,14 +151,11 @@ impl SortedRun {
             let entries = order.into_iter().map(|i| (column[i as usize], id(i as usize)));
             return Self::from_sorted(entries);
         }
-        // Counting sort over the slots `bucket − min`, below `span < n`:
-        // a run has at most `SEGMENT_IDS` ids, so a slot fits a `u16`.
-        // The rows go in four parts, each with a histogram of its own,
-        // walked side by side, so an increment of a hot bucket waits on
-        // the last one of its own part only. Prefix sums over (bucket,
-        // part) give each part its cursor into each bucket, so scattering
-        // the parts side by side still leaves every bucket's ids
-        // ascending.
+        // Counting sort over `u16` slots `bucket − min < span < n`. Four
+        // quarters of the rows, each with a histogram of its own, are
+        // counted and scattered side by side, so a hot bucket's updates
+        // do not chain; prefix sums over (bucket, quarter) keep each
+        // bucket's ids ascending.
         let slots: Vec<u16> = column.iter().map(|&b| b.wrapping_sub(min) as u16).collect();
         let buckets = span as usize + 1;
         let len = n / 4;

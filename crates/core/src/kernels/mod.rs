@@ -231,8 +231,7 @@ pub struct HashTile<'a> {
     b: [f64; TILE],
     /// Bucket widths `w`.
     w: [f64; TILE],
-    /// Each function's [`Margin`], the AVX2 tile's certificate: its
-    /// part per unit of row norm, then its absolute part.
+    /// Each function's [`Margin`], per unit of row norm and absolute.
     per_norm: [f64; TILE],
     floor: [f64; TILE],
     /// Functions whose ids are stored.
@@ -254,8 +253,8 @@ impl<'a> HashTile<'a> {
         Self::with_margins(coeffs, offsets, widths, &margins)
     }
 
-    /// [`HashTile::new`] with each function's [`Margin`] already taken,
-    /// as a family keeps them.
+    /// [`HashTile::new`] with each function's margin already taken, as a
+    /// family keeps them.
     pub(crate) fn with_margins(
         coeffs: &'a [f32],
         offsets: &[f64],
@@ -301,55 +300,41 @@ impl<'a> HashTile<'a> {
 }
 
 /// How far the AVX2 tile's quotient `z = (p̂ + b) / w` may lie from the
-/// reference's `(scalar::dot + b) / w`, for one function: at most
-/// `per_norm · ‖x‖ + floor + F64_ROUNDING · |z|` for a row `x`. The tile
-/// keeps `⌊z⌋` only when `z` is farther than that from every integer.
+/// reference's `(scalar::dot + b) / w` for one function: at most
+/// `per_norm · ‖x‖ + floor + F64_ROUNDING · |z|` for a row `x`.
 ///
-/// The tile projects in `f32`: eight lanes of fused multiply-adds, each
-/// lane `⌈d/8⌉` of them, then three levels of pairwise adds, so a
-/// product meets at most `k = ⌈d/8⌉ + 3` roundings of `u = 2⁻²⁴` and the
-/// projection is off by at most `γ_k · Σ|a_i x_i| ≤ γ_k · ‖a‖ · ‖x‖`,
-/// `γ_k = k·u / (1 − k·u)`. The row's norm comes from the same schedule
-/// over `x_i²`, so it too is short by at most a factor `1 − γ_k`, which
-/// `per_norm` undoes. The reference's own `f64` error (`γ` of `⌈d/8⌉ + 8`
-/// roundings of `2⁻⁵³`) rides along, and `floor` covers what gradual
-/// underflow loses (`2⁻¹⁵⁰` per multiply-add, so `⌈d/8⌉ · 2⁻¹⁴⁶` in all)
-/// and a subnormal quotient. A factor `1 + 2⁻⁴⁰` covers the rounding of
-/// the bound itself.
-#[derive(Debug, Clone, Copy, Default)]
+/// The tile's lanes each take `⌈d/8⌉` fused multiply-adds in `f32`, then
+/// three levels of pairwise adds, so a product meets `k = ⌈d/8⌉ + 3`
+/// roundings of `u = 2⁻²⁴` and the projection is off by at most
+/// `γ_k · Σ|a_i x_i| ≤ γ_k · ‖a‖ · ‖x‖`, `γ_k = k·u / (1 − k·u)`. The
+/// row's norm, summed on the same schedule, is short by at most a factor
+/// `1 − γ_k`, which `per_norm` undoes; it also carries the reference's
+/// own error (`⌈d/8⌉ + 8` roundings of `2⁻⁵³`). `floor` covers gradual
+/// underflow (`2⁻¹⁵⁰` a multiply-add) and a subnormal quotient, and a
+/// factor `1 + 2⁻⁴⁰` the rounding of the bound itself.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Margin {
-    /// Multiplies an upper bound of the row's norm.
     per_norm: f64,
-    /// Absolute part, in units of the bucket width.
     floor: f64,
 }
-
-/// Unit roundoff of `f32`.
-const U32: f64 = 1.0 / (1u64 << 24) as f64;
 
 /// What the add and the divide that form `z` round off, in both the
 /// tile and the reference, per unit of `|z|`: four roundings of `2⁻⁵³`.
 const F64_ROUNDING: f64 = (1.0 + 1.0 / (1u64 << 20) as f64) / (1u64 << 51) as f64;
 
-/// `k·u / (1 − k·u)`: the relative error of `k` roundings of `u`.
-fn gamma(k: usize, u: f64) -> f64 {
-    k as f64 * u / (1.0 - k as f64 * u)
-}
-
 /// What gradual underflow may take from an `f32` sum of `d` products
-/// taken as the tile takes them: `2⁻¹⁵⁰` per multiply-add, a little more
-/// for the roundings after it.
+/// taken on the tile's schedule, the roundings after it included.
 fn underflow(d: usize) -> f64 {
     d.div_ceil(8) as f64 * 2f64.powi(-146)
 }
 
 impl Margin {
-    /// The margin of the function with coefficients `a` and width `w`;
-    /// computed once per function, never per row.
+    /// The margin of the function with coefficients `a` and width `w`.
     pub(crate) fn of(a: &[f32], w: f64) -> Margin {
+        let gamma = |k: usize, u: f64| k as f64 * u / (1.0 - k as f64 * u);
         let rounds = a.len().div_ceil(8);
-        let gamma32 = gamma(rounds + 3, U32);
-        let gamma64 = gamma(rounds + 8, f64::EPSILON / 2.0);
+        let gamma32 = gamma(rounds + 3, 2f64.powi(-24));
+        let gamma64 = gamma(rounds + 8, 2f64.powi(-53));
         let norm = a.iter().map(|&c| f64::from(c) * f64::from(c)).sum::<f64>().sqrt();
         let safe = 1.0 + 2f64.powi(-40);
         Margin {
@@ -359,8 +344,8 @@ impl Margin {
     }
 }
 
-/// Run `hash` over each row of `rows` (with its index) and store the bucket ids of the
-/// tile's first `k` functions where [`KernelDispatch::hash_rows`] says.
+/// Run `hash` over each row of `rows` and its index, and store the ids
+/// of the tile's first `k` functions where [`KernelDispatch::hash_rows`] says.
 #[inline(always)]
 fn each_row(
     tile: &HashTile<'_>,

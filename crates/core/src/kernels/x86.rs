@@ -18,25 +18,15 @@
 //!   256-bit registers, combine `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`,
 //!   sequential `f64` tail added last. Products of `f32` inputs formed in
 //!   `f64` are exact.
-//! * **Hashing tile** ([`hash_rows_avx2`]): it projects in `f32`, eight
-//!   lanes wide, straight from the coefficient matrix: per row chunk one
-//!   fused multiply-add per function, two rows sharing each coefficient
-//!   load, the last partial chunk masked to zeros. Three levels of
-//!   pairwise adds (`hadd`, then the two 128-bit halves) reduce the
-//!   lanes, and the row's squares run the same schedule for its norm.
-//!   Four functions at a time it forms `z = (p̂ + b) / w` in `f64` and
-//!   keeps `⌊z⌋` only where `z` is farther from every integer than the
-//!   function's [`super::Margin`] at this row's norm and `|z| < 2⁵¹`.
-//!   There the reference's quotient lies on the same side of every
-//!   integer, so the id is the reference's. Every other id is taken
-//!   again with [`dot_avx2`]: a few in ten thousand on the ledger's data.
+//! * **Hashing tile** ([`hash_rows_avx2`]): projects in `f32`, one fused
+//!   multiply-add per function and chunk of eight elements, reduced in
+//!   three levels of pairwise adds, and keeps `⌊(p̂ + b) / w⌋` only where
+//!   [`super::Margin`] proves the reference's quotient has the same
+//!   floor; every other id is taken again with [`dot_avx2`].
 //!
-//! Per-lane IEEE ops are identical scalar-vs-packed, conversions are
-//! exact, and the reduction order is fixed — so distances (including the
-//! bounded kernel's `Some`/`None` decisions), projections and bucket ids
-//! are bit-identical to the scalar oracle. Pinned by
-//! `tests/proptest_kernels.rs`, which also puts projections at bucket
-//! edges where the margin is tight.
+//! So distances (including the bounded kernel's `Some`/`None`
+//! decisions), projections and bucket ids are bit-identical to the
+//! scalar oracle, pinned by `tests/proptest_kernels.rs`.
 //!
 //! # Safety
 //!
@@ -169,16 +159,19 @@ pub fn dot_avx2(a: &[f32], q: &[f32]) -> f64 {
     main + tail
 }
 
-/// Rows the hashing tile projects before it certifies their ids: a
-/// row's projection and its certificate are each a long chain of
-/// dependent operations, and a block of independent rows keeps both
-/// phases' chains overlapping.
+/// Rows projected before their ids are certified: a block of
+/// independent rows overlaps each row's long chains of dependent ops.
 const BLOCK: usize = 16;
 
 /// AVX2 + FMA hashing tile: [`super::KernelDispatch::hash_rows`].
 #[target_feature(enable = "avx2,fma")]
 pub fn hash_rows_avx2(tile: &HashTile<'_>, rows: &[f32], out: &mut [i64], stride: (usize, usize)) {
     let d = tile.dim();
+    if rows.len() == d {
+        // A query's one row needs no block.
+        let [one] = project(tile, [rows]);
+        return super::each_row(tile, rows, out, stride, |_, row| certify(tile, row, one));
+    }
     let mut projected = [(_mm256_setzero_ps(), 0.0); BLOCK];
     for (b, block) in rows.chunks(BLOCK * d).enumerate() {
         for (slots, rows) in projected.chunks_exact_mut(2).zip(block.chunks(2 * d)) {
@@ -197,11 +190,9 @@ pub fn hash_rows_avx2(tile: &HashTile<'_>, rows: &[f32], out: &mut [i64], stride
 /// Lane masks for a chunk of `r` elements: `&TAIL_MASKS[8 - r..][..8]`.
 static TAIL_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
-/// `R` rows' `f32` projections under the tile's eight functions (lane
-/// `f` for function `f`), each with an upper bound of the row's norm.
-/// The rows share each coefficient load, and the functions go `8 / R` at
-/// a time, so eight accumulators are live: two rows take four functions
-/// per pass over the dimensions, one row all eight in one pass.
+/// `R` (1 or 2) rows' `f32` projections (lane `f` for function `f`), each
+/// with an upper bound of the row's norm. The rows share each coefficient
+/// load, `8 / R` functions a pass, so eight accumulators are live.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 fn project<const R: usize>(tile: &HashTile<'_>, rows: [&[f32]; R]) -> [(__m256, f64); R] {
@@ -210,11 +201,9 @@ fn project<const R: usize>(tile: &HashTile<'_>, rows: [&[f32]; R]) -> [(__m256, 
     let split = d - d % LANES;
     let per_pass = TILE / R;
     // Lane `j` of function `f` sums the products of elements `j, j + 8,
-    // …`; `squares` sums each row's squares on the same schedule.
+    // …`; `squares` sums each row's squares on the same schedule. `quads`
+    // holds functions 0..4 and 4..8 after two levels of pairwise adds.
     let mut squares = [_mm256_setzero_ps(); R];
-    // Per row, functions 0..4 and 4..8 after two of the three levels of
-    // pairwise adds: lanes 0..4 hold the four functions' sums of lanes
-    // 0..4, lanes 4..8 their sums of lanes 4..8.
     let mut quads = [[_mm256_setzero_ps(); 2]; R];
     for pass in 0..R {
         let a = &tile.a[pass * per_pass..(pass + 1) * per_pass];
@@ -272,10 +261,9 @@ fn project<const R: usize>(tile: &HashTile<'_>, rows: [&[f32]; R]) -> [(__m256, 
     })
 }
 
-/// The bucket ids of one row from its [`project`]ion: `⌊z⌋` of
-/// `z = (p̂ + b) / w` where `z` is farther than the function's
-/// [`super::Margin`] from every integer and below 2⁵¹ in magnitude, the
-/// reference schedule's ([`dot_avx2`]) id everywhere else.
+/// One row's ids from its [`project`]ion: `⌊z⌋`, `z = (p̂ + b) / w`, where
+/// `|z| < 2⁵¹` and `z` is farther than the [`super::Margin`] from every
+/// integer; the reference schedule's ([`dot_avx2`]) id everywhere else.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 fn certify(tile: &HashTile<'_>, row: &[f32], (projections, norm): (__m256, f64)) -> [i64; TILE] {
@@ -286,18 +274,15 @@ fn certify(tile: &HashTile<'_>, row: &[f32], (projections, norm): (__m256, f64))
     let magic = _mm256_set1_pd(1.5 * (1u64 << 52) as f64);
     let mut ids = [0i64; TILE];
     let mut certified = 0;
-    for q in [0, 4] {
-        let p = if q == 0 {
-            _mm256_castps256_ps128(projections)
-        } else {
-            _mm256_extractf128_ps::<1>(projections)
-        };
+    let halves = [_mm256_castps256_ps128(projections), _mm256_extractf128_ps::<1>(projections)];
+    for (q, p) in [0, 4].into_iter().zip(halves) {
         // SAFETY: q + 4 <= TILE, the length of every array read or
         // written below.
         let at = |v: &[f64; TILE]| unsafe { _mm256_loadu_pd(v.as_ptr().add(q)) };
         let z = _mm256_div_pd(_mm256_add_pd(_mm256_cvtps_pd(p), at(&tile.b)), at(&tile.w));
         let magnitude = _mm256_andnot_pd(sign, z);
-        let edge = _mm256_andnot_pd(sign, _mm256_sub_pd(z, _mm256_round_pd::<NEAREST>(z)));
+        let nearest = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(z);
+        let edge = _mm256_andnot_pd(sign, _mm256_sub_pd(z, nearest));
         let margin = _mm256_fmadd_pd(
             at(&tile.per_norm),
             norm,
@@ -320,6 +305,3 @@ fn certify(tile: &HashTile<'_>, row: &[f32], (projections, norm): (__m256, f64))
     }
     ids
 }
-
-/// Round to nearest, raising no exception.
-const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;

@@ -15,15 +15,15 @@
 //! up to twice [`ServiceConfig::queue_capacity`] connections at once;
 //! one past that is answered [`Response::Overloaded`] and closed.
 //! A frame's first byte may be waited for indefinitely, the rest of it
-//! for [`FRAME_DEADLINE`], and a write that the peer does not drain
-//! within [`FRAME_DEADLINE`] ends the connection. A handler never touches the engine
-//! directly: it validates the request, pushes work onto the shared
-//! queue and blocks on a private reply channel. The single batcher
-//! thread drains the queue — waiting up to [`ServiceConfig::max_delay`]
-//! for the batch to fill to [`ServiceConfig::max_batch`] — and answers
-//! a whole batch with one [`ServeEngine::query_batch_with`] call, so
-//! concurrent clients share the engine's scoped-parallel executor
-//! instead of contending for it.
+//! for [`FRAME_DEADLINE`], and a response frame the peer does not take
+//! within [`FRAME_DEADLINE`] ends the connection. A handler never
+//! touches the engine directly: it validates the request, pushes work
+//! onto the shared queue and blocks on a private reply channel. The
+//! single batcher thread drains the queue — waiting up to
+//! [`ServiceConfig::max_delay`] for the batch to fill to
+//! [`ServiceConfig::max_batch`] — and answers a whole batch with one
+//! [`ServeEngine::query_batch_with`] call, so concurrent clients share
+//! the engine's scoped-parallel executor instead of contending for it.
 //!
 //! The engine behind the queue is anything implementing
 //! [`ServeEngine`]: the read-only [`C2lshIndex`] or the mutable,
@@ -358,8 +358,9 @@ impl ReplicaBoard {
 
 /// The accept loop the server and the router share: one scoped thread
 /// per connection, registered while it runs so that a drain can sever
-/// what is left. At most [`max_connections`] are served at once: one
-/// past it is sent [`Response::Overloaded`] and closed.
+/// what is left. A connection queues at most one request, so twice
+/// `queue_capacity` connections can fill the queue and sit idle as many
+/// again; one past that is sent [`Response::Overloaded`] and closed.
 pub(crate) struct Front {
     stopping: AtomicBool,
     conns: Mutex<Vec<(usize, TcpStream)>>,
@@ -367,24 +368,11 @@ pub(crate) struct Front {
     max_conns: usize,
 }
 
-/// Connections served at once behind a queue of `queue_capacity`: a
-/// connection has at most one request queued, so `queue_capacity` of
-/// them can fill the queue, and as many again may sit idle or between
-/// requests. Each costs a thread, so past the bound the answer is the
-/// one a full queue gives.
-pub(crate) fn max_connections(queue_capacity: usize) -> usize {
-    queue_capacity.saturating_mul(2).max(1)
-}
-
 impl Front {
     pub(crate) fn new(listener: &TcpListener, queue_capacity: usize) -> io::Result<Front> {
-        let local_addr = listener.local_addr()?;
-        Ok(Front {
-            stopping: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            local_addr,
-            max_conns: max_connections(queue_capacity),
-        })
+        let (stopping, conns) = (AtomicBool::new(false), Mutex::new(Vec::new()));
+        let max_conns = queue_capacity.saturating_mul(2).max(1);
+        Ok(Front { stopping, conns, local_addr: listener.local_addr()?, max_conns })
     }
 
     /// Serve every connection `listener` accepts with `serve`, each on a
@@ -592,7 +580,7 @@ fn answer_repl_pull<E: ServeEngine>(
 /// byte has: past it the frame is refused as malformed, so a sender that
 /// stops halfway cannot hold its handler thread. An idle connection, one
 /// with no byte of a next frame sent, may wait as long as it likes. A
-/// response frame gets as long to leave ([`send`]).
+/// response frame gets as long to leave.
 pub const FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Send one response frame, all of it within [`FRAME_DEADLINE`]: a peer
