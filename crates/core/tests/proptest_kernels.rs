@@ -208,7 +208,8 @@ fn edge_cases(d: usize, c: u32, seed: u64) -> (Vec<f32>, Vec<f64>, Vec<f64>, Vec
     matrix.extend((0..4 * d).map(|_| (next() - 0.5) as f32 / (0.75 + next() as f32)));
     let mut rows = ones_then_t.clone();
     let mut offsets = Vec::with_capacity(TILE);
-    // Just above the integer `edge`, `nudge` steps of the offset up.
+    // Offsets putting the reference quotient at the integer `edge`, then
+    // function `f`'s offset `f` floats higher.
     let p = scalar::dot(&ones_then_t, &ones_then_t);
     for (f, w) in widths[..4].iter().enumerate() {
         let edge = (next() * 1000.0).floor();
