@@ -160,9 +160,16 @@ proptest! {
             kd.hash_rows(&tile, &rows, &mut by_row, (TILE, 1));
             kd.hash_rows(&tile, &rows, &mut by_column, (1, n));
             for (r, row) in rows.chunks_exact(d).enumerate() {
+                // A row alone, as a query is hashed.
+                let mut alone = [0i64; TILE];
+                kd.hash_rows(&tile, row, &mut alone, (TILE, 1));
                 for t in 0..TILE {
                     let dot = scalar::dot(&matrix[t * d..(t + 1) * d], row);
                     let want = ((dot + offsets[t]) / widths[t]).floor() as i64;
+                    prop_assert_eq!(
+                        alone[t], want,
+                        "{}: a lone row's id diverged at row {} function {}", kd.kernel(), r, t
+                    );
                     prop_assert_eq!(
                         by_row[r * TILE + t], want,
                         "{}: row-major id diverged at row {} function {}", kd.kernel(), r, t
